@@ -25,7 +25,7 @@ from repro.analysis.tables import format_grid_table
 from repro.core.experiments import SCALES, ExperimentScale, get_experiment
 from repro.core.metrics import GridResult
 from repro.core.sweep import simulate_grid
-from repro.kernels import normalize_thread_spec
+from repro.runner.options import ExecutionOptions
 
 #: Where benchmark outputs (CSV grids, text tables) are written.
 RESULTS_DIR = Path(__file__).parent / "results"
@@ -54,42 +54,6 @@ def bench_workers() -> Optional[int]:
     return workers if workers > 1 else None
 
 
-def bench_fastpath() -> bool:
-    """Whether benchmarks use the vectorised batch decoder (default: yes).
-
-    ``REPRO_BENCH_FASTPATH=0`` falls back to the incremental reference
-    path; results are bit-identical either way, this is an equivalence
-    escape hatch / baseline knob.
-    """
-    value = os.environ.get("REPRO_BENCH_FASTPATH", "").strip().lower()
-    return value not in ("0", "false", "no", "off")
-
-
-def bench_kernel() -> Optional[str]:
-    """Kernel backend for the benchmark harness (``REPRO_KERNEL``).
-
-    ``None`` lets :func:`repro.kernels.get_backend` resolve the default
-    (numba when importable, else cext when a C compiler is present, else
-    numpy); any registered backend name selects it explicitly.  Results
-    are bit-identical across backends.
-    """
-    value = os.environ.get("REPRO_KERNEL", "").strip().lower()
-    return value or None
-
-
-def bench_kernel_threads() -> Optional[str]:
-    """Kernel thread spec for the harness (``REPRO_KERNEL_THREADS``).
-
-    A positive integer or ``auto`` selects the compiled kernels'
-    row-parallel team size (OpenMP over independent runs); unset defers
-    to the kernel layer's own resolution of the same variable.  Results
-    are bit-identical at any thread count -- like workers, this is a
-    pure wall-clock knob.
-    """
-    value = os.environ.get("REPRO_KERNEL_THREADS", "").strip().lower()
-    return normalize_thread_spec(value or None)
-
-
 def results_path(name: str) -> Path:
     RESULTS_DIR.mkdir(parents=True, exist_ok=True)
     return RESULTS_DIR / name
@@ -101,29 +65,14 @@ def run_figure_experiment(
     runs: int = BENCH_RUNS,
     scale: ExperimentScale = BENCH_SCALE,
     seed: int = BENCH_SEED,
-    workers: Optional[int] = None,
-    fastpath: Optional[bool] = None,
-    kernel: Optional[str] = None,
-    kernel_threads: Optional[str] = None,
 ) -> Dict[str, GridResult]:
     """Run every configuration of a figure preset and persist the grids.
 
-    ``workers`` (default: the ``REPRO_BENCH_WORKERS`` environment variable)
-    fans the grid cells out over the runner's process-pool executor;
-    ``fastpath`` (default: ``REPRO_BENCH_FASTPATH``, on unless set to 0)
-    selects the vectorised batch decoder; ``kernel`` (default: the
-    ``REPRO_KERNEL`` environment variable / auto) the kernel backend;
-    ``kernel_threads`` (default: ``REPRO_KERNEL_THREADS``) the compiled
-    kernels' row-parallel team size.
+    ``REPRO_BENCH_WORKERS`` fans the grid cells out over the runner's
+    process-pool executor; the kernel layer reads ``REPRO_KERNEL`` and
+    ``REPRO_KERNEL_THREADS`` itself.
     """
-    if workers is None:
-        workers = bench_workers()
-    if fastpath is None:
-        fastpath = bench_fastpath()
-    if kernel is None:
-        kernel = bench_kernel()
-    if kernel_threads is None:
-        kernel_threads = bench_kernel_threads()
+    options = ExecutionOptions(workers=bench_workers())
     spec = get_experiment(experiment_id)
     grids: Dict[str, GridResult] = {}
     for config in spec.scaled_configs(scale):
@@ -133,10 +82,7 @@ def run_figure_experiment(
             scale.q_values,
             runs=runs,
             seed=seed,
-            workers=workers,
-            fastpath=fastpath,
-            kernel=kernel,
-            kernel_threads=kernel_threads,
+            options=options,
         )
         grids[config.display_label] = grid
         slug = label_slug(config.display_label)

@@ -10,8 +10,8 @@ Measures end-to-end simulation throughput (runs/second: schedule + channel
   :mod:`repro.pipeline` run synthesis (whole-unit schedules, loss masks,
   received assembly) and the batch decode, once per available
   :mod:`repro.kernels` backend (the vectorised ``numpy`` reference with
-  its chain-aware staircase cascade, plus whichever compiled backends --
-  ``numba``, ``cext`` -- this machine can build).  The columnar
+  its chain-aware staircase cascade, plus the compiled ``cext`` backend
+  when this machine can build it).  The columnar
   ``RunResultBatch`` is exactly what the runner's work units consume, so
   the measurement covers result assembly too; per-run generator
   construction stays inside the timed region (as in every prior entry).
@@ -102,16 +102,6 @@ BENCH_JSON = Path(__file__).parent / "BENCH.json"
 #: schema 2's per-kernel columns and numba / C-compiler provenance
 #: (schema 4 was the store benchmark's bump).
 BENCH_SCHEMA = 6
-
-
-def _bench_kernels() -> list[str]:
-    """Backends measured: the numpy reference plus compiled ones.
-
-    The ``python`` loop backend is exercised by the test suite, not the
-    benchmark -- uncompiled Python loops at k = 1000 would only slow the
-    ledger down without informing any decision.
-    """
-    return [name for name in available_backends() if name != "python"]
 
 
 def _rngs(count: int):
@@ -239,19 +229,12 @@ def _measure(family: str, ratio: float, kernels: list[str], threads: int) -> dic
 
 def _provenance(threads: int) -> dict:
     try:
-        from repro.kernels.numba_backend import numba_version
-
-        numba = numba_version()
-    except ImportError:
-        numba = None
-    try:
         from repro.kernels.cext import compiler
 
         cext_compiler = compiler()
     except ImportError:  # pragma: no cover - cext module always importable
         cext_compiler = None
     return {
-        "numba": numba,
         "cext_compiler": cext_compiler,
         "cext_openmp": cext_openmp_enabled(),
         "kernel_threads": threads,
@@ -273,6 +256,7 @@ def _measure_fleet(threads: int) -> dict:
 
     from repro.core.config import SimulationConfig
     from repro.core.sweep import simulate_grid
+    from repro.runner.options import ExecutionOptions
     from repro.store import resolve_store
 
     config = SimulationConfig(
@@ -292,11 +276,13 @@ def _measure_fleet(threads: int) -> dict:
                 q_values,
                 runs=runs,
                 seed=BENCH_SEED,
-                executor="thread",
-                workers=workers,
-                kernel_threads="auto",
-                cache=store,
-                fleet=True,
+                options=ExecutionOptions(
+                    executor="thread",
+                    workers=workers,
+                    kernel_threads="auto",
+                    store=store,
+                    fleet=True,
+                ),
             )
             elapsed = time.perf_counter() - started
         finally:
@@ -329,10 +315,11 @@ def _measure_adaptive(threads: int) -> dict:
     CI gate; the benchmark asserts only the acceptance floor (at most a
     third of the exhaustive budget executed).
     """
-    from repro.adaptive import AdaptiveConfig
+    from repro.adaptive import AdaptiveConfig, adaptive_grid
     from repro.channel.gilbert import paper_grid
     from repro.core.config import SimulationConfig
-    from repro.runner.engine import run_adaptive, run_grid
+    from repro.runner.engine import run_grid
+    from repro.runner.options import ExecutionOptions
 
     config = SimulationConfig(
         code="ldgm-staircase", tx_model=TX_MODEL, k=K, expansion_ratio=2.5
@@ -342,14 +329,13 @@ def _measure_adaptive(threads: int) -> dict:
     cfg = AdaptiveConfig()
 
     started = time.perf_counter()
-    grid = run_adaptive(
+    grid = adaptive_grid(
         config,
         p_values,
         q_values,
         runs=budget,
         seed=BENCH_SEED,
-        adaptive=cfg,
-        kernel_threads=threads,
+        options=ExecutionOptions(adaptive=cfg, kernel_threads=threads),
     )
     adaptive_elapsed = time.perf_counter() - started
     meta = grid.metadata["adaptive"]
@@ -362,7 +348,7 @@ def _measure_adaptive(threads: int) -> dict:
         runs=budget,
         seed=BENCH_SEED,
         runs_per_unit=cfg.min_runs,
-        kernel_threads=threads,
+        options=ExecutionOptions(kernel_threads=threads),
     )
     exhaustive_elapsed = time.perf_counter() - started
 
@@ -403,7 +389,7 @@ def _previous_fastpath(payload: dict) -> dict:
 
 
 def run_benchmark() -> dict:
-    kernels = _bench_kernels()
+    kernels = list(available_backends())
     # The team size every threaded sample uses: ``auto`` with no executor
     # divisor, i.e. the machine's physical cores (REPRO_KERNEL_THREADS
     # overrides).

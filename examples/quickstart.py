@@ -16,6 +16,7 @@ from repro.analysis import ascii_surface, format_grid_table
 from repro.channel import GilbertChannel
 from repro.core import SimulationConfig, simulate_grid, simulate_once
 from repro.fec import make_code
+from repro.runner import ExecutionOptions
 
 
 def encode_decode_demo() -> None:
@@ -60,12 +61,16 @@ def grid_demo() -> None:
     config = SimulationConfig(
         code="ldgm-staircase", tx_model="tx_model_2", k=1000, expansion_ratio=2.5
     )
+    # How a sweep executes is one options object; here an in-memory
+    # result store, so a rerun of the same sweep would simulate nothing.
+    options = ExecutionOptions(store="memory:quickstart")
     grid = simulate_grid(
         config,
         p_values=[0.0, 0.01, 0.05, 0.20],
         q_values=[0.1, 0.5, 1.0],
         runs=5,
         seed=3,
+        options=options,
     )
     print(format_grid_table(grid, title="LDGM Staircase, Tx_model_2, ratio 2.5 "
                                         "(mean inefficiency ratio; '-' = decoding failed)"))

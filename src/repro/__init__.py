@@ -23,7 +23,8 @@ The package is organised as a set of small, composable subsystems:
     The vectorised decode fast path: precompiled per-code decoder
     prototypes, closed-form batched RSE/repetition decoding, the O(log n)
     checkpointed gallop+bisect search for LDGM.  Bit-identical to the
-    incremental path and on by default (``fastpath=False`` opts out).
+    incremental decoder, which stays only as the test oracle
+    (``Simulator.run``).
 ``repro.pipeline``
     The batched run-synthesis pipeline feeding the fast path: whole-unit
     transmission schedules (``schedule_batch``), loss masks
@@ -47,7 +48,8 @@ The package is organised as a set of small, composable subsystems:
     The parallel experiment-execution engine: deterministic work-unit
     sharding, serial / process-pool executors, resumable result stores,
     cooperative coordinator-free fleet execution over lease-capable
-    stores, and the ``python -m repro`` CLI.
+    stores, and the ``python -m repro`` CLI.  How a sweep executes is one
+    ``ExecutionOptions`` object, passed as ``options=`` to every sweep.
 ``repro.adaptive``
     The adaptive sweep controller: sequential stopping per grid cell
     (Wilson interval on decode probability, t-interval on mean
@@ -72,6 +74,10 @@ Quickstart
 ...                        runs=3, seed=1)
 >>> result.mean_inefficiency.shape
 (2, 2)
+>>> from repro import ExecutionOptions
+>>> parallel = simulate_grid(config, p_values=[0.0, 0.05], q_values=[0.5, 1.0],
+...                          runs=3, seed=1,
+...                          options=ExecutionOptions(store="memory:"))
 """
 
 from repro.adaptive import AdaptiveConfig, adaptive_grid
@@ -97,6 +103,7 @@ from repro.fec import (
 from repro.fastpath import simulate_batch, simulate_batch_columnar
 from repro.pipeline import synthesize_runs
 from repro.runner import (
+    ExecutionOptions,
     FleetRunner,
     ProcessExecutor,
     ResultCache,
@@ -133,6 +140,7 @@ __all__ = [
     "ReedSolomonCode",
     "make_code",
     "make_tx_model",
+    "ExecutionOptions",
     "FleetRunner",
     "ProcessExecutor",
     "ResultCache",

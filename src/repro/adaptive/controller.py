@@ -53,14 +53,12 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.channel.gilbert import paper_grid
 from repro.core.config import SimulationConfig
 from repro.core.metrics import CellStats, GridResult
-from repro.kernels.threads import ThreadSpec
-from repro.resilience.policy import FailurePolicy, UnitFailure, failure_summary
+from repro.resilience.policy import UnitFailure
+from repro.runner.engine import Cell, _execute, grid_cells, grid_metadata
+from repro.runner.options import ExecutionOptions
 from repro.runner.units import SeedPath, UnitResult, merge_cell, plan_units
-from repro.seeds import SchemeSpec, resolve_scheme_name
-from repro.store import resolve_store
 from repro.utils.rng import RandomState, as_seed_int
 from repro.utils.validation import validate_positive_int
 
@@ -181,8 +179,16 @@ def _settled(stats: CellStats, cfg: AdaptiveConfig) -> bool:
     return True
 
 
-#: One sweep point handled by the controller: ``(seed_path, config, p, q)``.
-Cell = Tuple[SeedPath, SimulationConfig, float, float]
+def _adaptive_options(options: Optional[ExecutionOptions]) -> ExecutionOptions:
+    """The sweep's options, defaulting to ``ExecutionOptions(adaptive=True)``."""
+    if options is None:
+        return ExecutionOptions(adaptive=True)
+    if options.adaptive is None:
+        raise ValueError(
+            "adaptive sweeps need an adaptive config: "
+            "ExecutionOptions(adaptive=AdaptiveConfig(...))"
+        )
+    return options
 
 
 @dataclass
@@ -208,8 +214,8 @@ def _run_cells(
     """Drive a set of cells through the round loop until all settle.
 
     ``execute`` is a closure over :func:`repro.runner.engine._execute`
-    with the executor/cache/fleet knobs already bound; ``plan_kwargs``
-    carries the :func:`plan_units` knobs shared by every round.  Cells
+    with the sweep's options already bound; ``plan_kwargs`` carries the
+    :func:`plan_units` arguments shared by every round.  Cells
     that refuse to settle stop at ``budget`` runs with ``settled=False``.
     """
     chunk = min(cfg.min_runs, budget)
@@ -261,43 +267,25 @@ def plan_first_round(
     *,
     runs: int,
     seed: RandomState = 0,
-    adaptive: AdaptiveSpec = True,
     fresh_code_per_run: bool = False,
-    fastpath: bool = True,
-    kernel: Optional[str] = None,
-    kernel_threads: ThreadSpec = None,
-    seed_scheme: SchemeSpec = None,
+    options: Optional[ExecutionOptions] = None,
 ):
     """Plan (without executing) the first adaptive round's units.
 
     Backs the CLI's ``--dry-run``: the returned list is exactly what the
-    first call to the engine would receive.
+    first call to the engine would receive for the same ``options``.
     """
-    cfg = resolve_adaptive(adaptive)
-    if cfg is None:
-        raise ValueError("plan_first_round needs an adaptive config")
+    options = _adaptive_options(options)
     runs = validate_positive_int(runs, "runs")
-    if p_values is None or q_values is None:
-        default_p, default_q = paper_grid()
-        p_values = default_p if p_values is None else p_values
-        q_values = default_q if q_values is None else q_values
-    cells: List[Cell] = [
-        ((i, j), config, float(p), float(q))
-        for i, p in enumerate(p_values)
-        for j, q in enumerate(q_values)
-    ]
-    first_target = min(cfg.min_runs, runs)
+    _p_values, _q_values, cells = grid_cells(config, p_values, q_values)
+    first_target = min(options.adaptive.min_runs, runs)
     return plan_units(
         cells,
         runs=first_target,
-        first_run=0,
-        runs_per_unit=min(cfg.min_runs, runs),
+        runs_per_unit=first_target,
         base_seed=as_seed_int(seed),
         fresh_code_per_run=fresh_code_per_run,
-        fastpath=fastpath,
-        kernel=kernel,
-        kernel_threads=kernel_threads,
-        seed_scheme=resolve_scheme_name(seed_scheme),
+        options=options,
     )
 
 
@@ -424,75 +412,37 @@ def adaptive_grid(
     *,
     runs: int = 100,
     seed: RandomState = 0,
-    adaptive: AdaptiveSpec = True,
     fresh_code_per_run: bool = False,
     progress=None,
-    executor="serial",
-    workers: Optional[int] = None,
-    cache=None,
-    fastpath: bool = True,
-    kernel: Optional[str] = None,
-    kernel_threads: ThreadSpec = None,
-    seed_scheme: SchemeSpec = None,
-    fleet: bool = False,
-    lease_ttl: Optional[float] = None,
-    worker_id: Optional[str] = None,
-    failure_policy: Optional[FailurePolicy] = None,
+    options: Optional[ExecutionOptions] = None,
 ) -> GridResult:
     """Adaptive (p, q) grid sweep; ``runs`` is the per-cell budget.
 
-    The result is shaped exactly like :func:`repro.runner.engine.run_grid`
-    output -- every settled cell's statistics are bit-identical to a
-    fixed sweep at that cell's final run count -- with the controller's
-    accounting under ``metadata["adaptive"]``: per-cell run counts and
-    settlement, the round schedule, the executed-vs-exhaustive run
-    totals, and (with ``refine_cliff``) the refined rows and localised
-    cliff brackets.
+    ``options.adaptive`` is the stopping rule (``AdaptiveConfig()`` when
+    no options are given); every round executes through the engine with
+    the same ``options``, so stores, fleets and failure policies apply
+    unchanged.  The result is shaped exactly like
+    :func:`repro.runner.engine.run_grid` output -- every settled cell's
+    statistics are bit-identical to a fixed sweep at that cell's final
+    run count -- with the controller's accounting under
+    ``metadata["adaptive"]``: per-cell run counts and settlement, the
+    round schedule, the executed-vs-exhaustive run totals, and (with
+    ``refine_cliff``) the refined rows and localised cliff brackets.
     """
-    from repro.runner.engine import _execute
-
-    cfg = resolve_adaptive(adaptive)
-    if cfg is None:
-        raise ValueError("adaptive_grid needs an adaptive config (adaptive=...)")
+    options = _adaptive_options(options)
+    cfg = options.adaptive
     runs = validate_positive_int(runs, "runs")
-    scheme_name = resolve_scheme_name(seed_scheme)
-    if p_values is None or q_values is None:
-        default_p, default_q = paper_grid()
-        p_values = default_p if p_values is None else p_values
-        q_values = default_q if q_values is None else q_values
-    p_values = np.asarray(list(p_values), dtype=float)
-    q_values = np.asarray(list(q_values), dtype=float)
+    p_values, q_values, cells = grid_cells(config, p_values, q_values)
     base_seed = as_seed_int(seed)
-    store = resolve_store(cache)
-
     plan_kwargs = dict(
-        base_seed=base_seed,
-        fresh_code_per_run=fresh_code_per_run,
-        fastpath=fastpath,
-        kernel=kernel,
-        kernel_threads=kernel_threads,
-        seed_scheme=scheme_name,
+        base_seed=base_seed, fresh_code_per_run=fresh_code_per_run, options=options
     )
 
     def execute(units, total_cells):
         return _execute(
-            units,
-            executor=executor,
-            workers=workers,
-            cache=store,
-            progress=progress,
-            total_cells=total_cells,
-            fleet=fleet,
-            lease_ttl=lease_ttl,
-            worker_id=worker_id,
-            failure_policy=failure_policy,
+            units, options=options, progress=progress, total_cells=total_cells
         )
 
-    cells: List[Cell] = [
-        ((i, j), config, float(p), float(q))
-        for i, p in enumerate(p_values)
-        for j, q in enumerate(q_values)
-    ]
     unit_failures: List[UnitFailure] = []
     state = _run_cells(
         cells,
@@ -560,18 +510,9 @@ def adaptive_grid(
         adaptive_meta["refined_runs"] = refined_runs
         adaptive_meta["resolution"] = cfg.refine_resolution
 
-    metadata = {
-        "code": config.code,
-        "tx_model": config.tx_model,
-        "k": config.k,
-        "expansion_ratio": config.expansion_ratio,
-        "nsent": config.nsent,
-        "seed": base_seed,
-        "seed_scheme": scheme_name,
-        "adaptive": adaptive_meta,
-    }
-    if unit_failures:
-        metadata["failed_units"] = [failure_summary(f) for f in unit_failures]
+    metadata = grid_metadata(
+        config, base_seed, options, unit_failures, adaptive=adaptive_meta
+    )
     return GridResult(
         p_values=p_values,
         q_values=q_values,

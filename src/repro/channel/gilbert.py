@@ -107,7 +107,7 @@ class GilbertChannel(LossModel):
         initial state, then alternating geometric batches, exactly the draw
         sequence of :meth:`_loss_mask_serial` -- and expanded into the mask
         by the selected :mod:`repro.kernels` backend (vectorised
-        ``np.repeat`` on numpy, a compiled loop on numba).  Every backend
+        ``np.repeat`` on numpy, a compiled loop on cext).  Every backend
         consumes the generator identically and produces masks bit-identical
         to the historical serial chain for any seed.
         """

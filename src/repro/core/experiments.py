@@ -30,7 +30,8 @@ from repro.channel.gilbert import PAPER_GRID_PERCENT
 from repro.core.config import SimulationConfig
 from repro.core.metrics import GridResult
 from repro.core.sweep import simulate_grid
-from repro.runner.engine import CacheSpec, ExecutorSpec, ProgressCallback
+from repro.runner.engine import ProgressCallback
+from repro.runner.options import ExecutionOptions
 from repro.utils.rng import RandomState
 
 #: Callback invoked with the 1-based index of the configuration about to be
@@ -275,18 +276,7 @@ def run_experiment(
     *,
     seed: RandomState = 0,
     runs: Optional[int] = None,
-    executor: ExecutorSpec = None,
-    workers: Optional[int] = None,
-    cache: CacheSpec = None,
-    fastpath: bool = True,
-    kernel: Optional[str] = None,
-    kernel_threads=None,
-    seed_scheme=None,
-    fleet: bool = False,
-    lease_ttl: Optional[float] = None,
-    worker_id: Optional[str] = None,
-    failure_policy=None,
-    adaptive=None,
+    options: Optional[ExecutionOptions] = None,
     progress_factory: Optional[ProgressFactory] = None,
 ) -> Dict[str, GridResult]:
     """Run every configuration of an experiment and return grids by label.
@@ -299,27 +289,12 @@ def run_experiment(
         One of ``"tiny"``, ``"small"``, ``"paper"`` or a custom
         :class:`ExperimentScale`.
     runs:
-        Override the scale's number of runs per grid point.
-    executor, workers, cache, seed_scheme:
-        Execution, caching and seeding knobs forwarded to
-        :func:`repro.core.sweep.simulate_grid`; by default the serial
-        executor is used unless ``workers > 1`` selects the process pool,
-        and the seed scheme resolves ``REPRO_SEED_SCHEME`` / ``"per-run"``.
-    fleet, lease_ttl, worker_id:
-        Cooperative fleet-execution knobs (see
-        :func:`repro.core.sweep.simulate_grid`): with ``fleet=True``,
-        processes sharing the ``cache`` store split each grid under TTL
-        leases and all return the complete, bit-identical result.
-    failure_policy:
-        Optional :class:`repro.resilience.FailurePolicy` forwarded to
-        every sweep: retries with deterministic backoff, per-unit
-        timeouts, and skip/quarantine handling of units that exhaust
-        their attempts.
-    adaptive:
-        ``None`` (default) runs fixed sweeps; an
-        :class:`repro.adaptive.AdaptiveConfig` (or ``True`` / a kwargs
-        dict) switches every grid to the sequential-stopping controller,
-        with ``runs`` as the per-cell budget.
+        Override the scale's number of runs per grid point (the per-cell
+        budget of adaptive sweeps).
+    options:
+        How every sweep executes
+        (:class:`~repro.runner.options.ExecutionOptions`), forwarded to
+        :func:`repro.core.sweep.simulate_grid`.
     progress_factory:
         Called with the 1-based index of each configuration before its
         sweep; returns that sweep's ``(done, total)`` progress callback.
@@ -339,18 +314,7 @@ def run_experiment(
             runs=runs if runs is not None else scale.runs,
             seed=seed,
             progress=progress,
-            executor=executor,
-            workers=workers,
-            cache=cache,
-            fastpath=fastpath,
-            kernel=kernel,
-            kernel_threads=kernel_threads,
-            seed_scheme=seed_scheme,
-            fleet=fleet,
-            lease_ttl=lease_ttl,
-            worker_id=worker_id,
-            failure_policy=failure_policy,
-            adaptive=adaptive,
+            options=options,
         )
         results[config.display_label] = grid
     return results

@@ -7,10 +7,11 @@ any run failed to decode is reported as not decodable).
 
 Both sweeps are thin wrappers over the execution engine in
 :mod:`repro.runner.engine`, which shards a sweep into independent work
-units, optionally fans them out over a process pool (``executor="process"``,
-``workers=N``) and caches finished cells on disk (``cache=...``).  Every
-run draws from ``SeedSequence([base_seed, *cell, run])``, so results are
-bit-identical across executors and cache states.
+units.  How they execute -- executor, result store, kernel backend, seed
+scheme, fleet, failure policy, adaptive stopping -- is one
+:class:`~repro.runner.options.ExecutionOptions`.  Every run draws from a
+stream derived from the seed and its cell, so results are bit-identical
+across executors and store states.
 """
 
 from __future__ import annotations
@@ -19,17 +20,8 @@ from typing import Callable, Optional, Sequence
 
 from repro.core.config import SimulationConfig
 from repro.core.metrics import GridResult, SeriesResult
-from repro.runner.engine import (
-    CacheSpec,
-    ExecutorSpec,
-    ProgressCallback,
-    run_adaptive,
-    run_grid,
-    run_series,
-)
-from repro.kernels.threads import ThreadSpec
-from repro.resilience.policy import FailurePolicy
-from repro.seeds import SchemeSpec
+from repro.runner.engine import ProgressCallback, run_grid, run_series
+from repro.runner.options import ExecutionOptions
 from repro.utils.rng import RandomState
 
 
@@ -42,18 +34,7 @@ def simulate_grid(
     seed: RandomState = 0,
     fresh_code_per_run: bool = False,
     progress: Optional[ProgressCallback] = None,
-    executor: ExecutorSpec = None,
-    workers: Optional[int] = None,
-    cache: CacheSpec = None,
-    fastpath: bool = True,
-    kernel: Optional[str] = None,
-    kernel_threads: ThreadSpec = None,
-    seed_scheme: SchemeSpec = None,
-    fleet: bool = False,
-    lease_ttl: Optional[float] = None,
-    worker_id: Optional[str] = None,
-    failure_policy: Optional[FailurePolicy] = None,
-    adaptive=None,
+    options: Optional[ExecutionOptions] = None,
 ) -> GridResult:
     """Sweep the Gilbert (p, q) grid for one configuration.
 
@@ -65,7 +46,8 @@ def simulate_grid(
         Grid axes (probabilities in [0, 1]); default to the paper's 14-value
         grid.
     runs:
-        Independent transmissions per grid point (the paper uses 100).
+        Independent transmissions per grid point (the paper uses 100); the
+        per-cell budget of an adaptive sweep.
     seed:
         Top-level seed; every (p, q, run) triple gets its own derived stream
         so results are reproducible and independent of iteration order.
@@ -75,78 +57,25 @@ def simulate_grid(
         to averaging over code constructions.
     progress:
         Optional callback ``(done_points, total_points)``.
-    executor:
-        ``"serial"``, ``"process"`` for a multiprocessing pool, an executor
-        instance from :mod:`repro.runner.executors`, or ``None`` (default)
-        to pick the process pool when ``workers > 1`` and the serial
-        executor otherwise.
-    workers:
-        Pool size for the process executor (defaults to the CPU count).
-    cache:
-        A :class:`repro.runner.ResultCache`, a cache-directory path, or
-        ``None`` (default) to disable caching.  With a cache, completed
-        grid cells are skipped on re-runs, making interrupted sweeps
-        resumable.
-    fastpath:
-        Decode each work unit's run range as one vectorised batch through
-        :mod:`repro.fastpath` (default; bit-identical to the incremental
-        path).  ``False`` keeps the per-packet reference loop.
-    kernel:
-        :mod:`repro.kernels` backend name for the batch decode hot loops
-        (``"numpy"``, ``"numba"``, ``"cext"``, ``"python"``; default
-        resolves ``REPRO_KERNEL`` / auto = numba > cext > numpy).
-        Bit-identical across backends.
-    seed_scheme:
-        :mod:`repro.seeds` scheme deriving the per-run streams
-        (``"per-run"`` reproduces the historical streams bit-for-bit;
-        ``"unit"`` batches a whole work unit's draws from one
-        counter-based generator -- deterministic, but a *different*
-        stream, so it keys the result cache separately).  ``None``
-        resolves ``REPRO_SEED_SCHEME`` / ``"per-run"``.
-    fleet:
-        Execute cooperatively: claim units from the shared ``cache``
-        store under TTL leases (:mod:`repro.runner.fleet`), so several
-        processes running this exact sweep against one store split the
-        grid with no duplicated work.  Requires a lease-capable store.
-    lease_ttl, worker_id:
-        Fleet knobs: lease time-to-live in seconds and the worker's
-        fleet-unique identity (default ``<hostname>:<pid>``).
-    failure_policy:
-        Optional :class:`repro.resilience.FailurePolicy`: retry failing
-        units with deterministic backoff, bound their runtime, and skip
-        or quarantine units that exhaust their attempts instead of
-        aborting the sweep (see :mod:`repro.resilience`).
-    adaptive:
-        ``None``/``False`` (default) runs the fixed sweep.  An
-        :class:`repro.adaptive.AdaptiveConfig`, a kwargs dict, or
-        ``True`` switches to the sequential-stopping controller:
-        ``runs`` becomes the per-cell budget, each cell stops as soon as
-        its confidence intervals settle, and the grid's
-        ``metadata["adaptive"]`` records per-cell run counts and the
-        saved-runs summary.  Settled cells are bit-identical to the
-        fixed sweep at the same run count.
+    options:
+        How the sweep executes (:class:`~repro.runner.options.ExecutionOptions`;
+        default serial, no store).  With ``options.adaptive`` the grid runs
+        through the sequential-stopping controller
+        (:func:`repro.adaptive.adaptive_grid`), whose settled cells are
+        bit-identical to this fixed sweep at the same run count.
     """
-    if adaptive is not None and adaptive is not False:
-        return run_adaptive(
+    if options is not None and options.adaptive is not None:
+        from repro.adaptive.controller import adaptive_grid
+
+        return adaptive_grid(
             config,
             p_values,
             q_values,
             runs=runs,
             seed=seed,
-            adaptive=adaptive,
             fresh_code_per_run=fresh_code_per_run,
             progress=progress,
-            executor=executor,
-            workers=workers,
-            cache=cache,
-            fastpath=fastpath,
-            kernel=kernel,
-            kernel_threads=kernel_threads,
-            seed_scheme=seed_scheme,
-            fleet=fleet,
-            lease_ttl=lease_ttl,
-            worker_id=worker_id,
-            failure_policy=failure_policy,
+            options=options,
         )
     return run_grid(
         config,
@@ -156,17 +85,7 @@ def simulate_grid(
         seed=seed,
         fresh_code_per_run=fresh_code_per_run,
         progress=progress,
-        executor=executor,
-        workers=workers,
-        cache=cache,
-        fastpath=fastpath,
-        kernel=kernel,
-        kernel_threads=kernel_threads,
-        seed_scheme=seed_scheme,
-        fleet=fleet,
-        lease_ttl=lease_ttl,
-        worker_id=worker_id,
-        failure_policy=failure_policy,
+        options=options,
     )
 
 
@@ -181,17 +100,7 @@ def sweep_parameter(
     seed: RandomState = 0,
     fresh_code_per_run: bool = False,
     progress: Optional[ProgressCallback] = None,
-    executor: ExecutorSpec = None,
-    workers: Optional[int] = None,
-    cache: CacheSpec = None,
-    fastpath: bool = True,
-    kernel: Optional[str] = None,
-    kernel_threads: ThreadSpec = None,
-    seed_scheme: SchemeSpec = None,
-    fleet: bool = False,
-    lease_ttl: Optional[float] = None,
-    worker_id: Optional[str] = None,
-    failure_policy: Optional[FailurePolicy] = None,
+    options: Optional[ExecutionOptions] = None,
     label: str = "",
 ) -> SeriesResult:
     """Sweep an arbitrary scalar parameter at a fixed (p, q) point.
@@ -216,10 +125,8 @@ def sweep_parameter(
         Rebuild the FEC code from the run stream for every run.
     progress:
         Optional callback ``(done_points, total_points)``.
-    executor, workers, cache, fastpath, kernel, kernel_threads, seed_scheme:
-        Execution/caching/seeding knobs, as in :func:`simulate_grid`.
-    fleet, lease_ttl, worker_id:
-        Cooperative fleet-execution knobs, as in :func:`simulate_grid`.
+    options:
+        How the sweep executes, as in :func:`simulate_grid`.
     """
     values = [float(value) for value in parameter_values]
     configs = [make_config(value) for value in values]
@@ -233,17 +140,7 @@ def sweep_parameter(
         seed=seed,
         fresh_code_per_run=fresh_code_per_run,
         progress=progress,
-        executor=executor,
-        workers=workers,
-        cache=cache,
-        fastpath=fastpath,
-        kernel=kernel,
-        kernel_threads=kernel_threads,
-        seed_scheme=seed_scheme,
-        fleet=fleet,
-        lease_ttl=lease_ttl,
-        worker_id=worker_id,
-        failure_policy=failure_policy,
+        options=options,
         label=label,
     )
 

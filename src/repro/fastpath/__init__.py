@@ -17,12 +17,11 @@ is **bit-identical** for any seed:
   returning columnar :class:`~repro.core.metrics.RunResultBatch` arrays
   (:func:`simulate_batch` wraps them back into per-run results).
 
-Selected by default through ``Simulator.run_many(fastpath=True)``, the
-runner work units and the benchmark harness; pass ``fastpath=False`` (or
-``--no-fastpath`` on the CLI) to fall back to the incremental path, and
-``kernel=`` / ``--kernel`` / ``REPRO_KERNEL`` to pick the kernel backend
-(numpy reference or the optional numba JIT -- results are bit-identical
-either way).
+Every sweep decodes through this package; the incremental path stays as
+the test oracle (``Simulator.run``, ``Simulator.run_many(fastpath=False)``
+and :func:`decode_batch_incremental`).  ``kernel=`` / ``--kernel`` /
+``REPRO_KERNEL`` picks the kernel backend (numpy reference or compiled C
+-- results are bit-identical either way).
 """
 
 from repro.fastpath.batch import (

@@ -144,8 +144,9 @@ def _simulate_batch_columnar(
 def decode_batch_incremental(code: FECCode, synthesis) -> RunResultBatch:
     """Incremental symbolic decode of an already-synthesised front end.
 
-    The ``fastpath=False`` reference path for scheme-defined (block-drawn)
-    front ends: the pre-decode arrays come from the synthesis pipeline, so
+    The reference decoder for scheme-defined (block-drawn) front ends,
+    kept as a test oracle: the pre-decode arrays come from the synthesis
+    pipeline, so
     only the decoder differs from :func:`simulate_batch_columnar` -- and
     the incremental decoder is the reference the batch decoders are proven
     bit-identical against.

@@ -19,7 +19,7 @@ that completes decoding (:meth:`repro.core.simulator.Simulator.run`):
   ways, a padded column table, packed count|sum peeling words) and detects
   the bidiagonal staircase/triangle parity structure; the *decode loops*
   run on a pluggable :mod:`repro.kernels` backend (vectorised numpy
-  reference, optional numba JIT) selected via ``kernel=`` /
+  reference, compiled C) selected via ``kernel=`` /
   ``REPRO_KERNEL``.
 * **Anything else** -- a fallback prototype replays the incremental decoder
   so the fast path is safe for codes registered by third parties.
@@ -261,8 +261,8 @@ class LDGMPrototype(DecoderPrototype):
       smallest decodable prefix of every run, batch-peeling only delta
       packets from checkpointed state, with a chain-aware cascade that
       resolves whole staircase reveal chains in one scan;
-    * the ``numba``/``python`` backends replay the incremental peel run by
-      run (the compiled form needs no batching to be fast).
+    * the ``cext`` backend replays the incremental peel run by run (the
+      compiled form needs no batching to be fast).
 
     All backends return bit-identical ``(decoded, n_necessary)`` arrays.
     """
@@ -446,7 +446,7 @@ class IncrementalPrototype(DecoderPrototype):
     """Fallback for codes without a vectorised prototype.
 
     Replays each run through the code's own incremental symbolic decoder --
-    no speedup, but it keeps ``fastpath=True`` safe for every registered
+    no speedup, but it keeps the fast path safe for every registered
     code and is also the reference the equivalence tests compare against.
     """
 

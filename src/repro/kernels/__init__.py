@@ -8,16 +8,12 @@ and the Gilbert sojourn fill.  This package puts them behind a swappable
 * ``numpy`` -- the always-available vectorised reference, with a
   chain-aware cascade for the bidiagonal (staircase/triangle) parity
   structures.
-* ``numba`` -- the loop kernels of :mod:`repro.kernels.loops` JIT-compiled
-  to machine code; auto-selected when numba is importable, never required.
-* ``cext`` -- the same kernels in C, compiled on demand with the system
-  compiler (``cc -O2``) and loaded via ctypes; auto-selected when numba
-  is absent but a compiler is present.
-* ``python`` -- the loop kernels uncompiled, so the compiled code paths
-  stay testable without numba or a C toolchain.
+* ``cext`` -- per-run loop kernels in C, compiled on demand with the
+  system compiler (``cc -O2``) and loaded via ctypes; auto-selected when
+  a compiler is present.
 
-Selection: ``kernel=`` kwargs threaded through ``compile_prototype``,
-``Simulator.run_many``, the runner work units and ``python -m repro run
+Selection: ``kernel=`` on ``compile_prototype`` / ``Simulator.run_many``,
+``ExecutionOptions.kernel`` for sweeps, ``python -m repro run
 --kernel``; the ``REPRO_KERNEL`` environment variable; or ``auto`` (the
 default).  Every backend is bit-identical to the incremental reference
 decoder -- the equivalence suite enforces it -- so the choice is purely a
@@ -25,8 +21,8 @@ wall-clock knob.
 
 The compiled ``cext`` kernels additionally run row-parallel over a work
 unit's runs (OpenMP, with a probed serial fallback); the thread count is
-the ``kernel_threads`` knob of :mod:`repro.kernels.threads` -- threaded
-through the same call sites as ``kernel``, resolved from
+the ``kernel_threads`` knob of :mod:`repro.kernels.threads` -- set where
+``kernel`` is, resolved from
 ``REPRO_KERNEL_THREADS`` / ``auto`` = physical cores divided by the
 executor's worker count, and bit-identical at any value.
 """
@@ -50,7 +46,6 @@ from repro.kernels.registry import (
     default_backend_name,
     get_backend,
     get_backend_for_run,
-    numba_available,
     register_backend,
 )
 from repro.kernels.threads import (
@@ -78,7 +73,6 @@ __all__ = [
     "register_backend",
     "available_backends",
     "default_backend_name",
-    "numba_available",
     "cext_compiler_available",
     "cext_openmp_enabled",
     "AUTO_ORDER",

@@ -1,8 +1,21 @@
-"""On-demand C extension backend: the loop kernels compiled with the
-system C compiler.
+"""On-demand C extension backend: loop kernels compiled with the system
+C compiler.
 
-The same two kernels as :mod:`repro.kernels.loops`, written in C,
-compiled once per machine with ``cc -O2 -shared -fPIC`` into a cache
+Two kernels, written in C:
+
+* ``ldgm_peel_batch`` -- inside a compiled kernel the incremental peeling
+  algorithm *is* the fast one: each run walks its received sequence once,
+  cascading reveals through an explicit stack, so ``n_necessary`` falls
+  out of the walk directly (no prefix bisection, no lockstep batching).
+  The bookkeeping mirrors the symbolic decoder exactly -- a per-row
+  unknown count plus an id *sum* standing in for the XOR accumulator (the
+  sum of a single remaining unknown identifies it) -- so results are
+  bit-identical.
+* ``fill_sojourns`` -- the historical serial Gilbert chain minus the
+  geometric draws (the caller draws them, so every backend consumes the
+  generator identically).
+
+They are compiled once per machine with ``cc -O2 -shared -fPIC`` into a cache
 directory keyed by the source hash, and loaded through :mod:`ctypes` --
 no build-time dependency, no pip package, and fully optional: when no C
 compiler is available (or the compile fails, e.g. in a sandbox without a
@@ -23,9 +36,9 @@ the thread count (``REPRO_KERNEL_THREADS`` / ``kernel_threads=`` /
 for the duration of every foreign call, which is what lets thread-
 executor workers overlap these kernels on top of kernel threads.
 
-Like the numba backend, this is a pure wall-clock knob: the C loops
-mirror :mod:`repro.kernels.loops` statement for statement, and the
-cross-backend equivalence suite pins them to the incremental decoder.
+The backend choice is a pure wall-clock knob too: the cross-backend
+equivalence suite pins these kernels to the numpy backend and the
+incremental decoder.
 """
 
 from __future__ import annotations
@@ -51,10 +64,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 logger = logging.getLogger("repro.kernels")
 
-#: C translation of :func:`repro.kernels.loops.ldgm_peel_batch` and
-#: :func:`repro.kernels.loops.fill_sojourns`.  Keep the two in lockstep:
-#: the cross-backend tests enforce bit-identical behaviour, and the
-#: Python loops are the readable specification of these kernels.
+#: C source of the two kernels.  The cross-backend tests enforce
+#: bit-identical behaviour against the numpy backend and the incremental
+#: decoder.
 #:
 #: Without ``-fopenmp`` the pragmas are ignored and ``_OPENMP`` is
 #: undefined, so the same source builds the serial fallback library.

@@ -4,13 +4,11 @@ Resolution order for :func:`get_backend`:
 
 1. an explicit ``kernel=`` argument (a name or a ready backend instance),
 2. the ``REPRO_KERNEL`` environment variable,
-3. ``auto``: the best compiled backend that works on this machine --
-   ``numba`` when importable, else ``cext`` when a C compiler is on the
-   PATH, else the ``numpy`` reference (:data:`AUTO_ORDER`).
+3. ``auto``: ``cext`` when a C compiler is on the PATH and the library
+   builds, else the ``numpy`` reference (:data:`AUTO_ORDER`).
 
-Backends are instantiated lazily and cached per name, so the numba import
-(and JIT warm-up / C compile) is only ever paid when the backend is
-actually selected.
+Backends are instantiated lazily and cached per name, so the C compile is
+only ever paid when the backend is actually selected.
 Asking explicitly for an unavailable backend raises
 :class:`KernelUnavailableError` with an actionable message instead of
 silently degrading -- silent degradation is reserved for ``auto``.
@@ -18,7 +16,6 @@ silently degrading -- silent degradation is reserved for ``auto``.
 
 from __future__ import annotations
 
-import importlib.util
 import logging
 import os
 from typing import Callable, Dict, Optional, Tuple, Union
@@ -58,11 +55,6 @@ def register_backend(
     _INSTANCES.pop(key, None)
 
 
-def numba_available() -> bool:
-    """Whether the numba backend could be constructed (spec check only)."""
-    return importlib.util.find_spec("numba") is not None
-
-
 def cext_compiler_available() -> bool:
     """Whether a C compiler for the cext backend is on the PATH."""
     from repro.kernels.cext import compiler
@@ -87,27 +79,22 @@ def cext_openmp_enabled() -> Optional[bool]:
     return bool(getattr(backend, "openmp", False))
 
 
-#: ``auto`` preference order: compiled backends first, numpy always last
-#: (it can never fail to construct).
-AUTO_ORDER: Tuple[str, ...] = ("numba", "cext", "numpy")
+#: ``auto`` preference order: the compiled backend first, numpy last (it
+#: can never fail to construct).
+AUTO_ORDER: Tuple[str, ...] = ("cext", "numpy")
 
 
 def available_backends() -> Tuple[str, ...]:
     """Names selectable on this machine, in registration order.
 
-    Availability is probed cheaply (import spec / compiler on PATH); a
-    listed compiled backend can still fail to construct in degenerate
-    environments, which ``auto`` degrades through and an explicit request
-    reports as :class:`KernelUnavailableError`.
+    Availability is probed cheaply (compiler on PATH); a listed ``cext``
+    can still fail to construct in degenerate environments, which
+    ``auto`` degrades through and an explicit request reports as
+    :class:`KernelUnavailableError`.
     """
-    names = []
-    for name in _FACTORIES:
-        if name == "numba" and not numba_available():
-            continue
-        if name == "cext" and not cext_compiler_available():
-            continue
-        names.append(name)
-    return tuple(names)
+    return tuple(
+        name for name in _FACTORIES if name != "cext" or cext_compiler_available()
+    )
 
 
 def default_backend_name() -> str:
@@ -149,13 +136,9 @@ def get_backend(kernel: KernelSpec = None) -> KernelBackend:
     name = kernel.strip().lower()
     if name != "auto":
         return _construct(name)
-    # auto: best compiled backend that actually constructs, else numpy --
+    # auto: the compiled backend if it actually constructs, else numpy --
     # never an error (explicit selection is where failures surface).
     for candidate in AUTO_ORDER:
-        if candidate not in _FACTORIES:
-            continue
-        if candidate == "numba" and not numba_available():
-            continue
         if candidate == "cext" and not cext_compiler_available():
             continue
         try:
@@ -171,11 +154,11 @@ def get_backend_for_run(kernel: KernelSpec = None) -> KernelBackend:
     Planning-time resolution (:func:`get_backend`) fails fast so a typo'd
     ``--kernel`` aborts before any simulation.  At run time the trade-off
     flips: a backend that resolved on the coordinator can still fail to
-    construct in a worker process (no C compiler on this host, a numba
-    install that crashes on import), and aborting a half-finished sweep
-    over a wall-clock knob would throw away work.  All kernel backends
-    are bit-identical, so the safe move is to fall back down the ``auto``
-    chain with a logged warning and keep the results flowing.
+    construct in a worker process (no C compiler on this host), and
+    aborting a half-finished sweep over a wall-clock knob would throw
+    away work.  All kernel backends are bit-identical, so the safe move
+    is to fall back down the ``auto`` chain with a logged warning and
+    keep the results flowing.
     """
     try:
         return get_backend(kernel)
@@ -201,18 +184,6 @@ def _numpy_factory() -> KernelBackend:
     return NumpyBackend()
 
 
-def _python_factory() -> KernelBackend:
-    from repro.kernels.python_backend import PythonBackend
-
-    return PythonBackend()
-
-
-def _numba_factory() -> KernelBackend:
-    from repro.kernels.numba_backend import NumbaBackend
-
-    return NumbaBackend()
-
-
 def _cext_factory() -> KernelBackend:
     from repro.kernels.cext import CExtBackend
 
@@ -220,9 +191,7 @@ def _cext_factory() -> KernelBackend:
 
 
 register_backend("numpy", _numpy_factory)
-register_backend("numba", _numba_factory)
 register_backend("cext", _cext_factory)
-register_backend("python", _python_factory)
 
 
 __all__ = [
@@ -233,7 +202,6 @@ __all__ = [
     "register_backend",
     "available_backends",
     "default_backend_name",
-    "numba_available",
     "cext_compiler_available",
     "cext_openmp_enabled",
     "get_backend",

@@ -12,6 +12,9 @@ bit-identically, whatever the execution strategy:
 * :mod:`repro.runner.fleet` -- cooperative fleet execution: work-unit
   leases over a shared store, so N coordinator-free processes split one
   sweep with no duplicated work and crash tolerance.
+* :mod:`repro.runner.options` -- :class:`ExecutionOptions`, how a sweep
+  executes (executor, store, kernel, seed scheme, fleet, failure policy,
+  adaptive stopping), passed as one object through every sweep layer.
 * :mod:`repro.runner.engine` -- planning, caching, execution, aggregation.
 * :mod:`repro.runner.cli` -- the ``python -m repro`` command-line front end.
 
@@ -29,12 +32,14 @@ from repro.runner.fleet import (
     FleetStats,
     default_worker_id,
 )
+from repro.runner.options import ExecutionOptions
 from repro.runner.units import UnitResult, WorkUnit, execute_unit, plan_units
 
 __all__ = [
     "DEFAULT_CACHE_DIR",
     "DEFAULT_LEASE_TTL",
     "CacheStats",
+    "ExecutionOptions",
     "FleetRunner",
     "FleetStats",
     "ResultCache",

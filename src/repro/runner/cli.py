@@ -12,9 +12,7 @@ Subcommands
     runs (``--store sqlite:results.db`` / ``--cache-dir`` for the default
     json-dir layout, ``--no-cache`` to disable), cooperative **fleet
     execution** (``--fleet``: several processes pointed at one shared
-    store split the sweep under TTL leases with no coordinator), the
-    vectorised batch decoder (``--no-fastpath`` falls back to the
-    incremental reference path -- results are bit-identical either way),
+    store split the sweep under TTL leases with no coordinator),
     ``--kernel`` to pin a :mod:`repro.kernels` backend, ``--seed-scheme``
     to pick the :mod:`repro.seeds` run-stream derivation, and optional
     CSV / appendix-style table output through the analysis layer.
@@ -63,7 +61,7 @@ from repro.core.experiments import (
     get_experiment,
     run_experiment,
 )
-from repro.kernels import KernelUnavailableError, get_backend, normalize_thread_spec
+from repro.kernels import KernelUnavailableError, get_backend
 from repro.resilience import (
     ON_ERROR_ACTIONS,
     FailurePolicy,
@@ -73,9 +71,10 @@ from repro.resilience import (
     quarantine_entries,
 )
 from repro.runner.cache import DEFAULT_CACHE_DIR
+from repro.runner.engine import grid_cells
 from repro.runner.fleet import DEFAULT_LEASE_TTL
+from repro.runner.options import ExecutionOptions
 from repro.runner.units import WorkUnit, execute_unit, plan_units
-from repro.seeds import resolve_scheme_name
 from repro.store import (
     DEFAULT_HOST,
     DEFAULT_PORT,
@@ -191,27 +190,15 @@ def _build_parser() -> argparse.ArgumentParser:
         help="fleet worker identity (default: <hostname>:<pid>)",
     )
     run.add_argument(
-        "--fastpath",
-        action=argparse.BooleanOptionalAction,
-        default=True,
-        help=(
-            "decode each work unit as one vectorised batch (default; "
-            "bit-identical to --no-fastpath, which keeps the incremental "
-            "reference path)"
-        ),
-    )
-    run.add_argument(
         "--kernel",
         default=None,
         metavar="BACKEND",
         help=(
             "kernel backend for the decode hot loops: 'numpy' (reference), "
-            "'numba' (JIT, needs numba installed), 'cext' (compiled on "
-            "demand with the system C compiler), 'python' (uncompiled "
-            "loops), or 'auto' (default: numba if importable, else cext "
-            "if a compiler is present, else numpy).  Results are "
-            "bit-identical across backends.  Also settable via the "
-            "REPRO_KERNEL environment variable"
+            "'cext' (compiled on demand with the system C compiler), or "
+            "'auto' (default: cext if a compiler is present, else numpy).  "
+            "Results are bit-identical across backends.  Also settable "
+            "via the REPRO_KERNEL environment variable"
         ),
     )
     run.add_argument(
@@ -526,27 +513,7 @@ def _open_store(args) -> Optional[ResultStore]:
 
 def _cmd_run(args, out, err) -> int:
     spec = get_experiment(args.experiment)
-    cache = _open_store(args)
-    if args.fleet and cache is None:
-        raise ValueError("--fleet needs a shared result store; drop --no-cache")
     total_configs = len(spec.configs)
-    # Resolve the kernel up front so an unknown/unavailable backend fails
-    # fast with a clear message instead of deep inside a worker process --
-    # an explicit --kernel is validated even under --no-fastpath (where it
-    # is otherwise unused).
-    kernel_name = (
-        get_backend(args.kernel).name
-        if args.fastpath or args.kernel is not None
-        else None
-    )
-    if not args.fastpath:
-        kernel_name = None
-    # Same fail-fast treatment for the thread spec: a typo'd
-    # --kernel-threads dies here, not inside a pool worker.
-    kernel_threads = normalize_thread_spec(args.kernel_threads)
-    # Resolve the scheme up front too: an unknown --seed-scheme (or a
-    # stale REPRO_SEED_SCHEME) fails fast with the registered names.
-    scheme_name = resolve_scheme_name(args.seed_scheme)
     policy = None
     if (
         args.max_retries is not None
@@ -563,8 +530,6 @@ def _cmd_run(args, out, err) -> int:
             on_error=args.on_error if args.on_error is not None else "raise",
             **policy_kwargs,
         )
-    if policy is not None and policy.on_error == "quarantine" and cache is None:
-        raise ValueError("--on-error quarantine needs a result store; drop --no-cache")
 
     adaptive_cfg = None
     if args.adaptive or args.refine_cliff is not None:
@@ -584,9 +549,29 @@ def _cmd_run(args, out, err) -> int:
     if adaptive_cfg is not None and args.max_runs is not None:
         runs_arg = args.max_runs
 
+    # One options object serves the fixed run, the adaptive run and
+    # --dry-run alike.  Building it is where a bad --kernel-threads or
+    # --seed-scheme, and --fleet or --on-error quarantine without a
+    # store, fail fast; the kernel is resolved here too, so an unknown or
+    # unavailable backend never reaches a worker process.
+    options = ExecutionOptions(
+        executor=args.executor,
+        workers=args.workers,
+        store=_open_store(args),
+        kernel=get_backend(args.kernel).name,
+        kernel_threads=args.kernel_threads,
+        seed_scheme=args.seed_scheme,
+        fleet=args.fleet,
+        lease_ttl=args.lease_ttl,
+        worker_id=args.worker_id,
+        failure_policy=policy,
+        adaptive=adaptive_cfg,
+    )
+    store = options.store
+
     if args.dry_run:
-        if cache is not None:
-            cache.close()
+        if store is not None:
+            store.close()
         scale = SCALES[args.scale]
         budget = runs_arg if runs_arg is not None else scale.runs
         total_units = 0
@@ -598,11 +583,7 @@ def _cmd_run(args, out, err) -> int:
                     scale.q_values,
                     runs=budget,
                     seed=args.seed,
-                    adaptive=adaptive_cfg,
-                    fastpath=args.fastpath,
-                    kernel=kernel_name,
-                    kernel_threads=kernel_threads,
-                    seed_scheme=scheme_name,
+                    options=options,
                 )
                 kind = (
                     f"first adaptive round, "
@@ -610,19 +591,11 @@ def _cmd_run(args, out, err) -> int:
                     f"of a {budget}-run budget"
                 )
             else:
-                cells = [
-                    ((i, j), config, float(p), float(q))
-                    for i, p in enumerate(scale.p_values)
-                    for j, q in enumerate(scale.q_values)
-                ]
+                _p_values, _q_values, cells = grid_cells(
+                    config, scale.p_values, scale.q_values
+                )
                 units = plan_units(
-                    cells,
-                    runs=budget,
-                    base_seed=args.seed,
-                    fastpath=args.fastpath,
-                    kernel=kernel_name,
-                    kernel_threads=kernel_threads,
-                    seed_scheme=scheme_name,
+                    cells, runs=budget, base_seed=args.seed, options=options
                 )
                 kind = f"{budget} runs/cell"
             total_units += len(units)
@@ -639,13 +612,16 @@ def _cmd_run(args, out, err) -> int:
 
     print(
         f"{spec.paper_reference}: {spec.title}\n"
-        f"scale={args.scale} seed={args.seed} seed-scheme={scheme_name} "
+        f"scale={args.scale} seed={args.seed} seed-scheme={options.seed_scheme} "
         f"workers={args.workers or 1} "
-        f"store={'off' if cache is None else cache.uri()} "
-        f"fastpath={'on' if args.fastpath else 'off'}"
-        + (f" kernel={kernel_name}" if kernel_name else "")
-        + (f" kernel-threads={kernel_threads}" if kernel_threads else "")
-        + (f" fleet=on ttl={args.lease_ttl:g}s" if args.fleet else "")
+        f"store={'off' if store is None else store.uri()} "
+        f"kernel={options.kernel}"
+        + (
+            f" kernel-threads={options.kernel_threads}"
+            if options.kernel_threads
+            else ""
+        )
+        + (f" fleet=on ttl={options.lease_ttl:g}s" if options.fleet else "")
         + (
             f" retries={policy.max_retries} on-error={policy.on_error}"
             if policy is not None
@@ -691,25 +667,14 @@ def _cmd_run(args, out, err) -> int:
             scale=args.scale,
             seed=args.seed,
             runs=runs_arg,
-            executor=args.executor,
-            workers=args.workers,
-            cache=cache,
-            fastpath=args.fastpath,
-            kernel=kernel_name,
-            kernel_threads=kernel_threads,
-            seed_scheme=scheme_name,
-            fleet=args.fleet,
-            lease_ttl=args.lease_ttl,
-            worker_id=args.worker_id,
-            failure_policy=policy,
-            adaptive=adaptive_cfg,
+            options=options,
             progress_factory=per_config_progress,
         )
-        if policy is not None and policy.on_error == "quarantine" and cache is not None:
-            quarantined = quarantine_entries(cache)
+        if policy is not None and policy.on_error == "quarantine":
+            quarantined = quarantine_entries(store)
     finally:
-        if cache is not None:
-            cache.close()
+        if store is not None:
+            store.close()
     if not args.quiet:
         print(file=err)
     elapsed = time.perf_counter() - started
@@ -761,10 +726,10 @@ def _cmd_run(args, out, err) -> int:
         print(format_quarantine_report(quarantined), file=out)
 
     summary = f"done in {elapsed:.1f}s"
-    if cache is not None:
+    if store is not None:
         summary += (
-            f" (cache: {cache.stats.hits} hits, {cache.stats.misses} misses,"
-            f" {cache.stats.writes} writes)"
+            f" (cache: {store.stats.hits} hits, {store.stats.misses} misses,"
+            f" {store.stats.writes} writes)"
         )
     print(summary, file=out)
     return 0

@@ -24,20 +24,18 @@ from __future__ import annotations
 import dataclasses
 import threading
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.channel.gilbert import GilbertChannel
 from repro.core.config import SimulationConfig
-from repro.core.metrics import RunResult, RunResultBatch
-from repro.core.simulator import Simulator
-from repro.kernels.threads import (
-    ThreadSpec,
-    normalize_thread_spec,
-    thread_count_context,
-)
-from repro.seeds import SchemeSpec, UnitStreams, get_scheme, resolve_scheme_name
+from repro.core.metrics import RunResultBatch
+from repro.kernels.threads import thread_count_context
+from repro.seeds import UnitStreams, get_scheme
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.runner.options import ExecutionOptions
 
 #: Cell identifier inside one sweep: ``(i, j)`` for grids, ``(index,)`` for
 #: 1-D series.  It doubles as the seed salt, so two cells of the same sweep
@@ -70,16 +68,11 @@ class WorkUnit:
         ``default_rng(base_seed)`` (the grid sweep's historical behaviour),
         a tuple builds it from ``SeedSequence([base_seed, *path])`` (used by
         parameter sweeps so neighbouring indices cannot collide).
-    fastpath:
-        Execute the unit's run range as one vectorised batch through
-        :mod:`repro.fastpath` (bit-identical to the incremental path, so
-        the flag is *not* part of the cache key); ``False`` keeps the
-        per-run reference loop.
     kernel:
         :mod:`repro.kernels` backend name for the batch decode (``None``
         resolves ``REPRO_KERNEL`` / auto in the executing process).  All
-        backends are bit-identical, so like ``fastpath`` this is excluded
-        from the cache key; kept a plain string so units stay picklable.
+        backends are bit-identical, so this is excluded from the cache
+        key; kept a plain string so units stay picklable.
     kernel_threads:
         Thread-count request for the compiled kernels' row-parallel
         loops, normalised to ``None`` / ``"auto"`` / a digit string
@@ -89,10 +82,10 @@ class WorkUnit:
         this is excluded from the cache key.
     seed_scheme:
         Name of the :mod:`repro.seeds` scheme deriving this unit's random
-        streams.  Unlike ``fastpath``/``kernel`` the scheme changes the
-        drawn streams, so it **is** part of the cache key.  Stored as the
-        resolved name (never ``None``) so units are self-describing when
-        they cross process boundaries.
+        streams.  Unlike ``kernel`` the scheme changes the drawn streams,
+        so it **is** part of the cache key.  Stored as the resolved name
+        (never ``None``) so units are self-describing when they cross
+        process boundaries.
     """
 
     config: SimulationConfig
@@ -104,7 +97,6 @@ class WorkUnit:
     base_seed: int
     fresh_code_per_run: bool = False
     code_seed_path: Optional[SeedPath] = None
-    fastpath: bool = True
     kernel: Optional[str] = None
     kernel_threads: Optional[str] = None
     seed_scheme: str = "per-run"
@@ -133,7 +125,6 @@ class WorkUnit:
             "code_seed_path": None
             if self.code_seed_path is None
             else list(self.code_seed_path),
-            "fastpath": self.fastpath,
             "kernel": self.kernel,
             "kernel_threads": self.kernel_threads,
             "seed_scheme": self.seed_scheme,
@@ -141,8 +132,14 @@ class WorkUnit:
 
     @classmethod
     def from_payload(cls, payload: Dict[str, object]) -> "WorkUnit":
-        """Rebuild a unit from a :meth:`to_payload` snapshot."""
+        """Rebuild a unit from a :meth:`to_payload` snapshot.
+
+        Older snapshots also carry a ``"fastpath"`` flag, from when a sweep
+        could decode through the incremental reference path; both paths
+        were bit-identical, so the flag is ignored.
+        """
         fields = dict(payload)
+        fields.pop("fastpath", None)
         config = SimulationConfig(**fields.pop("config"))
         seed_path = tuple(int(x) for x in fields.pop("seed_path"))
         code_seed_path = fields.pop("code_seed_path", None)
@@ -183,10 +180,7 @@ def plan_units(
     code_seed_by_path: bool = False,
     runs_per_unit: Optional[int] = None,
     first_run: int = 0,
-    fastpath: bool = True,
-    kernel: Optional[str] = None,
-    kernel_threads: ThreadSpec = None,
-    seed_scheme: SchemeSpec = None,
+    options: Optional["ExecutionOptions"] = None,
 ) -> List[WorkUnit]:
     """Shard a sweep into work units.
 
@@ -210,25 +204,22 @@ def plan_units(
     code_seed_by_path:
         Derive each cell's shared code seed from its ``seed_path`` instead
         of the sweep-wide ``base_seed`` (parameter-sweep behaviour).
-    fastpath:
-        Execute each unit's run range as one vectorised batch (default).
-    kernel:
-        Kernel-backend name for the batch decode (``None``: env / auto).
-    kernel_threads:
-        Thread-count request for the compiled kernels (``None``: env /
-        auto); validated and normalised here so a bad ``--kernel-threads``
-        fails at planning time, not inside a worker.
-    seed_scheme:
-        :mod:`repro.seeds` scheme deriving the run streams (``None``:
-        ``REPRO_SEED_SCHEME`` / ``"per-run"``); resolved here so every
-        planned unit carries an explicit scheme name.
+    options:
+        The sweep's :class:`~repro.runner.options.ExecutionOptions`
+        (default: ``ExecutionOptions()``); its already-validated kernel,
+        thread spec and seed-scheme name are copied into every unit.
     """
+    if options is None:
+        from repro.runner.options import ExecutionOptions
+
+        options = ExecutionOptions()
     chunk = runs if runs_per_unit is None else max(1, int(runs_per_unit))
     first_run = int(first_run)
     if first_run < 0:
         raise ValueError(f"first_run must be >= 0, got {first_run}")
-    scheme_name = resolve_scheme_name(seed_scheme)
-    threads_spec = normalize_thread_spec(kernel_threads)
+    kernel = options.kernel
+    kernel_threads = options.kernel_threads
+    scheme_name = options.seed_scheme
     units: List[WorkUnit] = []
     for seed_path, config, p, q in configs:
         for run_start in range(first_run, runs, chunk):
@@ -245,9 +236,8 @@ def plan_units(
                     code_seed_path=tuple(int(x) for x in seed_path)
                     if code_seed_by_path
                     else None,
-                    fastpath=bool(fastpath),
                     kernel=kernel,
-                    kernel_threads=threads_spec,
+                    kernel_threads=kernel_threads,
                     seed_scheme=scheme_name,
                 )
             )
@@ -306,10 +296,10 @@ def warm_unit(unit: WorkUnit) -> None:
     code build and prototype compile during pool start-up (in parallel
     across workers) instead of serialised inside its first chunk.
     Best-effort by design: units whose execution would not touch the
-    shared caches (fresh code per run, incremental path) warm nothing,
-    and kernel resolution degrades exactly as it would at execution time.
+    shared caches (fresh code per run) warm nothing, and kernel
+    resolution degrades exactly as it would at execution time.
     """
-    if unit.fresh_code_per_run or not unit.fastpath:
+    if unit.fresh_code_per_run:
         return
     from repro.fastpath.prototypes import compile_prototype
     from repro.kernels.registry import get_backend_for_run
@@ -326,7 +316,7 @@ def warm_units(units: Sequence[WorkUnit], limit: int = 8) -> List[WorkUnit]:
     seen = set()
     representatives: List[WorkUnit] = []
     for unit in units:
-        if unit.fresh_code_per_run or not unit.fastpath:
+        if unit.fresh_code_per_run:
             continue
         key = (_shared_code_key(unit), unit.kernel)
         if key in seen:
@@ -345,26 +335,21 @@ def _unit_streams(unit: WorkUnit) -> UnitStreams:
     )
 
 
-def _run_rng(unit: WorkUnit, run: int) -> np.random.Generator:
-    return _unit_streams(unit).run_rng(run)
-
-
 def _unit_batch(unit: WorkUnit) -> RunResultBatch:
     """Columnar outcomes of one unit, in run order.
 
     The whole run range flows through the :mod:`repro.pipeline` batched
-    run-synthesis pipeline as arrays (fastpath) or is decoded by the
-    incremental reference decoder (``fastpath=False``); either way the
+    run-synthesis pipeline and the vectorised decoders as arrays; the
     cell metrics are computed from columns, never from per-run objects.
 
     The kernel backend is resolved here, in the *executing* process,
     through the degrading run-time resolver: a backend that cannot be
-    constructed on this host (missing compiler, broken numba install)
-    falls back down the ``auto`` chain with a logged warning instead of
-    killing the unit -- all backends are bit-identical, so degradation
-    never changes results.  The unit's ``kernel_threads`` request scopes
-    the whole execution (synthesis *and* decode), so every compiled
-    kernel call under it resolves the same thread count.
+    constructed on this host (missing compiler) falls back down the
+    ``auto`` chain with a logged warning instead of killing the unit --
+    all backends are bit-identical, so degradation never changes
+    results.  The unit's ``kernel_threads`` request scopes the whole
+    execution (synthesis *and* decode), so every compiled kernel call
+    under it resolves the same thread count.
     """
     with thread_count_context(unit.kernel_threads):
         return _unit_batch_impl(unit)
@@ -378,75 +363,39 @@ def _unit_batch_impl(unit: WorkUnit) -> RunResultBatch:
     tx_model = unit.config.build_tx_model()
     channel = GilbertChannel(unit.p, unit.q)
     streams = _unit_streams(unit)
-    runs = range(unit.run_start, unit.run_stop)
 
     if not unit.fresh_code_per_run:
-        code = _shared_code(unit)
-        if unit.fastpath:
-            # The whole run range is one vectorised batch.  Under the
-            # per-run scheme each run keeps its own generator, so the
-            # batch is bit-identical to the incremental loop; under the
-            # unit scheme the streams are defined by the block draws.
-            return simulate_batch_columnar(
-                code,
-                tx_model,
-                channel,
-                streams,
-                nsent=unit.config.nsent,
-                kernel=kernel,
-            )
-        if streams.unit_rng is not None:
-            # Unit-batching scheme: the front end is scheme-defined block
-            # draws, so synthesise it exactly as the fast path would and
-            # only swap the decoder for the incremental reference.
-            from repro.fastpath import decode_batch_incremental
-            from repro.pipeline.synthesis import synthesize_runs_unit
-
-            synthesis = synthesize_runs_unit(
-                code.layout,
-                tx_model,
-                channel,
-                streams.unit_rng,
-                streams.runs,
-                nsent=unit.config.nsent,
-                kernel=kernel,
-            )
-            return decode_batch_incremental(code, synthesis)
-        simulator = Simulator(code, tx_model, channel)
-        return RunResultBatch.from_results(
-            [
-                simulator.run(streams.run_rng(run), nsent=unit.config.nsent)
-                for run in runs
-            ]
+        # The whole run range is one vectorised batch.  Under the per-run
+        # scheme each run keeps its own generator, so the batch is
+        # bit-identical to the incremental loop; under the unit scheme the
+        # streams are defined by the block draws.
+        return simulate_batch_columnar(
+            _shared_code(unit),
+            tx_model,
+            channel,
+            streams,
+            nsent=unit.config.nsent,
+            kernel=kernel,
         )
 
     # Fresh code per run: the code must be drawn from the run generator
     # *before* the schedule, so each run is its own batch of one (the
     # unit scheme gives every run its own counter window here).
-    if unit.fastpath:
-        batches: List[RunResultBatch] = []
-        for run in runs:
-            run_rng = streams.run_rng(run)
-            code = unit.config.build_code(seed=run_rng)
-            batches.append(
-                simulate_batch_columnar(
-                    code,
-                    tx_model,
-                    channel,
-                    [run_rng],
-                    nsent=unit.config.nsent,
-                    kernel=kernel,
-                )
-            )
-        return RunResultBatch.concatenate(batches)
-    results: List[RunResult] = []
-    for run in runs:
+    batches: List[RunResultBatch] = []
+    for run in range(unit.run_start, unit.run_stop):
         run_rng = streams.run_rng(run)
         code = unit.config.build_code(seed=run_rng)
-        results.append(
-            Simulator(code, tx_model, channel).run(run_rng, nsent=unit.config.nsent)
+        batches.append(
+            simulate_batch_columnar(
+                code,
+                tx_model,
+                channel,
+                [run_rng],
+                nsent=unit.config.nsent,
+                kernel=kernel,
+            )
         )
-    return RunResultBatch.from_results(results)
+    return RunResultBatch.concatenate(batches)
 
 
 def execute_unit(unit: WorkUnit) -> UnitResult:

@@ -14,7 +14,7 @@ Two schemes are provided:
     One ``PCG64`` generator per run, seeded from
     ``SeedSequence([base_seed, *seed_path, run])``.  This reproduces the
     historical streams bit-for-bit: results are independent of how a cell
-    is sharded into work units, and any executor / cache / fastpath / kernel
+    is sharded into work units, and any executor / cache / kernel
     combination returns bit-identical arrays.  The per-run draws are the
     cost: every stochastic stage loops over runs because each run owns its
     own generator.

@@ -65,8 +65,9 @@ def unit_key(unit: WorkUnit) -> str:
 
     The seed-scheme *token* (name + stream-format version) is part of the
     key: schemes draw different streams, so results of one scheme must
-    never satisfy a lookup under another -- unlike ``fastpath``/``kernel``,
-    which are bit-identical wall-clock knobs and stay excluded.
+    never satisfy a lookup under another -- unlike ``kernel`` /
+    ``kernel_threads``, which are bit-identical wall-clock knobs and stay
+    excluded.
     """
     payload = {
         "version": CACHE_FORMAT_VERSION,

@@ -123,19 +123,34 @@ class SqliteStore(ResultStore):
             check_same_thread=False,
         )
         self._lock = threading.RLock()
-        with self._lock, self._guard():
-            self._conn.execute("PRAGMA journal_mode=WAL")
-            self._conn.execute("PRAGMA synchronous=NORMAL")
-            # Never zero: an unset busy timeout turns every cross-process
-            # race into an instant "database is locked" failure.
-            self._conn.execute(
-                f"PRAGMA busy_timeout={max(int(timeout * 1000), 100)}"
-            )
-            self._conn.executescript(_TABLES)
-            self._conn.execute(
-                "INSERT OR IGNORE INTO meta(key, value) VALUES('store_schema', ?)",
-                (str(SQLITE_STORE_SCHEMA),),
-            )
+        # Processes opening a file that none of them has created yet race
+        # on the switch to WAL, which SQLite can report as "database is
+        # locked" without waiting on the busy handler.  The set-up is
+        # idempotent, so it is retried until the busy timeout runs out.
+        deadline = time.monotonic() + timeout
+        delay = 0.01
+        while True:
+            try:
+                with self._lock, self._guard():
+                    self._set_up(timeout)
+                break
+            except StoreUnavailableError:
+                if time.monotonic() + delay > deadline:
+                    raise
+                time.sleep(delay)
+                delay = min(2 * delay, 0.25)
+
+    def _set_up(self, timeout: float) -> None:
+        # Never zero: an unset busy timeout turns every cross-process
+        # race into an instant "database is locked" failure.
+        self._conn.execute(f"PRAGMA busy_timeout={max(int(timeout * 1000), 100)}")
+        self._conn.execute("PRAGMA journal_mode=WAL")
+        self._conn.execute("PRAGMA synchronous=NORMAL")
+        self._conn.executescript(_TABLES)
+        self._conn.execute(
+            "INSERT OR IGNORE INTO meta(key, value) VALUES('store_schema', ?)",
+            (str(SQLITE_STORE_SCHEMA),),
+        )
 
     def _rollback(self) -> None:
         """Best-effort rollback that never masks the original error.

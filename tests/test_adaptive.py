@@ -7,7 +7,13 @@ import threading
 import numpy as np
 import pytest
 
-from repro.adaptive import AdaptiveConfig, plan_first_round, resolve_adaptive, round_schedule
+from repro.adaptive import (
+    AdaptiveConfig,
+    adaptive_grid,
+    plan_first_round,
+    resolve_adaptive,
+    round_schedule,
+)
 from repro.analysis.csvio import grid_to_csv
 from repro.analysis.tables import format_runs_table
 from repro.core.config import SimulationConfig
@@ -15,7 +21,8 @@ from repro.core.metrics import CellStats, RunResult, RunResultBatch, SeriesResul
 from repro.core.sweep import simulate_grid
 from repro.resilience.faults import FaultInjectingExecutor, FaultPlan
 from repro.resilience.policy import FailurePolicy
-from repro.runner.engine import run_adaptive, run_grid, run_series
+from repro.runner.engine import run_grid, run_series
+from repro.runner.options import ExecutionOptions
 from repro.store import MemoryStore
 from repro.utils.stats import (
     mean_interval_halfwidth,
@@ -152,14 +159,11 @@ class TestNaNSafeAggregates:
         plan = FaultPlan(poison=frozenset({(0,)}))
         configs = [config.with_updates(expansion_ratio=r) for r in (1.5, 2.5)]
         series = run_series(
-            configs,
-            [1.5, 2.5],
-            p=0.0,
-            q=1.0,
-            runs=2,
-            seed=7,
-            executor=FaultInjectingExecutor(plan, policy=policy),
-            failure_policy=policy,
+            configs, [1.5, 2.5], p=0.0, q=1.0, runs=2, seed=7,
+            options=ExecutionOptions(
+                executor=FaultInjectingExecutor(plan, policy=policy),
+                failure_policy=policy,
+            ),
         )
         assert np.isnan(series.mean_inefficiency[0])
         assert series.failure_counts[0] == 0
@@ -181,13 +185,11 @@ class TestNaNSafeAggregates:
         )
         plan = FaultPlan(poison=frozenset({(0, 0)}))
         grid = run_grid(
-            config,
-            [0.0, 0.05],
-            [0.5, 1.0],
-            runs=2,
-            seed=7,
-            executor=FaultInjectingExecutor(plan, policy=policy),
-            failure_policy=policy,
+            config, [0.0, 0.05], [0.5, 1.0], runs=2, seed=7,
+            options=ExecutionOptions(
+                executor=FaultInjectingExecutor(plan, policy=policy),
+                failure_policy=policy,
+            ),
         )
         assert np.isnan(grid.mean_inefficiency[0, 0])
         assert grid.failure_counts[0, 0] == 0
@@ -229,7 +231,8 @@ class TestConfigAndSchedule:
 
     def test_plan_first_round_counts(self, config):
         units = plan_first_round(
-            config, P_VALUES, Q_VALUES, runs=100, adaptive=AdaptiveConfig(min_runs=8)
+            config, P_VALUES, Q_VALUES, runs=100,
+            options=ExecutionOptions(adaptive=AdaptiveConfig(min_runs=8)),
         )
         assert len(units) == len(P_VALUES) * len(Q_VALUES)
         assert all(unit.run_start == 0 and unit.run_stop == 8 for unit in units)
@@ -242,9 +245,9 @@ class TestAdaptiveBitIdentity:
 
     @pytest.mark.parametrize("scheme", ["per-run", "unit"])
     def test_adaptive_equals_fixed_truncation(self, config, scheme):
-        grid = run_adaptive(
+        grid = adaptive_grid(
             config, P_VALUES, Q_VALUES, runs=12, seed=1,
-            adaptive=self.CFG, seed_scheme=scheme,
+            options=ExecutionOptions(adaptive=self.CFG, seed_scheme=scheme),
         )
         runs_per_cell = np.asarray(grid.metadata["adaptive"]["runs_per_cell"])
         counts = sorted(set(runs_per_cell.ravel().tolist()))
@@ -252,7 +255,8 @@ class TestAdaptiveBitIdentity:
         for count in counts:
             fixed = run_grid(
                 config, P_VALUES, Q_VALUES, runs=int(count), seed=1,
-                runs_per_unit=self.CFG.min_runs, seed_scheme=scheme,
+                runs_per_unit=self.CFG.min_runs,
+                options=ExecutionOptions(seed_scheme=scheme),
             )
             mask = runs_per_cell == count
             assert np.array_equal(
@@ -269,18 +273,20 @@ class TestAdaptiveBitIdentity:
 
     @pytest.mark.parametrize("scheme", ["per-run", "unit"])
     def test_two_fleet_workers_match_serial_adaptive(self, config, scheme):
-        serial = run_adaptive(
+        serial = adaptive_grid(
             config, P_VALUES, Q_VALUES, runs=12, seed=1,
-            adaptive=self.CFG, seed_scheme=scheme,
+            options=ExecutionOptions(adaptive=self.CFG, seed_scheme=scheme),
         )
         store = MemoryStore()
         grids = {}
 
         def worker(name):
-            grids[name] = run_adaptive(
+            grids[name] = adaptive_grid(
                 config, P_VALUES, Q_VALUES, runs=12, seed=1,
-                adaptive=self.CFG, seed_scheme=scheme,
-                cache=store, fleet=True, lease_ttl=10.0, worker_id=name,
+                options=ExecutionOptions(
+                    adaptive=self.CFG, seed_scheme=scheme, store=store, fleet=True,
+                    lease_ttl=10.0, worker_id=name,
+                ),
             )
 
         threads = [
@@ -311,12 +317,14 @@ class TestAdaptiveBitIdentity:
 
     def test_adaptive_run_is_cache_resumable(self, config):
         store = MemoryStore()
-        first = run_adaptive(
-            config, P_VALUES, Q_VALUES, runs=12, seed=1, adaptive=self.CFG, cache=store
+        first = adaptive_grid(
+            config, P_VALUES, Q_VALUES, runs=12, seed=1,
+            options=ExecutionOptions(adaptive=self.CFG, store=store),
         )
         writes = store.stats.writes
-        again = run_adaptive(
-            config, P_VALUES, Q_VALUES, runs=12, seed=1, adaptive=self.CFG, cache=store
+        again = adaptive_grid(
+            config, P_VALUES, Q_VALUES, runs=12, seed=1,
+            options=ExecutionOptions(adaptive=self.CFG, store=store),
         )
         assert store.stats.writes == writes  # everything served from cache
         assert np.array_equal(
@@ -326,13 +334,13 @@ class TestAdaptiveBitIdentity:
 
 class TestStoppingRule:
     def test_tighter_ci_never_runs_fewer(self, config):
-        wide = run_adaptive(
+        wide = adaptive_grid(
             config, P_VALUES, Q_VALUES, runs=12, seed=1,
-            adaptive=AdaptiveConfig(min_runs=4, ci_width=0.6),
+            options=ExecutionOptions(adaptive=AdaptiveConfig(min_runs=4, ci_width=0.6)),
         )
-        tight = run_adaptive(
+        tight = adaptive_grid(
             config, P_VALUES, Q_VALUES, runs=12, seed=1,
-            adaptive=AdaptiveConfig(min_runs=4, ci_width=0.3),
+            options=ExecutionOptions(adaptive=AdaptiveConfig(min_runs=4, ci_width=0.3)),
         )
         wide_runs = np.asarray(wide.metadata["adaptive"]["runs_per_cell"])
         tight_runs = np.asarray(tight.metadata["adaptive"]["runs_per_cell"])
@@ -340,9 +348,11 @@ class TestStoppingRule:
         assert tight_runs.sum() > wide_runs.sum()
 
     def test_budget_caps_unsettled_cells(self, config):
-        grid = run_adaptive(
+        grid = adaptive_grid(
             config, P_VALUES, Q_VALUES, runs=12, seed=1,
-            adaptive=AdaptiveConfig(min_runs=4, ci_width=0.01),
+            options=ExecutionOptions(
+                adaptive=AdaptiveConfig(min_runs=4, ci_width=0.01),
+            ),
         )
         meta = grid.metadata["adaptive"]
         assert (np.asarray(meta["runs_per_cell"]) == 12).all()
@@ -350,9 +360,9 @@ class TestStoppingRule:
         assert meta["saved_runs"] == 0
 
     def test_savings_accounting(self, config):
-        grid = run_adaptive(
+        grid = adaptive_grid(
             config, P_VALUES, Q_VALUES, runs=12, seed=1,
-            adaptive=AdaptiveConfig(min_runs=4, ci_width=0.6),
+            options=ExecutionOptions(adaptive=AdaptiveConfig(min_runs=4, ci_width=0.6)),
         )
         meta = grid.metadata["adaptive"]
         assert meta["exhaustive_runs"] == len(P_VALUES) * len(Q_VALUES) * 12
@@ -374,8 +384,9 @@ class TestCliffRefinement:
         cfg = AdaptiveConfig(
             min_runs=4, ci_width=0.6, refine_cliff=True, refine_resolution=0.05
         )
-        grid = run_adaptive(
-            cliff_config, [0.0, 0.5], [1.0], runs=8, seed=1, adaptive=cfg
+        grid = adaptive_grid(
+            cliff_config, [0.0, 0.5], [1.0], runs=8, seed=1,
+            options=ExecutionOptions(adaptive=cfg),
         )
         meta = grid.metadata["adaptive"]
         assert grid.decodable_mask[0, 0] and not grid.decodable_mask[1, 0]
@@ -396,11 +407,13 @@ class TestCliffRefinement:
         cfg = AdaptiveConfig(
             min_runs=4, ci_width=0.6, refine_cliff=True, refine_resolution=0.05
         )
-        first = run_adaptive(
-            cliff_config, [0.0, 0.5], [1.0], runs=8, seed=1, adaptive=cfg
+        first = adaptive_grid(
+            cliff_config, [0.0, 0.5], [1.0], runs=8, seed=1,
+            options=ExecutionOptions(adaptive=cfg),
         )
-        second = run_adaptive(
-            cliff_config, [0.0, 0.5], [1.0], runs=8, seed=1, adaptive=cfg
+        second = adaptive_grid(
+            cliff_config, [0.0, 0.5], [1.0], runs=8, seed=1,
+            options=ExecutionOptions(adaptive=cfg),
         )
         assert first.metadata["adaptive"]["cliffs"] == second.metadata["adaptive"]["cliffs"]
         # repr-compare: undecodable probe rows carry NaN means, and
@@ -413,7 +426,10 @@ class TestCliffRefinement:
         cfg = AdaptiveConfig(
             min_runs=4, ci_width=0.6, refine_cliff=True, refine_resolution=0.05
         )
-        grid = run_adaptive(config, [0.0], [1.0], runs=8, seed=1, adaptive=cfg)
+        grid = adaptive_grid(
+            config, [0.0], [1.0], runs=8, seed=1,
+            options=ExecutionOptions(adaptive=cfg),
+        )
         meta = grid.metadata["adaptive"]
         assert meta["refined"] == [] and meta["cliffs"] == []
 
@@ -422,16 +438,16 @@ class TestIntegration:
     def test_simulate_grid_adaptive_kwarg(self, config):
         grid = simulate_grid(
             config, P_VALUES, Q_VALUES, runs=8, seed=1,
-            adaptive={"min_runs": 4, "ci_width": 0.6},
+            options=ExecutionOptions(adaptive={"min_runs": 4, "ci_width": 0.6}),
         )
         assert "adaptive" in grid.metadata
         fixed = simulate_grid(config, P_VALUES, Q_VALUES, runs=8, seed=1)
         assert "adaptive" not in fixed.metadata
 
     def test_csv_rows_carry_per_cell_runs(self, config):
-        grid = run_adaptive(
+        grid = adaptive_grid(
             config, P_VALUES, Q_VALUES, runs=12, seed=1,
-            adaptive=AdaptiveConfig(min_runs=4, ci_width=0.6),
+            options=ExecutionOptions(adaptive=AdaptiveConfig(min_runs=4, ci_width=0.6)),
         )
         runs_per_cell = np.asarray(grid.metadata["adaptive"]["runs_per_cell"])
         text = grid_to_csv(grid)
@@ -450,8 +466,9 @@ class TestIntegration:
         # row is byte-identical to the row of a fixed sweep at that
         # cell's final run count.
         cfg = AdaptiveConfig(min_runs=4, ci_width=0.6)
-        grid = run_adaptive(
-            config, P_VALUES, Q_VALUES, runs=12, seed=1, adaptive=cfg
+        grid = adaptive_grid(
+            config, P_VALUES, Q_VALUES, runs=12, seed=1,
+            options=ExecutionOptions(adaptive=cfg),
         )
         runs_per_cell = np.asarray(grid.metadata["adaptive"]["runs_per_cell"])
         adaptive_rows = {
@@ -474,16 +491,21 @@ class TestIntegration:
                     assert adaptive_rows[tuple(parts[:2])] == line
 
     def test_runs_table_marks_unsettled_cells(self, config):
-        grid = run_adaptive(
+        grid = adaptive_grid(
             config, P_VALUES, Q_VALUES, runs=12, seed=1,
-            adaptive=AdaptiveConfig(min_runs=4, ci_width=0.01),
+            options=ExecutionOptions(
+                adaptive=AdaptiveConfig(min_runs=4, ci_width=0.01),
+            ),
         )
         table = format_runs_table(grid)
         assert "12*" in table
 
-    def test_run_adaptive_rejects_missing_config(self, config):
+    def test_adaptive_grid_rejects_missing_config(self, config):
         with pytest.raises(ValueError):
-            run_adaptive(config, P_VALUES, Q_VALUES, runs=8, adaptive=None)
+            adaptive_grid(
+                config, P_VALUES, Q_VALUES, runs=8,
+                options=ExecutionOptions(adaptive=None),
+            )
 
 
 def test_run_result_batch_roundtrip_still_streams(rng):

@@ -33,6 +33,12 @@ from repro.fec.registry import make_code
 from repro.kernels import available_backends
 from repro.runner.units import WorkUnit, execute_unit
 from repro.scheduling.registry import make_tx_model
+from unit_reference import (
+    assert_grid_matches,
+    reference_cells,
+    reference_grid,
+    reference_unit_result,
+)
 
 #: Every kernel backend this machine can run: the equivalence contract
 #: holds for all of them, so the parity machinery sweeps each one.
@@ -266,30 +272,23 @@ class TestRunnerFastpath:
         return WorkUnit(**parameters)
 
     def test_execute_unit_batch_equals_serial(self):
-        fast = execute_unit(self._unit(fastpath=True))
-        slow = execute_unit(self._unit(fastpath=False))
-        assert fast == slow
+        unit = self._unit()
+        assert execute_unit(unit) == reference_unit_result(unit)
 
     def test_execute_unit_fresh_code_per_run(self):
-        fast = execute_unit(self._unit(fastpath=True, fresh_code_per_run=True))
-        slow = execute_unit(self._unit(fastpath=False, fresh_code_per_run=True))
-        assert fast == slow
+        unit = self._unit(fresh_code_per_run=True)
+        assert execute_unit(unit) == reference_unit_result(unit)
 
     def test_grid_sweep_equivalence(self, small_staircase_config):
-        kwargs = dict(runs=3, seed=7)
-        fast = simulate_grid(
-            small_staircase_config, [0.0, 0.3], [0.2, 1.0], fastpath=True, **kwargs
+        grid = simulate_grid(
+            small_staircase_config, [0.0, 0.3], [0.2, 1.0], runs=3, seed=7
         )
-        slow = simulate_grid(
-            small_staircase_config, [0.0, 0.3], [0.2, 1.0], fastpath=False, **kwargs
+        assert_grid_matches(
+            grid,
+            reference_grid(
+                small_staircase_config, [0.0, 0.3], [0.2, 1.0], runs=3, seed=7
+            ),
         )
-        assert np.array_equal(
-            fast.mean_inefficiency, slow.mean_inefficiency, equal_nan=True
-        )
-        assert np.array_equal(
-            fast.mean_received_ratio, slow.mean_received_ratio, equal_nan=True
-        )
-        assert np.array_equal(fast.failure_counts, slow.failure_counts)
 
     def test_series_sweep_equivalence(self):
         def make(value):
@@ -297,13 +296,19 @@ class TestRunnerFastpath:
                 code="rse", tx_model="tx_model_5", k=100, expansion_ratio=float(value)
             )
 
-        kwargs = dict(p=0.1, q=0.5, runs=3, seed=3)
-        fast = sweep_parameter(make, [1.5, 2.5], fastpath=True, **kwargs)
-        slow = sweep_parameter(make, [1.5, 2.5], fastpath=False, **kwargs)
-        assert np.array_equal(
-            fast.mean_inefficiency, slow.mean_inefficiency, equal_nan=True
+        values = [1.5, 2.5]
+        series = sweep_parameter(make, values, p=0.1, q=0.5, runs=3, seed=3)
+        merged = reference_cells(
+            [((index,), make(value), 0.1, 0.5) for index, value in enumerate(values)],
+            runs=3,
+            base_seed=3,
+            code_seed_by_path=True,
         )
-        assert np.array_equal(fast.failure_counts, slow.failure_counts)
+        expected = [merged[(index,)] for index in range(len(values))]
+        assert np.array_equal(
+            series.mean_inefficiency, [mean for mean, _, _ in expected], equal_nan=True
+        )
+        assert series.failure_counts.tolist() == [failed for _, _, failed in expected]
 
 
 class TestFastpathProperties:

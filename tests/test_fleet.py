@@ -14,6 +14,7 @@ import pytest
 from repro.core.config import SimulationConfig
 from repro.runner.engine import run_grid
 from repro.runner.fleet import DEFAULT_LEASE_TTL, FleetRunner, default_worker_id
+from repro.runner.options import ExecutionOptions
 from repro.runner.units import execute_unit, plan_units
 from repro.store import (
     LeaseUnsupportedError,
@@ -154,12 +155,15 @@ class TestFleetEngine:
     @pytest.mark.parametrize("scheme", ["per-run", "unit"])
     def test_fleet_grid_identical_to_serial(self, tmp_path, config, scheme):
         serial = run_grid(
-            config, P_VALUES, Q_VALUES, runs=2, seed=7, seed_scheme=scheme
+            config, P_VALUES, Q_VALUES, runs=2, seed=7,
+            options=ExecutionOptions(seed_scheme=scheme),
         )
         store = SqliteStore(tmp_path / "fleet.db")
         fleet = run_grid(
-            config, P_VALUES, Q_VALUES, runs=2, seed=7, seed_scheme=scheme,
-            cache=store, fleet=True, lease_ttl=10.0,
+            config, P_VALUES, Q_VALUES, runs=2, seed=7,
+            options=ExecutionOptions(
+                seed_scheme=scheme, store=store, fleet=True, lease_ttl=10.0,
+            ),
         )
         assert _grids_equal(serial, fleet)
         assert store.stats.writes == len(P_VALUES) * len(Q_VALUES)
@@ -167,7 +171,10 @@ class TestFleetEngine:
 
     def test_fleet_requires_a_store(self, config):
         with pytest.raises(ValueError):
-            run_grid(config, P_VALUES, Q_VALUES, runs=1, fleet=True)
+            run_grid(
+                config, P_VALUES, Q_VALUES, runs=1,
+                options=ExecutionOptions(fleet=True),
+            )
 
     def test_two_engine_workers_share_one_grid(self, config):
         store = MemoryStore()
@@ -177,7 +184,9 @@ class TestFleetEngine:
         def worker(name):
             grids[name] = run_grid(
                 config, P_VALUES, Q_VALUES, runs=2, seed=9,
-                cache=store, fleet=True, lease_ttl=10.0, worker_id=name,
+                options=ExecutionOptions(
+                    store=store, fleet=True, lease_ttl=10.0, worker_id=name,
+                ),
             )
 
         threads = [
@@ -195,11 +204,13 @@ class TestFleetEngine:
     def test_resumed_fleet_run_absorbs_everything(self, tmp_path, config):
         store = SqliteStore(tmp_path / "fleet.db")
         first = run_grid(
-            config, P_VALUES, Q_VALUES, runs=2, seed=7, cache=store, fleet=True
+            config, P_VALUES, Q_VALUES, runs=2, seed=7,
+            options=ExecutionOptions(store=store, fleet=True),
         )
         writes_before = store.stats.writes
         again = run_grid(
-            config, P_VALUES, Q_VALUES, runs=2, seed=7, cache=store, fleet=True
+            config, P_VALUES, Q_VALUES, runs=2, seed=7,
+            options=ExecutionOptions(store=store, fleet=True),
         )
         assert _grids_equal(first, again)
         assert store.stats.writes == writes_before

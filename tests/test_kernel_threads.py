@@ -38,6 +38,7 @@ from repro.kernels import (
 from repro.runner.cache import unit_key
 from repro.runner.cli import main as cli_main
 from repro.runner.executors import ProcessExecutor, ThreadExecutor, resolve_executor
+from repro.runner.options import ExecutionOptions
 from repro.runner.units import WorkUnit, execute_unit, plan_units
 from repro.scheduling.registry import make_tx_model
 from repro.seeds import get_scheme
@@ -242,11 +243,14 @@ class TestThreadExecutor:
         )
         p, q = [0.02, 0.08], [0.5]
         base = simulate_grid(
-            config, p, q, runs=5, seed=4, seed_scheme=scheme
+            config, p, q, runs=5, seed=4,
+            options=ExecutionOptions(seed_scheme=scheme),
         )
         threaded = simulate_grid(
-            config, p, q, runs=5, seed=4, seed_scheme=scheme,
-            executor="thread", workers=2, kernel_threads=2,
+            config, p, q, runs=5, seed=4,
+            options=ExecutionOptions(
+                seed_scheme=scheme, executor="thread", workers=2, kernel_threads=2,
+            ),
         )
         assert np.array_equal(base.mean_inefficiency, threaded.mean_inefficiency)
         assert np.array_equal(base.failure_counts, threaded.failure_counts)
@@ -257,10 +261,12 @@ class TestThreadExecutor:
         )
         p, q = [0.05], [0.5]
         threaded = simulate_grid(
-            config, p, q, runs=4, seed=6, executor="thread", workers=2
+            config, p, q, runs=4, seed=6,
+            options=ExecutionOptions(executor="thread", workers=2),
         )
         pooled = simulate_grid(
-            config, p, q, runs=4, seed=6, executor="process", workers=2
+            config, p, q, runs=4, seed=6,
+            options=ExecutionOptions(executor="process", workers=2),
         )
         assert np.array_equal(threaded.mean_inefficiency, pooled.mean_inefficiency)
 
@@ -290,7 +296,8 @@ class TestKernelThreadsPlumbing:
             code="rse", tx_model="tx_model_5", k=60, expansion_ratio=2.0
         )
         units = plan_units(
-            [((0,), config, 0.1, 0.5)], runs=4, base_seed=3, kernel_threads=4
+            [((0,), config, 0.1, 0.5)], runs=4, base_seed=3,
+            options=ExecutionOptions(kernel_threads=4),
         )
         assert all(unit.kernel_threads == "4" for unit in units)
 
@@ -301,7 +308,7 @@ class TestKernelThreadsPlumbing:
         with pytest.raises(ValueError, match="kernel_threads"):
             plan_units(
                 [((0,), config, 0.1, 0.5)], runs=4, base_seed=3,
-                kernel_threads="bogus",
+                options=ExecutionOptions(kernel_threads="bogus"),
             )
 
     def test_payload_round_trip(self):

@@ -2,12 +2,11 @@
 
 Covers the registry and its resolution rules, the flattened
 :class:`ReceivedBatch` container, cross-backend bit-identity of the decode
-and Gilbert hot loops (numpy reference vs loop backends vs the serial
-incremental decoder), the chain-aware staircase cascade on handcrafted
-bidiagonal matrices, and the ``kernel=`` threading through the simulator,
-the runner work units and the CLI.  Compiled backends (``numba``,
-``cext``) are exercised whenever this machine can build them and
-skip-marked otherwise.
+and Gilbert hot loops (numpy reference vs the compiled ``cext`` kernels vs
+the serial incremental decoder), the chain-aware staircase cascade on
+handcrafted bidiagonal matrices, and the ``kernel=`` threading through the
+simulator, the runner work units and the CLI.  ``cext`` is exercised
+whenever this machine can build it and skip-marked otherwise.
 """
 
 from __future__ import annotations
@@ -34,14 +33,15 @@ from repro.kernels import (
     cext_compiler_available,
     default_backend_name,
     get_backend,
-    numba_available,
     register_backend,
 )
 from repro.kernels.numpy_backend import NumpyBackend, _dedup
 from repro.runner.cache import unit_key
 from repro.runner.cli import main as cli_main
+from repro.runner.options import ExecutionOptions
 from repro.runner.units import WorkUnit, execute_unit, plan_units
 from repro.scheduling.registry import make_tx_model
+from unit_reference import reference_unit_result
 
 #: Every backend this machine can run, in registry order.
 KERNELS = list(available_backends())
@@ -83,7 +83,6 @@ def legacy_runs(code, tx_model, channel, rngs, nsent=None):
 class TestRegistry:
     def test_numpy_always_available(self):
         assert "numpy" in KERNELS
-        assert "python" in KERNELS
         backend = get_backend("numpy")
         assert backend.name == "numpy"
         assert get_backend("numpy") is backend  # cached per name
@@ -101,16 +100,32 @@ class TestRegistry:
         assert default_backend_name() in AUTO_ORDER
 
     def test_env_variable_selects_backend(self, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNEL", "python")
-        assert get_backend(None).name == "python"
+        monkeypatch.setenv("REPRO_KERNEL", "numpy")
+        assert get_backend(None).name == "numpy"
         monkeypatch.setenv("REPRO_KERNEL", "")
         assert get_backend(None).name == default_backend_name()
 
-    @pytest.mark.skipif(numba_available(), reason="numba is installed here")
-    def test_numba_unavailable_raises_actionable_error(self):
-        with pytest.raises(KernelUnavailableError, match="numba"):
-            get_backend("numba")
-        assert "numba" not in available_backends()
+    def test_auto_order_is_cext_then_numpy(self):
+        assert AUTO_ORDER == ("cext", "numpy")
+
+    @pytest.mark.parametrize("name", ["numba", "python"])
+    def test_removed_backends_are_unknown(self, name):
+        assert name not in available_backends()
+        with pytest.raises(ValueError, match="unknown kernel backend"):
+            get_backend(name)
+
+    def test_unconstructible_backend_raises_actionable_error(self):
+        def broken():
+            raise ImportError("no such toolchain")
+
+        try:
+            register_backend("test-broken", broken)
+            with pytest.raises(KernelUnavailableError, match="test-broken"):
+                get_backend("test-broken")
+        finally:
+            from repro.kernels import registry
+
+            registry._FACTORIES.pop("test-broken", None)
 
     @pytest.mark.skipif(
         cext_compiler_available(), reason="a C compiler is available here"
@@ -256,25 +271,6 @@ class TestCrossBackendEquivalence:
         for kernel in KERNELS:
             actual = simulate_batch(code, tx_model, channel, rngs(), kernel=kernel)
             assert actual == expected, f"{kernel} diverged"
-
-
-@pytest.mark.skipif(not numba_available(), reason="numba is not installed")
-class TestNumbaBackend:
-    """Compiled-twin checks that only run where numba is importable."""
-
-    def test_numba_listed_and_constructs(self):
-        assert "numba" in available_backends()
-        assert get_backend("numba").name == "numba"
-
-    def test_numba_matches_serial(self):
-        code = make_code("ldgm-staircase", k=100, expansion_ratio=2.5, seed=3)
-        tx_model = make_tx_model("tx_model_2")
-        channel = GilbertChannel(0.1, 0.4)
-        expected = legacy_runs(code, tx_model, channel, seeded_rngs(0, 6))
-        actual = simulate_batch(
-            code, tx_model, channel, seeded_rngs(0, 6), kernel="numba"
-        )
-        assert actual == expected
 
 
 # ---------------------------------------------------------------------------
@@ -516,7 +512,7 @@ class TestKernelThreading:
             parameters.update(overrides)
             return WorkUnit(**parameters)
 
-        reference = execute_unit(unit(fastpath=False))
+        reference = reference_unit_result(unit())
         assert execute_unit(unit(kernel=kernel)) == reference
 
     def test_plan_units_threads_kernel(self):
@@ -524,7 +520,8 @@ class TestKernelThreading:
             code="rse", tx_model="tx_model_5", k=60, expansion_ratio=2.0
         )
         units = plan_units(
-            [((0,), config, 0.1, 0.5)], runs=4, base_seed=3, kernel="numpy"
+            [((0,), config, 0.1, 0.5)], runs=4, base_seed=3,
+            options=ExecutionOptions(kernel="numpy"),
         )
         assert all(unit.kernel == "numpy" for unit in units)
 
@@ -574,10 +571,13 @@ class TestKernelThreading:
 
 
 class TestPrototypeKernelCache:
+    @pytest.mark.skipif(
+        not cext_compiler_available(), reason="no C compiler for the cext backend"
+    )
     def test_prototype_cached_per_backend(self):
         code = make_code("ldgm-staircase", k=30, expansion_ratio=2.5, seed=0)
         numpy_proto = compile_prototype(code, kernel="numpy")
         assert compile_prototype(code, kernel="numpy") is numpy_proto
-        python_proto = compile_prototype(code, kernel="python")
-        assert python_proto is not numpy_proto
-        assert compile_prototype(code, kernel="python") is python_proto
+        cext_proto = compile_prototype(code, kernel="cext")
+        assert cext_proto is not numpy_proto
+        assert compile_prototype(code, kernel="cext") is cext_proto

@@ -525,11 +525,9 @@ class TestRunnerColumnar:
             run_stop=6,
             base_seed=33,
         )
-        fast = execute_unit(unit)
-        slow = execute_unit(
-            WorkUnit(**{**unit.__dict__, "fastpath": False})
-        )
-        assert fast == slow
+        from unit_reference import reference_unit_result
+
+        assert execute_unit(unit) == reference_unit_result(unit)
 
 
 class TestVectorisedInterleavers:

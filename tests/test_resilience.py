@@ -43,6 +43,7 @@ from repro.resilience.faults import FaultInjectingExecutor, FaultPlan
 from repro.runner.engine import run_grid
 from repro.runner.executors import SerialExecutor
 from repro.runner.fleet import HEARTBEAT_FAILURE_LIMIT, FleetRunner
+from repro.runner.options import ExecutionOptions
 from repro.runner.units import execute_unit, plan_units
 from repro.store import (
     ChaosConfig,
@@ -68,8 +69,8 @@ def config() -> SimulationConfig:
 
 def _units(config, cells=4, runs=2, seed_scheme=None):
     points = [((i,), config, 0.02 * i, 0.5) for i in range(cells)]
-    kwargs = {} if seed_scheme is None else {"seed_scheme": seed_scheme}
-    return plan_units(points, runs=runs, base_seed=21, **kwargs)
+    options = ExecutionOptions(seed_scheme=seed_scheme)
+    return plan_units(points, runs=runs, base_seed=21, options=options)
 
 
 def _fast_policy(**overrides):
@@ -488,8 +489,10 @@ class TestEngineResilience:
         policy = _fast_policy(max_retries=1, on_error="skip")
         grid = run_grid(
             config, P_VALUES, Q_VALUES, runs=2, seed=7,
-            executor=FaultInjectingExecutor(plan, policy=policy),
-            failure_policy=policy,
+            options=ExecutionOptions(
+                executor=FaultInjectingExecutor(plan, policy=policy),
+                failure_policy=policy,
+            ),
         )
         # The poisoned cell is NaN; every surviving cell is bit-identical.
         assert np.isnan(grid.mean_inefficiency[0, 0])
@@ -506,8 +509,10 @@ class TestEngineResilience:
         with pytest.raises(PoisonUnitError):
             run_grid(
                 config, P_VALUES, Q_VALUES, runs=1, seed=7,
-                executor=FaultInjectingExecutor(plan, policy=policy),
-                failure_policy=policy,
+                options=ExecutionOptions(
+                    executor=FaultInjectingExecutor(plan, policy=policy),
+                    failure_policy=policy,
+                ),
             )
 
     def test_quarantine_records_land_in_the_store(self, config):
@@ -515,9 +520,11 @@ class TestEngineResilience:
         plan = FaultPlan(poison=frozenset({(0, 1)}))
         policy = _fast_policy(max_retries=0, on_error="quarantine")
         grid = run_grid(
-            config, P_VALUES, Q_VALUES, runs=1, seed=7, cache=store,
-            executor=FaultInjectingExecutor(plan, policy=policy),
-            failure_policy=policy,
+            config, P_VALUES, Q_VALUES, runs=1, seed=7,
+            options=ExecutionOptions(
+                store=store, executor=FaultInjectingExecutor(plan, policy=policy),
+                failure_policy=policy,
+            ),
         )
         entries = quarantine_entries(store)
         assert [tuple(e.seed_path) for e in entries] == [(0, 1)]
@@ -530,7 +537,7 @@ class TestEngineResilience:
         executor = FaultInjectingExecutor(plan, policy=policy)
         grid = run_grid(
             config, P_VALUES, Q_VALUES, runs=2, seed=7,
-            executor=executor, failure_policy=policy,
+            options=ExecutionOptions(executor=executor, failure_policy=policy),
         )
         assert executor.injected["transient"] == 3
         assert np.array_equal(
@@ -680,8 +687,10 @@ class TestFleetChaosConvergence:
             try:
                 grids[name] = run_grid(
                     config, P_VALUES, Q_VALUES, runs=2, seed=7,
-                    cache=uri, fleet=True, lease_ttl=10.0, worker_id=name,
-                    failure_policy=policy,
+                    options=ExecutionOptions(
+                        store=uri, fleet=True, lease_ttl=10.0, worker_id=name,
+                        failure_policy=policy,
+                    ),
                 )
             except BaseException as exc:
                 errors.append(exc)

@@ -13,6 +13,7 @@ from repro.core.experiments import run_experiment
 from repro.core.sweep import simulate_grid, sweep_parameter
 from repro.runner.cache import ResultCache, config_token, unit_key
 from repro.runner.executors import ProcessExecutor, SerialExecutor, resolve_executor
+from repro.runner.options import ExecutionOptions
 from repro.runner.units import execute_unit, merge_cell, plan_units
 
 P_VALUES = [0.0, 0.05, 0.3]
@@ -54,11 +55,11 @@ class TestUnits:
         # of the stream definition -- see tests/test_seeds.py.
         whole = plan_units(
             [((1, 2), config, 0.05, 0.5)], runs=4, base_seed=3,
-            seed_scheme="per-run",
+            options=ExecutionOptions(seed_scheme="per-run"),
         )
         sharded = plan_units(
             [((1, 2), config, 0.05, 0.5)], runs=4, base_seed=3, runs_per_unit=1,
-            seed_scheme="per-run",
+            options=ExecutionOptions(seed_scheme="per-run"),
         )
         merged_whole = merge_cell([execute_unit(whole[0])])
         merged_sharded = merge_cell([execute_unit(unit) for unit in sharded])
@@ -99,7 +100,8 @@ class TestParallelDeterminism:
     def test_process_grid_identical_to_serial(self, config):
         serial = simulate_grid(config, P_VALUES, Q_VALUES, runs=3, seed=7)
         parallel = simulate_grid(
-            config, P_VALUES, Q_VALUES, runs=3, seed=7, executor="process", workers=4
+            config, P_VALUES, Q_VALUES, runs=3, seed=7,
+            options=ExecutionOptions(executor="process", workers=4),
         )
         assert _grids_equal(serial, parallel)
         assert serial.metadata == parallel.metadata
@@ -109,14 +111,8 @@ class TestParallelDeterminism:
             config, [0.05], [0.5], runs=3, seed=3, fresh_code_per_run=True
         )
         parallel = simulate_grid(
-            config,
-            [0.05],
-            [0.5],
-            runs=3,
-            seed=3,
-            fresh_code_per_run=True,
-            executor="process",
-            workers=2,
+            config, [0.05], [0.5], runs=3, seed=3, fresh_code_per_run=True,
+            options=ExecutionOptions(executor="process", workers=2),
         )
         assert _grids_equal(serial, parallel)
 
@@ -126,11 +122,12 @@ class TestParallelDeterminism:
         # Per-run-scheme guarantee; pinned for the same reason as
         # test_run_sharded_merge_matches_whole_cell above.
         whole = run_grid(
-            config, P_VALUES, Q_VALUES, runs=4, seed=11, seed_scheme="per-run"
+            config, P_VALUES, Q_VALUES, runs=4, seed=11,
+            options=ExecutionOptions(seed_scheme="per-run"),
         )
         sharded = run_grid(
             config, P_VALUES, Q_VALUES, runs=4, seed=11, runs_per_unit=1,
-            seed_scheme="per-run",
+            options=ExecutionOptions(seed_scheme="per-run"),
         )
         assert _grids_equal(whole, sharded)
 
@@ -146,7 +143,8 @@ class TestParallelDeterminism:
 
         serial = sweep_parameter(make_config, [1, 5, 20], runs=3, seed=5)
         parallel = sweep_parameter(
-            make_config, [1, 5, 20], runs=3, seed=5, executor="process", workers=3
+            make_config, [1, 5, 20], runs=3, seed=5,
+            options=ExecutionOptions(executor="process", workers=3),
         )
         assert np.array_equal(
             serial.mean_inefficiency, parallel.mean_inefficiency, equal_nan=True
@@ -179,7 +177,10 @@ class TestResultCache:
 
     def test_warm_cache_run_simulates_nothing(self, config, tmp_path):
         cache = ResultCache(tmp_path / "cache")
-        cold = simulate_grid(config, P_VALUES, Q_VALUES, runs=2, seed=1, cache=cache)
+        cold = simulate_grid(
+            config, P_VALUES, Q_VALUES, runs=2, seed=1,
+            options=ExecutionOptions(store=cache),
+        )
         assert cache.stats.hits == 0
         assert cache.stats.writes == len(P_VALUES) * len(Q_VALUES)
 
@@ -190,13 +191,8 @@ class TestResultCache:
                 raise AssertionError("warm cache should not execute any unit")
 
         warm = simulate_grid(
-            config,
-            P_VALUES,
-            Q_VALUES,
-            runs=2,
-            seed=1,
-            cache=warm_cache,
-            executor=Exploding(),
+            config, P_VALUES, Q_VALUES, runs=2, seed=1,
+            options=ExecutionOptions(store=warm_cache, executor=Exploding()),
         )
         assert warm_cache.stats.hits == len(P_VALUES) * len(Q_VALUES)
         assert warm_cache.stats.misses == 0
@@ -204,8 +200,14 @@ class TestResultCache:
 
     def test_cached_results_bit_identical(self, config, tmp_path):
         cache = ResultCache(tmp_path / "cache")
-        fresh = simulate_grid(config, P_VALUES, Q_VALUES, runs=2, seed=4, cache=cache)
-        cached = simulate_grid(config, P_VALUES, Q_VALUES, runs=2, seed=4, cache=cache)
+        fresh = simulate_grid(
+            config, P_VALUES, Q_VALUES, runs=2, seed=4,
+            options=ExecutionOptions(store=cache),
+        )
+        cached = simulate_grid(
+            config, P_VALUES, Q_VALUES, runs=2, seed=4,
+            options=ExecutionOptions(store=cache),
+        )
         no_cache = simulate_grid(config, P_VALUES, Q_VALUES, runs=2, seed=4)
         assert _grids_equal(fresh, cached)
         assert _grids_equal(no_cache, cached)
@@ -214,17 +216,24 @@ class TestResultCache:
         # Warm only one cell, then run the full grid: exactly that cell is
         # skipped and the merged grid matches an uncached run.
         cache = ResultCache(tmp_path / "cache")
-        simulate_grid(config, [0.0], [0.2], runs=2, seed=1, cache=cache)
+        simulate_grid(
+            config, [0.0], [0.2], runs=2, seed=1,
+            options=ExecutionOptions(store=cache),
+        )
         resumed_cache = ResultCache(tmp_path / "cache")
         resumed = simulate_grid(
-            config, P_VALUES, Q_VALUES, runs=2, seed=1, cache=resumed_cache
+            config, P_VALUES, Q_VALUES, runs=2, seed=1,
+            options=ExecutionOptions(store=resumed_cache),
         )
         assert resumed_cache.stats.hits == 1
         assert resumed_cache.stats.writes == len(P_VALUES) * len(Q_VALUES) - 1
         assert _grids_equal(resumed, simulate_grid(config, P_VALUES, Q_VALUES, runs=2, seed=1))
 
     def test_cache_accepts_directory_path(self, config, tmp_path):
-        simulate_grid(config, [0.0], [1.0], runs=1, seed=0, cache=str(tmp_path / "c"))
+        simulate_grid(
+            config, [0.0], [1.0], runs=1, seed=0,
+            options=ExecutionOptions(store=str(tmp_path / "c")),
+        )
         assert ResultCache(tmp_path / "c").__len__() == 1
 
     def test_corrupt_entry_is_a_miss(self, config, tmp_path):
@@ -237,7 +246,10 @@ class TestResultCache:
 
     def test_clear(self, config, tmp_path):
         cache = ResultCache(tmp_path / "cache")
-        simulate_grid(config, [0.0], [1.0], runs=1, seed=0, cache=cache)
+        simulate_grid(
+            config, [0.0], [1.0], runs=1, seed=0,
+            options=ExecutionOptions(store=cache),
+        )
         assert cache.clear() == 1
         assert len(cache) == 0
 
@@ -245,12 +257,18 @@ class TestResultCache:
 class TestExperimentsThroughRunner:
     def test_tiny_fig08_warm_cache_no_resimulation(self, tmp_path):
         cache = ResultCache(tmp_path / "cache")
-        cold = run_experiment("fig08", scale="tiny", seed=0, runs=2, cache=cache)
+        cold = run_experiment(
+            "fig08", scale="tiny", seed=0, runs=2,
+            options=ExecutionOptions(store=cache),
+        )
         writes = cache.stats.writes
         assert writes > 0 and cache.stats.hits == 0
 
         warm_cache = ResultCache(tmp_path / "cache")
-        warm = run_experiment("fig08", scale="tiny", seed=0, runs=2, cache=warm_cache)
+        warm = run_experiment(
+            "fig08", scale="tiny", seed=0, runs=2,
+            options=ExecutionOptions(store=warm_cache),
+        )
         assert warm_cache.stats.misses == 0
         assert warm_cache.stats.writes == 0
         assert warm_cache.stats.hits == writes
@@ -259,7 +277,10 @@ class TestExperimentsThroughRunner:
 
     def test_workers_kwarg_selects_process_pool(self):
         serial = run_experiment("fig07", scale="tiny", seed=1, runs=2)
-        parallel = run_experiment("fig07", scale="tiny", seed=1, runs=2, workers=2)
+        parallel = run_experiment(
+            "fig07", scale="tiny", seed=1, runs=2,
+            options=ExecutionOptions(workers=2),
+        )
         for label in serial:
             assert _grids_equal(serial[label], parallel[label])
 
@@ -290,29 +311,23 @@ class TestProgress:
     def test_parallel_progress_counts_all_cells(self, config):
         calls = []
         simulate_grid(
-            config,
-            [0.0, 0.1],
-            [0.2, 0.5],
-            runs=1,
-            seed=0,
-            executor="process",
-            workers=2,
-            progress=lambda done, total: calls.append((done, total)),
+            config, [0.0, 0.1], [0.2, 0.5], runs=1, seed=0, progress=lambda done,
+            total: calls.append((done, total)),
+            options=ExecutionOptions(executor="process", workers=2),
         )
         assert sorted(calls) == [(1, 4), (2, 4), (3, 4), (4, 4)]
 
     def test_cached_cells_count_as_progress(self, config, tmp_path):
         cache = ResultCache(tmp_path / "cache")
-        simulate_grid(config, [0.0, 0.1], [0.5], runs=1, seed=0, cache=cache)
+        simulate_grid(
+            config, [0.0, 0.1], [0.5], runs=1, seed=0,
+            options=ExecutionOptions(store=cache),
+        )
         calls = []
         simulate_grid(
-            config,
-            [0.0, 0.1],
-            [0.5],
-            runs=1,
-            seed=0,
-            cache=cache,
-            progress=lambda done, total: calls.append((done, total)),
+            config, [0.0, 0.1], [0.5], runs=1, seed=0, progress=lambda done,
+            total: calls.append((done, total)),
+            options=ExecutionOptions(store=cache),
         )
         assert calls == [(1, 2), (2, 2)]
 

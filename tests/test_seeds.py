@@ -13,8 +13,10 @@ from repro.core.sweep import simulate_grid
 from repro.fec.registry import make_code
 from repro.pipeline.synthesis import synthesize_runs_unit
 from repro.runner.cache import RESULT_SCHEMA, ResultCache, unit_key
+from repro.runner.options import ExecutionOptions
 from repro.runner.units import execute_unit, plan_units
 from repro.scheduling.registry import make_tx_model
+from unit_reference import assert_grid_matches, reference_grid
 from repro.seeds import (
     DEFAULT_SCHEME,
     ENV_VAR,
@@ -305,11 +307,11 @@ class TestRunnerUnitScheme:
     def test_parallel_bit_identical_to_serial(self, config):
         serial = simulate_grid(
             config, [0.0, 0.05, 0.3], [0.2, 0.6, 1.0], runs=3, seed=7,
-            seed_scheme="unit",
+            options=ExecutionOptions(seed_scheme="unit"),
         )
         parallel = simulate_grid(
             config, [0.0, 0.05, 0.3], [0.2, 0.6, 1.0], runs=3, seed=7,
-            seed_scheme="unit", executor="process", workers=2,
+            options=ExecutionOptions(seed_scheme="unit", executor="process", workers=2),
         )
         assert np.array_equal(
             serial.mean_inefficiency, parallel.mean_inefficiency, equal_nan=True
@@ -321,24 +323,25 @@ class TestRunnerUnitScheme:
 
     def test_incremental_bit_identical_to_fastpath(self, config):
         fast = simulate_grid(
-            config, [0.05], [0.5], runs=3, seed=7, seed_scheme="unit"
+            config, [0.05], [0.5], runs=3, seed=7,
+            options=ExecutionOptions(seed_scheme="unit"),
         )
-        slow = simulate_grid(
-            config, [0.05], [0.5], runs=3, seed=7, seed_scheme="unit",
-            fastpath=False,
-        )
-        assert np.array_equal(
-            fast.mean_inefficiency, slow.mean_inefficiency, equal_nan=True
+        assert_grid_matches(
+            fast,
+            reference_grid(
+                config, [0.05], [0.5], runs=3, seed=7,
+                options=ExecutionOptions(seed_scheme="unit"),
+            ),
         )
 
     def test_fresh_code_per_run_deterministic(self, config):
         first = simulate_grid(
-            config, [0.05], [0.5], runs=2, seed=3, seed_scheme="unit",
-            fresh_code_per_run=True,
+            config, [0.05], [0.5], runs=2, seed=3, fresh_code_per_run=True,
+            options=ExecutionOptions(seed_scheme="unit"),
         )
         second = simulate_grid(
-            config, [0.05], [0.5], runs=2, seed=3, seed_scheme="unit",
-            fresh_code_per_run=True,
+            config, [0.05], [0.5], runs=2, seed=3, fresh_code_per_run=True,
+            options=ExecutionOptions(seed_scheme="unit"),
         )
         assert np.array_equal(
             first.mean_inefficiency, second.mean_inefficiency, equal_nan=True
@@ -346,10 +349,12 @@ class TestRunnerUnitScheme:
 
     def test_schemes_differ_but_sharding_is_stable_per_scheme(self, config):
         per_run = simulate_grid(
-            config, [0.05], [0.5], runs=4, seed=11, seed_scheme="per-run"
+            config, [0.05], [0.5], runs=4, seed=11,
+            options=ExecutionOptions(seed_scheme="per-run"),
         )
         unit = simulate_grid(
-            config, [0.05], [0.5], runs=4, seed=11, seed_scheme="unit"
+            config, [0.05], [0.5], runs=4, seed=11,
+            options=ExecutionOptions(seed_scheme="unit"),
         )
         assert not np.array_equal(
             per_run.mean_inefficiency, unit.mean_inefficiency, equal_nan=True
@@ -360,12 +365,12 @@ class TestRunnerUnitScheme:
         from repro.runner.engine import run_grid
 
         sharded_a = run_grid(
-            config, [0.05], [0.5], runs=4, seed=11, seed_scheme="unit",
-            runs_per_unit=2,
+            config, [0.05], [0.5], runs=4, seed=11, runs_per_unit=2,
+            options=ExecutionOptions(seed_scheme="unit"),
         )
         sharded_b = run_grid(
-            config, [0.05], [0.5], runs=4, seed=11, seed_scheme="unit",
-            runs_per_unit=2,
+            config, [0.05], [0.5], runs=4, seed=11, runs_per_unit=2,
+            options=ExecutionOptions(seed_scheme="unit"),
         )
         assert np.array_equal(
             sharded_a.mean_inefficiency, sharded_b.mean_inefficiency, equal_nan=True
@@ -376,7 +381,8 @@ class TestRunnerUnitScheme:
         grid = simulate_grid(config, [0.05], [0.5], runs=2, seed=1)
         assert grid.metadata["seed_scheme"] == "unit"
         explicit = simulate_grid(
-            config, [0.05], [0.5], runs=2, seed=1, seed_scheme="unit"
+            config, [0.05], [0.5], runs=2, seed=1,
+            options=ExecutionOptions(seed_scheme="unit"),
         )
         assert np.array_equal(
             grid.mean_inefficiency, explicit.mean_inefficiency, equal_nan=True
@@ -393,8 +399,14 @@ class TestCrossSchemeStatistics:
         # biased block draw (a wrong subset distribution shifts the mean
         # by far more).
         kw = dict(runs=160, seed=13)
-        per_run = simulate_grid(config, [0.05], [0.5], seed_scheme="per-run", **kw)
-        unit = simulate_grid(config, [0.05], [0.5], seed_scheme="unit", **kw)
+        per_run = simulate_grid(
+            config, [0.05], [0.5], **kw,
+            options=ExecutionOptions(seed_scheme="per-run"),
+        )
+        unit = simulate_grid(
+            config, [0.05], [0.5], **kw,
+            options=ExecutionOptions(seed_scheme="unit"),
+        )
         assert per_run.failure_counts.sum() == 0
         assert unit.failure_counts.sum() == 0
         delta = abs(
@@ -404,8 +416,14 @@ class TestCrossSchemeStatistics:
 
     def test_received_ratio_estimates_agree(self, config):
         kw = dict(runs=160, seed=17)
-        per_run = simulate_grid(config, [0.3], [0.6], seed_scheme="per-run", **kw)
-        unit = simulate_grid(config, [0.3], [0.6], seed_scheme="unit", **kw)
+        per_run = simulate_grid(
+            config, [0.3], [0.6], **kw,
+            options=ExecutionOptions(seed_scheme="per-run"),
+        )
+        unit = simulate_grid(
+            config, [0.3], [0.6], **kw,
+            options=ExecutionOptions(seed_scheme="unit"),
+        )
         delta = abs(
             float(per_run.mean_received_ratio[0, 0])
             - float(unit.mean_received_ratio[0, 0])
@@ -416,17 +434,20 @@ class TestCrossSchemeStatistics:
 class TestCacheSchemeHygiene:
     def test_scheme_is_part_of_the_key(self, config):
         per_run = plan_units(
-            [((0, 0), config, 0.05, 0.5)], runs=2, base_seed=9, seed_scheme="per-run"
+            [((0, 0), config, 0.05, 0.5)], runs=2, base_seed=9,
+            options=ExecutionOptions(seed_scheme="per-run"),
         )[0]
         unit = plan_units(
-            [((0, 0), config, 0.05, 0.5)], runs=2, base_seed=9, seed_scheme="unit"
+            [((0, 0), config, 0.05, 0.5)], runs=2, base_seed=9,
+            options=ExecutionOptions(seed_scheme="unit"),
         )[0]
         assert unit_key(per_run) != unit_key(unit)
 
     def test_payload_records_scheme_and_schema(self, config, tmp_path):
         cache = ResultCache(tmp_path / "cache")
         unit = plan_units(
-            [((0, 0), config, 0.05, 0.5)], runs=2, base_seed=9, seed_scheme="unit"
+            [((0, 0), config, 0.05, 0.5)], runs=2, base_seed=9,
+            options=ExecutionOptions(seed_scheme="unit"),
         )[0]
         cache.put(unit, execute_unit(unit))
         path = cache._path(unit_key(unit))
@@ -450,10 +471,8 @@ class TestCacheSchemeHygiene:
         for scheme in ("per-run", "unit"):
             for seed in (1, 2):
                 unit = plan_units(
-                    [((0, 0), config, 0.05, 0.5)],
-                    runs=1,
-                    base_seed=seed,
-                    seed_scheme=scheme,
+                    [((0, 0), config, 0.05, 0.5)], runs=1, base_seed=seed,
+                    options=ExecutionOptions(seed_scheme=scheme),
                 )[0]
                 cache.put(unit, execute_unit(unit))
         assert cache.scheme_counts() == {"per-run": 2, "unit": 2}

@@ -12,6 +12,7 @@ import pytest
 
 from repro.core.config import SimulationConfig
 from repro.runner.cache import ResultCache
+from repro.runner.options import ExecutionOptions
 from repro.runner.units import WorkUnit, execute_unit, plan_units
 from repro.store import (
     JsonDirStore,
@@ -39,7 +40,10 @@ def config() -> SimulationConfig:
 
 def _units(config, cells=2, runs=2, seed_scheme="per-run"):
     points = [((i,), config, 0.05, 0.5 + 0.1 * i) for i in range(cells)]
-    return plan_units(points, runs=runs, base_seed=13, seed_scheme=seed_scheme)
+    return plan_units(
+        points, runs=runs, base_seed=13,
+        options=ExecutionOptions(seed_scheme=seed_scheme),
+    )
 
 
 def _make_store(backend: str, tmp_path: Path):
@@ -337,12 +341,13 @@ class TestMigration:
 
         cold = simulate_grid(
             config, [0.0, 0.05], [0.5, 1.0], runs=2, seed=4,
-            cache=str(tmp_path / "jd"),
+            options=ExecutionOptions(store=str(tmp_path / "jd")),
         )
         dest = SqliteStore(tmp_path / "r.db")
         migrate_store(JsonDirStore(tmp_path / "jd"), dest)
         warm = simulate_grid(
-            config, [0.0, 0.05], [0.5, 1.0], runs=2, seed=4, cache=dest
+            config, [0.0, 0.05], [0.5, 1.0], runs=2, seed=4,
+            options=ExecutionOptions(store=dest),
         )
         assert dest.stats.hits == 4 and dest.stats.misses == 0
         import numpy as np
@@ -374,6 +379,17 @@ def _mp_sqlite_claim(db_path, key, worker, queue):
         store.close()
     except Exception as exc:  # pragma: no cover - failure reporting
         queue.put((worker, f"error: {exc!r}"))
+
+
+def _mp_sqlite_first_opens(paths, barrier, queue):
+    errors = []
+    for path in paths:
+        barrier.wait(timeout=60)
+        try:
+            SqliteStore(path).close()
+        except Exception as exc:  # the regression: "database is locked"
+            errors.append(repr(exc))
+    queue.put(errors)
 
 
 def _mp_json_dir_put(root, payload_text, key, iterations, queue):
@@ -428,6 +444,27 @@ class TestMultiProcessConcurrency:
         store = SqliteStore(db)
         assert [lease.worker for lease in store.leases()] == wins
         store.close()
+
+    def test_sqlite_concurrent_first_open_of_a_fresh_file(self, tmp_path):
+        # Fleet peers often open a store file none of them has created yet.
+        # Four processes open 50 fresh files in lockstep; before the set-up
+        # retried, a few of those opens died with "database is locked".
+        paths = [str(tmp_path / f"fresh{index}.db") for index in range(50)]
+        context = multiprocessing.get_context("spawn")
+        barrier = context.Barrier(4)
+        queue = context.Queue()
+        processes = [
+            context.Process(target=_mp_sqlite_first_opens, args=(paths, barrier, queue))
+            for _ in range(4)
+        ]
+        for process in processes:
+            process.start()
+        errors = [error for _ in processes for error in queue.get(timeout=120)]
+        for process in processes:
+            process.join(timeout=60)
+        assert errors == []
+        with SqliteStore(paths[-1]) as store:
+            assert len(store) == 0
 
     def test_json_dir_parallel_puts_stay_atomic(self, tmp_path, config):
         # Four processes hammer the same key with distinct payloads; the

@@ -32,6 +32,7 @@ from repro.resilience import (
 )
 from repro.runner.engine import run_grid
 from repro.runner.fleet import FleetRunner
+from repro.runner.options import ExecutionOptions
 from repro.runner.units import execute_unit, plan_units
 from repro.store import (
     HttpStore,
@@ -378,22 +379,18 @@ class TestChaosHttp:
         self, inner, server, config, scheme
     ):
         serial = run_grid(
-            config, P_VALUES, Q_VALUES, runs=2, seed=7, seed_scheme=scheme
+            config, P_VALUES, Q_VALUES, runs=2, seed=7,
+            options=ExecutionOptions(seed_scheme=scheme),
         )
         chaotic = resolve_store(
             f"chaos+http:127.0.0.1:{server.port}?rate=0.2&seed=3&burst=2"
         )
         fleet = run_grid(
-            config,
-            P_VALUES,
-            Q_VALUES,
-            runs=2,
-            seed=7,
-            seed_scheme=scheme,
-            cache=chaotic,
-            fleet=True,
-            lease_ttl=10.0,
-            failure_policy=FailurePolicy(max_retries=2),
+            config, P_VALUES, Q_VALUES, runs=2, seed=7,
+            options=ExecutionOptions(
+                seed_scheme=scheme, store=chaotic, fleet=True, lease_ttl=10.0,
+                failure_policy=FailurePolicy(max_retries=2),
+            ),
         )
         assert _grids_equal(serial, fleet)
         # Every unit's result landed exactly once in the served store.
