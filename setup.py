@@ -1,9 +1,10 @@
-"""Setuptools shim.
+"""Setuptools shim for offline editable installs.
 
-The offline environment used for this reproduction ships an older
-setuptools without the ``wheel`` package, so PEP 660 editable installs are
-unavailable; this ``setup.py`` lets ``pip install -e .`` fall back to the
-legacy ``setup.py develop`` path.  All metadata lives in ``pyproject.toml``.
+All metadata lives in ``pyproject.toml``.  With setuptools older than 70
+and no ``wheel`` package, ``pip install -e .`` cannot build the PEP 660
+editable wheel; this file keeps the legacy path open::
+
+    python setup.py develop
 """
 
 from setuptools import setup

@@ -21,8 +21,8 @@ The package is organised as a set of small, composable subsystems:
     recommendation engine of section 6.
 ``repro.fastpath``
     The vectorised decode fast path: precompiled per-code decoder
-    prototypes, closed-form batched RSE/repetition decoding, the O(log n)
-    checkpointed gallop+bisect search for LDGM.  Bit-identical to the
+    prototypes whose batched decode (the RSE/repetition block count, the
+    LDGM peel) runs on a ``repro.kernels`` backend.  Bit-identical to the
     incremental decoder, which stays only as the test oracle
     (``Simulator.run``).
 ``repro.pipeline``

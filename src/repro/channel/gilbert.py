@@ -105,7 +105,7 @@ class GilbertChannel(LossModel):
         stationary distribution) the residual sojourn times are geometric.
         Sojourn lengths are drawn here in batches -- one uniform for the
         initial state, then alternating geometric batches, exactly the draw
-        sequence of :meth:`_loss_mask_serial` -- and expanded into the mask
+        sequence of the historical serial chain -- and expanded into the mask
         by the selected :mod:`repro.kernels` backend (vectorised
         ``np.repeat`` on numpy, a compiled loop on cext).  Every backend
         consumes the generator identically and produces masks bit-identical
@@ -275,44 +275,6 @@ class GilbertChannel(LossModel):
             filled = backend.fill_sojourns(
                 mask, filled, in_loss_state, gap_runs, burst_runs
             )
-
-    def _loss_mask_serial(
-        self, count: int, rng: Optional[np.random.Generator] = None
-    ) -> np.ndarray:
-        """Historical sojourn-by-sojourn chain (seed-compatible reference).
-
-        Kept verbatim so the equivalence tests can prove that the vectorised
-        :meth:`loss_mask` consumes the generator identically and produces
-        bit-identical masks.
-        """
-        if count < 0:
-            raise ValueError(f"count must be non-negative, got {count}")
-        rng = ensure_rng(rng)
-        mask = np.empty(count, dtype=bool)
-        if count == 0:
-            return mask
-        if self.p == 0.0:
-            mask[:] = False
-            return mask
-        if self.q == 0.0:
-            mask[:] = True
-            return mask
-
-        in_loss_state = bool(rng.random() < self.global_loss_probability)
-        filled = 0
-        batch_size = self._SOJOURN_BATCH
-        while filled < count:
-            gap_runs = rng.geometric(self.p, size=batch_size)
-            burst_runs = rng.geometric(self.q, size=batch_size)
-            for index in range(batch_size):
-                run = int(burst_runs[index] if in_loss_state else gap_runs[index])
-                run = min(run, count - filled)
-                mask[filled : filled + run] = in_loss_state
-                filled += run
-                in_loss_state = not in_loss_state
-                if filled >= count:
-                    break
-        return mask
 
     def __repr__(self) -> str:
         return f"GilbertChannel(p={self.p}, q={self.q})"

@@ -7,9 +7,9 @@ path of every sweep.  This package replaces it with array computation that
 is **bit-identical** for any seed:
 
 * :mod:`repro.fastpath.prototypes` -- per-code precompiled decoder state
-  and the batched decode algorithms (closed-form RSE/repetition counting,
-  LDGM peeling on a pluggable :mod:`repro.kernels` backend, incremental
-  fallback).
+  (RSE/repetition block tables, LDGM peeling arrays) whose batched decode
+  runs on a pluggable :mod:`repro.kernels` backend, plus an incremental
+  fallback for other codes.
 * :mod:`repro.fastpath.batch` -- :func:`simulate_batch_columnar`, the
   drop-in batch equivalent of running the simulator once per run: the
   batched :mod:`repro.pipeline` front end (whole-unit schedules, loss

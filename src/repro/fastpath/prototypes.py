@@ -12,9 +12,11 @@ each run's received sequence through the incremental
 that completes decoding (:meth:`repro.core.simulator.Simulator.run`):
 
 * **MDS block codes (RSE)** -- a block decodes exactly when ``k_b`` distinct
-  packets of it have arrived, so ``n_necessary`` is a closed-form order
-  statistic over the per-block arrival positions: no per-packet work at all.
-* **Repetition** -- same closed form with "block" replaced by "source id".
+  packets of it have arrived, so ``n_necessary`` is the arrival position of
+  the packet that completes the last block; the counting loop runs on the
+  selected :mod:`repro.kernels` backend (one compiled pass per run on
+  cext, first-arrival order statistics on numpy).
+* **Repetition** -- same counting rule with "block" replaced by "source id".
 * **LDGM family** -- the prototype precompiles the adjacency (CSR both
   ways, a padded column table, packed count|sum peeling words) and detects
   the bidiagonal staircase/triangle parity structure; the *decode loops*
@@ -83,39 +85,26 @@ class DecoderPrototype(abc.ABC):
 
 
 # ---------------------------------------------------------------------------
-# Closed-form prototypes: MDS blocks and repetition.
+# Block-count prototypes: MDS blocks and repetition.
 # ---------------------------------------------------------------------------
-
-#: "Never arrived" sentinel in the first-arrival position table; sorts after
-#: every real position, so reaching it in an order statistic means the
-#: group's distinct-count goal was not met.
-_NEVER = np.iinfo(np.int64).max
-
-#: Upper bound on the elements of one first-arrival position table
-#: (``runs x (keys_per_run + 1)`` int64); larger batches are decoded in
-#: run chunks to bound peak memory (~0.5 GB).
-_MAX_TABLE_ELEMENTS = 64_000_000
 
 
 class BlockCountPrototype(DecoderPrototype):
-    """Closed-form batch decoder for codes where decoding is a counting rule.
+    """Batch decoder for codes where decoding is a counting rule.
 
     Covers every code whose completion condition is "each group ``g`` has
-    received ``needed[g]`` distinct keys": RSE blocks (key = packet index,
-    group = block) and repetition (key = group = source id).
+    received ``needed[g]`` distinct keys", where a packet's key is its
+    index modulo :attr:`key_modulus`: RSE blocks (modulus ``n``, so key =
+    packet index, group = block) and repetition (modulus ``k``, so key =
+    group = source id).  The decode runs on the prototype's
+    :class:`~repro.kernels.KernelBackend` (``block_count_decode_batch``):
 
-    The whole batch reduces to order statistics over first-arrival
-    positions, computed without a single sort:
-
-    1. one reversed scatter builds the ``(runs, keys)`` table of each
-       key's first arrival position (later stores win a fancy-indexing
-       scatter, so storing in reverse arrival order keeps the first),
-    2. a precompiled gather regroups the table's columns by group (groups
-       padded to a common width with a sentinel key that never arrives),
-    3. ``np.partition`` selects each group's ``needed``-th smallest
-       position -- an O(table) selection replacing the former
-       ``np.unique`` + ``lexsort`` passes, which dominated the closed-form
-       families' profile (~6x the remaining work at k = 1000).
+    * the ``cext`` backend walks each run's received sequence once with a
+      seen-key byte map and a per-group missing counter, stopping at the
+      packet that closes the last open group;
+    * the ``numpy`` backend reduces the batch to order statistics over a
+      ``(runs, keys)`` first-arrival table, using the regrouping tables
+      built here (:attr:`gather`, :attr:`classes`, :attr:`impossible`).
     """
 
     def __init__(
@@ -123,91 +112,53 @@ class BlockCountPrototype(DecoderPrototype):
         code: FECCode,
         group_of_key: np.ndarray,
         needed: np.ndarray,
-        key_of: Callable[[np.ndarray], np.ndarray],
-        keys_per_run: int,
         kernel: KernelSpec = None,
     ):
         super().__init__(code, kernel)
-        self._group_of_key = group_of_key
-        self._needed = needed
-        self._key_of = key_of
-        self._keys_per_run = int(keys_per_run)
-        self._num_groups = int(needed.size)
-        group_sizes = np.bincount(group_of_key, minlength=self._num_groups)
+        self.group_of_key = np.ascontiguousarray(group_of_key, dtype=np.int64)
+        self.needed = np.ascontiguousarray(needed, dtype=np.int64)
+        #: Size of the key space; a packet's key is its index modulo this.
+        self.key_modulus = int(self.group_of_key.size)
+        self.num_groups = int(self.needed.size)
+        if self.group_of_key.size and (
+            self.group_of_key.min() < 0 or self.group_of_key.max() >= self.num_groups
+        ):
+            # The kernels index per-group counters by these ids.
+            raise ValueError(f"group ids outside [0, {self.num_groups})")
+        self.gather = None
+        self.classes = None
+        self.impossible = None
+        if self.kernel.stacks_batches:
+            self._build_order_statistic_tables()
+
+    def _build_order_statistic_tables(self) -> None:
+        """Regrouping tables of the numpy first-arrival table decode."""
+        group_sizes = np.bincount(self.group_of_key, minlength=self.num_groups)
         width = int(group_sizes.max()) if group_sizes.size else 0
-        # (groups, width) table of key ids, padded with the sentinel key
-        # ``keys_per_run`` (the position table's extra always-_NEVER column).
-        gather = np.full((self._num_groups, width), self._keys_per_run, dtype=np.int64)
-        order = np.argsort(group_of_key, kind="stable")
-        starts = np.zeros(self._num_groups, dtype=np.int64)
+        #: (groups, width) table of key ids, padded with the sentinel key
+        #: ``key_modulus`` (the position table's extra never-arrived column).
+        gather = np.full((self.num_groups, width), self.key_modulus, dtype=np.int64)
+        order = np.argsort(self.group_of_key, kind="stable")
+        starts = np.zeros(self.num_groups, dtype=np.int64)
         np.cumsum(group_sizes[:-1], out=starts[1:])
         slot = np.arange(order.size, dtype=np.int64) - np.repeat(starts, group_sizes)
-        gather[group_of_key[order], slot] = order
-        self._gather = gather
+        gather[self.group_of_key[order], slot] = order
+        self.gather = gather
         #: Groups sharing a ``needed`` value are partitioned together.
-        self._classes = [
-            (int(value), np.nonzero(needed == value)[0])
-            for value in np.unique(needed)
+        self.classes = [
+            (int(value), np.nonzero(self.needed == value)[0])
+            for value in np.unique(self.needed)
         ]
         #: A group that needs more distinct keys than it has can never be
         #: reached; its order statistic would index out of the padded row.
-        self._impossible = np.nonzero(needed > group_sizes)[0]
+        self.impossible = np.nonzero(self.needed > group_sizes)[0]
 
     def decode_batch(
         self, received: ReceivedInput
     ) -> Tuple[np.ndarray, np.ndarray]:
-        batch = ReceivedBatch.coerce(received)
-        num_runs = batch.num_runs
-        table_width = self._keys_per_run + 1
-        chunk = max(1, _MAX_TABLE_ELEMENTS // table_width)
-        if num_runs > chunk:
-            decoded = np.zeros(num_runs, dtype=bool)
-            n_necessary = np.full(num_runs, NOT_DECODED, dtype=np.int64)
-            for start in range(0, num_runs, chunk):
-                stop = min(start + chunk, num_runs)
-                decoded[start:stop], n_necessary[start:stop] = self._decode_chunk(
-                    batch.slice(start, stop)
-                )
-            return decoded, n_necessary
-        return self._decode_chunk(batch)
-
-    def _decode_chunk(
-        self, batch: ReceivedBatch
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        num_runs = batch.num_runs
-        B = self._num_groups
-        table_width = self._keys_per_run + 1
-        first_position = np.full(num_runs * table_width, _NEVER, dtype=np.int64)
-        if batch.flat.size:
-            run_ids = np.repeat(
-                np.arange(num_runs, dtype=np.int64), batch.lengths
-            )
-            keys = self._key_of(batch.flat)
-            positions = np.arange(batch.flat.size, dtype=np.int64) - np.repeat(
-                batch.offsets, batch.lengths
-            )
-            cells = run_ids * np.int64(table_width) + keys
-            # Reversed scatter: duplicate keys collapse to their *first*
-            # arrival because the earliest store happens last.
-            first_position[cells[::-1]] = positions[::-1]
-        grouped = first_position.reshape(num_runs, table_width)[:, self._gather]
-        threshold = np.empty((num_runs, B), dtype=np.int64)
-        for needed, groups in self._classes:
-            # Clamped for malformed third-party inputs (needed beyond the
-            # group width is impossible and overwritten below; zero means
-            # trivially reached before any arrival).
-            kth = min(needed, grouped.shape[2]) - 1
-            if kth < 0:
-                threshold[:, groups] = -1
-                continue
-            statistic = np.partition(grouped[:, groups, :], kth, axis=2)
-            threshold[:, groups] = statistic[:, :, kth]
-        if self._impossible.size:
-            threshold[:, self._impossible] = _NEVER
-        decoded = (threshold < _NEVER).all(axis=1)
-        n_necessary = np.full(num_runs, NOT_DECODED, dtype=np.int64)
-        n_necessary[decoded] = threshold[decoded].max(axis=1) + 1
-        return decoded, n_necessary
+        return self.kernel.block_count_decode_batch(
+            self, ReceivedBatch.coerce(received)
+        )
 
 
 def compile_rse_prototype(code: FECCode, kernel: KernelSpec = None) -> BlockCountPrototype:
@@ -219,14 +170,7 @@ def compile_rse_prototype(code: FECCode, kernel: KernelSpec = None) -> BlockCoun
         block_of[block.source_indices] = block.block_id
         block_of[block.parity_indices] = block.block_id
         needed[block.block_id] = block.k
-    return BlockCountPrototype(
-        code,
-        group_of_key=block_of,
-        needed=needed,
-        key_of=lambda indices: indices,
-        keys_per_run=layout.n,
-        kernel=kernel,
-    )
+    return BlockCountPrototype(code, group_of_key=block_of, needed=needed, kernel=kernel)
 
 
 def compile_repetition_prototype(
@@ -238,8 +182,6 @@ def compile_repetition_prototype(
         code,
         group_of_key=np.zeros(k, dtype=np.int64),
         needed=np.array([k], dtype=np.int64),
-        key_of=lambda indices: indices % np.int64(k),
-        keys_per_run=k,
         kernel=kernel,
     )
 

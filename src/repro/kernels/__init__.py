@@ -1,13 +1,14 @@
 """Pluggable kernel backends for the decode hot loops.
 
-The fast path's remaining wall-clock cost is concentrated in three loops:
+The fast path's remaining wall-clock cost is concentrated in four loops:
 the LDGM batch-peel cascade, the gallop+bisect prefix search it serves,
-and the Gilbert sojourn fill.  This package puts them behind a swappable
+the RSE/repetition block count, and the Gilbert sojourn fill.  This
+package puts them behind a swappable
 :class:`~repro.kernels.base.KernelBackend`:
 
 * ``numpy`` -- the always-available vectorised reference, with a
   chain-aware cascade for the bidiagonal (staircase/triangle) parity
-  structures.
+  structures and first-arrival order statistics for the block count.
 * ``cext`` -- per-run loop kernels in C, compiled on demand with the
   system compiler (``cc -O2``) and loaded via ctypes; auto-selected when
   a compiler is present.

@@ -1,10 +1,10 @@
 """Kernel-backend interface and the flattened received-batch container.
 
 A :class:`KernelBackend` owns the *hot loops* of the decode path -- the
-LDGM peeling cascade behind the gallop+bisect prefix search and the
-Gilbert sojourn fill -- behind a small, swappable surface.  Everything
-else (prototype compilation, closed-form RSE/repetition counting, the
-run/sweep orchestration) is backend-independent numpy.
+LDGM peeling cascade behind the gallop+bisect prefix search, the
+block-count rule of RSE and repetition, and the Gilbert sojourn fill --
+behind a small, swappable surface.  Everything else (prototype
+compilation, the run/sweep orchestration) is backend-independent numpy.
 
 All backends are **bit-identical**: for any input they must produce
 exactly the arrays the incremental reference decoder produces.  The test
@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING, Iterator, Sequence, Tuple
 import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
-    from repro.fastpath.prototypes import LDGMPrototype
+    from repro.fastpath.prototypes import BlockCountPrototype, LDGMPrototype
 
 #: ``n_necessary`` sentinel in the integer result array of a batch decode
 #: for runs that never decode.
@@ -119,6 +119,16 @@ class ReceivedBatch:
             flat=self.flat[base:end], offsets=offsets - base, lengths=lengths
         )
 
+    def check_index_range(self, n: int) -> None:
+        """Raise ``ValueError`` unless every received index is in ``[0, n)``.
+
+        Decoders that index per-run tables by packet id would otherwise
+        write a stray index into a neighbouring run's row (numpy) or out
+        of bounds (compiled kernels).
+        """
+        if self.flat.size and (self.flat.min() < 0 or self.flat.max() >= n):
+            raise ValueError(f"received indices outside [0, {n})")
+
 
 class KernelBackend(abc.ABC):
     """One implementation of the decode hot loops.
@@ -130,10 +140,11 @@ class KernelBackend(abc.ABC):
     #: Registry name; also what ``REPRO_KERNEL`` / ``--kernel`` match.
     name: str = "abstract"
 
-    #: Whether :meth:`ldgm_decode_batch` stacks the whole batch's peeling
-    #: state into one allocation (the numpy lockstep search does); callers
-    #: chunk such batches to bound peak memory.  Per-run backends leave it
-    #: False and take batches of any size.
+    #: Whether the batch decodes stack the whole batch's state into one
+    #: allocation (the numpy lockstep search and first-arrival table do);
+    #: prototypes build the tables those decodes need only then, and
+    #: callers chunk such LDGM batches to bound peak memory.  Per-run
+    #: backends leave it False and take batches of any size.
     stacks_batches: bool = False
 
     @abc.abstractmethod
@@ -145,6 +156,19 @@ class KernelBackend(abc.ABC):
         Returns ``(decoded, n_necessary)`` exactly as the incremental
         decoder would: ``n_necessary`` is the 1-based arrival position of
         the packet completing decoding, ``-1`` where the run never decodes.
+        """
+
+    @abc.abstractmethod
+    def block_count_decode_batch(
+        self, prototype: "BlockCountPrototype", batch: ReceivedBatch
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Batched decode of a counting-rule code (RSE blocks, repetition).
+
+        A run decodes at the packet that gives the last of its groups
+        ``prototype.needed[g]`` distinct keys (key = packet index modulo
+        ``prototype.key_modulus``).  Returns ``(decoded, n_necessary)``
+        like :meth:`ldgm_decode_batch`; raises ``ValueError`` on any
+        received index outside ``[0, prototype.n)``.
         """
 
     @abc.abstractmethod

@@ -1,7 +1,7 @@
 """On-demand C extension backend: loop kernels compiled with the system
 C compiler.
 
-Two kernels, written in C:
+Three kernels, written in C:
 
 * ``ldgm_peel_batch`` -- inside a compiled kernel the incremental peeling
   algorithm *is* the fast one: each run walks its received sequence once,
@@ -11,6 +11,12 @@ Two kernels, written in C:
   unknown count plus an id *sum* standing in for the XOR accumulator (the
   sum of a single remaining unknown identifies it) -- so results are
   bit-identical.
+* ``block_count_batch`` -- the counting rule of RSE and repetition: each
+  run walks its received sequence once with a seen-key byte map and a
+  per-group missing counter, and stops at the packet that closes its last
+  open group.  Where the numpy reference builds a ``(runs, keys)``
+  first-arrival table and partitions it, this touches each received
+  packet once, with scratch the size of one run's key space.
 * ``fill_sojourns`` -- the historical serial Gilbert chain minus the
   geometric draws (the caller draws them, so every backend consumes the
   generator identically).
@@ -28,7 +34,7 @@ with ``-fopenmp`` succeeds; when it fails the build falls back to a
 pthread-free serial library with one logged warning (the ``#pragma omp``
 lines are inert without the flag, so both builds share one source).
 Runs are independent rows -- each writes only its own output slot and
-peels on per-thread scratch, and there are no cross-run reductions in
+works on per-thread scratch, and there are no cross-run reductions in
 these kernels (the lockstep probe reductions live in the numpy backend,
 which stays serial) -- so 1 thread and N threads are bit-identical and
 the thread count (``REPRO_KERNEL_THREADS`` / ``kernel_threads=`` /
@@ -60,11 +66,11 @@ from repro.kernels.base import NOT_DECODED, KernelBackend, ReceivedBatch
 from repro.kernels.threads import current_thread_count
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.fastpath.prototypes import LDGMPrototype
+    from repro.fastpath.prototypes import BlockCountPrototype, LDGMPrototype
 
 logger = logging.getLogger("repro.kernels")
 
-#: C source of the two kernels.  The cross-backend tests enforce
+#: C source of the kernels.  The cross-backend tests enforce
 #: bit-identical behaviour against the numpy backend and the incremental
 #: decoder.
 #:
@@ -157,6 +163,59 @@ void ldgm_peel_batch(
             }
         }
         decoded[run] = (uint8_t)complete;
+    }
+}
+
+void block_count_batch(
+    const int64_t *group_of_key, const int64_t *needed,
+    int64_t key_modulus, int64_t num_groups,
+    const int64_t *flat, const int64_t *offsets, const int64_t *lengths,
+    int64_t num_runs, uint8_t *seen, int64_t seen_stride,
+    int64_t *missing, int64_t missing_stride,
+    uint8_t *decoded, int64_t *n_necessary, int64_t num_threads)
+{
+    /* Row-parallel like the peel: per-thread seen/missing scratch rows
+       (strides padded by the caller so no two threads share a cache
+       line), one output slot per run.  A group needing more keys than it
+       has never closes.  Indices are range-checked by the caller. */
+    int64_t open_groups = 0;
+    for (int64_t group = 0; group < num_groups; group++)
+        open_groups += needed[group] > 0;
+    (void)num_threads;
+#ifdef _OPENMP
+#pragma omp parallel for schedule(dynamic) num_threads((int)num_threads)
+#endif
+    for (int64_t run = 0; run < num_runs; run++) {
+        int64_t slot = 0;
+#ifdef _OPENMP
+        slot = (int64_t)omp_get_thread_num();
+#endif
+        uint8_t *seen_t = seen + slot * seen_stride;
+        int64_t *missing_t = missing + slot * missing_stride;
+        memset(seen_t, 0, (size_t)key_modulus);
+        memcpy(missing_t, needed, (size_t)num_groups * sizeof(int64_t));
+        int64_t open = open_groups;
+        int64_t start = offsets[run];
+        int64_t end = start + lengths[run];
+        int64_t pos = start;
+        for (; pos < end && open > 0; pos++) {
+            int64_t key = flat[pos];
+            /* Branch-free first wrap (a random repetition order would
+               mispredict a branch half the time); the division is only
+               reached beyond two copies per key. */
+            key -= key_modulus & -(int64_t)(key >= key_modulus);
+            if (key >= key_modulus)
+                key %= key_modulus;
+            if (seen_t[key])
+                continue;
+            seen_t[key] = 1;
+            int64_t group = group_of_key[key];
+            if (missing_t[group] > 0 && --missing_t[group] == 0)
+                open--;
+        }
+        decoded[run] = (uint8_t)(open == 0);
+        /* pos is one past the closing packet: its 1-based position. */
+        n_necessary[run] = open == 0 ? pos - start : -1;
     }
 }
 
@@ -325,6 +384,12 @@ def _load_library() -> ctypes.CDLL:
         ctypes.c_int64, ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,
         _I64, _I64, _U8, _I64, _U8, _I64, ctypes.c_int64,
     ]
+    lib.block_count_batch.restype = None
+    lib.block_count_batch.argtypes = [
+        _I64, _I64, ctypes.c_int64, ctypes.c_int64,
+        _I64, _I64, _I64, ctypes.c_int64, _U8, ctypes.c_int64,
+        _I64, ctypes.c_int64, _U8, _I64, ctypes.c_int64,
+    ]
     lib.fill_sojourns.restype = ctypes.c_int64
     lib.fill_sojourns.argtypes = [
         _U8, ctypes.c_int64, ctypes.c_int64, ctypes.c_int,
@@ -342,6 +407,11 @@ def _load_library() -> ctypes.CDLL:
 
 def _i64(array: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(array, dtype=np.int64)
+
+
+def _cache_lines(nbytes: int) -> int:
+    """``nbytes`` rounded up to whole 64-byte cache lines."""
+    return -(-nbytes // 64) * 64
 
 
 class CExtBackend(KernelBackend):
@@ -402,6 +472,44 @@ class CExtBackend(KernelBackend):
                 sums.ctypes.data_as(_I64),
                 known.ctypes.data_as(_U8),
                 stack.ctypes.data_as(_I64),
+                decoded.ctypes.data_as(_U8),
+                n_necessary.ctypes.data_as(_I64),
+                threads,
+            )
+        return decoded.astype(bool), n_necessary
+
+    def block_count_decode_batch(
+        self, prototype: "BlockCountPrototype", batch: ReceivedBatch
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        batch.check_index_range(prototype.n)
+        num_runs = batch.num_runs
+        decoded = np.zeros(num_runs, dtype=np.uint8)
+        n_necessary = np.full(num_runs, NOT_DECODED, dtype=np.int64)
+        if num_runs:
+            threads = self._team_size(num_runs)
+            # Per-thread scratch rows, as in the peel, padded to whole
+            # cache lines: the per-group counters are tiny and would
+            # otherwise share one line across threads.
+            seen = np.empty((threads, _cache_lines(prototype.key_modulus)), dtype=np.uint8)
+            missing = np.empty(
+                (threads, _cache_lines(8 * prototype.num_groups) // 8), dtype=np.int64
+            )
+            flat = _i64(batch.flat)
+            offsets = _i64(batch.offsets)
+            lengths = _i64(batch.lengths)
+            self._lib.block_count_batch(
+                prototype.group_of_key.ctypes.data_as(_I64),
+                prototype.needed.ctypes.data_as(_I64),
+                prototype.key_modulus,
+                prototype.num_groups,
+                flat.ctypes.data_as(_I64),
+                offsets.ctypes.data_as(_I64),
+                lengths.ctypes.data_as(_I64),
+                num_runs,
+                seen.ctypes.data_as(_U8),
+                seen.shape[1],
+                missing.ctypes.data_as(_I64),
+                missing.shape[1],
                 decoded.ctypes.data_as(_U8),
                 n_necessary.ctypes.data_as(_I64),
                 threads,

@@ -19,6 +19,9 @@ round per link of a long sequential reveal chain:
 * **Seen-mask dedup** -- frontier deduplication uses a reused scratch
   buffer indexed by node id instead of a sort; the cascade calls it every
   round and the sort dominated small frontiers.
+
+The block-count decode of RSE and repetition is closed form here: order
+statistics over a ``(runs, keys)`` first-arrival position table.
 """
 
 from __future__ import annotations
@@ -37,10 +40,20 @@ from repro.kernels.base import (
 )
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.fastpath.prototypes import LDGMPrototype
+    from repro.fastpath.prototypes import BlockCountPrototype, LDGMPrototype
 
 #: Reused empty frontier.
 _EMPTY = np.zeros(0, dtype=np.int64)
+
+#: "Never arrived" sentinel in the block-count first-arrival position
+#: table; sorts after every real position, so reaching it in an order
+#: statistic means the group's distinct-count goal was not met.
+_NEVER = np.iinfo(np.int64).max
+
+#: Upper bound on the elements of one first-arrival position table
+#: (``runs x (key_modulus + 1)`` int64); larger batches are decoded in
+#: run chunks to bound peak memory (~0.5 GB).
+_MAX_TABLE_ELEMENTS = 64_000_000
 
 
 class _PeelState:
@@ -607,6 +620,79 @@ class NumpyBackend(KernelBackend):
             cur[alive] += window * sign[alive]
             window = min(window * 4, self._CHAIN_WINDOW_MAX)
         return total
+
+    # ------------------------------------------------------------------
+    # Block-count decode: order statistics over first-arrival positions.
+    # ------------------------------------------------------------------
+
+    def block_count_decode_batch(
+        self, prototype: "BlockCountPrototype", batch: ReceivedBatch
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """The whole batch as order statistics, without a single sort.
+
+        1. one reversed scatter builds the ``(runs, keys)`` table of each
+           key's first arrival position (later stores win a fancy-indexing
+           scatter, so storing in reverse arrival order keeps the first),
+        2. the prototype's precompiled gather regroups the table's columns
+           by group (groups padded to a common width with a sentinel key
+           that never arrives),
+        3. ``np.partition`` selects each group's ``needed``-th smallest
+           position.
+        """
+        batch.check_index_range(prototype.n)
+        num_runs = batch.num_runs
+        chunk = max(1, _MAX_TABLE_ELEMENTS // (prototype.key_modulus + 1))
+        if num_runs > chunk:
+            decoded = np.zeros(num_runs, dtype=bool)
+            n_necessary = np.full(num_runs, NOT_DECODED, dtype=np.int64)
+            for start in range(0, num_runs, chunk):
+                stop = min(start + chunk, num_runs)
+                decoded[start:stop], n_necessary[start:stop] = (
+                    self._block_count_chunk(prototype, batch.slice(start, stop))
+                )
+            return decoded, n_necessary
+        return self._block_count_chunk(prototype, batch)
+
+    @staticmethod
+    def _block_count_chunk(
+        prototype: "BlockCountPrototype", batch: ReceivedBatch
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        num_runs = batch.num_runs
+        modulus = prototype.key_modulus
+        table_width = modulus + 1
+        first_position = np.full(num_runs * table_width, _NEVER, dtype=np.int64)
+        if batch.flat.size:
+            run_ids = np.repeat(
+                np.arange(num_runs, dtype=np.int64), batch.lengths
+            )
+            # Indices were range-checked against n, so the modulus is the
+            # identity whenever the key space is the whole code (RSE).
+            keys = batch.flat if modulus == prototype.n else batch.flat % modulus
+            positions = np.arange(batch.flat.size, dtype=np.int64) - np.repeat(
+                batch.offsets, batch.lengths
+            )
+            cells = run_ids * np.int64(table_width) + keys
+            # Reversed scatter: duplicate keys collapse to their *first*
+            # arrival because the earliest store happens last.
+            first_position[cells[::-1]] = positions[::-1]
+        grouped = first_position.reshape(num_runs, table_width)[:, prototype.gather]
+        threshold = np.empty((num_runs, prototype.num_groups), dtype=np.int64)
+        for needed, groups in prototype.classes:
+            # Clamped for malformed third-party inputs (needed beyond the
+            # group width is impossible and overwritten below; zero means
+            # trivially reached before any arrival).
+            kth = min(needed, grouped.shape[2]) - 1
+            if kth < 0:
+                threshold[:, groups] = -1
+                continue
+            statistic = np.partition(grouped[:, groups, :], kth, axis=2)
+            threshold[:, groups] = statistic[:, :, kth]
+        if prototype.impossible.size:
+            threshold[:, prototype.impossible] = _NEVER
+        decoded = (threshold < _NEVER).all(axis=1)
+        n_necessary = np.full(num_runs, NOT_DECODED, dtype=np.int64)
+        n_necessary[decoded] = threshold[decoded].max(axis=1) + 1
+        return decoded, n_necessary
 
     # ------------------------------------------------------------------
     # Gilbert sojourn fill.

@@ -13,8 +13,8 @@ Two flavours are needed (section 4.7 of the paper):
 
 Both interleavers are vectorised (a lexsort for the round robin, a
 closed-form Bresenham emission count for the proportional merge); the
-original per-position loops are kept as ``_*_reference`` so the test suite
-can prove the vectorised forms emit identical schedules.
+test suite keeps the original per-position loops and proves the
+vectorised forms emit identical schedules.
 """
 
 from __future__ import annotations
@@ -46,18 +46,6 @@ def block_interleave(layout: PacketLayout) -> np.ndarray:
     return flat[np.lexsort((block_ids, position))]
 
 
-def _block_interleave_reference(layout: PacketLayout) -> np.ndarray:
-    """Per-position loop (the original form; test reference)."""
-    per_block = [block.all_indices for block in layout.blocks]
-    longest = max(indices.size for indices in per_block)
-    schedule: list[int] = []
-    for position in range(longest):
-        for indices in per_block:
-            if position < indices.size:
-                schedule.append(int(indices[position]))
-    return np.array(schedule, dtype=np.int64)
-
-
 def proportional_interleave(first: np.ndarray, second: np.ndarray) -> np.ndarray:
     """Merge two packet streams so their rates stay proportional throughout.
 
@@ -72,8 +60,8 @@ def proportional_interleave(first: np.ndarray, second: np.ndarray) -> np.ndarray
     ceiling follows from "emit while behind the target"; the ``m - S`` floor
     is the second stream running dry), so the whole emission pattern is one
     vectorised ceil + diff.  ``F / T`` is evaluated in float64 exactly as
-    the loop's comparison was, keeping the output bit-identical to
-    :func:`_proportional_interleave_reference`.
+    the loop's comparison was, keeping the output bit-identical to the
+    per-position loop.
     """
     first = np.asarray(first, dtype=np.int64)
     second = np.asarray(second, dtype=np.int64)
@@ -89,32 +77,6 @@ def proportional_interleave(first: np.ndarray, second: np.ndarray) -> np.ndarray
     schedule = np.empty(total, dtype=np.int64)
     schedule[from_first] = first
     schedule[~from_first] = second
-    return schedule
-
-
-def _proportional_interleave_reference(
-    first: np.ndarray, second: np.ndarray
-) -> np.ndarray:
-    """Per-position Bresenham loop (the original form; test reference)."""
-    first = np.asarray(first, dtype=np.int64)
-    second = np.asarray(second, dtype=np.int64)
-    total = first.size + second.size
-    if total == 0:
-        return np.zeros(0, dtype=np.int64)
-    schedule = np.empty(total, dtype=np.int64)
-    taken_first = 0
-    taken_second = 0
-    for position in range(total):
-        # Emit from the stream whose progress lags its share the most.
-        need_first = (position + 1) * first.size / total
-        if taken_first < first.size and (
-            taken_first < need_first or taken_second >= second.size
-        ):
-            schedule[position] = first[taken_first]
-            taken_first += 1
-        else:
-            schedule[position] = second[taken_second]
-            taken_second += 1
     return schedule
 
 

@@ -33,6 +33,7 @@ from repro.fec.registry import make_code
 from repro.kernels import available_backends
 from repro.runner.units import WorkUnit, execute_unit
 from repro.scheduling.registry import make_tx_model
+from serial_reference import gilbert_loss_mask_serial
 from unit_reference import (
     assert_grid_matches,
     reference_cells,
@@ -145,6 +146,25 @@ class TestBatchEquivalence:
         expected = build().run_many(8, rng=5, fastpath=False)
         assert build().run_many(8, rng=5, fastpath=True) == expected
 
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("kernel", KERNELS)
+    @pytest.mark.parametrize("code_name,ratio", [("rse", 2.5), ("repetition", 2.0)])
+    @pytest.mark.parametrize("tx_name", ["tx_model_4", "tx_model_5"])
+    def test_block_count_codes_by_kernel_threads(
+        self, tx_name, code_name, ratio, kernel, threads
+    ):
+        # The block-count decode is row-parallel on cext; every team size
+        # must reproduce the incremental decoder run by run.
+        code = make_code(code_name, k=300, expansion_ratio=ratio, seed=8)
+        tx_model = make_tx_model(tx_name)
+        for salt, channel in enumerate(CHANNELS[:3]):
+            expected = legacy_runs(code, tx_model, channel, seeded_rngs(salt, 6))
+            actual = simulate_batch(
+                code, tx_model, channel, seeded_rngs(salt, 6),
+                kernel=kernel, kernel_threads=threads,
+            )
+            assert actual == expected, f"{kernel}x{threads} diverged on {code_name}"
+
     def test_duplicate_indices_in_schedule(self):
         # Models never emit duplicates, but the decoders tolerate them; the
         # batch path must agree run by run.
@@ -228,7 +248,7 @@ class TestGilbertVectorisedFill:
                     slow_rng = np.random.default_rng(99)
                     assert np.array_equal(
                         channel.loss_mask(count, fast_rng),
-                        channel._loss_mask_serial(count, slow_rng),
+                        gilbert_loss_mask_serial(channel, count, slow_rng),
                     )
                     # The generators must also end in the same state.
                     assert fast_rng.integers(1 << 30) == slow_rng.integers(1 << 30)

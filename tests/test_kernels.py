@@ -20,7 +20,13 @@ from repro.channel.bernoulli import BernoulliChannel, PerfectChannel
 from repro.channel.gilbert import GilbertChannel
 from repro.core.config import SimulationConfig
 from repro.core.simulator import Simulator
-from repro.fastpath import LDGMPrototype, compile_prototype, simulate_batch
+from repro.fastpath import (
+    BlockCountPrototype,
+    IncrementalPrototype,
+    LDGMPrototype,
+    compile_prototype,
+    simulate_batch,
+)
 from repro.fec.ldgm.matrix import LDGMVariant, ParityCheckMatrix
 from repro.fec.ldgm.symbolic import LDGMSymbolicDecoder
 from repro.fec.registry import make_code
@@ -34,6 +40,7 @@ from repro.kernels import (
     default_backend_name,
     get_backend,
     register_backend,
+    thread_count_context,
 )
 from repro.kernels.numpy_backend import NumpyBackend, _dedup
 from repro.runner.cache import unit_key
@@ -41,6 +48,7 @@ from repro.runner.cli import main as cli_main
 from repro.runner.options import ExecutionOptions
 from repro.runner.units import WorkUnit, execute_unit, plan_units
 from repro.scheduling.registry import make_tx_model
+from serial_reference import gilbert_loss_mask_serial
 from unit_reference import reference_unit_result
 
 #: Every backend this machine can run, in registry order.
@@ -274,6 +282,134 @@ class TestCrossBackendEquivalence:
 
 
 # ---------------------------------------------------------------------------
+# Block-count decode (RSE blocks, repetition) on every backend.
+# ---------------------------------------------------------------------------
+
+
+def count_rule_reference(prototype, sequences):
+    """The counting rule run by run in plain Python (the test oracle for
+    prototypes no incremental decoder can express)."""
+    decoded, n_necessary = [], []
+    for sequence in sequences:
+        missing = prototype.needed.copy()
+        open_groups = int((missing > 0).sum())
+        seen, position = set(), 0
+        for count, index in enumerate(sequence, start=1):
+            if open_groups == 0:
+                break
+            key = int(index) % prototype.key_modulus
+            if key in seen:
+                continue
+            seen.add(key)
+            group = prototype.group_of_key[key]
+            if missing[group] > 0:
+                missing[group] -= 1
+                open_groups -= missing[group] == 0
+                position = count
+        decoded.append(open_groups == 0)
+        n_necessary.append(position if open_groups == 0 else -1)
+    return np.array(decoded, dtype=bool), np.array(n_necessary, dtype=np.int64)
+
+
+def carousel_sequences(n, runs, seed):
+    """Received sequences with repeats: partial carousel rounds, plain
+    duplicates, truncated and zero-length runs."""
+    rng = np.random.default_rng(seed)
+    sequences = [np.zeros(0, dtype=np.int64)]
+    for run in range(runs):
+        rounds = [rng.permutation(n) for _ in range(1 + run % 3)]
+        sequence = np.concatenate(rounds)
+        keep = rng.random(sequence.size) >= 0.25 + 0.1 * (run % 4)
+        sequence = sequence[keep]
+        if run % 5 == 1:
+            sequence = np.repeat(sequence, 2)
+        if run % 5 == 3:
+            sequence = sequence[: n // 3]
+        sequences.append(sequence.astype(np.int64))
+    sequences.append(np.zeros(0, dtype=np.int64))
+    return sequences
+
+
+class TestBlockCountKernel:
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("kernel", KERNELS)
+    @pytest.mark.parametrize(
+        "code_name,k,n", [("rse", 60, 150), ("rse", 300, 700), ("repetition", 40, 80),
+                          ("repetition", 30, 150)],
+    )
+    def test_matches_incremental_decoder(self, code_name, k, n, kernel, threads):
+        code = make_code(code_name, k=k, n=n)
+        sequences = carousel_sequences(code.n, 24, seed=k + n)
+        expected = IncrementalPrototype(code).decode_batch(sequences)
+        with thread_count_context(threads):
+            actual = compile_prototype(code, kernel=kernel).decode_batch(sequences)
+        assert np.array_equal(actual[0], expected[0])
+        assert np.array_equal(actual[1], expected[1])
+        assert expected[0].any() and not expected[0].all()
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_empty_batch(self, kernel, threads):
+        prototype = compile_prototype(make_code("rse", k=20, n=50), kernel=kernel)
+        with thread_count_context(threads):
+            decoded, n_necessary = prototype.decode_batch(ReceivedBatch.from_sequences([]))
+        assert decoded.shape == n_necessary.shape == (0,)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("kernel", KERNELS)
+    @pytest.mark.parametrize(
+        "needed",
+        [
+            [3, 4, 2],  # ordinary groups
+            [3, 0, 2],  # a group that is reached before any arrival
+            [3, 6, 2],  # group 1 has five keys: never decodes
+            [0, 0, 0],  # every run decodes at position 0
+        ],
+    )
+    def test_handcrafted_groups(self, needed, kernel, threads):
+        code = make_code("rse", k=6, n=15)
+        group_of_key = np.array([0, 1, 2] * 5, dtype=np.int64)
+        prototype = BlockCountPrototype(
+            code, group_of_key, np.array(needed, dtype=np.int64), kernel=kernel
+        )
+        sequences = carousel_sequences(code.n, 30, seed=sum(needed))
+        with thread_count_context(threads):
+            actual = prototype.decode_batch(sequences)
+        expected = count_rule_reference(prototype, sequences)
+        assert np.array_equal(actual[0], expected[0])
+        assert np.array_equal(actual[1], expected[1])
+        if needed[1] == 6:
+            assert not actual[0].any()
+            assert (actual[1] == -1).all()
+
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_group_ids_out_of_range_rejected(self, kernel):
+        code = make_code("rse", k=6, n=15)
+        with pytest.raises(ValueError, match="group ids outside"):
+            BlockCountPrototype(
+                code, np.full(15, 3, dtype=np.int64), np.ones(3, dtype=np.int64),
+                kernel=kernel,
+            )
+
+    @pytest.mark.parametrize("kernel", KERNELS)
+    @pytest.mark.parametrize("code_name", ["rse", "repetition"])
+    @pytest.mark.parametrize("bad", [-1, "n"])
+    def test_out_of_range_index_raises(self, code_name, bad, kernel):
+        code = make_code(code_name, k=20, n=60)
+        bad_index = code.n if bad == "n" else bad
+        sequences = [np.arange(code.n, dtype=np.int64) for _ in range(3)]
+        sequences[1] = sequences[1].copy()
+        sequences[1][5] = bad_index
+        prototype = compile_prototype(code, kernel=kernel)
+        with pytest.raises(ValueError, match="outside"):
+            prototype.decode_batch(sequences)
+        with pytest.raises(ValueError, match="outside"):
+            prototype.kernel.block_count_decode_batch(
+                prototype, ReceivedBatch.from_sequences(sequences)
+            )
+
+
+# ---------------------------------------------------------------------------
 # Chain-aware staircase cascade (handcrafted bidiagonal matrices).
 # ---------------------------------------------------------------------------
 
@@ -455,7 +591,7 @@ class TestGilbertFillBackends:
                     slow = np.random.default_rng(41)
                     assert np.array_equal(
                         channel.loss_mask(count, fast, kernel=kernel),
-                        channel._loss_mask_serial(count, slow),
+                        gilbert_loss_mask_serial(channel, count, slow),
                     ), (kernel, p, q, count)
                     assert fast.integers(1 << 30) == slow.integers(1 << 30)
 

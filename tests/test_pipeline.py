@@ -28,13 +28,13 @@ from repro.fec.registry import make_code
 from repro.kernels import get_backend
 from repro.pipeline import can_batch_stages, synthesize_runs
 from repro.runner.units import WorkUnit, execute_unit
-from repro.scheduling.interleaver import (
-    _block_interleave_reference,
-    _proportional_interleave_reference,
-    block_interleave,
-    proportional_interleave,
-)
+from repro.scheduling.interleaver import block_interleave, proportional_interleave
 from repro.scheduling.registry import available_tx_models, make_tx_model
+from serial_reference import (
+    block_interleave_reference,
+    gilbert_loss_mask_serial,
+    proportional_interleave_reference,
+)
 
 #: A loss trace with structure (bursts and gaps), for the replay channels.
 _TRACE = (np.sin(np.arange(41) * 1.7) > 0.2).tolist()
@@ -182,7 +182,9 @@ class TestLossMaskBatch:
         channel = GilbertChannel(0.07, 0.3)
         masks = channel.loss_mask_batch(300, seeded_rngs(6, 4))
         for index, rng in enumerate(seeded_rngs(6, 4)):
-            assert np.array_equal(masks[index], channel._loss_mask_serial(300, rng))
+            assert np.array_equal(
+                masks[index], gilbert_loss_mask_serial(channel, 300, rng)
+            )
 
     def test_fill_sojourns_batch_matches_per_row_fill(self):
         rng = np.random.default_rng(11)
@@ -536,7 +538,7 @@ class TestVectorisedInterleavers:
             code = make_code(code_name, k=k, expansion_ratio=2.0, seed=1)
             assert np.array_equal(
                 block_interleave(code.layout),
-                _block_interleave_reference(code.layout),
+                block_interleave_reference(code.layout),
             )
 
     def test_proportional_interleave_matches_reference(self):
@@ -546,7 +548,7 @@ class TestVectorisedInterleavers:
             second = rng.integers(500, 1000, size=int(rng.integers(0, 60)))
             assert np.array_equal(
                 proportional_interleave(first, second),
-                _proportional_interleave_reference(first, second),
+                proportional_interleave_reference(first, second),
             )
 
     @settings(max_examples=60, deadline=None)
@@ -559,7 +561,7 @@ class TestVectorisedInterleavers:
         second = np.arange(1000, 1000 + second_size, dtype=np.int64)
         assert np.array_equal(
             proportional_interleave(first, second),
-            _proportional_interleave_reference(first, second),
+            proportional_interleave_reference(first, second),
         )
 
 

@@ -19,6 +19,10 @@ from repro.scheduling import (
     proportional_interleave,
 )
 from repro.scheduling.registry import resolve_tx_model_name
+from serial_reference import (
+    block_interleave_reference,
+    proportional_interleave_reference,
+)
 
 
 @pytest.fixture
@@ -219,17 +223,12 @@ class TestScheduleBatchContract:
             assert model.uses_rng
 
     def test_interleavers_match_retained_references(self, rse_layout, ldgm_layout):
-        from repro.scheduling.interleaver import (
-            _block_interleave_reference,
-            _proportional_interleave_reference,
-        )
-
         assert np.array_equal(
-            block_interleave(rse_layout), _block_interleave_reference(rse_layout)
+            block_interleave(rse_layout), block_interleave_reference(rse_layout)
         )
         first = ldgm_layout.source_indices
         second = ldgm_layout.parity_indices
         assert np.array_equal(
             proportional_interleave(first, second),
-            _proportional_interleave_reference(first, second),
+            proportional_interleave_reference(first, second),
         )
