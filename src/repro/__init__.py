@@ -106,7 +106,6 @@ from repro.runner import (
     ExecutionOptions,
     FleetRunner,
     ProcessExecutor,
-    ResultCache,
     SerialExecutor,
     run_grid,
 )
@@ -143,7 +142,6 @@ __all__ = [
     "ExecutionOptions",
     "FleetRunner",
     "ProcessExecutor",
-    "ResultCache",
     "SerialExecutor",
     "run_grid",
     "JsonDirStore",

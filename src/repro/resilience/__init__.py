@@ -42,7 +42,6 @@ from repro.resilience.policy import (
     failure_summary,
     resolve_policy,
     run_unit_with_policy,
-    run_units_with_policy,
 )
 from repro.resilience.report import (
     QuarantineEntry,
@@ -79,6 +78,5 @@ __all__ = [
     "read_quarantine",
     "resolve_policy",
     "run_unit_with_policy",
-    "run_units_with_policy",
     "write_quarantine",
 ]

@@ -68,8 +68,7 @@ class FaultInjectingExecutor(SerialExecutor):
     rather than trusting that they were configured.
     """
 
-    def __init__(self, plan: FaultPlan, policy=None):
-        super().__init__(policy=policy)
+    def __init__(self, plan: FaultPlan):
         self.plan = plan
         self.injected: Counter = Counter()
         self._attempts: Counter = Counter()

@@ -4,7 +4,9 @@ A :class:`FailurePolicy` says what happens when executing a work unit
 fails: how many times to retry, how long to back off between attempts,
 how long one attempt may run, and what to do once every attempt is spent
 (``raise`` aborts the sweep, ``skip`` drops the unit, ``quarantine``
-additionally records it in the store-backed quarantine report).
+additionally records it in the store-backed quarantine report).  Every
+sweep runs under exactly one policy; the default :data:`DEFAULT_POLICY`
+is fail-fast (one attempt, then ``raise``).
 
 Backoff is **deterministic**: the jitter is derived from a SHA-256 hash
 of the unit key and the attempt index, never from ``random()``, so a
@@ -20,8 +22,8 @@ import dataclasses
 import hashlib
 import threading
 import time
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, Any, Callable, Dict, Optional, Tuple
 
 from repro.resilience.errors import UnitTimeoutError
 
@@ -50,8 +52,8 @@ class FailurePolicy:
     Attributes
     ----------
     max_retries:
-        Extra execution attempts after the first failure (0 keeps the
-        historical fail-fast behaviour).
+        Extra execution attempts after the first failure (0, the
+        default, is fail-fast).
     backoff_base, backoff_max:
         Exponential backoff between unit attempts: attempt ``n`` sleeps
         ``min(backoff_max, backoff_base * 2**n)`` scaled by a
@@ -63,8 +65,8 @@ class FailurePolicy:
         a failed attempt (so it is retried like any other failure).
     on_error:
         ``"raise"`` -- a unit that exhausts its attempts raises
-        :class:`~repro.resilience.errors.PoisonUnitError` (default;
-        matches the historical crash-the-sweep behaviour).
+        :class:`~repro.resilience.errors.PoisonUnitError` and aborts the
+        sweep (default).
         ``"skip"`` -- the unit is dropped; its cell is aggregated from
         the surviving runs.  ``"quarantine"`` -- like skip, plus a
         machine-readable quarantine record (unit snapshot, error, exact
@@ -120,15 +122,17 @@ class FailurePolicy:
         return base * (0.5 + deterministic_jitter(f"store:{token}:{attempt}"))
 
 
-#: The policy used where resilience is wanted but none was configured:
-#: fail-fast unit handling (historical behaviour) with modest store
+#: The policy of every sweep that does not configure one: fail-fast unit
+#: handling (one attempt, then :class:`PoisonUnitError`) with modest store
 #: retries, so a fleet survives a briefly-locked database out of the box.
 DEFAULT_POLICY = FailurePolicy()
 
 
-def resolve_policy(policy: Optional[FailurePolicy]) -> Optional[FailurePolicy]:
-    """Validate a ``failure_policy=`` argument (``None`` passes through)."""
-    if policy is None or isinstance(policy, FailurePolicy):
+def resolve_policy(policy: Optional[FailurePolicy]) -> FailurePolicy:
+    """Validate a ``failure_policy=`` argument; ``None`` is the default policy."""
+    if policy is None:
+        return DEFAULT_POLICY
+    if isinstance(policy, FailurePolicy):
         return policy
     raise TypeError(
         f"failure_policy must be a FailurePolicy or None, got {type(policy).__name__}"
@@ -165,10 +169,21 @@ class UnitFailure:
 @dataclass(frozen=True)
 class UnitOutcome:
     """Result of pushing one unit through a failure policy: exactly one
-    of ``result`` (success) or ``failure`` (attempts exhausted) is set."""
+    of ``result`` (success) or ``failure`` (attempts exhausted) is set.
+
+    ``error`` is the last attempt's exception, kept so an in-process
+    caller can chain it under :class:`~repro.resilience.errors.
+    PoisonUnitError`.  It is dropped when the outcome is pickled: an
+    exception need not pickle, and ``failure`` already records its type
+    and message.
+    """
 
     result: Optional["UnitResult"] = None
     failure: Optional[UnitFailure] = None
+    error: Optional[BaseException] = field(default=None, compare=False, repr=False)
+
+    def __getstate__(self) -> Dict[str, Any]:
+        return {**self.__dict__, "error": None}
 
 
 ExecuteFn = Callable[["WorkUnit"], "UnitResult"]
@@ -229,11 +244,12 @@ def run_unit_with_policy(
     if execute is None:
         from repro.runner.units import execute_unit as execute
 
-    key = unit_key(unit)
-    last: Optional[BaseException] = None
+    # The unit key (a canonical-JSON hash) is only needed off the
+    # success path: for backoff jitter and the failure record.
+    last: Optional[Exception] = None
     for attempt in range(policy.attempts):
         if attempt:
-            sleep(policy.backoff_delay(key, attempt - 1))
+            sleep(policy.backoff_delay(unit_key(unit), attempt - 1))
         try:
             result = _attempt_with_timeout(unit, execute, policy.unit_timeout)
             return UnitOutcome(result=result)
@@ -241,7 +257,7 @@ def run_unit_with_policy(
             last = exc
     return UnitOutcome(
         failure=UnitFailure(
-            unit_key=key,
+            unit_key=unit_key(unit),
             seed_path=unit.seed_path,
             run_start=unit.run_start,
             run_stop=unit.run_stop,
@@ -249,15 +265,9 @@ def run_unit_with_policy(
             message=str(last),
             attempts=policy.attempts,
             unit_payload=unit.to_payload(),
-        )
+        ),
+        error=last,
     )
-
-
-def run_units_with_policy(
-    units: List[WorkUnit], policy: FailurePolicy
-) -> List[UnitOutcome]:
-    """Process-pool dispatch granularity of the resilient execution path."""
-    return [run_unit_with_policy(unit, policy) for unit in units]
 
 
 def failure_summary(failure: UnitFailure) -> Dict[str, Any]:
@@ -278,5 +288,4 @@ __all__ = [
     "failure_summary",
     "resolve_policy",
     "run_unit_with_policy",
-    "run_units_with_policy",
 ]

@@ -45,16 +45,16 @@ class RetryStats:
 class RetryingStore(ResultStore):
     """Bounded-backoff retry wrapper around any result store."""
 
-    def __init__(self, store: ResultStore, policy: Optional[FailurePolicy] = None):
+    def __init__(self, store: ResultStore, policy: FailurePolicy = DEFAULT_POLICY):
         # No super().__init__(): stats delegates to the wrapped store so
         # hit/miss/write counters stay in one place.
         self.inner = store
-        self.policy = policy if policy is not None else DEFAULT_POLICY
+        self.policy = policy
         self.retry_stats = RetryStats()
 
     @classmethod
     def wrap(
-        cls, store: Optional[ResultStore], policy: Optional[FailurePolicy] = None
+        cls, store: Optional[ResultStore], policy: FailurePolicy = DEFAULT_POLICY
     ) -> Optional[ResultStore]:
         """Wrap ``store`` unless it is ``None`` or already wrapped."""
         if store is None or isinstance(store, RetryingStore):

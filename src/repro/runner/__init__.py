@@ -6,9 +6,8 @@ finished units on disk and reassembles the historical result containers --
 bit-identically, whatever the execution strategy:
 
 * :mod:`repro.runner.units` -- the work-unit model and seed derivation.
-* :mod:`repro.runner.executors` -- serial and process-pool executors.
-* :mod:`repro.runner.cache` -- compatibility adapter over the ``json-dir``
-  backend of the pluggable result-store subsystem (:mod:`repro.store`).
+* :mod:`repro.runner.executors` -- serial, process-pool and thread-pool
+  executors; every one runs units under a failure policy.
 * :mod:`repro.runner.fleet` -- cooperative fleet execution: work-unit
   leases over a shared store, so N coordinator-free processes split one
   sweep with no duplicated work and crash tolerance.
@@ -23,7 +22,6 @@ the benchmark harness are thin wrappers over :func:`run_grid` /
 :func:`run_series`.
 """
 
-from repro.runner.cache import DEFAULT_CACHE_DIR, CacheStats, ResultCache, unit_key
 from repro.runner.engine import run_grid, run_series
 from repro.runner.executors import ProcessExecutor, SerialExecutor, resolve_executor
 from repro.runner.fleet import (
@@ -36,15 +34,11 @@ from repro.runner.options import ExecutionOptions
 from repro.runner.units import UnitResult, WorkUnit, execute_unit, plan_units
 
 __all__ = [
-    "DEFAULT_CACHE_DIR",
     "DEFAULT_LEASE_TTL",
-    "CacheStats",
     "ExecutionOptions",
     "FleetRunner",
     "FleetStats",
-    "ResultCache",
     "default_worker_id",
-    "unit_key",
     "run_grid",
     "run_series",
     "ProcessExecutor",

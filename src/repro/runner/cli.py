@@ -63,6 +63,7 @@ from repro.core.experiments import (
 )
 from repro.kernels import KernelUnavailableError, get_backend
 from repro.resilience import (
+    DEFAULT_POLICY,
     ON_ERROR_ACTIONS,
     FailurePolicy,
     ResilienceError,
@@ -70,7 +71,6 @@ from repro.resilience import (
     format_quarantine_report,
     quarantine_entries,
 )
-from repro.runner.cache import DEFAULT_CACHE_DIR
 from repro.runner.engine import grid_cells
 from repro.runner.fleet import DEFAULT_LEASE_TTL
 from repro.runner.options import ExecutionOptions
@@ -87,6 +87,7 @@ from repro.store import (
     resolve_store,
 )
 from repro.store.codec import unit_key as compute_unit_key
+from repro.store.json_dir import DEFAULT_CACHE_DIR
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -315,18 +316,19 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument(
         "--max-retries",
         type=int,
-        default=None,
+        default=DEFAULT_POLICY.max_retries,
         metavar="N",
         help=(
             "retry a failing work unit up to N times with deterministic "
             "exponential backoff before applying --on-error (default: "
-            "no failure policy -- the first unit error aborts the run)"
+            f"{DEFAULT_POLICY.max_retries} -- with the default --on-error "
+            "the first unit error aborts the run)"
         ),
     )
     run.add_argument(
         "--unit-timeout",
         type=float,
-        default=None,
+        default=DEFAULT_POLICY.unit_timeout,
         metavar="SECONDS",
         help=(
             "treat a work-unit attempt running longer than this as failed "
@@ -336,10 +338,11 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument(
         "--on-error",
         choices=ON_ERROR_ACTIONS,
-        default=None,
+        default=DEFAULT_POLICY.on_error,
         help=(
             "what to do with a unit that exhausts its retries: 'raise' "
-            "aborts the run (default), 'skip' drops the unit (its cell "
+            "aborts the run with the unit's error (default), 'skip' drops "
+            "the unit (its cell "
             "aggregates from the surviving runs), 'quarantine' also "
             "records it in the store with the exact rerun command "
             "(inspect with 'cache info', heal with 'rerun-unit --store')"
@@ -348,14 +351,14 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument(
         "--store-retries",
         type=int,
-        default=None,
+        default=DEFAULT_POLICY.store_retries,
         metavar="N",
         help=(
             "retry a transiently failing store operation (connection "
             "refused, timeout, 5xx, locked database) up to N times with "
-            "deterministic backoff before giving up (default: 3 when any "
-            "failure-policy flag is set; raise it so fleet workers ride "
-            "out a result-store server restart)"
+            "deterministic backoff before giving up (default: "
+            f"{DEFAULT_POLICY.store_retries}; raise it so fleet workers "
+            "ride out a result-store server restart)"
         ),
     )
     run.add_argument(
@@ -514,22 +517,12 @@ def _open_store(args) -> Optional[ResultStore]:
 def _cmd_run(args, out, err) -> int:
     spec = get_experiment(args.experiment)
     total_configs = len(spec.configs)
-    policy = None
-    if (
-        args.max_retries is not None
-        or args.unit_timeout is not None
-        or args.on_error is not None
-        or args.store_retries is not None
-    ):
-        policy_kwargs = {}
-        if args.store_retries is not None:
-            policy_kwargs["store_retries"] = args.store_retries
-        policy = FailurePolicy(
-            max_retries=args.max_retries if args.max_retries is not None else 0,
-            unit_timeout=args.unit_timeout,
-            on_error=args.on_error if args.on_error is not None else "raise",
-            **policy_kwargs,
-        )
+    policy = FailurePolicy(
+        max_retries=args.max_retries,
+        unit_timeout=args.unit_timeout,
+        on_error=args.on_error,
+        store_retries=args.store_retries,
+    )
 
     adaptive_cfg = None
     if args.adaptive or args.refine_cliff is not None:
@@ -622,11 +615,7 @@ def _cmd_run(args, out, err) -> int:
             else ""
         )
         + (f" fleet=on ttl={options.lease_ttl:g}s" if options.fleet else "")
-        + (
-            f" retries={policy.max_retries} on-error={policy.on_error}"
-            if policy is not None
-            else ""
-        )
+        + f" retries={policy.max_retries} on-error={policy.on_error}"
         + (
             f" adaptive=on confidence={adaptive_cfg.confidence:g}"
             f" ci-width={adaptive_cfg.ci_width:g}"
@@ -670,7 +659,7 @@ def _cmd_run(args, out, err) -> int:
             options=options,
             progress_factory=per_config_progress,
         )
-        if policy is not None and policy.on_error == "quarantine":
+        if policy.on_error == "quarantine":
             quarantined = quarantine_entries(store)
     finally:
         if store is not None:

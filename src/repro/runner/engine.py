@@ -110,19 +110,19 @@ def _execute(
     rather than executed.  The fleet runner persists results itself
     (write-before-release), so the engine skips its own ``put``.
 
-    With a failure policy, store traffic goes through a
-    :class:`RetryingStore`, units retry per the policy, and units that
-    exhaust their attempts are returned as the second element (empty on a
-    fully clean run) instead of aborting the sweep -- unless the policy
-    says ``on_error="raise"``, which escalates the first poison unit.
-    Skipped/quarantined cells aggregate from whatever results they do
-    have (a wholly failed cell becomes the paper's NaN rule).
+    Store traffic goes through a :class:`RetryingStore` and units run
+    under ``options.failure_policy``.  Under the default fail-fast policy
+    the first unit that raises aborts the sweep as a
+    :class:`~repro.resilience.errors.PoisonUnitError`; with
+    ``on_error="skip"``/``"quarantine"`` units that exhaust their
+    attempts are returned as the second element (empty on a fully clean
+    run) instead.  Skipped/quarantined cells aggregate from whatever
+    results they do have (a wholly failed cell becomes the paper's NaN
+    rule).
     """
     policy = options.failure_policy
     fleet = options.fleet
-    cache = options.store
-    if policy is not None:
-        cache = RetryingStore.wrap(cache, policy)
+    cache = RetryingStore.wrap(options.store, policy)
     results: Dict[Tuple[SeedPath, int], UnitResult] = {}
     failures: List[UnitFailure] = []
     units_per_cell: Dict[SeedPath, int] = {}
@@ -168,19 +168,15 @@ def _execute(
                 write_quarantine(cache, failure)
             note_done(failure.seed_path)
 
-        runner: Executor = resolve_executor(options.executor, options.workers, policy)
+        runner: Executor = resolve_executor(options.executor, options.workers)
         if fleet:
             runner = FleetRunner(
                 cache,
                 executor=runner,
                 worker_id=options.worker_id,
                 lease_ttl=options.lease_ttl,
-                policy=policy,
             )
-        if policy is None:
-            runner.run(pending, on_result)
-        else:
-            runner.run(pending, on_result, on_failure)
+        runner.run(pending, on_result, on_failure, policy)
 
     return results, failures
 

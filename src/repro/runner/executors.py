@@ -1,10 +1,10 @@
 """Executors: strategies for running a batch of work units.
 
 Three strategies are provided behind one tiny interface
-(``run(units, on_result)``):
+(``run(units, on_result, on_failure, policy)``):
 
 * :class:`SerialExecutor` runs units in order in the calling process --
-  zero overhead, and the unit order (hence the progress-callback order)
+  no pool, no pickling, and the unit order (hence the progress-callback order)
   matches the historical serial sweep loops exactly.
 * :class:`ProcessExecutor` fans units out over a
   ``concurrent.futures.ProcessPoolExecutor`` in chunks.  Because every
@@ -27,17 +27,19 @@ the pools: as futures complete), which is what bridges worker progress
 back to the user's progress callback and lets the engine write the
 result store from a single thread.
 
-Both executors optionally carry a
-:class:`~repro.resilience.policy.FailurePolicy`.  Without one (the
-default) a unit that raises kills the run exactly as it always did.
-With one, each unit is retried with deterministic backoff (and an
-optional per-attempt timeout), and a unit that exhausts its attempts is
-*dispatched*: ``on_error="raise"`` raises
-:class:`~repro.resilience.errors.PoisonUnitError`, the skip/quarantine
-actions hand a structured :class:`~repro.resilience.policy.UnitFailure`
-to the ``on_failure`` callback.  The retry loop runs inside the worker
-process (outcomes are picklable), so the policy costs nothing on the
-fault-free path.
+Every ``run`` takes the sweep's
+:class:`~repro.resilience.policy.FailurePolicy` (default: the fail-fast
+:data:`~repro.resilience.policy.DEFAULT_POLICY`), and every unit goes
+through :func:`~repro.resilience.policy.run_unit_with_policy`: it is
+retried with deterministic backoff (and an optional per-attempt
+timeout), and a unit that exhausts its attempts -- a single attempt
+under the default -- is *dispatched*: ``on_error="raise"`` raises
+:class:`~repro.resilience.errors.PoisonUnitError` naming the original
+error (chained as ``__cause__`` where it ran in-process), the
+skip/quarantine actions hand a structured
+:class:`~repro.resilience.policy.UnitFailure` to the ``on_failure``
+callback.  The retry loop runs where the unit runs (pool outcomes are
+picklable); dispatch happens in the calling thread.
 
 :class:`~repro.runner.fleet.FleetRunner` implements the same protocol on
 top of a shared result store's lease API, wrapping one of these executors
@@ -53,31 +55,25 @@ import multiprocessing
 import os
 from concurrent.futures import (
     FIRST_COMPLETED,
+    Executor as PoolExecutor,
     ProcessPoolExecutor,
     ThreadPoolExecutor,
     wait,
 )
 from functools import partial
-from typing import Callable, Optional, Protocol, Sequence, Union
+from itertools import islice
+from typing import Any, Callable, Iterable, List, Optional, Protocol, Sequence, Union
 
 from repro.kernels.threads import set_worker_divisor, worker_divisor_context
 from repro.resilience.errors import PoisonUnitError
 from repro.resilience.policy import (
+    DEFAULT_POLICY,
     FailurePolicy,
     UnitFailure,
     UnitOutcome,
-    resolve_policy,
     run_unit_with_policy,
-    run_units_with_policy,
 )
-from repro.runner.units import (
-    UnitResult,
-    WorkUnit,
-    execute_unit,
-    execute_units,
-    warm_unit,
-    warm_units,
-)
+from repro.runner.units import UnitResult, WorkUnit, execute_unit, warm_unit, warm_units
 from repro.utils.validation import validate_positive_int
 
 OnResult = Callable[[UnitResult], None]
@@ -92,6 +88,7 @@ class Executor(Protocol):
         units: Sequence[WorkUnit],
         on_result: OnResult,
         on_failure: Optional[OnFailure] = None,
+        policy: FailurePolicy = DEFAULT_POLICY,
     ) -> None: ...
 
 
@@ -105,8 +102,9 @@ def deliver_outcome(
 
     ``on_error="raise"`` (and a missing ``on_failure`` sink, whatever the
     action) escalates to :class:`PoisonUnitError` carrying the structured
-    failure -- the caller that configured skip/quarantine always provides
-    the sink, so the error path cannot silently drop units.
+    failure, chained to the original exception when it is at hand -- the
+    caller that configured skip/quarantine always provides the sink, so
+    the error path cannot silently drop units.
     """
     if outcome.result is not None:
         on_result(outcome.result)
@@ -114,8 +112,33 @@ def deliver_outcome(
     failure = outcome.failure
     assert failure is not None
     if policy.on_error == "raise" or on_failure is None:
-        raise PoisonUnitError(failure.describe(), failure)
+        raise PoisonUnitError(failure.describe(), failure) from outcome.error
     on_failure(failure)
+
+
+def _dispatch(
+    pool: PoolExecutor,
+    task: Callable[[Any], Any],
+    items: Iterable[Any],
+    max_pending: int,
+    deliver: Callable[[Any], None],
+) -> None:
+    """Run ``task`` over ``items`` on ``pool``, at most ``max_pending`` in flight.
+
+    Each finished task's return value is handed to ``deliver`` in the
+    calling thread as soon as it completes, so a paper-scale unit list
+    never enqueues tens of thousands of futures at once.
+    """
+    pending: set = set()
+    queued = iter(items)
+    while True:
+        for item in islice(queued, max_pending - len(pending)):
+            pending.add(pool.submit(task, item))
+        if not pending:
+            return
+        done, pending = wait(pending, return_when=FIRST_COMPLETED)
+        for future in done:
+            deliver(future.result())
 
 
 class SerialExecutor:
@@ -123,9 +146,6 @@ class SerialExecutor:
 
     #: Local parallelism (fleet claim-batch sizing).
     workers = 1
-
-    def __init__(self, policy: Optional[FailurePolicy] = None):
-        self.policy = resolve_policy(policy)
 
     def _execute_one(self, unit: WorkUnit) -> UnitResult:
         """Execution hook (fault-injecting test executors override it)."""
@@ -136,16 +156,11 @@ class SerialExecutor:
         units: Sequence[WorkUnit],
         on_result: OnResult,
         on_failure: Optional[OnFailure] = None,
+        policy: FailurePolicy = DEFAULT_POLICY,
     ) -> None:
-        if self.policy is None:
-            for unit in units:
-                on_result(self._execute_one(unit))
-            return
         for unit in units:
-            outcome = run_unit_with_policy(
-                unit, self.policy, execute=self._execute_one
-            )
-            deliver_outcome(outcome, self.policy, on_result, on_failure)
+            outcome = run_unit_with_policy(unit, policy, execute=self._execute_one)
+            deliver_outcome(outcome, policy, on_result, on_failure)
 
 
 def _pool_context() -> multiprocessing.context.BaseContext:
@@ -184,6 +199,11 @@ def _init_pool_worker(warm: Sequence[WorkUnit], divisor: int) -> None:
             pass
 
 
+def _run_chunk(units: Sequence[WorkUnit], policy: FailurePolicy) -> List[UnitOutcome]:
+    """Process-pool task: one chunk of units under ``policy``."""
+    return [run_unit_with_policy(unit, policy) for unit in units]
+
+
 class ProcessExecutor:
     """Execute units on a process pool with chunked dispatch.
 
@@ -199,10 +219,10 @@ class ProcessExecutor:
     max_pending:
         Cap on in-flight chunks, so planning a paper-scale sweep does not
         enqueue tens of thousands of futures at once.
-    policy:
-        Optional :class:`FailurePolicy`.  The retry loop runs inside each
-        worker process; outcomes come back picklable and are dispatched
-        (result / failure / raise) in the calling process.
+
+    The policy's retry loop runs inside each worker process; outcomes
+    come back picklable and are dispatched (result / failure / raise) in
+    the calling process.
     """
 
     def __init__(
@@ -211,7 +231,6 @@ class ProcessExecutor:
         *,
         chunk_size: Optional[int] = None,
         max_pending: Optional[int] = None,
-        policy: Optional[FailurePolicy] = None,
     ):
         if workers is None:
             workers = os.cpu_count() or 1
@@ -224,7 +243,6 @@ class ProcessExecutor:
             if max_pending is not None
             else 4 * self.workers
         )
-        self.policy = resolve_policy(policy)
 
     def _chunks(self, units: Sequence[WorkUnit]) -> list[list[WorkUnit]]:
         if self.chunk_size is not None:
@@ -238,43 +256,27 @@ class ProcessExecutor:
         units: Sequence[WorkUnit],
         on_result: OnResult,
         on_failure: Optional[OnFailure] = None,
+        policy: FailurePolicy = DEFAULT_POLICY,
     ) -> None:
         if not units:
             return
-        if self.policy is None:
-            task = execute_units
-        else:
-            task = partial(run_units_with_policy, policy=self.policy)
         chunks = self._chunks(units)
         pool_size = min(self.workers, len(chunks))
+
+        def deliver(outcomes: List[UnitOutcome]) -> None:
+            for outcome in outcomes:
+                deliver_outcome(outcome, policy, on_result, on_failure)
+
         with ProcessPoolExecutor(
             max_workers=pool_size,
             mp_context=_pool_context(),
             initializer=_init_pool_worker,
             initargs=(warm_units(units), pool_size),
         ) as pool:
-            pending = set()
-            queued = iter(chunks)
-            exhausted = False
-            while pending or not exhausted:
-                while not exhausted and len(pending) < self.max_pending:
-                    chunk = next(queued, None)
-                    if chunk is None:
-                        exhausted = True
-                        break
-                    pending.add(pool.submit(task, chunk))
-                if not pending:
-                    break
-                done, pending = wait(pending, return_when=FIRST_COMPLETED)
-                for future in done:
-                    if self.policy is None:
-                        for result in future.result():
-                            on_result(result)
-                    else:
-                        for outcome in future.result():
-                            deliver_outcome(
-                                outcome, self.policy, on_result, on_failure
-                            )
+            _dispatch(
+                pool, partial(_run_chunk, policy=policy), chunks,
+                self.max_pending, deliver,
+            )
 
 
 class ThreadExecutor:
@@ -305,9 +307,9 @@ class ThreadExecutor:
     max_pending:
         Cap on in-flight units (default ``4 * workers``), bounding the
         retained futures for paper-scale unit lists.
-    policy:
-        Optional :class:`FailurePolicy`; the retry loop runs inside the
-        worker thread, dispatch happens in the calling thread.
+
+    The policy's retry loop runs inside the worker thread; dispatch
+    happens in the calling thread.
     """
 
     def __init__(
@@ -315,7 +317,6 @@ class ThreadExecutor:
         workers: Optional[int] = None,
         *,
         max_pending: Optional[int] = None,
-        policy: Optional[FailurePolicy] = None,
     ):
         if workers is None:
             workers = os.cpu_count() or 1
@@ -325,22 +326,17 @@ class ThreadExecutor:
             if max_pending is not None
             else 4 * self.workers
         )
-        self.policy = resolve_policy(policy)
 
     def _execute_one(self, unit: WorkUnit) -> UnitResult:
         """Execution hook (fault-injecting test executors override it)."""
         return execute_unit(unit)
-
-    def _task(self, unit: WorkUnit):
-        if self.policy is None:
-            return self._execute_one(unit)
-        return run_unit_with_policy(unit, self.policy, execute=self._execute_one)
 
     def run(
         self,
         units: Sequence[WorkUnit],
         on_result: OnResult,
         on_failure: Optional[OnFailure] = None,
+        policy: FailurePolicy = DEFAULT_POLICY,
     ) -> None:
         if not units:
             return
@@ -348,41 +344,26 @@ class ThreadExecutor:
             max_workers=min(self.workers, len(units)),
             thread_name_prefix="repro-unit",
         ) as pool:
-            pending = set()
-            queued = iter(units)
-            exhausted = False
-            while pending or not exhausted:
-                while not exhausted and len(pending) < self.max_pending:
-                    unit = next(queued, None)
-                    if unit is None:
-                        exhausted = True
-                        break
-                    pending.add(pool.submit(self._task, unit))
-                if not pending:
-                    break
-                done, pending = wait(pending, return_when=FIRST_COMPLETED)
-                for future in done:
-                    if self.policy is None:
-                        on_result(future.result())
-                    else:
-                        deliver_outcome(
-                            future.result(), self.policy, on_result, on_failure
-                        )
+            _dispatch(
+                pool,
+                partial(run_unit_with_policy, policy=policy, execute=self._execute_one),
+                units,
+                self.max_pending,
+                lambda outcome: deliver_outcome(outcome, policy, on_result, on_failure),
+            )
 
 
 def resolve_executor(
-    executor: Union[str, Executor, None],
-    workers: Optional[int] = None,
-    policy: Optional[FailurePolicy] = None,
+    executor: Union[str, Executor, None], workers: Optional[int] = None
 ) -> Executor:
     """Build an executor from the user-facing ``executor``/``workers`` knobs.
 
-    ``executor`` may be an executor instance (returned as-is -- the caller
-    owns its policy), ``"serial"``, ``"process"``, ``"thread"``, or
-    ``None`` -- which picks the process pool when more than one worker was
-    requested and the serial path otherwise (the thread pool is opt-in:
-    it wins when the workload is dominated by released-GIL kernel time,
-    the process pool when pure-Python stages dominate).
+    ``executor`` may be an executor instance (returned as-is),
+    ``"serial"``, ``"process"``, ``"thread"``, or ``None`` -- which picks
+    the process pool when more than one worker was requested and the
+    serial path otherwise (the thread pool is opt-in: it wins when the
+    workload is dominated by released-GIL kernel time, the process pool
+    when pure-Python stages dominate).
     """
     if executor is None:
         executor = "process" if workers is not None and workers > 1 else "serial"
@@ -390,11 +371,11 @@ def resolve_executor(
         return executor
     name = executor.lower()
     if name == "serial":
-        return SerialExecutor(policy=policy)
+        return SerialExecutor()
     if name == "process":
-        return ProcessExecutor(workers, policy=policy)
+        return ProcessExecutor(workers)
     if name == "thread":
-        return ThreadExecutor(workers, policy=policy)
+        return ThreadExecutor(workers)
     raise ValueError(
         f"unknown executor {executor!r}; available: 'serial', 'process', 'thread'"
     )

@@ -43,7 +43,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.resilience.errors import PoisonUnitError, StoreUnavailableError
-from repro.resilience.policy import FailurePolicy, UnitFailure, resolve_policy
+from repro.resilience.policy import DEFAULT_POLICY, FailurePolicy, UnitFailure
 from repro.resilience.report import read_quarantine, write_quarantine
 from repro.resilience.retry import RetryingStore
 from repro.runner.executors import Executor, OnFailure, OnResult, SerialExecutor
@@ -177,10 +177,10 @@ class FleetRunner:
     """Executor-shaped front end of the work-unit lease protocol.
 
     Implements the :class:`~repro.runner.executors.Executor` protocol
-    (``run(units, on_result)``), so the engine drops it in where a plain
-    executor would go; the difference is that units are only executed
-    under a store lease, and units another fleet member finished are
-    loaded instead of executed.
+    (``run(units, on_result, on_failure, policy)``), so the engine drops
+    it in where a plain executor would go; the difference is that units
+    are only executed under a store lease, and units another fleet member
+    finished are loaded instead of executed.
 
     Parameters
     ----------
@@ -205,13 +205,14 @@ class FleetRunner:
     claim_batch:
         Units to claim per loop iteration (default: enough to keep the
         local executor's workers busy).
-    policy:
-        Optional :class:`FailurePolicy`.  When set, the store is wrapped
-        in a :class:`RetryingStore` (claims/heartbeats/writes survive
-        transient outages) and failed units follow the policy's
-        ``on_error`` action: ``quarantine`` writes a store-backed
-        quarantine record *before* releasing the lease, so peers see the
-        verdict and never re-execute the poison unit.
+
+    The :class:`FailurePolicy` arrives with each :meth:`run` call, like
+    any executor's.  The store is wrapped in a :class:`RetryingStore`
+    with that policy (claims/heartbeats/writes survive transient
+    outages), the local executor runs the claimed units under it, and
+    failed units follow its ``on_error`` action: ``quarantine`` writes a
+    store-backed quarantine record *before* releasing the lease, so peers
+    see the verdict and never re-execute the poison unit.
     """
 
     def __init__(
@@ -224,19 +225,13 @@ class FleetRunner:
         heartbeat_interval: Optional[float] = None,
         poll_interval: Optional[float] = None,
         claim_batch: Optional[int] = None,
-        policy: Optional[FailurePolicy] = None,
     ):
         if not store.supports_leases:
             raise store._lease_unsupported()
         if lease_ttl <= 0:
             raise ValueError(f"lease_ttl must be positive, got {lease_ttl!r}")
-        self.policy = resolve_policy(policy)
-        if self.policy is not None:
-            store = RetryingStore.wrap(store, self.policy)
         self.store = store
-        self.executor: Executor = (
-            executor if executor is not None else SerialExecutor(policy=self.policy)
-        )
+        self.executor: Executor = executor if executor is not None else SerialExecutor()
         self.worker_id = worker_id if worker_id is not None else default_worker_id()
         self.lease_ttl = float(lease_ttl)
         self.heartbeat_interval = (
@@ -261,16 +256,14 @@ class FleetRunner:
         units: Sequence[WorkUnit],
         on_result: OnResult,
         on_failure: Optional[OnFailure] = None,
+        policy: FailurePolicy = DEFAULT_POLICY,
     ) -> None:
+        store = RetryingStore.wrap(self.store, policy)
         pending: Dict[str, WorkUnit] = {unit_key(unit): unit for unit in units}
         key_by_identity: Dict[Tuple[tuple, int], str] = {
             (unit.seed_path, unit.run_start): key for key, unit in pending.items()
         }
-        quarantining = (
-            self.policy is not None
-            and self.policy.on_error == "quarantine"
-            and on_failure is not None
-        )
+        quarantining = policy.on_error == "quarantine" and on_failure is not None
 
         def check_heartbeat(heartbeat: "_Heartbeat") -> None:
             failure = heartbeat.failure
@@ -281,7 +274,7 @@ class FleetRunner:
             """Adopt a peer's quarantine verdict instead of re-executing."""
             if not quarantining:
                 return False
-            entry = read_quarantine(self.store, key)
+            entry = read_quarantine(store, key)
             if entry is None:
                 return False
             del pending[key]
@@ -291,7 +284,7 @@ class FleetRunner:
             return True
 
         with _Heartbeat(
-            self.store, self.worker_id, self.lease_ttl, self.heartbeat_interval
+            store, self.worker_id, self.lease_ttl, self.heartbeat_interval
         ) as heartbeat:
             while pending:
                 check_heartbeat(heartbeat)
@@ -306,7 +299,7 @@ class FleetRunner:
                 for key, unit in pending.items():
                     if len(claimed) >= self.claim_batch:
                         break
-                    if self.store.claim(key, self.worker_id, self.lease_ttl):
+                    if store.claim(key, self.worker_id, self.lease_ttl):
                         claimed.append(unit)
                     else:
                         contested.append(key)
@@ -315,7 +308,7 @@ class FleetRunner:
                 # completed.  Raw record reads: polling must not distort
                 # the store's hit/miss statistics.
                 for key in contested:
-                    payload = self.store.get_record(key)
+                    payload = store.get_record(key)
                     result = None if payload is None else decode_payload(payload)
                     if result is not None:
                         del pending[key]
@@ -331,7 +324,7 @@ class FleetRunner:
                 for unit in claimed:
                     key = unit_key(unit)
                     if absorb_quarantined(key):
-                        self.store.release(key, self.worker_id)
+                        store.release(key, self.worker_id)
                     else:
                         survivors.append(unit)
                 claimed = survivors
@@ -355,8 +348,8 @@ class FleetRunner:
                     check_heartbeat(heartbeat)
                     key = key_by_identity[(result.seed_path, result.run_start)]
                     unit = pending.pop(key)
-                    self.store.put(unit, result)
-                    self.store.release(key, self.worker_id)
+                    store.put(unit, result)
+                    store.release(key, self.worker_id)
                     heartbeat.drop(key)
                     self.stats.executed += 1
                     self.stats.executed_keys.append(key)
@@ -368,9 +361,9 @@ class FleetRunner:
                     # released lease find the record and absorb it.
                     key = failure.unit_key
                     pending.pop(key, None)
-                    if self.policy is not None and self.policy.on_error == "quarantine":
-                        write_quarantine(self.store, failure, worker=self.worker_id)
-                    self.store.release(key, self.worker_id)
+                    if policy.on_error == "quarantine":
+                        write_quarantine(store, failure, worker=self.worker_id)
+                    store.release(key, self.worker_id)
                     heartbeat.drop(key)
                     self.stats.failed += 1
                     self.stats.failed_keys.append(key)
@@ -378,13 +371,7 @@ class FleetRunner:
                         on_failure(failure)
 
                 try:
-                    if self.policy is None:
-                        # Historical two-argument call, preserved so
-                        # executor stubs written against the old protocol
-                        # keep working when no policy is in play.
-                        self.executor.run(claimed, on_executed)
-                    else:
-                        self.executor.run(claimed, on_executed, on_failed)
+                    self.executor.run(claimed, on_executed, on_failed, policy)
                 except PoisonUnitError:
                     # on_error="raise": free the batch's outstanding
                     # leases so a restarted run (or a peer) is not stuck
@@ -393,7 +380,7 @@ class FleetRunner:
                     for unit in claimed:
                         key = unit_key(unit)
                         if key in pending:
-                            self.store.release(key, self.worker_id)
+                            store.release(key, self.worker_id)
                             heartbeat.drop(key)
                     raise
 

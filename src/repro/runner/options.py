@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional, Union
 
 from repro.kernels.threads import ThreadSpec, normalize_thread_spec
-from repro.resilience.policy import FailurePolicy, resolve_policy
+from repro.resilience.policy import DEFAULT_POLICY, FailurePolicy, resolve_policy
 from repro.runner.executors import Executor
 from repro.runner.fleet import DEFAULT_LEASE_TTL
 from repro.seeds import SchemeSpec, resolve_scheme_name
@@ -84,10 +84,14 @@ class ExecutionOptions:
     worker_id:
         Fleet-unique worker identity (default ``<hostname>:<pid>``).
     failure_policy:
-        Optional :class:`repro.resilience.FailurePolicy`: retry failing
-        units with deterministic backoff, bound their runtime, and skip
-        or quarantine units that exhaust their attempts instead of
-        aborting the sweep.  Quarantine needs a ``store``.
+        :class:`repro.resilience.FailurePolicy` every unit runs under.
+        The default ``FailurePolicy()`` is fail-fast: the first unit that
+        raises aborts the sweep as a
+        :class:`~repro.resilience.errors.PoisonUnitError` naming the
+        original error.  A custom policy retries failing units with
+        deterministic backoff, bounds their runtime, and can skip or
+        quarantine units that exhaust their attempts instead of aborting.
+        Quarantine needs a ``store``.  ``None`` means the default.
     adaptive:
         ``None`` (default) runs fixed sweeps.  An
         :class:`repro.adaptive.AdaptiveConfig`, a kwargs dict, or ``True``
@@ -106,7 +110,7 @@ class ExecutionOptions:
     fleet: bool = False
     lease_ttl: float = DEFAULT_LEASE_TTL
     worker_id: Optional[str] = None
-    failure_policy: Optional[FailurePolicy] = None
+    failure_policy: FailurePolicy = DEFAULT_POLICY
     adaptive: AdaptiveSpec = None
 
     def __post_init__(self) -> None:
@@ -119,7 +123,7 @@ class ExecutionOptions:
                 "fleet execution needs a shared, lease-capable result store "
                 "(e.g. 'sqlite:results.db'); it cannot run with caching off"
             )
-        if policy is not None and policy.on_error == "quarantine" and store is None:
+        if policy.on_error == "quarantine" and store is None:
             raise ValueError(
                 "on-error quarantine needs a result store to record "
                 "quarantined units in; it cannot run with caching off"

@@ -16,7 +16,7 @@ equally deterministic across executors and cache states.
 
 Units are plain picklable dataclasses: they cross process boundaries for
 the process-pool executor and are hashed into cache keys by
-:mod:`repro.runner.cache`.
+:func:`repro.store.codec.unit_key`.
 """
 
 from __future__ import annotations
@@ -416,11 +416,6 @@ def execute_unit(unit: WorkUnit) -> UnitResult:
     )
 
 
-def execute_units(units: Sequence[WorkUnit]) -> List[UnitResult]:
-    """Execute a chunk of units (the process-pool dispatch granularity)."""
-    return [execute_unit(unit) for unit in units]
-
-
 def merge_cell(results: Iterable[UnitResult]) -> Tuple[float, float, int]:
     """Aggregate one cell's unit results into the paper's per-cell metrics.
 
@@ -451,7 +446,6 @@ __all__ = [
     "UnitResult",
     "plan_units",
     "execute_unit",
-    "execute_units",
     "warm_unit",
     "warm_units",
     "merge_cell",

@@ -1,7 +1,7 @@
 """File-per-unit result store: today's ``.repro_cache/`` layout.
 
 This is the default backend and it is **byte-compatible** with the layout
-the pre-store :class:`repro.runner.cache.ResultCache` wrote: one JSON file
+the pre-store ``ResultCache`` wrote: one JSON file
 per unit under ``<root>/<2-hex>/<sha256>.json``, written through a
 temporary file plus ``os.replace`` so a crashed or killed run never leaves
 a truncated entry behind.  Existing cache directories keep working

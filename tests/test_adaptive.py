@@ -161,7 +161,7 @@ class TestNaNSafeAggregates:
         series = run_series(
             configs, [1.5, 2.5], p=0.0, q=1.0, runs=2, seed=7,
             options=ExecutionOptions(
-                executor=FaultInjectingExecutor(plan, policy=policy),
+                executor=FaultInjectingExecutor(plan),
                 failure_policy=policy,
             ),
         )
@@ -187,7 +187,7 @@ class TestNaNSafeAggregates:
         grid = run_grid(
             config, [0.0, 0.05], [0.5, 1.0], runs=2, seed=7,
             options=ExecutionOptions(
-                executor=FaultInjectingExecutor(plan, policy=policy),
+                executor=FaultInjectingExecutor(plan),
                 failure_policy=policy,
             ),
         )

@@ -172,7 +172,7 @@ P_VALUES = [0.0, 0.05, 0.3]
 Q_VALUES = [0.2, 0.6, 1.0]
 
 
-@pytest.mark.parametrize("executor", ["serial", "process"])
+@pytest.mark.parametrize("executor", ["serial", "process", "thread"])
 @pytest.mark.parametrize("kernel", ["numpy", "cext"])
 @pytest.mark.parametrize("scheme", ["per-run", "unit"])
 @pytest.mark.parametrize(

@@ -35,7 +35,7 @@ from repro.kernels import (
     thread_count_context,
     worker_divisor_context,
 )
-from repro.runner.cache import unit_key
+from repro.store.codec import unit_key
 from repro.runner.cli import main as cli_main
 from repro.runner.executors import ProcessExecutor, ThreadExecutor, resolve_executor
 from repro.runner.options import ExecutionOptions

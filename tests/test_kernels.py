@@ -43,7 +43,7 @@ from repro.kernels import (
     thread_count_context,
 )
 from repro.kernels.numpy_backend import NumpyBackend, _dedup
-from repro.runner.cache import unit_key
+from repro.store.codec import unit_key
 from repro.runner.cli import main as cli_main
 from repro.runner.options import ExecutionOptions
 from repro.runner.units import WorkUnit, execute_unit, plan_units

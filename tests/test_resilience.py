@@ -1,6 +1,7 @@
 """Tests for the resilience layer: failure policies, fault injection,
 retrying stores, quarantine, and chaos convergence of the fleet."""
 
+import inspect
 import json
 import os
 import pickle
@@ -26,6 +27,7 @@ from repro.resilience import (
     StoreUnavailableError,
     UnitExecutionError,
     UnitFailure,
+    UnitOutcome,
     UnitTimeoutError,
     clear_quarantine,
     deterministic_jitter,
@@ -40,8 +42,10 @@ from repro.resilience import (
     write_quarantine,
 )
 from repro.resilience.faults import FaultInjectingExecutor, FaultPlan
+from repro.runner import executors
+from repro.runner.cli import main as cli_main
 from repro.runner.engine import run_grid
-from repro.runner.executors import SerialExecutor
+from repro.runner.executors import ProcessExecutor, SerialExecutor, ThreadExecutor
 from repro.runner.fleet import HEARTBEAT_FAILURE_LIMIT, FleetRunner
 from repro.runner.options import ExecutionOptions
 from repro.runner.units import execute_unit, plan_units
@@ -124,10 +128,21 @@ class TestFailurePolicy:
 
     def test_resolve_policy(self):
         policy = FailurePolicy()
-        assert resolve_policy(None) is None
+        assert resolve_policy(None) is DEFAULT_POLICY
         assert resolve_policy(policy) is policy
         with pytest.raises(TypeError):
             resolve_policy("retry-a-lot")
+
+    def test_the_fail_fast_policy_is_the_only_default(self):
+        assert ExecutionOptions().failure_policy == FailurePolicy()
+        assert ExecutionOptions(failure_policy=None).failure_policy is DEFAULT_POLICY
+        # The policy reaches executors through run(), never a constructor.
+        for runner in (
+            SerialExecutor, ProcessExecutor, ThreadExecutor,
+            FaultInjectingExecutor, FleetRunner,
+        ):
+            assert "policy" not in inspect.signature(runner).parameters
+            assert "policy" in inspect.signature(runner.run).parameters
 
     def test_jitter_is_deterministic_and_bounded(self):
         values = [deterministic_jitter(f"unit-{i}") for i in range(64)]
@@ -155,6 +170,34 @@ class TestRunUnitWithPolicy:
         outcome = run_unit_with_policy(unit, FailurePolicy())
         assert outcome.failure is None
         assert outcome.result == execute_unit(unit)
+
+    def test_success_path_computes_no_unit_key(self, config, monkeypatch):
+        import repro.store.codec as codec
+
+        def forbidden(unit):
+            raise AssertionError("unit key hashed on the success path")
+
+        unit = _units(config, cells=1, runs=1)[0]
+        monkeypatch.setattr(codec, "unit_key", forbidden)
+        outcome = run_unit_with_policy(unit, DEFAULT_POLICY)
+        assert outcome.result == execute_unit(unit)
+
+    def test_outcome_keeps_the_error_in_process_only(self, config):
+        unit = _units(config, cells=1, runs=1)[0]
+        error = UnitExecutionError("always broken")
+
+        def poisoned(u):
+            raise error
+
+        outcome = run_unit_with_policy(unit, DEFAULT_POLICY, execute=poisoned)
+        assert outcome.error is error
+        # Pickled (a process-pool result), the outcome drops the
+        # exception but keeps the failure record describing it.
+        shipped = pickle.loads(pickle.dumps(outcome))
+        assert shipped.error is None
+        assert shipped.failure == outcome.failure
+        assert shipped == outcome
+        assert isinstance(shipped, UnitOutcome)
 
     def test_transient_failure_recovers(self, config):
         unit = _units(config, cells=1, runs=1)[0]
@@ -393,9 +436,9 @@ class TestFaultInjectingExecutor:
     def test_transient_faults_recover_under_retries(self, config):
         units = _units(config, cells=3, runs=1)
         plan = FaultPlan(transient={(0,): 2, (1,): 1})
-        executor = FaultInjectingExecutor(plan, policy=_fast_policy(max_retries=2))
+        executor = FaultInjectingExecutor(plan)
         collected = []
-        executor.run(units, collected.append)
+        executor.run(units, collected.append, policy=_fast_policy(max_retries=2))
         assert len(collected) == len(units)
         assert executor.injected["transient"] == 3
         for unit, result in zip(units, sorted(collected, key=lambda r: r.seed_path)):
@@ -404,32 +447,34 @@ class TestFaultInjectingExecutor:
     def test_poison_raises_without_a_failure_sink(self, config):
         units = _units(config, cells=2, runs=1)
         plan = FaultPlan(poison=frozenset({(1,)}))
-        executor = FaultInjectingExecutor(plan, policy=_fast_policy(max_retries=1))
+        executor = FaultInjectingExecutor(plan)
         with pytest.raises(PoisonUnitError) as excinfo:
-            executor.run(units, lambda r: None)
+            executor.run(units, lambda r: None, policy=_fast_policy(max_retries=1))
         assert excinfo.value.failure.seed_path == (1,)
         assert excinfo.value.failure.attempts == 2
 
     def test_poison_is_skipped_with_a_failure_sink(self, config):
         units = _units(config, cells=3, runs=1)
         plan = FaultPlan(poison=frozenset({(1,)}))
-        executor = FaultInjectingExecutor(
-            plan, policy=_fast_policy(max_retries=0, on_error="skip")
-        )
+        executor = FaultInjectingExecutor(plan)
         results, failures = [], []
-        executor.run(units, results.append, failures.append)
+        executor.run(
+            units, results.append, failures.append,
+            _fast_policy(max_retries=0, on_error="skip"),
+        )
         assert {r.seed_path for r in results} == {(0,), (2,)}
         assert [f.seed_path for f in failures] == [(1,)]
 
     def test_hang_is_cut_by_the_unit_timeout(self, config):
         units = _units(config, cells=1, runs=1)
         plan = FaultPlan(hang={(0,): 1}, hang_seconds=5.0)
-        executor = FaultInjectingExecutor(
-            plan, policy=_fast_policy(max_retries=1, unit_timeout=0.1)
-        )
+        executor = FaultInjectingExecutor(plan)
         collected = []
         started = time.perf_counter()
-        executor.run(units, collected.append)
+        executor.run(
+            units, collected.append,
+            policy=_fast_policy(max_retries=1, unit_timeout=0.1),
+        )
         assert time.perf_counter() - started < 5.0
         assert executor.injected["hang"] == 1
         assert collected[0] == execute_unit(units[0])
@@ -490,7 +535,7 @@ class TestEngineResilience:
         grid = run_grid(
             config, P_VALUES, Q_VALUES, runs=2, seed=7,
             options=ExecutionOptions(
-                executor=FaultInjectingExecutor(plan, policy=policy),
+                executor=FaultInjectingExecutor(plan),
                 failure_policy=policy,
             ),
         )
@@ -510,7 +555,7 @@ class TestEngineResilience:
             run_grid(
                 config, P_VALUES, Q_VALUES, runs=1, seed=7,
                 options=ExecutionOptions(
-                    executor=FaultInjectingExecutor(plan, policy=policy),
+                    executor=FaultInjectingExecutor(plan),
                     failure_policy=policy,
                 ),
             )
@@ -522,7 +567,7 @@ class TestEngineResilience:
         grid = run_grid(
             config, P_VALUES, Q_VALUES, runs=1, seed=7,
             options=ExecutionOptions(
-                store=store, executor=FaultInjectingExecutor(plan, policy=policy),
+                store=store, executor=FaultInjectingExecutor(plan),
                 failure_policy=policy,
             ),
         )
@@ -534,7 +579,7 @@ class TestEngineResilience:
         baseline = run_grid(config, P_VALUES, Q_VALUES, runs=2, seed=7)
         plan = FaultPlan(transient={(0, 0): 1, (1, 1): 2})
         policy = _fast_policy(max_retries=2)
-        executor = FaultInjectingExecutor(plan, policy=policy)
+        executor = FaultInjectingExecutor(plan)
         grid = run_grid(
             config, P_VALUES, Q_VALUES, runs=2, seed=7,
             options=ExecutionOptions(executor=executor, failure_policy=policy),
@@ -544,6 +589,60 @@ class TestEngineResilience:
             grid.mean_inefficiency, baseline.mean_inefficiency, equal_nan=True
         )
         assert "failed_units" not in grid.metadata
+
+
+class TestDefaultFailFast:
+    """Under default options a failing unit is a one-attempt poison unit."""
+
+    @pytest.fixture
+    def broken_execution(self, monkeypatch):
+        def boom(unit):
+            raise RuntimeError("decoder exploded")
+
+        monkeypatch.setattr(executors, "execute_unit", boom)
+
+    @pytest.mark.parametrize("executor", ["serial", "thread"])
+    def test_poison_unit_names_and_chains_the_error(
+        self, config, executor, broken_execution
+    ):
+        with pytest.raises(PoisonUnitError) as excinfo:
+            run_grid(
+                config, P_VALUES, Q_VALUES, runs=1, seed=7,
+                options=ExecutionOptions(executor=executor, workers=2),
+            )
+        error = excinfo.value
+        assert error.failure.attempts == 1
+        assert error.failure.error_type == "RuntimeError"
+        assert "RuntimeError: decoder exploded" in str(error)
+        assert isinstance(error.__cause__, RuntimeError)
+        assert str(error.__cause__) == "decoder exploded"
+
+    def test_cli_reports_the_poison_unit(self, tmp_path, capsys, broken_execution):
+        code = cli_main([
+            "run", "fig07", "--scale", "tiny", "--runs", "1", "--quiet",
+            "--no-cache",
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: unit ")
+        assert "failed 1 attempt(s): RuntimeError: decoder exploded" in err
+
+    def test_options_policy_reaches_an_executor_instance(self, config):
+        # The policy is set only on the options, next to an executor
+        # instance: every attempt it allows must run, then the unit is
+        # skipped rather than aborting the sweep.
+        plan = FaultPlan(poison=frozenset({(0, 0)}))
+        executor = FaultInjectingExecutor(plan)
+        grid = run_grid(
+            config, P_VALUES, Q_VALUES, runs=1, seed=7,
+            options=ExecutionOptions(
+                executor=executor,
+                failure_policy=_fast_policy(max_retries=2, on_error="skip"),
+            ),
+        )
+        assert executor.injected["poison"] == 3
+        failed = grid.metadata["failed_units"]
+        assert [tuple(f["seed_path"]) for f in failed] == [(0, 0)]
 
 
 class TestKernelDegradation:
@@ -575,11 +674,10 @@ class TestHeartbeatHardening:
         store = _FlakyStore(fail_first=2)
         runner = FleetRunner(
             store, worker_id="w0", lease_ttl=5.0, heartbeat_interval=0.01,
-            policy=_fast_policy(),
         )
         units = _units(config, cells=2, runs=1)
         collected = []
-        runner.run(units, collected.append)
+        runner.run(units, collected.append, policy=_fast_policy())
         assert len(collected) == len(units)
 
     def test_permanent_heartbeat_failure_stops_the_run(self, config):
@@ -594,12 +692,11 @@ class TestHeartbeatHardening:
         runner = FleetRunner(
             _DeadHeartbeatStore(), worker_id="w0", lease_ttl=0.5,
             heartbeat_interval=0.01, poll_interval=0.01,
-            claim_batch=1, policy=_fast_policy(),
-            executor=_SlowExecutor(policy=_fast_policy()),
+            claim_batch=1, executor=_SlowExecutor(),
         )
         units = _units(config, cells=12, runs=1)
         with pytest.raises(StoreUnavailableError, match="gave up after"):
-            runner.run(units, lambda r: None)
+            runner.run(units, lambda r: None, policy=_fast_policy())
 
 
 class TestFleetChaosConvergence:
@@ -624,14 +721,13 @@ class TestFleetChaosConvergence:
                 ChaosConfig(seed=i + 1, rate=0.25, burst=2),
             )
             executor = FaultInjectingExecutor(
-                FaultPlan(poison=frozenset({poison_cell}), transient={(0,): 1}),
-                policy=policy,
+                FaultPlan(poison=frozenset({poison_cell}), transient={(0,): 1})
             )
             runners.append(
                 FleetRunner(
                     chaos, executor=executor, worker_id=f"w{i}",
                     lease_ttl=10.0, heartbeat_interval=0.05,
-                    poll_interval=0.01, claim_batch=1, policy=policy,
+                    poll_interval=0.01, claim_batch=1,
                 )
             )
 
@@ -645,6 +741,7 @@ class TestFleetChaosConvergence:
                     units,
                     lambda r: results[i].__setitem__(r.seed_path, r),
                     failures[i].append,
+                    policy,
                 )
             except BaseException as exc:  # surfaced to the main thread
                 errors.append(exc)
@@ -674,7 +771,7 @@ class TestFleetChaosConvergence:
         # The quarantine lists exactly the poisoned unit, and chaos
         # actually fired (the run wasn't accidentally fault-free).
         assert {e.unit_key for e in quarantine_entries(shared)} == poison_keys
-        assert sum(r.store.inner.injected.total() for r in runners) > 0
+        assert sum(r.store.injected.total() for r in runners) > 0
 
     def test_chaotic_sqlite_fleet_through_the_engine(self, tmp_path, config):
         serial = run_grid(config, P_VALUES, Q_VALUES, runs=2, seed=7)

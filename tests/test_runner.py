@@ -11,7 +11,8 @@ import pytest
 from repro.core.config import SimulationConfig
 from repro.core.experiments import run_experiment
 from repro.core.sweep import simulate_grid, sweep_parameter
-from repro.runner.cache import ResultCache, config_token, unit_key
+from repro.store.codec import config_token, unit_key
+from repro.store.json_dir import JsonDirStore
 from repro.runner.executors import ProcessExecutor, SerialExecutor, resolve_executor
 from repro.runner.options import ExecutionOptions
 from repro.runner.units import execute_unit, merge_cell, plan_units
@@ -154,7 +155,7 @@ class TestParallelDeterminism:
 
 class TestResultCache:
     def test_miss_then_hit(self, config, tmp_path):
-        cache = ResultCache(tmp_path / "cache")
+        cache = JsonDirStore(tmp_path / "cache")
         unit = plan_units([((0, 1), config, 0.05, 0.5)], runs=2, base_seed=9)[0]
         assert cache.get(unit) is None
         result = execute_unit(unit)
@@ -176,7 +177,7 @@ class TestResultCache:
         assert config_token(config) == config_token(relabelled)
 
     def test_warm_cache_run_simulates_nothing(self, config, tmp_path):
-        cache = ResultCache(tmp_path / "cache")
+        cache = JsonDirStore(tmp_path / "cache")
         cold = simulate_grid(
             config, P_VALUES, Q_VALUES, runs=2, seed=1,
             options=ExecutionOptions(store=cache),
@@ -184,7 +185,7 @@ class TestResultCache:
         assert cache.stats.hits == 0
         assert cache.stats.writes == len(P_VALUES) * len(Q_VALUES)
 
-        warm_cache = ResultCache(tmp_path / "cache")
+        warm_cache = JsonDirStore(tmp_path / "cache")
 
         class Exploding:
             def run(self, units, on_result):
@@ -199,7 +200,7 @@ class TestResultCache:
         assert _grids_equal(cold, warm)
 
     def test_cached_results_bit_identical(self, config, tmp_path):
-        cache = ResultCache(tmp_path / "cache")
+        cache = JsonDirStore(tmp_path / "cache")
         fresh = simulate_grid(
             config, P_VALUES, Q_VALUES, runs=2, seed=4,
             options=ExecutionOptions(store=cache),
@@ -215,12 +216,12 @@ class TestResultCache:
     def test_resume_partial_cache(self, config, tmp_path):
         # Warm only one cell, then run the full grid: exactly that cell is
         # skipped and the merged grid matches an uncached run.
-        cache = ResultCache(tmp_path / "cache")
+        cache = JsonDirStore(tmp_path / "cache")
         simulate_grid(
             config, [0.0], [0.2], runs=2, seed=1,
             options=ExecutionOptions(store=cache),
         )
-        resumed_cache = ResultCache(tmp_path / "cache")
+        resumed_cache = JsonDirStore(tmp_path / "cache")
         resumed = simulate_grid(
             config, P_VALUES, Q_VALUES, runs=2, seed=1,
             options=ExecutionOptions(store=resumed_cache),
@@ -234,10 +235,10 @@ class TestResultCache:
             config, [0.0], [1.0], runs=1, seed=0,
             options=ExecutionOptions(store=str(tmp_path / "c")),
         )
-        assert ResultCache(tmp_path / "c").__len__() == 1
+        assert JsonDirStore(tmp_path / "c").__len__() == 1
 
     def test_corrupt_entry_is_a_miss(self, config, tmp_path):
-        cache = ResultCache(tmp_path / "cache")
+        cache = JsonDirStore(tmp_path / "cache")
         unit = plan_units([((0, 0), config, 0.0, 1.0)], runs=1, base_seed=0)[0]
         cache.put(unit, execute_unit(unit))
         path = cache._path(unit_key(unit))
@@ -245,7 +246,7 @@ class TestResultCache:
         assert cache.get(unit) is None
 
     def test_clear(self, config, tmp_path):
-        cache = ResultCache(tmp_path / "cache")
+        cache = JsonDirStore(tmp_path / "cache")
         simulate_grid(
             config, [0.0], [1.0], runs=1, seed=0,
             options=ExecutionOptions(store=cache),
@@ -256,7 +257,7 @@ class TestResultCache:
 
 class TestExperimentsThroughRunner:
     def test_tiny_fig08_warm_cache_no_resimulation(self, tmp_path):
-        cache = ResultCache(tmp_path / "cache")
+        cache = JsonDirStore(tmp_path / "cache")
         cold = run_experiment(
             "fig08", scale="tiny", seed=0, runs=2,
             options=ExecutionOptions(store=cache),
@@ -264,7 +265,7 @@ class TestExperimentsThroughRunner:
         writes = cache.stats.writes
         assert writes > 0 and cache.stats.hits == 0
 
-        warm_cache = ResultCache(tmp_path / "cache")
+        warm_cache = JsonDirStore(tmp_path / "cache")
         warm = run_experiment(
             "fig08", scale="tiny", seed=0, runs=2,
             options=ExecutionOptions(store=warm_cache),
@@ -318,7 +319,7 @@ class TestProgress:
         assert sorted(calls) == [(1, 4), (2, 4), (3, 4), (4, 4)]
 
     def test_cached_cells_count_as_progress(self, config, tmp_path):
-        cache = ResultCache(tmp_path / "cache")
+        cache = JsonDirStore(tmp_path / "cache")
         simulate_grid(
             config, [0.0, 0.1], [0.5], runs=1, seed=0,
             options=ExecutionOptions(store=cache),

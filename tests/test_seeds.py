@@ -12,7 +12,8 @@ from repro.core.simulator import Simulator
 from repro.core.sweep import simulate_grid
 from repro.fec.registry import make_code
 from repro.pipeline.synthesis import synthesize_runs_unit
-from repro.runner.cache import RESULT_SCHEMA, ResultCache, unit_key
+from repro.store.codec import RESULT_SCHEMA, unit_key
+from repro.store.json_dir import JsonDirStore
 from repro.runner.options import ExecutionOptions
 from repro.runner.units import execute_unit, plan_units
 from repro.scheduling.registry import make_tx_model
@@ -444,7 +445,7 @@ class TestCacheSchemeHygiene:
         assert unit_key(per_run) != unit_key(unit)
 
     def test_payload_records_scheme_and_schema(self, config, tmp_path):
-        cache = ResultCache(tmp_path / "cache")
+        cache = JsonDirStore(tmp_path / "cache")
         unit = plan_units(
             [((0, 0), config, 0.05, 0.5)], runs=2, base_seed=9,
             options=ExecutionOptions(seed_scheme="unit"),
@@ -457,7 +458,7 @@ class TestCacheSchemeHygiene:
         assert cache.get(unit) is not None
 
     def test_old_schema_entry_is_a_miss(self, config, tmp_path):
-        cache = ResultCache(tmp_path / "cache")
+        cache = JsonDirStore(tmp_path / "cache")
         unit = plan_units([((0, 0), config, 0.05, 0.5)], runs=2, base_seed=9)[0]
         cache.put(unit, execute_unit(unit))
         path = cache._path(unit_key(unit))
@@ -467,7 +468,7 @@ class TestCacheSchemeHygiene:
         assert cache.get(unit) is None  # a miss, not an error
 
     def test_scheme_counts(self, config, tmp_path):
-        cache = ResultCache(tmp_path / "cache")
+        cache = JsonDirStore(tmp_path / "cache")
         for scheme in ("per-run", "unit"):
             for seed in (1, 2):
                 unit = plan_units(

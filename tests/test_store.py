@@ -11,7 +11,6 @@ from pathlib import Path
 import pytest
 
 from repro.core.config import SimulationConfig
-from repro.runner.cache import ResultCache
 from repro.runner.options import ExecutionOptions
 from repro.runner.units import WorkUnit, execute_unit, plan_units
 from repro.store import (
@@ -222,6 +221,22 @@ class TestRegistry:
             _BACKENDS.pop("test-null", None)
 
 
+def _historical_entry(unit, result) -> str:
+    """A ``.repro_cache`` entry exactly as the pre-store cache wrote it."""
+    return json.dumps(
+        {
+            "schema": 2,
+            "seed_scheme": unit.seed_scheme,
+            "seed_path": list(result.seed_path),
+            "run_start": result.run_start,
+            "run_stop": result.run_stop,
+            "inefficiency_ratios": list(result.inefficiency_ratios),
+            "received_ratios": list(result.received_ratios),
+            "failures": result.failures,
+        }
+    )
+
+
 class TestJsonDirByteCompat:
     """The json-dir backend must write exactly the pre-store cache bytes."""
 
@@ -232,40 +247,32 @@ class TestJsonDirByteCompat:
         store.put(unit, result)
         key = unit_key(unit)
         path = tmp_path / "jd" / key[:2] / f"{key}.json"
-        expected = json.dumps(
-            {
-                "schema": 2,
-                "seed_scheme": unit.seed_scheme,
-                "seed_path": list(result.seed_path),
-                "run_start": result.run_start,
-                "run_stop": result.run_stop,
-                "inefficiency_ratios": list(result.inefficiency_ratios),
-                "received_ratios": list(result.received_ratios),
-                "failures": result.failures,
-            }
-        )
-        assert path.read_text(encoding="utf-8") == expected
+        assert path.read_text(encoding="utf-8") == _historical_entry(unit, result)
 
-    def test_result_cache_alias_is_the_json_dir_backend(self, tmp_path, config):
-        legacy = ResultCache(tmp_path / "a")
+    def test_bare_path_is_the_json_dir_backend(self, tmp_path, config):
+        # A bare directory (the CLI's --cache-dir default) opens the
+        # json-dir backend and writes the same bytes.
+        bare = resolve_store(str(tmp_path / "a"))
         store = JsonDirStore(tmp_path / "b")
         unit = _units(config)[0]
         result = execute_unit(unit)
-        legacy.put(unit, result)
+        bare.put(unit, result)
         store.put(unit, result)
         key = unit_key(unit)
-        legacy_bytes = (tmp_path / "a" / key[:2] / f"{key}.json").read_bytes()
+        bare_bytes = (tmp_path / "a" / key[:2] / f"{key}.json").read_bytes()
         store_bytes = (tmp_path / "b" / key[:2] / f"{key}.json").read_bytes()
-        assert legacy_bytes == store_bytes
-        assert isinstance(legacy, JsonDirStore)
+        assert bare_bytes == store_bytes
+        assert isinstance(bare, JsonDirStore)
 
     def test_pre_store_entries_satisfy_lookups(self, tmp_path, config):
-        # An entry written by the old cache (same bytes) must be a hit for
-        # the new store, and vice versa.
-        legacy = ResultCache(tmp_path / "shared")
+        # An entry written by the old cache (same bytes, placed by hand)
+        # must be a hit for the new store.
         unit = _units(config)[0]
         result = execute_unit(unit)
-        legacy.put(unit, result)
+        key = unit_key(unit)
+        path = tmp_path / "shared" / key[:2] / f"{key}.json"
+        path.parent.mkdir(parents=True)
+        path.write_text(_historical_entry(unit, result), encoding="utf-8")
         assert JsonDirStore(tmp_path / "shared").get(unit) == result
 
 

@@ -430,7 +430,6 @@ class TestServerCrashRecovery:
             worker_id="w0",
             lease_ttl=20.0,
             claim_batch=1,
-            policy=FailurePolicy(max_retries=0, store_retries=10),
         )
         collected = {}
         failures = []
@@ -438,7 +437,9 @@ class TestServerCrashRecovery:
         def run():
             try:
                 runner.run(
-                    units, lambda r: collected.__setitem__(r.seed_path, r)
+                    units,
+                    lambda r: collected.__setitem__(r.seed_path, r),
+                    policy=FailurePolicy(max_retries=0, store_retries=10),
                 )
             except Exception as error:  # pragma: no cover - surfaced below
                 failures.append(error)
