@@ -101,21 +101,12 @@ class GilbertChannel(LossModel):
     ) -> np.ndarray:
         """Simulate ``count`` packet transmissions started in steady state.
 
-        The chain is memoryless, so given the initial state (drawn from the
-        stationary distribution) the residual sojourn times are geometric.
-        Sojourn lengths are drawn here in batches -- one uniform for the
-        initial state, then alternating geometric batches, exactly the draw
-        sequence of the historical serial chain -- and expanded into the mask
-        by the selected :mod:`repro.kernels` backend (vectorised
-        ``np.repeat`` on numpy, a compiled loop on cext).  Every backend
-        consumes the generator identically and produces masks bit-identical
-        to the historical serial chain for any seed.
+        The one-run case of :meth:`loss_mask_batch`, so a run's mask and
+        its draws from ``rng`` are the same whichever entry point made it.
         """
-        if count < 0:
-            raise ValueError(f"count must be non-negative, got {count}")
-        mask = np.empty(count, dtype=bool)
-        self._fill_mask(mask, ensure_rng(rng), get_backend(kernel))
-        return mask
+        masks = self.loss_mask_batch(count, [rng], kernel=kernel)
+        # p = 0 and q = 0 come back as a read-only broadcast view.
+        return masks[0] if masks.flags.writeable else masks[0].copy()
 
     def loss_mask_batch(
         self,
@@ -126,14 +117,18 @@ class GilbertChannel(LossModel):
     ) -> np.ndarray:
         """One mask per generator, filled into a single ``(runs, count)`` array.
 
-        The chain draws stay per run -- they are what defines each run's
-        stream, so row ``i`` consumes ``rngs[i]`` exactly like
-        :meth:`loss_mask` would -- but everything around them is batched:
-        the first sojourn batch of every run is drawn into two
-        ``(runs, batch)`` matrices and expanded by **one**
-        ``fill_sojourns_batch`` kernel call (for typical parameters that
-        first batch covers the whole mask), and only the rare rows whose
-        sojourns fall short continue chain-style.
+        The chain is memoryless, so given the initial state (drawn from the
+        stationary distribution) the residual sojourn times are geometric.
+        Row ``i`` consumes ``rngs[i]`` exactly like the historical serial
+        chain -- one uniform for the initial state, then alternating
+        geometric batches -- and every backend produces bit-identical masks
+        and leaves every generator in the same state.  The backend draws
+        all runs' sojourns in run order
+        (:meth:`~repro.kernels.base.KernelBackend.draw_sojourns_batch`:
+        compiled on cext when numpy's ``libnpyrandom`` links, a per-run
+        loop otherwise) and **one** ``fill_sojourns_batch`` call expands
+        every run's first batch, which for typical parameters covers the
+        whole mask.
         """
         if count < 0:
             raise ValueError(f"count must be non-negative, got {count}")
@@ -146,58 +141,15 @@ class GilbertChannel(LossModel):
         if count == 0 or runs == 0:
             return masks
         backend = get_backend(kernel)
-        batch_size = self._SOJOURN_BATCH
-        loss_probability = self.global_loss_probability
-        states = np.empty(runs, dtype=bool)
-        gap_runs = np.empty((runs, batch_size), dtype=np.int64)
-        burst_runs = np.empty((runs, batch_size), dtype=np.int64)
-        extras: dict[int, list] = {}
-        for index, rng in enumerate(rngs):
-            rng = ensure_rng(rng)
-            states[index] = rng.random() < loss_probability
-            gap = rng.geometric(self.p, size=batch_size)
-            burst = rng.geometric(self.q, size=batch_size)
-            gap_runs[index] = gap
-            burst_runs[index] = burst
-            # The serial chain draws a run's continuation batches *before*
-            # the next run's draws, which matters when runs share one
-            # generator -- so pre-draw them here, inside the per-run loop.
-            # A batch falls short exactly when its uncapped sojourn total
-            # does (capping only shortens the final used sojourn).  The
-            # fill consumes ONE sojourn per index -- ``burst[i]`` in the
-            # loss state, ``gap[i]`` otherwise, alternating -- so the
-            # total is the strided alternating sum, and each batch's even
-            # sojourn count leaves the starting state unchanged.
-            in_loss_state = bool(states[index])
-
-            def batch_total(gap_batch: np.ndarray, burst_batch: np.ndarray) -> int:
-                first, second = (
-                    (burst_batch, gap_batch) if in_loss_state else (gap_batch, burst_batch)
-                )
-                # Tiny p/q saturate rng.geometric near 2**63 - 1, so the
-                # raw sum could overflow (and a wrapped negative total
-                # would draw batches forever); capping each sojourn at
-                # ``count`` cannot change whether the total reaches it.
-                return int(np.minimum(first[0::2], count).sum()) + int(
-                    np.minimum(second[1::2], count).sum()
-                )
-
-            covered = batch_total(gap, burst)
-            while covered < count:
-                gap = rng.geometric(self.p, size=batch_size)
-                burst = rng.geometric(self.q, size=batch_size)
-                extras.setdefault(index, []).append((gap, burst))
-                covered += batch_total(gap, burst)
-        filled = backend.fill_sojourns_batch(masks, states, gap_runs, burst_runs)
-        for index, batches in extras.items():
-            # An even number of sojourns per batch leaves the state
-            # unchanged, so the initial state still applies.
-            row, row_filled = masks[index], int(filled[index])
-            in_loss_state = bool(states[index])
-            for gap, burst in batches:
-                row_filled = backend.fill_sojourns(
-                    row, row_filled, in_loss_state, gap, burst
-                )
+        states, gap_runs, burst_runs = backend.draw_sojourns_batch(
+            masks,
+            [ensure_rng(rng) for rng in rngs],
+            self.global_loss_probability,
+            self.p,
+            self.q,
+            self._SOJOURN_BATCH,
+        )
+        backend.fill_sojourns_batch(masks, states, gap_runs, burst_runs)
         return masks
 
     def loss_mask_batch_unit(
@@ -211,10 +163,10 @@ class GilbertChannel(LossModel):
         """One mask per run, all sojourns drawn from ONE shared generator.
 
         The ``"unit"`` seed scheme's block path (:mod:`repro.seeds`): the
-        per-run pre-draw loop of :meth:`loss_mask_batch` disappears
-        entirely.  Initial states come from one ``(runs,)`` uniform draw,
-        the first sojourn batch of *every* run from two ``(runs, batch)``
-        geometric draws, and the whole block is expanded by a single
+        per-run draws of :meth:`loss_mask_batch` disappear entirely.
+        Initial states come from one ``(runs,)`` uniform draw, the first
+        sojourn batch of *every* run from two ``(runs, batch)`` geometric
+        draws, and the whole block is expanded by a single
         ``fill_sojourns_batch`` kernel call with per-row fill offsets; only
         the rare rows whose first batch falls short of ``count`` continue
         chain-style (in row order, so the draw order stays deterministic).
@@ -249,32 +201,6 @@ class GilbertChannel(LossModel):
                     row, row_filled, in_loss_state, gap, burst
                 )
         return masks
-
-    def _fill_mask(
-        self, mask: np.ndarray, rng: np.random.Generator, backend
-    ) -> None:
-        """Fill a preallocated mask with one run's chain (shared hot loop)."""
-        count = mask.size
-        if count == 0:
-            return
-        if self.p == 0.0:
-            mask[:] = False
-            return
-        if self.q == 0.0:
-            # Stationary distribution puts all mass on the loss state.
-            mask[:] = True
-            return
-        batch_size = self._SOJOURN_BATCH
-        in_loss_state = bool(rng.random() < self.global_loss_probability)
-        filled = 0
-        while filled < count:
-            gap_runs = rng.geometric(self.p, size=batch_size)
-            burst_runs = rng.geometric(self.q, size=batch_size)
-            # An even number of sojourns per batch leaves the state
-            # unchanged, so ``in_loss_state`` is loop-invariant.
-            filled = backend.fill_sojourns(
-                mask, filled, in_loss_state, gap_runs, burst_runs
-            )
 
     def __repr__(self) -> str:
         return f"GilbertChannel(p={self.p}, q={self.q})"

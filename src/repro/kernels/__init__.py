@@ -2,8 +2,8 @@
 
 The fast path's remaining wall-clock cost is concentrated in four loops:
 the LDGM batch-peel cascade, the gallop+bisect prefix search it serves,
-the RSE/repetition block count, and the Gilbert sojourn fill.  This
-package puts them behind a swappable
+the RSE/repetition block count, and the Gilbert sojourn draws and
+fill.  This package puts them behind a swappable
 :class:`~repro.kernels.base.KernelBackend`:
 
 * ``numpy`` -- the always-available vectorised reference, with a

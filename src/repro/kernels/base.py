@@ -2,8 +2,8 @@
 
 A :class:`KernelBackend` owns the *hot loops* of the decode path -- the
 LDGM peeling cascade behind the gallop+bisect prefix search, the
-block-count rule of RSE and repetition, and the Gilbert sojourn fill --
-behind a small, swappable surface.  Everything else (prototype
+block-count rule of RSE and repetition, and the Gilbert sojourn draws
+and fill -- behind a small, swappable surface.  Everything else (prototype
 compilation, the run/sweep orchestration) is backend-independent numpy.
 
 All backends are **bit-identical**: for any input they must produce
@@ -133,8 +133,9 @@ class ReceivedBatch:
 class KernelBackend(abc.ABC):
     """One implementation of the decode hot loops.
 
-    Backends are stateless (safe to share across codes, threads use the
-    GIL anyway) and selected through :func:`repro.kernels.get_backend`.
+    Backends are stateless, so one instance is shared across codes and
+    threads (compiled kernels run with the GIL released, on caller-owned
+    arrays), and selected through :func:`repro.kernels.get_backend`.
     """
 
     #: Registry name; also what ``REPRO_KERNEL`` / ``--kernel`` match.
@@ -212,6 +213,58 @@ class KernelBackend(abc.ABC):
                 masks[index], 0, bool(states[index]), gap_runs[index], burst_runs[index]
             )
         return filled
+
+    def draw_sojourns_batch(
+        self,
+        masks: np.ndarray,
+        rngs: Sequence[np.random.Generator],
+        loss_probability: float,
+        p: float,
+        q: float,
+        batch: int,
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Draw every run's Gilbert chain from its own generator, in run order.
+
+        Row ``i`` of the ``(runs, count)`` ``masks`` consumes ``rngs[i]``
+        exactly like the serial chain: one uniform for the initial state
+        (loss when below ``loss_probability``), then ``batch`` gap
+        sojourns (``geometric(p)``) and ``batch`` burst sojourns
+        (``geometric(q)``) per round until the sojourns cover ``count``.
+        Returns the first round of every run as ``(states, gap_runs,
+        burst_runs)`` for :meth:`fill_sojourns_batch` to expand into
+        ``[0, covered)``.  The rare runs that round leaves short draw their
+        continuation rounds before the next run draws anything (which
+        matters when runs share a generator) and expand them here, into
+        the disjoint tail ``[covered, count)`` of their row.
+        """
+        runs, count = masks.shape
+        states = np.empty(runs, dtype=bool)
+        gap_runs = np.empty((runs, batch), dtype=np.int64)
+        burst_runs = np.empty((runs, batch), dtype=np.int64)
+        for index, rng in enumerate(rngs):
+            in_loss_state = bool(rng.random() < loss_probability)
+            states[index] = in_loss_state
+            gap = gap_runs[index] = rng.geometric(p, size=batch)
+            burst = burst_runs[index] = rng.geometric(q, size=batch)
+            # The fill consumes one sojourn per index, the burst in the
+            # loss state and the gap otherwise, alternating.  Capping each
+            # sojourn at ``count`` cannot change whether the total reaches
+            # it, and keeps saturated draws (tiny p or q make geometric
+            # return nearly 2**63 - 1) from overflowing the sum.
+            first, second = (burst, gap) if in_loss_state else (gap, burst)
+            covered = int(np.minimum(first[0::2], count).sum()) + int(
+                np.minimum(second[1::2], count).sum()
+            )
+            # A short round held no capped sojourn, so the first round
+            # fills exactly ``[0, covered)``; its even sojourn count
+            # leaves every continuation starting in the initial state.
+            while covered < count:
+                gap = rng.geometric(p, size=batch)
+                burst = rng.geometric(q, size=batch)
+                covered = self.fill_sojourns(
+                    masks[index], covered, in_loss_state, gap, burst
+                )
+        return states, gap_runs, burst_runs
 
     def __repr__(self) -> str:  # pragma: no cover - debugging nicety
         return f"<{type(self).__name__} name={self.name!r}>"

@@ -1,7 +1,7 @@
 """On-demand C extension backend: loop kernels compiled with the system
 C compiler.
 
-Three kernels, written in C:
+Four kernels, written in C:
 
 * ``ldgm_peel_batch`` -- inside a compiled kernel the incremental peeling
   algorithm *is* the fast one: each run walks its received sequence once,
@@ -18,11 +18,17 @@ Three kernels, written in C:
   first-arrival table and partitions it, this touches each received
   packet once, with scratch the size of one run's key space.
 * ``fill_sojourns`` -- the historical serial Gilbert chain minus the
-  geometric draws (the caller draws them, so every backend consumes the
-  generator identically).
+  geometric draws.
+* ``gilbert_draw_batch`` -- those draws: each run's initial state and
+  sojourn batches, taken from the run's own generator through numpy's
+  C core (``libnpyrandom``: ``random_geometric`` and the bit generator's
+  ``next_double``, the very functions behind ``Generator.geometric`` and
+  ``Generator.random``), so every generator is consumed exactly as the
+  Python draw loop consumes it, with no distribution code copied.
 
 They are compiled once per machine with ``cc -O2 -shared -fPIC`` into a cache
-directory keyed by the source hash, and loaded through :mod:`ctypes` --
+directory keyed by the source hash, the compiler and the numpy build, and
+loaded through :mod:`ctypes` --
 no build-time dependency, no pip package, and fully optional: when no C
 compiler is available (or the compile fails, e.g. in a sandbox without a
 writable cache), importing this module raises ``ImportError`` and the
@@ -33,6 +39,9 @@ The per-run loops are row-parallel with OpenMP when the probe compile
 with ``-fopenmp`` succeeds; when it fails the build falls back to a
 pthread-free serial library with one logged warning (the ``#pragma omp``
 lines are inert without the flag, so both builds share one source).
+The ``libnpyrandom`` link is probed the same way: without it the library
+builds without ``gilbert_draw_batch`` and the backend serves the Python
+draw loop, again with one warning and identical results.
 Runs are independent rows -- each writes only its own output slot and
 works on per-thread scratch, and there are no cross-run reductions in
 these kernels (the lockstep probe reductions live in the numpy backend,
@@ -49,6 +58,7 @@ incremental decoder.
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import hashlib
 import logging
@@ -58,7 +68,7 @@ import shutil
 import subprocess
 import tempfile
 from pathlib import Path
-from typing import TYPE_CHECKING, Tuple
+from typing import TYPE_CHECKING, Sequence, Tuple
 
 import numpy as np
 
@@ -78,7 +88,10 @@ logger = logging.getLogger("repro.kernels")
 #: undefined, so the same source builds the serial fallback library.
 #: ``REPRO_POISON_OPENMP`` (injected via ``CFLAGS``) force-fails the
 #: OpenMP probe compile only, which is how CI and the degradation test
-#: exercise the fallback on machines where OpenMP works.
+#: exercise the fallback on machines where OpenMP works.  Likewise the
+#: Gilbert draw kernel is compiled only under ``REPRO_NPYRANDOM`` (set by
+#: the build that links ``libnpyrandom``), and ``REPRO_POISON_NPYRANDOM``
+#: force-fails that build.
 _C_SOURCE = r"""
 #include <stdint.h>
 #include <string.h>
@@ -90,9 +103,29 @@ _C_SOURCE = r"""
 #endif
 #endif
 
+#ifdef REPRO_NPYRANDOM
+#include "numpy/random/bitgen.h"
+#ifdef REPRO_POISON_NPYRANDOM
+#error "libnpyrandom probe poisoned (REPRO_POISON_NPYRANDOM in CFLAGS)"
+#endif
+/* numpy's geometric sampler, which Generator.geometric calls once per
+   element; declared here because numpy/random/distributions.h pulls in
+   Python.h. */
+int64_t random_geometric(bitgen_t *bitgen_state, double p);
+#endif
+
 int peel_openmp(void)
 {
 #ifdef _OPENMP
+    return 1;
+#else
+    return 0;
+#endif
+}
+
+int peel_npyrandom(void)
+{
+#ifdef REPRO_NPYRANDOM
     return 1;
 #else
     return 0;
@@ -256,10 +289,76 @@ void fill_sojourns_batch(
             gap_runs + run * batch, burst_runs + run * batch, batch);
     }
 }
+
+#ifdef REPRO_NPYRANDOM
+static void draw_geometric(bitgen_t *bitgen, double p, int64_t *out, int64_t size)
+{
+    for (int64_t i = 0; i < size; i++)
+        out[i] = random_geometric(bitgen, p);
+}
+
+void gilbert_draw_batch(
+    bitgen_t *const *bitgens, int64_t num_runs, int64_t count,
+    double loss_probability, double p, double q, int64_t batch,
+    uint8_t *states, int64_t *gap_runs, int64_t *burst_runs,
+    uint8_t *masks, int64_t *scratch, int64_t num_threads)
+{
+    /* Run r draws only from bitgens[r], in the serial chain's order: the
+       initial-state uniform (Generator.random), then batch gap and batch
+       burst sojourns per round (two Generator.geometric calls).  Rows are
+       independent when the generators are pairwise distinct; the caller
+       passes a team of 1 when they are shared, which keeps the serial
+       interleaving.  Continuation rounds use the thread's scratch row. */
+    (void)num_threads;
+#ifdef _OPENMP
+#pragma omp parallel for schedule(dynamic) num_threads((int)num_threads)
+#endif
+    for (int64_t run = 0; run < num_runs; run++) {
+        int64_t slot = 0;
+#ifdef _OPENMP
+        slot = (int64_t)omp_get_thread_num();
+#endif
+        bitgen_t *bitgen = bitgens[run];
+        int64_t *gap = gap_runs + run * batch;
+        int64_t *burst = burst_runs + run * batch;
+        int state = bitgen->next_double(bitgen->state) < loss_probability;
+        states[run] = (uint8_t)state;
+        draw_geometric(bitgen, p, gap, batch);
+        draw_geometric(bitgen, q, burst, batch);
+        /* Sojourn i is a burst in the loss state, a gap otherwise, the
+           state toggling after each one; capping at count keeps
+           saturated draws (near INT64_MAX) from overflowing the sum. */
+        int64_t covered = 0;
+        for (int64_t i = 0; i < batch && covered < count; i++) {
+            int64_t length = (state ^ (int)(i & 1)) ? burst[i] : gap[i];
+            covered += length < count ? length : count;
+        }
+        /* A short first round held no capped sojourn, so the caller's
+           fill_sojourns_batch covers exactly [0, covered): the
+           continuation rounds fill the disjoint tail. */
+        int64_t *gap_t = scratch + slot * 2 * batch;
+        int64_t *burst_t = gap_t + batch;
+        while (covered < count) {
+            draw_geometric(bitgen, p, gap_t, batch);
+            draw_geometric(bitgen, q, burst_t, batch);
+            covered = fill_sojourns(
+                masks + run * count, covered, count, state, gap_t, burst_t, batch);
+        }
+    }
+}
+#endif
 """
 
 _I64 = ctypes.POINTER(ctypes.c_int64)
 _U8 = ctypes.POINTER(ctypes.c_uint8)
+_PTR = ctypes.POINTER(ctypes.c_void_p)
+
+#: ``PyCapsule_GetPointer`` with its own prototype (the shared
+#: ``ctypes.pythonapi`` attribute is left untouched): the ``bitgen_t *``
+#: inside a bit generator's ``capsule``, ~1 us per generator.
+_capsule_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+    ("PyCapsule_GetPointer", ctypes.pythonapi)
+)
 
 
 def _cache_dir() -> Path:
@@ -275,34 +374,77 @@ def compiler() -> str | None:
 
 
 def _extra_cflags() -> list[str]:
-    """User/CI-supplied compile flags (``CFLAGS``), applied to both builds.
+    """User/CI-supplied compile flags (``CFLAGS``), applied to every build.
 
-    This is also the OpenMP-probe poison hook: ``-DREPRO_POISON_OPENMP``
-    makes the ``-fopenmp`` probe compile fail by construction while the
-    serial fallback (where ``_OPENMP`` is undefined) still builds.
+    This is also the probe poison hook: ``-DREPRO_POISON_OPENMP`` makes
+    every ``-fopenmp`` build fail by construction and
+    ``-DREPRO_POISON_NPYRANDOM`` every ``libnpyrandom`` build, while the
+    builds without the feature (where the guarding macro is undefined)
+    still compile.
     """
     return shlex.split(os.environ.get("CFLAGS", ""))
 
 
-def _compile(cc: str, source: Path, artefact: Path, *, openmp: bool):
-    command = [cc, "-O2", "-shared", "-fPIC"]
-    if openmp:
-        command.append("-fopenmp")
-    command += [*_extra_cflags(), "-o", str(artefact), str(source)]
+def _npyrandom_dir() -> Path:
+    """Directory of numpy's static ``libnpyrandom.a``, the C core of ``Generator``."""
+    return Path(np.__file__).parent / "random" / "lib"
+
+
+#: Optional build features, each a (compile flags, link flags) pair.
+_FEATURE_FLAGS = {
+    "omp": (["-fopenmp"], []),
+    "npy": (
+        ["-DREPRO_NPYRANDOM", "-I", np.get_include()],
+        ["-L", str(_npyrandom_dir()), "-lnpyrandom", "-lm"],
+    ),
+}
+
+#: Library variants in order of preference; the first that compiles wins.
+_VARIANTS = (("omp", "npy"), ("omp",), ("npy",), ())
+
+#: What the library loses without each feature (for the fallback warning).
+_FALLBACKS = {
+    "omp": "OpenMP unavailable (%s); serving single-threaded cext kernels "
+    "(results unchanged, kernel_threads forced to 1)",
+    "npy": "libnpyrandom link unavailable (%s); Gilbert sojourns are drawn "
+    "by the Python loop (results unchanged)",
+}
+
+
+def _compile(cc: str, source: Path, artefact: Path, features: tuple):
+    cflags = [flag for feature in features for flag in _FEATURE_FLAGS[feature][0]]
+    ldflags = [flag for feature in features for flag in _FEATURE_FLAGS[feature][1]]
+    command = [cc, "-O2", "-shared", "-fPIC", *cflags, *_extra_cflags()]
+    command += ["-o", str(artefact), str(source), *ldflags]
     return subprocess.run(command, capture_output=True, text=True)
+
+
+def _library_digest(cc: str) -> str:
+    """Cache key of the library: everything that can change its code or draws.
+
+    The source and ``CFLAGS``, the resolved compiler, and the numpy build
+    whose ``libnpyrandom`` gets linked in (a library linked against
+    another numpy could draw differently from ``Generator``).
+    """
+    seed = "\x00".join(
+        [_C_SOURCE, cc, np.__version__, str(_npyrandom_dir()), *_extra_cflags()]
+    )
+    return hashlib.sha256(seed.encode("utf-8")).hexdigest()[:16]
 
 
 def _build_library() -> Path:
     """Compile the kernels into the cache (once per source revision).
 
-    The OpenMP build (``-fopenmp``) is probed first; when the probe
-    compile fails -- no libgomp, a compiler without OpenMP support, a
-    poisoned ``CFLAGS`` -- one warning is logged and the same source is
-    rebuilt serial (the pragmas are inert without the flag), so the
-    backend degrades to single-threaded kernels instead of disappearing.
-    The cache name encodes source + ``CFLAGS`` + variant, so a cached
-    serial fallback never masks an OpenMP build from a different
-    environment (and vice versa).
+    The variants of :data:`_VARIANTS` are tried in order: OpenMP with the
+    ``libnpyrandom`` link, then without one feature, then neither.  A
+    feature the winning build lacks -- no libgomp, a compiler without
+    OpenMP support, no ``libnpyrandom.a`` in the numpy install, a poisoned
+    ``CFLAGS`` -- logs one warning with the failed compile's error, and
+    the backend degrades (single-threaded kernels, Python draws) instead
+    of disappearing.  The cache name is :func:`_library_digest` plus the
+    variant, so a library built by another compiler or against another
+    numpy is never reused, and a cached fallback never masks a full build
+    from a different environment (and vice versa).
 
     Every environment failure -- no compiler, compile error, unwritable
     cache directory -- surfaces as ``ImportError`` so the registry treats
@@ -312,63 +454,57 @@ def _build_library() -> Path:
     cc = compiler()
     if cc is None:
         raise ImportError("no C compiler (cc) on PATH for the cext backend")
-    seed = "\x00".join([_C_SOURCE, *_extra_cflags()])
-    digest = hashlib.sha256(seed.encode("utf-8")).hexdigest()[:16]
+    digest = _library_digest(cc)
     cache = _cache_dir()
-    omp_target = cache / f"peel-{digest}-omp.so"
-    serial_target = cache / f"peel-{digest}-serial.so"
+    targets = {
+        features: cache / f"peel-{digest}-{'-'.join(features) or 'serial'}.so"
+        for features in _VARIANTS
+    }
     try:
-        if omp_target.exists():
-            return omp_target
-        if serial_target.exists():
-            # A previous probe in this environment already failed; stay
-            # serial without recompiling (the warning still fires at
-            # load time, once per process).
-            return serial_target
+        for target in targets.values():
+            if target.exists():
+                # A fallback here means a probe in this environment
+                # already failed; the warning fires at load time instead.
+                return target
         cache.mkdir(parents=True, exist_ok=True)
+        errors: list[tuple[tuple, str]] = []
         with tempfile.TemporaryDirectory(dir=cache) as build_dir:
             source = Path(build_dir) / "peel.c"
             source.write_text(_C_SOURCE, encoding="utf-8")
             artefact = Path(build_dir) / "peel.so"
-            probe = _compile(cc, source, artefact, openmp=True)
-            if probe.returncode == 0:
+            for features, target in targets.items():
+                result = _compile(cc, source, artefact, features)
+                if result.returncode != 0:
+                    errors.append((features, result.stderr.strip()))
+                    continue
+                for missing in set(_FEATURE_FLAGS) - set(features):
+                    # The last failed build with the feature is the one
+                    # that failed for it alone.
+                    detail = [err for tried, err in errors if missing in tried][-1]
+                    _warn_fallback(missing, f"probe compile failed: {detail}")
                 # Atomic publish so concurrent processes never load a
                 # half-written library; losing the race is fine, the
                 # content is identical.
-                os.replace(artefact, omp_target)
-                return omp_target
-            _warn_openmp_unavailable(
-                f"probe compile with -fopenmp failed: {probe.stderr.strip()}"
-            )
-            result = _compile(cc, source, artefact, openmp=False)
-            if result.returncode != 0:
-                raise ImportError(
-                    f"C compile of the cext kernels failed: {result.stderr.strip()}"
-                )
-            os.replace(artefact, serial_target)
-            return serial_target
+                os.replace(artefact, target)
+                return target
+        raise ImportError(f"C compile of the cext kernels failed: {errors[-1][1]}")
     except OSError as exc:
         raise ImportError(f"cext kernel build failed: {exc}") from exc
 
 
-_openmp_warned = False
+_warned: set[str] = set()
 
 
-def _warn_openmp_unavailable(detail: str) -> None:
-    """One warning per process when the threaded build is unavailable.
+def _warn_fallback(feature: str, detail: str) -> None:
+    """One warning per process and feature the loaded library lacks.
 
     Degradation must be loud but never fatal and never result-changing:
-    the serial kernels are bit-identical, only slower.
+    the fallback kernels are bit-identical, only slower.
     """
-    global _openmp_warned
-    if _openmp_warned:
+    if feature in _warned:
         return
-    _openmp_warned = True
-    logger.warning(
-        "cext OpenMP unavailable (%s); serving single-threaded cext kernels "
-        "(results unchanged, kernel_threads forced to 1)",
-        detail,
-    )
+    _warned.add(feature)
+    logger.warning("cext " + _FALLBACKS[feature], detail)
 
 
 def _load_library() -> ctypes.CDLL:
@@ -378,6 +514,8 @@ def _load_library() -> ctypes.CDLL:
         raise ImportError(f"cext kernel library failed to load: {exc}") from exc
     lib.peel_openmp.restype = ctypes.c_int
     lib.peel_openmp.argtypes = []
+    lib.peel_npyrandom.restype = ctypes.c_int
+    lib.peel_npyrandom.argtypes = []
     lib.ldgm_peel_batch.restype = None
     lib.ldgm_peel_batch.argtypes = [
         _I64, _I64, _I64, _I64, _I64, _I64, _I64,
@@ -401,7 +539,16 @@ def _load_library() -> ctypes.CDLL:
         ctypes.c_int64, ctypes.c_int64, _I64, ctypes.c_int64,
     ]
     if not lib.peel_openmp():
-        _warn_openmp_unavailable("library built without OpenMP")
+        _warn_fallback("omp", "library built without OpenMP")
+    if lib.peel_npyrandom():
+        lib.gilbert_draw_batch.restype = None
+        lib.gilbert_draw_batch.argtypes = [
+            _PTR, ctypes.c_int64, ctypes.c_int64,
+            ctypes.c_double, ctypes.c_double, ctypes.c_double, ctypes.c_int64,
+            _U8, _I64, _I64, _U8, _I64, ctypes.c_int64,
+        ]
+    else:
+        _warn_fallback("npy", "library built without libnpyrandom")
     return lib
 
 
@@ -421,8 +568,9 @@ class CExtBackend(KernelBackend):
     built with OpenMP; the team size comes from the active
     ``kernel_threads`` resolution (:func:`~repro.kernels.threads.current_thread_count`)
     at call time, clamped to the batch size.  A serial-fallback library
-    pins it to 1.  Either way the results are bit-identical -- threads
-    are a wall-clock knob, like the backend choice itself.
+    pins it to 1, and so do Gilbert draws from shared generators.  Either
+    way the results are bit-identical -- threads are a wall-clock knob,
+    like the backend choice itself.
     """
 
     name = "cext"
@@ -431,6 +579,8 @@ class CExtBackend(KernelBackend):
         self._lib = _load_library()
         #: Whether the loaded library was built with OpenMP (provenance).
         self.openmp = bool(self._lib.peel_openmp())
+        #: Whether it links ``libnpyrandom``, i.e. draws Gilbert sojourns in C.
+        self.npyrandom = bool(self._lib.peel_npyrandom())
 
     def _team_size(self, num_runs: int) -> int:
         if not self.openmp:
@@ -564,6 +714,58 @@ class CExtBackend(KernelBackend):
                 self._team_size(num_runs),
             )
         return filled
+
+    def draw_sojourns_batch(
+        self,
+        masks: np.ndarray,
+        rngs: Sequence[np.random.Generator],
+        loss_probability: float,
+        p: float,
+        q: float,
+        batch: int,
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        if not self.npyrandom or not masks.flags.c_contiguous:
+            return super().draw_sojourns_batch(masks, rngs, loss_probability, p, q, batch)
+        runs, count = masks.shape
+        if masks.dtype != np.bool_ or len(rngs) != runs:
+            raise ValueError("draw_sojourns_batch needs a bool mask row per generator")
+        bit_generators = [rng.bit_generator for rng in rngs]
+        pointers = np.fromiter(
+            (_capsule_pointer(bg.capsule, b"BitGenerator") for bg in bit_generators),
+            dtype=np.uintp,
+            count=runs,
+        )
+        distinct = {id(bg): bg for bg in bit_generators}
+        # Rows may run in parallel only when no two share a stream, by the
+        # test of pipeline._all_distinct; shared generators keep the serial
+        # draw interleaving on a team of one.
+        threads = self._team_size(runs) if len(distinct) == runs else 1
+        states = np.empty(runs, dtype=np.uint8)
+        gap_runs = np.empty((runs, batch), dtype=np.int64)
+        burst_runs = np.empty((runs, batch), dtype=np.int64)
+        scratch = np.empty((threads, 2 * batch), dtype=np.int64)
+        with contextlib.ExitStack() as held:
+            # Hold each generator's lock for the call, as numpy's own draw
+            # methods do; a fixed (id) order keeps concurrent calls on
+            # overlapping generators from deadlocking.
+            for key in sorted(distinct):
+                held.enter_context(distinct[key].lock)
+            self._lib.gilbert_draw_batch(
+                pointers.ctypes.data_as(_PTR),
+                runs,
+                count,
+                float(loss_probability),
+                float(p),
+                float(q),
+                int(batch),
+                states.ctypes.data_as(_U8),
+                gap_runs.ctypes.data_as(_I64),
+                burst_runs.ctypes.data_as(_I64),
+                masks.view(np.uint8).ctypes.data_as(_U8),
+                scratch.ctypes.data_as(_I64),
+                threads,
+            )
+        return states.view(bool), gap_runs, burst_runs
 
 
 __all__ = ["CExtBackend", "compiler"]

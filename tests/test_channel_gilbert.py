@@ -72,6 +72,14 @@ class TestLossMask:
     def test_absorbing_loss_state_loses_everything(self, rng):
         assert GilbertChannel(0.4, 0.0).loss_mask(5000, rng).all()
 
+    @pytest.mark.parametrize("p,q", [(0.0, 0.5), (0.4, 0.0), (0.1, 0.5)])
+    def test_mask_is_a_writable_array_of_its_own(self, rng, p, q):
+        # Degenerate chains broadcast one row internally; callers still
+        # get an array they may modify.
+        mask = GilbertChannel(p, q).loss_mask(100, rng)
+        assert mask.flags.writeable
+        mask[:] = True
+
     def test_empirical_loss_rate_matches_stationary(self, rng):
         channel = GilbertChannel(0.05, 0.45)
         mask = channel.loss_mask(200_000, rng)

@@ -7,12 +7,17 @@ row-parallel cext kernels at every team size (1 thread == N threads ==
 the numpy reference, under both seed schemes), the shared-memory
 :class:`~repro.runner.executors.ThreadExecutor` against the serial and
 process executors, the ``kernel_threads`` plumbing through work units /
-cache keys / CLI, and the graceful degradation path when the OpenMP
-probe compile fails (poisoned ``CFLAGS``): one warning, serial kernels,
-identical results.
+cache keys / CLI, the Gilbert draws (masks and every generator's
+post-call state equal to the serial chain for both backends, at 1 and 2
+kernel threads, with distinct and shared generators), and the graceful
+degradation paths when the OpenMP or ``libnpyrandom`` probe compile fails
+(poisoned ``CFLAGS``): one warning, fallback kernels, identical results.
 """
 
 from __future__ import annotations
+
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -25,6 +30,7 @@ from repro.fastpath import simulate_batch_columnar
 from repro.fec.registry import make_code
 from repro.kernels import (
     THREADS_ENV_VAR,
+    available_backends,
     cext_compiler_available,
     cext_openmp_enabled,
     current_thread_count,
@@ -42,6 +48,7 @@ from repro.runner.options import ExecutionOptions
 from repro.runner.units import WorkUnit, execute_unit, plan_units
 from repro.scheduling.registry import make_tx_model
 from repro.seeds import get_scheme
+from serial_reference import gilbert_loss_mask_serial
 
 needs_cext = pytest.mark.skipif(
     not cext_compiler_available(), reason="no C compiler for the cext backend"
@@ -361,7 +368,93 @@ class TestKernelThreadsPlumbing:
 
 
 # ---------------------------------------------------------------------------
-# Graceful degradation: poisoned OpenMP probe.
+# Gilbert draws: identical masks and generator states.
+# ---------------------------------------------------------------------------
+
+#: Includes the degenerate chains (0), IID losses (1.0) and the tiny
+#: probabilities at which geometric draws saturate near 2**63 - 1.
+DRAW_GRID = [0.0, 1e-300, 1e-12, 0.05, 0.3, 0.9, 1.0]
+#: Empty, shorter than, equal to and well past one 256-sojourn batch.
+DRAW_COUNTS = (0, 1, 255, 256, 3000, 5000)
+
+
+def _draw_generators(shared: bool, runs: int = 4):
+    if shared:
+        return [np.random.default_rng(23)] * runs
+    return [np.random.default_rng([23, run]) for run in range(runs)]
+
+
+def assert_draws_match_serial(kernel, shared: bool) -> None:
+    """``loss_mask_batch`` equals the serial chain, row by row, across the grid.
+
+    Both the masks and every generator's ``bit_generator.state`` after the
+    call must match; with a shared generator the serial chain runs its
+    rows one after the other on the one stream.
+    """
+    for p in DRAW_GRID:
+        for q in DRAW_GRID:
+            channel = GilbertChannel(p, q)
+            for count in DRAW_COUNTS:
+                fast, slow = _draw_generators(shared), _draw_generators(shared)
+                masks = channel.loss_mask_batch(count, fast, kernel=kernel)
+                for row, rng in zip(masks, slow):
+                    expected = gilbert_loss_mask_serial(channel, count, rng)
+                    assert np.array_equal(row, expected), (p, q, count)
+                for after, reference in zip(fast, slow):
+                    assert after.bit_generator.state == reference.bit_generator.state, (
+                        p, q, count,
+                    )
+
+
+class TestGilbertDrawIdentity:
+    @pytest.mark.parametrize("kernel", available_backends())
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("shared", [False, True], ids=["distinct", "shared"])
+    def test_masks_and_generator_state_match_serial(self, kernel, threads, shared):
+        with thread_count_context(threads):
+            assert_draws_match_serial(kernel, shared)
+
+    @needs_cext
+    def test_concurrent_calls_on_one_generator_draw_whole_blocks(self):
+        # The compiled draws run with the interpreter lock released; the
+        # generator's own lock must keep each call's draws contiguous.
+        backend = get_backend("cext")
+        if not backend.npyrandom:
+            pytest.skip("cext library built without libnpyrandom")
+        # Short sojourns make many compiled rounds per call, so calls overlap.
+        channel, count, runs, calls = GilbertChannel(0.5, 0.5), 20000, 8, 16
+        shared = np.random.default_rng(5)
+        results = [None] * calls
+
+        def work(call):
+            results[call] = channel.loss_mask_batch(count, [shared] * runs, kernel=backend)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=work, args=(call,)) for call in range(calls)]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers)
+
+        reference = np.random.default_rng(5)
+        chains = np.array(
+            [gilbert_loss_mask_serial(channel, count, reference) for _ in range(calls * runs)]
+        ).reshape(calls, runs, count)
+        assert shared.bit_generator.state == reference.bit_generator.state
+        blocks = [
+            next((index for index in range(calls) if np.array_equal(result, chains[index])), -1)
+            for result in results
+        ]
+        assert sorted(blocks) == list(range(calls))
+
+
+# ---------------------------------------------------------------------------
+# Graceful degradation: poisoned OpenMP and libnpyrandom probes.
 # ---------------------------------------------------------------------------
 
 
@@ -372,7 +465,7 @@ class TestOpenMPDegradation:
 
         monkeypatch.setenv("CFLAGS", "-DREPRO_POISON_OPENMP")
         monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
-        monkeypatch.setattr(cext, "_openmp_warned", False)
+        monkeypatch.setattr(cext, "_warned", set())
 
         with caplog.at_level("WARNING", logger="repro.kernels"):
             backend = cext.CExtBackend()
@@ -412,3 +505,51 @@ class TestOpenMPDegradation:
 
     def test_openmp_provenance_reported(self):
         assert cext_openmp_enabled() in (True, False)
+
+
+class TestLibraryCacheKey:
+    def test_digest_covers_compiler_numpy_and_cflags(self, monkeypatch):
+        import repro.kernels.cext as cext
+
+        # A library built by another compiler, or linked against another
+        # numpy's libnpyrandom, must never be picked up from the cache.
+        monkeypatch.delenv("CFLAGS", raising=False)
+        base = cext._library_digest("/usr/bin/cc")
+        assert cext._library_digest("/usr/bin/cc") == base
+        assert cext._library_digest("/opt/other/bin/cc") != base
+        with monkeypatch.context() as patch:
+            patch.setenv("CFLAGS", "-O3")
+            assert cext._library_digest("/usr/bin/cc") != base
+        with monkeypatch.context() as patch:
+            patch.setattr(cext.np, "__version__", "0.0.0")
+            assert cext._library_digest("/usr/bin/cc") != base
+        with monkeypatch.context() as patch:
+            patch.setattr(cext, "_npyrandom_dir", lambda: cext.Path("/elsewhere"))
+            assert cext._library_digest("/usr/bin/cc") != base
+
+
+@needs_cext
+class TestNpyrandomDegradation:
+    def test_poisoned_link_probe_serves_python_draws(self, tmp_path, monkeypatch, caplog):
+        import repro.kernels.cext as cext
+
+        monkeypatch.setenv("CFLAGS", "-DREPRO_POISON_NPYRANDOM")
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+        monkeypatch.setattr(cext, "_warned", set())
+
+        with caplog.at_level("WARNING", logger="repro.kernels"):
+            backend = cext.CExtBackend()
+            cext.CExtBackend()  # loads the cached fallback: no second warning
+        assert backend.npyrandom is False
+        warnings = [
+            record for record in caplog.records
+            if "libnpyrandom link unavailable" in record.getMessage()
+        ]
+        assert len(warnings) == 1
+        assert "poisoned" in warnings[0].getMessage()
+
+        # Loud but never fatal, never result-changing: the Python draw
+        # loop serves identical masks and generator states.
+        for shared in (False, True):
+            with thread_count_context(2):
+                assert_draws_match_serial(backend, shared)
