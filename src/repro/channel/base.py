@@ -29,6 +29,13 @@ class LossModel(abc.ABC):
         """
         return True
 
+    #: Whether :meth:`loss_mask_batch` draws straight from a bound
+    #: :class:`~repro.seeds.RunStreams` block (through the kernel's
+    #: ``draw_sojourns_batch``) instead of the block's generators; the
+    #: synthesis pipeline takes the compiled stream path only when every
+    #: drawing stage does.
+    draws_stream_blocks: bool = False
+
     @abc.abstractmethod
     def loss_mask(
         self,

@@ -20,6 +20,7 @@ import numpy as np
 
 from repro.channel.base import LossModel
 from repro.kernels import KernelSpec, get_backend
+from repro.seeds import RunStreams
 from repro.utils.rng import RandomState, ensure_rng
 from repro.utils.validation import validate_probability
 
@@ -92,6 +93,8 @@ class GilbertChannel(LossModel):
     #: Geometric sojourn lengths are drawn in batches of this many runs.
     _SOJOURN_BATCH = 256
 
+    draws_stream_blocks = True
+
     def loss_mask(
         self,
         count: int,
@@ -128,7 +131,8 @@ class GilbertChannel(LossModel):
         compiled on cext when numpy's ``libnpyrandom`` links, a per-run
         loop otherwise) and **one** ``fill_sojourns_batch`` call expands
         every run's first batch, which for typical parameters covers the
-        whole mask.
+        whole mask.  A :class:`~repro.seeds.RunStreams` block bound to the
+        backend is handed over whole, so the draws run on its state rows.
         """
         if count < 0:
             raise ValueError(f"count must be non-negative, got {count}")
@@ -141,9 +145,11 @@ class GilbertChannel(LossModel):
         if count == 0 or runs == 0:
             return masks
         backend = get_backend(kernel)
+        if not (isinstance(rngs, RunStreams) and rngs.kernel is backend):
+            rngs = [ensure_rng(rng) for rng in rngs]
         states, gap_runs, burst_runs = backend.draw_sojourns_batch(
             masks,
-            [ensure_rng(rng) for rng in rngs],
+            rngs,
             self.global_loss_probability,
             self.p,
             self.q,

@@ -1,10 +1,10 @@
 """Pluggable kernel backends for the decode hot loops.
 
-The fast path's remaining wall-clock cost is concentrated in four loops:
+The fast path's remaining wall-clock cost is concentrated in a few loops:
 the LDGM batch-peel cascade, the gallop+bisect prefix search it serves,
-the RSE/repetition block count, and the Gilbert sojourn draws and
-fill.  This package puts them behind a swappable
-:class:`~repro.kernels.base.KernelBackend`:
+the RSE/repetition block count, the Gilbert sojourn draws and fill, and
+(on ``cext``) the per-run stream seeding and shuffles.  This package puts
+them behind a swappable :class:`~repro.kernels.base.KernelBackend`:
 
 * ``numpy`` -- the always-available vectorised reference, with a
   chain-aware cascade for the bidiagonal (staircase/triangle) parity

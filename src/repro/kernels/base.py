@@ -2,8 +2,9 @@
 
 A :class:`KernelBackend` owns the *hot loops* of the decode path -- the
 LDGM peeling cascade behind the gallop+bisect prefix search, the
-block-count rule of RSE and repetition, and the Gilbert sojourn draws
-and fill -- behind a small, swappable surface.  Everything else (prototype
+block-count rule of RSE and repetition, the Gilbert sojourn draws and
+fill, and optionally the per-run stream blocks (``stream_blocks``) --
+behind a small, swappable surface.  Everything else (prototype
 compilation, the run/sweep orchestration) is backend-independent numpy.
 
 All backends are **bit-identical**: for any input they must produce
@@ -148,6 +149,12 @@ class KernelBackend(abc.ABC):
     #: backends leave it False and take batches of any size.
     stacks_batches: bool = False
 
+    #: Whether the backend seeds and draws :class:`~repro.seeds.RunStreams`
+    #: blocks itself (``seed_streams``, ``shuffle_streams`` and a
+    #: :meth:`draw_sojourns_batch` that takes the bound block).  Backends
+    #: without it are handed the block's generators instead.
+    stream_blocks: bool = False
+
     @abc.abstractmethod
     def ldgm_decode_batch(
         self, prototype: "LDGMPrototype", batch: ReceivedBatch
@@ -235,7 +242,10 @@ class KernelBackend(abc.ABC):
         ``[0, covered)``.  The rare runs that round leaves short draw their
         continuation rounds before the next run draws anything (which
         matters when runs share a generator) and expand them here, into
-        the disjoint tail ``[covered, count)`` of their row.
+        the disjoint tail ``[covered, count)`` of their row.  A backend
+        with ``stream_blocks`` also takes a
+        :class:`~repro.seeds.RunStreams` block bound to it and draws its
+        rows in place.
         """
         runs, count = masks.shape
         states = np.empty(runs, dtype=bool)

@@ -1,7 +1,7 @@
 """On-demand C extension backend: loop kernels compiled with the system
 C compiler.
 
-Four kernels, written in C:
+The kernels, written in C:
 
 * ``ldgm_peel_batch`` -- inside a compiled kernel the incremental peeling
   algorithm *is* the fast one: each run walks its received sequence once,
@@ -17,14 +17,24 @@ Four kernels, written in C:
   open group.  Where the numpy reference builds a ``(runs, keys)``
   first-arrival table and partitions it, this touches each received
   packet once, with scratch the size of one run's key space.
-* ``fill_sojourns`` -- the historical serial Gilbert chain minus the
-  geometric draws.
+* ``fill_sojourns`` / ``fill_sojourns_batch`` -- the historical serial
+  Gilbert chain minus the geometric draws.
 * ``gilbert_draw_batch`` -- those draws: each run's initial state and
   sojourn batches, taken from the run's own generator through numpy's
   C core (``libnpyrandom``: ``random_geometric`` and the bit generator's
   ``next_double``, the very functions behind ``Generator.geometric`` and
   ``Generator.random``), so every generator is consumed exactly as the
   Python draw loop consumes it, with no distribution code copied.
+* ``stream_seed_batch`` and ``stream_shuffle_batch`` (and
+  ``gilbert_draw_batch`` on stream rows) -- the per-run streams of a
+  :class:`~repro.seeds.RunStreams` block without any Python generator:
+  numpy's ``SeedSequence`` pool hash and ``PCG64`` seeding and stepping
+  are ported (small integer routines; the generator is O'Neill's PCG,
+  a 128-bit LCG with an XSL-RR output), each ``(runs, 6)`` state row is
+  wrapped in a stack ``bitgen_t``, and ``libnpyrandom``'s
+  ``random_interval`` (the Fisher-Yates step of ``Generator.shuffle``)
+  and ``random_geometric`` run on it unchanged.  A load-time self-check
+  compares one C-seeded state with ``np.random.PCG64``.
 
 They are compiled once per machine with ``cc -O2 -shared -fPIC`` into a cache
 directory keyed by the source hash, the compiler and the numpy build, and
@@ -40,8 +50,9 @@ with ``-fopenmp`` succeeds; when it fails the build falls back to a
 pthread-free serial library with one logged warning (the ``#pragma omp``
 lines are inert without the flag, so both builds share one source).
 The ``libnpyrandom`` link is probed the same way: without it the library
-builds without ``gilbert_draw_batch`` and the backend serves the Python
-draw loop, again with one warning and identical results.
+builds without the draw and stream kernels and the backend serves the
+Python generators and draw loop, again with one warning and identical
+results; a failed stream self-check degrades the same way.
 Runs are independent rows -- each writes only its own output slot and
 works on per-thread scratch, and there are no cross-run reductions in
 these kernels (the lockstep probe reductions live in the numpy backend,
@@ -74,6 +85,7 @@ import numpy as np
 
 from repro.kernels.base import NOT_DECODED, KernelBackend, ReceivedBatch
 from repro.kernels.threads import current_thread_count
+from repro.seeds.schemes import RunStreams, entropy_words, pcg64_state
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.fastpath.prototypes import BlockCountPrototype, LDGMPrototype
@@ -89,9 +101,9 @@ logger = logging.getLogger("repro.kernels")
 #: ``REPRO_POISON_OPENMP`` (injected via ``CFLAGS``) force-fails the
 #: OpenMP probe compile only, which is how CI and the degradation test
 #: exercise the fallback on machines where OpenMP works.  Likewise the
-#: Gilbert draw kernel is compiled only under ``REPRO_NPYRANDOM`` (set by
-#: the build that links ``libnpyrandom``), and ``REPRO_POISON_NPYRANDOM``
-#: force-fails that build.
+#: Gilbert draw and per-run stream kernels are compiled only under
+#: ``REPRO_NPYRANDOM`` (set by the build that links ``libnpyrandom``), and
+#: ``REPRO_POISON_NPYRANDOM`` force-fails that build.
 _C_SOURCE = r"""
 #include <stdint.h>
 #include <string.h>
@@ -297,18 +309,219 @@ static void draw_geometric(bitgen_t *bitgen, double p, int64_t *out, int64_t siz
         out[i] = random_geometric(bitgen, p);
 }
 
+static void gilbert_draw_run(
+    bitgen_t *bitgen, int64_t count, double loss_probability, double p,
+    double q, int64_t batch, uint8_t *state_out, int64_t *gap,
+    int64_t *burst, uint8_t *mask, int64_t *scratch)
+{
+    /* One run, in the serial chain's order: the initial-state uniform
+       (Generator.random), then batch gap and batch burst sojourns per
+       round (two Generator.geometric calls).  Continuation rounds use the
+       caller's scratch row of 2 * batch sojourns. */
+    int state = bitgen->next_double(bitgen->state) < loss_probability;
+    *state_out = (uint8_t)state;
+    draw_geometric(bitgen, p, gap, batch);
+    draw_geometric(bitgen, q, burst, batch);
+    /* Sojourn i is a burst in the loss state, a gap otherwise, the state
+       toggling after each one; capping at count keeps saturated draws
+       (near INT64_MAX) from overflowing the sum. */
+    int64_t covered = 0;
+    for (int64_t i = 0; i < batch && covered < count; i++) {
+        int64_t length = (state ^ (int)(i & 1)) ? burst[i] : gap[i];
+        covered += length < count ? length : count;
+    }
+    /* A short first round held no capped sojourn, so the caller's
+       fill_sojourns_batch covers exactly [0, covered): the continuation
+       rounds fill the disjoint tail. */
+    while (covered < count) {
+        draw_geometric(bitgen, p, scratch, batch);
+        draw_geometric(bitgen, q, scratch + batch, batch);
+        covered = fill_sojourns(mask, covered, count, state, scratch, scratch + batch, batch);
+    }
+}
+
+/* ---- Per-run streams: numpy's SeedSequence and PCG64, ported. ----
+
+   A stream is one row of six uint64 words: the 128-bit LCG state (high,
+   low), the 128-bit increment (high, low), has_uint32 and uinteger --
+   exactly the fields of PCG64.state.  A row is loaded into a stack
+   stream_t, wrapped in a bitgen_t so that libnpyrandom's samplers run on
+   it unchanged, and stored back when the row's draws are done. */
+
+/* numpy's bounded-integer sampler, which Generator.shuffle calls once
+   per swap. */
+uint64_t random_interval(bitgen_t *bitgen_state, uint64_t max);
+
+typedef unsigned __int128 u128;
+
+#define PCG_MULTIPLIER ((((u128)2549297995355413924ULL) << 64) | 4865540595714422341ULL)
+
+typedef struct {
+    u128 state;
+    u128 inc;
+    int has_uint32;
+    uint32_t uinteger;
+} stream_t;
+
+static inline uint64_t stream_next64(void *st)
+{
+    /* PCG64: step the LCG, then the XSL-RR output of the new state. */
+    stream_t *s = (stream_t *)st;
+    s->state = s->state * PCG_MULTIPLIER + s->inc;
+    uint64_t high = (uint64_t)(s->state >> 64);
+    uint64_t folded = high ^ (uint64_t)s->state;
+    unsigned rot = (unsigned)(high >> 58);
+    return (folded >> rot) | (folded << ((64u - rot) & 63u));
+}
+
+static uint32_t stream_next32(void *st)
+{
+    /* numpy's buffering: the high half of a 64-bit draw is kept for the
+       next call. */
+    stream_t *s = (stream_t *)st;
+    if (s->has_uint32) {
+        s->has_uint32 = 0;
+        return s->uinteger;
+    }
+    uint64_t next = stream_next64(st);
+    s->has_uint32 = 1;
+    s->uinteger = (uint32_t)(next >> 32);
+    return (uint32_t)next;
+}
+
+static double stream_next_double(void *st)
+{
+    return (double)(stream_next64(st) >> 11) * (1.0 / 9007199254740992.0);
+}
+
+static void stream_load(const uint64_t *row, stream_t *s, bitgen_t *bitgen)
+{
+    s->state = ((u128)row[0] << 64) | row[1];
+    s->inc = ((u128)row[2] << 64) | row[3];
+    s->has_uint32 = (int)row[4];
+    s->uinteger = (uint32_t)row[5];
+    bitgen->state = s;
+    bitgen->next_uint64 = stream_next64;
+    bitgen->next_uint32 = stream_next32;
+    bitgen->next_double = stream_next_double;
+    bitgen->next_raw = stream_next64;
+}
+
+static void stream_store(const stream_t *s, uint64_t *row)
+{
+    row[0] = (uint64_t)(s->state >> 64);
+    row[1] = (uint64_t)s->state;
+    row[2] = (uint64_t)(s->inc >> 64);
+    row[3] = (uint64_t)s->inc;
+    row[4] = (uint64_t)s->has_uint32;
+    row[5] = (uint64_t)s->uinteger;
+}
+
+static inline uint32_t ss_hashmix(uint32_t value, uint32_t *hash_const)
+{
+    value ^= *hash_const;
+    *hash_const *= 0x931e8875u;
+    value *= *hash_const;
+    return value ^ (value >> 16);
+}
+
+static inline uint32_t ss_mix(uint32_t x, uint32_t y)
+{
+    uint32_t result = 0xca01f9ddu * x - 0x4973f715u * y;
+    return result ^ (result >> 16);
+}
+
+static void stream_seed(const uint32_t *prefix, int64_t prefix_len, uint64_t run, uint64_t *row)
+{
+    /* SeedSequence([*prefix, run]).generate_state(4, uint64), then
+       pcg64_set_seed: the entropy is prefix's 32-bit words followed by
+       run's (one word, two from 2**32 on), mixed into a 4-word pool. */
+    uint32_t run_words[2] = {(uint32_t)run, (uint32_t)(run >> 32)};
+    int64_t total = prefix_len + (run >> 32 ? 2 : 1);
+#define ENTROPY(i) ((i) < prefix_len ? prefix[i] : run_words[(i) - prefix_len])
+    uint32_t pool[4];
+    uint32_t hash_const = 0x43b0d7e5u;
+    for (int64_t i = 0; i < 4; i++)
+        pool[i] = ss_hashmix(i < total ? ENTROPY(i) : 0u, &hash_const);
+    for (int src = 0; src < 4; src++)
+        for (int dst = 0; dst < 4; dst++)
+            if (src != dst)
+                pool[dst] = ss_mix(pool[dst], ss_hashmix(pool[src], &hash_const));
+    for (int64_t src = 4; src < total; src++)
+        for (int dst = 0; dst < 4; dst++)
+            pool[dst] = ss_mix(pool[dst], ss_hashmix(ENTROPY(src), &hash_const));
+#undef ENTROPY
+    uint64_t words[4];
+    hash_const = 0x8b51f9ddu;
+    for (int i = 0; i < 8; i++) {
+        uint32_t value = pool[i % 4] ^ hash_const;
+        hash_const *= 0x58f38dedu;
+        value *= hash_const;
+        value ^= value >> 16;
+        if (i % 2)
+            words[i / 2] |= (uint64_t)value << 32;
+        else
+            words[i / 2] = value;
+    }
+    stream_t s;
+    s.state = 0;
+    s.inc = ((((u128)words[2] << 64) | words[3]) << 1) | 1u;
+    stream_next64(&s);
+    s.state += ((u128)words[0] << 64) | words[1];
+    stream_next64(&s);
+    s.has_uint32 = 0;
+    s.uinteger = 0;
+    stream_store(&s, row);
+}
+
+void stream_seed_batch(
+    const uint32_t *prefix, int64_t prefix_len, int64_t run_start,
+    int64_t num_runs, uint64_t *states, int64_t num_threads)
+{
+    (void)num_threads;
+#ifdef _OPENMP
+#pragma omp parallel for schedule(static) num_threads((int)num_threads)
+#endif
+    for (int64_t run = 0; run < num_runs; run++)
+        stream_seed(prefix, prefix_len, (uint64_t)(run_start + run), states + 6 * run);
+}
+
+void stream_shuffle_batch(
+    uint64_t *states, int64_t *rows, int64_t num_runs, int64_t width,
+    int64_t start, int64_t num_threads)
+{
+    /* Generator.shuffle on rows[run, start:]: Fisher-Yates from the last
+       position down to 1, each swap partner drawn by random_interval. */
+    (void)num_threads;
+#ifdef _OPENMP
+#pragma omp parallel for schedule(static) num_threads((int)num_threads)
+#endif
+    for (int64_t run = 0; run < num_runs; run++) {
+        stream_t s;
+        bitgen_t bitgen;
+        stream_load(states + 6 * run, &s, &bitgen);
+        int64_t *segment = rows + run * width + start;
+        for (int64_t i = width - start - 1; i > 0; i--) {
+            int64_t j = (int64_t)random_interval(&bitgen, (uint64_t)i);
+            int64_t swap = segment[j];
+            segment[j] = segment[i];
+            segment[i] = swap;
+        }
+        stream_store(&s, states + 6 * run);
+    }
+}
+
 void gilbert_draw_batch(
-    bitgen_t *const *bitgens, int64_t num_runs, int64_t count,
-    double loss_probability, double p, double q, int64_t batch,
-    uint8_t *states, int64_t *gap_runs, int64_t *burst_runs,
+    bitgen_t *const *bitgens, uint64_t *streams, int64_t num_runs,
+    int64_t count, double loss_probability, double p, double q,
+    int64_t batch, uint8_t *states, int64_t *gap_runs, int64_t *burst_runs,
     uint8_t *masks, int64_t *scratch, int64_t num_threads)
 {
-    /* Run r draws only from bitgens[r], in the serial chain's order: the
-       initial-state uniform (Generator.random), then batch gap and batch
-       burst sojourns per round (two Generator.geometric calls).  Rows are
-       independent when the generators are pairwise distinct; the caller
-       passes a team of 1 when they are shared, which keeps the serial
-       interleaving.  Continuation rounds use the thread's scratch row. */
+    /* Run r draws only from its own source: bitgens[r], or stream row r
+       when streams is non-NULL.  Rows are independent when the sources
+       are pairwise distinct (stream rows always are); the caller passes a
+       team of 1 when generators are shared, which keeps the serial
+       interleaving. */
     (void)num_threads;
 #ifdef _OPENMP
 #pragma omp parallel for schedule(dynamic) num_threads((int)num_threads)
@@ -318,32 +531,17 @@ void gilbert_draw_batch(
 #ifdef _OPENMP
         slot = (int64_t)omp_get_thread_num();
 #endif
-        bitgen_t *bitgen = bitgens[run];
-        int64_t *gap = gap_runs + run * batch;
-        int64_t *burst = burst_runs + run * batch;
-        int state = bitgen->next_double(bitgen->state) < loss_probability;
-        states[run] = (uint8_t)state;
-        draw_geometric(bitgen, p, gap, batch);
-        draw_geometric(bitgen, q, burst, batch);
-        /* Sojourn i is a burst in the loss state, a gap otherwise, the
-           state toggling after each one; capping at count keeps
-           saturated draws (near INT64_MAX) from overflowing the sum. */
-        int64_t covered = 0;
-        for (int64_t i = 0; i < batch && covered < count; i++) {
-            int64_t length = (state ^ (int)(i & 1)) ? burst[i] : gap[i];
-            covered += length < count ? length : count;
-        }
-        /* A short first round held no capped sojourn, so the caller's
-           fill_sojourns_batch covers exactly [0, covered): the
-           continuation rounds fill the disjoint tail. */
-        int64_t *gap_t = scratch + slot * 2 * batch;
-        int64_t *burst_t = gap_t + batch;
-        while (covered < count) {
-            draw_geometric(bitgen, p, gap_t, batch);
-            draw_geometric(bitgen, q, burst_t, batch);
-            covered = fill_sojourns(
-                masks + run * count, covered, count, state, gap_t, burst_t, batch);
-        }
+        stream_t s;
+        bitgen_t row;
+        bitgen_t *bitgen = bitgens ? bitgens[run] : &row;
+        if (streams)
+            stream_load(streams + 6 * run, &s, &row);
+        gilbert_draw_run(
+            bitgen, count, loss_probability, p, q, batch, states + run,
+            gap_runs + run * batch, burst_runs + run * batch,
+            masks + run * count, scratch + slot * 2 * batch);
+        if (streams)
+            stream_store(&s, streams + 6 * run);
     }
 }
 #endif
@@ -351,6 +549,8 @@ void gilbert_draw_batch(
 
 _I64 = ctypes.POINTER(ctypes.c_int64)
 _U8 = ctypes.POINTER(ctypes.c_uint8)
+_U32 = ctypes.POINTER(ctypes.c_uint32)
+_U64 = ctypes.POINTER(ctypes.c_uint64)
 _PTR = ctypes.POINTER(ctypes.c_void_p)
 
 #: ``PyCapsule_GetPointer`` with its own prototype (the shared
@@ -406,8 +606,11 @@ _VARIANTS = (("omp", "npy"), ("omp",), ("npy",), ())
 _FALLBACKS = {
     "omp": "OpenMP unavailable (%s); serving single-threaded cext kernels "
     "(results unchanged, kernel_threads forced to 1)",
-    "npy": "libnpyrandom link unavailable (%s); Gilbert sojourns are drawn "
-    "by the Python loop (results unchanged)",
+    "npy": "libnpyrandom link unavailable (%s); per-run streams are numpy "
+    "Generators and Gilbert sojourns are drawn by the Python loop (results "
+    "unchanged)",
+    "streams": "per-run stream self-check failed (%s); per-run streams are "
+    "numpy Generators (results unchanged)",
 }
 
 
@@ -543,13 +746,39 @@ def _load_library() -> ctypes.CDLL:
     if lib.peel_npyrandom():
         lib.gilbert_draw_batch.restype = None
         lib.gilbert_draw_batch.argtypes = [
-            _PTR, ctypes.c_int64, ctypes.c_int64,
+            _PTR, _U64, ctypes.c_int64, ctypes.c_int64,
             ctypes.c_double, ctypes.c_double, ctypes.c_double, ctypes.c_int64,
             _U8, _I64, _I64, _U8, _I64, ctypes.c_int64,
+        ]
+        lib.stream_seed_batch.restype = None
+        lib.stream_seed_batch.argtypes = [
+            _U32, ctypes.c_int64, ctypes.c_int64, ctypes.c_int64, _U64, ctypes.c_int64,
+        ]
+        lib.stream_shuffle_batch.restype = None
+        lib.stream_shuffle_batch.argtypes = [
+            _U64, _I64, ctypes.c_int64, ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,
         ]
     else:
         _warn_fallback("npy", "library built without libnpyrandom")
     return lib
+
+
+def _streams_self_check(lib: ctypes.CDLL) -> str | None:
+    """Why the C stream seeding disagrees with numpy, or None when it agrees.
+
+    One coordinate with multi-word entropy (a base and a path entry above
+    2**32, a run above 2**32) is seeded in C and compared with
+    ``PCG64(SeedSequence(...)).state``.
+    """
+    base, path, run = 2**40 + 7, (3, 2**33 + 1), 2**32 + 5
+    prefix = entropy_words((base, *path))
+    states = np.empty((1, 6), dtype=np.uint64)
+    lib.stream_seed_batch(
+        prefix.ctypes.data_as(_U32), prefix.size, run, 1, states.ctypes.data_as(_U64), 1
+    )
+    expected = np.random.PCG64(np.random.SeedSequence([base, *path, run])).state
+    seeded = pcg64_state(states[0])
+    return None if seeded == expected else f"C seeding gave {seeded}, numpy {expected}"
 
 
 def _i64(array: np.ndarray) -> np.ndarray:
@@ -581,6 +810,15 @@ class CExtBackend(KernelBackend):
         self.openmp = bool(self._lib.peel_openmp())
         #: Whether it links ``libnpyrandom``, i.e. draws Gilbert sojourns in C.
         self.npyrandom = bool(self._lib.peel_npyrandom())
+        #: Whether it seeds and draws :class:`~repro.seeds.RunStreams`
+        #: blocks in C (``libnpyrandom`` linked and the self-check passed).
+        self.stream_blocks = False
+        if self.npyrandom:
+            failure = _streams_self_check(self._lib)
+            if failure is None:
+                self.stream_blocks = True
+            else:
+                _warn_fallback("streams", failure)
 
     def _team_size(self, num_runs: int) -> int:
         if not self.openmp:
@@ -715,6 +953,37 @@ class CExtBackend(KernelBackend):
             )
         return filled
 
+    def seed_streams(self, prefix: np.ndarray, run_start: int, runs: int) -> np.ndarray:
+        """PCG64 state rows of runs ``run_start ..``, seeded like
+        ``SeedSequence([*prefix_values, run])`` from the prefix's entropy words."""
+        prefix = np.ascontiguousarray(prefix, dtype=np.uint32)
+        states = np.empty((runs, 6), dtype=np.uint64)
+        if runs:
+            self._lib.stream_seed_batch(
+                prefix.ctypes.data_as(_U32),
+                prefix.size,
+                int(run_start),
+                int(runs),
+                states.ctypes.data_as(_U64),
+                self._team_size(runs),
+            )
+        return states
+
+    def shuffle_streams(self, states: np.ndarray, rows: np.ndarray, start: int) -> None:
+        """``Generator.shuffle(rows[i, start:])`` for every row, drawing from stream row i."""
+        runs, width = rows.shape
+        if rows.dtype != np.int64 or not rows.flags.c_contiguous or states.shape != (runs, 6):
+            raise ValueError("shuffle_streams needs a C-contiguous int64 row per stream")
+        if runs and width - start > 1:
+            self._lib.stream_shuffle_batch(
+                states.ctypes.data_as(_U64),
+                rows.ctypes.data_as(_I64),
+                runs,
+                width,
+                int(start),
+                self._team_size(runs),
+            )
+
     def draw_sojourns_batch(
         self,
         masks: np.ndarray,
@@ -729,29 +998,37 @@ class CExtBackend(KernelBackend):
         runs, count = masks.shape
         if masks.dtype != np.bool_ or len(rngs) != runs:
             raise ValueError("draw_sojourns_batch needs a bool mask row per generator")
-        bit_generators = [rng.bit_generator for rng in rngs]
-        pointers = np.fromiter(
-            (_capsule_pointer(bg.capsule, b"BitGenerator") for bg in bit_generators),
-            dtype=np.uintp,
-            count=runs,
-        )
-        distinct = {id(bg): bg for bg in bit_generators}
-        # Rows may run in parallel only when no two share a stream, by the
-        # test of pipeline._all_distinct; shared generators keep the serial
-        # draw interleaving on a team of one.
-        threads = self._team_size(runs) if len(distinct) == runs else 1
         states = np.empty(runs, dtype=np.uint8)
         gap_runs = np.empty((runs, batch), dtype=np.int64)
         burst_runs = np.empty((runs, batch), dtype=np.int64)
-        scratch = np.empty((threads, 2 * batch), dtype=np.int64)
         with contextlib.ExitStack() as held:
-            # Hold each generator's lock for the call, as numpy's own draw
-            # methods do; a fixed (id) order keeps concurrent calls on
-            # overlapping generators from deadlocking.
-            for key in sorted(distinct):
-                held.enter_context(distinct[key].lock)
+            if isinstance(rngs, RunStreams) and rngs.kernel is self:
+                # Stream rows are distinct by construction and private to
+                # the unit: always row-parallel, no capsules, no locks.
+                pointers, streams = None, rngs.states().ctypes.data_as(_U64)
+                threads = self._team_size(runs)
+            else:
+                bit_generators = [rng.bit_generator for rng in rngs]
+                capsules = np.fromiter(
+                    (_capsule_pointer(bg.capsule, b"BitGenerator") for bg in bit_generators),
+                    dtype=np.uintp,
+                    count=runs,
+                )
+                pointers, streams = capsules.ctypes.data_as(_PTR), None
+                distinct = {id(bg): bg for bg in bit_generators}
+                # Rows may run in parallel only when no two share a stream,
+                # by the test of pipeline._all_distinct; shared generators
+                # keep the serial draw interleaving on a team of one.
+                threads = self._team_size(runs) if len(distinct) == runs else 1
+                # Hold each generator's lock for the call, as numpy's own
+                # draw methods do; a fixed (id) order keeps concurrent calls
+                # on overlapping generators from deadlocking.
+                for key in sorted(distinct):
+                    held.enter_context(distinct[key].lock)
+            scratch = np.empty((threads, 2 * batch), dtype=np.int64)
             self._lib.gilbert_draw_batch(
-                pointers.ctypes.data_as(_PTR),
+                pointers,
+                streams,
                 runs,
                 count,
                 float(loss_probability),

@@ -26,6 +26,13 @@ execution would reorder the draws, so :func:`synthesize_runs` transparently
 falls back to the retained per-run interleaved loop (also used for
 duck-typed third-party models without batch APIs, and for models with
 run-dependent schedule lengths).
+
+The per-run seed scheme hands over a lazy :class:`~repro.seeds.RunStreams`
+block instead of generators.  The path is chosen once per unit, before any
+draw: when every drawing stage draws straight from stream blocks and the
+kernel backend seeds and draws them in C, the block is bound to the
+backend and no Python generator is built; when no stage draws at all,
+nothing is seeded; otherwise the block's generators run the code above.
 """
 
 from __future__ import annotations
@@ -38,6 +45,7 @@ import numpy as np
 from repro.channel.base import LossModel
 from repro.fec.packet import PacketLayout
 from repro.kernels import KernelSpec, ReceivedBatch, get_backend
+from repro.seeds import RunStreams
 from repro.utils.rng import RandomState, ensure_rng
 from repro.utils.validation import validate_positive_int
 
@@ -111,6 +119,23 @@ def can_batch_stages(tx_model, channel, rngs: Sequence[np.random.Generator]) -> 
     return (not tx_draws) or (not channel_draws) or _all_distinct(rngs)
 
 
+def _bind_stream_block(tx_model, channel, streams: RunStreams, backend) -> bool:
+    """Whether the unit synthesises on its stream block, binding it if needed.
+
+    True when both stages have batch APIs and each either draws nothing
+    or draws straight from stream blocks, and -- if any stage draws --
+    the backend takes the block.  No stage draws: nothing is ever seeded.
+    """
+    if getattr(tx_model, "schedule_batch", None) is None:
+        return False
+    if getattr(channel, "loss_mask_batch", None) is None:
+        return False
+    drawing = [stage for stage in (tx_model, channel) if getattr(stage, "uses_rng", True)]
+    if not all(getattr(stage, "draws_stream_blocks", False) for stage in drawing):
+        return False
+    return not drawing or streams.bind(backend)
+
+
 def synthesize_runs(
     layout: PacketLayout,
     tx_model,
@@ -127,10 +152,18 @@ def synthesize_runs(
     (``run_many``'s sequential consumption) -- either way the draws happen
     in the exact order of the incremental path, via the batched stages
     when that is provably draw-identical and via the retained per-run
-    interleaved loop otherwise.
+    interleaved loop otherwise.  A :class:`~repro.seeds.RunStreams` block
+    is drawn in C where every stage allows it, and materialised into its
+    generators otherwise.
     """
     if nsent is not None:
         nsent = validate_positive_int(nsent, "nsent")
+    if isinstance(rngs, RunStreams) and len(rngs):
+        backend = get_backend(kernel)
+        if _bind_stream_block(tx_model, channel, rngs, backend):
+            return _synthesize_batched(
+                layout, tx_model, channel, rngs, nsent=nsent, kernel=backend
+            )
     resolved = [ensure_rng(rng) for rng in rngs]
     if not resolved:
         return _empty_synthesis()
@@ -152,7 +185,11 @@ def _synthesize_batched(
     nsent: Optional[int],
     kernel: KernelSpec,
 ) -> SynthesizedRuns:
-    """Stage-major path: whole-unit schedule and loss arrays, one gather."""
+    """Stage-major path: whole-unit schedule and loss arrays, one gather.
+
+    ``rngs`` is a list of distinct generators or a stream block the
+    stages draw from directly.
+    """
     schedules = tx_model.schedule_batch(layout, rngs)
     if not (isinstance(schedules, np.ndarray) and schedules.ndim == 2):
         # Run-dependent schedule lengths (a ragged row list): the

@@ -90,6 +90,17 @@ from repro.store.codec import unit_key as compute_unit_key
 from repro.store.json_dir import DEFAULT_CACHE_DIR
 
 
+def _seed_value(text: str) -> int:
+    """``--seed``: a non-negative integer, as every seed scheme requires."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = None
+    if value is None or value < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro",
@@ -116,7 +127,9 @@ def _build_parser() -> argparse.ArgumentParser:
         help="experiment scale (default: small)",
     )
     run.add_argument("--runs", type=int, default=None, help="override runs per grid point")
-    run.add_argument("--seed", type=int, default=0, help="top-level seed (default: 0)")
+    run.add_argument(
+        "--seed", type=_seed_value, default=0, help="top-level seed, >= 0 (default: 0)"
+    )
     run.add_argument(
         "--workers",
         type=int,

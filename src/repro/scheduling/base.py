@@ -30,6 +30,13 @@ class TransmissionModel(abc.ABC):
     #: runs share one generator.
     uses_rng: bool = True
 
+    #: Whether :meth:`schedule_batch` draws straight from a bound
+    #: :class:`~repro.seeds.RunStreams` block (one compiled call for the
+    #: whole unit) instead of the block's generators; the synthesis
+    #: pipeline takes the compiled stream path only when every drawing
+    #: stage does.
+    draws_stream_blocks: bool = False
+
     @abc.abstractmethod
     def schedule(self, layout: PacketLayout, rng: RandomState = None) -> np.ndarray:
         """Return the transmission order as an array of global packet indices."""

@@ -3,11 +3,14 @@
 Every stochastic model also overrides
 :meth:`~repro.scheduling.base.TransmissionModel.schedule_batch` with a
 vectorised form: the whole work unit's schedules are assembled in one
-``(runs, length)`` allocation and only the generator draws themselves
-(shuffles and choices, which are per-generator by construction) remain in
-the per-run loop.  Each override consumes the generators exactly as the
-serial :meth:`schedule` does, so batch row ``i`` is bit-identical to a
-serial call with ``rngs[i]``.
+``(runs, length)`` allocation, and each override consumes the streams
+exactly as the serial :meth:`schedule` does, so batch row ``i`` is
+bit-identical to a serial call with ``rngs[i]``.  The shuffle-only models
+(``tx_model_2`` to ``tx_model_4``) shuffle every row of a bound
+:class:`~repro.seeds.RunStreams` block in one compiled call
+(``Generator.shuffle``'s Fisher-Yates steps on each run's own PCG64
+stream); otherwise, and for ``tx_model_6``'s subset choice, the draws
+stay a loop over the runs' generators.
 
 Under the ``"unit"`` seed scheme (:mod:`repro.seeds`) the per-generator
 constraint disappears -- a whole work unit shares one counter-based
@@ -27,8 +30,22 @@ import numpy as np
 from repro.fec.packet import PacketLayout
 from repro.scheduling.base import TransmissionModel
 from repro.scheduling.interleaver import block_interleave, proportional_interleave
+from repro.seeds import RunStreams
 from repro.utils.rng import RandomState, ensure_rng
 from repro.utils.validation import validate_fraction
+
+
+def _shuffle_tails(out: np.ndarray, start: int, rngs: Sequence[RandomState]) -> None:
+    """``rngs[i].shuffle(out[i, start:])`` for every row, in run order.
+
+    A :class:`~repro.seeds.RunStreams` block bound to a kernel shuffles
+    all rows in one compiled call on the runs' own streams.
+    """
+    if isinstance(rngs, RunStreams) and rngs.kernel is not None:
+        rngs.kernel.shuffle_streams(rngs.states(), out, start)
+        return
+    for row, rng in zip(out, rngs):
+        ensure_rng(rng).shuffle(row[start:])
 
 
 class TxModel1(TransmissionModel):
@@ -45,6 +62,7 @@ class TxModel2(TransmissionModel):
     """Send source packets sequentially, then parity packets in random order."""
 
     name = "tx_model_2"
+    draws_stream_blocks = True
 
     def schedule(self, layout: PacketLayout, rng: RandomState = None) -> np.ndarray:
         rng = ensure_rng(rng)
@@ -59,8 +77,7 @@ class TxModel2(TransmissionModel):
         out = np.empty((len(rngs), layout.n), dtype=np.int64)
         out[:, : source.size] = source
         out[:, source.size :] = layout.parity_indices
-        for row, rng in zip(out, rngs):
-            ensure_rng(rng).shuffle(row[source.size :])
+        _shuffle_tails(out, source.size, rngs)
         return out
 
     def schedule_batch_unit(
@@ -81,6 +98,7 @@ class TxModel3(TransmissionModel):
     """Send parity packets sequentially, then source packets in random order."""
 
     name = "tx_model_3"
+    draws_stream_blocks = True
 
     def schedule(self, layout: PacketLayout, rng: RandomState = None) -> np.ndarray:
         rng = ensure_rng(rng)
@@ -97,8 +115,7 @@ class TxModel3(TransmissionModel):
         out[:, parity.size :] = layout.source_indices
         # Serial order: the source packets are shuffled *before* they are
         # appended to the parity stream, so the draws match exactly.
-        for row, rng in zip(out, rngs):
-            ensure_rng(rng).shuffle(row[parity.size :])
+        _shuffle_tails(out, parity.size, rngs)
         return out
 
     def schedule_batch_unit(
@@ -117,6 +134,7 @@ class TxModel4(TransmissionModel):
     """Send all packets (source and parity) in a fully random order."""
 
     name = "tx_model_4"
+    draws_stream_blocks = True
 
     def schedule(self, layout: PacketLayout, rng: RandomState = None) -> np.ndarray:
         rng = ensure_rng(rng)
@@ -129,8 +147,7 @@ class TxModel4(TransmissionModel):
     ) -> np.ndarray:
         out = np.empty((len(rngs), layout.n), dtype=np.int64)
         out[:] = np.arange(layout.n, dtype=np.int64)
-        for row, rng in zip(out, rngs):
-            ensure_rng(rng).shuffle(row)
+        _shuffle_tails(out, 0, rngs)
         return out
 
     def schedule_batch_unit(

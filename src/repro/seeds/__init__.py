@@ -2,7 +2,9 @@
 
 Makes run-stream derivation a first-class, versioned strategy object: the
 ``"per-run"`` scheme reproduces the historical
-``SeedSequence([base_seed, *seed_path, run])`` streams bit-for-bit, while
+``SeedSequence([base_seed, *seed_path, run])`` streams bit-for-bit (as a
+lazy :class:`RunStreams` block that compiled kernels seed and draw in C),
+while
 the counter-based ``"unit"`` scheme derives one Philox generator per work
 unit so stochastic stages can draw whole ``(runs, n)`` blocks in one call.
 See :mod:`repro.seeds.schemes` for the scheme contract and selection rules.
@@ -13,6 +15,7 @@ from repro.seeds.schemes import (
     ENV_VAR,
     RUN_STRIDE,
     PerRunScheme,
+    RunStreams,
     SchemeSpec,
     SeedScheme,
     UnitScheme,
@@ -28,6 +31,7 @@ __all__ = [
     "ENV_VAR",
     "RUN_STRIDE",
     "PerRunScheme",
+    "RunStreams",
     "SchemeSpec",
     "SeedScheme",
     "UnitScheme",

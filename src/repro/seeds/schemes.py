@@ -11,13 +11,17 @@ auditable in one place and alternative schemes can ship side by side.
 Two schemes are provided:
 
 ``"per-run"`` (default)
-    One ``PCG64`` generator per run, seeded from
+    One ``PCG64`` stream per run, seeded from
     ``SeedSequence([base_seed, *seed_path, run])``.  This reproduces the
     historical streams bit-for-bit: results are independent of how a cell
     is sharded into work units, and any executor / cache / kernel
-    combination returns bit-identical arrays.  The per-run draws are the
-    cost: every stochastic stage loops over runs because each run owns its
-    own generator.
+    combination returns bit-identical arrays.  A unit's streams come as
+    one lazy :class:`RunStreams` block: on the ``cext`` kernel
+    ``tx_model_1`` to ``tx_model_5`` and the Gilbert channel seed and draw
+    it in C, one ``(runs, 6)`` array of PCG64 states, with no Python
+    generator per run;
+    every other consumer indexes the block and gets the historical
+    ``Generator`` of each run.
 
 ``"unit"``
     One *counter-based* ``Philox`` generator per work unit, keyed by
@@ -25,7 +29,7 @@ Two schemes are provided:
     window of the unit's first run (:data:`RUN_STRIDE` counter blocks per
     run, so distinct run ranges of one cell can never overlap streams).
     Because a whole unit shares one generator, the stream-defining draws
-    that force a per-run loop under ``"per-run"`` -- transmission-model
+    that ``"per-run"`` takes from each run's own stream -- transmission-model
     shuffles and choices, Gilbert sojourn geometrics, Bernoulli uniforms --
     are drawn as whole ``(runs, n)`` blocks in one call.  Results are
     deterministic and bit-identical between serial and parallel execution,
@@ -42,6 +46,7 @@ from __future__ import annotations
 
 import abc
 import os
+from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -60,6 +65,145 @@ DEFAULT_SCHEME = "per-run"
 #: paper-scale unit of 1000 runs at n = 50000 draws ~3e8 values), and the
 #: 256-bit counter space fits ``2**88`` such windows.
 RUN_STRIDE = 2 ** 40
+
+
+def validate_coordinates(
+    base_seed: int, seed_path: Sequence[int], run_start: int, run_stop: int
+) -> Tuple[int, Tuple[int, ...], int, int]:
+    """Normalise a unit's stream coordinates to ints, rejecting bad ones.
+
+    Every coordinate feeds a ``SeedSequence`` entropy word (or the C port
+    of it), so each must be a non-negative integer; the error names the
+    offending coordinate instead of surfacing from deep inside a unit.
+    """
+    base = int(base_seed)
+    if base < 0:
+        raise ValueError(f"base_seed must be a non-negative integer, got {base}")
+    path = tuple(int(x) for x in seed_path)
+    for index, value in enumerate(path):
+        if value < 0:
+            raise ValueError(
+                f"seed_path[{index}] must be a non-negative integer, got {value}"
+            )
+    start, stop = int(run_start), int(run_stop)
+    if start < 0:
+        raise ValueError(f"run_start must be a non-negative integer, got {start}")
+    if stop < start:
+        raise ValueError(f"run_stop ({stop}) must not be below run_start ({start})")
+    return base, path, start, stop
+
+
+def entropy_words(values: Sequence[int]) -> np.ndarray:
+    """``SeedSequence``'s entropy words of non-negative ``values``.
+
+    Each value contributes its 32-bit words, least significant first (one
+    word for 0), exactly as ``SeedSequence`` coerces a list of ints.
+    """
+    words: List[int] = []
+    for value in values:
+        if value < 0:
+            raise ValueError(f"entropy values must be non-negative, got {value}")
+        words.append(value & 0xFFFFFFFF)
+        value >>= 32
+        while value:
+            words.append(value & 0xFFFFFFFF)
+            value >>= 32
+    return np.array(words, dtype=np.uint32)
+
+
+def per_run_generator(
+    base_seed: int, seed_path: Tuple[int, ...], run: int
+) -> np.random.Generator:
+    """The ``"per-run"`` scheme's generator of one run."""
+    return np.random.default_rng(np.random.SeedSequence([base_seed, *seed_path, run]))
+
+
+def pcg64_state(row: np.ndarray) -> dict:
+    """``PCG64.state`` of one :class:`RunStreams` state row."""
+    words = [int(word) for word in row]
+    return {
+        "bit_generator": "PCG64",
+        "state": {
+            "state": (words[0] << 64) | words[1],
+            "inc": (words[2] << 64) | words[3],
+        },
+        "has_uint32": words[4],
+        "uinteger": words[5],
+    }
+
+
+class RunStreams(SequenceABC):
+    """The per-run PCG64 streams of one unit, as one lazy block.
+
+    Indexing or iterating yields each run's historical generator,
+    ``default_rng(SeedSequence([base_seed, *seed_path, run]))``, built on
+    first access and kept.  Alternatively a kernel backend that draws
+    from stream blocks (``stream_blocks``) is bound once, before any draw
+    (:meth:`bind`): it then seeds the unit's ``(runs, 6)`` ``uint64``
+    array of PCG64 states on first use (:meth:`states`: LCG state and
+    increment as high/low words, ``has_uint32``, ``uinteger``) and draws
+    on the rows in place.  Nothing is seeded until some stage draws.
+
+    The two forms never diverge: a generator materialised after block
+    draws starts from its row's current state (buffered ``uint32``
+    included), and from then on the generators own the streams -- the
+    block is unbound, and :meth:`bind` refuses once any generator exists.
+    """
+
+    def __init__(
+        self, base_seed: int, seed_path: Sequence[int], run_start: int, run_stop: int
+    ) -> None:
+        self.base_seed, self.seed_path, self.run_start, self.run_stop = (
+            validate_coordinates(base_seed, seed_path, run_start, run_stop)
+        )
+        #: The backend drawing from the block, or None (generators serve).
+        self.kernel = None
+        self._states: Optional[np.ndarray] = None
+        self._generators: List[Optional[np.random.Generator]] = [None] * len(self)
+
+    def __len__(self) -> int:
+        return self.run_stop - self.run_start
+
+    def __getitem__(self, index: int) -> np.random.Generator:
+        if index < 0:
+            index += len(self)
+        if not 0 <= index < len(self):
+            raise IndexError("run index out of range")
+        rng = self._generators[index]
+        if rng is None:
+            if self._states is None:
+                rng = per_run_generator(
+                    self.base_seed, self.seed_path, self.run_start + index
+                )
+            else:
+                rng = np.random.Generator(np.random.PCG64())
+                rng.bit_generator.state = pcg64_state(self._states[index])
+            self._generators[index] = rng
+            self.kernel = None
+        return rng
+
+    def bind(self, kernel) -> bool:
+        """Draw from the block with ``kernel``; False when it cannot.
+
+        Call once per unit, before any draw: a backend without compiled
+        stream kernels, or a generator already handed out, keeps the
+        generators in charge.
+        """
+        if not getattr(kernel, "stream_blocks", False):
+            return False
+        if any(rng is not None for rng in self._generators):
+            return False
+        self.kernel = kernel
+        return True
+
+    def states(self) -> np.ndarray:
+        """The block of PCG64 states, seeded by the bound kernel on first use."""
+        if self.kernel is None:
+            raise RuntimeError("no kernel bound to these run streams")
+        if self._states is None:
+            prefix = entropy_words((self.base_seed, *self.seed_path))
+            self._states = self.kernel.seed_streams(prefix, self.run_start, len(self))
+        return self._states
 
 
 @dataclass(frozen=True)
@@ -85,6 +229,9 @@ class UnitStreams:
     run_stop: int
     unit_rng: Optional[np.random.Generator]
     _run_rng: Callable[[int], np.random.Generator] = field(repr=False)
+    _run_rngs: Optional[Callable[[], Sequence[np.random.Generator]]] = field(
+        default=None, repr=False
+    )
 
     @property
     def runs(self) -> int:
@@ -98,8 +245,13 @@ class UnitStreams:
             )
         return self._run_rng(run)
 
-    def run_rngs(self) -> List[np.random.Generator]:
-        """One independent generator per run of the unit, in run order."""
+    def run_rngs(self) -> Sequence[np.random.Generator]:
+        """One independent generator per run of the unit, in run order.
+
+        The ``"per-run"`` scheme returns a lazy :class:`RunStreams` block.
+        """
+        if self._run_rngs is not None:
+            return self._run_rngs()
         return [self._run_rng(run) for run in range(self.run_start, self.run_stop)]
 
 
@@ -128,7 +280,11 @@ class SeedScheme(abc.ABC):
         run_start: int,
         run_stop: int,
     ) -> UnitStreams:
-        """Derive the streams of one work unit."""
+        """Derive the streams of one work unit.
+
+        Implementations check the coordinates eagerly with
+        :func:`validate_coordinates` (``ValueError`` naming the bad one).
+        """
 
     @property
     def batches_units(self) -> bool:
@@ -148,9 +304,10 @@ class PerRunScheme(SeedScheme):
 
     Run ``run`` of cell ``seed_path`` draws from
     ``default_rng(SeedSequence([base_seed, *seed_path, run]))`` -- exactly
-    the derivation the serial sweeps and the runner have used since PR 1,
-    so any result produced under this scheme is bit-identical to the
-    historical streams and independent of unit sharding.
+    the derivation the serial sweeps and the runner have always used, so
+    any result produced under this scheme is bit-identical to the
+    historical streams and independent of unit sharding.  The unit's
+    streams come as one lazy :class:`RunStreams` block.
     """
 
     name = "per-run"
@@ -163,20 +320,18 @@ class PerRunScheme(SeedScheme):
         run_start: int,
         run_stop: int,
     ) -> UnitStreams:
-        base = int(base_seed)
-        path = tuple(int(x) for x in seed_path)
-
-        def run_rng(run: int) -> np.random.Generator:
-            return np.random.default_rng(np.random.SeedSequence([base, *path, run]))
-
+        base, path, start, stop = validate_coordinates(
+            base_seed, seed_path, run_start, run_stop
+        )
         return UnitStreams(
             scheme=self.name,
             base_seed=base,
             seed_path=path,
-            run_start=int(run_start),
-            run_stop=int(run_stop),
+            run_start=start,
+            run_stop=stop,
             unit_rng=None,
-            _run_rng=run_rng,
+            _run_rng=lambda run: per_run_generator(base, path, run),
+            _run_rngs=lambda: RunStreams(base, path, start, stop),
         )
 
 
@@ -218,16 +373,17 @@ class UnitScheme(SeedScheme):
         run_start: int,
         run_stop: int,
     ) -> UnitStreams:
-        base = int(base_seed)
-        path = tuple(int(x) for x in seed_path)
+        base, path, start, stop = validate_coordinates(
+            base_seed, seed_path, run_start, run_stop
+        )
         key = self._key(base, path)
         return UnitStreams(
             scheme=self.name,
             base_seed=base,
             seed_path=path,
-            run_start=int(run_start),
-            run_stop=int(run_stop),
-            unit_rng=self._advanced(key, int(run_start) * RUN_STRIDE),
+            run_start=start,
+            run_stop=stop,
+            unit_rng=self._advanced(key, start * RUN_STRIDE),
             _run_rng=lambda run: self._advanced(key, int(run) * RUN_STRIDE),
         )
 
@@ -300,9 +456,14 @@ __all__ = [
     "SchemeSpec",
     "SeedScheme",
     "PerRunScheme",
+    "RunStreams",
     "UnitScheme",
     "UnitStreams",
     "available_schemes",
+    "entropy_words",
+    "pcg64_state",
+    "per_run_generator",
+    "validate_coordinates",
     "get_scheme",
     "register_scheme",
     "resolve_scheme_name",
