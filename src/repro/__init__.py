@@ -46,9 +46,9 @@ The package is organised as a set of small, composable subsystems:
     execution builds on.
 ``repro.runner``
     The parallel experiment-execution engine: deterministic work-unit
-    sharding, serial / process-pool executors, resumable result stores,
-    cooperative coordinator-free fleet execution over lease-capable
-    stores, and the ``python -m repro`` CLI.  How a sweep executes is one
+    sharding, serial / process-pool / thread-pool executors, resumable
+    result stores, cooperative coordinator-free fleet execution over
+    lease-capable stores, and the ``python -m repro`` CLI.  How a sweep executes is one
     ``ExecutionOptions`` object, passed as ``options=`` to every sweep.
 ``repro.adaptive``
     The adaptive sweep controller: sequential stopping per grid cell
@@ -62,6 +62,10 @@ The package is organised as a set of small, composable subsystems:
     codes and schedulers in their motivating context.
 ``repro.analysis``
     Table formatting, ASCII surfaces, CSV export and comparison reports.
+
+Package surfaces are lazy (:mod:`repro._lazy`): a name imports the
+submodule that defines it on first use, so ``import repro`` is cheap and a
+command loads only the subsystems it runs.
 
 Quickstart
 ----------
@@ -80,45 +84,20 @@ Quickstart
 ...                          options=ExecutionOptions(store="memory:"))
 """
 
-from repro.adaptive import AdaptiveConfig, adaptive_grid
-from repro.channel import (
-    BernoulliChannel,
-    GilbertChannel,
-    PerfectChannel,
-    TraceChannel,
-)
-from repro.core import (
-    SimulationConfig,
-    Simulator,
-    simulate_grid,
-    simulate_once,
-)
-from repro.fec import (
-    LDGMCode,
-    LDGMStaircaseCode,
-    LDGMTriangleCode,
-    ReedSolomonCode,
-    make_code,
-)
-from repro.fastpath import simulate_batch, simulate_batch_columnar
-from repro.pipeline import synthesize_runs
-from repro.runner import (
-    ExecutionOptions,
-    FleetRunner,
-    ProcessExecutor,
-    SerialExecutor,
-    run_grid,
-)
-from repro.scheduling import make_tx_model
-from repro.seeds import available_schemes, get_scheme
-from repro.store import (
-    JsonDirStore,
-    MemoryStore,
-    ResultStore,
-    SqliteStore,
-    migrate_store,
-    resolve_store,
-)
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "adaptive": "AdaptiveConfig adaptive_grid",
+    "channel": "BernoulliChannel GilbertChannel PerfectChannel TraceChannel",
+    "core": "SimulationConfig Simulator simulate_grid simulate_once",
+    "fec": "LDGMCode LDGMStaircaseCode LDGMTriangleCode ReedSolomonCode make_code",
+    "fastpath": "simulate_batch simulate_batch_columnar",
+    "pipeline": "synthesize_runs",
+    "runner": "ExecutionOptions FleetRunner ProcessExecutor SerialExecutor run_grid",
+    "scheduling": "make_tx_model",
+    "seeds": "available_schemes get_scheme",
+    "store": "JsonDirStore MemoryStore ResultStore SqliteStore migrate_store resolve_store",
+})
 
 __version__ = "1.4.0"
 

@@ -9,14 +9,14 @@ engine, so results cache, lease, and fleet exactly like a fixed sweep --
 and are bit-identical to one truncated at the same per-cell run counts.
 """
 
-from repro.adaptive.controller import (
-    AdaptiveConfig,
-    AdaptiveSpec,
-    adaptive_grid,
-    plan_first_round,
-    resolve_adaptive,
-    round_schedule,
-)
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "controller": (
+        "AdaptiveConfig AdaptiveSpec adaptive_grid plan_first_round "
+        "resolve_adaptive round_schedule"
+    ),
+})
 
 __all__ = [
     "AdaptiveConfig",

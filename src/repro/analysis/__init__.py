@@ -12,12 +12,16 @@
 * :mod:`repro.analysis.report` -- plain-text reports combining the above.
 """
 
-from repro.analysis.comparison import ComparisonResult, compare_at_point
-from repro.analysis.csvio import grid_from_csv, grid_to_csv
-from repro.analysis.paper_data import PAPER_TABLES, PaperTableSummary
-from repro.analysis.surfaces import ascii_surface
-from repro.analysis.tables import format_comparison_table, format_grid_table
-from repro.analysis.report import recommendation_report
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "comparison": "ComparisonResult compare_at_point",
+    "csvio": "grid_from_csv grid_to_csv",
+    "paper_data": "PAPER_TABLES PaperTableSummary",
+    "surfaces": "ascii_surface",
+    "tables": "format_comparison_table format_grid_table",
+    "report": "recommendation_report",
+})
 
 __all__ = [
     "format_grid_table",

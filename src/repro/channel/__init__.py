@@ -9,17 +9,16 @@ deterministic periodic-burst channel are provided for controlled tests.
 figure 6 (the (p, q) region in which no FEC code can possibly decode).
 """
 
-from repro.channel.base import LossModel
-from repro.channel.bernoulli import BernoulliChannel, PerfectChannel
-from repro.channel.gilbert import GilbertChannel, PAPER_GRID_PERCENT, paper_grid
-from repro.channel.limits import (
-    decodable_region,
-    expected_received_fraction,
-    is_decodable,
-    minimum_q_for_decoding,
-)
-from repro.channel.periodic import PeriodicBurstChannel
-from repro.channel.trace import TraceChannel
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "base": "LossModel",
+    "bernoulli": "BernoulliChannel PerfectChannel",
+    "gilbert": "GilbertChannel PAPER_GRID_PERCENT paper_grid",
+    "limits": "decodable_region expected_received_fraction is_decodable minimum_q_for_decoding",
+    "periodic": "PeriodicBurstChannel",
+    "trace": "TraceChannel",
+})
 
 __all__ = [
     "LossModel",

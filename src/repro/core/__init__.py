@@ -14,23 +14,17 @@ models together and produces the paper's metrics:
   section 6 (best (code, tx model, ratio) tuple for a channel).
 """
 
-from repro.core.config import SimulationConfig
-from repro.core.experiments import (
-    EXPERIMENTS,
-    ExperimentScale,
-    ExperimentSpec,
-    SCALES,
-    get_experiment,
-)
-from repro.core.metrics import GridResult, RunResult, RunResultBatch
-from repro.core.optimizer import optimal_nsent, optimal_nsent_for_object, worked_example_section_6_2_1
-from repro.core.recommendations import (
-    Recommendation,
-    recommend_for_channel,
-    universal_recommendations,
-)
-from repro.core.simulator import Simulator, simulate_once
-from repro.core.sweep import simulate_grid, sweep_parameter
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "config": "SimulationConfig",
+    "experiments": "EXPERIMENTS ExperimentScale ExperimentSpec SCALES get_experiment",
+    "metrics": "GridResult RunResult RunResultBatch",
+    "optimizer": "optimal_nsent optimal_nsent_for_object worked_example_section_6_2_1",
+    "recommendations": "Recommendation recommend_for_channel universal_recommendations",
+    "simulator": "Simulator simulate_once",
+    "sweep": "simulate_grid sweep_parameter",
+})
 
 __all__ = [
     "SimulationConfig",

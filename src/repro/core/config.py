@@ -10,14 +10,16 @@ simple dictionaries of configurations.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Any, Dict, Optional
+from typing import TYPE_CHECKING, Any, Dict, Optional
 
-from repro.fec.base import FECCode
 from repro.fec.registry import make_code, resolve_code_name
-from repro.scheduling.base import TransmissionModel
 from repro.scheduling.registry import make_tx_model, resolve_tx_model_name
 from repro.utils.rng import RandomState
 from repro.utils.validation import validate_expansion_ratio, validate_positive_int
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.fec.base import FECCode
+    from repro.scheduling.base import TransmissionModel
 
 
 @dataclass(frozen=True)

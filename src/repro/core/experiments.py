@@ -24,15 +24,17 @@ so three scales are provided:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Dict, Optional, Sequence
 
 from repro.channel.gilbert import PAPER_GRID_PERCENT
 from repro.core.config import SimulationConfig
-from repro.core.metrics import GridResult
 from repro.core.sweep import simulate_grid
 from repro.runner.engine import ProgressCallback
 from repro.runner.options import ExecutionOptions
 from repro.utils.rng import RandomState
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.core.metrics import GridResult
 
 #: Callback invoked with the 1-based index of the configuration about to be
 #: simulated; returns the per-grid progress callback for it (or ``None``).

@@ -16,13 +16,15 @@ across executors and store states.
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 from repro.core.config import SimulationConfig
-from repro.core.metrics import GridResult, SeriesResult
 from repro.runner.engine import ProgressCallback, run_grid, run_series
 from repro.runner.options import ExecutionOptions
 from repro.utils.rng import RandomState
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.core.metrics import GridResult, SeriesResult
 
 
 def simulate_grid(

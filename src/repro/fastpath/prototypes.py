@@ -414,7 +414,16 @@ class IncrementalPrototype(DecoderPrototype):
 
 PrototypeCompiler = Callable[[FECCode, KernelSpec], DecoderPrototype]
 
-_COMPILERS: Dict[Type[FECCode], PrototypeCompiler] = {}
+#: Keyed by ``"module:qualname"`` of the code class, so the built-in
+#: entries import no code module until a code of that class exists.
+_COMPILERS: Dict[str, PrototypeCompiler] = {
+    "repro.fec.rse.object_codec:ReedSolomonCode": compile_rse_prototype,
+    "repro.fec.repetition:RepetitionCode": compile_repetition_prototype,
+    **{
+        f"repro.fec.ldgm.code:{name}": compile_ldgm_prototype
+        for name in ("LDGMCode", "LDGMStaircaseCode", "LDGMTriangleCode")
+    },
+}
 
 #: Attribute under which compiled prototypes are cached on code instances
 #: (one per kernel backend name).
@@ -458,21 +467,7 @@ def register_prototype_compiler(
     ``compiler`` is called as ``compiler(code, kernel)`` where ``kernel``
     is the resolved-or-None kernel spec the caller selected.
     """
-    _COMPILERS[code_cls] = compiler
-
-
-def _register_builtin_compilers() -> None:
-    from repro.fec.ldgm.code import LDGMCode, LDGMStaircaseCode, LDGMTriangleCode
-    from repro.fec.repetition import RepetitionCode
-    from repro.fec.rse.object_codec import ReedSolomonCode
-
-    for cls in (LDGMCode, LDGMStaircaseCode, LDGMTriangleCode):
-        register_prototype_compiler(cls, compile_ldgm_prototype)
-    register_prototype_compiler(ReedSolomonCode, compile_rse_prototype)
-    register_prototype_compiler(RepetitionCode, compile_repetition_prototype)
-
-
-_register_builtin_compilers()
+    _COMPILERS[f"{code_cls.__module__}:{code_cls.__qualname__}"] = compiler
 
 
 def compile_prototype(code: FECCode, kernel: KernelSpec = None) -> DecoderPrototype:
@@ -504,7 +499,7 @@ def compile_prototype(code: FECCode, kernel: KernelSpec = None) -> DecoderProtot
             return prototype
     compiler: PrototypeCompiler = IncrementalPrototype
     for cls in type(code).__mro__:
-        registered = _COMPILERS.get(cls)
+        registered = _COMPILERS.get(f"{cls.__module__}:{cls.__qualname__}")
         if registered is not None:
             compiler = registered
             break

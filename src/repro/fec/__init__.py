@@ -18,18 +18,16 @@ inefficiency-ratio metric depends only on *which* packets arrive and in what
 order, not on their content.
 """
 
-from repro.fec.base import (
-    DecoderState,
-    FECCode,
-    ObjectDecoder,
-    ObjectEncoder,
-    SymbolicDecoder,
-)
-from repro.fec.ldgm import LDGMCode, LDGMStaircaseCode, LDGMTriangleCode
-from repro.fec.packet import BlockLayout, Packet, PacketKind, PacketLayout
-from repro.fec.registry import available_codes, make_code, register_code
-from repro.fec.repetition import RepetitionCode
-from repro.fec.rse import ReedSolomonCode
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "base": "DecoderState FECCode ObjectDecoder ObjectEncoder SymbolicDecoder",
+    "ldgm": "LDGMCode LDGMStaircaseCode LDGMTriangleCode",
+    "packet": "BlockLayout Packet PacketKind PacketLayout",
+    "registry": "available_codes make_code register_code",
+    "repetition": "RepetitionCode",
+    "rse": "ReedSolomonCode",
+})
 
 __all__ = [
     "FECCode",

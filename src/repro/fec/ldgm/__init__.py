@@ -15,12 +15,16 @@ algorithm of section 2.3.2.  A maximum-likelihood (Gaussian elimination)
 decoder is provided as an extension for the ablation benchmarks.
 """
 
-from repro.fec.ldgm.code import LDGMCode, LDGMStaircaseCode, LDGMTriangleCode
-from repro.fec.ldgm.decoder import LDGMPayloadDecoder
-from repro.fec.ldgm.encoder import LDGMEncoder
-from repro.fec.ldgm.matrix import LDGMVariant, ParityCheckMatrix, build_parity_check_matrix
-from repro.fec.ldgm.ml_decoder import ml_decodable, ml_necessary_count
-from repro.fec.ldgm.symbolic import LDGMSymbolicDecoder
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "code": "LDGMCode LDGMStaircaseCode LDGMTriangleCode",
+    "decoder": "LDGMPayloadDecoder",
+    "encoder": "LDGMEncoder",
+    "matrix": "LDGMVariant ParityCheckMatrix build_parity_check_matrix",
+    "ml_decoder": "ml_decodable ml_necessary_count",
+    "symbolic": "LDGMSymbolicDecoder",
+})
 
 __all__ = [
     "LDGMVariant",

@@ -18,7 +18,6 @@ from repro.fec.ldgm.matrix import (
 )
 from repro.fec.ldgm.symbolic import LDGMSymbolicDecoder
 from repro.fec.packet import PacketLayout, single_block_layout
-from repro.fec.registry import register_code
 from repro.utils.rng import RandomState
 
 
@@ -87,9 +86,5 @@ class LDGMTriangleCode(_BaseLDGMCode):
     name = "ldgm-triangle"
     variant = LDGMVariant.TRIANGLE
 
-
-register_code("ldgm", LDGMCode)
-register_code("ldgm-staircase", LDGMStaircaseCode)
-register_code("ldgm-triangle", LDGMTriangleCode)
 
 __all__ = ["LDGMCode", "LDGMStaircaseCode", "LDGMTriangleCode"]

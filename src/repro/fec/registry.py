@@ -2,19 +2,30 @@
 
 The simulation configuration (:class:`repro.core.config.SimulationConfig`)
 refers to codes by name so that experiments can be described declaratively.
+Built-in codes are ``"module:attr"`` entries imported on first use;
+:func:`register_code` adds third-party factories.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, Dict
+from typing import TYPE_CHECKING, Callable, Dict, Union
 
-from repro.fec.base import FECCode
+from repro._lazy import load_entry
 from repro.utils.rng import RandomState
 
-CodeFactory = Callable[..., FECCode]
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.fec.base import FECCode
 
-_REGISTRY: Dict[str, CodeFactory] = {}
+CodeFactory = Callable[..., "FECCode"]
+
+_REGISTRY: Dict[str, Union[str, CodeFactory]] = {
+    "rse": "repro.fec.rse.object_codec:ReedSolomonCode",
+    "repetition": "repro.fec.repetition:RepetitionCode",
+    "ldgm": "repro.fec.ldgm.code:LDGMCode",
+    "ldgm-staircase": "repro.fec.ldgm.code:LDGMStaircaseCode",
+    "ldgm-triangle": "repro.fec.ldgm.code:LDGMTriangleCode",
+}
 
 #: Canonical aliases accepted for each registered name.
 _ALIASES: Dict[str, str] = {
@@ -78,7 +89,7 @@ def make_code(
     if n <= k:
         raise ValueError(f"derived n={n} must be > k={k}")
     key = resolve_code_name(name)
-    return _REGISTRY[key](k=k, n=n, seed=seed, **kwargs)
+    return load_entry(_REGISTRY, key)(k=k, n=n, seed=seed, **kwargs)
 
 
 __all__ = [

@@ -25,7 +25,6 @@ from repro.fec.base import (
     check_payloads,
 )
 from repro.fec.packet import PacketLayout, single_block_layout
-from repro.fec.registry import register_code
 from repro.utils.rng import RandomState
 
 
@@ -125,7 +124,5 @@ class _RepetitionDecoder(ObjectDecoder):
             raise RuntimeError("decoding is not complete yet")
         return list(self._payloads)  # type: ignore[arg-type]
 
-
-register_code("repetition", RepetitionCode)
 
 __all__ = ["RepetitionCode"]

@@ -6,9 +6,13 @@ field size.  Objects larger than one block are segmented, which causes the
 "coupon collector" inefficiency analysed by the paper.
 """
 
-from repro.fec.rse.blocks import BlockPartition, partition_object
-from repro.fec.rse.codec import ReedSolomonBlockCodec
-from repro.fec.rse.object_codec import ReedSolomonCode
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "blocks": "BlockPartition partition_object",
+    "codec": "ReedSolomonBlockCodec",
+    "object_codec": "ReedSolomonCode",
+})
 
 __all__ = [
     "ReedSolomonBlockCodec",

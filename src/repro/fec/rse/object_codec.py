@@ -19,7 +19,6 @@ from repro.fec.base import (
     check_payloads,
 )
 from repro.fec.packet import PacketLayout, multi_block_layout
-from repro.fec.registry import register_code
 from repro.fec.rse.blocks import MAX_BLOCK_SIZE_GF256, BlockPartition, partition_object
 from repro.fec.rse.codec import ReedSolomonBlockCodec
 from repro.fec.rse.symbolic import RSESymbolicDecoder
@@ -189,7 +188,5 @@ class _RSEObjectDecoder(ObjectDecoder):
         assert all(payload is not None for payload in payloads)
         return payloads  # type: ignore[return-value]
 
-
-register_code("rse", ReedSolomonCode)
 
 __all__ = ["ReedSolomonCode"]

@@ -17,14 +17,18 @@ the FEC codes and transmission models in that context without a network:
   sender to receivers through any :class:`repro.channel.LossModel`.
 """
 
-from repro.flute.alc import AlcPacket
-from repro.flute.blocking import BlockingStructure, compute_blocking
-from repro.flute.fdt import FdtInstance, FileEntry
-from repro.flute.lct import LctHeader
-from repro.flute.oti import FecObjectTransmissionInformation
-from repro.flute.receiver import FluteReceiver
-from repro.flute.sender import FluteSender
-from repro.flute.session import DeliveryReport, deliver_object
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "alc": "AlcPacket",
+    "blocking": "BlockingStructure compute_blocking",
+    "fdt": "FdtInstance FileEntry",
+    "lct": "LctHeader",
+    "oti": "FecObjectTransmissionInformation",
+    "receiver": "FluteReceiver",
+    "sender": "FluteSender",
+    "session": "DeliveryReport deliver_object",
+})
 
 __all__ = [
     "LctHeader",

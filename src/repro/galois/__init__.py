@@ -12,27 +12,13 @@ subpackage provides:
   used to construct systematic MDS generator matrices.
 """
 
-from repro.galois.field import (
-    GF256,
-    gf_add,
-    gf_div,
-    gf_inv,
-    gf_mul,
-    gf_pow,
-)
-from repro.galois.matrix import (
-    gf_identity,
-    gf_mat_inv,
-    gf_mat_mul,
-    gf_mat_rank,
-    gf_mat_vec,
-    gf_solve,
-)
-from repro.galois.vandermonde import (
-    cauchy_matrix,
-    systematic_generator_matrix,
-    vandermonde_matrix,
-)
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "field": "GF256 gf_add gf_div gf_inv gf_mul gf_pow",
+    "matrix": "gf_identity gf_mat_inv gf_mat_mul gf_mat_rank gf_mat_vec gf_solve",
+    "vandermonde": "cauchy_matrix systematic_generator_matrix vandermonde_matrix",
+})
 
 __all__ = [
     "GF256",

@@ -28,38 +28,21 @@ the ``kernel_threads`` knob of :mod:`repro.kernels.threads` -- set where
 executor's worker count, and bit-identical at any value.
 """
 
-from repro.kernels.base import (
-    COUNT_SHIFT,
-    NOT_DECODED,
-    SENTINEL_WORD,
-    SUM_MASK,
-    KernelBackend,
-    ReceivedBatch,
-)
-from repro.kernels.registry import (
-    AUTO_ORDER,
-    ENV_VAR,
-    KernelSpec,
-    KernelUnavailableError,
-    available_backends,
-    cext_compiler_available,
-    cext_openmp_enabled,
-    default_backend_name,
-    get_backend,
-    get_backend_for_run,
-    register_backend,
-)
-from repro.kernels.threads import (
-    THREADS_ENV_VAR,
-    ThreadSpec,
-    current_thread_count,
-    normalize_thread_spec,
-    physical_cores,
-    resolve_thread_count,
-    set_worker_divisor,
-    thread_count_context,
-    worker_divisor_context,
-)
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "base": "COUNT_SHIFT NOT_DECODED SENTINEL_WORD SUM_MASK KernelBackend ReceivedBatch",
+    "registry": (
+        "AUTO_ORDER ENV_VAR KernelSpec KernelUnavailableError available_backends "
+        "cext_compiler_available cext_openmp_enabled default_backend_name "
+        "get_backend get_backend_for_run register_backend"
+    ),
+    "threads": (
+        "THREADS_ENV_VAR ThreadSpec current_thread_count normalize_thread_spec "
+        "physical_cores resolve_thread_count set_worker_divisor "
+        "thread_count_context worker_divisor_context"
+    ),
+})
 
 __all__ = [
     "KernelBackend",

@@ -16,27 +16,32 @@ silently degrading -- silent degradation is reserved for ``auto``.
 
 from __future__ import annotations
 
-import logging
 import os
-from typing import Callable, Dict, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Callable, Dict, Optional, Tuple, Union
 
-from repro.kernels.base import KernelBackend
+from repro._lazy import load_entry
 
-logger = logging.getLogger("repro.kernels")
+if TYPE_CHECKING:  # pragma: no cover - typing only; a backend imports its base on use
+    from repro.kernels.base import KernelBackend
 
 #: Environment variable consulted when no explicit kernel is given.
 ENV_VAR = "REPRO_KERNEL"
 
 #: ``kernel=`` arguments accepted everywhere: a registry name, a ready
 #: backend instance, or None (environment / auto resolution).
-KernelSpec = Union[str, KernelBackend, None]
+KernelSpec = Union[str, "KernelBackend", None]
 
 
 class KernelUnavailableError(RuntimeError):
     """A known kernel backend cannot be constructed on this machine."""
 
 
-_FACTORIES: Dict[str, Callable[[], KernelBackend]] = {}
+#: Backend factories; built-ins are ``"module:attr"`` entries imported on
+#: first use, so neither backend's module loads until it is selected.
+_FACTORIES: Dict[str, Union[str, Callable[[], KernelBackend]]] = {
+    "numpy": "repro.kernels.numpy_backend:NumpyBackend",
+    "cext": "repro.kernels.cext:CExtBackend",
+}
 _INSTANCES: Dict[str, KernelBackend] = {}
 
 
@@ -110,14 +115,13 @@ def _construct(name: str) -> KernelBackend:
     instance = _INSTANCES.get(name)
     if instance is not None:
         return instance
-    factory = _FACTORIES.get(name)
-    if factory is None:
+    if name not in _FACTORIES:
         raise ValueError(
             f"unknown kernel backend {name!r}; registered: "
             f"{', '.join(sorted(_FACTORIES))}"
         )
     try:
-        instance = factory()
+        instance = load_entry(_FACTORIES, name)()
     except ImportError as exc:
         raise KernelUnavailableError(
             f"kernel backend {name!r} is not available on this machine "
@@ -129,6 +133,8 @@ def _construct(name: str) -> KernelBackend:
 
 def get_backend(kernel: KernelSpec = None) -> KernelBackend:
     """Resolve a kernel spec to a backend instance (cached per name)."""
+    from repro.kernels.base import KernelBackend
+
     if isinstance(kernel, KernelBackend):
         return kernel
     if kernel is None:
@@ -166,7 +172,9 @@ def get_backend_for_run(kernel: KernelSpec = None) -> KernelBackend:
         requested = kernel
         if requested is None:
             requested = os.environ.get(ENV_VAR, "").strip() or "auto"
-        logger.warning(
+        import logging
+
+        logging.getLogger("repro.kernels").warning(
             "kernel backend %r failed to construct at run time (%s); "
             "falling back to auto selection",
             requested,
@@ -176,22 +184,6 @@ def get_backend_for_run(kernel: KernelSpec = None) -> KernelBackend:
         # numpy.  Passed explicitly so a broken REPRO_KERNEL value is
         # not consulted a second time.
         return get_backend("auto")
-
-
-def _numpy_factory() -> KernelBackend:
-    from repro.kernels.numpy_backend import NumpyBackend
-
-    return NumpyBackend()
-
-
-def _cext_factory() -> KernelBackend:
-    from repro.kernels.cext import CExtBackend
-
-    return CExtBackend()
-
-
-register_backend("numpy", _numpy_factory)
-register_backend("cext", _cext_factory)
 
 
 __all__ = [

@@ -25,35 +25,25 @@ The companion ``chaos+<backend>`` store wrapper lives in
 any other backend.
 """
 
-from repro.resilience.errors import (
-    PoisonUnitError,
-    ResilienceError,
-    StoreUnavailableError,
-    UnitExecutionError,
-    UnitTimeoutError,
-)
-from repro.resilience.policy import (
-    DEFAULT_POLICY,
-    ON_ERROR_ACTIONS,
-    FailurePolicy,
-    UnitFailure,
-    UnitOutcome,
-    deterministic_jitter,
-    failure_summary,
-    resolve_policy,
-    run_unit_with_policy,
-)
-from repro.resilience.report import (
-    QuarantineEntry,
-    clear_quarantine,
-    format_quarantine_report,
-    is_quarantined,
-    quarantine_entries,
-    quarantine_key,
-    read_quarantine,
-    write_quarantine,
-)
-from repro.resilience.retry import RetryingStore
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "errors": (
+        "PoisonUnitError ResilienceError StoreUnavailableError "
+        "UnitExecutionError UnitTimeoutError"
+    ),
+    "policy": (
+        "DEFAULT_POLICY ON_ERROR_ACTIONS FailurePolicy UnitFailure UnitOutcome "
+        "deterministic_jitter failure_summary resolve_policy "
+        "run_unit_with_policy"
+    ),
+    "report": (
+        "QuarantineEntry clear_quarantine format_quarantine_report "
+        "is_quarantined quarantine_entries quarantine_key read_quarantine "
+        "write_quarantine"
+    ),
+    "retry": "RetryingStore",
+})
 
 __all__ = [
     "DEFAULT_POLICY",

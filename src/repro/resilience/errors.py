@@ -18,7 +18,9 @@ types, so policy code dispatches on class, never on string matching:
   :class:`~repro.resilience.policy.UnitFailure` either way.
 
 The hierarchy is rooted at :class:`ResilienceError` so callers can catch
-the whole family at once.
+the whole family at once.  :class:`HttpStoreError`, the *permanent* (4xx)
+failure of :mod:`repro.store.http`, lives here too, so catching it does
+not import the HTTP client.
 """
 
 from __future__ import annotations
@@ -65,7 +67,12 @@ class PoisonUnitError(ResilienceError):
         self.failure = failure
 
 
+class HttpStoreError(RuntimeError):
+    """Permanent HTTP store failure (4xx: bad token, bad request, ...)."""
+
+
 __all__ = [
+    "HttpStoreError",
     "ResilienceError",
     "StoreUnavailableError",
     "UnitExecutionError",

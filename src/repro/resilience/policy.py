@@ -19,7 +19,6 @@ wrapper uses, so one object configures the whole resilience layer.
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import threading
 import time
 from dataclasses import dataclass, field
@@ -41,6 +40,8 @@ def deterministic_jitter(token: str) -> float:
     random state, so two processes (or two reruns) computing the jitter
     for the same unit key and attempt sleep identically.
     """
+    import hashlib
+
     digest = hashlib.sha256(token.encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "big") / 2.0**64
 

@@ -22,16 +22,15 @@ the benchmark harness are thin wrappers over :func:`run_grid` /
 :func:`run_series`.
 """
 
-from repro.runner.engine import run_grid, run_series
-from repro.runner.executors import ProcessExecutor, SerialExecutor, resolve_executor
-from repro.runner.fleet import (
-    DEFAULT_LEASE_TTL,
-    FleetRunner,
-    FleetStats,
-    default_worker_id,
-)
-from repro.runner.options import ExecutionOptions
-from repro.runner.units import UnitResult, WorkUnit, execute_unit, plan_units
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "engine": "run_grid run_series",
+    "executors": "ProcessExecutor SerialExecutor resolve_executor",
+    "fleet": "FleetRunner FleetStats default_worker_id",
+    "options": "DEFAULT_LEASE_TTL ExecutionOptions",
+    "units": "UnitResult WorkUnit execute_unit plan_units",
+})
 
 __all__ = [
     "DEFAULT_LEASE_TTL",

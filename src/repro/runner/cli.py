@@ -51,9 +51,6 @@ import time
 from pathlib import Path
 from typing import Optional, Sequence
 
-from repro.adaptive import AdaptiveConfig, plan_first_round
-from repro.analysis.csvio import grid_to_csv, label_slug
-from repro.analysis.tables import format_grid_table, format_runs_table
 from repro.core.experiments import (
     EXPERIMENTS,
     SCALES,
@@ -62,32 +59,14 @@ from repro.core.experiments import (
     run_experiment,
 )
 from repro.kernels import KernelUnavailableError, get_backend
-from repro.resilience import (
-    DEFAULT_POLICY,
-    ON_ERROR_ACTIONS,
-    FailurePolicy,
-    ResilienceError,
-    clear_quarantine,
-    format_quarantine_report,
-    quarantine_entries,
-)
+from repro.resilience.errors import HttpStoreError, ResilienceError
+from repro.resilience.policy import DEFAULT_POLICY, ON_ERROR_ACTIONS, FailurePolicy
 from repro.runner.engine import grid_cells
-from repro.runner.fleet import DEFAULT_LEASE_TTL
-from repro.runner.options import ExecutionOptions
-from repro.runner.units import WorkUnit, execute_unit, plan_units
-from repro.store import (
-    DEFAULT_HOST,
-    DEFAULT_PORT,
-    HttpStoreError,
-    LeaseUnsupportedError,
-    ResultStore,
-    StoreServer,
-    encode_result,
-    migrate_store,
-    resolve_store,
-)
-from repro.store.codec import unit_key as compute_unit_key
+from repro.runner.options import DEFAULT_LEASE_TTL, ExecutionOptions
+from repro.runner.units import plan_units
+from repro.store.base import LeaseUnsupportedError, ResultStore
 from repro.store.json_dir import DEFAULT_CACHE_DIR
+from repro.store.registry import DEFAULT_HOST, DEFAULT_PORT, resolve_store
 
 
 def _seed_value(text: str) -> int:
@@ -518,13 +497,22 @@ def _cmd_list_experiments(out) -> int:
     return 0
 
 
-def _open_store(args) -> Optional[ResultStore]:
-    """Resolve the run/cache commands' store flags to a store (or None)."""
+def _open_store(args, *, create: bool = True) -> Optional[ResultStore]:
+    """Resolve the run/cache commands' store flags to a store (or None).
+
+    ``create=False`` (``cache info`` / ``clear``) reads a ``sqlite:`` file
+    that does not exist as an empty store instead of creating it, as a
+    missing json-dir directory already reads.
+    """
     if getattr(args, "no_cache", False):
         return None
-    if args.store is not None:
-        return resolve_store(args.store)
-    return resolve_store(args.cache_dir)
+    spec = args.store if args.store is not None else args.cache_dir
+    backend, _, location = spec.partition(":")
+    if not create and backend == "sqlite" and location:
+        from repro.store.sqlite import SqliteStore
+
+        return SqliteStore(location, create=False)
+    return resolve_store(spec)
 
 
 def _cmd_run(args, out, err) -> int:
@@ -539,6 +527,8 @@ def _cmd_run(args, out, err) -> int:
 
     adaptive_cfg = None
     if args.adaptive or args.refine_cliff is not None:
+        from repro.adaptive import AdaptiveConfig, plan_first_round
+
         adaptive_cfg = AdaptiveConfig(
             confidence=args.confidence,
             ci_width=args.ci_width,
@@ -559,12 +549,13 @@ def _cmd_run(args, out, err) -> int:
     # --dry-run alike.  Building it is where a bad --kernel-threads or
     # --seed-scheme, and --fleet or --on-error quarantine without a
     # store, fail fast; the kernel is resolved here too, so an unknown or
-    # unavailable backend never reaches a worker process.
+    # unavailable backend never reaches a worker process.  A dry run
+    # executes nothing, so it resolves (and compiles) no kernel.
     options = ExecutionOptions(
         executor=args.executor,
         workers=args.workers,
         store=_open_store(args),
-        kernel=get_backend(args.kernel).name,
+        kernel=None if args.dry_run else get_backend(args.kernel).name,
         kernel_threads=args.kernel_threads,
         seed_scheme=args.seed_scheme,
         fleet=args.fleet,
@@ -662,7 +653,7 @@ def _cmd_run(args, out, err) -> int:
         config_index = index
         return progress
 
-    quarantined = []
+    quarantined = ""
     try:
         results = run_experiment(
             args.experiment,
@@ -673,7 +664,10 @@ def _cmd_run(args, out, err) -> int:
             progress_factory=per_config_progress,
         )
         if policy.on_error == "quarantine":
-            quarantined = quarantine_entries(store)
+            from repro.resilience.report import format_quarantine_report, quarantine_entries
+
+            entries = quarantine_entries(store)
+            quarantined = format_quarantine_report(entries) if entries else ""
     finally:
         if store is not None:
             store.close()
@@ -706,6 +700,8 @@ def _cmd_run(args, out, err) -> int:
                 )
             print(line, file=out)
     if args.table:
+        from repro.analysis.tables import format_grid_table, format_runs_table
+
         for label, grid in results.items():
             print(file=out)
             print(format_grid_table(grid, title=label), file=out)
@@ -717,6 +713,8 @@ def _cmd_run(args, out, err) -> int:
                 )
 
     if args.csv_dir is not None:
+        from repro.analysis.csvio import grid_to_csv, label_slug
+
         csv_dir = Path(args.csv_dir)
         csv_dir.mkdir(parents=True, exist_ok=True)
         for label, grid in results.items():
@@ -725,7 +723,7 @@ def _cmd_run(args, out, err) -> int:
             print(f"  wrote {destination}", file=out)
 
     if quarantined:
-        print(format_quarantine_report(quarantined), file=out)
+        print(quarantined, file=out)
 
     summary = f"done in {elapsed:.1f}s"
     if store is not None:
@@ -743,6 +741,8 @@ def _cmd_cache_serve(args, out) -> int:
             "cache serve needs the store to front, e.g. "
             "'cache serve sqlite:results.db'"
         )
+    from repro.store.server import StoreServer
+
     with resolve_store(args.source) as store:
         server = StoreServer(
             store, host=args.host, port=args.port, token=args.token
@@ -775,6 +775,8 @@ def _cmd_cache(args, out) -> int:
     if args.action == "migrate":
         if args.source is None or args.dest is None:
             raise ValueError("cache migrate needs SOURCE and DEST store URIs")
+        from repro.store.migrate import migrate_store
+
         with resolve_store(args.source) as source, resolve_store(args.dest) as dest:
             report = migrate_store(
                 source,
@@ -790,7 +792,7 @@ def _cmd_cache(args, out) -> int:
 
     if args.source is not None or args.dest is not None:
         raise ValueError(f"cache {args.action} takes no positional arguments")
-    with _open_store(args) as store:
+    with _open_store(args, create=False) as store:
         if args.action == "info":
             info = store.info()
             print(
@@ -800,6 +802,8 @@ def _cmd_cache(args, out) -> int:
             )
             for scheme, count in info.scheme_counts.items():
                 print(f"  seed-scheme {scheme}: {count} entries", file=out)
+            from repro.resilience.report import format_quarantine_report, quarantine_entries
+
             entries = quarantine_entries(store)
             if entries:
                 print(format_quarantine_report(entries), file=out)
@@ -811,6 +815,10 @@ def _cmd_cache(args, out) -> int:
 
 
 def _cmd_rerun_unit(args, out) -> int:
+    from repro.resilience.report import clear_quarantine
+    from repro.runner.units import WorkUnit, execute_unit
+    from repro.store.codec import encode_result, unit_key
+
     text = sys.stdin.read() if args.payload == "-" else args.payload
     unit = WorkUnit.from_payload(json.loads(text))
     result = execute_unit(unit)
@@ -818,9 +826,9 @@ def _cmd_rerun_unit(args, out) -> int:
     if args.store is not None:
         with resolve_store(args.store) as store:
             store.put(unit, result)
-            healed = clear_quarantine(store, compute_unit_key(unit))
+            healed = clear_quarantine(store, unit_key(unit))
         print(
-            f"stored unit {compute_unit_key(unit)[:12]} in {args.store}"
+            f"stored unit {unit_key(unit)[:12]} in {args.store}"
             + (" (quarantine record cleared)" if healed else ""),
             file=out,
         )

@@ -18,18 +18,13 @@ failure policy -- is one :class:`~repro.runner.options.ExecutionOptions`.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.channel.gilbert import paper_grid
 from repro.core.config import SimulationConfig
-from repro.core.metrics import GridResult, SeriesResult
 from repro.resilience.policy import UnitFailure, failure_summary
-from repro.resilience.report import write_quarantine
-from repro.resilience.retry import RetryingStore
-from repro.runner.executors import Executor, resolve_executor
-from repro.runner.fleet import FleetRunner
 from repro.runner.options import ExecutionOptions
 from repro.runner.units import (
     SeedPath,
@@ -40,6 +35,9 @@ from repro.runner.units import (
 )
 from repro.utils.rng import RandomState, as_seed_int
 from repro.utils.validation import validate_positive_int
+
+if TYPE_CHECKING:  # pragma: no cover - typing only; aggregation imports on use
+    from repro.core.metrics import GridResult, SeriesResult
 
 ProgressCallback = Callable[[int, int], None]
 
@@ -120,6 +118,8 @@ def _execute(
     results they do have (a wholly failed cell becomes the paper's NaN
     rule).
     """
+    from repro.resilience.retry import RetryingStore
+
     policy = options.failure_policy
     fleet = options.fleet
     cache = RetryingStore.wrap(options.store, policy)
@@ -165,11 +165,17 @@ def _execute(
                 # The fleet runner writes its own quarantine records
                 # (verdict-before-release ordering); solo runs record
                 # them here so ``cache info`` sees them either way.
+                from repro.resilience.report import write_quarantine
+
                 write_quarantine(cache, failure)
             note_done(failure.seed_path)
 
-        runner: Executor = resolve_executor(options.executor, options.workers)
+        from repro.runner.executors import resolve_executor
+
+        runner = resolve_executor(options.executor, options.workers)
         if fleet:
+            from repro.runner.fleet import FleetRunner
+
             runner = FleetRunner(
                 cache,
                 executor=runner,
@@ -243,6 +249,8 @@ def run_grid(
             mean_received[i, j] = received
             failure_counts[i, j] = failures
 
+    from repro.core.metrics import GridResult
+
     return GridResult(
         p_values=p_values,
         q_values=q_values,
@@ -315,6 +323,8 @@ def run_series(
     metadata = {"seed": base_seed, "seed_scheme": options.seed_scheme}
     if unit_failures:
         metadata["failed_units"] = [failure_summary(f) for f in unit_failures]
+    from repro.core.metrics import SeriesResult
+
     return SeriesResult(
         parameter_name=parameter_name,
         parameter_values=values,

@@ -51,18 +51,12 @@ runner can size its claim batches.
 
 from __future__ import annotations
 
-import multiprocessing
 import os
-from concurrent.futures import (
-    FIRST_COMPLETED,
-    Executor as PoolExecutor,
-    ProcessPoolExecutor,
-    ThreadPoolExecutor,
-    wait,
-)
 from functools import partial
 from itertools import islice
-from typing import Any, Callable, Iterable, List, Optional, Protocol, Sequence, Union
+from typing import (
+    TYPE_CHECKING, Any, Callable, Iterable, List, Optional, Protocol, Sequence, Union,
+)
 
 from repro.kernels.threads import set_worker_divisor, worker_divisor_context
 from repro.resilience.errors import PoisonUnitError
@@ -75,6 +69,10 @@ from repro.resilience.policy import (
 )
 from repro.runner.units import UnitResult, WorkUnit, execute_unit, warm_unit, warm_units
 from repro.utils.validation import validate_positive_int
+
+if TYPE_CHECKING:  # pragma: no cover - typing only; pools import on first use
+    import multiprocessing
+    from concurrent.futures import Executor as PoolExecutor
 
 OnResult = Callable[[UnitResult], None]
 OnFailure = Callable[[UnitFailure], None]
@@ -129,6 +127,8 @@ def _dispatch(
     calling thread as soon as it completes, so a paper-scale unit list
     never enqueues tens of thousands of futures at once.
     """
+    from concurrent.futures import FIRST_COMPLETED, wait
+
     pending: set = set()
     queued = iter(items)
     while True:
@@ -174,6 +174,8 @@ def _pool_context() -> multiprocessing.context.BaseContext:
     are always OpenMP-clean -- with ``spawn`` as the portable fallback
     where ``forkserver`` is unavailable.
     """
+    import multiprocessing
+
     try:
         return multiprocessing.get_context("forkserver")
     except ValueError:  # pragma: no cover - non-POSIX platforms
@@ -260,6 +262,8 @@ class ProcessExecutor:
     ) -> None:
         if not units:
             return
+        from concurrent.futures import ProcessPoolExecutor
+
         chunks = self._chunks(units)
         pool_size = min(self.workers, len(chunks))
 
@@ -340,6 +344,8 @@ class ThreadExecutor:
     ) -> None:
         if not units:
             return
+        from concurrent.futures import ThreadPoolExecutor
+
         with worker_divisor_context(self.workers), ThreadPoolExecutor(
             max_workers=min(self.workers, len(units)),
             thread_name_prefix="repro-unit",

@@ -47,17 +47,12 @@ from repro.resilience.policy import DEFAULT_POLICY, FailurePolicy, UnitFailure
 from repro.resilience.report import read_quarantine, write_quarantine
 from repro.resilience.retry import RetryingStore
 from repro.runner.executors import Executor, OnFailure, OnResult, SerialExecutor
+from repro.runner.options import DEFAULT_LEASE_TTL
 from repro.runner.units import UnitResult, WorkUnit
 from repro.store.base import ResultStore
 from repro.store.codec import decode_payload, unit_key
 
 logger = logging.getLogger("repro.fleet")
-
-#: Default lease TTL: long enough that one chunk of tiny-scale units plus
-#: scheduling jitter never outlives it between heartbeats, short enough
-#: that a crashed worker's units are reclaimed promptly.
-DEFAULT_LEASE_TTL = 30.0
-
 
 def default_worker_id() -> str:
     """Fleet-unique worker identity: ``<hostname>:<pid>``."""

@@ -22,16 +22,20 @@ from typing import TYPE_CHECKING, Optional, Union
 
 from repro.kernels.threads import ThreadSpec, normalize_thread_spec
 from repro.resilience.policy import DEFAULT_POLICY, FailurePolicy, resolve_policy
-from repro.runner.executors import Executor
-from repro.runner.fleet import DEFAULT_LEASE_TTL
 from repro.seeds import SchemeSpec, resolve_scheme_name
 from repro.store import StoreSpec, resolve_store
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.adaptive.controller import AdaptiveSpec
+    from repro.runner.executors import Executor
+
+#: Default fleet lease TTL: long enough that one chunk of tiny-scale units
+#: plus scheduling jitter never outlives it between heartbeats, short
+#: enough that a crashed worker's units are reclaimed promptly.
+DEFAULT_LEASE_TTL = 30.0
 
 #: ``executor=`` accepts a name, an instance, or None (auto from workers).
-ExecutorSpec = Union[str, Executor, None]
+ExecutorSpec = Union[str, "Executor", None]
 
 
 @dataclass(frozen=True)
@@ -114,8 +118,6 @@ class ExecutionOptions:
     adaptive: AdaptiveSpec = None
 
     def __post_init__(self) -> None:
-        from repro.adaptive.controller import resolve_adaptive
-
         store = resolve_store(self.store)
         policy = resolve_policy(self.failure_policy)
         if self.fleet and store is None:
@@ -133,10 +135,15 @@ class ExecutionOptions:
             "failure_policy": policy,
             "kernel_threads": normalize_thread_spec(self.kernel_threads),
             "seed_scheme": resolve_scheme_name(self.seed_scheme),
-            "adaptive": resolve_adaptive(self.adaptive),
+            "adaptive": None,
         }
+        if self.adaptive is not None and self.adaptive is not False:
+            # Only adaptive sweeps load the controller.
+            from repro.adaptive.controller import resolve_adaptive
+
+            normalized["adaptive"] = resolve_adaptive(self.adaptive)
         for name, value in normalized.items():
             object.__setattr__(self, name, value)
 
 
-__all__ = ["ExecutionOptions", "ExecutorSpec"]
+__all__ = ["DEFAULT_LEASE_TTL", "ExecutionOptions", "ExecutorSpec"]

@@ -30,11 +30,11 @@ import numpy as np
 
 from repro.channel.gilbert import GilbertChannel
 from repro.core.config import SimulationConfig
-from repro.core.metrics import RunResultBatch
 from repro.kernels.threads import thread_count_context
 from repro.seeds import UnitStreams, get_scheme
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.core.metrics import RunResultBatch
     from repro.runner.options import ExecutionOptions
 
 #: Cell identifier inside one sweep: ``(i, j)`` for grids, ``(index,)`` for
@@ -395,6 +395,8 @@ def _unit_batch_impl(unit: WorkUnit) -> RunResultBatch:
                 kernel=kernel,
             )
         )
+    from repro.core.metrics import RunResultBatch
+
     return RunResultBatch.concatenate(batches)
 
 

@@ -18,18 +18,15 @@ parity packets in random order.  Reception models are expressed with the
 same interface and simulated over a perfect channel.
 """
 
-from repro.scheduling.base import TransmissionModel
-from repro.scheduling.interleaver import block_interleave, proportional_interleave
-from repro.scheduling.registry import available_tx_models, make_tx_model, register_tx_model
-from repro.scheduling.rx_models import RxModel1
-from repro.scheduling.tx_models import (
-    TxModel1,
-    TxModel2,
-    TxModel3,
-    TxModel4,
-    TxModel5,
-    TxModel6,
-)
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "base": "TransmissionModel",
+    "interleaver": "block_interleave proportional_interleave",
+    "registry": "available_tx_models make_tx_model register_tx_model",
+    "rx_models": "RxModel1",
+    "tx_models": "TxModel1 TxModel2 TxModel3 TxModel4 TxModel5 TxModel6",
+})
 
 __all__ = [
     "TransmissionModel",

@@ -1,23 +1,24 @@
-"""Name-based registry of transmission models."""
+"""Name-based registry of transmission models.
+
+Built-in models are ``"module:attr"`` entries imported on first use;
+:func:`register_tx_model` adds third-party factories.
+"""
 
 from __future__ import annotations
 
-from typing import Callable, Dict
+from typing import TYPE_CHECKING, Callable, Dict, Union
 
-from repro.scheduling.base import TransmissionModel
-from repro.scheduling.rx_models import RxModel1
-from repro.scheduling.tx_models import (
-    TxModel1,
-    TxModel2,
-    TxModel3,
-    TxModel4,
-    TxModel5,
-    TxModel6,
-)
+from repro._lazy import load_entry
 
-TxModelFactory = Callable[..., TransmissionModel]
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.scheduling.base import TransmissionModel
 
-_REGISTRY: Dict[str, TxModelFactory] = {}
+TxModelFactory = Callable[..., "TransmissionModel"]
+
+_REGISTRY: Dict[str, Union[str, TxModelFactory]] = {
+    **{f"tx_model_{i}": f"repro.scheduling.tx_models:TxModel{i}" for i in range(1, 7)},
+    "rx_model_1": "repro.scheduling.rx_models:RxModel1",
+}
 
 _ALIASES: Dict[str, str] = {
     "tx1": "tx_model_1",
@@ -64,16 +65,8 @@ def make_tx_model(name: str, **kwargs) -> TransmissionModel:
     'tx_model_6'
     """
     key = resolve_tx_model_name(name)
-    return _REGISTRY[key](**kwargs)
+    return load_entry(_REGISTRY, key)(**kwargs)
 
-
-register_tx_model("tx_model_1", TxModel1)
-register_tx_model("tx_model_2", TxModel2)
-register_tx_model("tx_model_3", TxModel3)
-register_tx_model("tx_model_4", TxModel4)
-register_tx_model("tx_model_5", TxModel5)
-register_tx_model("tx_model_6", TxModel6)
-register_tx_model("rx_model_1", RxModel1)
 
 __all__ = [
     "register_tx_model",

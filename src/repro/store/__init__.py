@@ -3,7 +3,8 @@
 The store is the durable ledger of what has already been simulated: every
 executed work unit is one entry, keyed by a canonical backend-independent
 hash of the unit's self-describing fields (:mod:`repro.store.codec`).
-Three backends ship behind the registry (:mod:`repro.store.registry`):
+Four backends ship behind the registry (:mod:`repro.store.registry`),
+each imported only when a store URI names it:
 
 * ``json-dir`` (:mod:`repro.store.json_dir`) -- one JSON file per unit
   under ``.repro_cache/``, byte-compatible with the pre-store cache
@@ -18,6 +19,9 @@ Three backends ship behind the registry (:mod:`repro.store.registry`):
   with server-clock lease arbitration and an opt-in write-behind spool
   for multi-host fleets.
 
+Every backend can also be opened behind ``chaos+<backend>``
+(:mod:`repro.store.chaos`), the seeded fault-injecting wrapper.
+
 Lease-capable backends additionally implement the **work-unit lease
 protocol** (atomic TTL claims, heartbeats, expiry takeover) that
 :mod:`repro.runner.fleet` builds cooperative fleet execution on: N
@@ -30,36 +34,26 @@ verification, so existing ``.repro_cache/`` directories are never
 orphaned by switching backends.
 """
 
-from repro.store.base import (
-    Lease,
-    LeaseUnsupportedError,
-    ResultStore,
-    StoreInfo,
-    StoreRecord,
-    StoreStats,
-)
-from repro.store.chaos import ChaosConfig, ChaosStore
-from repro.store.codec import (
-    CACHE_FORMAT_VERSION,
-    RESULT_SCHEMA,
-    config_token,
-    decode_payload,
-    encode_result,
-    unit_key,
-    unit_provenance,
-)
-from repro.store.http import DEFAULT_TIMEOUT, HttpStore, HttpStoreError
-from repro.store.json_dir import DEFAULT_CACHE_DIR, JsonDirStore
-from repro.store.memory import MemoryStore, shared_memory_store
-from repro.store.migrate import MigrationReport, StoreMigrationError, migrate_store
-from repro.store.registry import (
-    StoreSpec,
-    available_backends,
-    register_backend,
-    resolve_store,
-)
-from repro.store.server import DEFAULT_HOST, DEFAULT_PORT, StoreServer
-from repro.store.sqlite import DEFAULT_BUSY_TIMEOUT, SqliteStore
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "base": "Lease LeaseUnsupportedError ResultStore StoreInfo StoreRecord StoreStats",
+    "chaos": "ChaosConfig ChaosStore",
+    "codec": (
+        "CACHE_FORMAT_VERSION RESULT_SCHEMA config_token decode_payload "
+        "encode_result unit_key unit_provenance"
+    ),
+    "http": "DEFAULT_TIMEOUT HttpStore HttpStoreError",
+    "json_dir": "DEFAULT_CACHE_DIR JsonDirStore",
+    "memory": "MemoryStore shared_memory_store",
+    "migrate": "MigrationReport StoreMigrationError migrate_store",
+    "registry": (
+        "DEFAULT_HOST DEFAULT_PORT StoreSpec available_backends "
+        "register_backend resolve_store"
+    ),
+    "server": "StoreServer",
+    "sqlite": "DEFAULT_BUSY_TIMEOUT SqliteStore",
+})
 
 __all__ = [
     "CACHE_FORMAT_VERSION",

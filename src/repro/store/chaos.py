@@ -22,10 +22,10 @@ despite thread-interleaving nondeterminism in who performs which call:
   retried call is an idempotent upsert / worker-idempotent claim, so
   repeats converge on identical state.
 
-Registered with the store registry as ``chaos+json-dir``, ``chaos+sqlite``
-and ``chaos+memory`` -- the ``:``-partitioned backend name simply contains
-a ``+`` -- so every ``--store`` / ``cache=`` call site gains fault
-injection without code changes.
+The store registry names it ``chaos+<backend>`` for every backend in
+:data:`~repro.store.registry.CHAOS_BACKENDS` -- the ``:``-partitioned
+backend name simply contains a ``+`` -- so every ``--store`` / ``cache=``
+call site gains fault injection without code changes.
 """
 
 from __future__ import annotations
@@ -41,14 +41,12 @@ from urllib.parse import parse_qs
 from repro.resilience.errors import StoreUnavailableError
 from repro.runner.units import UnitResult, WorkUnit
 from repro.store.base import Lease, ResultStore, StoreRecord
+from repro.store.registry import CHAOS_BACKENDS, resolve_store
 
 #: Operations eligible for fault injection.  Read-only inspection calls
 #: (``records``, ``info``, ...) stay fault-free: they are test/CLI
 #: plumbing, not the protocol under test.
 CHAOS_OPS = ("get", "put", "delete", "claim", "heartbeat", "release", "put_many")
-
-#: Inner backends the registry wires a ``chaos+`` prefix for.
-CHAOS_BACKENDS = ("json-dir", "sqlite", "memory", "http")
 
 
 def _schedule_fraction(seed: int, op: str, index: int) -> float:
@@ -282,25 +280,11 @@ class ChaosStore(ResultStore):
         self.inner.close()
 
 
-def _chaos_factory(inner_name: str):
-    def factory(location: str) -> ResultStore:
-        from repro.store.registry import resolve_store
-
-        inner_location, config = parse_chaos_location(location)
-        inner = resolve_store(f"{inner_name}:{inner_location}")
-        return ChaosStore(
-            inner, config, uri_text=f"chaos+{inner_name}:{location}"
-        )
-
-    return factory
-
-
-def register_chaos_backends() -> None:
-    """Register ``chaos+<backend>`` for every wrappable built-in backend."""
-    from repro.store.registry import register_backend
-
-    for name in CHAOS_BACKENDS:
-        register_backend(f"chaos+{name}", _chaos_factory(name))
+def open_chaos(inner_name: str, location: str) -> ChaosStore:
+    """Open ``chaos+<inner_name>:<location>``: the inner store, faults in front."""
+    inner_location, config = parse_chaos_location(location)
+    inner = resolve_store(f"{inner_name}:{inner_location}")
+    return ChaosStore(inner, config, uri_text=f"chaos+{inner_name}:{location}")
 
 
 __all__ = [
@@ -308,6 +292,6 @@ __all__ = [
     "CHAOS_OPS",
     "ChaosConfig",
     "ChaosStore",
+    "open_chaos",
     "parse_chaos_location",
-    "register_chaos_backends",
 ]

@@ -23,7 +23,6 @@ reloaded from any backend are bit-identical to freshly computed ones.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from typing import Any, Dict, Optional
 
@@ -84,6 +83,8 @@ def unit_key(unit: WorkUnit) -> str:
         else list(unit.code_seed_path),
         "seed_scheme": get_scheme(unit.seed_scheme).token(),
     }
+    import hashlib
+
     digest = hashlib.sha256(
         json.dumps(payload, sort_keys=True).encode("utf-8")
     ).hexdigest()

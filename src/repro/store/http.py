@@ -49,17 +49,13 @@ import threading
 from pathlib import Path
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
 
-from repro.resilience.errors import StoreUnavailableError
+from repro.resilience.errors import HttpStoreError, StoreUnavailableError
 from repro.runner.units import UnitResult, WorkUnit
 from repro.store.base import Lease, ResultStore, StoreRecord
 from repro.store.codec import encode_result, unit_key
 
 #: Per-request socket timeout (connect + read), seconds.
 DEFAULT_TIMEOUT = 10.0
-
-
-class HttpStoreError(RuntimeError):
-    """Permanent HTTP store failure (4xx: bad token, bad request, ...)."""
 
 
 def _parse_location(location: str) -> Tuple[str, int, Dict[str, str]]:

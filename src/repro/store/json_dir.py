@@ -53,7 +53,7 @@ class JsonDirStore(ResultStore):
 
     def __init__(self, root: Union[str, Path] = DEFAULT_CACHE_DIR):
         super().__init__()
-        self.root = Path(root)
+        self.root = Path(root or DEFAULT_CACHE_DIR)
 
     def location(self) -> str:
         return str(self.root)

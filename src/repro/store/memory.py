@@ -28,7 +28,12 @@ _SHARED_LOCK = threading.Lock()
 
 
 def shared_memory_store(name: str) -> "MemoryStore":
-    """The process-wide :class:`MemoryStore` registered under ``name``."""
+    """The process-wide :class:`MemoryStore` registered under ``name``.
+
+    An empty name (the ``memory:`` URI) opens a fresh, unshared store.
+    """
+    if not name:
+        return MemoryStore()
     with _SHARED_LOCK:
         store = _SHARED.get(name)
         if store is None:

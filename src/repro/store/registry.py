@@ -10,31 +10,55 @@ A store is named by a URI of the form ``<backend>:<location>``:
 * ``http:HOST:PORT`` -- a remote store behind a ``python -m repro cache
   serve`` server (multi-host fleets); supports
   ``?token=...&spool=PATH&timeout=S`` options.
+* ``chaos+<backend>:...`` -- any of the above behind the seeded
+  fault-injecting wrapper of :mod:`repro.store.chaos`.
 
 Anything that does not start with a registered backend name is treated as
 a plain directory path and opened with the json-dir backend -- exactly
 what every pre-store ``cache="some/dir"`` call meant, so existing call
-sites keep working unchanged.  Third-party backends register a factory
+sites keep working unchanged.  The built-in backends are ``"module:attr"``
+entries imported on first use, so opening a json-dir store never loads
+``sqlite3`` or ``http.client``.  Third-party backends register a factory
 with :func:`register_backend` (an HTTP/object-store backend slots in here
 without touching the engine).
 """
 
 from __future__ import annotations
 
+from functools import partial
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Union
 
+from repro._lazy import load_entry
 from repro.store.base import ResultStore
-from repro.store.json_dir import DEFAULT_CACHE_DIR, JsonDirStore
-from repro.store.memory import MemoryStore, shared_memory_store
-from repro.store.sqlite import SqliteStore
+
+#: Default ``cache serve`` bind address: loopback only -- serving a fleet
+#: means opting into ``--host 0.0.0.0`` (ideally with ``--token``).
+DEFAULT_HOST = "127.0.0.1"
+DEFAULT_PORT = 8737
+
+#: Inner backends the registry wires a ``chaos+`` prefix for.
+CHAOS_BACKENDS = ("json-dir", "sqlite", "memory", "http")
 
 #: What ``cache=`` / ``store=`` knobs accept: a ready store, a store URI
 #: or bare directory path, or ``None`` (caching disabled).
 StoreSpec = Union[ResultStore, str, Path, None]
 
+
+def _open_chaos(inner_name: str, location: str) -> ResultStore:
+    from repro.store.chaos import open_chaos
+
+    return open_chaos(inner_name, location)
+
+
 #: Backend factories, keyed by URI prefix; each receives the location part.
-_BACKENDS: Dict[str, Callable[[str], ResultStore]] = {}
+_BACKENDS: Dict[str, Union[str, Callable[[str], ResultStore]]] = {
+    "json-dir": "repro.store.json_dir:JsonDirStore",
+    "sqlite": "repro.store.sqlite:SqliteStore",
+    "memory": "repro.store.memory:shared_memory_store",
+    "http": "repro.store.http:HttpStore",
+    **{f"chaos+{name}": partial(_open_chaos, name) for name in CHAOS_BACKENDS},
+}
 
 
 def register_backend(name: str, factory: Callable[[str], ResultStore]) -> None:
@@ -51,40 +75,6 @@ def available_backends() -> List[str]:
     return sorted(_BACKENDS)
 
 
-def _make_json_dir(location: str) -> ResultStore:
-    return JsonDirStore(location or DEFAULT_CACHE_DIR)
-
-
-def _make_sqlite(location: str) -> ResultStore:
-    if not location:
-        raise ValueError(
-            "the sqlite store needs a database path: 'sqlite:results.db'"
-        )
-    return SqliteStore(location)
-
-
-def _make_memory(location: str) -> ResultStore:
-    return shared_memory_store(location) if location else MemoryStore()
-
-
-def _make_http(location: str) -> ResultStore:
-    from repro.store.http import HttpStore
-
-    return HttpStore(location)
-
-
-register_backend("json-dir", _make_json_dir)
-register_backend("sqlite", _make_sqlite)
-register_backend("memory", _make_memory)
-register_backend("http", _make_http)
-
-# Fault-injecting chaos wrappers (``chaos+sqlite:...``) register through
-# the same mechanism; imported after the built-ins they wrap.
-from repro.store import chaos as _chaos  # noqa: E402  (needs register_backend)
-
-_chaos.register_chaos_backends()
-
-
 def resolve_store(spec: StoreSpec) -> Optional[ResultStore]:
     """Open the store a ``cache=`` / ``--store`` spec describes.
 
@@ -97,12 +87,15 @@ def resolve_store(spec: StoreSpec) -> Optional[ResultStore]:
         return spec
     text = str(spec)
     name, separator, location = text.partition(":")
-    if separator and name in _BACKENDS:
-        return _BACKENDS[name](location)
-    return _make_json_dir(text)
+    if not (separator and name in _BACKENDS):
+        name, location = "json-dir", text
+    return load_entry(_BACKENDS, name)(location)
 
 
 __all__ = [
+    "CHAOS_BACKENDS",
+    "DEFAULT_HOST",
+    "DEFAULT_PORT",
     "StoreSpec",
     "available_backends",
     "register_backend",

@@ -60,13 +60,9 @@ from repro.resilience.errors import StoreUnavailableError
 from repro.runner.units import WorkUnit
 from repro.store.base import ResultStore
 from repro.store.codec import decode_payload, unit_key
+from repro.store.registry import DEFAULT_HOST, DEFAULT_PORT
 
 LOGGER = logging.getLogger("repro.store.server")
-
-#: Default bind address: loopback only -- serving a fleet means opting
-#: into ``--host 0.0.0.0`` (ideally with ``--token``) explicitly.
-DEFAULT_HOST = "127.0.0.1"
-DEFAULT_PORT = 8737
 
 
 class _StoreHTTPServer(ThreadingHTTPServer):

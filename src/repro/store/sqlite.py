@@ -108,16 +108,28 @@ class SqliteStore(ResultStore):
     supports_leases = True
 
     def __init__(
-        self, path: Union[str, Path], *, timeout: float = DEFAULT_BUSY_TIMEOUT
+        self,
+        path: Union[str, Path],
+        *,
+        timeout: float = DEFAULT_BUSY_TIMEOUT,
+        create: bool = True,
     ):
+        """Open the database at ``path``, creating it if it does not exist.
+
+        ``create=False`` (read-only inspection) opens a missing file as an
+        empty in-memory database instead, so nothing is created on disk.
+        """
         super().__init__()
+        if not str(path):
+            raise ValueError("the sqlite store needs a database path: 'sqlite:results.db'")
         self.path = Path(path)
-        if self.path.parent != Path(""):
+        missing = not create and not self.path.exists()
+        if not missing and self.path.parent != Path(""):
             self.path.parent.mkdir(parents=True, exist_ok=True)
         # isolation_level=None: explicit BEGIN/COMMIT, never autocommit
         # surprises inside the lease transaction.
         self._conn = sqlite3.connect(
-            str(self.path),
+            ":memory:" if missing else str(self.path),
             timeout=timeout,
             isolation_level=None,
             check_same_thread=False,

@@ -12,7 +12,8 @@ from typing import Iterable, Optional, Union
 
 import numpy as np
 
-RandomState = Union[None, int, np.random.Generator, np.random.SeedSequence]
+#: Quoted so that importing this module does not import ``numpy.random``.
+RandomState = Union[None, int, "np.random.Generator", "np.random.SeedSequence"]
 
 
 def ensure_rng(random_state: RandomState = None) -> np.random.Generator:

@@ -409,3 +409,16 @@ class TestCLI:
         assert cleared.returncode == 0
         info_after = self._run("cache", "info", "--cache-dir", cache_dir)
         assert "0 entries" in info_after.stdout
+
+    @pytest.mark.parametrize("action", ["info", "clear"])
+    @pytest.mark.parametrize("backend", ["sqlite", "json-dir"])
+    def test_cache_inspection_of_a_missing_store_creates_nothing(
+        self, tmp_path, action, backend
+    ):
+        result = self._run(
+            "cache", action, "--store", f"{backend}:{tmp_path}/no/such/dir/x.db",
+            cwd=tmp_path,
+        )
+        assert result.returncode == 0, result.stderr
+        assert "0 entries" in result.stdout
+        assert not (tmp_path / "no").exists()
