@@ -235,20 +235,24 @@ def _run_cells(
         )
         results, failures = execute(units, total_cells=len(active))
         failures_out.extend(failures)
+        # One pass groups the round's results by cell; each cell then
+        # folds only its own, in run order.
+        by_cell: Dict[SeedPath, List[Tuple[int, UnitResult]]] = {}
+        for (result_path, run_start), result in results.items():
+            by_cell.setdefault(result_path, []).append((run_start, result))
         for path in active:
             run = state[path]
             run.planned_runs = target
             run.rounds += 1
-            for (result_path, _run_start), result in sorted(
-                results.items(), key=lambda item: item[0][1]
+            for _run_start, result in sorted(
+                by_cell.get(path, ()), key=lambda item: item[0]
             ):
-                if result_path == path:
-                    run.results.append(result)
-                    run.stats.add_ratios(
-                        result.inefficiency_ratios,
-                        result.received_ratios,
-                        result.failures,
-                    )
+                run.results.append(result)
+                run.stats.add_ratios(
+                    result.inefficiency_ratios,
+                    result.received_ratios,
+                    result.failures,
+                )
         previous = target
         still_active = []
         for path in active:

@@ -25,7 +25,8 @@ unit's runs (OpenMP, with a probed serial fallback); the thread count is
 the ``kernel_threads`` knob of :mod:`repro.kernels.threads` -- set where
 ``kernel`` is, resolved from
 ``REPRO_KERNEL_THREADS`` / ``auto`` = physical cores divided by the
-executor's worker count, and bit-identical at any value.
+executor's worker count times the live same-host fleet peers, and
+bit-identical at any value.
 """
 
 from repro._lazy import lazy_exports

@@ -13,14 +13,24 @@ Resolution order, mirroring the kernel-backend selection:
    CLI, the ``kernel_threads`` field of a :class:`~repro.runner.units.WorkUnit`),
 2. the ``REPRO_KERNEL_THREADS`` environment variable,
 3. ``auto`` (the default): the machine's physical core count divided by
-   the number of executor workers sharing this process' socket.
+   the number of executor workers sharing this process' socket, times
+   the number of live fleet peers on this host.
 
 The division in step 3 is the **oversubscription rule**: executor workers
-x kernel threads never exceeds the physical cores.  Executors declare
-their local parallelism through :func:`worker_divisor` before dispatching
-units (the thread executor in-process, the process pool via its worker
-initializer), so ``--workers 4 --kernel-threads auto`` on a 16-core box
-gives each worker 4 kernel threads instead of 4x16 runnable threads.
+x kernel threads x same-host fleet peers never exceeds the physical
+cores.  Executors declare their local parallelism through
+:func:`set_worker_divisor` before dispatching units (the thread executor
+in-process, the process pool via its worker initializer), so
+``--workers 4 --kernel-threads auto`` on a 16-core box gives each worker
+4 kernel threads instead of 4x16 runnable threads.  A
+:class:`~repro.runner.fleet.FleetRunner` declares the live fleet peers
+sharing its host through :func:`set_host_peers` (counted from the
+store's presence leases), so two ``--fleet`` processes on a 2-core box
+run one kernel thread each instead of two.  The two factors are separate
+process state and compose: an executor declaring its workers never
+overwrites the fleet's peer count, and the process pool hands the peer
+count to its workers along with its own size.  Outside a fleet the peer
+factor is 1, and explicit counts are never divided.
 
 The *requested* spec travels as data (a normalised string on the work
 unit); the *resolved* integer is looked up at the kernel call site via
@@ -47,6 +57,10 @@ _local = threading.local()
 
 #: Executor workers sharing this process' cores; ``auto`` divides by it.
 _worker_divisor = 1
+
+#: Live fleet peers (this process included) on this host; ``auto``
+#: divides by it too.
+_host_peers = 1
 
 _physical_cores: Optional[int] = None
 
@@ -146,6 +160,38 @@ def worker_divisor_context(workers: int) -> Iterator[None]:
         set_worker_divisor(previous)
 
 
+def set_host_peers(peers: int) -> int:
+    """Declare how many live fleet peers share this host's cores.
+
+    Returns the previous count so callers can restore it; ``auto``
+    thread counts become ``max(1, physical_cores() // (workers * peers))``.
+    """
+    global _host_peers
+    previous = _host_peers
+    _host_peers = max(1, int(peers))
+    return previous
+
+
+def host_peers() -> int:
+    """The currently declared same-host fleet-peer count."""
+    return _host_peers
+
+
+@contextmanager
+def host_peers_context(peers: int = 1) -> Iterator[None]:
+    """Scope :func:`set_host_peers` to a fleet run.
+
+    The fleet runner enters it before registering its presence and
+    updates the count with :func:`set_host_peers` as peers come and go;
+    leaving restores the previous count.
+    """
+    previous = set_host_peers(peers)
+    try:
+        yield
+    finally:
+        set_host_peers(previous)
+
+
 def _spec_stack() -> list:
     stack = getattr(_local, "stack", None)
     if stack is None:
@@ -179,7 +225,7 @@ def resolve_thread_count(spec: ThreadSpec = None) -> int:
     if normalized is None:
         normalized = normalize_thread_spec(os.environ.get(THREADS_ENV_VAR))
     if normalized is None or normalized == "auto":
-        return max(1, physical_cores() // _worker_divisor)
+        return max(1, physical_cores() // (_worker_divisor * _host_peers))
     return int(normalized)
 
 
@@ -204,6 +250,9 @@ __all__ = [
     "set_worker_divisor",
     "worker_divisor",
     "worker_divisor_context",
+    "set_host_peers",
+    "host_peers",
+    "host_peers_context",
     "thread_count_context",
     "resolve_thread_count",
     "current_thread_count",

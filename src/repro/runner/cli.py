@@ -201,8 +201,9 @@ def _build_parser() -> argparse.ArgumentParser:
         help=(
             "row-parallel thread count for compiled kernels (cext with "
             "OpenMP): a positive integer or 'auto' (physical cores divided "
-            "by the executor's worker count, so executor workers x kernel "
-            "threads never oversubscribes the socket).  Bit-identical at "
+            "by the executor's worker count times the live --fleet peers "
+            "on this host, so workers x kernel threads x peers never "
+            "oversubscribes the socket).  Bit-identical at "
             "any value.  Also settable via the REPRO_KERNEL_THREADS "
             "environment variable"
         ),

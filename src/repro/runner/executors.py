@@ -20,7 +20,7 @@ Three strategies are provided behind one tiny interface
   compose with the kernels' own OpenMP row-parallelism; both executors
   declare their worker count to :mod:`repro.kernels.threads` so ``auto``
   kernel-thread counts obey the oversubscription rule (executor workers x
-  kernel threads <= physical cores).
+  kernel threads x same-host fleet peers <= physical cores).
 
 ``on_result`` is always invoked in the calling process and thread (for
 the pools: as futures complete), which is what bridges worker progress
@@ -58,7 +58,9 @@ from typing import (
     TYPE_CHECKING, Any, Callable, Iterable, List, Optional, Protocol, Sequence, Union,
 )
 
-from repro.kernels.threads import set_worker_divisor, worker_divisor_context
+from repro.kernels.threads import (
+    host_peers, set_host_peers, set_worker_divisor, worker_divisor_context,
+)
 from repro.resilience.errors import PoisonUnitError
 from repro.resilience.policy import (
     DEFAULT_POLICY,
@@ -182,18 +184,20 @@ def _pool_context() -> multiprocessing.context.BaseContext:
         return multiprocessing.get_context("spawn")
 
 
-def _init_pool_worker(warm: Sequence[WorkUnit], divisor: int) -> None:
+def _init_pool_worker(warm: Sequence[WorkUnit], divisor: int, peers: int) -> None:
     """Process-pool worker initializer: thread divisor + cache pre-warm.
 
     Runs once per worker process, at pool start-up: declares the pool
-    size to the kernel-thread resolver (so ``auto`` kernel threads obey
-    the oversubscription rule) and pre-compiles the shared codes and
+    size and the parent's same-host fleet-peer count to the kernel-thread
+    resolver (so ``auto`` kernel threads obey the oversubscription rule
+    inside a fleet too) and pre-compiles the shared codes and
     decoder prototypes the planned units will need -- in parallel across
     workers, instead of serialised inside each worker's first chunk.
     Warming is strictly an optimisation, so any failure is swallowed:
     execution will rebuild (or degrade) exactly as it would have.
     """
     set_worker_divisor(divisor)
+    set_host_peers(peers)
     for unit in warm:
         try:
             warm_unit(unit)
@@ -275,7 +279,7 @@ class ProcessExecutor:
             max_workers=pool_size,
             mp_context=_pool_context(),
             initializer=_init_pool_worker,
-            initargs=(warm_units(units), pool_size),
+            initargs=(warm_units(units), pool_size, host_peers()),
         ) as pool:
             _dispatch(
                 pool, partial(_run_chunk, policy=policy), chunks,
@@ -296,8 +300,9 @@ class ThreadExecutor:
 
     While dispatching, the executor declares its worker count to
     :mod:`repro.kernels.threads`, so ``kernel_threads="auto"`` resolves
-    to ``physical_cores // workers`` per unit: the oversubscription rule
-    (executor threads x kernel threads <= cores) holds by construction.
+    to ``physical_cores // (workers x same-host fleet peers)`` per unit:
+    the oversubscription rule (executor threads x kernel threads x peers
+    <= cores) holds by construction.
 
     Completion order does not matter -- every unit derives its own seeds
     and the engine reassembles cells by ``seed_path`` -- so results are

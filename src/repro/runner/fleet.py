@@ -23,6 +23,12 @@ There is **no coordinator**.  Each worker plans the identical unit list
 4. upsert each result and release its lease -- the write happens *before*
    the release, so a unit is never both unleased and unfinished.
 
+Each worker also holds a *presence lease* for as long as it runs (see
+:func:`presence_key`).  Counting the live presence leases of its own host
+tells a worker how many fleet peers share its cores, and ``auto`` kernel
+threads divide by that count (:mod:`repro.kernels.threads`), so a fleet
+shares a host's cores the way a local process pool does.
+
 Crash tolerance falls out of the lease TTL: a worker that dies mid-unit
 stops heartbeating, its leases expire, and any other worker's next claim
 takes them over and re-executes.  Results are deterministic per seed
@@ -34,14 +40,17 @@ so each member of the fleet returns the complete, bit-identical sweep.
 
 from __future__ import annotations
 
+import hashlib
 import logging
 import os
 import socket
 import threading
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
+from repro.kernels.threads import host_peers_context, set_host_peers
 from repro.resilience.errors import PoisonUnitError, StoreUnavailableError
 from repro.resilience.policy import DEFAULT_POLICY, FailurePolicy, UnitFailure
 from repro.resilience.report import read_quarantine, write_quarantine
@@ -54,9 +63,64 @@ from repro.store.codec import decode_payload, unit_key
 
 logger = logging.getLogger("repro.fleet")
 
+#: First idle wait of the claim loop; each further idle round doubles it,
+#: up to the runner's ``poll_interval``.
+IDLE_BACKOFF_START = 0.005
+
+
 def default_worker_id() -> str:
     """Fleet-unique worker identity: ``<hostname>:<pid>``."""
     return f"{socket.gethostname()}:{os.getpid()}"
+
+
+def _digest(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
+
+
+def _host_prefix() -> str:
+    """Key prefix shared by the presence leases of this host's workers."""
+    return f"peer-{_digest(socket.gethostname())}-"
+
+
+def presence_key(worker_id: str) -> str:
+    """Key of the lease a fleet worker holds while it runs.
+
+    ``peer-<host digest>-<worker digest>``: hex digests, so the key is a
+    safe file name on every backend, and workers on one host share the
+    prefix that :func:`count_host_peers` looks for.  No unit result is
+    ever stored under it.
+    """
+    return _host_prefix() + _digest(worker_id)
+
+
+def _lease_clock(store: ResultStore) -> float:
+    """Now, in the clock domain of ``store.leases()`` expiries.
+
+    An ``http:`` store's expiries come from the server's clock, which its
+    ``/health`` payload reports; every other backend stamps leases with
+    this host's wall clock.
+    """
+    health = getattr(store, "health", None)
+    if health is not None:
+        return float(health()["clock"])
+    return time.time()
+
+
+def count_host_peers(store: ResultStore) -> int:
+    """Live fleet workers on this host, from the store's presence leases.
+
+    Expired presence leases (a crashed peer's) and other hosts' never
+    count; the caller's own live lease does, so the result is at least 1
+    while it runs.
+    """
+    prefix = _host_prefix()
+    now = _lease_clock(store)
+    live = sum(
+        1
+        for lease in store.leases()
+        if lease.key.startswith(prefix) and not lease.expired(now)
+    )
+    return max(1, live)
 
 
 @dataclass
@@ -185,10 +249,10 @@ class FleetRunner:
         Local executor for claimed units (default: serial).  With a
         process or thread pool, claimed batches fan out over local
         workers while the lease heartbeat runs in the coordinating
-        process.  Units carry their ``kernel_threads`` spec, so a fleet
-        member executes claimed units with OpenMP row-parallel compiled
-        kernels exactly like a standalone runner would (``auto`` divides
-        physical cores by the local executor's worker count).
+        process.  Units carry their ``kernel_threads`` spec; ``auto``
+        divides physical cores by the local executor's worker count
+        times the live fleet peers on this host, so the peers on one
+        machine share its cores instead of each claiming all of them.
     worker_id:
         Fleet-unique identity (default ``<hostname>:<pid>``).
     lease_ttl:
@@ -196,7 +260,10 @@ class FleetRunner:
     heartbeat_interval:
         Seconds between lease refreshes (default: a third of the TTL).
     poll_interval:
-        Seconds to sleep when every open unit is leased elsewhere.
+        Cap on the idle wait when every open unit is leased elsewhere.
+        The wait starts at :data:`IDLE_BACKOFF_START` and doubles per
+        idle round up to this cap; it resets whenever a claim wins or a
+        peer's result is absorbed.
     claim_batch:
         Units to claim per loop iteration (default: enough to keep the
         local executor's workers busy).
@@ -208,6 +275,14 @@ class FleetRunner:
     failed units follow its ``on_error`` action: ``quarantine`` writes a
     store-backed quarantine record *before* releasing the lease, so peers
     see the verdict and never re-execute the poison unit.
+
+    For the length of :meth:`run` the worker also holds a presence lease
+    (:func:`presence_key`), refreshed by the same heartbeat thread and
+    released on the way out, however the run ends.  Once per claim round
+    it counts the live presence leases of its host
+    (:func:`count_host_peers`) and declares that count to
+    :mod:`repro.kernels.threads`; the previous count is restored when the
+    run returns.
     """
 
     def __init__(
@@ -246,6 +321,33 @@ class FleetRunner:
         self.claim_batch = max(1, int(claim_batch))
         self.stats = FleetStats()
 
+    @contextmanager
+    def _registered(self, store: ResultStore) -> Iterator["_Heartbeat"]:
+        """Hold this worker's presence lease and heartbeat for one run."""
+        presence = presence_key(self.worker_id)
+        # Enter the peer-count scope before registering: an in-process
+        # peer that counts this worker has then already saved its own
+        # previous count.
+        with host_peers_context():
+            store.claim(presence, self.worker_id, self.lease_ttl)
+            try:
+                with _Heartbeat(
+                    store, self.worker_id, self.lease_ttl, self.heartbeat_interval
+                ) as heartbeat:
+                    heartbeat.hold([presence])
+                    yield heartbeat
+            finally:
+                # After the heartbeat thread has stopped, so no in-flight
+                # refresh can re-create the lease.  A store too sick to
+                # release it only delays peers until the lease expires.
+                try:
+                    store.release(presence, self.worker_id)
+                except StoreUnavailableError as error:
+                    logger.warning(
+                        "fleet worker %s could not release its presence "
+                        "lease: %s", self.worker_id, error,
+                    )
+
     def run(
         self,
         units: Sequence[WorkUnit],
@@ -278,11 +380,13 @@ class FleetRunner:
             on_failure(entry.as_failure())
             return True
 
-        with _Heartbeat(
-            store, self.worker_id, self.lease_ttl, self.heartbeat_interval
-        ) as heartbeat:
+        idle_wait = IDLE_BACKOFF_START
+        with self._registered(store) as heartbeat:
             while pending:
                 check_heartbeat(heartbeat)
+                # Peers join and leave mid-sweep: recount this host's
+                # live ones so ``auto`` kernel threads share its cores.
+                set_host_peers(count_host_peers(store))
                 # 1. Claim a batch.  The store arbitrates: every open
                 # unit is won by exactly one live worker.  A failed claim
                 # means the unit is finished or leased elsewhere -- only
@@ -298,6 +402,8 @@ class FleetRunner:
                         claimed.append(unit)
                     else:
                         contested.append(key)
+                if claimed:
+                    idle_wait = IDLE_BACKOFF_START
 
                 # 2. Absorb contested units another fleet member already
                 # completed.  Raw record reads: polling must not distort
@@ -309,6 +415,7 @@ class FleetRunner:
                         del pending[key]
                         self.stats.absorbed += 1
                         on_result(result)
+                        idle_wait = IDLE_BACKOFF_START
 
                 # A claim can also win a unit a peer already condemned
                 # (quarantine releases the lease after writing the
@@ -329,9 +436,13 @@ class FleetRunner:
                 if not claimed:
                     # Everything open is leased elsewhere: wait for the
                     # owners to finish (absorbed next round) or for their
-                    # leases to expire (claimed next round).
+                    # leases to expire (claimed next round).  The wait
+                    # doubles while nothing changes, so a result that lands
+                    # soon is picked up soon, and a long wait costs few
+                    # store round trips.
                     self.stats.reclaim_waits += 1
-                    time.sleep(self.poll_interval)
+                    time.sleep(min(idle_wait, self.poll_interval))
+                    idle_wait = min(2 * idle_wait, self.poll_interval)
                     continue
 
                 # 3. Execute the claimed batch locally, heartbeating the
@@ -383,7 +494,10 @@ class FleetRunner:
 __all__ = [
     "DEFAULT_LEASE_TTL",
     "HEARTBEAT_FAILURE_LIMIT",
+    "IDLE_BACKOFF_START",
     "FleetRunner",
     "FleetStats",
+    "count_host_peers",
     "default_worker_id",
+    "presence_key",
 ]

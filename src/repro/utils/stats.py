@@ -22,6 +22,7 @@ rule needs and is pinned against table values in the test suite.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 from typing import Tuple
 
 __all__ = [
@@ -165,12 +166,15 @@ def student_t_cdf(t: float, df: float) -> float:
     return 1.0 - tail if t > 0.0 else tail
 
 
+@lru_cache(maxsize=4096)
 def t_quantile(p: float, df: float) -> float:
     """Inverse CDF of Student's t distribution (bisection on the CDF).
 
     ``p`` must be in (0, 1); ``df`` may be any positive real.  For the
     degrees of freedom a stopping rule sees (df >= 1) the bisection
     converges to ~1e-12 absolute in the ~100 iterations used here.
+    Memoized: a stopping rule asks for the same few (confidence, run
+    count) pairs for every cell of every round.
     """
     if not 0.0 < p < 1.0:
         raise ValueError(f"t_quantile needs 0 < p < 1, got {p}")

@@ -373,6 +373,53 @@ class TestStoppingRule:
         assert 0 < meta["saved_fraction"] < 1
 
 
+class TestRoundFolding:
+    def test_per_cell_results_and_stats_match_a_full_rescan(self, config):
+        # Each round's results are grouped by cell once; every cell must
+        # still fold exactly its own results, in run order -- what a
+        # sorted rescan of the whole round per cell used to produce.
+        from repro.adaptive.controller import _run_cells
+        from repro.runner.engine import _execute, grid_cells
+
+        options = ExecutionOptions(adaptive=AdaptiveConfig(min_runs=4, ci_width=0.3))
+        _p, _q, cells = grid_cells(config, P_VALUES, Q_VALUES)
+        rounds = []
+
+        def execute(units, total_cells):
+            results, failures = _execute(
+                units, options=options, progress=None, total_cells=total_cells
+            )
+            # Hand the controller the round in reverse completion order.
+            results = dict(reversed(list(results.items())))
+            rounds.append(results)
+            return results, failures
+
+        state = _run_cells(
+            cells, options.adaptive, 24,
+            plan_kwargs=dict(base_seed=3, fresh_code_per_run=False, options=options),
+            execute=execute, failures_out=[],
+        )
+        assert len(rounds) > 1
+        for path, *_ in cells:
+            expected = [
+                result
+                for results in rounds
+                for (result_path, _start), result in sorted(
+                    results.items(), key=lambda item: item[0][1]
+                )
+                if result_path == path
+            ]
+            stats = CellStats()
+            for result in expected:
+                stats.add_ratios(
+                    result.inefficiency_ratios, result.received_ratios, result.failures
+                )
+            run = state[path]
+            assert run.results == expected
+            # Streaming accumulators included: same values, same order.
+            assert vars(run.stats) == vars(stats)
+
+
 class TestCliffRefinement:
     # At expansion ratio 1.5 the staircase code's decode cliff on the
     # (p, 1.0) slice sits between p=0.3 and p=0.4.

@@ -12,14 +12,34 @@ import numpy as np
 import pytest
 
 from repro.core.config import SimulationConfig
+from repro.kernels import threads
+from repro.kernels.threads import (
+    THREADS_ENV_VAR,
+    current_thread_count,
+    host_peers,
+    host_peers_context,
+    thread_count_context,
+)
+from repro.resilience.errors import PoisonUnitError
+from repro.resilience.policy import DEFAULT_POLICY
+from repro.runner import fleet as fleet_module
 from repro.runner.engine import run_grid
-from repro.runner.fleet import DEFAULT_LEASE_TTL, FleetRunner, default_worker_id
+from repro.runner.executors import SerialExecutor
+from repro.runner.fleet import (
+    DEFAULT_LEASE_TTL,
+    FleetRunner,
+    count_host_peers,
+    default_worker_id,
+    presence_key,
+)
 from repro.runner.options import ExecutionOptions
 from repro.runner.units import execute_unit, plan_units
 from repro.store import (
     LeaseUnsupportedError,
     MemoryStore,
     SqliteStore,
+    StoreServer,
+    resolve_store,
     unit_key,
 )
 
@@ -34,9 +54,9 @@ def config() -> SimulationConfig:
     )
 
 
-def _units(config, cells=4, runs=2):
+def _units(config, cells=4, runs=2, options=None):
     points = [((i,), config, 0.02 * i, 0.5) for i in range(cells)]
-    return plan_units(points, runs=runs, base_seed=21)
+    return plan_units(points, runs=runs, base_seed=21, options=options)
 
 
 def _grids_equal(first, second) -> bool:
@@ -215,6 +235,195 @@ class TestFleetEngine:
         assert _grids_equal(first, again)
         assert store.stats.writes == writes_before
         store.close()
+
+
+class _RecordingExecutor(SerialExecutor):
+    """Serial executor noting the kernel-thread count each batch would use.
+
+    With a barrier, two runners meet before their first batch (so both
+    presence leases are registered) and again after looking in their
+    second batch (so neither leaves the fleet before both have looked).
+    """
+
+    def __init__(self, barrier=None):
+        self.barrier = barrier
+        self.batches = 0
+        self.seen = []
+
+    def run(self, units, on_result, on_failure=None, policy=DEFAULT_POLICY):
+        self.batches += 1
+        if self.barrier is not None and self.batches == 1:
+            self.barrier.wait(timeout=60)
+        if self.barrier is None or self.batches == 2:
+            with thread_count_context(units[0].kernel_threads):
+                self.seen.append(current_thread_count())
+        if self.barrier is not None and self.batches == 2:
+            self.barrier.wait(timeout=60)
+        super().run(units, on_result, on_failure, policy)
+
+
+@pytest.fixture
+def two_cores(monkeypatch):
+    """``auto`` kernel threads resolve against a 2-core host."""
+    monkeypatch.delenv(THREADS_ENV_VAR, raising=False)
+    monkeypatch.setattr(threads, "_physical_cores", 2)
+
+
+class TestHostPeers:
+    """Same-host fleet peers divide the cores between them."""
+
+    @pytest.mark.parametrize("kernel_threads, expected", [(None, 1), ("2", 2)])
+    def test_two_runners_on_one_store_share_the_cores(
+        self, config, two_cores, kernel_threads, expected
+    ):
+        store = MemoryStore()
+        options = ExecutionOptions(kernel_threads=kernel_threads)
+        units = _units(config, cells=8, options=options)
+        barrier = threading.Barrier(2)
+        executors = [_RecordingExecutor(barrier) for _ in range(2)]
+        runners = [
+            FleetRunner(
+                store, executor=executors[i], worker_id=f"w{i}",
+                claim_batch=1, poll_interval=0.01,
+            )
+            for i in range(2)
+        ]
+        threads_ = [
+            threading.Thread(target=runner.run, args=(units, lambda r: None))
+            for runner in runners
+        ]
+        for thread in threads_:
+            thread.start()
+        for thread in threads_:
+            thread.join(timeout=120)
+        # Both peers registered: 2 cores // 2 peers.  An explicit count
+        # is honoured as given.
+        assert [executor.seen for executor in executors] == [[expected]] * 2
+        assert store.leases() == []
+        assert host_peers() == 1
+
+    def test_a_lone_runner_keeps_every_core(self, config, two_cores):
+        store = MemoryStore()
+        executor = _RecordingExecutor()
+        FleetRunner(store, executor=executor, worker_id="solo").run(
+            _units(config), lambda r: None
+        )
+        assert executor.seen and set(executor.seen) == {2}
+
+    def test_stale_and_foreign_host_presence_leases_are_ignored(
+        self, config, two_cores
+    ):
+        store = MemoryStore()
+        foreign = f"peer-{'f' * 16}-{'0' * 16}"
+        assert store.claim(foreign, "elsewhere", ttl=60.0)
+        assert store.claim(presence_key("crashed"), "crashed", ttl=0.01)
+        time.sleep(0.05)
+        assert count_host_peers(store) == 1
+        executor = _RecordingExecutor()
+        FleetRunner(store, executor=executor, worker_id="solo").run(
+            _units(config), lambda r: None
+        )
+        assert set(executor.seen) == {2}
+        # The run left only the leases it found.
+        assert sorted(lease.worker for lease in store.leases()) == [
+            "crashed", "elsewhere",
+        ]
+        # Live peers on this host do count.
+        for worker in ("live-a", "live-b"):
+            assert store.claim(presence_key(worker), worker, ttl=60.0)
+        assert count_host_peers(store) == 2
+
+    def test_run_releases_presence_and_restores_the_factor(self, config):
+        store = MemoryStore()
+        with host_peers_context(3):
+            FleetRunner(store, worker_id="solo").run(_units(config), lambda r: None)
+            assert host_peers() == 3
+        assert store.leases() == []
+        assert host_peers() == 1
+
+    def test_failed_run_releases_presence(self, config):
+        class _Broken(SerialExecutor):
+            def _execute_one(self, unit):
+                raise RuntimeError("boom")
+
+        store = MemoryStore()
+        with pytest.raises(PoisonUnitError):
+            FleetRunner(store, executor=_Broken(), worker_id="solo").run(
+                _units(config), lambda r: None
+            )
+        assert store.leases() == []
+        assert host_peers() == 1
+
+    def test_http_presence_expiry_uses_the_server_clock(self, config, two_cores):
+        class _SkewedStore(MemoryStore):
+            offset = 0.0
+
+            def _now(self):
+                return time.time() + self.offset
+
+        inner = _SkewedStore()
+        with StoreServer(inner, port=0) as server:
+            store = resolve_store(f"http:127.0.0.1:{server.port}")
+            # Server clock far ahead: a peer lease that expired on the
+            # server still looks live to the client's clock.
+            inner.offset = 1000.0
+            assert store.claim(presence_key("crashed"), "crashed", ttl=0.01)
+            time.sleep(0.05)
+            assert count_host_peers(store) == 1
+            executor = _RecordingExecutor()
+            FleetRunner(store, executor=executor, worker_id="solo").run(
+                _units(config, cells=2), lambda r: None
+            )
+            assert set(executor.seen) == {2}
+            # Server clock far behind: a live peer lease already looks
+            # expired to the client's clock.
+            store.release(presence_key("crashed"), "crashed")
+            inner.offset = -1000.0
+            for worker in ("live-a", "live-b"):
+                assert store.claim(presence_key(worker), worker, ttl=60.0)
+            assert count_host_peers(store) == 2
+            store.close()
+
+
+class TestIdleBackoff:
+    def test_waiting_peer_absorbs_promptly_without_spinning(
+        self, config, monkeypatch
+    ):
+        store = MemoryStore()
+        (unit,) = _units(config, cells=1)
+        result = execute_unit(unit)
+        key = unit_key(unit)
+        assert store.claim(key, "holder", ttl=60.0)
+
+        waits = []
+        real_sleep = time.sleep
+
+        def recording_sleep(seconds):
+            waits.append(seconds)
+            real_sleep(seconds)
+
+        monkeypatch.setattr(fleet_module.time, "sleep", recording_sleep)
+        landed = []
+
+        def land():
+            landed.append(time.monotonic())
+            store.put(unit, result)
+            store.release(key, "holder")
+
+        timer = threading.Timer(0.15, land)
+        absorbed = []
+        runner = FleetRunner(store, worker_id="waiter", poll_interval=0.03)
+        timer.start()
+        runner.run([unit], lambda r: absorbed.append(time.monotonic()))
+        timer.join()
+
+        assert runner.stats.absorbed == 1
+        assert absorbed[0] - landed[0] < 0.05
+        # The doubling schedule from 5 ms, capped at poll_interval: a
+        # handful of waits over 150 ms, not a busy spin.
+        assert waits[:4] == pytest.approx([0.005, 0.01, 0.02, 0.03])
+        assert all(wait == pytest.approx(0.03) for wait in waits[3:])
+        assert len(waits) == runner.stats.reclaim_waits <= 12
 
 
 _WRITES = re.compile(r"(\d+) writes")

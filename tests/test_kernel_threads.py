@@ -41,8 +41,11 @@ from repro.kernels import (
     thread_count_context,
     worker_divisor_context,
 )
+from repro.kernels import threads
+from repro.kernels.threads import host_peers, host_peers_context, worker_divisor
 from repro.store.codec import unit_key
 from repro.runner.cli import main as cli_main
+from repro.runner import executors as executors_module
 from repro.runner.executors import ProcessExecutor, ThreadExecutor, resolve_executor
 from repro.runner.options import ExecutionOptions
 from repro.runner.units import WorkUnit, execute_unit, plan_units
@@ -106,6 +109,18 @@ class TestThreadSpec:
             # Oversubscribed executor: kernels drop to one thread, never 0.
             assert resolve_thread_count("auto") == 1
         assert resolve_thread_count("auto") == max(1, cores)
+
+    def test_auto_divides_by_host_peers_too(self, monkeypatch):
+        monkeypatch.delenv(THREADS_ENV_VAR, raising=False)
+        monkeypatch.setattr(threads, "_physical_cores", 8)
+        with host_peers_context(2):
+            assert resolve_thread_count("auto") == 4
+            with worker_divisor_context(2):
+                assert resolve_thread_count("auto") == 2
+            # Explicit counts are never divided.
+            assert resolve_thread_count(3) == 3
+        assert host_peers() == 1
+        assert resolve_thread_count("auto") == 8
 
     def test_context_carries_spec_to_call_site(self, monkeypatch):
         monkeypatch.delenv(THREADS_ENV_VAR, raising=False)
@@ -211,6 +226,15 @@ class TestThreadedKernelBitIdentity:
 # ---------------------------------------------------------------------------
 
 
+def _small_units():
+    config = SimulationConfig(
+        code="ldgm-staircase", tx_model="tx_model_2", k=60, expansion_ratio=2.5
+    )
+    return plan_units(
+        [((index,), config, 0.1, 0.5) for index in range(4)], runs=3, base_seed=11
+    )
+
+
 class TestThreadExecutor:
     def test_resolve_executor_thread(self):
         executor = resolve_executor("thread", 3)
@@ -261,6 +285,50 @@ class TestThreadExecutor:
         )
         assert np.array_equal(base.mean_inefficiency, threaded.mean_inefficiency)
         assert np.array_equal(base.failure_counts, threaded.failure_counts)
+
+    def test_thread_pool_composes_with_host_peers(self, monkeypatch):
+        # Two same-host fleet peers, each with 2 thread workers, on 4
+        # cores: 2 workers x 1 kernel thread x 2 peers.
+        monkeypatch.delenv(THREADS_ENV_VAR, raising=False)
+        monkeypatch.setattr(threads, "_physical_cores", 4)
+        seen = []
+
+        class _Recording(ThreadExecutor):
+            def _execute_one(self, unit):
+                with thread_count_context(unit.kernel_threads):
+                    seen.append(current_thread_count())
+                return super()._execute_one(unit)
+
+        with host_peers_context(2):
+            _Recording(2).run(_small_units(), lambda result: None)
+            assert host_peers() == 2
+        assert seen and set(seen) == {1}
+        assert worker_divisor() == 1
+
+    def test_process_pool_hands_host_peers_to_its_workers(self, monkeypatch):
+        # The pool's initializer runs in fresh processes, so the peer
+        # count must travel in its arguments: capture them from an
+        # in-process stand-in pool, then replay the initializer here.
+        from concurrent.futures import ThreadPoolExecutor
+
+        captured = []
+
+        class _InlinePool(ThreadPoolExecutor):
+            def __init__(self, max_workers, mp_context, initializer, initargs):
+                captured.append(initargs)
+                super().__init__(max_workers=max_workers)
+
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", _InlinePool)
+        monkeypatch.delenv(THREADS_ENV_VAR, raising=False)
+        monkeypatch.setattr(threads, "_physical_cores", 4)
+        with host_peers_context(2):
+            ProcessExecutor(2).run(_small_units(), lambda result: None)
+        (initargs,) = captured
+        assert initargs[1:] == (2, 2)
+        with worker_divisor_context(1), host_peers_context(1):
+            executors_module._init_pool_worker((), *initargs[1:])
+            assert current_thread_count() == 1
+        assert (worker_divisor(), host_peers()) == (1, 1)
 
     def test_grid_bit_identity_thread_vs_process(self):
         config = SimulationConfig(
