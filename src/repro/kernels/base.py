@@ -3,9 +3,11 @@
 A :class:`KernelBackend` owns the *hot loops* of the decode path -- the
 LDGM peeling cascade behind the gallop+bisect prefix search, the
 block-count rule of RSE and repetition, the Gilbert sojourn draws and
-fill, and optionally the per-run stream blocks (``stream_blocks``) --
-behind a small, swappable surface.  Everything else (prototype
-compilation, the run/sweep orchestration) is backend-independent numpy.
+fill, the gather of each run's surviving packet indices into a
+:class:`ReceivedBatch` (range-checked once, as it is written), and
+optionally the per-run stream blocks (``stream_blocks``) -- behind a
+small, swappable surface.  Everything else (prototype compilation, the
+run/sweep orchestration) is backend-independent numpy.
 
 All backends are **bit-identical**: for any input they must produce
 exactly the arrays the incremental reference decoder produces.  The test
@@ -16,8 +18,8 @@ pure wall-clock knob, never a semantics knob.
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterator, Sequence, Tuple
+from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -57,11 +59,17 @@ class ReceivedBatch:
         Start of each run inside ``flat`` (``int64``, one per run).
     lengths:
         Number of indices of each run (``int64``, one per run).
+    index_bound:
+        When set, every index is known to lie in ``[0, index_bound)``
+        (the batch was range-checked when it was assembled), so
+        :meth:`check_index_range` against any ``n >= index_bound`` is
+        free.  ``None`` for hand-built batches, which are checked in full.
     """
 
     flat: np.ndarray
     offsets: np.ndarray
     lengths: np.ndarray
+    index_bound: Optional[int] = None
 
     @classmethod
     def from_sequences(cls, received: Sequence[np.ndarray]) -> "ReceivedBatch":
@@ -112,12 +120,14 @@ class ReceivedBatch:
         offsets = self.offsets[start:stop]
         if lengths.size == 0:
             return ReceivedBatch(
-                flat=self.flat[:0], offsets=offsets, lengths=lengths
+                flat=self.flat[:0], offsets=offsets, lengths=lengths,
+                index_bound=self.index_bound,
             )
         base = int(offsets[0])
         end = int(offsets[-1] + lengths[-1])
         return ReceivedBatch(
-            flat=self.flat[base:end], offsets=offsets - base, lengths=lengths
+            flat=self.flat[base:end], offsets=offsets - base, lengths=lengths,
+            index_bound=self.index_bound,
         )
 
     def check_index_range(self, n: int) -> None:
@@ -125,10 +135,20 @@ class ReceivedBatch:
 
         Decoders that index per-run tables by packet id would otherwise
         write a stray index into a neighbouring run's row (numpy) or out
-        of bounds (compiled kernels).
+        of bounds (compiled kernels).  A batch whose ``index_bound`` is
+        at most ``n`` is already known to pass and is not scanned again.
         """
+        if self.index_bound is not None and self.index_bound <= n:
+            return
         if self.flat.size and (self.flat.min() < 0 or self.flat.max() >= n):
             raise ValueError(f"received indices outside [0, {n})")
+
+    def checked(self, n: int) -> "ReceivedBatch":
+        """This batch, range-checked against ``n`` and marked ``index_bound=n``."""
+        if self.index_bound is not None and self.index_bound <= n:
+            return self
+        self.check_index_range(n)
+        return replace(self, index_bound=n)
 
 
 class KernelBackend(abc.ABC):
@@ -164,6 +184,8 @@ class KernelBackend(abc.ABC):
         Returns ``(decoded, n_necessary)`` exactly as the incremental
         decoder would: ``n_necessary`` is the 1-based arrival position of
         the packet completing decoding, ``-1`` where the run never decodes.
+        Raises ``ValueError`` on any received index outside
+        ``[0, prototype.n)``.
         """
 
     @abc.abstractmethod
@@ -275,6 +297,34 @@ class KernelBackend(abc.ABC):
                     masks[index], covered, in_loss_state, gap, burst
                 )
         return states, gap_runs, burst_runs
+
+    def gather_received(
+        self, schedules: np.ndarray, loss: np.ndarray, n: int
+    ) -> ReceivedBatch:
+        """Each run's surviving schedule entries, flattened into one batch.
+
+        ``schedules`` is an ``int64`` ``(runs, width)`` array and ``loss``
+        the matching boolean mask (``True`` = lost); either may be a
+        broadcast row or a column-sliced view.  Run ``i`` receives
+        ``schedules[i][~loss[i]]`` in arrival order, and the runs are laid
+        out back to back.  Raises ``ValueError`` if and only if a
+        *received* index lies outside ``[0, n)`` (an out-of-range entry
+        in a lost slot is never delivered); the returned batch carries
+        ``index_bound=n``, so the decoders do not scan it again.
+        Backends with a compiled gather override this to read the inputs
+        in place and check the indices as they are written.
+        """
+        runs, width = schedules.shape
+        kept = ~np.asarray(loss, dtype=bool)
+        lengths = kept.sum(axis=1, dtype=np.int64)
+        offsets = np.zeros(runs, dtype=np.int64)
+        np.cumsum(lengths[:-1], out=offsets[1:])
+        # Boolean selection over the 2-D array is row-major: run 0's
+        # surviving indices in arrival order, then run 1's, ... -- exactly
+        # the flat layout of a ReceivedBatch, with no per-run arrays in
+        # between.
+        flat = schedules[kept]
+        return ReceivedBatch(flat=flat, offsets=offsets, lengths=lengths).checked(n)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging nicety
         return f"<{type(self).__name__} name={self.name!r}>"

@@ -19,6 +19,12 @@ The kernels, written in C:
   packet once, with scratch the size of one run's key space.
 * ``fill_sojourns`` / ``fill_sojourns_batch`` -- the historical serial
   Gilbert chain minus the geometric draws.
+* ``gather_count`` / ``gather_write`` -- the received-batch assembly:
+  each run's kept mask slots are counted and prefix-summed, then its
+  surviving schedule entries are written straight into the flat
+  :class:`~repro.kernels.ReceivedBatch` array, range-checking each
+  received index as it is stored.  Both read their inputs through a row
+  stride, so broadcast rows and column-sliced views are never copied.
 * ``gilbert_draw_batch`` -- those draws: each run's initial state and
   sojourn batches, taken from the run's own generator through numpy's
   C core (``libnpyrandom``: ``random_geometric`` and the bit generator's
@@ -54,9 +60,10 @@ builds without the draw and stream kernels and the backend serves the
 Python generators and draw loop, again with one warning and identical
 results; a failed stream self-check degrades the same way.
 Runs are independent rows -- each writes only its own output slot and
-works on per-thread scratch, and there are no cross-run reductions in
-these kernels (the lockstep probe reductions live in the numpy backend,
-which stays serial) -- so 1 thread and N threads are bit-identical and
+works on per-thread scratch, and the only cross-run reduction is the
+gather's order-free "any index out of range" flag (the lockstep probe
+reductions live in the numpy backend, which stays serial) -- so 1 thread
+and N threads are bit-identical and
 the thread count (``REPRO_KERNEL_THREADS`` / ``kernel_threads=`` /
 ``--kernel-threads``) is a pure wall-clock knob.  ctypes drops the GIL
 for the duration of every foreign call, which is what lets thread-
@@ -300,6 +307,107 @@ void fill_sojourns_batch(
             masks + run * count, 0, count, states[run],
             gap_runs + run * batch, burst_runs + run * batch, batch);
     }
+}
+
+static inline int64_t lost_in_word(const uint8_t *mask)
+{
+    /* Lost (non-zero) bytes among mask[0..8): each byte's high bit is set
+       iff the byte is non-zero, and the eight 0/1 flags are summed into
+       the top byte by one multiply. */
+    const uint64_t low7 = 0x7f7f7f7f7f7f7f7fULL;
+    uint64_t word;
+    memcpy(&word, mask, sizeof word);
+    uint64_t flags = ((((word & low7) + low7) | word) >> 7) & 0x0101010101010101ULL;
+    return (int64_t)((flags * 0x0101010101010101ULL) >> 56);
+}
+
+int64_t gather_count(
+    const uint8_t *loss, int64_t loss_stride, int64_t num_runs, int64_t width,
+    int64_t *lengths, int64_t *offsets, int64_t num_threads)
+{
+    /* Kept (zero) mask bytes of each run and their exclusive prefix sum;
+       returns the total.  Row r of the mask starts at r * loss_stride, so
+       a broadcast mask (stride 0) is counted once. */
+    int64_t rows = loss_stride ? num_runs : (num_runs > 0);
+    (void)num_threads;
+#ifdef _OPENMP
+#pragma omp parallel for schedule(static) num_threads((int)num_threads)
+#endif
+    for (int64_t run = 0; run < rows; run++) {
+        const uint8_t *mask = loss + run * loss_stride;
+        int64_t lost = 0, j = 0;
+        for (; j + 8 <= width; j += 8)
+            lost += lost_in_word(mask + j);
+        for (; j < width; j++)
+            lost += mask[j] != 0;
+        lengths[run] = width - lost;
+    }
+    int64_t total = 0;
+    for (int64_t run = 0; run < num_runs; run++) {
+        lengths[run] = lengths[loss_stride ? run : 0];
+        offsets[run] = total;
+        total += lengths[run];
+    }
+    return total;
+}
+
+static int index_outside(const int64_t *row, int64_t width, int64_t n)
+{
+    /* One unsigned compare catches both negative and too-large ids. */
+    uint64_t bad = 0;
+    for (int64_t j = 0; j < width; j++)
+        bad |= (uint64_t)row[j] >= (uint64_t)n;
+    return bad != 0;
+}
+
+int gather_write(
+    const int64_t *schedules, int64_t schedule_stride,
+    const uint8_t *loss, int64_t loss_stride,
+    int64_t num_runs, int64_t width, int64_t n,
+    const int64_t *lengths, const int64_t *offsets, int64_t *flat,
+    int64_t num_threads)
+{
+    /* Run r writes the schedule entries of its kept slots, in order, to
+       flat[offsets[r] .. offsets[r] + lengths[r]) -- disjoint output
+       ranges, so the row-parallel schedule cannot affect results.  Strides
+       are in elements; a broadcast row has stride 0.  Returns whether a
+       *received* index lies outside [0, n): a broadcast schedule row found
+       in range is checked once here instead of once per run. */
+    int checked = schedule_stride == 0 && num_runs > 0
+        && !index_outside(schedules, width, n);
+    int outside = 0;
+    (void)num_threads;
+#ifdef _OPENMP
+#pragma omp parallel for schedule(static) num_threads((int)num_threads) reduction(|:outside)
+#endif
+    for (int64_t run = 0; run < num_runs; run++) {
+        const int64_t *row = schedules + run * schedule_stride;
+        const uint8_t *mask = loss + run * loss_stride;
+        int64_t *out = flat + offsets[run];
+        int64_t length = lengths[run];
+        if (length == width) {
+            memcpy(out, row, (size_t)width * sizeof(int64_t));
+            if (!checked)
+                outside |= index_outside(row, width, n);
+            continue;
+        }
+        /* Branch-free compaction (burst edges would mispredict a branch):
+           every slot is stored at out[pos] and only a kept one advances
+           pos, so a lost entry is overwritten by the next kept one.  The
+           loop ends with the row's last kept slot, which keeps every store
+           inside the row's own output range. */
+        uint64_t bad = 0;
+        for (int64_t j = 0, pos = 0; pos < length; j++) {
+            int64_t value = row[j];
+            uint64_t keep = mask[j] == 0;
+            out[pos] = value;
+            bad |= keep & ((uint64_t)value >= (uint64_t)n);
+            pos += (int64_t)keep;
+        }
+        if (!checked)
+            outside |= bad != 0;
+    }
+    return outside;
 }
 
 #ifdef REPRO_NPYRANDOM
@@ -741,6 +849,15 @@ def _load_library() -> ctypes.CDLL:
         _U8, ctypes.c_int64, _U8, _I64, _I64,
         ctypes.c_int64, ctypes.c_int64, _I64, ctypes.c_int64,
     ]
+    lib.gather_count.restype = ctypes.c_int64
+    lib.gather_count.argtypes = [
+        _U8, ctypes.c_int64, ctypes.c_int64, ctypes.c_int64, _I64, _I64, ctypes.c_int64,
+    ]
+    lib.gather_write.restype = ctypes.c_int
+    lib.gather_write.argtypes = [
+        _I64, ctypes.c_int64, _U8, ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,
+        ctypes.c_int64, _I64, _I64, _I64, ctypes.c_int64,
+    ]
     if not lib.peel_openmp():
         _warn_fallback("omp", "library built without OpenMP")
     if lib.peel_npyrandom():
@@ -785,6 +902,24 @@ def _i64(array: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(array, dtype=np.int64)
 
 
+def _rows(array: np.ndarray, dtype) -> np.ndarray:
+    """``array`` as rows a C kernel reads in place, copied only when it must be.
+
+    The kernels take one row stride (0 for a broadcast row) and need
+    aligned elements at unit stride; any other layout is made contiguous.
+    """
+    array = np.asarray(array, dtype=dtype)
+    row_stride, element_stride = array.strides
+    if (
+        element_stride != array.itemsize
+        or row_stride < 0
+        or row_stride % array.itemsize
+        or not array.flags.aligned
+    ):
+        array = np.ascontiguousarray(array)
+    return array
+
+
 def _cache_lines(nbytes: int) -> int:
     """``nbytes`` rounded up to whole 64-byte cache lines."""
     return -(-nbytes // 64) * 64
@@ -800,6 +935,12 @@ class CExtBackend(KernelBackend):
     pins it to 1, and so do Gilbert draws from shared generators.  Either
     way the results are bit-identical -- threads are a wall-clock knob,
     like the backend choice itself.
+
+    :meth:`gather_received` replaces the numpy default's boolean
+    selection and min/max scan with two C calls (count, then write and
+    range-check), reading broadcast rows and column-sliced views in place;
+    the LDGM and block-count decodes skip the range scan for the batches
+    it returns (``index_bound``).
     """
 
     name = "cext"
@@ -828,6 +969,9 @@ class CExtBackend(KernelBackend):
     def ldgm_decode_batch(
         self, prototype: "LDGMPrototype", batch: ReceivedBatch
     ) -> Tuple[np.ndarray, np.ndarray]:
+        # The peel indexes its scratch rows by packet id: a stray id would
+        # read and write outside them.
+        batch.check_index_range(prototype.n)
         num_runs = batch.num_runs
         decoded = np.zeros(num_runs, dtype=np.uint8)
         n_necessary = np.full(num_runs, NOT_DECODED, dtype=np.int64)
@@ -952,6 +1096,46 @@ class CExtBackend(KernelBackend):
                 self._team_size(num_runs),
             )
         return filled
+
+    def gather_received(
+        self, schedules: np.ndarray, loss: np.ndarray, n: int
+    ) -> ReceivedBatch:
+        runs, width = schedules.shape
+        if not runs or not width:
+            return super().gather_received(schedules, loss, n)
+        # Broadcast rows (stride 0) and column-sliced views are read in
+        # place; only an unusual layout is copied.
+        schedules = _rows(schedules, np.int64)
+        loss = _rows(loss, np.bool_)
+        lengths = np.empty(runs, dtype=np.int64)
+        offsets = np.empty(runs, dtype=np.int64)
+        threads = self._team_size(runs)
+        total = self._lib.gather_count(
+            loss.ctypes.data_as(_U8),
+            loss.strides[0],
+            runs,
+            width,
+            lengths.ctypes.data_as(_I64),
+            offsets.ctypes.data_as(_I64),
+            threads,
+        )
+        flat = np.empty(total, dtype=np.int64)
+        outside = self._lib.gather_write(
+            schedules.ctypes.data_as(_I64),
+            schedules.strides[0] // schedules.itemsize,
+            loss.ctypes.data_as(_U8),
+            loss.strides[0],
+            runs,
+            width,
+            int(n),
+            lengths.ctypes.data_as(_I64),
+            offsets.ctypes.data_as(_I64),
+            flat.ctypes.data_as(_I64),
+            threads,
+        )
+        if outside:
+            raise ValueError(f"received indices outside [0, {n})")
+        return ReceivedBatch(flat=flat, offsets=offsets, lengths=lengths, index_bound=n)
 
     def seed_streams(self, prefix: np.ndarray, run_start: int, runs: int) -> np.ndarray:
         """PCG64 state rows of runs ``run_start ..``, seeded like

@@ -130,6 +130,9 @@ class NumpyBackend(KernelBackend):
     def ldgm_decode_batch(
         self, prototype: "LDGMPrototype", batch: ReceivedBatch
     ) -> Tuple[np.ndarray, np.ndarray]:
+        # A stray id would index a neighbour run's stacked slots (or wrap,
+        # when negative) instead of failing.
+        batch.check_index_range(prototype.n)
         self.last_rounds = 0
         self.last_chain_scans = 0
         k = prototype.k

@@ -11,11 +11,14 @@ data for a whole work unit at once:
 2. **Loss masks** -- the channel draws every run's mask as one
    ``(runs, length)`` array (:meth:`LossModel.loss_mask_batch`), using the
    selected :mod:`repro.kernels` backend for kernelised chains (Gilbert).
-3. **Assembly** -- the surviving indices are gathered by one boolean
-   selection straight into the flat layout of a
-   :class:`~repro.kernels.ReceivedBatch`; per-run arrays are never
-   materialised, and the schedule is bounds-checked **once per work unit**
-   instead of per run.
+3. **Assembly** -- the kernel backend's
+   :meth:`~repro.kernels.KernelBackend.gather_received` writes the
+   surviving indices straight into the flat layout of a
+   :class:`~repro.kernels.ReceivedBatch` (on ``cext`` one row-parallel C
+   pass over the schedule and mask rows, broadcast rows read in place);
+   per-run arrays are never materialised, and the received indices are
+   range-checked **once per work unit**, as they are written.  The batch
+   records that check (``index_bound``), so the decoders never repeat it.
 
 Every stage is **bit-identical** to the per-run reference for any seed: the
 batch APIs consume the generators exactly as the serial calls would (in run
@@ -82,18 +85,6 @@ def _empty_synthesis() -> SynthesizedRuns:
         batch=ReceivedBatch(flat=zeros, offsets=zeros.copy(), lengths=zeros.copy()),
         n_sent=zeros.copy(),
     )
-
-
-def _check_received_bounds(flat: np.ndarray, n: int) -> None:
-    """One bounds check per work unit (the per-run check this replaces).
-
-    The vectorised decoders stack runs into one flat index space, so an
-    out-of-range index would silently corrupt a *neighbour* run instead of
-    raising; checking the flattened received indices once covers every run
-    at the cost of a single min/max scan.
-    """
-    if flat.size and (int(flat.min()) < 0 or int(flat.max()) >= n):
-        raise ValueError(f"schedule contains indices outside [0, {n})")
 
 
 def _all_distinct(rngs: Sequence[np.random.Generator]) -> bool:
@@ -206,25 +197,22 @@ def _synthesize_batched(
         schedules = schedules[:, :nsent]
     width = schedules.shape[1]
     loss = channel.loss_mask_batch(width, rngs, kernel=kernel)
-    return _assemble_dense(layout, schedules, loss)
+    return _assemble_dense(layout, schedules, loss, kernel)
 
 
 def _assemble_dense(
-    layout: PacketLayout, schedules: np.ndarray, loss: np.ndarray
+    layout: PacketLayout, schedules: np.ndarray, loss: np.ndarray, kernel: KernelSpec
 ) -> SynthesizedRuns:
-    """Gather a dense ``(runs, width)`` schedule/loss pair into a batch."""
+    """Gather a dense ``(runs, width)`` schedule/loss pair into a batch.
+
+    The backend's :meth:`~repro.kernels.KernelBackend.gather_received`
+    writes the flat batch and range-checks the received indices in the
+    same pass; broadcast rows and column-sliced views are passed as they
+    are, never copied here.
+    """
     runs, width = schedules.shape
-    kept = ~np.asarray(loss, dtype=bool)
-    lengths = kept.sum(axis=1, dtype=np.int64)
-    offsets = np.zeros(runs, dtype=np.int64)
-    np.cumsum(lengths[:-1], out=offsets[1:])
-    # Boolean selection over the 2-D array is row-major: run 0's surviving
-    # indices in arrival order, then run 1's, ... -- exactly the flat
-    # layout of a ReceivedBatch, with no per-run arrays in between.
-    flat = schedules[kept]
-    _check_received_bounds(flat, layout.n)
     return SynthesizedRuns(
-        batch=ReceivedBatch(flat=flat, offsets=offsets, lengths=lengths),
+        batch=get_backend(kernel).gather_received(schedules, loss, layout.n),
         n_sent=np.full(runs, width, dtype=np.int64),
     )
 
@@ -278,7 +266,7 @@ def synthesize_runs_unit(
             loss = np.empty((runs, width), dtype=bool)
             for row in loss:
                 row[:] = channel.loss_mask(width, rng, kernel=backend)
-        return _assemble_dense(layout, schedules, loss)
+        return _assemble_dense(layout, schedules, loss, backend)
 
     # Ragged schedule lengths: the schedules are already drawn, so per-run
     # loss masks follow in row order from the same shared generator.
@@ -317,8 +305,7 @@ def _assemble_ragged(
         loss = channel.loss_mask(schedule.size, rng, kernel=backend)
         n_sent[index] = schedule.size
         received.append(schedule[~loss])
-    batch = ReceivedBatch.from_sequences(received)
-    _check_received_bounds(batch.flat, layout.n)
+    batch = ReceivedBatch.from_sequences(received).checked(layout.n)
     return SynthesizedRuns(batch=batch, n_sent=n_sent)
 
 
@@ -353,8 +340,7 @@ def _synthesize_interleaved(
         loss = channel.loss_mask(schedule.size, rng, kernel=backend)
         n_sent[index] = schedule.size
         received.append(schedule[~loss])
-    batch = ReceivedBatch.from_sequences(received)
-    _check_received_bounds(batch.flat, layout.n)
+    batch = ReceivedBatch.from_sequences(received).checked(layout.n)
     return SynthesizedRuns(batch=batch, n_sent=n_sent)
 
 

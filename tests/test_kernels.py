@@ -186,6 +186,30 @@ class TestReceivedBatch:
         assert batch.num_runs == 0
         assert batch.flat.size == 0
 
+    def test_index_bound_set_by_check_and_kept_by_slice(self):
+        sequences = [np.array([3, 1, 4]), np.array([5, 9]), np.array([2])]
+        batch = ReceivedBatch.from_sequences(sequences)
+        assert batch.index_bound is None
+        checked = batch.checked(10)
+        assert checked.index_bound == 10
+        assert checked.checked(12) is checked  # already within the bound
+        assert checked.slice(1, 3).index_bound == 10
+        assert checked.slice(2, 2).index_bound == 10
+        with pytest.raises(ValueError, match=r"outside \[0, 9\)"):
+            batch.checked(9)
+
+    def test_check_index_range_trusts_the_bound_only_up_to_it(self):
+        # A recorded bound skips the scan for any n >= bound; a smaller n
+        # is still scanned in full.
+        batch = ReceivedBatch.from_sequences([np.array([0, 7]), np.array([8])])
+        trusted = ReceivedBatch(
+            flat=batch.flat, offsets=batch.offsets, lengths=batch.lengths,
+            index_bound=5,
+        )
+        trusted.check_index_range(5)
+        with pytest.raises(ValueError, match="outside"):
+            batch.checked(20).check_index_range(8)
+
 
 # ---------------------------------------------------------------------------
 # Cross-backend bit-identity.
@@ -392,21 +416,34 @@ class TestBlockCountKernel:
             )
 
     @pytest.mark.parametrize("kernel", KERNELS)
-    @pytest.mark.parametrize("code_name", ["rse", "repetition"])
+    @pytest.mark.parametrize(
+        "code_name", ["rse", "repetition", "ldgm-staircase", "ldgm-triangle", "ldgm"]
+    )
     @pytest.mark.parametrize("bad", [-1, "n"])
     def test_out_of_range_index_raises(self, code_name, bad, kernel):
+        # Hand-built batches carry no index bound, so every decoder must
+        # scan them: a stray id would make the compiled peel write outside
+        # its scratch rows and the numpy lockstep search wrap a negative id
+        # into a neighbour run's slots.
         code = make_code(code_name, k=20, n=60)
         bad_index = code.n if bad == "n" else bad
         sequences = [np.arange(code.n, dtype=np.int64) for _ in range(3)]
         sequences[1] = sequences[1].copy()
         sequences[1][5] = bad_index
         prototype = compile_prototype(code, kernel=kernel)
+        if isinstance(prototype, LDGMPrototype):
+            decode = prototype.kernel.ldgm_decode_batch
+        else:
+            decode = prototype.kernel.block_count_decode_batch
         with pytest.raises(ValueError, match="outside"):
             prototype.decode_batch(sequences)
         with pytest.raises(ValueError, match="outside"):
-            prototype.kernel.block_count_decode_batch(
-                prototype, ReceivedBatch.from_sequences(sequences)
-            )
+            decode(prototype, ReceivedBatch.from_sequences(sequences))
+        # A batch bounded for a larger n than the prototype's is rescanned.
+        sequences[1][5] = code.n
+        oversized = ReceivedBatch.from_sequences(sequences).checked(code.n + 1)
+        with pytest.raises(ValueError, match="outside"):
+            decode(prototype, oversized)
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ from repro.core.metrics import CellStats, RunResultBatch
 from repro.core.simulator import Simulator
 from repro.fastpath import simulate_batch, simulate_batch_columnar
 from repro.fec.registry import make_code
-from repro.kernels import get_backend
+from repro.kernels import available_backends, get_backend, thread_count_context
 from repro.pipeline import can_batch_stages, synthesize_runs
 from repro.runner.units import WorkUnit, execute_unit
 from repro.scheduling.interleaver import block_interleave, proportional_interleave
@@ -424,6 +424,118 @@ class TestValidation:
             code, model, GilbertChannel(0.1, 0.5), [np.random.default_rng(3)] * 6
         )
         assert calls["count"] == 1
+
+
+def _gather_cases():
+    """``(schedules, loss)`` layouts the dense assembly hands to the gather."""
+    rng = np.random.default_rng(np.random.SeedSequence([19, 7]))
+    runs, width = 9, 83
+    rows = np.stack([rng.permutation(width) for _ in range(runs)]).astype(np.int64)
+    bursts = np.repeat(rng.random((runs, width // 4 + 1)) < 0.4, 4, axis=1)[:, :width]
+    scattered = rng.random((runs, width)) < 0.3
+    row = np.broadcast_to(rows[0], (runs, width))
+    kept = np.broadcast_to(np.zeros(width, dtype=bool), (runs, width))
+    lost = np.broadcast_to(np.ones(width, dtype=bool), (runs, width))
+    return {
+        "dense": (rows, scattered),
+        "dense-bursts": (rows, bursts),
+        "broadcast-schedule": (row, bursts),
+        "broadcast-kept": (rows, kept),
+        "broadcast-lost": (rows, lost),
+        "broadcast-both-kept": (row, kept),
+        "broadcast-both-lost": (row, lost),
+        "nsent-view": (rows[:, :50], bursts[:, :50]),
+        "broadcast-nsent-view": (row[:, :50], kept[:, :50]),
+        "one-run": (rows[:1], scattered[:1]),
+        "runs=0": (rows[:0], scattered[:0]),
+        "width=0": (rows[:, :0], scattered[:, :0]),
+        "broadcast-width=0": (row[:, :0], kept[:, :0]),
+    }
+
+
+def _assert_same_batch(actual, expected):
+    assert np.array_equal(actual.flat, expected.flat)
+    assert np.array_equal(actual.offsets, expected.offsets)
+    assert np.array_equal(actual.lengths, expected.lengths)
+    assert actual.flat.dtype == expected.flat.dtype == np.int64
+    assert actual.index_bound == expected.index_bound
+
+
+class TestGatherReceived:
+    """The backends' received-batch gather against the numpy default."""
+
+    needs_cext = pytest.mark.skipif(
+        "cext" not in available_backends(), reason="cext backend unavailable"
+    )
+
+    @pytest.mark.parametrize("case", sorted(_gather_cases()))
+    def test_numpy_default_matches_per_run_selection(self, case):
+        schedules, loss = _gather_cases()[case]
+        batch = get_backend("numpy").gather_received(schedules, loss, 83)
+        assert batch.num_runs == schedules.shape[0]
+        assert batch.index_bound == 83
+        for index, (row, mask) in enumerate(zip(schedules, loss)):
+            assert np.array_equal(batch.run(index), row[~mask])
+
+    @needs_cext
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("case", sorted(_gather_cases()))
+    def test_cext_matches_numpy_default(self, case, threads):
+        schedules, loss = _gather_cases()[case]
+        expected = get_backend("numpy").gather_received(schedules, loss, 83)
+        with thread_count_context(threads):
+            actual = get_backend("cext").gather_received(schedules, loss, 83)
+        _assert_same_batch(actual, expected)
+
+    @needs_cext
+    def test_cext_reads_broadcast_rows_and_views_in_place(self):
+        from repro.kernels.cext import _rows
+
+        for case in ("broadcast-schedule", "broadcast-kept", "nsent-view"):
+            schedules, loss = _gather_cases()[case]
+            assert _rows(schedules, np.int64) is schedules
+            assert _rows(loss, np.bool_) is loss
+
+    @pytest.mark.parametrize("kernel", available_backends())
+    @pytest.mark.parametrize("bad", [-3, 83, 10**12])
+    @pytest.mark.parametrize("broadcast", [False, True])
+    def test_only_received_indices_are_range_checked(self, kernel, bad, broadcast):
+        schedules, _ = _gather_cases()["dense"]
+        schedules = schedules.copy()
+        schedules[:, 17] = bad
+        if broadcast:
+            schedules = np.broadcast_to(schedules[0], schedules.shape)
+        backend = get_backend(kernel)
+        loss = np.zeros(schedules.shape, dtype=bool)
+        loss[:, [3, 17]] = True  # the bad slot is lost in every run
+        batch = backend.gather_received(schedules, loss, 83)
+        assert batch.flat.size == schedules.shape[0] * (schedules.shape[1] - 2)
+        loss[4, 17] = False  # ... until one run receives it
+        with pytest.raises(ValueError, match=r"outside \[0, 83\)"):
+            backend.gather_received(schedules, loss, 83)
+        with pytest.raises(ValueError, match=r"outside \[0, 83\)"):
+            backend.gather_received(
+                schedules, np.broadcast_to(np.zeros(83, dtype=bool), schedules.shape), 83
+            )
+
+    @pytest.mark.parametrize("kernel", available_backends())
+    def test_synthesised_batches_carry_their_bound(self, kernel):
+        code = make_code("rse", k=40, expansion_ratio=2.5)
+        for tx_name in ("tx_model_2", "tx_model_5"):
+            synthesis = synthesize_runs(
+                code.layout, make_tx_model(tx_name), GilbertChannel(0.1, 0.5),
+                seeded_rngs(21, 4), kernel=kernel,
+            )
+            assert synthesis.batch.index_bound == code.n
+            assert synthesis.batch.slice(1, 3).index_bound == code.n
+        # One shared generator and two drawing stages: the per-run loop,
+        # which checks the assembled batch once and records it too.
+        shared = [np.random.default_rng(5)] * 4
+        synthesis = synthesize_runs(
+            code.layout, make_tx_model("tx_model_2"), GilbertChannel(0.1, 0.5),
+            shared, kernel=kernel,
+        )
+        assert synthesis.batch.index_bound == code.n
 
 
 class TestColumnarResults:
