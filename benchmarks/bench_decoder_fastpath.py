@@ -9,9 +9,9 @@ Measures end-to-end simulation throughput (runs/second: schedule + channel
   whole work-unit-sized batch of runs through the batched
   :mod:`repro.pipeline` run synthesis (whole-unit schedules, loss masks,
   received assembly) and the batch decode, once per available
-  :mod:`repro.kernels` backend (the vectorised ``numpy`` reference with
-  its chain-aware staircase cascade, plus the compiled ``cext`` backend
-  when this machine can build it).  The columnar
+  :mod:`repro.kernels` backend (the ``numpy`` fallback, which decodes
+  LDGM by replaying the incremental decoder, plus the compiled ``cext``
+  backend when this machine can build it).  The columnar
   ``RunResultBatch`` is exactly what the runner's work units consume, so
   the measurement covers result assembly too; per-run generator
   construction stays inside the timed region (as in every prior entry).

@@ -109,18 +109,19 @@ class AdaptiveConfig:
     refine_resolution: float = 0.01
 
     def __post_init__(self) -> None:
+        # Negated comparisons, so NaN fails every check.
         if not 0.0 < self.confidence < 1.0:
             raise ValueError(f"confidence must be in (0, 1), got {self.confidence}")
-        if self.ci_width <= 0.0:
+        if not self.ci_width > 0.0:
             raise ValueError(f"ci_width must be > 0, got {self.ci_width}")
-        if self.rel_tol <= 0.0:
+        if not self.rel_tol > 0.0:
             raise ValueError(f"rel_tol must be > 0, got {self.rel_tol}")
         if int(self.min_runs) < 2:
             raise ValueError(f"min_runs must be >= 2, got {self.min_runs}")
         object.__setattr__(self, "min_runs", int(self.min_runs))
-        if self.growth <= 1.0:
+        if not self.growth > 1.0:
             raise ValueError(f"growth must be > 1, got {self.growth}")
-        if self.refine_resolution <= 0.0:
+        if not self.refine_resolution > 0.0:
             raise ValueError(
                 f"refine_resolution must be > 0, got {self.refine_resolution}"
             )

@@ -20,12 +20,11 @@ is **bit-identical** for any seed:
 Every sweep decodes through this package; the incremental path stays as
 the test oracle (``Simulator.run``, ``Simulator.run_many(fastpath=False)``
 and :func:`decode_batch_incremental`).  ``kernel=`` / ``--kernel`` /
-``REPRO_KERNEL`` picks the kernel backend (numpy reference or compiled C
+``REPRO_KERNEL`` picks the kernel backend (numpy fallback or compiled C
 -- results are bit-identical either way).
 """
 
 from repro.fastpath.batch import (
-    MAX_STACKED_EDGES,
     decode_batch_incremental,
     simulate_batch,
     simulate_batch_columnar,
@@ -45,7 +44,6 @@ __all__ = [
     "simulate_batch",
     "simulate_batch_columnar",
     "decode_batch_incremental",
-    "MAX_STACKED_EDGES",
     "NOT_DECODED",
     "ReceivedBatch",
     "DecoderPrototype",

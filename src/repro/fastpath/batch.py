@@ -18,41 +18,15 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence, Union
 
-import numpy as np
-
 from repro.channel.base import LossModel
 from repro.core.metrics import RunResult, RunResultBatch
-from repro.fastpath.prototypes import (
-    NOT_DECODED,
-    DecoderPrototype,
-    LDGMPrototype,
-    compile_prototype,
-)
+from repro.fastpath.prototypes import compile_prototype
 from repro.fec.base import FECCode
 from repro.kernels import KernelSpec, ThreadSpec, get_backend, thread_count_context
+from repro.kernels.base import replay_decode_batch
 from repro.pipeline.synthesis import synthesize_runs, synthesize_runs_unit
 from repro.seeds import UnitStreams
 from repro.utils.rng import RandomState
-
-#: Upper bound on ``runs x edges`` stacked into one LDGM peeling probe;
-#: batches beyond it are decoded in chunks to bound peak memory.  The
-#: lockstep cascade's round count grows with the *slowest* run of a chunk,
-#: not the chunk size, so bigger chunks amortise the per-round dispatch
-#: overhead across more runs -- at ~8.5k edges for the paper's k=1000
-#: staircase this bound keeps peak state well under 100 MB while letting a
-#: whole benchmark batch decode as one chunk.
-MAX_STACKED_EDGES = 16_000_000
-
-
-def _decode_chunk_size(prototype: DecoderPrototype, runs: int) -> int:
-    if (
-        isinstance(prototype, LDGMPrototype)
-        and prototype.kernel.stacks_batches
-        and prototype.num_edges > 0
-    ):
-        return max(1, min(runs, MAX_STACKED_EDGES // prototype.num_edges))
-    return max(1, runs)
-
 
 def simulate_batch_columnar(
     code: FECCode,
@@ -120,17 +94,8 @@ def _simulate_batch_columnar(
         synthesis = synthesize_runs(
             code.layout, tx_model, channel, rngs, nsent=nsent, kernel=backend
         )
-    prototype = compile_prototype(code, backend)
     batch = synthesis.batch
-    runs = batch.num_runs
-    decoded = np.zeros(runs, dtype=bool)
-    n_necessary = np.full(runs, NOT_DECODED, dtype=np.int64)
-    chunk = _decode_chunk_size(prototype, runs)
-    for start in range(0, runs, chunk):
-        stop = min(start + chunk, runs)
-        decoded[start:stop], n_necessary[start:stop] = prototype.decode_batch(
-            batch.slice(start, stop)
-        )
+    decoded, n_necessary = compile_prototype(code, backend).decode_batch(batch)
     return RunResultBatch(
         decoded=decoded,
         n_necessary=n_necessary,
@@ -146,33 +111,21 @@ def decode_batch_incremental(code: FECCode, synthesis) -> RunResultBatch:
 
     The reference decoder for scheme-defined (block-drawn) front ends,
     kept as a test oracle: the pre-decode arrays come from the synthesis
-    pipeline, so
-    only the decoder differs from :func:`simulate_batch_columnar` -- and
-    the incremental decoder is the reference the batch decoders are proven
-    bit-identical against.
+    pipeline, so only the decoder differs from
+    :func:`simulate_batch_columnar` -- each run is replayed through the
+    code's own incremental decoder, the reference the compiled decoders
+    are proven bit-identical against.
     """
-    results: List[RunResult] = []
-    for index, received in enumerate(synthesis.batch.sequences()):
-        decoder = code.new_symbolic_decoder()
-        add_packet = decoder.add_packet
-        n_necessary: Optional[int] = None
-        count = 0
-        for packet in received:
-            count += 1
-            if add_packet(packet):
-                n_necessary = count
-                break
-        results.append(
-            RunResult(
-                decoded=decoder.is_complete,
-                n_necessary=n_necessary,
-                n_received=int(received.size),
-                n_sent=int(synthesis.n_sent[index]),
-                k=code.k,
-                n=code.n,
-            )
-        )
-    return RunResultBatch.from_results(results)
+    batch = synthesis.batch
+    decoded, n_necessary = replay_decode_batch(code, batch)
+    return RunResultBatch(
+        decoded=decoded,
+        n_necessary=n_necessary,
+        n_received=batch.lengths,
+        n_sent=synthesis.n_sent,
+        k=code.k,
+        n=code.n,
+    )
 
 
 def simulate_batch(
@@ -206,5 +159,4 @@ __all__ = [
     "simulate_batch",
     "simulate_batch_columnar",
     "decode_batch_incremental",
-    "MAX_STACKED_EDGES",
 ]

@@ -1,14 +1,14 @@
 """Pluggable kernel backends for the decode hot loops.
 
 The fast path's remaining wall-clock cost is concentrated in a few loops:
-the LDGM batch-peel cascade, the gallop+bisect prefix search it serves,
-the RSE/repetition block count, the Gilbert sojourn draws and fill, and
-(on ``cext``) the per-run stream seeding and shuffles.  This package puts
-them behind a swappable :class:`~repro.kernels.base.KernelBackend`:
+the LDGM peel, the RSE/repetition block count, the Gilbert sojourn draws
+and fill, the received-batch gather and (on ``cext``) the per-run stream
+seeding and shuffles.  This package puts them behind a swappable
+:class:`~repro.kernels.base.KernelBackend`:
 
-* ``numpy`` -- the always-available vectorised reference, with a
-  chain-aware cascade for the bidiagonal (staircase/triangle) parity
-  structures and first-arrival order statistics for the block count.
+* ``numpy`` -- the always-available fallback: it decodes LDGM by
+  replaying the code's own incremental decoder run by run, and the block
+  count as first-arrival order statistics.
 * ``cext`` -- per-run loop kernels in C, compiled on demand with the
   system compiler (``cc -O2``) and loaded via ctypes; auto-selected when
   a compiler is present.
@@ -32,7 +32,7 @@ bit-identical at any value.
 from repro._lazy import lazy_exports
 
 __getattr__, __dir__ = lazy_exports(__name__, {
-    "base": "COUNT_SHIFT NOT_DECODED SENTINEL_WORD SUM_MASK KernelBackend ReceivedBatch",
+    "base": "NOT_DECODED KernelBackend ReceivedBatch",
     "registry": (
         "AUTO_ORDER ENV_VAR KernelSpec KernelUnavailableError available_backends "
         "cext_compiler_available cext_openmp_enabled default_backend_name "
@@ -49,9 +49,6 @@ __all__ = [
     "KernelBackend",
     "ReceivedBatch",
     "NOT_DECODED",
-    "COUNT_SHIFT",
-    "SUM_MASK",
-    "SENTINEL_WORD",
     "ENV_VAR",
     "KernelSpec",
     "KernelUnavailableError",

@@ -1,13 +1,18 @@
 """Kernel-backend interface and the flattened received-batch container.
 
 A :class:`KernelBackend` owns the *hot loops* of the decode path -- the
-LDGM peeling cascade behind the gallop+bisect prefix search, the
-block-count rule of RSE and repetition, the Gilbert sojourn draws and
-fill, the gather of each run's surviving packet indices into a
-:class:`ReceivedBatch` (range-checked once, as it is written), and
-optionally the per-run stream blocks (``stream_blocks``) -- behind a
-small, swappable surface.  Everything else (prototype compilation, the
-run/sweep orchestration) is backend-independent numpy.
+LDGM peel, the block-count rule of RSE and repetition, the Gilbert
+sojourn draws and fill, the gather of each run's surviving packet
+indices into a :class:`ReceivedBatch` (range-checked once, as it is
+written), and optionally the per-run stream blocks (``stream_blocks``)
+-- behind a small, swappable surface.  Everything else (prototype
+compilation, the run/sweep orchestration) is backend-independent numpy.
+
+The LDGM decode and the gather have working base-class defaults: the
+LDGM default replays each run through the code's own incremental
+decoder (:func:`replay_decode_batch`, the same loop the
+``IncrementalPrototype`` fallback runs), and a compiled backend
+overrides it with its own peel.
 
 All backends are **bit-identical**: for any input they must produce
 exactly the arrays the incremental reference decoder produces.  The test
@@ -25,20 +30,11 @@ import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.fastpath.prototypes import BlockCountPrototype, LDGMPrototype
+    from repro.fec.base import FECCode
 
 #: ``n_necessary`` sentinel in the integer result array of a batch decode
 #: for runs that never decode.
 NOT_DECODED = -1
-
-#: Bit position splitting a packed peeling word into (unknown count, id sum).
-COUNT_SHIFT = 40
-SUM_MASK = (1 << COUNT_SHIFT) - 1
-
-#: Word of the per-run sentinel row appended after the real check rows: a
-#: huge unknown count that can never reach one, so it separates run blocks
-#: in the stacked state (the chain walk stops on it) without ever
-#: triggering a reveal.  No update ever lands on it.
-SENTINEL_WORD = np.int64(1) << (COUNT_SHIFT + 22)
 
 
 @dataclass(frozen=True)
@@ -151,6 +147,32 @@ class ReceivedBatch:
         return replace(self, index_bound=n)
 
 
+def replay_decode_batch(
+    code: "FECCode", batch: ReceivedBatch
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Feed each run of ``batch`` to a fresh ``code.new_symbolic_decoder()``.
+
+    Stops each run at the packet that completes decoding and returns
+    ``(decoded, n_necessary)`` like :meth:`KernelBackend.ldgm_decode_batch`.
+    The whole batch is range-checked against ``code.n`` first, so an
+    out-of-range index raises ``ValueError`` even when it follows the
+    completing packet -- the same contract as the compiled decoders.
+    """
+    batch.check_index_range(code.n)
+    decoded = np.zeros(batch.num_runs, dtype=bool)
+    n_necessary = np.full(batch.num_runs, NOT_DECODED, dtype=np.int64)
+    new_decoder = code.new_symbolic_decoder
+    for run, indices in enumerate(batch.sequences()):
+        decoder = new_decoder()
+        add_packet = decoder.add_packet
+        for count, index in enumerate(indices.tolist(), start=1):
+            if add_packet(index):
+                n_necessary[run] = count
+                break
+        decoded[run] = decoder.is_complete
+    return decoded, n_necessary
+
+
 class KernelBackend(abc.ABC):
     """One implementation of the decode hot loops.
 
@@ -162,31 +184,26 @@ class KernelBackend(abc.ABC):
     #: Registry name; also what ``REPRO_KERNEL`` / ``--kernel`` match.
     name: str = "abstract"
 
-    #: Whether the batch decodes stack the whole batch's state into one
-    #: allocation (the numpy lockstep search and first-arrival table do);
-    #: prototypes build the tables those decodes need only then, and
-    #: callers chunk such LDGM batches to bound peak memory.  Per-run
-    #: backends leave it False and take batches of any size.
-    stacks_batches: bool = False
-
     #: Whether the backend seeds and draws :class:`~repro.seeds.RunStreams`
     #: blocks itself (``seed_streams``, ``shuffle_streams`` and a
     #: :meth:`draw_sojourns_batch` that takes the bound block).  Backends
     #: without it are handed the block's generators instead.
     stream_blocks: bool = False
 
-    @abc.abstractmethod
     def ldgm_decode_batch(
         self, prototype: "LDGMPrototype", batch: ReceivedBatch
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """Batched minimal-decodable-prefix search over an LDGM prototype.
+        """Decode every run of ``batch`` with an LDGM prototype's peel.
 
         Returns ``(decoded, n_necessary)`` exactly as the incremental
         decoder would: ``n_necessary`` is the 1-based arrival position of
         the packet completing decoding, ``-1`` where the run never decodes.
         Raises ``ValueError`` on any received index outside
-        ``[0, prototype.n)``.
+        ``[0, prototype.n)``.  The default replays the code's own
+        incremental decoder run by run; backends with a compiled peel
+        override it.
         """
+        return replay_decode_batch(prototype.code, batch)
 
     @abc.abstractmethod
     def block_count_decode_batch(
@@ -334,7 +351,5 @@ __all__ = [
     "KernelBackend",
     "ReceivedBatch",
     "NOT_DECODED",
-    "COUNT_SHIFT",
-    "SUM_MASK",
-    "SENTINEL_WORD",
+    "replay_decode_batch",
 ]

@@ -6,7 +6,7 @@ The kernels, written in C:
 * ``ldgm_peel_batch`` -- inside a compiled kernel the incremental peeling
   algorithm *is* the fast one: each run walks its received sequence once,
   cascading reveals through an explicit stack, so ``n_necessary`` falls
-  out of the walk directly (no prefix bisection, no lockstep batching).
+  out of the walk directly.
   The bookkeeping mirrors the symbolic decoder exactly -- a per-row
   unknown count plus an id *sum* standing in for the XOR accumulator (the
   sum of a single remaining unknown identifies it) -- so results are
@@ -61,11 +61,9 @@ Python generators and draw loop, again with one warning and identical
 results; a failed stream self-check degrades the same way.
 Runs are independent rows -- each writes only its own output slot and
 works on per-thread scratch, and the only cross-run reduction is the
-gather's order-free "any index out of range" flag (the lockstep probe
-reductions live in the numpy backend, which stays serial) -- so 1 thread
-and N threads are bit-identical and
-the thread count (``REPRO_KERNEL_THREADS`` / ``kernel_threads=`` /
-``--kernel-threads``) is a pure wall-clock knob.  ctypes drops the GIL
+gather's order-free "any index out of range" flag -- so 1 thread and N
+threads are bit-identical and the thread count (``REPRO_KERNEL_THREADS``
+/ ``kernel_threads=`` / ``--kernel-threads``) is a pure wall-clock knob.  ctypes drops the GIL
 for the duration of every foreign call, which is what lets thread-
 executor workers overlap these kernels on top of kernel threads.
 

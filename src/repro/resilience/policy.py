@@ -92,19 +92,20 @@ class FailurePolicy:
             raise ValueError(
                 f"on_error must be one of {ON_ERROR_ACTIONS}, got {self.on_error!r}"
             )
-        if self.max_retries < 0:
+        # Negated comparisons, so NaN fails every check.
+        if not self.max_retries >= 0:
             raise ValueError(f"max_retries must be >= 0, got {self.max_retries!r}")
-        if self.store_retries < 0:
+        if not self.store_retries >= 0:
             raise ValueError(
                 f"store_retries must be >= 0, got {self.store_retries!r}"
             )
-        if self.unit_timeout is not None and self.unit_timeout <= 0:
+        if self.unit_timeout is not None and not self.unit_timeout > 0:
             raise ValueError(
                 f"unit_timeout must be positive or None, got {self.unit_timeout!r}"
             )
         for name in ("backoff_base", "backoff_max", "store_backoff_base",
                      "store_backoff_max"):
-            if getattr(self, name) < 0:
+            if not getattr(self, name) >= 0:
                 raise ValueError(f"{name} must be >= 0")
 
     @property

@@ -17,6 +17,7 @@ copies the kernel, thread and seed-scheme choices into each
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional, Union
 
@@ -53,7 +54,8 @@ class ExecutionOptions:
         executor instance from :mod:`repro.runner.executors`, or ``None``
         (default): the process pool when ``workers > 1``, else serial.
     workers:
-        Pool size of the process/thread executor (default: CPU count).
+        Pool size of the process/thread executor, at least 1 (default:
+        CPU count).
     store:
         Result store that makes sweeps resumable: a
         :class:`repro.store.ResultStore`, a store URI
@@ -84,7 +86,7 @@ class ExecutionOptions:
         no duplicated work and all return the complete result.  Needs a
         lease-capable store.
     lease_ttl:
-        Fleet lease time-to-live in seconds.
+        Fleet lease time-to-live in seconds (finite and positive).
     worker_id:
         Fleet-unique worker identity (default ``<hostname>:<pid>``).
     failure_policy:
@@ -118,6 +120,15 @@ class ExecutionOptions:
     adaptive: AdaptiveSpec = None
 
     def __post_init__(self) -> None:
+        # Checked before the store is opened; the negated comparisons also
+        # reject NaN.
+        if self.workers is not None and not self.workers >= 1:
+            raise ValueError(f"workers must be at least 1, got {self.workers!r}")
+        if not (math.isfinite(self.lease_ttl) and self.lease_ttl > 0):
+            raise ValueError(
+                f"lease_ttl must be a finite number of seconds > 0, "
+                f"got {self.lease_ttl!r}"
+            )
         store = resolve_store(self.store)
         policy = resolve_policy(self.failure_policy)
         if self.fleet and store is None:

@@ -136,8 +136,19 @@ class WorkUnit:
 
         Older snapshots also carry a ``"fastpath"`` flag, from when a sweep
         could decode through the incremental reference path; both paths
-        were bit-identical, so the flag is ignored.
+        were bit-identical, so the flag is ignored.  Raises ``ValueError``
+        unless the payload is a mapping holding every field without a
+        default.
         """
+        if not isinstance(payload, dict):
+            raise ValueError("unit payload must be a JSON object")
+        for field in dataclasses.fields(cls):
+            required = (
+                field.default is dataclasses.MISSING
+                and field.default_factory is dataclasses.MISSING
+            )
+            if required and field.name not in payload:
+                raise ValueError(f"unit payload is missing field {field.name!r}")
         fields = dict(payload)
         fields.pop("fastpath", None)
         config = SimulationConfig(**fields.pop("config"))

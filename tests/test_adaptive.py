@@ -219,6 +219,11 @@ class TestConfigAndSchedule:
             AdaptiveConfig(min_runs=1)
         with pytest.raises(ValueError):
             AdaptiveConfig(growth=1.0)
+        nan = float("nan")
+        for field in ("confidence", "ci_width", "rel_tol", "growth",
+                      "refine_resolution"):
+            with pytest.raises(ValueError, match=field):
+                AdaptiveConfig(**{field: nan})
 
     def test_schedule_targets_are_chunk_aligned(self):
         assert round_schedule(8, 2.0, 100) == [8, 16, 32, 64, 100]

@@ -102,8 +102,18 @@ class TestValidation:
             {"failure_policy": FailurePolicy(on_error="quarantine")},
             {"kernel_threads": "bogus"},
             {"seed_scheme": "bogus"},
+            {"workers": 0},
+            {"workers": -2},
+            {"lease_ttl": 0.0},
+            {"lease_ttl": -5.0},
+            {"lease_ttl": float("nan")},
+            {"lease_ttl": float("inf")},
         ],
-        ids=["fleet-no-store", "quarantine-no-store", "threads", "scheme"],
+        ids=[
+            "fleet-no-store", "quarantine-no-store", "threads", "scheme",
+            "workers-zero", "workers-negative", "ttl-zero", "ttl-negative",
+            "ttl-nan", "ttl-inf",
+        ],
     )
     def test_bad_combinations_fail_fast(self, kwargs):
         with pytest.raises(ValueError):
@@ -155,6 +165,23 @@ class TestOldProvenancePayloads:
         assert printed == encode_result(unit, execute_unit(unit))
         # ...which is what the incremental path the payload asked for gives.
         assert printed == encode_result(unit, reference_unit_result(unit))
+
+    @pytest.mark.parametrize(
+        "payload,message",
+        [
+            ("{}", "unit payload is missing field 'config'"),
+            (
+                json.dumps({k: v for k, v in json.loads(OLD_PAYLOAD).items()
+                            if k != "run_stop"}),
+                "unit payload is missing field 'run_stop'",
+            ),
+            ("[1]", "unit payload must be a JSON object"),
+        ],
+        ids=["empty", "no-run-stop", "list"],
+    )
+    def test_rerun_unit_names_a_bad_payload(self, payload, message, capsys):
+        assert cli_main(["rerun-unit", payload]) == 2
+        assert capsys.readouterr().err.strip() == f"error: {message}"
 
 
 # ---------------------------------------------------------------------------

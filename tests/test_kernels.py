@@ -3,8 +3,8 @@
 Covers the registry and its resolution rules, the flattened
 :class:`ReceivedBatch` container, cross-backend bit-identity of the decode
 and Gilbert hot loops (numpy reference vs the compiled ``cext`` kernels vs
-the serial incremental decoder), the chain-aware staircase cascade on
-handcrafted bidiagonal matrices, and the ``kernel=`` threading through the
+the serial incremental decoder), the LDGM peel on handcrafted bidiagonal
+and degenerate matrices, and the ``kernel=`` threading through the
 simulator, the runner work units and the CLI.  ``cext`` is exercised
 whenever this machine can build it and skip-marked otherwise.
 """
@@ -42,7 +42,7 @@ from repro.kernels import (
     register_backend,
     thread_count_context,
 )
-from repro.kernels.numpy_backend import NumpyBackend, _dedup
+from repro.kernels.numpy_backend import NumpyBackend
 from repro.store.codec import unit_key
 from repro.runner.cli import main as cli_main
 from repro.runner.options import ExecutionOptions
@@ -420,16 +420,18 @@ class TestBlockCountKernel:
         "code_name", ["rse", "repetition", "ldgm-staircase", "ldgm-triangle", "ldgm"]
     )
     @pytest.mark.parametrize("bad", [-1, "n"])
-    def test_out_of_range_index_raises(self, code_name, bad, kernel):
+    # Slot 5 precedes the completing packet; the last slot follows it,
+    # where a decoder that stops at completion would never look.
+    @pytest.mark.parametrize("slot", [5, -1])
+    def test_out_of_range_index_raises(self, code_name, bad, slot, kernel):
         # Hand-built batches carry no index bound, so every decoder must
         # scan them: a stray id would make the compiled peel write outside
-        # its scratch rows and the numpy lockstep search wrap a negative id
-        # into a neighbour run's slots.
+        # its scratch rows.
         code = make_code(code_name, k=20, n=60)
         bad_index = code.n if bad == "n" else bad
         sequences = [np.arange(code.n, dtype=np.int64) for _ in range(3)]
         sequences[1] = sequences[1].copy()
-        sequences[1][5] = bad_index
+        sequences[1][slot] = bad_index
         prototype = compile_prototype(code, kernel=kernel)
         if isinstance(prototype, LDGMPrototype):
             decode = prototype.kernel.ldgm_decode_batch
@@ -439,15 +441,17 @@ class TestBlockCountKernel:
             prototype.decode_batch(sequences)
         with pytest.raises(ValueError, match="outside"):
             decode(prototype, ReceivedBatch.from_sequences(sequences))
+        with pytest.raises(ValueError, match="outside"):
+            IncrementalPrototype(code).decode_batch(sequences)
         # A batch bounded for a larger n than the prototype's is rescanned.
-        sequences[1][5] = code.n
+        sequences[1][slot] = code.n
         oversized = ReceivedBatch.from_sequences(sequences).checked(code.n + 1)
         with pytest.raises(ValueError, match="outside"):
             decode(prototype, oversized)
 
 
 # ---------------------------------------------------------------------------
-# Chain-aware staircase cascade (handcrafted bidiagonal matrices).
+# LDGM peel on handcrafted bidiagonal and degenerate matrices.
 # ---------------------------------------------------------------------------
 
 
@@ -467,8 +471,8 @@ def _staircase_matrix() -> ParityCheckMatrix:
     """k=3, 5 checks: row 0 anchors the chain, rows 1-3 are parity-only.
 
     Receiving sources 0 and 1 reveals parity 3 through row 0, whose
-    downstream rows 1-3 are chain-eligible from the start -- a pure
-    staircase reveal chain of length 3.
+    downstream rows 1-3 hold only their two staircase parities from the
+    start -- a pure staircase reveal chain of length 3.
     """
     empty = np.array([], dtype=np.int64)
     return ParityCheckMatrix(
@@ -505,66 +509,15 @@ def _triangle_matrix() -> ParityCheckMatrix:
     )
 
 
-class TestChainAwareCascade:
-    def test_detection_on_handcrafted_staircase(self):
-        prototype = LDGMPrototype(_MatrixCode(_staircase_matrix()), kernel="numpy")
-        assert prototype.chain_aware
-        # Row 2 holds parities {4, 5} = nodes {3+1, 3+2}: expected word is
-        # count 2 with id sum 9; row 0 can never be chain-eligible.
-        assert prototype.chain_expected[2] == (2 << 40) + 9
-        assert prototype.chain_expected[0] == -1
-        assert prototype.chain_expected[-1] == -1  # sentinel slot
-        # Pure staircase: no extra below-diagonal parity edges.
-        assert prototype.parity_extra_rows.size == 0
-
-    def test_detection_on_handcrafted_triangle(self):
-        prototype = LDGMPrototype(_MatrixCode(_triangle_matrix()), kernel="numpy")
-        assert prototype.chain_aware
-        # Parity index 1 (node 4) additionally sits in check row 4.
-        start = prototype.parity_extra_indptr[1]
-        stop = prototype.parity_extra_indptr[2]
-        assert list(prototype.parity_extra_rows[start:stop]) == [4]
-
-    def test_no_detection_on_plain_ldgm(self):
-        code = make_code("ldgm", k=30, expansion_ratio=1.5, seed=0)
-        prototype = compile_prototype(code, kernel="numpy")
-        assert isinstance(prototype, LDGMPrototype)
-        assert not prototype.chain_aware
-
-    def test_no_detection_on_tiny_codes(self):
-        code = make_code("ldgm-staircase", k=4, n=5, seed=0)
-        prototype = compile_prototype(code, kernel="numpy")
-        assert not prototype.chain_aware  # a single check row has no chain
-
-    @pytest.mark.parametrize("build", [_staircase_matrix, _triangle_matrix])
-    def test_chain_resolves_in_one_scan(self, build):
-        code = _MatrixCode(build())
-        prototype = LDGMPrototype(code, kernel="numpy")
-        backend = NumpyBackend()
-        # Sources 0 and 1 reveal parity 3; the whole downstream chain must
-        # resolve in the same cascade round (one chain scan), then packet 7
-        # releases source 2 and completes decoding at position 3.
-        received = [np.array([0, 1, 7], dtype=np.int64)]
-        decoded, n_necessary = backend.ldgm_decode_batch(
-            prototype, ReceivedBatch.from_sequences(received)
-        )
-        assert decoded.tolist() == [True]
-        assert n_necessary.tolist() == [3]
-        assert backend.last_chain_scans == 1
-        # The reference: one packet at a time through the symbolic decoder.
-        decoder = code.new_symbolic_decoder()
-        positions = [decoder.add_packet(i) for i in received[0]]
-        assert positions == [False, False, True]
-
+class TestHandcraftedMatrices:
     def test_initial_unit_row_is_not_spontaneously_peeled(self):
         # A degenerate matrix may carry a check row whose INITIAL unknown
         # count is already 1 (a parity-only row with no sources, the
         # documented degenerate outcome of _fill_empty_rows).  The
         # incremental decoder only examines rows on decrement, so it never
-        # peels from such a row -- and neither may the numpy cascade's
-        # bulk-round full-state trigger scan.  Regression test: the scan
-        # once revealed row 0's parity here, decoding a run the reference
-        # leaves undecoded.
+        # peels from such a row -- and neither may any backend's peel.
+        # Regression test: a batched peel once revealed row 0's parity
+        # here, decoding a run the reference leaves undecoded.
         matrix = ParityCheckMatrix(
             k=8,
             n=10,
@@ -612,7 +565,7 @@ class TestChainAwareCascade:
 
 
 # ---------------------------------------------------------------------------
-# Gilbert sojourn fill and the seen-mask dedup.
+# Gilbert sojourn fill.
 # ---------------------------------------------------------------------------
 
 
@@ -631,20 +584,6 @@ class TestGilbertFillBackends:
                         gilbert_loss_mask_serial(channel, count, slow),
                     ), (kernel, p, q, count)
                     assert fast.integers(1 << 30) == slow.integers(1 << 30)
-
-
-class TestSeenMaskDedup:
-    def test_dedup_and_scratch_reset(self):
-        scratch = np.full(16, -1, dtype=np.int64)
-        nodes = np.array([5, 3, 5, 9, 3, 3], dtype=np.int64)
-        out = _dedup(nodes, scratch)
-        assert sorted(out.tolist()) == [3, 5, 9]
-        assert (scratch == -1).all()  # touched entries reset for the next round
-
-    def test_dedup_short_arrays_pass_through(self):
-        scratch = np.full(4, -1, dtype=np.int64)
-        single = np.array([2], dtype=np.int64)
-        assert _dedup(single, scratch) is single
 
 
 # ---------------------------------------------------------------------------

@@ -118,6 +118,11 @@ class TestFailurePolicy:
             FailurePolicy(unit_timeout=0.0)
         with pytest.raises(ValueError):
             FailurePolicy(store_retries=-1)
+        nan = float("nan")
+        for field in ("unit_timeout", "backoff_base", "backoff_max",
+                      "store_backoff_base", "store_backoff_max"):
+            with pytest.raises(ValueError, match=field):
+                FailurePolicy(**{field: nan})
 
     def test_attempts(self):
         assert FailurePolicy().attempts == 1
