@@ -27,20 +27,23 @@ The kernels, written in C:
   stride, so broadcast rows and column-sliced views are never copied.
 * ``gilbert_draw_batch`` -- those draws: each run's initial state and
   sojourn batches, taken from the run's own generator through numpy's
-  C core (``libnpyrandom``: ``random_geometric`` and the bit generator's
-  ``next_double``, the very functions behind ``Generator.geometric`` and
-  ``Generator.random``), so every generator is consumed exactly as the
-  Python draw loop consumes it, with no distribution code copied.
+  C core (``libnpyrandom``: ``random_standard_exponential``,
+  ``random_geometric_search`` and the bit generator's ``next_double``,
+  the functions behind ``Generator.geometric`` and ``Generator.random``),
+  so every generator is consumed exactly as the Python draw loop
+  consumes it.  Only ``random_geometric``'s three-line dispatch is
+  restated, to take its ``log1p(-p)`` once per batch instead of per draw.
 * ``stream_seed_batch`` and ``stream_shuffle_batch`` (and
   ``gilbert_draw_batch`` on stream rows) -- the per-run streams of a
   :class:`~repro.seeds.RunStreams` block without any Python generator:
   numpy's ``SeedSequence`` pool hash and ``PCG64`` seeding and stepping
   are ported (small integer routines; the generator is O'Neill's PCG,
-  a 128-bit LCG with an XSL-RR output), each ``(runs, 6)`` state row is
-  wrapped in a stack ``bitgen_t``, and ``libnpyrandom``'s
-  ``random_interval`` (the Fisher-Yates step of ``Generator.shuffle``)
-  and ``random_geometric`` run on it unchanged.  A load-time self-check
-  compares one C-seeded state with ``np.random.PCG64``.
+  a 128-bit LCG with an XSL-RR output), and so is ``random_interval``
+  (the Fisher-Yates step of ``Generator.shuffle``), inlined on the
+  stream state; each ``(runs, 6)`` state row is wrapped in a stack
+  ``bitgen_t`` for the geometric draws.  A load-time self-check compares
+  a C-seeded state, a shuffle and geometric draws on both branches with
+  ``np.random.PCG64``; the Gilbert draw kernel runs only once it passed.
 
 They are compiled once per machine with ``cc -O2 -shared -fPIC`` into a cache
 directory keyed by the source hash, the compiler and the numpy build, and
@@ -121,14 +124,16 @@ _C_SOURCE = r"""
 #endif
 
 #ifdef REPRO_NPYRANDOM
+#include <math.h>
 #include "numpy/random/bitgen.h"
 #ifdef REPRO_POISON_NPYRANDOM
 #error "libnpyrandom probe poisoned (REPRO_POISON_NPYRANDOM in CFLAGS)"
 #endif
-/* numpy's geometric sampler, which Generator.geometric calls once per
-   element; declared here because numpy/random/distributions.h pulls in
-   Python.h. */
-int64_t random_geometric(bitgen_t *bitgen_state, double p);
+/* The two halves of numpy's geometric sampler (Generator.geometric) and
+   its standard exponential; declared here because
+   numpy/random/distributions.h pulls in Python.h. */
+int64_t random_geometric_search(bitgen_t *bitgen_state, double p);
+double random_standard_exponential(bitgen_t *bitgen_state);
 #endif
 
 int peel_openmp(void)
@@ -411,8 +416,20 @@ int gather_write(
 #ifdef REPRO_NPYRANDOM
 static void draw_geometric(bitgen_t *bitgen, double p, int64_t *out, int64_t size)
 {
-    for (int64_t i = 0; i < size; i++)
-        out[i] = random_geometric(bitgen, p);
+    /* numpy's random_geometric element by element: the search for
+       p >= 1/3, otherwise inversion, ceil(-E / log1p(-p)) capped at
+       INT64_MAX (9.223372036854776e+18 is the smallest double above it).
+       The inversion's log1p(-p) is taken once per call, not per draw. */
+    if (p >= 0.333333333333333333333333) {
+        for (int64_t i = 0; i < size; i++)
+            out[i] = random_geometric_search(bitgen, p);
+        return;
+    }
+    const double denom = log1p(-p);
+    for (int64_t i = 0; i < size; i++) {
+        double z = ceil(-random_standard_exponential(bitgen) / denom);
+        out[i] = z >= 9.223372036854776e+18 ? INT64_MAX : (int64_t)z;
+    }
 }
 
 static void gilbert_draw_run(
@@ -454,10 +471,6 @@ static void gilbert_draw_run(
    stream_t, wrapped in a bitgen_t so that libnpyrandom's samplers run on
    it unchanged, and stored back when the row's draws are done. */
 
-/* numpy's bounded-integer sampler, which Generator.shuffle calls once
-   per swap. */
-uint64_t random_interval(bitgen_t *bitgen_state, uint64_t max);
-
 typedef unsigned __int128 u128;
 
 #define PCG_MULTIPLIER ((((u128)2549297995355413924ULL) << 64) | 4865540595714422341ULL)
@@ -498,6 +511,31 @@ static uint32_t stream_next32(void *st)
 static double stream_next_double(void *st)
 {
     return (double)(stream_next64(st) >> 11) * (1.0 / 9007199254740992.0);
+}
+
+static inline uint64_t stream_interval(stream_t *s, uint64_t max)
+{
+    /* numpy's random_interval, the swap partner of Generator.shuffle:
+       masked draws until one is <= max, under the smallest all-ones mask
+       >= max; 32-bit draws while max fits in 32 bits.  Inlined on the
+       stream instead of called through bitgen_t function pointers. */
+    if (max == 0)
+        return 0;
+    uint64_t mask = max, value;
+    mask |= mask >> 1;
+    mask |= mask >> 2;
+    mask |= mask >> 4;
+    mask |= mask >> 8;
+    mask |= mask >> 16;
+    mask |= mask >> 32;
+    if (max <= 0xffffffffULL) {
+        while ((value = (stream_next32(s) & mask)) > max)
+            ;
+    } else {
+        while ((value = (stream_next64(s) & mask)) > max)
+            ;
+    }
+    return value;
 }
 
 static void stream_load(const uint64_t *row, stream_t *s, bitgen_t *bitgen)
@@ -608,7 +646,7 @@ void stream_shuffle_batch(
         stream_load(states + 6 * run, &s, &bitgen);
         int64_t *segment = rows + run * width + start;
         for (int64_t i = width - start - 1; i > 0; i--) {
-            int64_t j = (int64_t)random_interval(&bitgen, (uint64_t)i);
+            int64_t j = (int64_t)stream_interval(&s, (uint64_t)i);
             int64_t swap = segment[j];
             segment[j] = segment[i];
             segment[i] = swap;
@@ -879,11 +917,14 @@ def _load_library() -> ctypes.CDLL:
 
 
 def _streams_self_check(lib: ctypes.CDLL) -> str | None:
-    """Why the C stream seeding disagrees with numpy, or None when it agrees.
+    """Why the C streams disagree with numpy, or None when they agree.
 
     One coordinate with multi-word entropy (a base and a path entry above
     2**32, a run above 2**32) is seeded in C and compared with
-    ``PCG64(SeedSequence(...)).state``.
+    ``PCG64(SeedSequence(...)).state``.  From that state a C shuffle, then
+    C geometric draws on both branches of numpy's sampler (inversion at
+    p = 0.05, search at p = 0.5), are compared with ``Generator.shuffle``
+    and ``Generator.geometric``: outputs and the final state.
     """
     base, path, run = 2**40 + 7, (3, 2**33 + 1), 2**32 + 5
     prefix = entropy_words((base, *path))
@@ -891,9 +932,44 @@ def _streams_self_check(lib: ctypes.CDLL) -> str | None:
     lib.stream_seed_batch(
         prefix.ctypes.data_as(_U32), prefix.size, run, 1, states.ctypes.data_as(_U64), 1
     )
-    expected = np.random.PCG64(np.random.SeedSequence([base, *path, run])).state
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([base, *path, run])))
     seeded = pcg64_state(states[0])
-    return None if seeded == expected else f"C seeding gave {seeded}, numpy {expected}"
+    if seeded != rng.bit_generator.state:
+        return f"C seeding gave {seeded}, numpy {rng.bit_generator.state}"
+
+    width, start = 40, 3
+    rows = np.arange(width, dtype=np.int64).reshape(1, width)
+    lib.stream_shuffle_batch(
+        states.ctypes.data_as(_U64), rows.ctypes.data_as(_I64), 1, width, start, 1
+    )
+    shuffled = np.arange(width, dtype=np.int64)
+    rng.shuffle(shuffled[start:])
+    if not np.array_equal(rows[0], shuffled):
+        return f"C shuffle gave {rows[0].tolist()}, numpy {shuffled.tolist()}"
+
+    # count = 1: the first round always covers the row, so the kernel
+    # draws exactly one uniform and one round of each geometric.
+    batch = 64
+    initial = np.empty(1, dtype=np.uint8)
+    gap = np.empty((1, batch), dtype=np.int64)
+    burst = np.empty((1, batch), dtype=np.int64)
+    mask = np.zeros((1, 1), dtype=np.uint8)
+    scratch = np.empty((1, 2 * batch), dtype=np.int64)
+    lib.gilbert_draw_batch(
+        None, states.ctypes.data_as(_U64), 1, 1, 0.5, 0.05, 0.5, batch,
+        initial.ctypes.data_as(_U8), gap.ctypes.data_as(_I64),
+        burst.ctypes.data_as(_I64), mask.ctypes.data_as(_U8),
+        scratch.ctypes.data_as(_I64), 1,
+    )
+    rng.random()
+    for p, drawn in ((0.05, gap[0]), (0.5, burst[0])):
+        expected = rng.geometric(p, batch)
+        if not np.array_equal(drawn, expected):
+            return f"C geometric({p}) gave {drawn.tolist()}, numpy {expected.tolist()}"
+    drawn_state = pcg64_state(states[0])
+    if drawn_state != rng.bit_generator.state:
+        return f"C draws left {drawn_state}, numpy {rng.bit_generator.state}"
+    return None
 
 
 def _i64(array: np.ndarray) -> np.ndarray:
@@ -947,10 +1023,12 @@ class CExtBackend(KernelBackend):
         self._lib = _load_library()
         #: Whether the loaded library was built with OpenMP (provenance).
         self.openmp = bool(self._lib.peel_openmp())
-        #: Whether it links ``libnpyrandom``, i.e. draws Gilbert sojourns in C.
+        #: Whether it links ``libnpyrandom`` (build provenance).
         self.npyrandom = bool(self._lib.peel_npyrandom())
         #: Whether it seeds and draws :class:`~repro.seeds.RunStreams`
         #: blocks in C (``libnpyrandom`` linked and the self-check passed).
+        #: The Gilbert draw kernel shares the checked samplers, so it too
+        #: runs only when this holds.
         self.stream_blocks = False
         if self.npyrandom:
             failure = _streams_self_check(self._lib)
@@ -1175,7 +1253,7 @@ class CExtBackend(KernelBackend):
         q: float,
         batch: int,
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        if not self.npyrandom or not masks.flags.c_contiguous:
+        if not self.stream_blocks or not masks.flags.c_contiguous:
             return super().draw_sojourns_batch(masks, rngs, loss_probability, p, q, batch)
         runs, count = masks.shape
         if masks.dtype != np.bool_ or len(rngs) != runs:

@@ -17,12 +17,24 @@ The wrapper is transparent: ``backend``/``uri()``/``stats`` delegate to
 the wrapped store, so engine counters, CLI output and test assertions
 see the store itself, not the wrapper.  Unknown attributes (e.g. the
 sqlite backend's ``provenance``) fall through via ``__getattr__``.
+
+It is also where a solo sweep's writes are batched.  Inside
+:meth:`RetryingStore.write_behind`, ``put`` only appends to a buffer.
+The buffer is flushed through the backend's ``put_many`` (one sqlite
+transaction), retried as a whole, once it holds :data:`FLUSH_RESULTS`
+results or a result arrives :data:`FLUSH_SECONDS` after the last flush,
+and always when the scope exits -- by return, by exception or by
+``KeyboardInterrupt``.  A process killed outright loses the open window
+at most: results completed within one second of the last flush, never
+more than :data:`FLUSH_RESULTS`; rerunning recomputes them bit-identically.
 """
 
 from __future__ import annotations
 
 import logging
+import threading
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
@@ -32,6 +44,12 @@ from repro.runner.units import UnitResult, WorkUnit
 from repro.store.base import Lease, ResultStore, StoreRecord
 
 logger = logging.getLogger("repro.resilience.retry")
+
+#: A write-behind window is flushed once it holds this many results ...
+FLUSH_RESULTS = 256
+
+#: ... or once a result arrives this many seconds after the last flush.
+FLUSH_SECONDS = 1.0
 
 
 @dataclass
@@ -43,7 +61,11 @@ class RetryStats:
 
 
 class RetryingStore(ResultStore):
-    """Bounded-backoff retry wrapper around any result store."""
+    """Bounded-backoff retry wrapper around any result store.
+
+    Inside :meth:`write_behind` its ``put`` buffers instead of writing;
+    every other call goes straight to the wrapped store.
+    """
 
     def __init__(self, store: ResultStore, policy: FailurePolicy = DEFAULT_POLICY):
         # No super().__init__(): stats delegates to the wrapped store so
@@ -51,6 +73,10 @@ class RetryingStore(ResultStore):
         self.inner = store
         self.policy = policy
         self.retry_stats = RetryStats()
+        # The open write-behind window (None: puts write through).
+        self._buffer: Optional[List[Tuple[WorkUnit, UnitResult]]] = None
+        self._flushed_at = 0.0
+        self._buffer_lock = threading.Lock()
 
     @classmethod
     def wrap(
@@ -160,7 +186,60 @@ class RetryingStore(ResultStore):
         return self._retry("get-unit", self.inner.get, unit)
 
     def put(self, unit: WorkUnit, result: UnitResult) -> None:
-        self._retry("put-unit", self.inner.put, unit, result)
+        buffer = self._buffer
+        if buffer is None:
+            self._retry("put-unit", self.inner.put, unit, result)
+            return
+        with self._buffer_lock:
+            buffer.append((unit, result))
+            now = time.monotonic()
+            if len(buffer) < FLUSH_RESULTS and now - self._flushed_at < FLUSH_SECONDS:
+                return
+            batch = buffer[:]
+            buffer.clear()
+            self._flushed_at = now
+        self._flush(batch)
+
+    def _flush(self, batch: List[Tuple[WorkUnit, UnitResult]]) -> None:
+        try:
+            self.put_many(batch)
+        except BaseException:
+            # Back into the window, so the scope's exit flush retries it.
+            with self._buffer_lock:
+                if self._buffer is not None:
+                    self._buffer[:0] = batch
+            raise
+
+    @contextmanager
+    def write_behind(self) -> Iterator["RetryingStore"]:
+        """Buffer ``put`` calls inside the block; flush them in batches.
+
+        See the module docstring for the flush rule.  A nested scope
+        joins the open window.  When the block raises, the exit flush
+        still runs; if that flush fails too, its error is logged and the
+        block's own exception propagates.
+        """
+        if self._buffer is not None:
+            yield self
+            return
+        with self._buffer_lock:
+            self._buffer = []
+            self._flushed_at = time.monotonic()
+        try:
+            yield self
+        except BaseException:
+            try:
+                self._close_window()
+            except Exception as exc:  # the block's exception matters more
+                logger.warning("could not flush buffered results: %s", exc, exc_info=True)
+            raise
+        self._close_window()
+
+    def _close_window(self) -> None:
+        with self._buffer_lock:
+            batch, self._buffer = self._buffer, None
+        if batch:
+            self.put_many(batch)
 
     def put_many(self, items: Iterable[Tuple[WorkUnit, UnitResult]]) -> int:
         # Materialise once: a torn batch must be retried in full, and the
@@ -209,4 +288,4 @@ class RetryingStore(ResultStore):
         self.inner.close()
 
 
-__all__ = ["RetryStats", "RetryingStore"]
+__all__ = ["FLUSH_RESULTS", "FLUSH_SECONDS", "RetryStats", "RetryingStore"]

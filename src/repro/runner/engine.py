@@ -108,6 +108,14 @@ def _execute(
     rather than executed.  The fleet runner persists results itself
     (write-before-release), so the engine skips its own ``put``.
 
+    Otherwise each fresh result is ``put`` as it arrives, inside the
+    store's write-behind scope
+    (:meth:`~repro.resilience.retry.RetryingStore.write_behind`): the puts
+    are buffered and land in batches of up to 256 results or one second
+    -- one sqlite transaction each -- and whatever is buffered is flushed
+    before this function returns or raises, ``KeyboardInterrupt``
+    included.  Reads stay one ``get`` per planned unit.
+
     Store traffic goes through a :class:`RetryingStore` and units run
     under ``options.failure_policy``.  Under the default fail-fast policy
     the first unit that raises aborts the sweep as a
@@ -182,7 +190,11 @@ def _execute(
                 worker_id=options.worker_id,
                 lease_ttl=options.lease_ttl,
             )
-        runner.run(pending, on_result, on_failure, policy)
+        if cache is None or fleet:
+            runner.run(pending, on_result, on_failure, policy)
+        else:
+            with cache.write_behind():
+                runner.run(pending, on_result, on_failure, policy)
 
     return results, failures
 

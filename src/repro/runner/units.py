@@ -22,6 +22,7 @@ the process-pool executor and are hashed into cache keys by
 from __future__ import annotations
 
 import dataclasses
+import json
 import threading
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple
@@ -113,8 +114,21 @@ class WorkUnit:
         re-executable from its provenance record alone
         (``python -m repro rerun-unit``).
         """
+        return {"config": dataclasses.asdict(self.config), **self._cell_payload()}
+
+    def to_json(self) -> str:
+        """``json.dumps(self.to_payload())``, byte for byte.
+
+        The config part is the config's own once-encoded snapshot
+        (:attr:`SimulationConfig.snapshot_json`), so a sweep serialises
+        each config once rather than once per unit.
+        """
+        cell = json.dumps(self._cell_payload())
+        return '{"config": ' + self.config.snapshot_json + ", " + cell[1:]
+
+    def _cell_payload(self) -> Dict[str, object]:
+        """Every :meth:`to_payload` field after ``config``, in order."""
         return {
-            "config": dataclasses.asdict(self.config),
             "p": self.p,
             "q": self.q,
             "seed_path": list(self.seed_path),
@@ -271,9 +285,7 @@ _CODE_CACHE_LOCK = threading.Lock()
 
 
 def _shared_code_key(unit: WorkUnit) -> tuple:
-    from repro.store.codec import config_token
-
-    return (config_token(unit.config), unit.base_seed, unit.code_seed_path)
+    return (unit.config.token, unit.base_seed, unit.code_seed_path)
 
 
 def _shared_code(unit: WorkUnit):

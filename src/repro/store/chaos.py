@@ -41,6 +41,7 @@ from urllib.parse import parse_qs
 from repro.resilience.errors import StoreUnavailableError
 from repro.runner.units import UnitResult, WorkUnit
 from repro.store.base import Lease, ResultStore, StoreRecord
+from repro.store.codec import encode_result, unit_key
 from repro.store.registry import CHAOS_BACKENDS, resolve_store
 
 #: Operations eligible for fault injection.  Read-only inspection calls
@@ -236,9 +237,13 @@ class ChaosStore(ResultStore):
         except StoreUnavailableError:
             # Torn batch: half the writes land, then the failure -- the
             # worst case for a batched upsert.  A full-batch retry
-            # converges because every write is an idempotent upsert.
+            # converges because every write is an idempotent upsert.  The
+            # torn half goes in as raw records: the write counter counts
+            # the retry that completes the batch, not the half that tore.
             for unit, result in batch[: len(batch) // 2]:
-                self.inner.put(unit, result)
+                self.inner.put_record(
+                    unit_key(unit), encode_result(unit, result), unit=unit
+                )
             raise
         return self.inner.put_many(batch)
 

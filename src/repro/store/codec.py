@@ -17,6 +17,12 @@ Every result-store backend speaks the same wire format, defined here:
   code version and the exact command that re-executes the unit from
   nothing (the pycomex-style "archive" contract).
 
+Encoding is paid once per *config*, not once per unit: the config token
+and the config's JSON snapshot are memoised on the frozen
+:class:`~repro.core.config.SimulationConfig`, and a provenance row dumps
+the unit JSON once and quotes that same text into its re-run command.
+Every stored byte is what the per-unit encoding produced.
+
 JSON serialises floats via ``repr`` (shortest round-trip form), so ratios
 reloaded from any backend are bit-identical to freshly computed ones.
 """
@@ -24,7 +30,8 @@ reloaded from any backend are bit-identical to freshly computed ones.
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, Optional
+import shlex
+from typing import Any, Dict, Optional, Tuple
 
 from repro.core.config import SimulationConfig
 from repro.runner.units import UnitResult, WorkUnit
@@ -45,18 +52,10 @@ def config_token(config: SimulationConfig) -> str:
     """Canonical JSON token of the result-defining fields of a config.
 
     The display ``label`` is excluded: relabelling a configuration must not
-    invalidate its cached results.
+    invalidate its cached results.  Encoded once per config
+    (:attr:`SimulationConfig.token`).
     """
-    payload = {
-        "code": config.code,
-        "tx_model": config.tx_model,
-        "k": config.k,
-        "expansion_ratio": config.expansion_ratio,
-        "nsent": config.nsent,
-        "code_options": config.code_options,
-        "tx_options": config.tx_options,
-    }
-    return json.dumps(payload, sort_keys=True, default=repr)
+    return config.token
 
 
 def unit_key(unit: WorkUnit) -> str:
@@ -67,10 +66,18 @@ def unit_key(unit: WorkUnit) -> str:
     never satisfy a lookup under another -- unlike ``kernel`` /
     ``kernel_threads``, which are bit-identical wall-clock knobs and stay
     excluded.
+
+    The key is memoised on the unit (a sweep looks a unit up, then
+    writes it), tagged with the config token it was hashed from, so a
+    config whose option dict was mutated since is hashed afresh.
     """
+    token = unit.config.token
+    memo = unit.__dict__.get("_key_memo")
+    if memo is not None and memo[0] is token:
+        return memo[1]
     payload = {
         "version": CACHE_FORMAT_VERSION,
-        "config": config_token(unit.config),
+        "config": token,
         "p": unit.p,
         "q": unit.q,
         "seed_path": list(unit.seed_path),
@@ -88,6 +95,7 @@ def unit_key(unit: WorkUnit) -> str:
     digest = hashlib.sha256(
         json.dumps(payload, sort_keys=True).encode("utf-8")
     ).hexdigest()
+    unit.__dict__["_key_memo"] = (token, digest)  # frozen: bypass __setattr__
     return digest
 
 
@@ -137,16 +145,39 @@ def dump_entry(payload: Dict[str, Any]) -> str:
     return json.dumps(payload)
 
 
-def rerun_command(unit: WorkUnit) -> str:
+def rerun_command(unit: WorkUnit, unit_json: Optional[str] = None) -> str:
     """The exact shell command that re-executes one unit from nothing.
 
     ``python -m repro rerun-unit '<unit-json>'`` rebuilds the unit from its
     self-describing payload (config snapshot, channel point, run range,
     seed scheme), executes it, and prints the result payload -- so a store
     entry's provenance record is sufficient to reproduce the entry on any
-    machine with the same code version.
+    machine with the same code version.  The payload is shell-quoted, so
+    a label holding ``'`` still yields one valid argument; without one the
+    command is the plain single-quoted form.  ``unit_json`` passes an
+    already dumped :meth:`WorkUnit.to_json`.
     """
-    return f"python -m repro rerun-unit '{json.dumps(unit.to_payload())}'"
+    if unit_json is None:
+        unit_json = unit.to_json()
+    return "python -m repro rerun-unit " + shlex.quote(unit_json)
+
+
+def provenance_fields(unit: WorkUnit) -> Tuple[str, str, str, str, str]:
+    """``(unit_json, config_token, seed_scheme, code_version, rerun_command)``.
+
+    The columns of one provenance row: the unit JSON is dumped once and
+    quoted into the re-run command as is.
+    """
+    from repro import __version__
+
+    unit_json = unit.to_json()
+    return (
+        unit_json,
+        unit.config.token,
+        get_scheme(unit.seed_scheme).token(),
+        __version__,
+        rerun_command(unit, unit_json),
+    )
 
 
 def unit_provenance(unit: WorkUnit) -> Dict[str, Any]:
@@ -157,14 +188,13 @@ def unit_provenance(unit: WorkUnit) -> Dict[str, Any]:
     the exact re-run command, so results stay auditable and reproducible
     after the sweep that created them is gone.
     """
-    from repro import __version__
-
+    unit_json, token, scheme, version, command = provenance_fields(unit)
     return {
-        "unit": unit.to_payload(),
-        "config_token": config_token(unit.config),
-        "seed_scheme": get_scheme(unit.seed_scheme).token(),
-        "code_version": __version__,
-        "rerun_command": rerun_command(unit),
+        "unit": json.loads(unit_json),
+        "config_token": token,
+        "seed_scheme": scheme,
+        "code_version": version,
+        "rerun_command": command,
     }
 
 
@@ -176,6 +206,7 @@ __all__ = [
     "encode_result",
     "decode_payload",
     "dump_entry",
+    "provenance_fields",
     "rerun_command",
     "unit_provenance",
 ]

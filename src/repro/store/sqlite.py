@@ -24,6 +24,12 @@ Two side tables complete the picture:
   ``heartbeat`` extends only leases still held by the caller, so a worker
   that lost its lease to takeover finds out at the next beat.
 
+Every write call is one ``BEGIN IMMEDIATE ... COMMIT``.  A solo sweep
+does not pay that per unit: the engine buffers its results
+(:meth:`repro.resilience.retry.RetryingStore.write_behind`) and flushes
+them through :meth:`SqliteStore.put_many`, one transaction per flush
+window.  Fleet workers still ``put`` each unit before releasing its lease.
+
 The connection is shared across threads behind one lock (the fleet
 heartbeat thread beats while the main thread executes), with a busy
 timeout for cross-process contention.
@@ -42,13 +48,7 @@ from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple, Union
 from repro.resilience.errors import StoreUnavailableError
 from repro.runner.units import UnitResult, WorkUnit
 from repro.store.base import Lease, ResultStore, StoreRecord
-from repro.store.codec import (
-    config_token,
-    dump_entry,
-    encode_result,
-    unit_key,
-    unit_provenance,
-)
+from repro.store.codec import dump_entry, encode_result, provenance_fields, unit_key
 
 #: Bump when the database layout changes shape.
 SQLITE_STORE_SCHEMA = 1
@@ -202,13 +202,17 @@ class SqliteStore(ResultStore):
 
     @staticmethod
     def _row_fields(
-        key: str, payload: Dict[str, Any], unit: Optional[WorkUnit]
+        key: str, payload: Dict[str, Any], unit: Optional[WorkUnit], now: float
     ) -> Tuple[str, str, str, str, float]:
         scheme = str(payload.get("seed_scheme") or "pre-seeds")
         # The config token is indexed for per-figure scans; entries
         # migrated from backends that do not store it arrive without one.
-        config = "" if unit is None else config_token(unit.config)
-        return (key, scheme, config, dump_entry(payload), time.time())
+        config = "" if unit is None else unit.config.token
+        return (key, scheme, config, dump_entry(payload), now)
+
+    @staticmethod
+    def _provenance_row(key: str, unit: WorkUnit, now: float) -> tuple:
+        return (key, *provenance_fields(unit), now)
 
     def get_record(self, key: str) -> Optional[Dict[str, Any]]:
         with self._lock, self._guard():
@@ -231,6 +235,15 @@ class SqliteStore(ResultStore):
         "payload=excluded.payload, updated=excluded.updated"
     )
 
+    _PROVENANCE_UPSERT = (
+        "INSERT INTO provenance(key, unit, config, seed_scheme, "
+        "code_version, rerun_command, created) VALUES(?, ?, ?, ?, ?, ?, ?) "
+        "ON CONFLICT(key) DO UPDATE SET unit=excluded.unit, "
+        "config=excluded.config, seed_scheme=excluded.seed_scheme, "
+        "code_version=excluded.code_version, "
+        "rerun_command=excluded.rerun_command, created=excluded.created"
+    )
+
     def put_record(
         self,
         key: str,
@@ -238,37 +251,22 @@ class SqliteStore(ResultStore):
         *,
         unit: Optional[WorkUnit] = None,
     ) -> None:
-        fields = self._row_fields(key, payload, unit)
+        now = time.time()
+        rows = [self._row_fields(key, payload, unit, now)]
+        provenance = [] if unit is None else [self._provenance_row(key, unit, now)]
+        self._upsert(rows, provenance)
+
+    def _upsert(self, rows: List[tuple], provenance: List[tuple]) -> None:
+        """Write result rows and their provenance rows in one transaction."""
         with self._lock, self._guard():
             self._conn.execute("BEGIN IMMEDIATE")
             try:
-                self._conn.execute(self._UPSERT, fields)
-                if unit is not None:
-                    self._put_provenance(key, unit)
+                self._conn.executemany(self._UPSERT, rows)
+                self._conn.executemany(self._PROVENANCE_UPSERT, provenance)
                 self._conn.execute("COMMIT")
             except BaseException:
                 self._rollback()
                 raise
-
-    def _put_provenance(self, key: str, unit: WorkUnit) -> None:
-        record = unit_provenance(unit)
-        self._conn.execute(
-            "INSERT INTO provenance(key, unit, config, seed_scheme, "
-            "code_version, rerun_command, created) VALUES(?, ?, ?, ?, ?, ?, ?) "
-            "ON CONFLICT(key) DO UPDATE SET unit=excluded.unit, "
-            "config=excluded.config, seed_scheme=excluded.seed_scheme, "
-            "code_version=excluded.code_version, "
-            "rerun_command=excluded.rerun_command, created=excluded.created",
-            (
-                key,
-                json.dumps(record["unit"]),
-                record["config_token"],
-                record["seed_scheme"],
-                record["code_version"],
-                record["rerun_command"],
-                time.time(),
-            ),
-        )
 
     def put(self, unit: WorkUnit, result: UnitResult) -> None:
         # One transaction covers the entry and its provenance row; the
@@ -278,25 +276,23 @@ class SqliteStore(ResultStore):
         self.stats.writes += 1
 
     def put_many(self, items: Iterable[Tuple[WorkUnit, UnitResult]]) -> int:
-        """Batched upsert: one transaction for the whole batch."""
-        rows = []
-        units: List[Tuple[str, WorkUnit]] = []
+        """Batched upsert: one transaction for the whole batch.
+
+        This is what a write-behind flush
+        (:meth:`repro.resilience.retry.RetryingStore.write_behind`) lands
+        on: one ``BEGIN IMMEDIATE ... COMMIT`` per flush window, with the
+        rows of both tables sent through ``executemany``.
+        """
+        now = time.time()
+        rows: List[tuple] = []
+        provenance: List[tuple] = []
         for unit, result in items:
             key = unit_key(unit)
-            rows.append(self._row_fields(key, encode_result(unit, result), unit))
-            units.append((key, unit))
+            rows.append(self._row_fields(key, encode_result(unit, result), unit, now))
+            provenance.append(self._provenance_row(key, unit, now))
         if not rows:
             return 0
-        with self._lock, self._guard():
-            self._conn.execute("BEGIN IMMEDIATE")
-            try:
-                self._conn.executemany(self._UPSERT, rows)
-                for key, unit in units:
-                    self._put_provenance(key, unit)
-                self._conn.execute("COMMIT")
-            except BaseException:
-                self._rollback()
-                raise
+        self._upsert(rows, provenance)
         self.stats.writes += len(rows)
         return len(rows)
 

@@ -41,6 +41,7 @@ from repro.resilience import (
     run_unit_with_policy,
     write_quarantine,
 )
+from repro.resilience import retry
 from repro.resilience.faults import FaultInjectingExecutor, FaultPlan
 from repro.runner import executors
 from repro.runner.cli import main as cli_main
@@ -48,7 +49,7 @@ from repro.runner.engine import run_grid
 from repro.runner.executors import ProcessExecutor, SerialExecutor, ThreadExecutor
 from repro.runner.fleet import HEARTBEAT_FAILURE_LIMIT, FleetRunner
 from repro.runner.options import ExecutionOptions
-from repro.runner.units import execute_unit, plan_units
+from repro.runner.units import UnitResult, execute_unit, plan_units
 from repro.store import (
     ChaosConfig,
     ChaosStore,
@@ -702,6 +703,235 @@ class TestHeartbeatHardening:
         units = _units(config, cells=12, runs=1)
         with pytest.raises(StoreUnavailableError, match="gave up after"):
             runner.run(units, lambda r: None, policy=_fast_policy())
+
+
+class _RecordingStore(MemoryStore):
+    """Logs each write call that reaches the backend: ``(name, size)``."""
+
+    def __init__(self):
+        super().__init__()
+        self.calls = []
+
+    def put(self, unit, result):
+        self.calls.append(("put", 1))
+        super().put(unit, result)
+
+    def put_many(self, items):
+        batch = list(items)
+        self.calls.append(("put_many", len(batch)))
+        for unit, result in batch:
+            MemoryStore.put(self, unit, result)
+        return len(batch)
+
+
+class _InterruptAfter(SerialExecutor):
+    """Delivers the first ``count`` units, then raises ``KeyboardInterrupt``."""
+
+    def __init__(self, count):
+        self.count = count
+
+    def run(self, units, on_result, on_failure=None, policy=None):
+        for unit in units[: self.count]:
+            on_result(execute_unit(unit))
+        raise KeyboardInterrupt
+
+
+class TestWriteBehind:
+    """Solo sweeps buffer their puts and land them through ``put_many``."""
+
+    @pytest.fixture
+    def no_timer(self, monkeypatch):
+        # Windows close on size alone unless a test sets FLUSH_SECONDS.
+        monkeypatch.setattr(retry, "FLUSH_SECONDS", 1e9)
+
+    def test_sweep_writes_in_put_many_batches(self, config, monkeypatch, no_timer):
+        monkeypatch.setattr(retry, "FLUSH_RESULTS", 3)
+        store = _RecordingStore()
+        grid = run_grid(
+            config, P_VALUES, Q_VALUES, runs=2, seed=7,
+            options=ExecutionOptions(store=store),
+        )
+        assert store.calls == [("put_many", 3), ("put_many", 1)]
+        baseline = run_grid(config, P_VALUES, Q_VALUES, runs=2, seed=7)
+        assert np.array_equal(
+            grid.mean_inefficiency, baseline.mean_inefficiency, equal_nan=True
+        )
+
+    def test_window_closes_after_flush_seconds(self, config, monkeypatch):
+        monkeypatch.setattr(retry, "FLUSH_SECONDS", 0.0)
+        store = _RecordingStore()
+        run_grid(
+            config, P_VALUES, Q_VALUES, runs=1, seed=7,
+            options=ExecutionOptions(store=store),
+        )
+        assert store.calls == [("put_many", 1)] * 4
+
+    def test_a_raise_flushes_the_results_before_it(self, config, no_timer):
+        store = MemoryStore()
+        plan = FaultPlan(poison=frozenset({(1, 1)}))  # the last cell
+        units = plan_units(
+            [((i, j), config, p, q) for i, p in enumerate(P_VALUES)
+             for j, q in enumerate(Q_VALUES)],
+            runs=1, base_seed=7,
+        )
+        with pytest.raises(PoisonUnitError):
+            run_grid(
+                config, P_VALUES, Q_VALUES, runs=1, seed=7,
+                options=ExecutionOptions(
+                    store=store, executor=FaultInjectingExecutor(plan),
+                ),
+            )
+        assert len(store) == 3
+        for unit in units[:3]:
+            assert store.get(unit) == execute_unit(unit)
+
+    def test_keyboard_interrupt_flushes_the_results_before_it(self, config, no_timer):
+        store = MemoryStore()
+        with pytest.raises(KeyboardInterrupt):
+            run_grid(
+                config, P_VALUES, Q_VALUES, runs=1, seed=7,
+                options=ExecutionOptions(store=store, executor=_InterruptAfter(2)),
+            )
+        assert len(store) == 2
+
+    def test_a_failed_exit_flush_keeps_the_block_error(self, config, caplog):
+        class Unwritable(MemoryStore):
+            def put_many(self, items):
+                raise RuntimeError("disk full")
+
+        wrapped = RetryingStore(Unwritable(), _fast_policy())
+        unit = _units(config, cells=1, runs=1)[0]
+        with caplog.at_level("WARNING", logger="repro.resilience.retry"):
+            with pytest.raises(KeyError):
+                with wrapped.write_behind():
+                    wrapped.put(unit, execute_unit(unit))
+                    raise KeyError("the sweep's own error")
+        assert "could not flush buffered results: disk full" in caplog.text
+
+    def test_torn_flush_on_chaos_sqlite_converges(self, tmp_path, config):
+        inner = SqliteStore(tmp_path / "chaos.db")
+        chaos = ChaosStore(
+            inner, ChaosConfig(seed=0, rate=1.0, burst=1, ops=("put_many",))
+        )
+        grid = run_grid(
+            config, P_VALUES, Q_VALUES, runs=2, seed=7,
+            options=ExecutionOptions(store=chaos, failure_policy=_fast_policy()),
+        )
+        assert chaos.injected["put_many"] >= 1  # a batch was torn
+        assert len(inner) == 4
+        assert chaos.stats.writes == 4  # the torn half is not counted twice
+        baseline = run_grid(config, P_VALUES, Q_VALUES, runs=2, seed=7)
+        assert np.array_equal(
+            grid.mean_inefficiency, baseline.mean_inefficiency, equal_nan=True
+        )
+        reread = run_grid(
+            config, P_VALUES, Q_VALUES, runs=2, seed=7,
+            options=ExecutionOptions(store=inner),
+        )
+        assert inner.stats.hits == 4
+        inner.close()
+        assert np.array_equal(
+            reread.mean_inefficiency, baseline.mean_inefficiency, equal_nan=True
+        )
+
+    def test_fleet_puts_are_never_buffered(self, config):
+        store = _RecordingStore()
+        run_grid(
+            config, P_VALUES, Q_VALUES, runs=1, seed=7,
+            options=ExecutionOptions(store=store, fleet=True, worker_id="w0"),
+        )
+        assert store.calls == [("put", 1)] * 4
+
+    def test_thread_executor_results_land_once(self, config, monkeypatch, no_timer):
+        monkeypatch.setattr(retry, "FLUSH_RESULTS", 3)
+        store = _RecordingStore()
+        grid = run_grid(
+            config, P_VALUES, Q_VALUES, runs=2, seed=7,
+            options=ExecutionOptions(store=store, executor="thread", workers=2),
+        )
+        assert [name for name, _ in store.calls] == ["put_many", "put_many"]
+        assert sum(size for _, size in store.calls) == 4
+        assert len(store) == 4
+        baseline = run_grid(config, P_VALUES, Q_VALUES, runs=2, seed=7)
+        assert np.array_equal(
+            grid.mean_inefficiency, baseline.mean_inefficiency, equal_nan=True
+        )
+
+    def test_puts_from_many_threads_land_once(self, config, monkeypatch, no_timer):
+        # More threads than cores and a short switch interval: a lost
+        # append or a batch flushed twice breaks the exact counts below.
+        monkeypatch.setattr(retry, "FLUSH_RESULTS", 3)
+        store = _RecordingStore()
+        wrapped = RetryingStore(store)
+        units = _units(config, cells=200, runs=1)
+        results = [
+            UnitResult(unit.seed_path, 0, 1, (1.0 + index,), (0.5,), 0)
+            for index, unit in enumerate(units)
+        ]
+        pairs = list(zip(units, results))
+
+        def put_share(share):
+            for unit, result in share:
+                wrapped.put(unit, result)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with wrapped.write_behind():
+                threads = [
+                    threading.Thread(target=put_share, args=(pairs[start::8],))
+                    for start in range(8)
+                ]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=30)
+                    assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert sum(size for _, size in store.calls) == 200
+        assert len(store) == 200
+        for unit, result in pairs:
+            assert store.get(unit) == result
+
+    def test_cli_counts_match_per_unit_writes(self, tmp_path, capsys):
+        argv = [
+            "run", "fig07", "--scale", "tiny", "--runs", "1", "--quiet",
+            "--store", f"sqlite:{tmp_path}/r.db",
+        ]
+        assert cli_main(argv) == 0
+        cold = re.search(
+            r"\(cache: (\d+) hits, (\d+) misses, (\d+) writes\)", capsys.readouterr().out
+        )
+        hits, misses, writes = map(int, cold.groups())
+        assert hits == 0 and misses == writes > 0
+        assert cli_main(argv) == 0
+        assert f"(cache: {misses} hits, 0 misses, 0 writes)" in capsys.readouterr().out
+
+    def test_cli_interrupt_keeps_completed_cells_cached(
+        self, tmp_path, capsys, monkeypatch, no_timer
+    ):
+        real = executors.execute_unit
+        started = []
+
+        def interrupt_third(unit):
+            started.append(unit)
+            if len(started) == 3:
+                raise KeyboardInterrupt
+            return real(unit)
+
+        monkeypatch.setattr(executors, "execute_unit", interrupt_third)
+        argv = [
+            "run", "fig07", "--scale", "tiny", "--runs", "1", "--quiet",
+            "--store", f"sqlite:{tmp_path}/r.db",
+        ]
+        assert cli_main(argv) == 130
+        assert "completed cells are cached" in capsys.readouterr().err
+        with SqliteStore(tmp_path / "r.db") as store:
+            assert len(store) == 2
+        monkeypatch.setattr(executors, "execute_unit", real)
+        assert cli_main(argv) == 0
+        assert "(cache: 2 hits," in capsys.readouterr().out
 
 
 class TestFleetChaosConvergence:

@@ -3,14 +3,18 @@
 import json
 import multiprocessing
 import os
+import shlex
+import sqlite3
 import subprocess
 import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.core.config import SimulationConfig
+from repro.runner.engine import grid_cells, run_grid
 from repro.runner.options import ExecutionOptions
 from repro.runner.units import WorkUnit, execute_unit, plan_units
 from repro.store import (
@@ -27,6 +31,7 @@ from repro.store import (
     shared_memory_store,
     unit_key,
 )
+from repro.store.codec import config_token, rerun_command
 from repro.store.registry import _BACKENDS
 
 
@@ -303,6 +308,117 @@ class TestSqliteProvenance:
         migrate_store(source, dest)
         assert dest.provenance(unit_key(unit)) is None
         assert dest.get(unit) is not None
+
+
+def _sqlite_rows(path):
+    """Every results and provenance row of a sqlite store, minus timestamps."""
+    with sqlite3.connect(path) as conn:
+        results = conn.execute(
+            "SELECT key, seed_scheme, config, payload FROM results ORDER BY key"
+        ).fetchall()
+        provenance = conn.execute(
+            "SELECT key, unit, config, seed_scheme, code_version, rerun_command "
+            "FROM provenance ORDER BY key"
+        ).fetchall()
+    return results, provenance
+
+
+class TestEncodeOnce:
+    def test_buffered_sweep_rows_equal_per_unit_puts(self, tmp_path, config):
+        p_values, q_values = [0.0, 0.05], [0.5, 1.0]
+        with SqliteStore(tmp_path / "swept.db") as swept_store:
+            run_grid(
+                config, p_values, q_values, runs=2, seed=7,
+                options=ExecutionOptions(store=swept_store),
+            )
+        _, _, cells = grid_cells(config, p_values, q_values)
+        per_unit = SqliteStore(tmp_path / "per_unit.db")
+        for unit in plan_units(cells, runs=2, base_seed=7):
+            per_unit.put(unit, execute_unit(unit))
+        per_unit.close()
+        swept = _sqlite_rows(tmp_path / "swept.db")
+        assert len(swept[0]) == len(swept[1]) == 4
+        assert swept == _sqlite_rows(tmp_path / "per_unit.db")
+
+    def test_unit_json_is_the_payload_dump(self, config):
+        for unit in _units(config) + _units(SimulationConfig(label="Bob's sweep")):
+            assert unit.to_json() == json.dumps(unit.to_payload())
+
+    def test_mutated_option_dict_is_not_a_stale_token(self):
+        config = SimulationConfig(tx_model="tx_model_6", tx_options={"source_fraction": 0.2})
+        unit = _units(config)[0]
+        token, key = config_token(config), unit_key(unit)
+        assert config_token(config) is token  # encoded once
+        config.tx_options["source_fraction"] = 0.3
+        mutated = SimulationConfig(tx_model="tx_model_6", tx_options={"source_fraction": 0.3})
+        assert config_token(config) == config_token(mutated) != token
+        assert unit_key(unit) == unit_key(_units(mutated)[0]) != key
+        assert json.loads(unit.to_json())["config"]["tx_options"] == {"source_fraction": 0.3}
+
+
+class TestNumpyConfigs:
+    def test_numpy_numbers_share_the_python_token_and_key(self):
+        plain = SimulationConfig(
+            code="rse", tx_model="tx_model_6", k=50, expansion_ratio=1.5, nsent=60,
+            tx_options={"source_fraction": 0.25},
+        )
+        numeric = SimulationConfig(
+            code="rse", tx_model="tx_model_6", k=np.int64(50),
+            expansion_ratio=np.float32(1.5), nsent=np.int32(60),
+            tx_options={"source_fraction": np.float32(0.25)},
+        )
+        assert numeric == plain
+        assert type(numeric.k) is int and type(numeric.nsent) is int
+        assert type(numeric.expansion_ratio) is float
+        assert type(numeric.tx_options["source_fraction"]) is float
+        assert config_token(numeric) == config_token(plain)
+        assert unit_key(_units(numeric)[0]) == unit_key(_units(plain)[0])
+
+    def test_numpy_config_sweeps_on_sqlite(self, tmp_path):
+        config = SimulationConfig(
+            code="rse", tx_model="tx_model_5", k=np.int64(50), expansion_ratio=1.5
+        )
+        plain = SimulationConfig(code="rse", tx_model="tx_model_5", k=50, expansion_ratio=1.5)
+        with resolve_store(f"sqlite:{tmp_path}/x.db") as store:
+            grid = run_grid(
+                config, [0.1], [0.5], runs=2, options=ExecutionOptions(store=store)
+            )
+            assert len(store) == 1
+            again = run_grid(
+                plain, [0.1], [0.5], runs=2, options=ExecutionOptions(store=store)
+            )
+            assert store.stats.hits == 1
+        assert np.array_equal(grid.mean_inefficiency, again.mean_inefficiency, equal_nan=True)
+
+
+class TestRerunCommand:
+    def test_command_without_an_apostrophe_is_unchanged(self, config):
+        unit = _units(config)[0]
+        expected = f"python -m repro rerun-unit '{json.dumps(unit.to_payload())}'"
+        assert rerun_command(unit) == expected
+
+    def test_label_with_an_apostrophe_round_trips_through_the_shell(self, tmp_path):
+        config = SimulationConfig(
+            code="ldgm-staircase", tx_model="tx_model_2", k=200,
+            expansion_ratio=2.5, label="Bob's sweep",
+        )
+        unit = _units(config)[0]
+        result = execute_unit(unit)
+        with SqliteStore(tmp_path / "r.db") as store:
+            store.put(unit, result)
+            command = store.provenance(unit_key(unit))["rerun_command"]
+        prefix = "python -m repro rerun-unit "
+        assert command.startswith(prefix)
+        assert shlex.split(command)[4] == unit.to_json()
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        shell_command = shlex.quote(sys.executable) + command[len("python"):]
+        rerun = subprocess.run(
+            ["/bin/sh", "-c", shell_command], capture_output=True, text=True, env=env
+        )
+        assert rerun.returncode == 0, rerun.stderr
+        assert json.loads(rerun.stdout) == encode_result(unit, result)
 
 
 class TestMigration:
