@@ -189,9 +189,9 @@ def compile_repetition_prototype(
 class LDGMPrototype(DecoderPrototype):
     """Precompiled peeling-decoder state over the code's CSR arrays.
 
-    The prototype owns the row/column CSR adjacency and the initial
-    per-row unknown counts and id sums, and delegates the decode to its
-    :class:`~repro.kernels.KernelBackend`:
+    The prototype owns the column CSR adjacency and the initial per-row
+    unknown counts and id sums (:attr:`check_init`), and delegates the
+    decode to its :class:`~repro.kernels.KernelBackend`:
 
     * the ``cext`` backend runs the incremental peel in C, run by run;
     * the ``numpy`` backend (the base-class default) replays the code's
@@ -204,16 +204,27 @@ class LDGMPrototype(DecoderPrototype):
         super().__init__(code, kernel)
         matrix = code.matrix
         self.num_checks = matrix.num_checks
-        self.row_degrees = matrix.row_degrees()
         self.col_indptr, self.col_rows = matrix.column_adjacency()
-        row_ptr, row_cols = matrix.row_csr()
-        row_sums = (
-            np.add.reduceat(row_cols, row_ptr[:-1])
-            if row_cols.size
-            else np.zeros(self.num_checks, dtype=np.int64)
-        )
-        row_sums[self.row_degrees == 0] = 0
-        self.row_sums = row_sums
+
+    @functools.cached_property
+    def check_init(self) -> np.ndarray:
+        """Each check row's ``(unknown count, id sum mod 2**32)``, ``(checks, 2)`` uint32.
+
+        The layout of the compiled peel's per-check counters (built on
+        first read, so the numpy backend never builds it).  A wrapped sum
+        still names the last unknown exactly, as every id is below
+        ``n < 2**32``.
+        """
+        if self.n >= 2**32:
+            raise ValueError(f"the compiled peel needs n < 2**32, got {self.n}")
+        row_ptr, row_cols = self.code.matrix.row_csr()
+        degrees = np.diff(row_ptr)
+        init = np.zeros((self.num_checks, 2), dtype=np.uint32)
+        init[:, 0] = degrees
+        if row_cols.size:
+            sums = np.add.reduceat(row_cols, row_ptr[:-1]) & 0xFFFFFFFF
+            init[:, 1] = np.where(degrees > 0, sums, 0)
+        return init
 
     def decode_batch(
         self, received: ReceivedInput

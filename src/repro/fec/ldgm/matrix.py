@@ -257,30 +257,32 @@ def _build_left_part(
     rng.shuffle(pool)
     assignment = pool.reshape(k, left_degree)
 
-    columns: list[np.ndarray] = []
-    for col in range(k):
-        rows = assignment[col].copy()
-        rows = _deduplicate_rows(rows, num_checks, rng)
-        rows.sort()
-        columns.append(rows)
+    # One row-sorted compare finds the columns holding a duplicate; only
+    # those re-draw, in column order, so the draws are those of a
+    # column-by-column loop.
+    columns = np.sort(assignment, axis=1)
+    for col in np.flatnonzero((columns[:, 1:] == columns[:, :-1]).any(axis=1)):
+        columns[col] = np.sort(_deduplicate_rows(assignment[col].copy(), num_checks, rng))
 
-    per_row: list[list[int]] = [[] for _ in range(num_checks)]
-    for col, rows in enumerate(columns):
-        for row in rows:
-            per_row[int(row)].append(col)
+    # Each check row's source columns in increasing order: a stable sort
+    # of the column-major edge list by row.
+    edge_rows = columns.ravel()
+    edge_cols = np.argsort(edge_rows, kind="stable") // left_degree
+    degrees = np.bincount(edge_rows, minlength=num_checks)
+    ends = np.cumsum(degrees).tolist()
+    starts = [0, *ends[:-1]]
+    if degrees.all():
+        return [edge_cols[start:end] for start, end in zip(starts, ends)]
 
-    _fill_empty_rows(per_row, columns, rng)
-
-    source_cols = [np.array(sorted(cols), dtype=np.int64) for cols in per_row]
-    return source_cols
+    per_row = [edge_cols[start:end].tolist() for start, end in zip(starts, ends)]
+    _fill_empty_rows(per_row, rng)
+    return [np.array(sorted(cols), dtype=np.int64) for cols in per_row]
 
 
 def _deduplicate_rows(
     rows: np.ndarray, num_checks: int, rng: np.random.Generator
 ) -> np.ndarray:
     """Replace duplicate check rows within one column by fresh random rows."""
-    if np.unique(rows).size == rows.size:
-        return rows
     seen: set[int] = set()
     for i in range(rows.size):
         value = int(rows[i])
@@ -295,9 +297,7 @@ def _deduplicate_rows(
     return rows
 
 
-def _fill_empty_rows(
-    per_row: list[list[int]], columns: list[np.ndarray], rng: np.random.Generator
-) -> None:
+def _fill_empty_rows(per_row: list[list[int]], rng: np.random.Generator) -> None:
     """Guarantee every check row touches at least one source packet.
 
     A check row with no source edge would create a parity packet carrying no
@@ -321,28 +321,28 @@ def _fill_empty_rows(
 def _build_right_part(
     k: int, num_checks: int, variant: LDGMVariant, rng: np.random.Generator
 ) -> list[np.ndarray]:
-    """Build H2 according to the variant (identity, staircase, triangle)."""
-    parity_cols: list[np.ndarray] = []
-    for row in range(num_checks):
-        cols = {k + row}
-        if variant in (LDGMVariant.STAIRCASE, LDGMVariant.TRIANGLE) and row > 0:
-            cols.add(k + row - 1)
-        if variant is LDGMVariant.TRIANGLE and row >= 2:
-            cols.add(k + _triangle_extra_column(row, rng))
-        parity_cols.append(np.array(sorted(cols), dtype=np.int64))
-    return parity_cols
+    """Build H2 according to the variant (identity, staircase, triangle).
 
-
-def _triangle_extra_column(row: int, rng: np.random.Generator) -> int:
-    """Parity column filled below the staircase for LDGM Triangle.
-
-    Check ``row`` additionally involves one parity packet drawn uniformly
-    from the columns strictly below the staircase (``[0, row - 2]``),
-    creating the "progressive dependency between check nodes" described in
-    the paper while keeping every check row sparse enough for the iterative
-    decoder.
+    Check ``row`` involves parity packet ``row``; the Staircase adds
+    ``row - 1`` (rows from 1 on), and the Triangle adds, for rows from 2
+    on, one parity packet drawn uniformly from the columns strictly below
+    the staircase (``[0, row - 2]``), creating the "progressive dependency
+    between check nodes" described in the paper while keeping every check
+    row sparse enough for the iterative decoder.
     """
-    return int(rng.integers(0, row - 1))
+    own = k + np.arange(num_checks, dtype=np.int64)
+    if variant is LDGMVariant.LDGM:
+        return [own[row : row + 1] for row in range(num_checks)]
+    # Columns (triangle extra, staircase, own): the extra is always the
+    # smallest, so every row stays sorted.
+    table = np.stack([own, own - 1, own], axis=1)
+    first = 1
+    if variant is LDGMVariant.TRIANGLE and num_checks > 2:
+        first = 0
+        # One call with a per-row bound makes the draws of one
+        # ``rng.integers(0, row - 1)`` call per row, in row order.
+        table[2:, 0] = k + rng.integers(0, np.arange(1, num_checks - 1))
+    return [own[:1], *table[1:2, 1:], *table[2:, first:]]
 
 
 __all__ = [

@@ -9,8 +9,8 @@ The kernels, written in C:
   out of the walk directly.
   The bookkeeping mirrors the symbolic decoder exactly -- a per-row
   unknown count plus an id *sum* standing in for the XOR accumulator (the
-  sum of a single remaining unknown identifies it) -- so results are
-  bit-identical.
+  sum of a single remaining unknown identifies it), kept together as one
+  8-byte pair per row -- so results are bit-identical.
 * ``block_count_batch`` -- the counting rule of RSE and repetition: each
   run walks its received sequence once with a seen-key byte map and a
   per-group missing counter, and stops at the packet that closes its last
@@ -44,6 +44,9 @@ The kernels, written in C:
   ``bitgen_t`` for the geometric draws.  A load-time self-check compares
   a C-seeded state, a shuffle and geometric draws on both branches with
   ``np.random.PCG64``; the Gilbert draw kernel runs only once it passed.
+  The shuffle copies a template row into each row first, so a row is
+  written by the thread that shuffles it, while it is in that thread's
+  cache.
 
 They are compiled once per machine with ``cc -O2 -shared -fPIC`` into a cache
 directory keyed by the source hash, the compiler and the numpy build, and
@@ -154,12 +157,20 @@ int peel_npyrandom(void)
 #endif
 }
 
+/* One check's peeling state, kept together so an edge touches one cache
+   line: its unknown count and the sum of its unknown ids.  The sum wraps
+   mod 2**32 (unsigned, so the wrap is defined) and is still exact when
+   one unknown is left, because every id is below n < 2**32. */
+typedef struct {
+    int32_t count;
+    uint32_t sum;
+} check_t;
+
 void ldgm_peel_batch(
-    const int64_t *col_indptr, const int64_t *col_rows,
-    const int64_t *init_counts, const int64_t *init_sums,
+    const int64_t *col_indptr, const int64_t *col_rows, const check_t *init_checks,
     const int64_t *flat, const int64_t *offsets, const int64_t *lengths,
     int64_t num_runs, int64_t k, int64_t n, int64_t num_checks,
-    int64_t *counts, int64_t *sums, uint8_t *known, int64_t *stack,
+    check_t *checks, uint8_t *known, int64_t *stack,
     uint8_t *decoded, int64_t *n_necessary, int64_t num_threads)
 {
     /* Runs are independent rows: every run writes only decoded[run] /
@@ -175,12 +186,10 @@ void ldgm_peel_batch(
 #ifdef _OPENMP
         slot = (int64_t)omp_get_thread_num();
 #endif
-        int64_t *counts_t = counts + slot * num_checks;
-        int64_t *sums_t = sums + slot * num_checks;
+        check_t *checks_t = checks + slot * num_checks;
         uint8_t *known_t = known + slot * n;
         int64_t *stack_t = stack + slot * (num_checks + 2);
-        memcpy(counts_t, init_counts, (size_t)num_checks * sizeof(int64_t));
-        memcpy(sums_t, init_sums, (size_t)num_checks * sizeof(int64_t));
+        memcpy(checks_t, init_checks, (size_t)num_checks * sizeof(check_t));
         memset(known_t, 0, (size_t)n);
         int64_t sources = 0;
         int64_t start = offsets[run];
@@ -205,12 +214,12 @@ void ldgm_peel_batch(
                     break;
                 }
                 for (int64_t e = col_indptr[v]; e < col_indptr[v + 1]; e++) {
-                    int64_t r = col_rows[e];
-                    counts_t[r] -= 1;
-                    sums_t[r] -= v;
-                    if (counts_t[r] == 1) {
+                    check_t *check = checks_t + col_rows[e];
+                    check->count -= 1;
+                    check->sum -= (uint32_t)v;
+                    if (check->count == 1) {
                         /* one unknown left: its id sum IS the node */
-                        int64_t u = sums_t[r];
+                        int64_t u = (int64_t)check->sum;
                         if (!known_t[u])
                             stack_t[++top] = u;
                     }
@@ -632,10 +641,12 @@ void stream_seed_batch(
 
 void stream_shuffle_batch(
     uint64_t *states, int64_t *rows, int64_t num_runs, int64_t width,
-    int64_t start, int64_t num_threads)
+    int64_t start, const int64_t *template_row, int64_t num_threads)
 {
     /* Generator.shuffle on rows[run, start:]: Fisher-Yates from the last
-       position down to 1, each swap partner drawn by random_interval. */
+       position down to 1, each swap partner drawn by random_interval.
+       The row is first copied from template_row by the thread that
+       shuffles it, while it is hot in that thread's cache. */
     (void)num_threads;
 #ifdef _OPENMP
 #pragma omp parallel for schedule(static) num_threads((int)num_threads)
@@ -644,6 +655,7 @@ void stream_shuffle_batch(
         stream_t s;
         bitgen_t bitgen;
         stream_load(states + 6 * run, &s, &bitgen);
+        memcpy(rows + run * width, template_row, (size_t)width * sizeof(int64_t));
         int64_t *segment = rows + run * width + start;
         for (int64_t i = width - start - 1; i > 0; i--) {
             int64_t j = (int64_t)stream_interval(&s, (uint64_t)i);
@@ -691,11 +703,13 @@ void gilbert_draw_batch(
 #endif
 """
 
-_I64 = ctypes.POINTER(ctypes.c_int64)
-_U8 = ctypes.POINTER(ctypes.c_uint8)
-_U32 = ctypes.POINTER(ctypes.c_uint32)
-_U64 = ctypes.POINTER(ctypes.c_uint64)
-_PTR = ctypes.POINTER(ctypes.c_void_p)
+#: Every array argument is declared ``void *`` and passed as
+#: ``array.ctypes.data``, a plain address (about half the cost of
+#: ``data_as``).  An address does not keep its array alive, so every array
+#: passed to a kernel -- converted copies above all -- is bound to a local
+#: name that outlives the call.
+_P = ctypes.c_void_p
+_I = ctypes.c_int64
 
 #: ``PyCapsule_GetPointer`` with its own prototype (the shared
 #: ``ctypes.pythonapi`` attribute is left untouched): the ``bitgen_t *``
@@ -864,53 +878,29 @@ def _load_library() -> ctypes.CDLL:
     lib.peel_npyrandom.restype = ctypes.c_int
     lib.peel_npyrandom.argtypes = []
     lib.ldgm_peel_batch.restype = None
-    lib.ldgm_peel_batch.argtypes = [
-        _I64, _I64, _I64, _I64, _I64, _I64, _I64,
-        ctypes.c_int64, ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,
-        _I64, _I64, _U8, _I64, _U8, _I64, ctypes.c_int64,
-    ]
+    lib.ldgm_peel_batch.argtypes = [_P, _P, _P, _P, _P, _P, _I, _I, _I, _I, _P, _P, _P, _P, _P, _I]
     lib.block_count_batch.restype = None
-    lib.block_count_batch.argtypes = [
-        _I64, _I64, ctypes.c_int64, ctypes.c_int64,
-        _I64, _I64, _I64, ctypes.c_int64, _U8, ctypes.c_int64,
-        _I64, ctypes.c_int64, _U8, _I64, ctypes.c_int64,
-    ]
+    lib.block_count_batch.argtypes = [_P, _P, _I, _I, _P, _P, _P, _I, _P, _I, _P, _I, _P, _P, _I]
     lib.fill_sojourns.restype = ctypes.c_int64
-    lib.fill_sojourns.argtypes = [
-        _U8, ctypes.c_int64, ctypes.c_int64, ctypes.c_int,
-        _I64, _I64, ctypes.c_int64,
-    ]
+    lib.fill_sojourns.argtypes = [_P, _I, _I, ctypes.c_int, _P, _P, _I]
     lib.fill_sojourns_batch.restype = None
-    lib.fill_sojourns_batch.argtypes = [
-        _U8, ctypes.c_int64, _U8, _I64, _I64,
-        ctypes.c_int64, ctypes.c_int64, _I64, ctypes.c_int64,
-    ]
+    lib.fill_sojourns_batch.argtypes = [_P, _I, _P, _P, _P, _I, _I, _P, _I]
     lib.gather_count.restype = ctypes.c_int64
-    lib.gather_count.argtypes = [
-        _U8, ctypes.c_int64, ctypes.c_int64, ctypes.c_int64, _I64, _I64, ctypes.c_int64,
-    ]
+    lib.gather_count.argtypes = [_P, _I, _I, _I, _P, _P, _I]
     lib.gather_write.restype = ctypes.c_int
-    lib.gather_write.argtypes = [
-        _I64, ctypes.c_int64, _U8, ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,
-        ctypes.c_int64, _I64, _I64, _I64, ctypes.c_int64,
-    ]
+    lib.gather_write.argtypes = [_P, _I, _P, _I, _I, _I, _I, _P, _P, _P, _I]
     if not lib.peel_openmp():
         _warn_fallback("omp", "library built without OpenMP")
     if lib.peel_npyrandom():
         lib.gilbert_draw_batch.restype = None
         lib.gilbert_draw_batch.argtypes = [
-            _PTR, _U64, ctypes.c_int64, ctypes.c_int64,
-            ctypes.c_double, ctypes.c_double, ctypes.c_double, ctypes.c_int64,
-            _U8, _I64, _I64, _U8, _I64, ctypes.c_int64,
+            _P, _P, _I, _I, ctypes.c_double, ctypes.c_double, ctypes.c_double, _I,
+            _P, _P, _P, _P, _P, _I,
         ]
         lib.stream_seed_batch.restype = None
-        lib.stream_seed_batch.argtypes = [
-            _U32, ctypes.c_int64, ctypes.c_int64, ctypes.c_int64, _U64, ctypes.c_int64,
-        ]
+        lib.stream_seed_batch.argtypes = [_P, _I, _I, _I, _P, _I]
         lib.stream_shuffle_batch.restype = None
-        lib.stream_shuffle_batch.argtypes = [
-            _U64, _I64, ctypes.c_int64, ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,
-        ]
+        lib.stream_shuffle_batch.argtypes = [_P, _P, _I, _I, _I, _P, _I]
     else:
         _warn_fallback("npy", "library built without libnpyrandom")
     return lib
@@ -929,20 +919,18 @@ def _streams_self_check(lib: ctypes.CDLL) -> str | None:
     base, path, run = 2**40 + 7, (3, 2**33 + 1), 2**32 + 5
     prefix = entropy_words((base, *path))
     states = np.empty((1, 6), dtype=np.uint64)
-    lib.stream_seed_batch(
-        prefix.ctypes.data_as(_U32), prefix.size, run, 1, states.ctypes.data_as(_U64), 1
-    )
+    lib.stream_seed_batch(prefix.ctypes.data, prefix.size, run, 1, states.ctypes.data, 1)
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([base, *path, run])))
     seeded = pcg64_state(states[0])
     if seeded != rng.bit_generator.state:
         return f"C seeding gave {seeded}, numpy {rng.bit_generator.state}"
 
     width, start = 40, 3
-    rows = np.arange(width, dtype=np.int64).reshape(1, width)
-    lib.stream_shuffle_batch(
-        states.ctypes.data_as(_U64), rows.ctypes.data_as(_I64), 1, width, start, 1
-    )
+    rows = np.empty((1, width), dtype=np.int64)
     shuffled = np.arange(width, dtype=np.int64)
+    lib.stream_shuffle_batch(
+        states.ctypes.data, rows.ctypes.data, 1, width, start, shuffled.ctypes.data, 1
+    )
     rng.shuffle(shuffled[start:])
     if not np.array_equal(rows[0], shuffled):
         return f"C shuffle gave {rows[0].tolist()}, numpy {shuffled.tolist()}"
@@ -956,10 +944,8 @@ def _streams_self_check(lib: ctypes.CDLL) -> str | None:
     mask = np.zeros((1, 1), dtype=np.uint8)
     scratch = np.empty((1, 2 * batch), dtype=np.int64)
     lib.gilbert_draw_batch(
-        None, states.ctypes.data_as(_U64), 1, 1, 0.5, 0.05, 0.5, batch,
-        initial.ctypes.data_as(_U8), gap.ctypes.data_as(_I64),
-        burst.ctypes.data_as(_I64), mask.ctypes.data_as(_U8),
-        scratch.ctypes.data_as(_I64), 1,
+        None, states.ctypes.data, 1, 1, 0.5, 0.05, 0.5, batch, initial.ctypes.data,
+        gap.ctypes.data, burst.ctypes.data, mask.ctypes.data, scratch.ctypes.data, 1,
     )
     rng.random()
     for p, drawn in ((0.05, gap[0]), (0.5, burst[0])):
@@ -1003,9 +989,9 @@ class CExtBackend(KernelBackend):
     """Loop kernels compiled on demand with the system C compiler.
 
     The batch kernels run row-parallel over runs when the library was
-    built with OpenMP; the team size comes from the active
-    ``kernel_threads`` resolution (:func:`~repro.kernels.threads.current_thread_count`)
-    at call time, clamped to the batch size.  A serial-fallback library
+    built with OpenMP; the team size is the count the enclosing
+    :func:`~repro.kernels.threads.thread_count_context` resolved (once
+    per work unit), clamped to the batch size.  A serial-fallback library
     pins it to 1, and so do Gilbert draws from shared generators.  Either
     way the results are bit-identical -- threads are a wall-clock knob,
     like the backend choice itself.
@@ -1056,32 +1042,31 @@ class CExtBackend(KernelBackend):
             threads = self._team_size(num_runs)
             # One scratch slice per thread: rows of these (threads, ...)
             # arrays are private to their OpenMP thread, which is what
-            # keeps N-thread peeling bit-identical to 1-thread.
-            counts = np.empty((threads, num_checks), dtype=np.int64)
-            sums = np.empty((threads, num_checks), dtype=np.int64)
+            # keeps N-thread peeling bit-identical to 1-thread.  A check's
+            # (count, id sum) pair is one uint64.
+            checks = np.empty((threads, num_checks), dtype=np.uint64)
             known = np.empty((threads, prototype.n), dtype=np.uint8)
             stack = np.empty((threads, num_checks + 2), dtype=np.int64)
+            init = prototype.check_init
             flat = _i64(batch.flat)
             offsets = _i64(batch.offsets)
             lengths = _i64(batch.lengths)
             self._lib.ldgm_peel_batch(
-                prototype.col_indptr.ctypes.data_as(_I64),
-                prototype.col_rows.ctypes.data_as(_I64),
-                prototype.row_degrees.ctypes.data_as(_I64),
-                prototype.row_sums.ctypes.data_as(_I64),
-                flat.ctypes.data_as(_I64),
-                offsets.ctypes.data_as(_I64),
-                lengths.ctypes.data_as(_I64),
+                prototype.col_indptr.ctypes.data,
+                prototype.col_rows.ctypes.data,
+                init.ctypes.data,
+                flat.ctypes.data,
+                offsets.ctypes.data,
+                lengths.ctypes.data,
                 num_runs,
                 prototype.k,
                 prototype.n,
                 num_checks,
-                counts.ctypes.data_as(_I64),
-                sums.ctypes.data_as(_I64),
-                known.ctypes.data_as(_U8),
-                stack.ctypes.data_as(_I64),
-                decoded.ctypes.data_as(_U8),
-                n_necessary.ctypes.data_as(_I64),
+                checks.ctypes.data,
+                known.ctypes.data,
+                stack.ctypes.data,
+                decoded.ctypes.data,
+                n_necessary.ctypes.data,
                 threads,
             )
         return decoded.astype(bool), n_necessary
@@ -1106,20 +1091,20 @@ class CExtBackend(KernelBackend):
             offsets = _i64(batch.offsets)
             lengths = _i64(batch.lengths)
             self._lib.block_count_batch(
-                prototype.group_of_key.ctypes.data_as(_I64),
-                prototype.needed.ctypes.data_as(_I64),
+                prototype.group_of_key.ctypes.data,
+                prototype.needed.ctypes.data,
                 prototype.key_modulus,
                 prototype.num_groups,
-                flat.ctypes.data_as(_I64),
-                offsets.ctypes.data_as(_I64),
-                lengths.ctypes.data_as(_I64),
+                flat.ctypes.data,
+                offsets.ctypes.data,
+                lengths.ctypes.data,
                 num_runs,
-                seen.ctypes.data_as(_U8),
+                seen.ctypes.data,
                 seen.shape[1],
-                missing.ctypes.data_as(_I64),
+                missing.ctypes.data,
                 missing.shape[1],
-                decoded.ctypes.data_as(_U8),
-                n_necessary.ctypes.data_as(_I64),
+                decoded.ctypes.data,
+                n_necessary.ctypes.data,
                 threads,
             )
         return decoded.astype(bool), n_necessary
@@ -1132,15 +1117,17 @@ class CExtBackend(KernelBackend):
         gap_runs: np.ndarray,
         burst_runs: np.ndarray,
     ) -> int:
+        gap = _i64(gap_runs)
+        burst = _i64(burst_runs)
         return int(
             self._lib.fill_sojourns(
-                mask.ctypes.data_as(_U8),
+                mask.ctypes.data,
                 int(filled),
                 int(mask.shape[0]),
                 int(bool(in_loss_state)),
-                _i64(gap_runs).ctypes.data_as(_I64),
-                _i64(burst_runs).ctypes.data_as(_I64),
-                int(gap_runs.shape[0]),
+                gap.ctypes.data,
+                burst.ctypes.data,
+                int(gap.shape[0]),
             )
         )
 
@@ -1158,17 +1145,20 @@ class CExtBackend(KernelBackend):
         if not masks.flags.c_contiguous:  # pragma: no cover - caller allocates
             return super().fill_sojourns_batch(masks, states, gap_runs, burst_runs)
         if num_runs:
+            # bool and uint8 share the memory layout, so the C rows land in
+            # the caller's mask as they are.
+            states = np.ascontiguousarray(states, dtype=np.uint8)
+            gap = _i64(gap_runs)
+            burst = _i64(burst_runs)
             self._lib.fill_sojourns_batch(
-                # A view, not a copy: the C rows must land in the caller's
-                # array (bool and uint8 share the memory layout).
-                masks.view(np.uint8).ctypes.data_as(_U8),
+                masks.ctypes.data,
                 int(count),
-                np.ascontiguousarray(states, dtype=np.uint8).ctypes.data_as(_U8),
-                _i64(gap_runs).ctypes.data_as(_I64),
-                _i64(burst_runs).ctypes.data_as(_I64),
+                states.ctypes.data,
+                gap.ctypes.data,
+                burst.ctypes.data,
                 int(num_runs),
-                int(gap_runs.shape[1]),
-                filled.ctypes.data_as(_I64),
+                int(gap.shape[1]),
+                filled.ctypes.data,
                 self._team_size(num_runs),
             )
         return filled
@@ -1187,26 +1177,26 @@ class CExtBackend(KernelBackend):
         offsets = np.empty(runs, dtype=np.int64)
         threads = self._team_size(runs)
         total = self._lib.gather_count(
-            loss.ctypes.data_as(_U8),
+            loss.ctypes.data,
             loss.strides[0],
             runs,
             width,
-            lengths.ctypes.data_as(_I64),
-            offsets.ctypes.data_as(_I64),
+            lengths.ctypes.data,
+            offsets.ctypes.data,
             threads,
         )
         flat = np.empty(total, dtype=np.int64)
         outside = self._lib.gather_write(
-            schedules.ctypes.data_as(_I64),
+            schedules.ctypes.data,
             schedules.strides[0] // schedules.itemsize,
-            loss.ctypes.data_as(_U8),
+            loss.ctypes.data,
             loss.strides[0],
             runs,
             width,
             int(n),
-            lengths.ctypes.data_as(_I64),
-            offsets.ctypes.data_as(_I64),
-            flat.ctypes.data_as(_I64),
+            lengths.ctypes.data,
+            offsets.ctypes.data,
+            flat.ctypes.data,
             threads,
         )
         if outside:
@@ -1220,27 +1210,35 @@ class CExtBackend(KernelBackend):
         states = np.empty((runs, 6), dtype=np.uint64)
         if runs:
             self._lib.stream_seed_batch(
-                prefix.ctypes.data_as(_U32),
+                prefix.ctypes.data,
                 prefix.size,
                 int(run_start),
                 int(runs),
-                states.ctypes.data_as(_U64),
+                states.ctypes.data,
                 self._team_size(runs),
             )
         return states
 
-    def shuffle_streams(self, states: np.ndarray, rows: np.ndarray, start: int) -> None:
-        """``Generator.shuffle(rows[i, start:])`` for every row, drawing from stream row i."""
+    def shuffle_streams(
+        self, states: np.ndarray, rows: np.ndarray, start: int, template: np.ndarray
+    ) -> None:
+        """Fill every row from ``template``, then ``Generator.shuffle(rows[i, start:])``
+        drawing from stream row i (one thread fills and shuffles a row).
+        """
         runs, width = rows.shape
         if rows.dtype != np.int64 or not rows.flags.c_contiguous or states.shape != (runs, 6):
             raise ValueError("shuffle_streams needs a C-contiguous int64 row per stream")
-        if runs and width - start > 1:
+        template = np.ascontiguousarray(template, dtype=np.int64)
+        if template.shape != (width,):
+            raise ValueError("shuffle_streams needs a template row as wide as the rows")
+        if runs:
             self._lib.stream_shuffle_batch(
-                states.ctypes.data_as(_U64),
-                rows.ctypes.data_as(_I64),
+                states.ctypes.data,
+                rows.ctypes.data,
                 runs,
                 width,
                 int(start),
+                template.ctypes.data,
                 self._team_size(runs),
             )
 
@@ -1265,7 +1263,7 @@ class CExtBackend(KernelBackend):
             if isinstance(rngs, RunStreams) and rngs.kernel is self:
                 # Stream rows are distinct by construction and private to
                 # the unit: always row-parallel, no capsules, no locks.
-                pointers, streams = None, rngs.states().ctypes.data_as(_U64)
+                capsules, streams = None, rngs.states()
                 threads = self._team_size(runs)
             else:
                 bit_generators = [rng.bit_generator for rng in rngs]
@@ -1274,7 +1272,7 @@ class CExtBackend(KernelBackend):
                     dtype=np.uintp,
                     count=runs,
                 )
-                pointers, streams = capsules.ctypes.data_as(_PTR), None
+                streams = None
                 distinct = {id(bg): bg for bg in bit_generators}
                 # Rows may run in parallel only when no two share a stream,
                 # by the test of pipeline._all_distinct; shared generators
@@ -1287,22 +1285,21 @@ class CExtBackend(KernelBackend):
                     held.enter_context(distinct[key].lock)
             scratch = np.empty((threads, 2 * batch), dtype=np.int64)
             self._lib.gilbert_draw_batch(
-                pointers,
-                streams,
+                None if capsules is None else capsules.ctypes.data,
+                None if streams is None else streams.ctypes.data,
                 runs,
                 count,
                 float(loss_probability),
                 float(p),
                 float(q),
                 int(batch),
-                states.ctypes.data_as(_U8),
-                gap_runs.ctypes.data_as(_I64),
-                burst_runs.ctypes.data_as(_I64),
-                masks.view(np.uint8).ctypes.data_as(_U8),
-                scratch.ctypes.data_as(_I64),
+                states.ctypes.data,
+                gap_runs.ctypes.data,
+                burst_runs.ctypes.data,
+                masks.ctypes.data,
+                scratch.ctypes.data,
                 threads,
             )
         return states.view(bool), gap_runs, burst_runs
-
 
 __all__ = ["CExtBackend", "compiler"]

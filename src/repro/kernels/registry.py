@@ -17,7 +17,7 @@ silently degrading -- silent degradation is reserved for ``auto``.
 from __future__ import annotations
 
 import os
-from typing import TYPE_CHECKING, Callable, Dict, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Callable, Dict, Optional, Set, Tuple, Union
 
 from repro._lazy import load_entry
 
@@ -43,6 +43,9 @@ _FACTORIES: Dict[str, Union[str, Callable[[], KernelBackend]]] = {
     "cext": "repro.kernels.cext:CExtBackend",
 }
 _INSTANCES: Dict[str, KernelBackend] = {}
+#: ``auto`` candidates found unusable here (no compiler, or construction
+#: failed); skipped by later ``auto`` resolutions without probing again.
+_AUTO_UNUSABLE: Set[str] = set()
 
 
 def register_backend(
@@ -58,6 +61,7 @@ def register_backend(
         raise ValueError(f"kernel backend {key!r} is already registered")
     _FACTORIES[key] = factory
     _INSTANCES.pop(key, None)
+    _AUTO_UNUSABLE.discard(key)
 
 
 def cext_compiler_available() -> bool:
@@ -143,14 +147,20 @@ def get_backend(kernel: KernelSpec = None) -> KernelBackend:
     if name != "auto":
         return _construct(name)
     # auto: the compiled backend if it actually constructs, else numpy --
-    # never an error (explicit selection is where failures surface).
+    # never an error (explicit selection is where failures surface).  Each
+    # candidate is constructed or found unusable once, so the compiler
+    # probe (a PATH search) does not run again for every work unit.
     for candidate in AUTO_ORDER:
-        if candidate == "cext" and not cext_compiler_available():
+        if candidate in _INSTANCES:
+            return _INSTANCES[candidate]
+        if candidate in _AUTO_UNUSABLE:
             continue
         try:
+            if candidate == "cext" and not cext_compiler_available():
+                raise KernelUnavailableError("no C compiler")
             return _construct(candidate)
         except KernelUnavailableError:
-            continue
+            _AUTO_UNUSABLE.add(candidate)
     return _construct("numpy")
 
 

@@ -33,10 +33,12 @@ count to its workers along with its own size.  Outside a fleet the peer
 factor is 1, and explicit counts are never divided.
 
 The *requested* spec travels as data (a normalised string on the work
-unit); the *resolved* integer is looked up at the kernel call site via
-:func:`current_thread_count`, scoped by :func:`thread_count_context` in
-the executing process.  The context is thread-local, so thread-executor
-workers cannot race each other's resolution.
+unit); :func:`thread_count_context` resolves it to an integer once, when
+the executing process enters it (once per work unit), and the kernel call
+sites read that integer through :func:`current_thread_count`.  A peer
+count or divisor declared between units therefore takes effect at the
+next unit.  The context is thread-local, so thread-executor workers
+cannot race each other's resolution.
 """
 
 from __future__ import annotations
@@ -192,7 +194,7 @@ def host_peers_context(peers: int = 1) -> Iterator[None]:
         set_host_peers(previous)
 
 
-def _spec_stack() -> list:
+def _count_stack() -> list:
     stack = getattr(_local, "stack", None)
     if stack is None:
         stack = _local.stack = []
@@ -201,18 +203,19 @@ def _spec_stack() -> list:
 
 @contextmanager
 def thread_count_context(spec: ThreadSpec) -> Iterator[None]:
-    """Make ``spec`` the active thread request for this thread's kernels.
+    """Resolve ``spec`` once and make it this thread's kernel team size.
 
-    ``None`` is a no-op (an enclosing context, the environment, or
-    ``auto`` resolves instead), so nesting ``kernel_threads=None`` calls
+    ``None`` takes the count in force at entry (an enclosing context, the
+    environment, or ``auto``), so nesting ``kernel_threads=None`` calls
     inside an explicit selection inherits the outer choice.
     """
     normalized = normalize_thread_spec(spec)
     if normalized is None:
-        yield
-        return
-    stack = _spec_stack()
-    stack.append(normalized)
+        count = current_thread_count()
+    else:
+        count = resolve_thread_count(normalized)
+    stack = _count_stack()
+    stack.append(count)
     try:
         yield
     finally:
@@ -232,13 +235,13 @@ def resolve_thread_count(spec: ThreadSpec = None) -> int:
 def current_thread_count() -> int:
     """The thread count a kernel call should use *right now*.
 
-    The innermost :func:`thread_count_context` wins; outside any context
-    the environment / ``auto`` chain resolves (so direct backend calls in
-    tests and notebooks honour ``REPRO_KERNEL_THREADS`` too).
+    The innermost :func:`thread_count_context`'s count wins; outside any
+    context the environment / ``auto`` chain resolves (so direct backend
+    calls in tests and notebooks honour ``REPRO_KERNEL_THREADS`` too).
     """
     stack = getattr(_local, "stack", None)
     if stack:
-        return resolve_thread_count(stack[-1])
+        return stack[-1]
     return resolve_thread_count(None)
 
 

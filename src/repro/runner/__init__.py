@@ -15,6 +15,8 @@ bit-identically, whatever the execution strategy:
   executes (executor, store, kernel, seed scheme, fleet, failure policy,
   adaptive stopping), passed as one object through every sweep layer.
 * :mod:`repro.runner.engine` -- planning, caching, execution, aggregation.
+* :mod:`repro.runner.heap` -- keeps the blocks a unit frees in the heap for
+  the next unit (glibc), so a sweep does not fault its buffers in per unit.
 * :mod:`repro.runner.cli` -- the ``python -m repro`` command-line front end.
 
 The public sweep API (``repro.core.sweep``), the experiment presets and

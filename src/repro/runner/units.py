@@ -32,6 +32,7 @@ import numpy as np
 from repro.channel.gilbert import GilbertChannel
 from repro.core.config import SimulationConfig
 from repro.kernels.threads import thread_count_context
+from repro.runner.heap import retain_freed_pages
 from repro.seeds import UnitStreams, get_scheme
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -370,10 +371,12 @@ def _unit_batch(unit: WorkUnit) -> RunResultBatch:
     constructed on this host (missing compiler) falls back down the
     ``auto`` chain with a logged warning instead of killing the unit --
     all backends are bit-identical, so degradation never changes
-    results.  The unit's ``kernel_threads`` request scopes the whole
-    execution (synthesis *and* decode), so every compiled kernel call
-    under it resolves the same thread count.
+    results.  The unit's ``kernel_threads`` request is resolved once and
+    scopes the whole execution (synthesis *and* decode), so every compiled
+    kernel call under it uses the same thread count.  Blocks the unit frees
+    stay in the heap for the next unit (:mod:`repro.runner.heap`).
     """
+    retain_freed_pages()
     with thread_count_context(unit.kernel_threads):
         return _unit_batch_impl(unit)
 

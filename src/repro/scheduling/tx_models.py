@@ -6,7 +6,7 @@ vectorised form: the whole work unit's schedules are assembled in one
 ``(runs, length)`` allocation, and each override consumes the streams
 exactly as the serial :meth:`schedule` does, so batch row ``i`` is
 bit-identical to a serial call with ``rngs[i]``.  The shuffle-only models
-(``tx_model_2`` to ``tx_model_4``) shuffle every row of a bound
+(``tx_model_2`` to ``tx_model_4``) fill and shuffle every row of a bound
 :class:`~repro.seeds.RunStreams` block in one compiled call
 (``Generator.shuffle``'s Fisher-Yates steps on each run's own PCG64
 stream); otherwise, and for ``tx_model_6``'s subset choice, the draws
@@ -35,17 +35,33 @@ from repro.utils.rng import RandomState, ensure_rng
 from repro.utils.validation import validate_fraction
 
 
-def _shuffle_tails(out: np.ndarray, start: int, rngs: Sequence[RandomState]) -> None:
-    """``rngs[i].shuffle(out[i, start:])`` for every row, in run order.
+def _shuffled_rows(
+    template: np.ndarray, start: int, rngs: Sequence[RandomState]
+) -> np.ndarray:
+    """One ``template`` row per run, ``rngs[i].shuffle(row[start:])`` in run order.
 
-    A :class:`~repro.seeds.RunStreams` block bound to a kernel shuffles
-    all rows in one compiled call on the runs' own streams.
+    A :class:`~repro.seeds.RunStreams` block bound to a kernel fills and
+    shuffles all rows in one compiled call on the runs' own streams.
     """
+    out = np.empty((len(rngs), template.size), dtype=np.int64)
     if isinstance(rngs, RunStreams) and rngs.kernel is not None:
-        rngs.kernel.shuffle_streams(rngs.states(), out, start)
-        return
+        rngs.kernel.shuffle_streams(rngs.states(), out, start, template)
+        return out
+    out[:] = template
     for row, rng in zip(out, rngs):
         ensure_rng(rng).shuffle(row[start:])
+    return out
+
+
+def _permuted_rows(
+    template: np.ndarray, start: int, rng: RandomState, runs: int
+) -> np.ndarray:
+    """``runs`` template rows, their ``[start:]`` tails shuffled in ONE
+    ``permuted`` call on the shared unit generator."""
+    out = np.empty((runs, template.size), dtype=np.int64)
+    out[:] = template
+    ensure_rng(rng).permuted(out[:, start:], axis=1, out=out[:, start:])
+    return out
 
 
 class TxModel1(TransmissionModel):
@@ -73,25 +89,14 @@ class TxModel2(TransmissionModel):
     def schedule_batch(
         self, layout: PacketLayout, rngs: Sequence[RandomState]
     ) -> np.ndarray:
-        source = layout.source_indices
-        out = np.empty((len(rngs), layout.n), dtype=np.int64)
-        out[:, : source.size] = source
-        out[:, source.size :] = layout.parity_indices
-        _shuffle_tails(out, source.size, rngs)
-        return out
+        template = np.concatenate([layout.source_indices, layout.parity_indices])
+        return _shuffled_rows(template, layout.k, rngs)
 
     def schedule_batch_unit(
         self, layout: PacketLayout, rng: RandomState, runs: int
     ) -> np.ndarray:
-        rng = ensure_rng(rng)
-        source = layout.source_indices
-        out = np.empty((runs, layout.n), dtype=np.int64)
-        out[:, : source.size] = source
-        out[:, source.size :] = layout.parity_indices
-        # Every run's parity shuffle in ONE call: permuted shuffles each
-        # row independently from the shared unit generator.
-        rng.permuted(out[:, source.size :], axis=1, out=out[:, source.size :])
-        return out
+        template = np.concatenate([layout.source_indices, layout.parity_indices])
+        return _permuted_rows(template, layout.k, rng, runs)
 
 
 class TxModel3(TransmissionModel):
@@ -109,25 +114,16 @@ class TxModel3(TransmissionModel):
     def schedule_batch(
         self, layout: PacketLayout, rngs: Sequence[RandomState]
     ) -> np.ndarray:
-        parity = layout.parity_indices
-        out = np.empty((len(rngs), layout.n), dtype=np.int64)
-        out[:, : parity.size] = parity
-        out[:, parity.size :] = layout.source_indices
         # Serial order: the source packets are shuffled *before* they are
         # appended to the parity stream, so the draws match exactly.
-        _shuffle_tails(out, parity.size, rngs)
-        return out
+        template = np.concatenate([layout.parity_indices, layout.source_indices])
+        return _shuffled_rows(template, layout.n - layout.k, rngs)
 
     def schedule_batch_unit(
         self, layout: PacketLayout, rng: RandomState, runs: int
     ) -> np.ndarray:
-        rng = ensure_rng(rng)
-        parity = layout.parity_indices
-        out = np.empty((runs, layout.n), dtype=np.int64)
-        out[:, : parity.size] = parity
-        out[:, parity.size :] = layout.source_indices
-        rng.permuted(out[:, parity.size :], axis=1, out=out[:, parity.size :])
-        return out
+        template = np.concatenate([layout.parity_indices, layout.source_indices])
+        return _permuted_rows(template, layout.n - layout.k, rng, runs)
 
 
 class TxModel4(TransmissionModel):
@@ -145,18 +141,12 @@ class TxModel4(TransmissionModel):
     def schedule_batch(
         self, layout: PacketLayout, rngs: Sequence[RandomState]
     ) -> np.ndarray:
-        out = np.empty((len(rngs), layout.n), dtype=np.int64)
-        out[:] = np.arange(layout.n, dtype=np.int64)
-        _shuffle_tails(out, 0, rngs)
-        return out
+        return _shuffled_rows(np.arange(layout.n, dtype=np.int64), 0, rngs)
 
     def schedule_batch_unit(
         self, layout: PacketLayout, rng: RandomState, runs: int
     ) -> np.ndarray:
-        out = np.empty((runs, layout.n), dtype=np.int64)
-        out[:] = np.arange(layout.n, dtype=np.int64)
-        ensure_rng(rng).permuted(out, axis=1, out=out)
-        return out
+        return _permuted_rows(np.arange(layout.n, dtype=np.int64), 0, rng, runs)
 
 
 class TxModel5(TransmissionModel):

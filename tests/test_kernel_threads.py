@@ -621,3 +621,100 @@ class TestNpyrandomDegradation:
         for shared in (False, True):
             with thread_count_context(2):
                 assert_draws_match_serial(backend, shared)
+
+
+@needs_cext
+class TestKernelCallMarshalling:
+    def test_converted_arguments_outlive_the_call(self):
+        # Kernels take plain addresses, which do not keep an array alive:
+        # the uint8 copy of bool states and the int64 copies of int32
+        # sojourn columns must survive the call while two threads keep
+        # allocating and freeing arrays of the same sizes.
+        from concurrent.futures import ThreadPoolExecutor
+
+        backend = get_backend("cext")
+        rng = np.random.default_rng(5)
+        runs, count, batch = 64, 300, 32
+        states = rng.random(runs) < 0.5
+        gap = rng.geometric(0.2, (runs, batch)).astype(np.int32)
+        burst = rng.geometric(0.5, (runs, batch)).astype(np.int32)
+        expected = np.empty((runs, count), dtype=bool)
+        expected_filled = get_backend("numpy").fill_sojourns_batch(expected, states, gap, burst)
+
+        def fill(_):
+            masks = np.empty((runs, count), dtype=bool)
+            with thread_count_context(2):
+                filled = backend.fill_sojourns_batch(masks, states, gap, burst)
+            return masks, filled
+
+        with ThreadPoolExecutor(2) as pool:
+            outcomes = list(pool.map(fill, range(200)))
+        for masks, filled in outcomes:
+            assert np.array_equal(filled, expected_filled)
+            for row in range(runs):
+                assert np.array_equal(masks[row, : filled[row]], expected[row, : filled[row]])
+
+
+class TestPerUnitResolution:
+    """The backend and the kernel team are resolved once per work unit."""
+
+    @staticmethod
+    def _team_seen(monkeypatch, unit) -> int:
+        import repro.runner.units as units_module
+
+        seen = []
+        original = units_module._unit_batch_impl
+
+        def recording(unit):
+            seen.append(current_thread_count())
+            return original(unit)
+
+        monkeypatch.setattr(units_module, "_unit_batch_impl", recording)
+        execute_unit(unit)
+        monkeypatch.setattr(units_module, "_unit_batch_impl", original)
+        return seen[0]
+
+    def test_no_compiler_probe_per_unit(self, monkeypatch):
+        import shutil
+
+        units = _small_units()
+        execute_unit(units[0])  # constructs the backend
+        calls = []
+        original = shutil.which
+        monkeypatch.setattr(shutil, "which", lambda *args, **kw: calls.append(args) or original(*args, **kw))
+        for unit in units[1:]:
+            execute_unit(unit)
+        assert calls == []
+
+    def test_no_compiler_probed_once_per_process(self, monkeypatch):
+        from repro.kernels import cext, registry
+
+        monkeypatch.delenv(registry.ENV_VAR, raising=False)
+        monkeypatch.setattr(registry, "_INSTANCES", {})
+        monkeypatch.setattr(registry, "_AUTO_UNUSABLE", set())
+        probes = []
+        monkeypatch.setattr(cext, "compiler", lambda: probes.append(None))
+        for unit in _small_units():
+            execute_unit(unit)
+        assert len(probes) == 1
+        assert set(registry._INSTANCES) == {"numpy"}
+
+    def test_environment_and_explicit_threads_are_honoured(self, monkeypatch):
+        unit = _small_units()[0]
+        monkeypatch.setenv(THREADS_ENV_VAR, "3")
+        assert self._team_seen(monkeypatch, unit) == 3
+        explicit = plan_units(
+            [((0,), unit.config, 0.1, 0.5)], runs=3, base_seed=11,
+            options=ExecutionOptions(kernel_threads=2),
+        )[0]
+        assert self._team_seen(monkeypatch, explicit) == 2
+
+    def test_host_peer_change_between_units_takes_effect(self, monkeypatch):
+        monkeypatch.delenv(THREADS_ENV_VAR, raising=False)
+        monkeypatch.setattr(threads, "_physical_cores", 4)
+        unit = _small_units()[0]
+        with host_peers_context(1):
+            assert self._team_seen(monkeypatch, unit) == 4
+            threads.set_host_peers(2)
+            assert self._team_seen(monkeypatch, unit) == 2
+        assert host_peers() == 1

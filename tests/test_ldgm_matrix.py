@@ -148,3 +148,74 @@ class TestAccessors:
     def test_density(self):
         matrix = build_parity_check_matrix(100, 250, "staircase", seed=0)
         assert 0 < matrix.density < 0.1
+
+
+# ---------------------------------------------------------------------------
+# Oracle: the column-by-column builder the vectorised one replaced.
+# ---------------------------------------------------------------------------
+
+
+def _oracle_left_part(k, num_checks, left_degree, rng):
+    edges_needed = left_degree * k
+    repeats = -(-edges_needed // num_checks)
+    pool = np.tile(np.arange(num_checks, dtype=np.int64), repeats)[:edges_needed]
+    rng.shuffle(pool)
+    assignment = pool.reshape(k, left_degree)
+    per_row = [[] for _ in range(num_checks)]
+    for col in range(k):
+        rows = assignment[col].copy()
+        if np.unique(rows).size != rows.size:
+            seen = set()
+            for i in range(rows.size):
+                value = int(rows[i])
+                while value in seen:
+                    value = int(rng.integers(num_checks))
+                rows[i] = value
+                seen.add(value)
+        rows.sort()
+        for row in rows:
+            per_row[int(row)].append(col)
+    for empty_row in [row for row, cols in enumerate(per_row) if not cols]:
+        donor_row = max(range(len(per_row)), key=lambda r: len(per_row[r]))
+        if len(per_row[donor_row]) <= 1:
+            continue
+        moved = per_row[donor_row].pop(int(rng.integers(len(per_row[donor_row]))))
+        per_row[empty_row].append(moved)
+    return [np.array(sorted(cols), dtype=np.int64) for cols in per_row]
+
+
+def _oracle_right_part(k, num_checks, variant, rng):
+    parity_cols = []
+    for row in range(num_checks):
+        cols = {k + row}
+        if variant in (LDGMVariant.STAIRCASE, LDGMVariant.TRIANGLE) and row > 0:
+            cols.add(k + row - 1)
+        if variant is LDGMVariant.TRIANGLE and row >= 2:
+            cols.add(k + int(rng.integers(0, row - 1)))
+        parity_cols.append(np.array(sorted(cols), dtype=np.int64))
+    return parity_cols
+
+
+class TestVectorisedBuildMatchesOracle:
+    # Empty rows (5 of 30 with one edge each), duplicate-heavy columns
+    # (40 of 50 at degree 5), and ordinary shapes.
+    SHAPES = [(5, 30), (40, 50), (100, 150), (200, 500), (7, 9), (300, 310)]
+
+    @pytest.mark.parametrize("variant", list(LDGMVariant))
+    @pytest.mark.parametrize("left_degree", [1, 3, 5])
+    def test_same_matrix_and_generator_state(self, variant, left_degree):
+        for seed in range(40):
+            for k, n in self.SHAPES:
+                oracle_rng = np.random.default_rng(seed)
+                degree = min(left_degree, n - k)
+                source = _oracle_left_part(k, n - k, degree, oracle_rng)
+                parity = _oracle_right_part(k, n - k, variant, oracle_rng)
+                rng = np.random.default_rng(seed)
+                matrix = build_parity_check_matrix(
+                    k, n, variant, left_degree=left_degree, seed=rng
+                )
+                for expected, actual in zip(source + parity, matrix.source_cols + matrix.parity_cols):
+                    assert actual.dtype == np.int64
+                    assert np.array_equal(actual, expected)
+                assert len(matrix.source_cols) == len(matrix.parity_cols) == n - k
+                assert rng.bit_generator.state == oracle_rng.bit_generator.state
