@@ -8,8 +8,8 @@ controller here replans the grid round by round:
 
 1. every *active* cell is extended from its current run count to the
    next target of a geometric schedule (``min_runs``, ``min_runs *
-   growth``, ... capped at the run budget), planned as ordinary
-   :class:`~repro.runner.units.WorkUnit` chunks of ``min_runs`` runs;
+   growth``, ... capped at the run budget), planned as ordinary work
+   units (:class:`~repro.runner.units.WorkUnit`, sized as set out below);
 2. the new unit results are folded into per-cell
    :class:`~repro.core.metrics.CellStats` (streaming Welford
    accumulators, so the stopping statistics are O(1));
@@ -21,16 +21,29 @@ controller here replans the grid round by round:
 
 Determinism contract
 --------------------
-Rounds only ever *extend* a cell's run range, in chunks of ``min_runs``
-starting at run 0, under the unmodified seed derivations.  A cell that
-settles after ``n`` runs is therefore planned as exactly the units a
-fixed sweep ``run_grid(runs=n, runs_per_unit=min_runs)`` would plan --
-same run ranges, same cache keys, same counter windows under the
-``"unit"`` scheme -- so its statistics are bit-identical to that fixed
-sweep, serial or fleet, under both seed schemes.  (This is why the
-schedule targets are kept multiples of ``min_runs``: a geometric round
-boundary that split a chunk would change the ``"unit"`` scheme's
-streams.)
+Rounds only ever *extend* a cell's run range, starting at run 0, under
+the unmodified seed derivations, and a cell that settles after ``n``
+runs has executed exactly runs ``[0, n)``.  How a round's increment is
+split into units depends on the seed scheme
+(:attr:`~repro.seeds.SeedScheme.chunk_invariant`):
+
+* under ``"per-run"`` every run draws from its own stream, so outcomes
+  do not depend on unit boundaries.  Each active cell's increment runs
+  as one unit, split only every :func:`_round_unit_runs` runs (a
+  multiple of ``min_runs``) to bound a unit's memory.  Rounds 1 and 2
+  (for ``growth <= 2``) plan the same units, and so the same cache
+  keys, as ``min_runs`` chunks would;
+* under ``"unit"`` the unit boundaries select the counter windows, so
+  every round is planned in ``min_runs`` windows from run 0 -- exactly
+  the units of a fixed sweep ``run_grid(runs=n,
+  runs_per_unit=min_runs)``.
+
+Either way a settled cell's statistics are bit-identical to that fixed
+sweep at its final run count, serial or fleet.  (The schedule targets stay
+multiples of ``min_runs`` so that no round boundary splits a
+``"unit"``-scheme window.)  The stopping rule's streamed statistics are
+folded in ``min_runs`` windows whatever the units, so which round a cell
+settles in does not depend on the scheme's unit sizes either.
 
 Cliff refinement
 ----------------
@@ -59,6 +72,7 @@ from repro.resilience.policy import UnitFailure
 from repro.runner.engine import Cell, _execute, grid_cells, grid_metadata
 from repro.runner.options import ExecutionOptions
 from repro.runner.units import SeedPath, UnitResult, merge_cell, plan_units
+from repro.seeds import get_scheme
 from repro.utils.rng import RandomState, as_seed_int
 from repro.utils.validation import validate_positive_int
 
@@ -70,6 +84,12 @@ __all__ = [
     "plan_first_round",
     "adaptive_grid",
 ]
+
+#: Under a chunk-invariant seed scheme a round runs each active cell's
+#: increment in units of at most this many runs, or of ``min_runs`` if
+#: larger (:func:`_round_unit_runs`): one unit's ``(runs, n)`` arrays, and
+#: so the sweep's peak memory, stay bounded however far the schedule grows.
+MAX_ROUND_UNIT_RUNS = 64
 
 
 @dataclass(frozen=True)
@@ -89,10 +109,13 @@ class AdaptiveConfig:
         mean.  Cells with failures report NaN inefficiency (the paper's
         rule), so only their decode probability is held to account.
     min_runs:
-        Runs per cell in the first round, and the planning chunk size of
-        every later round (the determinism contract's unit granularity).
+        Runs per cell in the first round, and the granule of the round
+        schedule (every target but the budget is a multiple).  Under the
+        ``"unit"`` seed scheme it is also the size of every planned unit
+        (its counter windows); under ``"per-run"`` a round plans one unit
+        per cell instead (see the module's determinism contract).
     growth:
-        Geometric escalation factor between round targets (> 1).
+        Geometric escalation factor between round targets (finite, > 1).
     refine_cliff:
         Bisect decodable/undecodable neighbour pairs after the coarse
         grid settles.
@@ -116,11 +139,15 @@ class AdaptiveConfig:
             raise ValueError(f"ci_width must be > 0, got {self.ci_width}")
         if not self.rel_tol > 0.0:
             raise ValueError(f"rel_tol must be > 0, got {self.rel_tol}")
-        if int(self.min_runs) < 2:
-            raise ValueError(f"min_runs must be >= 2, got {self.min_runs}")
+        if not (
+            math.isfinite(self.min_runs)
+            and self.min_runs == int(self.min_runs)
+            and self.min_runs >= 2
+        ):
+            raise ValueError(f"min_runs must be an integer >= 2, got {self.min_runs}")
         object.__setattr__(self, "min_runs", int(self.min_runs))
-        if not self.growth > 1.0:
-            raise ValueError(f"growth must be > 1, got {self.growth}")
+        if not (self.growth > 1.0 and math.isfinite(self.growth)):
+            raise ValueError(f"growth must be finite and > 1, got {self.growth}")
         if not self.refine_resolution > 0.0:
             raise ValueError(
                 f"refine_resolution must be > 0, got {self.refine_resolution}"
@@ -163,6 +190,42 @@ def round_schedule(min_runs: int, growth: float, max_runs: int) -> List[int]:
             return targets
         scaled = int(math.ceil(target * growth / min_runs)) * min_runs
         target = min(max(scaled, target + min_runs), max_runs)
+
+
+def _round_unit_runs(min_runs: int, seed_scheme: str) -> int:
+    """The largest unit a round plans under ``seed_scheme``.
+
+    ``min_runs`` where unit boundaries define the streams; otherwise the
+    largest multiple of ``min_runs`` within :data:`MAX_ROUND_UNIT_RUNS`
+    (at least ``min_runs``), so every unit covers whole windows.
+    """
+    if not get_scheme(seed_scheme).chunk_invariant:
+        return min_runs
+    return max(1, MAX_ROUND_UNIT_RUNS // min_runs) * min_runs
+
+
+def _fold(stats: CellStats, result: UnitResult, window: int) -> None:
+    """Fold one unit's runs into ``stats``, ``window`` runs at a time.
+
+    The streamed Welford variance the stopping rule reads depends on the
+    batch boundaries at the ULP level, so the runs are folded in the
+    windows of a ``window``-run plan from run 0 whatever the unit spans
+    (``run_start`` is a multiple of ``window``).  A unit with a failure
+    is folded whole: its inefficiency list no longer lines up with its
+    runs, and the streamed variance is not read once a run has failed.
+    """
+    if result.failures:
+        stats.add_ratios(
+            result.inefficiency_ratios, result.received_ratios, result.failures
+        )
+        return
+    for start in range(0, len(result.received_ratios), window):
+        stop = start + window
+        stats.add_ratios(
+            result.inefficiency_ratios[start:stop],
+            result.received_ratios[start:stop],
+            0,
+        )
 
 
 def _settled(stats: CellStats, cfg: AdaptiveConfig) -> bool:
@@ -219,7 +282,7 @@ def _run_cells(
     :func:`plan_units` arguments shared by every round.  Cells
     that refuse to settle stop at ``budget`` runs with ``settled=False``.
     """
-    chunk = min(cfg.min_runs, budget)
+    unit_runs = _round_unit_runs(cfg.min_runs, plan_kwargs["options"].seed_scheme)
     state = {path: _CellRun(stats=CellStats(), results=[]) for path, *_ in cells}
     by_path = {path: cell for cell in cells for path in [cell[0]]}
     active = [path for path, *_ in cells]
@@ -231,7 +294,7 @@ def _run_cells(
             [by_path[path] for path in active],
             runs=target,
             first_run=previous,
-            runs_per_unit=chunk,
+            runs_per_unit=unit_runs,
             **plan_kwargs,
         )
         results, failures = execute(units, total_cells=len(active))
@@ -249,11 +312,7 @@ def _run_cells(
                 by_cell.get(path, ()), key=lambda item: item[0]
             ):
                 run.results.append(result)
-                run.stats.add_ratios(
-                    result.inefficiency_ratios,
-                    result.received_ratios,
-                    result.failures,
-                )
+                _fold(run.stats, result, cfg.min_runs)
         previous = target
         still_active = []
         for path in active:

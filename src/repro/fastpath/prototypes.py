@@ -189,8 +189,9 @@ def compile_repetition_prototype(
 class LDGMPrototype(DecoderPrototype):
     """Precompiled peeling-decoder state over the code's CSR arrays.
 
-    The prototype owns the column CSR adjacency and the initial per-row
-    unknown counts and id sums (:attr:`check_init`), and delegates the
+    The prototype holds the column CSR adjacency
+    (:attr:`column_adjacency`) and the initial per-row unknown counts and
+    id sums (:attr:`check_init`), each built on first read, and delegates the
     decode to its :class:`~repro.kernels.KernelBackend`:
 
     * the ``cext`` backend runs the incremental peel in C, run by run;
@@ -202,9 +203,17 @@ class LDGMPrototype(DecoderPrototype):
 
     def __init__(self, code: FECCode, kernel: KernelSpec = None):
         super().__init__(code, kernel)
-        matrix = code.matrix
-        self.num_checks = matrix.num_checks
-        self.col_indptr, self.col_rows = matrix.column_adjacency()
+        self.num_checks = code.matrix.num_checks
+
+    @functools.cached_property
+    def column_adjacency(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Column CSR ``(indptr, rows)``, rows in increasing order.
+
+        Read by the compiled peel only.  The prototype holds its own
+        reference, so a concurrent first read that rebuilds the matrix's
+        cache never frees the arrays another thread is passing to C.
+        """
+        return self.code.matrix.column_adjacency()
 
     @functools.cached_property
     def check_init(self) -> np.ndarray:

@@ -105,27 +105,9 @@ class ParityCheckMatrix:
         cached = getattr(self, "_row_csr_cache", None)
         if cached is not None:
             return cached
-        row_lengths = np.fromiter(
-            (
-                self.source_cols[row].size + self.parity_cols[row].size
-                for row in range(self.num_checks)
-            ),
-            dtype=np.int64,
-            count=self.num_checks,
+        self._row_csr_cache = _interleave_rows(
+            *_flatten_rows(self.source_cols), *_flatten_rows(self.parity_cols)
         )
-        indptr = np.zeros(self.num_checks + 1, dtype=np.int64)
-        np.cumsum(row_lengths, out=indptr[1:])
-        pairs = [
-            array
-            for row in range(self.num_checks)
-            for array in (self.source_cols[row], self.parity_cols[row])
-        ]
-        cols = (
-            np.concatenate(pairs).astype(np.int64, copy=False)
-            if pairs
-            else np.zeros(0, dtype=np.int64)
-        )
-        self._row_csr_cache = (indptr, cols)
         return self._row_csr_cache
 
     def row_degrees(self) -> np.ndarray:
@@ -202,6 +184,31 @@ class ParityCheckMatrix:
             dense[row, self.source_cols[row]] = 1
             dense[row, self.parity_cols[row]] = 1
         return dense
+
+
+def _flatten_rows(rows: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """``(indptr, flat)`` of a list of per-row arrays."""
+    lengths = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
+    indptr = np.zeros(len(rows) + 1, dtype=np.int64)
+    np.cumsum(lengths, out=indptr[1:])
+    flat = np.concatenate(rows) if rows else np.zeros(0, dtype=np.int64)
+    return indptr, flat
+
+
+def _interleave_rows(
+    src_ptr: np.ndarray, src: np.ndarray, par_ptr: np.ndarray, par: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The row CSR whose row ``r`` is source row ``r`` then parity row ``r``.
+
+    Row ``r`` starts at ``src_ptr[r] + par_ptr[r]``, so a source entry at
+    flat index ``t`` lands at ``t + par_ptr[r]`` and a parity one at
+    ``t + src_ptr[r + 1]``.
+    """
+    indptr = src_ptr + par_ptr
+    cols = np.empty(int(indptr[-1]), dtype=np.int64)
+    cols[np.arange(src.size) + np.repeat(par_ptr[:-1], np.diff(src_ptr))] = src
+    cols[np.arange(par.size) + np.repeat(src_ptr[1:], np.diff(par_ptr))] = par
+    return indptr, cols
 
 
 def build_parity_check_matrix(

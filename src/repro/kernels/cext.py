@@ -1047,13 +1047,14 @@ class CExtBackend(KernelBackend):
             checks = np.empty((threads, num_checks), dtype=np.uint64)
             known = np.empty((threads, prototype.n), dtype=np.uint8)
             stack = np.empty((threads, num_checks + 2), dtype=np.int64)
+            col_indptr, col_rows = prototype.column_adjacency
             init = prototype.check_init
             flat = _i64(batch.flat)
             offsets = _i64(batch.offsets)
             lengths = _i64(batch.lengths)
             self._lib.ldgm_peel_batch(
-                prototype.col_indptr.ctypes.data,
-                prototype.col_rows.ctypes.data,
+                col_indptr.ctypes.data,
+                col_rows.ctypes.data,
                 init.ctypes.data,
                 flat.ctypes.data,
                 offsets.ctypes.data,

@@ -268,9 +268,9 @@ def _build_parser() -> argparse.ArgumentParser:
         default=8,
         metavar="N",
         help=(
-            "adaptive first-round run count and planning chunk size "
-            "(default: 8); the determinism contract compares against a "
-            "fixed sweep sharded at this granularity"
+            "adaptive first-round run count and round-schedule granule "
+            "(default: 8); under --seed-scheme unit also the size of every "
+            "planned unit"
         ),
     )
     run.add_argument(

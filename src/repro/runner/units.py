@@ -220,13 +220,14 @@ def plan_units(
         Under the ``"unit"`` seed scheme the sharding also selects the
         counter windows, so it is part of the stream definition there.
     first_run:
-        Plan only the run range ``[first_run, runs)`` of each cell.  The
-        adaptive controller uses this to *extend* already-executed cells
-        round by round; keeping ``first_run`` a multiple of
-        ``runs_per_unit`` keeps the chunk boundaries identical to a
-        from-zero plan, which is what makes adaptive results (including
-        their unit-scheme counter windows and cache keys) bit-identical
-        to a fixed sweep's.
+        Plan only the run range ``[first_run, runs)`` of each cell, in
+        chunks counted from ``first_run``.  The adaptive controller uses
+        this to *extend* already-executed cells round by round.  Under the
+        ``"unit"`` scheme it keeps ``first_run`` a multiple of
+        ``runs_per_unit``, so the chunk boundaries (the counter windows)
+        are those of a from-zero plan; under ``"per-run"`` run outcomes do
+        not depend on the boundaries, and the controller plans each
+        round's range as one unit per cell.
     code_seed_by_path:
         Derive each cell's shared code seed from its ``seed_path`` instead
         of the sweep-wide ``base_seed`` (parameter-sweep behaviour).

@@ -272,6 +272,13 @@ class SeedScheme(abc.ABC):
     #: Stream-format version, part of the cache token.
     version: int = 1
 
+    #: Whether a run's streams are independent of how its cell is split
+    #: into units.  Planners may then size units freely; otherwise the
+    #: unit boundaries are part of the stream definition.  For the
+    #: registered schemes it is the inverse of :attr:`batches_units`: a
+    #: scheme drawing a whole unit from one generator is cut by its units.
+    chunk_invariant: bool = False
+
     @abc.abstractmethod
     def unit_streams(
         self,
@@ -312,6 +319,7 @@ class PerRunScheme(SeedScheme):
 
     name = "per-run"
     version = 1
+    chunk_invariant = True
 
     def unit_streams(
         self,

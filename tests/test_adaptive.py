@@ -21,9 +21,11 @@ from repro.core.metrics import CellStats, RunResult, RunResultBatch, SeriesResul
 from repro.core.sweep import simulate_grid
 from repro.resilience.faults import FaultInjectingExecutor, FaultPlan
 from repro.resilience.policy import FailurePolicy
-from repro.runner.engine import run_grid, run_series
+from repro.runner.engine import grid_cells, run_grid, run_series
 from repro.runner.options import ExecutionOptions
+from repro.runner.units import plan_units
 from repro.store import MemoryStore
+from repro.store.codec import unit_key
 from repro.utils.stats import (
     mean_interval_halfwidth,
     normal_quantile,
@@ -219,6 +221,13 @@ class TestConfigAndSchedule:
             AdaptiveConfig(min_runs=1)
         with pytest.raises(ValueError):
             AdaptiveConfig(growth=1.0)
+        # Infinite growth used to fail only mid-sweep, in round_schedule;
+        # a fractional min_runs used to be truncated silently.
+        with pytest.raises(ValueError, match="growth"):
+            AdaptiveConfig(growth=float("inf"))
+        with pytest.raises(ValueError, match="min_runs"):
+            AdaptiveConfig(min_runs=8.9)
+        assert AdaptiveConfig(min_runs=8.0).min_runs == 8
         nan = float("nan")
         for field in ("confidence", "ci_width", "rel_tol", "growth",
                       "refine_resolution"):
@@ -243,20 +252,37 @@ class TestConfigAndSchedule:
         assert all(unit.run_start == 0 and unit.run_stop == 8 for unit in units)
 
 
+def _planned_units(runs_per_cell, min_runs, growth, scheme):
+    """Units an adaptive sweep plans for cells ending at these run counts.
+
+    One per round and cell under ``per-run`` (no increment here reaches
+    the round-unit cap); one per ``min_runs`` window under ``unit``.
+    """
+    counts = np.asarray(runs_per_cell).ravel().tolist()
+    if scheme == "unit":
+        return sum(-(-count // min_runs) for count in counts)
+    return sum(len(round_schedule(min_runs, growth, count)) for count in counts)
+
+
 class TestAdaptiveBitIdentity:
     # A loose width makes cells settle at different run counts, which is
-    # the interesting case for the determinism contract.
+    # the interesting case for the determinism contract.  At a 40-run
+    # budget (schedule 4, 8, 16, 32, 40) some cells run the multi-window
+    # rounds [8, 16), [16, 32) and [32, 40).
     CFG = AdaptiveConfig(min_runs=4, ci_width=0.6)
 
+    @pytest.mark.parametrize("runs", [12, 40])
     @pytest.mark.parametrize("scheme", ["per-run", "unit"])
-    def test_adaptive_equals_fixed_truncation(self, config, scheme):
+    def test_adaptive_equals_fixed_truncation(self, config, scheme, runs):
         grid = adaptive_grid(
-            config, P_VALUES, Q_VALUES, runs=12, seed=1,
+            config, P_VALUES, Q_VALUES, runs=runs, seed=1,
             options=ExecutionOptions(adaptive=self.CFG, seed_scheme=scheme),
         )
         runs_per_cell = np.asarray(grid.metadata["adaptive"]["runs_per_cell"])
         counts = sorted(set(runs_per_cell.ravel().tolist()))
         assert len(counts) > 1, "test wants cells settling at different counts"
+        if runs == 40:
+            assert max(counts) > 16, "test wants rounds spanning several windows"
         for count in counts:
             fixed = run_grid(
                 config, P_VALUES, Q_VALUES, runs=int(count), seed=1,
@@ -276,10 +302,11 @@ class TestAdaptiveBitIdentity:
                 grid.failure_counts[mask], fixed.failure_counts[mask]
             )
 
+    @pytest.mark.parametrize("runs", [12, 40])
     @pytest.mark.parametrize("scheme", ["per-run", "unit"])
-    def test_two_fleet_workers_match_serial_adaptive(self, config, scheme):
+    def test_two_fleet_workers_match_serial_adaptive(self, config, scheme, runs):
         serial = adaptive_grid(
-            config, P_VALUES, Q_VALUES, runs=12, seed=1,
+            config, P_VALUES, Q_VALUES, runs=runs, seed=1,
             options=ExecutionOptions(adaptive=self.CFG, seed_scheme=scheme),
         )
         store = MemoryStore()
@@ -287,7 +314,7 @@ class TestAdaptiveBitIdentity:
 
         def worker(name):
             grids[name] = adaptive_grid(
-                config, P_VALUES, Q_VALUES, runs=12, seed=1,
+                config, P_VALUES, Q_VALUES, runs=runs, seed=1,
                 options=ExecutionOptions(
                     adaptive=self.CFG, seed_scheme=scheme, store=store, fleet=True,
                     lease_ttl=10.0, worker_id=name,
@@ -311,14 +338,14 @@ class TestAdaptiveBitIdentity:
                 serial.metadata["adaptive"]["runs_per_cell"]
                 == grid.metadata["adaptive"]["runs_per_cell"]
             )
+            assert grid_to_csv(grid) == grid_to_csv(serial)
         # Each adaptive unit executed exactly once, fleet-wide.
-        total_units = sum(
-            len(round_schedule(self.CFG.min_runs, self.CFG.growth, runs))
-            for runs in np.asarray(
-                serial.metadata["adaptive"]["runs_per_cell"]
-            ).ravel()
+        assert store.stats.writes == _planned_units(
+            serial.metadata["adaptive"]["runs_per_cell"],
+            self.CFG.min_runs,
+            self.CFG.growth,
+            scheme,
         )
-        assert store.stats.writes == total_units
 
     def test_adaptive_run_is_cache_resumable(self, config):
         store = MemoryStore()
@@ -335,6 +362,131 @@ class TestAdaptiveBitIdentity:
         assert np.array_equal(
             first.mean_inefficiency, again.mean_inefficiency, equal_nan=True
         )
+
+
+class TestRoundUnitPlan:
+    """How a round's run increment is cut into work units, per scheme."""
+
+    CFG = TestAdaptiveBitIdentity.CFG
+    RUNS = 40  # schedule 4, 8, 16, 32, 40
+
+    def _sweep(self, monkeypatch, config, scheme):
+        """Run the sweep; return it and the units each round planned."""
+        from repro.adaptive import controller
+
+        rounds = []
+        execute = controller._execute
+
+        def recording(units, **kwargs):
+            rounds.append(list(units))
+            return execute(units, **kwargs)
+
+        monkeypatch.setattr(controller, "_execute", recording)
+        grid = adaptive_grid(
+            config, P_VALUES, Q_VALUES, runs=self.RUNS, seed=1,
+            options=ExecutionOptions(adaptive=self.CFG, seed_scheme=scheme),
+        )
+        monkeypatch.setattr(controller, "_execute", execute)
+        schedule = round_schedule(self.CFG.min_runs, self.CFG.growth, self.RUNS)
+        assert len(rounds) == len(schedule), "test wants every round to run"
+        return grid, list(zip([0, *schedule], schedule, rounds))
+
+    def _chunked_plan(self, config, units, start, stop, scheme):
+        """The ``min_runs`` chunks of ``[start, stop)`` for these units' cells."""
+        _p, _q, cells = grid_cells(config, P_VALUES, Q_VALUES)
+        active = {unit.seed_path for unit in units}
+        return plan_units(
+            [cell for cell in cells if cell[0] in active],
+            runs=stop,
+            first_run=start,
+            runs_per_unit=self.CFG.min_runs,
+            base_seed=1,
+            options=ExecutionOptions(adaptive=self.CFG, seed_scheme=scheme),
+        )
+
+    def test_per_run_plans_one_unit_per_cell_and_round(self, monkeypatch, config):
+        _grid, rounds = self._sweep(monkeypatch, config, "per-run")
+        for start, stop, units in rounds:
+            paths = [unit.seed_path for unit in units]
+            assert len(paths) == len(set(paths))
+            assert all(
+                (unit.run_start, unit.run_stop) == (start, stop) for unit in units
+            )
+        # Rounds [8, 16), [16, 32) and [32, 40) used to be 2, 4 and 2 units.
+        assert max(stop - start for start, stop, _units in rounds) == 16
+
+    def test_per_run_splits_a_round_at_the_cap(self, monkeypatch, config):
+        from repro.adaptive import controller
+
+        reference, _rounds = self._sweep(monkeypatch, config, "per-run")
+        # The cap rounds down to whole min_runs windows.
+        monkeypatch.setattr(controller, "MAX_ROUND_UNIT_RUNS", 9)
+        cap = controller._round_unit_runs(self.CFG.min_runs, "per-run")
+        assert cap == 8
+        grid, rounds = self._sweep(monkeypatch, config, "per-run")
+        for start, stop, units in rounds:
+            cells = {unit.seed_path for unit in units}
+            expected = [
+                (first, min(first + cap, stop)) for first in range(start, stop, cap)
+            ]
+            assert len(units) == len(cells) * len(expected)
+            for path in cells:
+                assert [
+                    (unit.run_start, unit.run_stop)
+                    for unit in units
+                    if unit.seed_path == path
+                ] == expected
+        # Per-run streams do not depend on where units split.
+        assert grid_to_csv(grid) == grid_to_csv(reference)
+
+    def test_stopping_statistics_do_not_depend_on_the_cap(self, monkeypatch, config):
+        # The streamed variance is folded in min_runs windows, so each
+        # settle decision sees the statistics of the min_runs-chunk plan.
+        from repro.adaptive import controller
+
+        settled = controller._settled
+
+        def sweep(cap):
+            seen = []
+
+            def recording(stats, cfg):
+                seen.append((stats.runs, stats._ineff_mean, stats._ineff_m2))
+                return settled(stats, cfg)
+
+            monkeypatch.setattr(controller, "MAX_ROUND_UNIT_RUNS", cap)
+            monkeypatch.setattr(controller, "_settled", recording)
+            self._sweep(monkeypatch, config, "per-run")
+            monkeypatch.setattr(controller, "_settled", settled)
+            return seen
+
+        chunked = sweep(self.CFG.min_runs)
+        assert max(runs for runs, _mean, _m2 in chunked) > 16
+        assert sweep(64) == chunked
+
+    def test_per_run_rounds_one_and_two_keep_the_chunked_keys(
+        self, monkeypatch, config
+    ):
+        # An adaptive store written with min_runs chunks still serves the
+        # first two rounds (growth 2 makes both one min_runs window).
+        _grid, rounds = self._sweep(monkeypatch, config, "per-run")
+        for start, stop, units in rounds[:2]:
+            chunked = self._chunked_plan(config, units, start, stop, "per-run")
+            assert [unit_key(unit) for unit in units] == [
+                unit_key(unit) for unit in chunked
+            ]
+
+    def test_unit_scheme_keeps_min_runs_windows(self, monkeypatch, config):
+        from repro.adaptive import controller
+
+        # The cap does not apply: unit boundaries define this scheme's streams.
+        monkeypatch.setattr(controller, "MAX_ROUND_UNIT_RUNS", 8)
+        _grid, rounds = self._sweep(monkeypatch, config, "unit")
+        assert any(
+            len(units) > len({unit.seed_path for unit in units})
+            for _start, _stop, units in rounds
+        ), "test wants rounds spanning several windows"
+        for start, stop, units in rounds:
+            assert units == self._chunked_plan(config, units, start, stop, "unit")
 
 
 class TestStoppingRule:
@@ -414,11 +566,17 @@ class TestRoundFolding:
                 )
                 if result_path == path
             ]
+            # Failure-free units fold in min_runs windows, as the
+            # min_runs-chunk plan's units would.
             stats = CellStats()
             for result in expected:
-                stats.add_ratios(
-                    result.inefficiency_ratios, result.received_ratios, result.failures
-                )
+                width = len(result.received_ratios) if result.failures else 4
+                for start in range(0, len(result.received_ratios), width):
+                    stats.add_ratios(
+                        result.inefficiency_ratios[start : start + width],
+                        result.received_ratios[start : start + width],
+                        result.failures,
+                    )
             run = state[path]
             assert run.results == expected
             # Streaming accumulators included: same values, same order.
@@ -513,14 +671,16 @@ class TestIntegration:
             j = Q_VALUES.index(float(row[1]))
             assert int(row[5]) == runs_per_cell[i, j]
 
-    def test_adaptive_csv_rows_match_fixed_reference(self, config):
+    @pytest.mark.parametrize("runs", [12, 40])
+    @pytest.mark.parametrize("scheme", ["per-run", "unit"])
+    def test_adaptive_csv_rows_match_fixed_reference(self, config, scheme, runs):
         # The CI gate's contract, in miniature: every settled cell's CSV
         # row is byte-identical to the row of a fixed sweep at that
         # cell's final run count.
         cfg = AdaptiveConfig(min_runs=4, ci_width=0.6)
         grid = adaptive_grid(
-            config, P_VALUES, Q_VALUES, runs=12, seed=1,
-            options=ExecutionOptions(adaptive=cfg),
+            config, P_VALUES, Q_VALUES, runs=runs, seed=1,
+            options=ExecutionOptions(adaptive=cfg, seed_scheme=scheme),
         )
         runs_per_cell = np.asarray(grid.metadata["adaptive"]["runs_per_cell"])
         adaptive_rows = {
@@ -532,6 +692,7 @@ class TestIntegration:
             fixed = run_grid(
                 config, P_VALUES, Q_VALUES, runs=int(count), seed=1,
                 runs_per_unit=cfg.min_runs,
+                options=ExecutionOptions(seed_scheme=scheme),
             )
             for line in grid_to_csv(fixed).splitlines():
                 if not line or line.startswith(("#", "p,")):

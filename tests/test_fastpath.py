@@ -204,6 +204,17 @@ class TestPrototypes:
             BlockCountPrototype,
         )
 
+    def test_ldgm_prototype_tables_are_built_on_first_read(self):
+        code = make_code("ldgm-staircase", k=20, n=50, seed=0)
+        prototype = LDGMPrototype(code, kernel="numpy")
+        # Only the compiled peel reads the column adjacency.
+        assert "_adjacency_cache" not in vars(code.matrix)
+        indptr, rows = prototype.column_adjacency
+        assert code.matrix.column_adjacency()[0] is indptr
+        # The prototype keeps its own reference to the arrays it hands C.
+        del code.matrix._adjacency_cache
+        assert prototype.column_adjacency[0] is indptr
+
     def test_prototype_cached_per_instance(self):
         code = make_code("ldgm-staircase", k=20, n=50, seed=0)
         assert compile_prototype(code) is compile_prototype(code)

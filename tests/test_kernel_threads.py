@@ -654,6 +654,57 @@ class TestKernelCallMarshalling:
             for row in range(runs):
                 assert np.array_equal(masks[row, : filled[row]], expected[row, : filled[row]])
 
+    @needs_cext
+    def test_concurrent_first_ldgm_decodes_keep_their_adjacency(self):
+        # The column adjacency is built on a prototype's first decode.  Two
+        # threads decoding a fresh code at once may both build it; each
+        # must pass C arrays that stay alive for its whole call.
+        from concurrent.futures import ThreadPoolExecutor
+
+        from repro.fastpath.prototypes import LDGMPrototype
+
+        rng = np.random.default_rng(11)
+        k, n, runs = 400, 1000, 16
+        received = [rng.permutation(n)[: int(rng.integers(k, n))] for _ in range(runs)]
+        for seed in range(20):
+            code = make_code("ldgm-triangle", k=k, n=n, seed=seed)
+            expected = LDGMPrototype(code, kernel="numpy").decode_batch(received)
+            prototype = LDGMPrototype(code, kernel="cext")
+            barrier = threading.Barrier(2)
+
+            def decode(_):
+                barrier.wait()
+                with thread_count_context(2):
+                    return prototype.decode_batch(received)
+
+            with ThreadPoolExecutor(2) as pool:
+                for decoded, necessary in pool.map(decode, range(2)):
+                    assert np.array_equal(decoded, expected[0])
+                    assert np.array_equal(necessary, expected[1])
+
+    @needs_cext
+    def test_ldgm_decode_holds_the_adjacency_it_passes(self, monkeypatch):
+        # A concurrent first decode may rebuild the matrix's adjacency cache
+        # and so drop the arrays an earlier read returned.  Model that by
+        # handing out fresh copies on every read: what the backend passes
+        # to C must stay alive for the whole call.
+        from repro.fastpath.prototypes import LDGMPrototype
+
+        rng = np.random.default_rng(12)
+        k, n, runs = 4000, 10000, 8
+        received = [rng.permutation(n)[: int(rng.integers(k, n))] for _ in range(runs)]
+        code = make_code("ldgm-triangle", k=k, n=n, seed=3)
+        expected = LDGMPrototype(code, kernel="numpy").decode_batch(received)
+        build = type(code.matrix).column_adjacency
+        monkeypatch.setattr(
+            code.matrix,
+            "column_adjacency",
+            lambda: tuple(array.copy() for array in build(code.matrix)),
+        )
+        decoded, necessary = LDGMPrototype(code, kernel="cext").decode_batch(received)
+        assert np.array_equal(decoded, expected[0])
+        assert np.array_equal(necessary, expected[1])
+
 
 class TestPerUnitResolution:
     """The backend and the kernel team are resolved once per work unit."""

@@ -219,3 +219,46 @@ class TestVectorisedBuildMatchesOracle:
                     assert np.array_equal(actual, expected)
                 assert len(matrix.source_cols) == len(matrix.parity_cols) == n - k
                 assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+
+def _oracle_row_csr(matrix):
+    """The per-row loop ``ParityCheckMatrix.row_csr`` used to run."""
+    rows = range(matrix.num_checks)
+    lengths = [matrix.source_cols[r].size + matrix.parity_cols[r].size for r in rows]
+    indptr = np.zeros(matrix.num_checks + 1, dtype=np.int64)
+    np.cumsum(lengths, out=indptr[1:])
+    pairs = [a for r in rows for a in (matrix.source_cols[r], matrix.parity_cols[r])]
+    cols = np.concatenate(pairs).astype(np.int64) if pairs else np.zeros(0, np.int64)
+    return indptr, cols
+
+
+class TestRowCsrMatchesOracle:
+    SHAPES = TestVectorisedBuildMatchesOracle.SHAPES
+
+    @staticmethod
+    def _assert_csr(actual, expected):
+        for got, want in zip(actual, expected):
+            assert got.dtype == np.int64
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("variant", list(LDGMVariant))
+    @pytest.mark.parametrize("left_degree", [1, 3])
+    def test_built_matrices(self, variant, left_degree):
+        for seed in range(20):
+            for k, n in self.SHAPES:
+                matrix = build_parity_check_matrix(
+                    k, n, variant, left_degree=left_degree, seed=seed
+                )
+                self._assert_csr(matrix.row_csr(), _oracle_row_csr(matrix))
+
+    def test_hand_built_rows_with_empty_halves(self):
+        empty = np.array([], dtype=np.int64)
+        matrix = ParityCheckMatrix(
+            k=3,
+            n=7,
+            variant=LDGMVariant.STAIRCASE,
+            source_cols=[np.array([0, 2], dtype=np.int64), empty, empty, np.array([1])],
+            parity_cols=[np.array([3]), np.array([3, 4]), empty, np.array([5, 6])],
+        )
+        self._assert_csr(matrix.row_csr(), _oracle_row_csr(matrix))
+        assert matrix.row_csr()[0].tolist() == [0, 3, 5, 5, 8]

@@ -64,6 +64,13 @@ class TestRegistry:
         assert get_scheme(scheme) is scheme
         assert resolve_scheme_name(scheme) == "unit"
 
+    def test_only_per_run_streams_ignore_unit_boundaries(self):
+        assert get_scheme("per-run").chunk_invariant
+        assert not get_scheme("unit").chunk_invariant
+        for name in available_schemes():
+            scheme = get_scheme(name)
+            assert scheme.chunk_invariant is not scheme.batches_units
+
     def test_tokens_are_versioned(self):
         assert get_scheme("per-run").token() == "per-run/v1"
         assert get_scheme("unit").token() == "unit/v1"
