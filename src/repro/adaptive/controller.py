@@ -62,15 +62,29 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.config import SimulationConfig
 from repro.core.metrics import CellStats, GridResult
 from repro.resilience.policy import UnitFailure
-from repro.runner.engine import Cell, _execute, grid_cells, grid_metadata
-from repro.runner.options import ExecutionOptions
+from repro.runner.engine import (
+    Cell,
+    _execute,
+    grid_cells,
+    grid_metadata,
+    merge_grid,
+    results_by_cell,
+)
+# The stopping rule's config lives with the other options, so the CLI
+# reads its fields without loading this module; re-exported here.
+from repro.runner.options import (
+    AdaptiveConfig,
+    AdaptiveSpec,
+    ExecutionOptions,
+    resolve_adaptive,
+)
 from repro.runner.units import SeedPath, UnitResult, merge_cell, plan_units
 from repro.seeds import get_scheme
 from repro.utils.rng import RandomState, as_seed_int
@@ -90,88 +104,6 @@ __all__ = [
 #: larger (:func:`_round_unit_runs`): one unit's ``(runs, n)`` arrays, and
 #: so the sweep's peak memory, stay bounded however far the schedule grows.
 MAX_ROUND_UNIT_RUNS = 64
-
-
-@dataclass(frozen=True)
-class AdaptiveConfig:
-    """Knobs of the sequential stopping rule.
-
-    Attributes
-    ----------
-    confidence:
-        Confidence level of both stopping intervals (default 0.95).
-    ci_width:
-        A cell settles only once the Wilson score interval on its decode
-        probability is at most this wide.
-    rel_tol:
-        For fully-decoding cells, the Student-t half-width on the mean
-        inefficiency must additionally be at most ``rel_tol`` times the
-        mean.  Cells with failures report NaN inefficiency (the paper's
-        rule), so only their decode probability is held to account.
-    min_runs:
-        Runs per cell in the first round, and the granule of the round
-        schedule (every target but the budget is a multiple).  Under the
-        ``"unit"`` seed scheme it is also the size of every planned unit
-        (its counter windows); under ``"per-run"`` a round plans one unit
-        per cell instead (see the module's determinism contract).
-    growth:
-        Geometric escalation factor between round targets (finite, > 1).
-    refine_cliff:
-        Bisect decodable/undecodable neighbour pairs after the coarse
-        grid settles.
-    refine_resolution:
-        Stop a bisection once its (p or q) bracket is at most this wide.
-    """
-
-    confidence: float = 0.95
-    ci_width: float = 0.25
-    rel_tol: float = 0.02
-    min_runs: int = 8
-    growth: float = 2.0
-    refine_cliff: bool = False
-    refine_resolution: float = 0.01
-
-    def __post_init__(self) -> None:
-        # Negated comparisons, so NaN fails every check.
-        if not 0.0 < self.confidence < 1.0:
-            raise ValueError(f"confidence must be in (0, 1), got {self.confidence}")
-        if not self.ci_width > 0.0:
-            raise ValueError(f"ci_width must be > 0, got {self.ci_width}")
-        if not self.rel_tol > 0.0:
-            raise ValueError(f"rel_tol must be > 0, got {self.rel_tol}")
-        if not (
-            math.isfinite(self.min_runs)
-            and self.min_runs == int(self.min_runs)
-            and self.min_runs >= 2
-        ):
-            raise ValueError(f"min_runs must be an integer >= 2, got {self.min_runs}")
-        object.__setattr__(self, "min_runs", int(self.min_runs))
-        if not (self.growth > 1.0 and math.isfinite(self.growth)):
-            raise ValueError(f"growth must be finite and > 1, got {self.growth}")
-        if not self.refine_resolution > 0.0:
-            raise ValueError(
-                f"refine_resolution must be > 0, got {self.refine_resolution}"
-            )
-
-
-#: ``adaptive=`` accepts a config, ``True`` (defaults), a kwargs dict, or
-#: ``None`` / ``False`` (fixed sweep).
-AdaptiveSpec = Union[AdaptiveConfig, bool, dict, None]
-
-
-def resolve_adaptive(spec: AdaptiveSpec) -> Optional[AdaptiveConfig]:
-    """Normalise an ``adaptive=`` argument to a config (or None = off)."""
-    if spec is None or spec is False:
-        return None
-    if spec is True:
-        return AdaptiveConfig()
-    if isinstance(spec, AdaptiveConfig):
-        return spec
-    if isinstance(spec, dict):
-        return AdaptiveConfig(**spec)
-    raise TypeError(
-        f"adaptive= expects AdaptiveConfig, bool, dict, or None; got {type(spec)!r}"
-    )
 
 
 def round_schedule(min_runs: int, growth: float, max_runs: int) -> List[int]:
@@ -299,18 +231,12 @@ def _run_cells(
         )
         results, failures = execute(units, total_cells=len(active))
         failures_out.extend(failures)
-        # One pass groups the round's results by cell; each cell then
-        # folds only its own, in run order.
-        by_cell: Dict[SeedPath, List[Tuple[int, UnitResult]]] = {}
-        for (result_path, run_start), result in results.items():
-            by_cell.setdefault(result_path, []).append((run_start, result))
+        by_cell = results_by_cell(results)
         for path in active:
             run = state[path]
             run.planned_runs = target
             run.rounds += 1
-            for _run_start, result in sorted(
-                by_cell.get(path, ()), key=lambda item: item[0]
-            ):
+            for result in by_cell.get(path, ()):
                 run.results.append(result)
                 _fold(run.stats, result, cfg.min_runs)
         previous = target
@@ -518,22 +444,17 @@ def adaptive_grid(
     )
 
     shape = (p_values.size, q_values.size)
-    mean_inefficiency = np.full(shape, np.nan)
-    mean_received = np.full(shape, np.nan)
-    failure_counts = np.zeros(shape, dtype=np.int64)
-    runs_per_cell = np.zeros(shape, dtype=np.int64)
-    settled = np.zeros(shape, dtype=bool)
-    rounds_per_cell = np.zeros(shape, dtype=np.int64)
-    for i in range(p_values.size):
-        for j in range(q_values.size):
-            run = state[(i, j)]
-            inefficiency, received, cell_failures = merge_cell(run.results)
-            mean_inefficiency[i, j] = inefficiency
-            mean_received[i, j] = received
-            failure_counts[i, j] = cell_failures
-            runs_per_cell[i, j] = run.planned_runs
-            settled[i, j] = run.settled
-            rounds_per_cell[i, j] = run.rounds
+    mean_inefficiency, mean_received, failure_counts = merge_grid(
+        shape, {path: run.results for path, run in state.items()}
+    )
+
+    def per_cell(attribute: str, dtype) -> np.ndarray:
+        values = [getattr(state[path], attribute) for path, *_ in cells]
+        return np.array(values, dtype=dtype).reshape(shape)
+
+    runs_per_cell = per_cell("planned_runs", np.int64)
+    settled = per_cell("settled", bool)
+    rounds_per_cell = per_cell("rounds", np.int64)
 
     executed = int(runs_per_cell.sum())
     exhaustive = int(len(cells) * runs)

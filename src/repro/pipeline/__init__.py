@@ -12,13 +12,11 @@ flows schedule -> loss -> decode -> metrics as arrays end to end:
   array (:meth:`LossModel.loss_mask_batch`), and one boolean gather into
   the flat :class:`~repro.kernels.ReceivedBatch` the decoder prototypes
   consume.  Schedules are bounds-checked once per work unit, not per run.
-* :func:`simulate_unit` -- the full pipeline: synthesis plus the batched
-  decode, returning a columnar
-  :class:`~repro.core.metrics.RunResultBatch` (one array per metric; no
-  per-run result objects on the hot path).
 
-Both are **bit-identical** to the per-run incremental path for any seed;
-the per-run interleaved loop is retained inside :func:`synthesize_runs` as
+The batched decode that consumes it is
+:func:`repro.fastpath.simulate_batch_columnar`.  Both are
+**bit-identical** to the per-run incremental path for any seed; the
+per-run interleaved loop is retained inside :func:`synthesize_runs` as
 the reference (and as the executable path for shared-generator batches and
 duck-typed models without batch APIs).
 """
@@ -30,27 +28,9 @@ from repro.pipeline.synthesis import (
     synthesize_runs_unit,
 )
 
-
-def simulate_unit(code, tx_model, channel, rngs, *, nsent=None, kernel=None):
-    """Simulate one work unit end to end, columnar.
-
-    Equivalent to one :func:`repro.fastpath.simulate_batch` call but
-    returning the :class:`~repro.core.metrics.RunResultBatch` arrays
-    directly (what the runner's work units consume).  Thin alias for
-    :func:`repro.fastpath.simulate_batch_columnar`, imported lazily to
-    keep the package dependency graph acyclic.
-    """
-    from repro.fastpath.batch import simulate_batch_columnar
-
-    return simulate_batch_columnar(
-        code, tx_model, channel, rngs, nsent=nsent, kernel=kernel
-    )
-
-
 __all__ = [
     "SynthesizedRuns",
     "synthesize_runs",
     "synthesize_runs_unit",
     "can_batch_stages",
-    "simulate_unit",
 ]

@@ -50,40 +50,50 @@ def deterministic_jitter(token: str) -> float:
 class FailurePolicy:
     """What to do when executing a unit (or talking to the store) fails.
 
-    Attributes
-    ----------
-    max_retries:
-        Extra execution attempts after the first failure (0, the
-        default, is fail-fast).
+    The fields ``python -m repro run`` exposes as flags document
+    themselves in their metadata (see :mod:`repro.runner.options`).  The
+    rest:
+
     backoff_base, backoff_max:
         Exponential backoff between unit attempts: attempt ``n`` sleeps
         ``min(backoff_max, backoff_base * 2**n)`` scaled by a
         deterministic jitter in ``[0.5, 1.5)`` derived from the unit key.
-    unit_timeout:
-        Seconds one execution attempt may run; ``None`` disables the
-        watchdog.  A timed-out attempt raises
-        :class:`~repro.resilience.errors.UnitTimeoutError` and counts as
-        a failed attempt (so it is retried like any other failure).
-    on_error:
-        ``"raise"`` -- a unit that exhausts its attempts raises
-        :class:`~repro.resilience.errors.PoisonUnitError` and aborts the
-        sweep (default).
-        ``"skip"`` -- the unit is dropped; its cell is aggregated from
-        the surviving runs.  ``"quarantine"`` -- like skip, plus a
-        machine-readable quarantine record (unit snapshot, error, exact
-        re-run command) is written to the result store.
-    store_retries, store_backoff_base, store_backoff_max:
-        Retry budget of the :class:`~repro.resilience.retry.RetryingStore`
-        wrapper for transient store failures; the same deterministic
-        backoff shape, keyed by operation name.
+    store_backoff_base, store_backoff_max:
+        The same backoff shape for the
+        :class:`~repro.resilience.retry.RetryingStore` wrapper's
+        ``store_retries``, keyed by operation name.
     """
 
-    max_retries: int = 0
+    max_retries: int = field(default=0, metadata={
+        "help": "retry a failing work unit up to N times with deterministic "
+                "exponential backoff before applying --on-error (0 with the "
+                "default --on-error: the first unit error aborts the run)",
+        "metavar": "N",
+    })
     backoff_base: float = 0.1
     backoff_max: float = 30.0
-    unit_timeout: Optional[float] = None
-    on_error: str = "raise"
-    store_retries: int = 3
+    unit_timeout: Optional[float] = field(default=None, metadata={
+        "help": "treat a work-unit attempt running longer than this many "
+                "seconds as failed (UnitTimeoutError; counts against "
+                "--max-retries); omitted: no watchdog",
+        "type": float, "metavar": "SECONDS",
+    })
+    on_error: str = field(default="raise", metadata={
+        "help": "what to do with a unit that exhausts its attempts: 'raise' "
+                "aborts the run with a PoisonUnitError naming the unit's "
+                "error, 'skip' drops the unit (its cell aggregates from the "
+                "surviving runs), 'quarantine' also records it in the store "
+                "with the exact rerun command (inspect with 'cache info', "
+                "heal with 'rerun-unit --store')",
+        "choices": ON_ERROR_ACTIONS,
+    })
+    store_retries: int = field(default=3, metadata={
+        "help": "retry a transiently failing store operation (connection "
+                "refused, timeout, 5xx, locked database) up to N times with "
+                "deterministic backoff before giving up; raise it so fleet "
+                "workers ride out a result-store server restart",
+        "metavar": "N",
+    })
     store_backoff_base: float = 0.05
     store_backoff_max: float = 2.0
 

@@ -5,25 +5,17 @@ Subcommands
 ``list-experiments``
     Table of every figure/table preset and the available scales.
 ``run``
-    Execute one experiment preset at a chosen scale, with ``--workers``
-    for pool parallelism (``--executor thread`` for the shared-memory
-    pool, ``--kernel-threads`` for OpenMP row-parallel compiled
-    kernels), a pluggable result store for resumable
-    runs (``--store sqlite:results.db`` / ``--cache-dir`` for the default
-    json-dir layout, ``--no-cache`` to disable), cooperative **fleet
-    execution** (``--fleet``: several processes pointed at one shared
-    store split the sweep under TTL leases with no coordinator),
-    ``--kernel`` to pin a :mod:`repro.kernels` backend, ``--seed-scheme``
-    to pick the :mod:`repro.seeds` run-stream derivation, and optional
-    CSV / appendix-style table output through the analysis layer.
+    Execute one experiment preset at a chosen scale, resumably through a
+    result store, optionally as a fleet or an adaptive sweep, and print
+    or write (CSV, appendix-style tables) its grids.  The flags of the
+    :class:`~repro.runner.options.ExecutionOptions`,
+    :class:`~repro.runner.options.AdaptiveConfig` and
+    :class:`~repro.resilience.policy.FailurePolicy` fields are built from
+    the fields themselves; ``run --help`` lists them all.
 ``cache``
-    Inspect (``cache info``), empty (``cache clear``, optionally
-    ``--scheme`` for one seed scheme's entries), migrate
-    (``cache migrate SRC DST``) or serve (``cache serve SRC --host
-    --port [--token]``: front the store with the HTTP server so remote
-    workers reach it via ``--store http:HOST:PORT``) a result store;
-    every action accepts a store URI (``json-dir:PATH``, ``sqlite:PATH``,
-    ``memory:NAME``, ``http:HOST:PORT`` or a bare json-dir path).
+    Inspect, clear (all entries or one seed scheme's), migrate or serve
+    (to remote fleet workers over HTTP) a result store; ``cache --help``
+    describes each action.
 ``rerun-unit``
     Re-execute one work unit from its provenance payload (the exact
     command recorded by the sqlite backend) and print the result payload.
@@ -45,6 +37,7 @@ Examples
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 import time
@@ -60,10 +53,11 @@ from repro.core.experiments import (
 )
 from repro.kernels import KernelUnavailableError, get_backend
 from repro.resilience.errors import HttpStoreError, ResilienceError
-from repro.resilience.policy import DEFAULT_POLICY, ON_ERROR_ACTIONS, FailurePolicy
+from repro.resilience.policy import FailurePolicy
 from repro.runner.engine import grid_cells
-from repro.runner.options import DEFAULT_LEASE_TTL, ExecutionOptions
+from repro.runner.options import AdaptiveConfig, ExecutionOptions
 from repro.runner.units import plan_units
+from repro.seeds import available_schemes, get_scheme
 from repro.store.base import LeaseUnsupportedError, ResultStore
 from repro.store.json_dir import DEFAULT_CACHE_DIR
 from repro.store.registry import DEFAULT_HOST, DEFAULT_PORT, resolve_store
@@ -80,6 +74,64 @@ def _seed_value(text: str) -> int:
     return value
 
 
+def _entry_scheme(text: str) -> str:
+    """``cache --scheme``: a scheme name, its token (``per-run/v1``) or
+    ``pre-seeds``, as the name store entries record."""
+    names = {"pre-seeds": "pre-seeds"}
+    for name in available_schemes():
+        names[name] = names[get_scheme(name).token()] = name
+    if text not in names:
+        raise argparse.ArgumentTypeError(
+            f"unknown seed scheme {text!r}; choose from {', '.join(sorted(names))}"
+        )
+    return names[text]
+
+
+class _NeedsMode(argparse.Action):
+    """Store a flag that needs a mode, noting ``(flag, mode)`` in
+    ``namespace.mode_flags`` for ``run`` to reject unless the mode is on."""
+
+    def __init__(self, option_strings, dest, needs: str, **kwargs):
+        super().__init__(option_strings, dest, **kwargs)
+        self.needs = needs
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, values)
+        namespace.mode_flags = (*namespace.mode_flags, (self.option_strings[0], self.needs))
+
+
+def _add_field_flags(parser: argparse.ArgumentParser, cls, title: str) -> None:
+    """A ``--field-name`` flag per field of ``cls`` with help metadata.
+
+    A bool field is a switch; otherwise the field's default is the flag's
+    (shown in its help, and its type if int or float).
+    """
+    group = parser.add_argument_group(title)
+    for spec in dataclasses.fields(cls):
+        meta = dict(spec.metadata)
+        if "help" not in meta:
+            continue
+        flag = "--" + spec.name.replace("_", "-")
+        if isinstance(spec.default, bool):
+            group.add_argument(flag, action="store_true", **meta)
+            continue
+        if spec.default is not None:
+            meta["help"] += f" (default: {spec.default})"
+        if isinstance(spec.default, (int, float)):
+            meta.setdefault("type", type(spec.default))
+        if "needs" in meta:
+            meta["action"] = _NeedsMode
+        group.add_argument(flag, default=spec.default, **meta)
+
+
+def _from_flags(cls, args, **values):
+    """``cls`` built from the parsed flags of its fields, plus ``values``."""
+    for spec in dataclasses.fields(cls):
+        if "help" in spec.metadata:
+            values.setdefault(spec.name, getattr(args, spec.name))
+    return cls(**values)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro",
@@ -94,7 +146,30 @@ def _build_parser() -> argparse.ArgumentParser:
         "list-experiments", help="list experiment presets and scales"
     )
 
-    run = subparsers.add_parser("run", help="run one experiment preset")
+    store_flags = argparse.ArgumentParser(add_help=False)
+    store_flags.add_argument(
+        "--store",
+        default=None,
+        metavar="URI",
+        help=(
+            "result-store URI: 'json-dir:PATH' (the historical file-per-"
+            "unit layout), 'sqlite:PATH' (single-file indexed store, "
+            "recommended for large sweeps and fleets), 'memory:NAME', "
+            "'http:HOST:PORT' (a remote store behind 'cache serve' -- "
+            "what multi-host fleets use), or a bare directory path "
+            "(json-dir).  Overrides --cache-dir"
+        ),
+    )
+    store_flags.add_argument(
+        "--cache-dir",
+        default=DEFAULT_CACHE_DIR,
+        help=f"json-dir store directory (default: {DEFAULT_CACHE_DIR})",
+    )
+
+    run = subparsers.add_parser(
+        "run", parents=[store_flags], help="run one experiment preset"
+    )
+    run.set_defaults(mode_flags=())
     run.add_argument(
         "experiment",
         help="experiment or table id (e.g. fig09, table5); see list-experiments",
@@ -109,23 +184,6 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument(
         "--seed", type=_seed_value, default=0, help="top-level seed, >= 0 (default: 0)"
     )
-    run.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="process-pool size; omit or 1 for the serial executor",
-    )
-    run.add_argument(
-        "--executor",
-        choices=("serial", "process", "thread"),
-        default=None,
-        help=(
-            "force an executor: 'serial', 'process' (pickling pool, the "
-            "default when --workers > 1), or 'thread' (shared-memory pool "
-            "-- compiled kernels release the GIL, so thread workers share "
-            "the prototype cache instead of re-pickling it)"
-        ),
-    )
     cache_group = run.add_mutually_exclusive_group()
     cache_group.add_argument(
         "--resume",
@@ -138,139 +196,14 @@ def _build_parser() -> argparse.ArgumentParser:
         help="disable the result store entirely",
     )
     run.add_argument(
-        "--cache-dir",
-        default=DEFAULT_CACHE_DIR,
-        help=f"json-dir store directory (default: {DEFAULT_CACHE_DIR})",
-    )
-    run.add_argument(
-        "--store",
-        default=None,
-        metavar="URI",
-        help=(
-            "result-store URI: 'json-dir:PATH' (the historical file-per-"
-            "unit layout), 'sqlite:PATH' (single-file indexed store, "
-            "recommended for large sweeps and fleets), 'memory:NAME', "
-            "'http:HOST:PORT' (a remote store behind 'cache serve' -- "
-            "what multi-host fleets use), or a bare directory path "
-            "(json-dir).  Overrides --cache-dir"
-        ),
-    )
-    run.add_argument(
-        "--fleet",
-        action="store_true",
-        help=(
-            "cooperative fleet execution: claim work units from the shared "
-            "--store under TTL leases, so several processes running this "
-            "exact command split the sweep with no coordinator and no "
-            "duplicated work; every process prints the complete result"
-        ),
-    )
-    run.add_argument(
-        "--lease-ttl",
-        type=float,
-        default=DEFAULT_LEASE_TTL,
-        metavar="SECONDS",
-        help=(
-            "fleet lease time-to-live; a worker that stops heartbeating "
-            f"has its units reclaimed after this long (default: "
-            f"{DEFAULT_LEASE_TTL:.0f}s)"
-        ),
-    )
-    run.add_argument(
-        "--worker-id",
-        default=None,
-        metavar="ID",
-        help="fleet worker identity (default: <hostname>:<pid>)",
-    )
-    run.add_argument(
-        "--kernel",
-        default=None,
-        metavar="BACKEND",
-        help=(
-            "kernel backend for the decode hot loops: 'numpy' (reference), "
-            "'cext' (compiled on demand with the system C compiler), or "
-            "'auto' (default: cext if a compiler is present, else numpy).  "
-            "Results are bit-identical across backends.  Also settable "
-            "via the REPRO_KERNEL environment variable"
-        ),
-    )
-    run.add_argument(
-        "--kernel-threads",
-        default=None,
-        metavar="THREADS",
-        help=(
-            "row-parallel thread count for compiled kernels (cext with "
-            "OpenMP): a positive integer or 'auto' (physical cores divided "
-            "by the executor's worker count times the live --fleet peers "
-            "on this host, so workers x kernel threads x peers never "
-            "oversubscribes the socket).  Bit-identical at "
-            "any value.  Also settable via the REPRO_KERNEL_THREADS "
-            "environment variable"
-        ),
-    )
-    run.add_argument(
-        "--seed-scheme",
-        default=None,
-        metavar="SCHEME",
-        help=(
-            "seed scheme deriving the per-run random streams: 'per-run' "
-            "(default; the historical bit-reproducible "
-            "SeedSequence-per-run streams) or 'unit' (one counter-based "
-            "Philox generator per work unit; whole-unit block draws, "
-            "deterministic but a different stream, cached separately).  "
-            "Also settable via the REPRO_SEED_SCHEME environment variable"
-        ),
-    )
-    run.add_argument(
         "--adaptive",
         action="store_true",
         help=(
-            "adaptive sweep: stop each grid cell as soon as its Wilson "
-            "interval on the decode probability (--ci-width) and its "
-            "t-interval on the mean inefficiency (--rel-tol) are settled "
-            "at --confidence, escalating run counts geometrically up to "
-            "the budget (--max-runs / --runs / the scale's runs).  "
-            "Settled cells are bit-identical to a fixed sweep at the "
-            "same per-cell run count"
-        ),
-    )
-    run.add_argument(
-        "--confidence",
-        type=float,
-        default=0.95,
-        metavar="LEVEL",
-        help="confidence level of the adaptive stopping intervals (default: 0.95)",
-    )
-    run.add_argument(
-        "--ci-width",
-        type=float,
-        default=0.25,
-        metavar="WIDTH",
-        help=(
-            "maximum Wilson-interval width on the decode probability for "
-            "a cell to settle (default: 0.25)"
-        ),
-    )
-    run.add_argument(
-        "--rel-tol",
-        type=float,
-        default=0.02,
-        metavar="FRACTION",
-        help=(
-            "maximum t-interval half-width on the mean inefficiency, as a "
-            "fraction of the mean, for a fully-decoding cell to settle "
-            "(default: 0.02)"
-        ),
-    )
-    run.add_argument(
-        "--min-runs",
-        type=int,
-        default=8,
-        metavar="N",
-        help=(
-            "adaptive first-round run count and round-schedule granule "
-            "(default: 8); under --seed-scheme unit also the size of every "
-            "planned unit"
+            "adaptive sweep: stop each grid cell as soon as its stopping "
+            "intervals settle (see 'adaptive stopping'), escalating run "
+            "counts geometrically up to the budget (--max-runs / --runs / "
+            "the scale's runs).  Settled cells are bit-identical to a "
+            "fixed sweep at the same per-cell run count"
         ),
     )
     run.add_argument(
@@ -278,6 +211,8 @@ def _build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         metavar="N",
+        action=_NeedsMode,
+        needs="adaptive",
         help=(
             "adaptive per-cell run budget (default: --runs, else the "
             "scale's runs); cells that refuse to settle stop here"
@@ -287,15 +222,16 @@ def _build_parser() -> argparse.ArgumentParser:
         "--refine-cliff",
         nargs="?",
         type=float,
-        const=0.01,
+        const=AdaptiveConfig.refine_resolution,
         default=None,
         metavar="RESOLUTION",
         help=(
             "after the adaptive grid settles, bisect (p, q) between "
             "decodable/undecodable neighbours until the decode cliff is "
             "localised to this resolution (default when given without a "
-            "value: 0.01); implies --adaptive.  Refined cells appear in "
-            "the grid metadata and the summary"
+            f"value: {AdaptiveConfig.refine_resolution}); implies "
+            "--adaptive.  Refined cells appear in the grid metadata and "
+            "the summary"
         ),
     )
     run.add_argument(
@@ -304,54 +240,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help=(
             "plan the sweep and print the unit counts (for --adaptive: "
             "the first round's) without executing anything"
-        ),
-    )
-    run.add_argument(
-        "--max-retries",
-        type=int,
-        default=DEFAULT_POLICY.max_retries,
-        metavar="N",
-        help=(
-            "retry a failing work unit up to N times with deterministic "
-            "exponential backoff before applying --on-error (default: "
-            f"{DEFAULT_POLICY.max_retries} -- with the default --on-error "
-            "the first unit error aborts the run)"
-        ),
-    )
-    run.add_argument(
-        "--unit-timeout",
-        type=float,
-        default=DEFAULT_POLICY.unit_timeout,
-        metavar="SECONDS",
-        help=(
-            "treat a work-unit attempt running longer than this as failed "
-            "(counts against --max-retries)"
-        ),
-    )
-    run.add_argument(
-        "--on-error",
-        choices=ON_ERROR_ACTIONS,
-        default=DEFAULT_POLICY.on_error,
-        help=(
-            "what to do with a unit that exhausts its retries: 'raise' "
-            "aborts the run with the unit's error (default), 'skip' drops "
-            "the unit (its cell "
-            "aggregates from the surviving runs), 'quarantine' also "
-            "records it in the store with the exact rerun command "
-            "(inspect with 'cache info', heal with 'rerun-unit --store')"
-        ),
-    )
-    run.add_argument(
-        "--store-retries",
-        type=int,
-        default=DEFAULT_POLICY.store_retries,
-        metavar="N",
-        help=(
-            "retry a transiently failing store operation (connection "
-            "refused, timeout, 5xx, locked database) up to N times with "
-            "deterministic backoff before giving up (default: "
-            f"{DEFAULT_POLICY.store_retries}; raise it so fleet workers "
-            "ride out a result-store server restart)"
         ),
     )
     run.add_argument(
@@ -367,9 +255,12 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument(
         "--quiet", action="store_true", help="suppress the progress meter"
     )
+    _add_field_flags(run, ExecutionOptions, "execution")
+    _add_field_flags(run, AdaptiveConfig, "adaptive stopping (with --adaptive)")
+    _add_field_flags(run, FailurePolicy, "failure policy")
 
     cache = subparsers.add_parser(
-        "cache", help="inspect, clear or migrate a result store"
+        "cache", parents=[store_flags], help="inspect, clear or migrate a result store"
     )
     cache.add_argument(
         "action",
@@ -397,23 +288,14 @@ def _build_parser() -> argparse.ArgumentParser:
         help="migrate: destination store URI or json-dir path",
     )
     cache.add_argument(
-        "--cache-dir",
-        default=DEFAULT_CACHE_DIR,
-        help=f"json-dir store directory (default: {DEFAULT_CACHE_DIR})",
-    )
-    cache.add_argument(
-        "--store",
-        default=None,
-        metavar="URI",
-        help="store URI for info/clear (overrides --cache-dir)",
-    )
-    cache.add_argument(
         "--scheme",
+        type=_entry_scheme,
         default=None,
         metavar="NAME",
         help=(
-            "restrict clear/migrate to entries of one seed scheme "
-            "(e.g. 'per-run/v1', 'unit/v1')"
+            "restrict clear/migrate to entries of one seed scheme: a "
+            "scheme name or token as 'cache info' lists them (e.g. "
+            "'per-run', 'unit/v1'), or 'pre-seeds'"
         ),
     )
     cache.add_argument(
@@ -519,49 +401,32 @@ def _open_store(args, *, create: bool = True) -> Optional[ResultStore]:
 def _cmd_run(args, out, err) -> int:
     spec = get_experiment(args.experiment)
     total_configs = len(spec.configs)
-    policy = FailurePolicy(
-        max_retries=args.max_retries,
-        unit_timeout=args.unit_timeout,
-        on_error=args.on_error,
-        store_retries=args.store_retries,
-    )
-
+    adaptive = args.adaptive or args.refine_cliff is not None
+    modes = {"adaptive": adaptive, "fleet": args.fleet}
+    for flag, mode in args.mode_flags:
+        if not modes[mode]:
+            also = " (or --refine-cliff)" if mode == "adaptive" else ""
+            raise ValueError(f"{flag} needs --{mode}{also}")
+    policy = _from_flags(FailurePolicy, args)
     adaptive_cfg = None
-    if args.adaptive or args.refine_cliff is not None:
-        from repro.adaptive import AdaptiveConfig, plan_first_round
+    if adaptive:
+        from repro.adaptive import plan_first_round
 
-        adaptive_cfg = AdaptiveConfig(
-            confidence=args.confidence,
-            ci_width=args.ci_width,
-            rel_tol=args.rel_tol,
-            min_runs=args.min_runs,
-            refine_cliff=args.refine_cliff is not None,
-            refine_resolution=(
-                args.refine_cliff if args.refine_cliff is not None else 0.01
-            ),
-        )
-    elif args.max_runs is not None:
-        raise ValueError("--max-runs needs --adaptive (or --refine-cliff)")
-    runs_arg = args.runs
-    if adaptive_cfg is not None and args.max_runs is not None:
-        runs_arg = args.max_runs
+        refine = {}
+        if args.refine_cliff is not None:
+            refine = dict(refine_cliff=True, refine_resolution=args.refine_cliff)
+        adaptive_cfg = _from_flags(AdaptiveConfig, args, **refine)
+    runs_arg = args.runs if args.max_runs is None else args.max_runs
 
     # One options object serves the fixed run, the adaptive run and
-    # --dry-run alike.  Building it is where a bad --kernel-threads or
-    # --seed-scheme, and --fleet or --on-error quarantine without a
-    # store, fail fast; the kernel is resolved here too, so an unknown or
-    # unavailable backend never reaches a worker process.  A dry run
-    # executes nothing, so it resolves (and compiles) no kernel.
-    options = ExecutionOptions(
-        executor=args.executor,
-        workers=args.workers,
+    # --dry-run alike.  The kernel is resolved here, so an unknown or
+    # unavailable backend never reaches a worker; a dry run executes
+    # nothing, so it resolves (and compiles) no kernel.
+    options = _from_flags(
+        ExecutionOptions,
+        args,
         store=_open_store(args),
         kernel=None if args.dry_run else get_backend(args.kernel).name,
-        kernel_threads=args.kernel_threads,
-        seed_scheme=args.seed_scheme,
-        fleet=args.fleet,
-        lease_ttl=args.lease_ttl,
-        worker_id=args.worker_id,
         failure_policy=policy,
         adaptive=adaptive_cfg,
     )

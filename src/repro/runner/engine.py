@@ -199,10 +199,31 @@ def _execute(
     return results, failures
 
 
-def _cell_results(
-    results: Dict[Tuple[SeedPath, int], UnitResult], seed_path: SeedPath
-) -> List[UnitResult]:
-    return [result for key, result in results.items() if key[0] == seed_path]
+def results_by_cell(
+    results: Dict[Tuple[SeedPath, int], UnitResult]
+) -> Dict[SeedPath, List[UnitResult]]:
+    """Each cell's unit results in run order, grouped in one pass."""
+    by_cell: Dict[SeedPath, List[UnitResult]] = {}
+    for (seed_path, _run_start), result in sorted(
+        results.items(), key=lambda item: item[0][1]
+    ):
+        by_cell.setdefault(seed_path, []).append(result)
+    return by_cell
+
+
+def merge_grid(
+    shape: Tuple[int, int], by_cell: Dict[SeedPath, List[UnitResult]]
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A (p, q) grid's mean inefficiency, mean received ratio and failure
+    count arrays: one :func:`merge_cell` per ``(i, j)`` cell of ``by_cell``."""
+    mean_inefficiency = np.full(shape, np.nan)
+    mean_received = np.full(shape, np.nan)
+    failure_counts = np.zeros(shape, dtype=np.int64)
+    for i, j in np.ndindex(*shape):
+        mean_inefficiency[i, j], mean_received[i, j], failure_counts[i, j] = (
+            merge_cell(by_cell.get((i, j), ()))
+        )
+    return mean_inefficiency, mean_received, failure_counts
 
 
 def run_grid(
@@ -248,18 +269,9 @@ def run_grid(
         units, options=options, progress=progress, total_cells=len(cells)
     )
 
-    shape = (p_values.size, q_values.size)
-    mean_inefficiency = np.full(shape, np.nan)
-    mean_received = np.full(shape, np.nan)
-    failure_counts = np.zeros(shape, dtype=np.int64)
-    for i in range(p_values.size):
-        for j in range(q_values.size):
-            inefficiency, received, failures = merge_cell(
-                _cell_results(results, (i, j))
-            )
-            mean_inefficiency[i, j] = inefficiency
-            mean_received[i, j] = received
-            failure_counts[i, j] = failures
+    mean_inefficiency, mean_received, failure_counts = merge_grid(
+        (p_values.size, q_values.size), results_by_cell(results)
+    )
 
     from repro.core.metrics import GridResult
 
@@ -323,11 +335,12 @@ def run_series(
         units, options=options, progress=progress, total_cells=len(cells)
     )
 
+    by_cell = results_by_cell(results)
     means = np.full(values.size, np.nan)
     cell_failures_array = np.zeros(values.size, dtype=np.int64)
     for index in range(values.size):
         mean_inefficiency, _received, cell_failures = merge_cell(
-            _cell_results(results, (index,))
+            by_cell.get((index,), ())
         )
         means[index] = mean_inefficiency
         cell_failures_array[index] = cell_failures
@@ -352,6 +365,8 @@ __all__ = [
     "ProgressCallback",
     "grid_cells",
     "grid_metadata",
+    "merge_grid",
+    "results_by_cell",
     "run_grid",
     "run_series",
 ]

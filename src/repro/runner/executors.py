@@ -69,6 +69,7 @@ from repro.resilience.policy import (
     UnitOutcome,
     run_unit_with_policy,
 )
+from repro.runner.options import EXECUTOR_NAMES
 from repro.runner.units import UnitResult, WorkUnit, execute_unit, warm_unit, warm_units
 from repro.utils.validation import validate_positive_int
 
@@ -388,7 +389,8 @@ def resolve_executor(
     if name == "thread":
         return ThreadExecutor(workers)
     raise ValueError(
-        f"unknown executor {executor!r}; available: 'serial', 'process', 'thread'"
+        f"unknown executor {executor!r}; available: "
+        f"{', '.join(map(repr, EXECUTOR_NAMES))}"
     )
 
 

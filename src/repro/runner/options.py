@@ -2,13 +2,20 @@
 
 A sweep is defined by its configuration, grid, run count and seed; *how*
 it runs -- which executor, which result store, which kernel backend,
-whether it joins a fleet -- is an :class:`ExecutionOptions`.  The same
-object is accepted by :func:`repro.core.experiments.run_experiment`,
+whether it joins a fleet, whether it stops adaptively -- is an
+:class:`ExecutionOptions`.  The same object is accepted by
+:func:`repro.core.experiments.run_experiment`,
 :func:`repro.core.sweep.simulate_grid` /
 :func:`~repro.core.sweep.sweep_parameter`, the engine's
 :func:`~repro.runner.engine.run_grid` / :func:`~repro.runner.engine.run_series`
 and the adaptive controller, so each knob is documented and validated
 once, here.
+
+A field with ``metadata["help"]`` is also a ``python -m repro run`` flag
+named after it; the metadata is its doc, plus the argparse ``type``,
+``metavar`` and ``choices`` the default cannot give, and ``needs``, the
+mode (``adaptive``, ``fleet``) it only applies in.  The same holds for
+:class:`AdaptiveConfig` and :class:`~repro.resilience.policy.FailurePolicy`.
 
 The options never cross a process boundary: :func:`repro.runner.units.plan_units`
 copies the kernel, thread and seed-scheme choices into each
@@ -18,7 +25,7 @@ copies the kernel, thread and seed-scheme choices into each
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional, Union
 
 from repro.kernels.threads import ThreadSpec, normalize_thread_spec
@@ -27,7 +34,6 @@ from repro.seeds import SchemeSpec, resolve_scheme_name
 from repro.store import StoreSpec, resolve_store
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.adaptive.controller import AdaptiveSpec
     from repro.runner.executors import Executor
 
 #: Default fleet lease TTL: long enough that one chunk of tiny-scale units
@@ -35,8 +41,97 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: enough that a crashed worker's units are reclaimed promptly.
 DEFAULT_LEASE_TTL = 30.0
 
+#: Executor names ``executor=`` accepts (:func:`repro.runner.executors.
+#: resolve_executor` builds them).
+EXECUTOR_NAMES = ("serial", "process", "thread")
+
 #: ``executor=`` accepts a name, an instance, or None (auto from workers).
 ExecutorSpec = Union[str, "Executor", None]
+
+
+@dataclass(frozen=True)
+class AdaptiveConfig:
+    """Knobs of the sequential stopping rule (:mod:`repro.adaptive`).
+
+    The flagged fields document themselves in their metadata.  The rest:
+
+    growth:
+        Geometric escalation factor between round targets (finite, > 1).
+    refine_cliff:
+        Bisect decodable/undecodable neighbour pairs after the coarse
+        grid settles.
+    refine_resolution:
+        Stop a bisection once its (p or q) bracket is at most this wide.
+    """
+
+    confidence: float = field(default=0.95, metadata={
+        "help": "confidence level of both adaptive stopping intervals",
+        "metavar": "LEVEL", "needs": "adaptive",
+    })
+    ci_width: float = field(default=0.25, metadata={
+        "help": "a cell settles only once the Wilson score interval on its "
+                "decode probability is at most this wide",
+        "metavar": "WIDTH", "needs": "adaptive",
+    })
+    rel_tol: float = field(default=0.02, metadata={
+        "help": "a fully-decoding cell also needs the t-interval half-width "
+                "on its mean inefficiency within this fraction of the mean "
+                "(a cell with failures has NaN inefficiency, the paper's "
+                "rule, so only its decode probability counts)",
+        "metavar": "FRACTION", "needs": "adaptive",
+    })
+    min_runs: int = field(default=8, metadata={
+        "help": "runs per cell in the first adaptive round, and the "
+                "granule of the round schedule; under --seed-scheme unit "
+                "also the size of every planned unit (repro.adaptive."
+                "controller's determinism contract)",
+        "metavar": "N", "needs": "adaptive",
+    })
+    growth: float = 2.0
+    refine_cliff: bool = False
+    refine_resolution: float = 0.01
+
+    def __post_init__(self) -> None:
+        # Negated comparisons, so NaN fails every check.
+        if not 0.0 < self.confidence < 1.0:
+            raise ValueError(f"confidence must be in (0, 1), got {self.confidence}")
+        if not self.ci_width > 0.0:
+            raise ValueError(f"ci_width must be > 0, got {self.ci_width}")
+        if not self.rel_tol > 0.0:
+            raise ValueError(f"rel_tol must be > 0, got {self.rel_tol}")
+        if not (
+            math.isfinite(self.min_runs)
+            and self.min_runs == int(self.min_runs)
+            and self.min_runs >= 2
+        ):
+            raise ValueError(f"min_runs must be an integer >= 2, got {self.min_runs}")
+        object.__setattr__(self, "min_runs", int(self.min_runs))
+        if not (self.growth > 1.0 and math.isfinite(self.growth)):
+            raise ValueError(f"growth must be finite and > 1, got {self.growth}")
+        if not self.refine_resolution > 0.0:
+            raise ValueError(
+                f"refine_resolution must be > 0, got {self.refine_resolution}"
+            )
+
+
+#: ``adaptive=`` accepts a config, ``True`` (defaults), a kwargs dict, or
+#: ``None`` / ``False`` (fixed sweep).
+AdaptiveSpec = Union[AdaptiveConfig, bool, dict, None]
+
+
+def resolve_adaptive(spec: AdaptiveSpec) -> Optional[AdaptiveConfig]:
+    """Normalise an ``adaptive=`` argument to a config (or None = off)."""
+    if spec is None or spec is False:
+        return None
+    if spec is True:
+        return AdaptiveConfig()
+    if isinstance(spec, AdaptiveConfig):
+        return spec
+    if isinstance(spec, dict):
+        return AdaptiveConfig(**spec)
+    raise TypeError(
+        f"adaptive= expects AdaptiveConfig, bool, dict, or None; got {type(spec)!r}"
+    )
 
 
 @dataclass(frozen=True)
@@ -44,51 +139,15 @@ class ExecutionOptions:
     """Execution, caching and seeding knobs of a sweep.
 
     Every field is normalised and cross-checked on construction, so a bad
-    value fails before any unit is planned.
+    value fails before any unit is planned.  The flagged fields document
+    themselves in their metadata.  The rest:
 
-    Attributes
-    ----------
-    executor:
-        ``"serial"``, ``"process"`` (multiprocessing pool), ``"thread"``
-        (shared-memory pool; the compiled kernels release the GIL), an
-        executor instance from :mod:`repro.runner.executors`, or ``None``
-        (default): the process pool when ``workers > 1``, else serial.
-    workers:
-        Pool size of the process/thread executor, at least 1 (default:
-        CPU count).
     store:
         Result store that makes sweeps resumable: a
         :class:`repro.store.ResultStore`, a store URI
         (``"sqlite:results.db"``, ``"memory:name"``, ...), a bare
         json-dir directory path, or ``None`` (default) to disable
         caching.  A URI or path is opened here, once.
-    kernel:
-        :mod:`repro.kernels` backend name for the decode hot loops
-        (``"numpy"`` or ``"cext"``); ``None`` resolves ``REPRO_KERNEL`` /
-        auto (cext > numpy) in the executing process.  Bit-identical
-        across backends.
-    kernel_threads:
-        Row-parallel thread count of the compiled kernels: a positive
-        integer or ``"auto"`` (physical cores divided by the executor's
-        workers); ``None`` resolves ``REPRO_KERNEL_THREADS`` / auto.
-        Bit-identical at any value.
-    seed_scheme:
-        :mod:`repro.seeds` scheme deriving the per-run streams:
-        ``"per-run"`` reproduces the historical streams bit-for-bit,
-        ``"unit"`` draws a whole work unit from one counter-based
-        generator (deterministic, but a different stream, so it keys the
-        store separately).  ``None`` resolves ``REPRO_SEED_SCHEME`` /
-        ``"per-run"`` when the options are built.
-    fleet:
-        Execute cooperatively: claim units from the shared ``store``
-        under TTL leases (:mod:`repro.runner.fleet`), so several
-        processes running the same sweep against one store split it with
-        no duplicated work and all return the complete result.  Needs a
-        lease-capable store.
-    lease_ttl:
-        Fleet lease time-to-live in seconds (finite and positive).
-    worker_id:
-        Fleet-unique worker identity (default ``<hostname>:<pid>``).
     failure_policy:
         :class:`repro.resilience.FailurePolicy` every unit runs under.
         The default ``FailurePolicy()`` is fail-fast: the first unit that
@@ -99,23 +158,67 @@ class ExecutionOptions:
         quarantine units that exhaust their attempts instead of aborting.
         Quarantine needs a ``store``.  ``None`` means the default.
     adaptive:
-        ``None`` (default) runs fixed sweeps.  An
-        :class:`repro.adaptive.AdaptiveConfig`, a kwargs dict, or ``True``
-        switches grids to the sequential-stopping controller: ``runs``
-        becomes the per-cell budget and each cell stops as soon as its
-        confidence intervals settle (bit-identical to the fixed sweep at
-        the same run count).
+        ``None`` (default) runs fixed sweeps.  An :class:`AdaptiveConfig`,
+        a kwargs dict, or ``True`` switches grids to the
+        sequential-stopping controller: ``runs`` becomes the per-cell
+        budget and each cell stops as soon as its confidence intervals
+        settle (bit-identical to the fixed sweep at the same run count).
     """
 
-    executor: ExecutorSpec = None
-    workers: Optional[int] = None
+    executor: ExecutorSpec = field(default=None, metadata={
+        "help": "'serial', 'process' (pickling pool), 'thread' (shared-"
+                "memory pool: compiled kernels release the GIL) or, in the "
+                "library, an executor instance.  Omitted: the process pool "
+                "when --workers > 1, else serial",
+        "choices": EXECUTOR_NAMES,
+    })
+    workers: Optional[int] = field(default=None, metadata={
+        "help": "pool size of the process/thread executor, at least 1; "
+                "omitted or 1 runs serially unless --executor names a pool, "
+                "which then uses the CPU count",
+        "type": int,
+    })
     store: StoreSpec = None
-    kernel: Optional[str] = None
-    kernel_threads: ThreadSpec = None
-    seed_scheme: SchemeSpec = None
-    fleet: bool = False
-    lease_ttl: float = DEFAULT_LEASE_TTL
-    worker_id: Optional[str] = None
+    kernel: Optional[str] = field(default=None, metadata={
+        "help": "kernel backend for the decode hot loops: 'numpy', 'cext' "
+                "(compiled on demand with the system C compiler) or 'auto' "
+                "(cext if a compiler is present); omitted: REPRO_KERNEL, "
+                "else auto.  Bit-identical across backends",
+        "metavar": "BACKEND",
+    })
+    kernel_threads: ThreadSpec = field(default=None, metadata={
+        "help": "row-parallel thread count of the compiled kernels: a "
+                "positive integer or 'auto' (physical cores divided by the "
+                "executor's workers and by the live --fleet peers on this "
+                "host, so workers x threads x peers never oversubscribe the "
+                "cores); omitted: REPRO_KERNEL_THREADS, else auto.  "
+                "Bit-identical at any value",
+        "metavar": "THREADS",
+    })
+    seed_scheme: SchemeSpec = field(default=None, metadata={
+        "help": "repro.seeds scheme deriving the per-run streams: 'per-run' "
+                "(the historical SeedSequence per run) or 'unit' (one Philox "
+                "generator per work unit: deterministic, but a different "
+                "stream, cached separately); omitted: REPRO_SEED_SCHEME, "
+                "else 'per-run'",
+        "metavar": "SCHEME",
+    })
+    fleet: bool = field(default=False, metadata={
+        "help": "fleet execution: claim work units from the shared, "
+                "lease-capable --store under TTL leases, so processes running "
+                "this same sweep split it with no duplicated work; each "
+                "returns the whole result",
+    })
+    lease_ttl: float = field(default=DEFAULT_LEASE_TTL, metadata={
+        "help": "fleet lease time-to-live in seconds (finite, > 0); a worker "
+                "that stops heartbeating has its units reclaimed after this "
+                "long",
+        "metavar": "SECONDS", "needs": "fleet",
+    })
+    worker_id: Optional[str] = field(default=None, metadata={
+        "help": "fleet-unique worker identity (omitted: <hostname>:<pid>)",
+        "metavar": "ID", "needs": "fleet",
+    })
     failure_policy: FailurePolicy = DEFAULT_POLICY
     adaptive: AdaptiveSpec = None
 
@@ -146,15 +249,18 @@ class ExecutionOptions:
             "failure_policy": policy,
             "kernel_threads": normalize_thread_spec(self.kernel_threads),
             "seed_scheme": resolve_scheme_name(self.seed_scheme),
-            "adaptive": None,
+            "adaptive": resolve_adaptive(self.adaptive),
         }
-        if self.adaptive is not None and self.adaptive is not False:
-            # Only adaptive sweeps load the controller.
-            from repro.adaptive.controller import resolve_adaptive
-
-            normalized["adaptive"] = resolve_adaptive(self.adaptive)
         for name, value in normalized.items():
             object.__setattr__(self, name, value)
 
 
-__all__ = ["DEFAULT_LEASE_TTL", "ExecutionOptions", "ExecutorSpec"]
+__all__ = [
+    "DEFAULT_LEASE_TTL",
+    "EXECUTOR_NAMES",
+    "AdaptiveConfig",
+    "AdaptiveSpec",
+    "ExecutionOptions",
+    "ExecutorSpec",
+    "resolve_adaptive",
+]
