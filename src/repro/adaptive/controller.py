@@ -230,7 +230,7 @@ def _run_cells(
             **plan_kwargs,
         )
         results, failures = execute(units, total_cells=len(active))
-        failures_out.extend(failures)
+        failures_out.extend(failures.values())
         by_cell = results_by_cell(results)
         for path in active:
             run = state[path]

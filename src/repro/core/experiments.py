@@ -24,21 +24,17 @@ so three scales are provided:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Dict, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, Optional, Sequence
 
 from repro.channel.gilbert import PAPER_GRID_PERCENT
 from repro.core.config import SimulationConfig
 from repro.core.sweep import simulate_grid
-from repro.runner.engine import ProgressCallback
+from repro.runner.engine import ProgressCallback, run_grids
 from repro.runner.options import ExecutionOptions
 from repro.utils.rng import RandomState
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.metrics import GridResult
-
-#: Callback invoked with the 1-based index of the configuration about to be
-#: simulated; returns the per-grid progress callback for it (or ``None``).
-ProgressFactory = Callable[[int], Optional[ProgressCallback]]
 
 #: Reduced (p, q) axis used by the "small" scale (percent).
 SMALL_GRID_PERCENT: tuple[int, ...] = (0, 1, 5, 10, 20, 40, 70)
@@ -279,9 +275,17 @@ def run_experiment(
     seed: RandomState = 0,
     runs: Optional[int] = None,
     options: Optional[ExecutionOptions] = None,
-    progress_factory: Optional[ProgressFactory] = None,
+    progress: Optional[ProgressCallback] = None,
 ) -> Dict[str, GridResult]:
     """Run every configuration of an experiment and return grids by label.
+
+    A fixed-run experiment is one engine pass
+    (:func:`repro.runner.engine.run_grids`): every configuration's cells
+    run as one unit list, and the codes compared at one transmission
+    model, ratio and cell decode one shared synthesized transmission.
+    The grids equal a :func:`~repro.core.sweep.simulate_grid` call per
+    configuration, bit for bit.  Adaptive experiments run one
+    :func:`~repro.adaptive.adaptive_grid` per configuration.
 
     Parameters
     ----------
@@ -295,31 +299,32 @@ def run_experiment(
         budget of adaptive sweeps).
     options:
         How every sweep executes
-        (:class:`~repro.runner.options.ExecutionOptions`), forwarded to
-        :func:`repro.core.sweep.simulate_grid`.
-    progress_factory:
-        Called with the 1-based index of each configuration before its
-        sweep; returns that sweep's ``(done, total)`` progress callback.
+        (:class:`~repro.runner.options.ExecutionOptions`).
+    progress:
+        ``(done, total)`` callback.  A fixed-run experiment counts the
+        grid points of all its configurations together; an adaptive one
+        reports each configuration's rounds in turn.
     """
     spec = get_experiment(experiment_id)
     if isinstance(scale, str):
         if scale not in SCALES:
             raise KeyError(f"unknown scale {scale!r}; available: {', '.join(SCALES)}")
         scale = SCALES[scale]
-    results: Dict[str, GridResult] = {}
-    for index, config in enumerate(spec.scaled_configs(scale), start=1):
-        progress = progress_factory(index) if progress_factory is not None else None
-        grid = simulate_grid(
-            config,
-            scale.p_values,
-            scale.q_values,
-            runs=runs if runs is not None else scale.runs,
-            seed=seed,
-            progress=progress,
-            options=options,
-        )
-        results[config.display_label] = grid
-    return results
+    configs = spec.scaled_configs(scale)
+    sweep = dict(
+        runs=runs if runs is not None else scale.runs,
+        seed=seed,
+        progress=progress,
+        options=options,
+    )
+    if options is not None and options.adaptive is not None:
+        grids = [
+            simulate_grid(config, scale.p_values, scale.q_values, **sweep)
+            for config in configs
+        ]
+    else:
+        grids = run_grids(configs, scale.p_values, scale.q_values, **sweep)
+    return {config.display_label: grid for config, grid in zip(configs, grids)}
 
 
 __all__ = [

@@ -22,11 +22,17 @@ from repro.channel.base import LossModel
 from repro.core.metrics import RunResult, RunResultBatch
 from repro.fastpath.prototypes import compile_prototype
 from repro.fec.base import FECCode
+from repro.fec.packet import PacketLayout
 from repro.kernels import KernelSpec, ThreadSpec, get_backend, thread_count_context
 from repro.kernels.base import replay_decode_batch
-from repro.pipeline.synthesis import synthesize_runs, synthesize_runs_unit
+from repro.pipeline.synthesis import (
+    SynthesizedRuns,
+    synthesize_runs,
+    synthesize_runs_unit,
+)
 from repro.seeds import UnitStreams
 from repro.utils.rng import RandomState
+
 
 def simulate_batch_columnar(
     code: FECCode,
@@ -37,6 +43,7 @@ def simulate_batch_columnar(
     nsent: Optional[int] = None,
     kernel: KernelSpec = None,
     kernel_threads: ThreadSpec = None,
+    synthesis: Optional[SynthesizedRuns] = None,
 ) -> RunResultBatch:
     """Simulate one transmission per generator in ``rngs``, fully columnar.
 
@@ -53,57 +60,53 @@ def simulate_batch_columnar(
     the compiled kernels' row-parallel team size (default:
     ``REPRO_KERNEL_THREADS`` / auto) -- both pure wall-clock knobs,
     bit-identical at any setting.
+
+    ``synthesis`` hands over a front end :func:`synthesize_front_end`
+    already produced for these very streams, layout and models (the
+    runner shares one between the codes of a cell); only the decode
+    runs then, and ``rngs`` is not drawn from.
     """
     with thread_count_context(kernel_threads):
-        return _simulate_batch_columnar(
-            code, tx_model, channel, rngs, nsent=nsent, kernel=kernel
+        backend = get_backend(kernel)
+        if synthesis is None:
+            synthesis = synthesize_front_end(
+                code.layout, tx_model, channel, rngs, nsent=nsent, kernel=backend
+            )
+        batch = synthesis.batch
+        decoded, n_necessary = compile_prototype(code, backend).decode_batch(batch)
+        return RunResultBatch(
+            decoded=decoded,
+            n_necessary=n_necessary,
+            n_received=batch.lengths,
+            n_sent=synthesis.n_sent,
+            k=code.k,
+            n=code.n,
         )
 
 
-def _simulate_batch_columnar(
-    code: FECCode,
+def synthesize_front_end(
+    layout: PacketLayout,
     tx_model,
     channel: LossModel,
     rngs: Union[Sequence[RandomState], UnitStreams],
     *,
     nsent: Optional[int] = None,
     kernel: KernelSpec = None,
-) -> RunResultBatch:
-    backend = get_backend(kernel)
+) -> SynthesizedRuns:
+    """The pre-decode arrays of :func:`simulate_batch_columnar`'s runs.
+
+    A whole-unit generator goes through
+    :func:`~repro.pipeline.synthesize_runs_unit`; per-run streams and
+    generator lists through :func:`~repro.pipeline.synthesize_runs`.
+    """
     if isinstance(rngs, UnitStreams):
         if rngs.unit_rng is not None:
-            synthesis = synthesize_runs_unit(
-                code.layout,
-                tx_model,
-                channel,
-                rngs.unit_rng,
-                rngs.runs,
-                nsent=nsent,
-                kernel=backend,
+            return synthesize_runs_unit(
+                layout, tx_model, channel, rngs.unit_rng, rngs.runs,
+                nsent=nsent, kernel=kernel,
             )
-        else:
-            synthesis = synthesize_runs(
-                code.layout,
-                tx_model,
-                channel,
-                rngs.run_rngs(),
-                nsent=nsent,
-                kernel=backend,
-            )
-    else:
-        synthesis = synthesize_runs(
-            code.layout, tx_model, channel, rngs, nsent=nsent, kernel=backend
-        )
-    batch = synthesis.batch
-    decoded, n_necessary = compile_prototype(code, backend).decode_batch(batch)
-    return RunResultBatch(
-        decoded=decoded,
-        n_necessary=n_necessary,
-        n_received=batch.lengths,
-        n_sent=synthesis.n_sent,
-        k=code.k,
-        n=code.n,
-    )
+        rngs = rngs.run_rngs()
+    return synthesize_runs(layout, tx_model, channel, rngs, nsent=nsent, kernel=kernel)
 
 
 def decode_batch_incremental(code: FECCode, synthesis) -> RunResultBatch:
@@ -158,5 +161,6 @@ def simulate_batch(
 __all__ = [
     "simulate_batch",
     "simulate_batch_columnar",
+    "synthesize_front_end",
     "decode_batch_incremental",
 ]

@@ -21,13 +21,14 @@ bit-identically, whatever the execution strategy:
 
 The public sweep API (``repro.core.sweep``), the experiment presets and
 the benchmark harness are thin wrappers over :func:`run_grid` /
+:func:`run_grids` (one pass over several configurations) /
 :func:`run_series`.
 """
 
 from repro._lazy import lazy_exports
 
 __getattr__, __dir__ = lazy_exports(__name__, {
-    "engine": "run_grid run_series",
+    "engine": "run_grid run_grids run_series",
     "executors": "ProcessExecutor SerialExecutor resolve_executor",
     "fleet": "FleetRunner FleetStats default_worker_id",
     "options": "DEFAULT_LEASE_TTL ExecutionOptions",
@@ -41,6 +42,7 @@ __all__ = [
     "FleetStats",
     "default_worker_id",
     "run_grid",
+    "run_grids",
     "run_series",
     "ProcessExecutor",
     "SerialExecutor",

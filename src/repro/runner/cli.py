@@ -57,7 +57,6 @@ from repro.resilience.policy import FailurePolicy
 from repro.runner.engine import grid_cells
 from repro.runner.options import AdaptiveConfig, ExecutionOptions
 from repro.runner.units import plan_units
-from repro.seeds import available_schemes, get_scheme
 from repro.store.base import LeaseUnsupportedError, ResultStore
 from repro.store.json_dir import DEFAULT_CACHE_DIR
 from repro.store.registry import DEFAULT_HOST, DEFAULT_PORT, resolve_store
@@ -75,16 +74,13 @@ def _seed_value(text: str) -> int:
 
 
 def _entry_scheme(text: str) -> str:
-    """``cache --scheme``: a scheme name, its token (``per-run/v1``) or
-    ``pre-seeds``, as the name store entries record."""
-    names = {"pre-seeds": "pre-seeds"}
-    for name in available_schemes():
-        names[name] = names[get_scheme(name).token()] = name
-    if text not in names:
-        raise argparse.ArgumentTypeError(
-            f"unknown seed scheme {text!r}; choose from {', '.join(sorted(names))}"
-        )
-    return names[text]
+    """``cache --scheme``, resolved at parse time (exit 2 when unknown)."""
+    from repro.store.codec import entry_scheme
+
+    try:
+        return entry_scheme(text)
+    except ValueError as error:
+        raise argparse.ArgumentTypeError(str(error)) from None
 
 
 class _NeedsMode(argparse.Action):
@@ -502,22 +498,9 @@ def _cmd_run(args, out, err) -> int:
     )
 
     started = time.perf_counter()
-    config_index = 0
 
     def progress(done: int, total: int) -> None:
-        if args.quiet:
-            return
-        print(
-            f"\r  config {config_index}/{total_configs}: {done}/{total} grid points",
-            end="",
-            file=err,
-            flush=True,
-        )
-
-    def per_config_progress(index: int):
-        nonlocal config_index
-        config_index = index
-        return progress
+        print(f"\r  {done}/{total} grid points", end="", file=err, flush=True)
 
     quarantined = ""
     try:
@@ -527,7 +510,7 @@ def _cmd_run(args, out, err) -> int:
             seed=args.seed,
             runs=runs_arg,
             options=options,
-            progress_factory=per_config_progress,
+            progress=None if args.quiet else progress,
         )
         if policy.on_error == "quarantine":
             from repro.resilience.report import format_quarantine_report, quarantine_entries

@@ -18,7 +18,8 @@ failure policy -- is one :class:`~repro.runner.options.ExecutionOptions`.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
+import json
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple, TypeVar
 
 import numpy as np
 
@@ -32,6 +33,7 @@ from repro.runner.units import (
     WorkUnit,
     merge_cell,
     plan_units,
+    release_synthesis,
 )
 from repro.utils.rng import RandomState, as_seed_int
 from repro.utils.validation import validate_positive_int
@@ -40,6 +42,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only; aggregation imports on use
     from repro.core.metrics import GridResult, SeriesResult
 
 ProgressCallback = Callable[[int, int], None]
+
+T = TypeVar("T")
 
 #: One sweep point: ``(seed_path, config, p, q)``.
 Cell = Tuple[SeedPath, SimulationConfig, float, float]
@@ -88,18 +92,29 @@ def grid_metadata(
     return metadata
 
 
+#: Key of one executed unit in :func:`_execute`'s result and failure maps:
+#: ``(config token, seed_path, run_start)``.  The config token keeps the
+#: units of one engine pass's configurations apart.
+ResultKey = Tuple[str, SeedPath, int]
+
+
+def _result_key(unit: WorkUnit) -> ResultKey:
+    return (unit.config.token, unit.seed_path, unit.run_start)
+
+
 def _execute(
     units: Sequence[WorkUnit],
     *,
     options: ExecutionOptions,
     progress: Optional[ProgressCallback],
     total_cells: int,
-) -> Tuple[Dict[Tuple[SeedPath, int], UnitResult], List[UnitFailure]]:
+) -> Tuple[Dict[ResultKey, UnitResult], Dict[ResultKey, UnitFailure]]:
     """Run a planned unit list through store + executor.
 
-    Results are keyed by ``(seed_path, run_start)``.  Progress is reported
-    in completed *cells* (sweep points), the unit the historical progress
-    callback used; cached cells count as done immediately.
+    Results and failures are keyed by :func:`_result_key`.  Progress is
+    reported in completed *cells* (sweep points of one configuration),
+    the unit the historical progress callback used; cached cells count
+    as done immediately.
 
     With ``options.fleet`` the pending units go through the store's lease
     protocol (:class:`~repro.runner.fleet.FleetRunner`) instead of
@@ -131,19 +146,21 @@ def _execute(
     policy = options.failure_policy
     fleet = options.fleet
     cache = RetryingStore.wrap(options.store, policy)
-    results: Dict[Tuple[SeedPath, int], UnitResult] = {}
-    failures: List[UnitFailure] = []
-    units_per_cell: Dict[SeedPath, int] = {}
+    results: Dict[ResultKey, UnitResult] = {}
+    failures: Dict[ResultKey, UnitFailure] = {}
+    units_per_cell: Dict[Tuple[str, SeedPath], int] = {}
     for unit in units:
-        units_per_cell[unit.seed_path] = units_per_cell.get(unit.seed_path, 0) + 1
+        cell = _result_key(unit)[:2]
+        units_per_cell[cell] = units_per_cell.get(cell, 0) + 1
 
-    done_units_per_cell: Dict[SeedPath, int] = {}
+    done_units_per_cell: Dict[Tuple[str, SeedPath], int] = {}
     done_cells = 0
 
-    def note_done(seed_path: SeedPath) -> None:
+    def note_done(key: ResultKey) -> None:
         nonlocal done_cells
-        done_units_per_cell[seed_path] = done_units_per_cell.get(seed_path, 0) + 1
-        if done_units_per_cell[seed_path] == units_per_cell[seed_path]:
+        cell = key[:2]
+        done_units_per_cell[cell] = done_units_per_cell.get(cell, 0) + 1
+        if done_units_per_cell[cell] == units_per_cell[cell]:
             done_cells += 1
             if progress is not None:
                 progress(done_cells, total_cells)
@@ -152,23 +169,24 @@ def _execute(
     for unit in units:
         cached = cache.get(unit) if cache is not None else None
         if cached is not None:
-            results[(unit.seed_path, unit.run_start)] = cached
-            note_done(unit.seed_path)
+            key = _result_key(unit)
+            results[key] = cached
+            note_done(key)
         else:
             pending.append(unit)
 
     if pending:
-        unit_by_key = {(unit.seed_path, unit.run_start): unit for unit in pending}
 
-        def on_result(result: UnitResult) -> None:
-            key = (result.seed_path, result.run_start)
+        def on_result(unit: WorkUnit, result: UnitResult) -> None:
+            key = _result_key(unit)
             results[key] = result
             if cache is not None and not fleet:
-                cache.put(unit_by_key[key], result)
-            note_done(result.seed_path)
+                cache.put(unit, result)
+            note_done(key)
 
-        def on_failure(failure: UnitFailure) -> None:
-            failures.append(failure)
+        def on_failure(unit: WorkUnit, failure: UnitFailure) -> None:
+            key = _result_key(unit)
+            failures[key] = failure
             if not fleet and policy.on_error == "quarantine":
                 # The fleet runner writes its own quarantine records
                 # (verdict-before-release ordering); solo runs record
@@ -176,7 +194,7 @@ def _execute(
                 from repro.resilience.report import write_quarantine
 
                 write_quarantine(cache, failure)
-            note_done(failure.seed_path)
+            note_done(key)
 
         from repro.runner.executors import resolve_executor
 
@@ -190,22 +208,39 @@ def _execute(
                 worker_id=options.worker_id,
                 lease_ttl=options.lease_ttl,
             )
-        if cache is None or fleet:
-            runner.run(pending, on_result, on_failure, policy)
-        else:
-            with cache.write_behind():
+        try:
+            if cache is None or fleet:
                 runner.run(pending, on_result, on_failure, policy)
+            else:
+                with cache.write_behind():
+                    runner.run(pending, on_result, on_failure, policy)
+        finally:
+            release_synthesis()
 
     return results, failures
 
 
+def _by_config(
+    entries: Dict[ResultKey, T], configs: Sequence[SimulationConfig]
+) -> List[Dict[ResultKey, T]]:
+    """``entries`` of one engine pass, one map per configuration, in order."""
+    by_token: Dict[str, Dict[ResultKey, T]] = {config.token: {} for config in configs}
+    for key, entry in entries.items():
+        by_token[key[0]][key] = entry
+    return [by_token[config.token] for config in configs]
+
+
 def results_by_cell(
-    results: Dict[Tuple[SeedPath, int], UnitResult]
+    results: Dict[ResultKey, UnitResult]
 ) -> Dict[SeedPath, List[UnitResult]]:
-    """Each cell's unit results in run order, grouped in one pass."""
+    """Each cell's unit results in run order, grouped in one pass.
+
+    ``results`` holds one configuration's units (see
+    :func:`_by_config`).
+    """
     by_cell: Dict[SeedPath, List[UnitResult]] = {}
-    for (seed_path, _run_start), result in sorted(
-        results.items(), key=lambda item: item[0][1]
+    for (_token, seed_path, _run_start), result in sorted(
+        results.items(), key=lambda item: item[0][2]
     ):
         by_cell.setdefault(seed_path, []).append(result)
     return by_cell
@@ -224,6 +259,112 @@ def merge_grid(
             merge_cell(by_cell.get((i, j), ()))
         )
     return mean_inefficiency, mean_received, failure_counts
+
+
+def _share_family(config: SimulationConfig) -> tuple:
+    """What the configs whose units may share a synthesis have in common:
+    everything but the code."""
+    return (
+        config.tx_model,
+        json.dumps(config.tx_options, sort_keys=True, default=repr),
+        config.k,
+        config.expansion_ratio,
+        config.nsent,
+    )
+
+
+def plan_grids(
+    configs: Sequence[SimulationConfig],
+    cells_by_config: Sequence[List[Cell]],
+    **plan_kwargs,
+) -> List[WorkUnit]:
+    """Every config's units as one list, the units of one cell side by side.
+
+    Configs that differ only in their code draw the same transmissions
+    (:func:`repro.runner.units.execute_unit` shares them between
+    consecutive units), so their units are interleaved: family by family
+    (configs equal but for the code, in first-appearance order), then
+    cell and run range, then config.
+    """
+    families: Dict[tuple, int] = {}
+    ordered = []
+    for index, (config, cells) in enumerate(zip(configs, cells_by_config)):
+        family = families.setdefault(_share_family(config), len(families))
+        for position, unit in enumerate(plan_units(cells, **plan_kwargs)):
+            ordered.append(((family, position, index), unit))
+    ordered.sort(key=lambda item: item[0])
+    return [unit for _order, unit in ordered]
+
+
+def run_grids(
+    configs: Sequence[SimulationConfig],
+    p_values: Optional[Sequence[float]] = None,
+    q_values: Optional[Sequence[float]] = None,
+    *,
+    runs: int = 10,
+    seed: RandomState = 0,
+    fresh_code_per_run: bool = False,
+    progress: Optional[ProgressCallback] = None,
+    runs_per_unit: Optional[int] = None,
+    options: Optional[ExecutionOptions] = None,
+) -> List[GridResult]:
+    """Sweep the Gilbert (p, q) grid for several configurations in one pass.
+
+    Every config's cells are planned into one unit list
+    (:func:`plan_grids`) and run through one :func:`_execute`: one
+    write-behind scope, one pool, one fleet run.  The results are split
+    back into one :class:`~repro.core.metrics.GridResult` per config, in
+    order, each exactly what :func:`run_grid` returns for that config
+    alone: seed paths, cache keys and arrays do not depend on the other
+    configs.  ``progress`` counts the cells of every config.
+    """
+    runs = validate_positive_int(runs, "runs")
+    options = options or ExecutionOptions()
+    base_seed = as_seed_int(seed)
+    axes = [grid_cells(config, p_values, q_values) for config in configs]
+    units = plan_grids(
+        configs,
+        [cells for _p, _q, cells in axes],
+        runs=runs,
+        base_seed=base_seed,
+        fresh_code_per_run=fresh_code_per_run,
+        runs_per_unit=runs_per_unit,
+        options=options,
+    )
+    results, unit_failures = _execute(
+        units,
+        options=options,
+        progress=progress,
+        total_cells=sum(len(cells) for _p, _q, cells in axes),
+    )
+
+    from repro.core.metrics import GridResult
+
+    grids = []
+    for config, (p_axis, q_axis, _cells), config_results, config_failures in zip(
+        configs,
+        axes,
+        _by_config(results, configs),
+        _by_config(unit_failures, configs),
+    ):
+        mean_inefficiency, mean_received, failure_counts = merge_grid(
+            (p_axis.size, q_axis.size), results_by_cell(config_results)
+        )
+        grids.append(
+            GridResult(
+                p_values=p_axis,
+                q_values=q_axis,
+                mean_inefficiency=mean_inefficiency,
+                mean_received_ratio=mean_received,
+                failure_counts=failure_counts,
+                runs=runs,
+                label=config.display_label,
+                metadata=grid_metadata(
+                    config, base_seed, options, list(config_failures.values())
+                ),
+            )
+        )
+    return grids
 
 
 def run_grid(
@@ -251,40 +392,21 @@ def run_grid(
     (:class:`~repro.runner.options.ExecutionOptions`; default serial, no
     store).  With ``options.fleet`` several processes running this exact
     call against one store split the grid without duplicating work, and
-    every process returns the complete, bit-identical result.
+    every process returns the complete, bit-identical result.  The
+    one-config case of :func:`run_grids`.
     """
-    runs = validate_positive_int(runs, "runs")
-    options = options or ExecutionOptions()
-    p_values, q_values, cells = grid_cells(config, p_values, q_values)
-    base_seed = as_seed_int(seed)
-    units = plan_units(
-        cells,
+    (grid,) = run_grids(
+        [config],
+        p_values,
+        q_values,
         runs=runs,
-        base_seed=base_seed,
+        seed=seed,
         fresh_code_per_run=fresh_code_per_run,
+        progress=progress,
         runs_per_unit=runs_per_unit,
         options=options,
     )
-    results, unit_failures = _execute(
-        units, options=options, progress=progress, total_cells=len(cells)
-    )
-
-    mean_inefficiency, mean_received, failure_counts = merge_grid(
-        (p_values.size, q_values.size), results_by_cell(results)
-    )
-
-    from repro.core.metrics import GridResult
-
-    return GridResult(
-        p_values=p_values,
-        q_values=q_values,
-        mean_inefficiency=mean_inefficiency,
-        mean_received_ratio=mean_received,
-        failure_counts=failure_counts,
-        runs=runs,
-        label=config.display_label,
-        metadata=grid_metadata(config, base_seed, options, unit_failures),
-    )
+    return grid
 
 
 def run_series(
@@ -347,7 +469,7 @@ def run_series(
 
     metadata = {"seed": base_seed, "seed_scheme": options.seed_scheme}
     if unit_failures:
-        metadata["failed_units"] = [failure_summary(f) for f in unit_failures]
+        metadata["failed_units"] = [failure_summary(f) for f in unit_failures.values()]
     from repro.core.metrics import SeriesResult
 
     return SeriesResult(
@@ -366,7 +488,9 @@ __all__ = [
     "grid_cells",
     "grid_metadata",
     "merge_grid",
+    "plan_grids",
     "results_by_cell",
     "run_grid",
+    "run_grids",
     "run_series",
 ]

@@ -9,7 +9,7 @@ Three strategies are provided behind one tiny interface
 * :class:`ProcessExecutor` fans units out over a
   ``concurrent.futures.ProcessPoolExecutor`` in chunks.  Because every
   unit derives its own seeds, completion order does not matter: the engine
-  reassembles cells by their ``seed_path``, so parallel results are
+  reassembles cells from the units handed back, so parallel results are
   bit-identical to serial ones.  Each worker process pre-warms the
   shared-code + compiled-prototype caches in its pool initializer, so the
   per-process compile cost is paid at pool start-up, in parallel.
@@ -22,10 +22,13 @@ Three strategies are provided behind one tiny interface
   kernel-thread counts obey the oversubscription rule (executor workers x
   kernel threads x same-host fleet peers <= physical cores).
 
-``on_result`` is always invoked in the calling process and thread (for
-the pools: as futures complete), which is what bridges worker progress
-back to the user's progress callback and lets the engine write the
-result store from a single thread.
+``on_result(unit, result)`` is always invoked in the calling process and
+thread (for the pools: as futures complete), which is what bridges worker
+progress back to the user's progress callback and lets the engine write
+the result store from a single thread.  Every callback hands back the
+planned unit itself (``on_failure(unit, failure)`` likewise), so the
+caller never has to match a result to its unit by cell and run range --
+which would collide between the configurations of one engine pass.
 
 Every ``run`` takes the sweep's
 :class:`~repro.resilience.policy.FailurePolicy` (default: the fail-fast
@@ -77,8 +80,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only; pools import on first use
     import multiprocessing
     from concurrent.futures import Executor as PoolExecutor
 
-OnResult = Callable[[UnitResult], None]
-OnFailure = Callable[[UnitFailure], None]
+OnResult = Callable[[WorkUnit, UnitResult], None]
+OnFailure = Callable[[WorkUnit, UnitFailure], None]
 
 
 class Executor(Protocol):
@@ -94,12 +97,13 @@ class Executor(Protocol):
 
 
 def deliver_outcome(
+    unit: WorkUnit,
     outcome: UnitOutcome,
     policy: FailurePolicy,
     on_result: OnResult,
     on_failure: Optional[OnFailure],
 ) -> None:
-    """Dispatch one policy outcome: result, failure callback, or raise.
+    """Dispatch ``unit``'s policy outcome: result, failure callback, or raise.
 
     ``on_error="raise"`` (and a missing ``on_failure`` sink, whatever the
     action) escalates to :class:`PoisonUnitError` carrying the structured
@@ -108,13 +112,13 @@ def deliver_outcome(
     the error path cannot silently drop units.
     """
     if outcome.result is not None:
-        on_result(outcome.result)
+        on_result(unit, outcome.result)
         return
     failure = outcome.failure
     assert failure is not None
     if policy.on_error == "raise" or on_failure is None:
         raise PoisonUnitError(failure.describe(), failure) from outcome.error
-    on_failure(failure)
+    on_failure(unit, failure)
 
 
 def _dispatch(
@@ -122,26 +126,26 @@ def _dispatch(
     task: Callable[[Any], Any],
     items: Iterable[Any],
     max_pending: int,
-    deliver: Callable[[Any], None],
+    deliver: Callable[[Any, Any], None],
 ) -> None:
     """Run ``task`` over ``items`` on ``pool``, at most ``max_pending`` in flight.
 
-    Each finished task's return value is handed to ``deliver`` in the
-    calling thread as soon as it completes, so a paper-scale unit list
-    never enqueues tens of thousands of futures at once.
+    Each finished task's item and return value are handed to ``deliver``
+    in the calling thread as soon as it completes, so a paper-scale unit
+    list never enqueues tens of thousands of futures at once.
     """
     from concurrent.futures import FIRST_COMPLETED, wait
 
-    pending: set = set()
+    pending: dict = {}
     queued = iter(items)
     while True:
         for item in islice(queued, max_pending - len(pending)):
-            pending.add(pool.submit(task, item))
+            pending[pool.submit(task, item)] = item
         if not pending:
             return
-        done, pending = wait(pending, return_when=FIRST_COMPLETED)
+        done, _ = wait(pending, return_when=FIRST_COMPLETED)
         for future in done:
-            deliver(future.result())
+            deliver(pending.pop(future), future.result())
 
 
 class SerialExecutor:
@@ -163,7 +167,7 @@ class SerialExecutor:
     ) -> None:
         for unit in units:
             outcome = run_unit_with_policy(unit, policy, execute=self._execute_one)
-            deliver_outcome(outcome, policy, on_result, on_failure)
+            deliver_outcome(unit, outcome, policy, on_result, on_failure)
 
 
 def _pool_context() -> multiprocessing.context.BaseContext:
@@ -272,9 +276,9 @@ class ProcessExecutor:
         chunks = self._chunks(units)
         pool_size = min(self.workers, len(chunks))
 
-        def deliver(outcomes: List[UnitOutcome]) -> None:
-            for outcome in outcomes:
-                deliver_outcome(outcome, policy, on_result, on_failure)
+        def deliver(chunk: List[WorkUnit], outcomes: List[UnitOutcome]) -> None:
+            for unit, outcome in zip(chunk, outcomes):
+                deliver_outcome(unit, outcome, policy, on_result, on_failure)
 
         with ProcessPoolExecutor(
             max_workers=pool_size,
@@ -306,7 +310,7 @@ class ThreadExecutor:
     <= cores) holds by construction.
 
     Completion order does not matter -- every unit derives its own seeds
-    and the engine reassembles cells by ``seed_path`` -- so results are
+    and the engine reassembles cells from the units handed back -- so results are
     bit-identical to the serial and process executors.  ``on_result`` /
     ``on_failure`` are invoked in the calling thread.
 
@@ -361,7 +365,9 @@ class ThreadExecutor:
                 partial(run_unit_with_policy, policy=policy, execute=self._execute_one),
                 units,
                 self.max_pending,
-                lambda outcome: deliver_outcome(outcome, policy, on_result, on_failure),
+                lambda unit, outcome: deliver_outcome(
+                    unit, outcome, policy, on_result, on_failure
+                ),
             )
 
 

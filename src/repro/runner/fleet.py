@@ -48,7 +48,7 @@ import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Set
 
 from repro.kernels.threads import host_peers_context, set_host_peers
 from repro.resilience.errors import PoisonUnitError, StoreUnavailableError
@@ -357,9 +357,6 @@ class FleetRunner:
     ) -> None:
         store = RetryingStore.wrap(self.store, policy)
         pending: Dict[str, WorkUnit] = {unit_key(unit): unit for unit in units}
-        key_by_identity: Dict[Tuple[tuple, int], str] = {
-            (unit.seed_path, unit.run_start): key for key, unit in pending.items()
-        }
         quarantining = policy.on_error == "quarantine" and on_failure is not None
 
         def check_heartbeat(heartbeat: "_Heartbeat") -> None:
@@ -374,10 +371,10 @@ class FleetRunner:
             entry = read_quarantine(store, key)
             if entry is None:
                 return False
-            del pending[key]
+            unit = pending.pop(key)
             self.stats.failed += 1
             self.stats.failed_keys.append(key)
-            on_failure(entry.as_failure())
+            on_failure(unit, entry.as_failure())
             return True
 
         idle_wait = IDLE_BACKOFF_START
@@ -412,9 +409,8 @@ class FleetRunner:
                     payload = store.get_record(key)
                     result = None if payload is None else decode_payload(payload)
                     if result is not None:
-                        del pending[key]
                         self.stats.absorbed += 1
-                        on_result(result)
+                        on_result(pending.pop(key), result)
                         idle_wait = IDLE_BACKOFF_START
 
                 # A claim can also win a unit a peer already condemned
@@ -450,18 +446,18 @@ class FleetRunner:
                 # never both unleased and unfinished.
                 heartbeat.hold([unit_key(unit) for unit in claimed])
 
-                def on_executed(result: UnitResult) -> None:
+                def on_executed(unit: WorkUnit, result: UnitResult) -> None:
                     check_heartbeat(heartbeat)
-                    key = key_by_identity[(result.seed_path, result.run_start)]
-                    unit = pending.pop(key)
+                    key = unit_key(unit)
+                    del pending[key]
                     store.put(unit, result)
                     store.release(key, self.worker_id)
                     heartbeat.drop(key)
                     self.stats.executed += 1
                     self.stats.executed_keys.append(key)
-                    on_result(result)
+                    on_result(unit, result)
 
-                def on_failed(failure: UnitFailure) -> None:
+                def on_failed(unit: WorkUnit, failure: UnitFailure) -> None:
                     # Verdict before release: a unit is never both
                     # unleased and unaccounted-for.  Peers that claim the
                     # released lease find the record and absorb it.
@@ -474,7 +470,7 @@ class FleetRunner:
                     self.stats.failed += 1
                     self.stats.failed_keys.append(key)
                     if on_failure is not None:
-                        on_failure(failure)
+                        on_failure(unit, failure)
 
                 try:
                     self.executor.run(claimed, on_executed, on_failed, policy)

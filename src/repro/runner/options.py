@@ -227,6 +227,12 @@ class ExecutionOptions:
         # reject NaN.
         if self.workers is not None and not self.workers >= 1:
             raise ValueError(f"workers must be at least 1, got {self.workers!r}")
+        serial = isinstance(self.executor, str) and self.executor.lower() == "serial"
+        if serial and self.workers is not None and self.workers > 1:
+            raise ValueError(
+                f"the serial executor runs one unit at a time; drop workers="
+                f"{self.workers} or name a pool executor ('process', 'thread')"
+            )
         if not (math.isfinite(self.lease_ttl) and self.lease_ttl > 0):
             raise ValueError(
                 f"lease_ttl must be a finite number of seconds > 0, "

@@ -314,6 +314,74 @@ def _shared_code(unit: WorkUnit):
     return code
 
 
+#: Per-thread memo of the last synthesized front end (the received batch
+#: and per-run send counts) and its key.  The codes of one experiment cell
+#: draw the same streams over layouts the schedule cannot tell apart, so
+#: units planned next to each other decode one synthesis instead of each
+#: drawing its own.  One entry per thread bounds the memory it holds.
+_SYNTHESIS_MEMO = threading.local()
+
+
+def _synthesis_key(unit: WorkUnit, layout, tx_model) -> tuple:
+    """Everything the unit's synthesis reads: streams, channel, schedule.
+
+    The layout enters as its source and parity index arrays, plus its
+    block sizes when the transmission model's schedule reads the blocks
+    (:attr:`~repro.scheduling.base.TransmissionModel.schedule_reads_blocks`).
+    """
+    blocks = None
+    if getattr(tx_model, "schedule_reads_blocks", True):
+        blocks = tuple(
+            (block.source_indices.size, block.parity_indices.size)
+            for block in layout.blocks
+        )
+    config = unit.config
+    return (
+        unit.seed_scheme,
+        unit.base_seed,
+        unit.seed_path,
+        unit.run_start,
+        unit.run_stop,
+        unit.p,
+        unit.q,
+        config.tx_model,
+        json.dumps(config.tx_options, sort_keys=True, default=repr),
+        config.nsent,
+        layout.source_indices.tobytes(),
+        layout.parity_indices.tobytes(),
+        blocks,
+    )
+
+
+def _held_synthesis(unit: WorkUnit, key: tuple):
+    """This thread's memoised front end under ``key``, or ``None``.
+
+    Sharing is between configs: a front end is never handed back to the
+    config that drew it, so re-executing a unit (a retry) draws afresh.
+    A held entry that does not match is dropped here, before the unit
+    allocates anything, so a thread never holds two front ends at once.
+    """
+    entry = getattr(_SYNTHESIS_MEMO, "entry", None)
+    if entry is not None and entry[0] == key and entry[1] != unit.config.token:
+        return entry[2]
+    _SYNTHESIS_MEMO.entry = None
+    return None
+
+
+def _hold_synthesis(unit: WorkUnit, key: tuple, synthesis) -> None:
+    """Hold ``synthesis`` for the thread's next unit, its arrays read-only:
+    every unit that shares them only reads them."""
+    batch = synthesis.batch
+    for array in (batch.flat, batch.offsets, batch.lengths, synthesis.n_sent):
+        array.flags.writeable = False
+    _SYNTHESIS_MEMO.entry = (key, unit.config.token, synthesis)
+
+
+def release_synthesis() -> None:
+    """Drop the calling thread's memoised front end (end of a sweep)."""
+    _SYNTHESIS_MEMO.entry = None
+
+
 def warm_unit(unit: WorkUnit) -> None:
     """Pre-build the shared state ``unit`` will need: code + prototype.
 
@@ -384,30 +452,57 @@ def _unit_batch(unit: WorkUnit) -> RunResultBatch:
 
 def _unit_batch_impl(unit: WorkUnit) -> RunResultBatch:
     from repro.fastpath import simulate_batch_columnar
+    from repro.fastpath.batch import synthesize_front_end
+    from repro.kernels.registry import get_backend_for_run
+
+    if unit.fresh_code_per_run:
+        return _fresh_code_batch(unit)
+    # Codes whose layouts the schedule cannot tell apart decode one shared
+    # front end.  The lookup comes first, so a stale entry is freed before
+    # this unit allocates anything.
+    tx_model = unit.config.build_tx_model()
+    code = _shared_code(unit)
+    key = _synthesis_key(unit, code.layout, tx_model)
+    synthesis = _held_synthesis(unit, key)
+    kernel = get_backend_for_run(unit.kernel)
+    channel = GilbertChannel(unit.p, unit.q)
+    streams = _unit_streams(unit)
+    if synthesis is None:
+        # The whole run range is one vectorised batch.  Under the per-run
+        # scheme each run keeps its own generator, so the batch is
+        # bit-identical to the incremental loop; under the unit scheme the
+        # streams are defined by the block draws.
+        synthesis = synthesize_front_end(
+            code.layout, tx_model, channel, streams,
+            nsent=unit.config.nsent, kernel=kernel,
+        )
+        _hold_synthesis(unit, key, synthesis)
+    return simulate_batch_columnar(
+        code,
+        tx_model,
+        channel,
+        streams,
+        nsent=unit.config.nsent,
+        kernel=kernel,
+        synthesis=synthesis,
+    )
+
+
+def _fresh_code_batch(unit: WorkUnit) -> RunResultBatch:
+    """A unit whose code is drawn from each run's generator.
+
+    The code must be drawn *before* the schedule, so each run is its own
+    batch of one (the unit scheme gives every run its own counter window
+    here), and no front end is shared.
+    """
+    from repro.core.metrics import RunResultBatch
+    from repro.fastpath import simulate_batch_columnar
     from repro.kernels.registry import get_backend_for_run
 
     kernel = get_backend_for_run(unit.kernel)
     tx_model = unit.config.build_tx_model()
     channel = GilbertChannel(unit.p, unit.q)
     streams = _unit_streams(unit)
-
-    if not unit.fresh_code_per_run:
-        # The whole run range is one vectorised batch.  Under the per-run
-        # scheme each run keeps its own generator, so the batch is
-        # bit-identical to the incremental loop; under the unit scheme the
-        # streams are defined by the block draws.
-        return simulate_batch_columnar(
-            _shared_code(unit),
-            tx_model,
-            channel,
-            streams,
-            nsent=unit.config.nsent,
-            kernel=kernel,
-        )
-
-    # Fresh code per run: the code must be drawn from the run generator
-    # *before* the schedule, so each run is its own batch of one (the
-    # unit scheme gives every run its own counter window here).
     batches: List[RunResultBatch] = []
     for run in range(unit.run_start, unit.run_stop):
         run_rng = streams.run_rng(run)
@@ -422,8 +517,6 @@ def _unit_batch_impl(unit: WorkUnit) -> RunResultBatch:
                 kernel=kernel,
             )
         )
-    from repro.core.metrics import RunResultBatch
-
     return RunResultBatch.concatenate(batches)
 
 

@@ -37,6 +37,15 @@ class TransmissionModel(abc.ABC):
     #: stage does.
     draws_stream_blocks: bool = False
 
+    #: Whether the schedule depends on how the layout groups packets into
+    #: blocks, beyond its source and parity index arrays.  Codes with equal
+    #: index arrays but different blocks (RSE and LDGM at one k and ratio)
+    #: then get different schedules, so the runner shares one synthesized
+    #: transmission between them only when this is False.  True by
+    #: default: a model that does not say otherwise is assumed to read
+    #: the blocks.
+    schedule_reads_blocks: bool = True
+
     @abc.abstractmethod
     def schedule(self, layout: PacketLayout, rng: RandomState = None) -> np.ndarray:
         """Return the transmission order as an array of global packet indices."""

@@ -69,6 +69,7 @@ class TxModel1(TransmissionModel):
 
     name = "tx_model_1"
     uses_rng = False
+    schedule_reads_blocks = False
 
     def schedule(self, layout: PacketLayout, rng: RandomState = None) -> np.ndarray:
         return np.concatenate([layout.source_indices, layout.parity_indices])
@@ -79,6 +80,7 @@ class TxModel2(TransmissionModel):
 
     name = "tx_model_2"
     draws_stream_blocks = True
+    schedule_reads_blocks = False
 
     def schedule(self, layout: PacketLayout, rng: RandomState = None) -> np.ndarray:
         rng = ensure_rng(rng)
@@ -104,6 +106,7 @@ class TxModel3(TransmissionModel):
 
     name = "tx_model_3"
     draws_stream_blocks = True
+    schedule_reads_blocks = False
 
     def schedule(self, layout: PacketLayout, rng: RandomState = None) -> np.ndarray:
         rng = ensure_rng(rng)
@@ -131,6 +134,7 @@ class TxModel4(TransmissionModel):
 
     name = "tx_model_4"
     draws_stream_blocks = True
+    schedule_reads_blocks = False
 
     def schedule(self, layout: PacketLayout, rng: RandomState = None) -> np.ndarray:
         rng = ensure_rng(rng)
@@ -179,6 +183,7 @@ class TxModel6(TransmissionModel):
     """
 
     name = "tx_model_6"
+    schedule_reads_blocks = False
 
     def __init__(self, source_fraction: float = 0.2):
         self.source_fraction = validate_fraction(source_fraction, "source_fraction")

@@ -41,7 +41,7 @@ __getattr__, __dir__ = lazy_exports(__name__, {
     "chaos": "ChaosConfig ChaosStore",
     "codec": (
         "CACHE_FORMAT_VERSION RESULT_SCHEMA config_token decode_payload "
-        "encode_result unit_key unit_provenance"
+        "encode_result entry_scheme unit_key unit_provenance"
     ),
     "http": "DEFAULT_TIMEOUT HttpStore HttpStoreError",
     "json_dir": "DEFAULT_CACHE_DIR JsonDirStore",
@@ -84,6 +84,7 @@ __all__ = [
     "config_token",
     "decode_payload",
     "encode_result",
+    "entry_scheme",
     "migrate_store",
     "register_backend",
     "resolve_store",

@@ -171,7 +171,9 @@ class ResultStore(abc.ABC):
     def clear(self, scheme: Optional[str] = None) -> int:
         """Delete entries -- all of them, or only one seed scheme's.
 
-        Returns the number of entries removed.
+        ``scheme`` is resolved by :func:`~repro.store.codec.entry_scheme`
+        (a name, a token or ``"pre-seeds"``; anything else raises
+        ``ValueError``).  Returns the number of entries removed.
         """
 
     def scheme_counts(self) -> Dict[str, int]:

@@ -35,7 +35,7 @@ from typing import Any, Dict, Optional, Tuple
 
 from repro.core.config import SimulationConfig
 from repro.runner.units import UnitResult, WorkUnit
-from repro.seeds import get_scheme
+from repro.seeds import available_schemes, get_scheme
 
 #: Key-derivation version: bump when the canonical unit description (the
 #: hashed fields) changes shape.  Version 2 added the seed-scheme token.
@@ -46,6 +46,25 @@ CACHE_FORMAT_VERSION = 2
 #: any other schema (including pre-schema ones) are treated as misses, not
 #: errors, so stale stores degrade to re-simulation.
 RESULT_SCHEMA = 2
+
+
+def entry_scheme(scheme: str) -> str:
+    """The seed-scheme name store entries record, for a scheme filter.
+
+    Accepts a scheme name (``"per-run"``), its token (``"per-run/v1"``,
+    as ``cache info`` lists it) or ``"pre-seeds"`` (entries written
+    before the scheme field existed).  Raises ``ValueError`` naming the
+    choices for anything else, so a filter never silently matches
+    nothing.
+    """
+    names = {"pre-seeds": "pre-seeds"}
+    for name in available_schemes():
+        names[name] = names[get_scheme(name).token()] = name
+    if scheme not in names:
+        raise ValueError(
+            f"unknown seed scheme {scheme!r}; choose from {', '.join(sorted(names))}"
+        )
+    return names[scheme]
 
 
 def config_token(config: SimulationConfig) -> str:
@@ -202,6 +221,7 @@ __all__ = [
     "CACHE_FORMAT_VERSION",
     "RESULT_SCHEMA",
     "config_token",
+    "entry_scheme",
     "unit_key",
     "encode_result",
     "decode_payload",

@@ -52,7 +52,7 @@ from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
 from repro.resilience.errors import HttpStoreError, StoreUnavailableError
 from repro.runner.units import UnitResult, WorkUnit
 from repro.store.base import Lease, ResultStore, StoreRecord
-from repro.store.codec import encode_result, unit_key
+from repro.store.codec import encode_result, entry_scheme, unit_key
 
 #: Per-request socket timeout (connect + read), seconds.
 DEFAULT_TIMEOUT = 10.0
@@ -371,6 +371,8 @@ class HttpStore(ResultStore):
         return int(self._request("GET", "/size_bytes")["bytes"])
 
     def clear(self, scheme: Optional[str] = None) -> int:
+        if scheme is not None:
+            scheme = entry_scheme(scheme)
         return int(self._request("POST", "/clear", {"scheme": scheme})["removed"])
 
     def scheme_counts(self) -> Dict[str, int]:

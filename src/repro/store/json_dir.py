@@ -36,7 +36,7 @@ from typing import Any, Dict, Iterable, Iterator, List, Optional, Union
 from repro.resilience.errors import StoreUnavailableError
 from repro.runner.units import WorkUnit
 from repro.store.base import Lease, ResultStore, StoreRecord
-from repro.store.codec import dump_entry
+from repro.store.codec import dump_entry, entry_scheme
 
 #: Default store root, relative to the current working directory.
 DEFAULT_CACHE_DIR = ".repro_cache"
@@ -171,6 +171,8 @@ class JsonDirStore(ResultStore):
 
     def clear(self, scheme: Optional[str] = None) -> int:
         """Delete entries (all, or one scheme's); returns the count removed."""
+        if scheme is not None:
+            scheme = entry_scheme(scheme)
         removed = 0
         if not self.root.is_dir():
             return removed

@@ -21,6 +21,7 @@ from typing import Any, Dict, Iterator, List, Optional, Iterable
 
 from repro.runner.units import WorkUnit
 from repro.store.base import Lease, ResultStore, StoreRecord
+from repro.store.codec import entry_scheme
 
 #: Process-wide registry of named shared instances (``memory:NAME``).
 _SHARED: Dict[str, "MemoryStore"] = {}
@@ -106,6 +107,7 @@ class MemoryStore(ResultStore):
                 self._entries.clear()
                 self._leases.clear()
                 return removed
+            scheme = entry_scheme(scheme)
             matching = [
                 key
                 for key, payload in self._entries.items()

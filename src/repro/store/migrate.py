@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.store.base import ResultStore
-from repro.store.codec import decode_payload
+from repro.store.codec import decode_payload, entry_scheme
 
 
 class StoreMigrationError(RuntimeError):
@@ -53,17 +53,21 @@ def migrate_store(
     Parameters
     ----------
     scheme:
-        Copy only entries of one seed scheme (``None``: everything).
+        Copy only entries of one seed scheme (``None``: everything): a
+        name, a token or ``"pre-seeds"``, resolved by
+        :func:`~repro.store.codec.entry_scheme` (anything else raises
+        ``ValueError``).
     verify:
         Read each record back from the destination and require an exact
         payload round-trip plus schema-level decode agreement.
     """
+    if scheme is not None:
+        scheme = entry_scheme(scheme)
     copied = 0
     skipped = 0
     for record in source.records():
         if scheme is not None:
-            entry_scheme = record.payload.get("seed_scheme") or "pre-seeds"
-            if entry_scheme != scheme:
+            if (record.payload.get("seed_scheme") or "pre-seeds") != scheme:
                 skipped += 1
                 continue
         destination.put_record(record.key, record.payload)

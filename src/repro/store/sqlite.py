@@ -48,7 +48,13 @@ from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple, Union
 from repro.resilience.errors import StoreUnavailableError
 from repro.runner.units import UnitResult, WorkUnit
 from repro.store.base import Lease, ResultStore, StoreRecord
-from repro.store.codec import dump_entry, encode_result, provenance_fields, unit_key
+from repro.store.codec import (
+    dump_entry,
+    encode_result,
+    entry_scheme,
+    provenance_fields,
+    unit_key,
+)
 
 #: Bump when the database layout changes shape.
 SQLITE_STORE_SCHEMA = 1
@@ -350,6 +356,8 @@ class SqliteStore(ResultStore):
         return {scheme: int(count) for scheme, count in rows}
 
     def clear(self, scheme: Optional[str] = None) -> int:
+        if scheme is not None:
+            scheme = entry_scheme(scheme)
         with self._lock, self._guard():
             self._conn.execute("BEGIN IMMEDIATE")
             try:

@@ -561,8 +561,8 @@ class TestRoundFolding:
             expected = [
                 result
                 for results in rounds
-                for (result_path, _start), result in sorted(
-                    results.items(), key=lambda item: item[0][1]
+                for (_token, result_path, _start), result in sorted(
+                    results.items(), key=lambda item: item[0][2]
                 )
                 if result_path == path
             ]

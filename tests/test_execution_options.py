@@ -119,6 +119,17 @@ class TestValidation:
         with pytest.raises(ValueError):
             ExecutionOptions(**kwargs)
 
+    def test_serial_executor_rejects_a_pool_size(self, capsys):
+        with pytest.raises(ValueError, match="serial executor"):
+            ExecutionOptions(executor="serial", workers=4)
+        assert ExecutionOptions(executor="serial", workers=1).workers == 1
+        argv = [
+            "run", "fig07", "--scale", "tiny", "--runs", "1", "--no-cache",
+            "--quiet", "--executor", "serial", "--workers", "4",
+        ]
+        assert cli_main(argv) == 2
+        assert "serial executor" in capsys.readouterr().err
+
     def test_replace_keeps_the_opened_store(self):
         options = ExecutionOptions(store="memory:")
         assert dataclasses.replace(options, workers=2).store is options.store
@@ -212,7 +223,10 @@ def test_grid_matches_incremental_reference(
         pytest.skip("no C compiler for the cext backend")
     config = SimulationConfig(code=code, tx_model=tx_model, k=200, expansion_ratio=ratio)
     options = ExecutionOptions(
-        executor=executor, workers=2, kernel=kernel, seed_scheme=scheme
+        executor=executor,
+        workers=None if executor == "serial" else 2,
+        kernel=kernel,
+        seed_scheme=scheme,
     )
     grid = simulate_grid(config, P_VALUES, Q_VALUES, runs=3, seed=7, options=options)
     expected = reference_grid(

@@ -79,7 +79,7 @@ class TestFleetRunner:
         runner = FleetRunner(store, worker_id="solo")
         units = _units(config)
         collected = {}
-        runner.run(units, lambda r: collected.__setitem__(r.seed_path, r))
+        runner.run(units, lambda unit, r: collected.__setitem__(r.seed_path, r))
         assert len(collected) == len(units)
         assert runner.stats.executed == len(units)
         assert runner.stats.absorbed == 0
@@ -96,7 +96,7 @@ class TestFleetRunner:
             store.put(unit, execute_unit(unit))
         runner = FleetRunner(store, worker_id="late")
         collected = []
-        runner.run(units, collected.append)
+        runner.run(units, lambda unit, r: collected.append(r))
         assert len(collected) == len(units)
         assert runner.stats.absorbed == 2
         assert runner.stats.executed == len(units) - 2
@@ -124,7 +124,10 @@ class TestFleetRunner:
         ]
         results = [[], []]
         threads = [
-            threading.Thread(target=runners[i].run, args=(units, results[i].append))
+            threading.Thread(
+                target=runners[i].run,
+                args=(units, lambda unit, r, sink=results[i]: sink.append(r)),
+            )
             for i in range(2)
         ]
         for thread in threads:
@@ -150,7 +153,7 @@ class TestFleetRunner:
             store, worker_id="survivor", lease_ttl=5.0, poll_interval=0.05
         )
         collected = []
-        runner.run(units, collected.append)
+        runner.run(units, lambda unit, r: collected.append(r))
         assert len(collected) == len(units)
         assert runner.stats.executed == len(units)
         # The zombie's leases were reclaimed, not waited out forever.
@@ -165,7 +168,7 @@ class TestFleetRunner:
         assert store.claim(unit_key(unit), "zombie", ttl=0.05)
         time.sleep(0.1)
         runner = FleetRunner(store, worker_id="survivor", poll_interval=0.01)
-        runner.run([unit], lambda r: None)
+        runner.run([unit], lambda unit, r: None)
         store.put(unit, result)  # the zombie's late write
         assert len(store) == 1
         assert store.get(unit) == result
@@ -289,7 +292,7 @@ class TestHostPeers:
             for i in range(2)
         ]
         threads_ = [
-            threading.Thread(target=runner.run, args=(units, lambda r: None))
+            threading.Thread(target=runner.run, args=(units, lambda unit, r: None))
             for runner in runners
         ]
         for thread in threads_:
@@ -306,7 +309,7 @@ class TestHostPeers:
         store = MemoryStore()
         executor = _RecordingExecutor()
         FleetRunner(store, executor=executor, worker_id="solo").run(
-            _units(config), lambda r: None
+            _units(config), lambda unit, r: None
         )
         assert executor.seen and set(executor.seen) == {2}
 
@@ -321,7 +324,7 @@ class TestHostPeers:
         assert count_host_peers(store) == 1
         executor = _RecordingExecutor()
         FleetRunner(store, executor=executor, worker_id="solo").run(
-            _units(config), lambda r: None
+            _units(config), lambda unit, r: None
         )
         assert set(executor.seen) == {2}
         # The run left only the leases it found.
@@ -336,7 +339,7 @@ class TestHostPeers:
     def test_run_releases_presence_and_restores_the_factor(self, config):
         store = MemoryStore()
         with host_peers_context(3):
-            FleetRunner(store, worker_id="solo").run(_units(config), lambda r: None)
+            FleetRunner(store, worker_id="solo").run(_units(config), lambda unit, r: None)
             assert host_peers() == 3
         assert store.leases() == []
         assert host_peers() == 1
@@ -349,7 +352,7 @@ class TestHostPeers:
         store = MemoryStore()
         with pytest.raises(PoisonUnitError):
             FleetRunner(store, executor=_Broken(), worker_id="solo").run(
-                _units(config), lambda r: None
+                _units(config), lambda unit, r: None
             )
         assert store.leases() == []
         assert host_peers() == 1
@@ -372,7 +375,7 @@ class TestHostPeers:
             assert count_host_peers(store) == 1
             executor = _RecordingExecutor()
             FleetRunner(store, executor=executor, worker_id="solo").run(
-                _units(config, cells=2), lambda r: None
+                _units(config, cells=2), lambda unit, r: None
             )
             assert set(executor.seen) == {2}
             # Server clock far behind: a live peer lease already looks
@@ -414,7 +417,7 @@ class TestIdleBackoff:
         absorbed = []
         runner = FleetRunner(store, worker_id="waiter", poll_interval=0.03)
         timer.start()
-        runner.run([unit], lambda r: absorbed.append(time.monotonic()))
+        runner.run([unit], lambda unit, r: absorbed.append(time.monotonic()))
         timer.join()
 
         assert runner.stats.absorbed == 1

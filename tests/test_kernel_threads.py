@@ -263,7 +263,7 @@ class TestThreadExecutor:
         serial = {unit.seed_path: execute_unit(unit) for unit in units}
         collected = {}
         ThreadExecutor(2).run(
-            units, lambda result: collected.__setitem__(result.seed_path, result)
+            units, lambda unit, result: collected.__setitem__(result.seed_path, result)
         )
         assert collected == serial
 
@@ -300,7 +300,7 @@ class TestThreadExecutor:
                 return super()._execute_one(unit)
 
         with host_peers_context(2):
-            _Recording(2).run(_small_units(), lambda result: None)
+            _Recording(2).run(_small_units(), lambda unit, result: None)
             assert host_peers() == 2
         assert seen and set(seen) == {1}
         assert worker_divisor() == 1
@@ -322,7 +322,7 @@ class TestThreadExecutor:
         monkeypatch.delenv(THREADS_ENV_VAR, raising=False)
         monkeypatch.setattr(threads, "_physical_cores", 4)
         with host_peers_context(2):
-            ProcessExecutor(2).run(_small_units(), lambda result: None)
+            ProcessExecutor(2).run(_small_units(), lambda unit, result: None)
         (initargs,) = captured
         assert initargs[1:] == (2, 2)
         with worker_divisor_context(1), host_peers_context(1):

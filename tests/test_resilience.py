@@ -444,7 +444,9 @@ class TestFaultInjectingExecutor:
         plan = FaultPlan(transient={(0,): 2, (1,): 1})
         executor = FaultInjectingExecutor(plan)
         collected = []
-        executor.run(units, collected.append, policy=_fast_policy(max_retries=2))
+        executor.run(
+            units, lambda unit, r: collected.append(r), policy=_fast_policy(max_retries=2)
+        )
         assert len(collected) == len(units)
         assert executor.injected["transient"] == 3
         for unit, result in zip(units, sorted(collected, key=lambda r: r.seed_path)):
@@ -455,7 +457,7 @@ class TestFaultInjectingExecutor:
         plan = FaultPlan(poison=frozenset({(1,)}))
         executor = FaultInjectingExecutor(plan)
         with pytest.raises(PoisonUnitError) as excinfo:
-            executor.run(units, lambda r: None, policy=_fast_policy(max_retries=1))
+            executor.run(units, lambda unit, r: None, policy=_fast_policy(max_retries=1))
         assert excinfo.value.failure.seed_path == (1,)
         assert excinfo.value.failure.attempts == 2
 
@@ -465,7 +467,7 @@ class TestFaultInjectingExecutor:
         executor = FaultInjectingExecutor(plan)
         results, failures = [], []
         executor.run(
-            units, results.append, failures.append,
+            units, lambda unit, r: results.append(r), lambda unit, f: failures.append(f),
             _fast_policy(max_retries=0, on_error="skip"),
         )
         assert {r.seed_path for r in results} == {(0,), (2,)}
@@ -478,7 +480,7 @@ class TestFaultInjectingExecutor:
         collected = []
         started = time.perf_counter()
         executor.run(
-            units, collected.append,
+            units, lambda unit, r: collected.append(r),
             policy=_fast_policy(max_retries=1, unit_timeout=0.1),
         )
         assert time.perf_counter() - started < 5.0
@@ -614,7 +616,9 @@ class TestDefaultFailFast:
         with pytest.raises(PoisonUnitError) as excinfo:
             run_grid(
                 config, P_VALUES, Q_VALUES, runs=1, seed=7,
-                options=ExecutionOptions(executor=executor, workers=2),
+                options=ExecutionOptions(
+                    executor=executor, workers=None if executor == "serial" else 2
+                ),
             )
         error = excinfo.value
         assert error.failure.attempts == 1
@@ -683,7 +687,7 @@ class TestHeartbeatHardening:
         )
         units = _units(config, cells=2, runs=1)
         collected = []
-        runner.run(units, collected.append, policy=_fast_policy())
+        runner.run(units, lambda unit, r: collected.append(r), policy=_fast_policy())
         assert len(collected) == len(units)
 
     def test_permanent_heartbeat_failure_stops_the_run(self, config):
@@ -702,7 +706,7 @@ class TestHeartbeatHardening:
         )
         units = _units(config, cells=12, runs=1)
         with pytest.raises(StoreUnavailableError, match="gave up after"):
-            runner.run(units, lambda r: None, policy=_fast_policy())
+            runner.run(units, lambda unit, r: None, policy=_fast_policy())
 
 
 class _RecordingStore(MemoryStore):
@@ -732,7 +736,7 @@ class _InterruptAfter(SerialExecutor):
 
     def run(self, units, on_result, on_failure=None, policy=None):
         for unit in units[: self.count]:
-            on_result(execute_unit(unit))
+            on_result(unit, execute_unit(unit))
         raise KeyboardInterrupt
 
 
@@ -974,8 +978,8 @@ class TestFleetChaosConvergence:
             try:
                 runners[i].run(
                     units,
-                    lambda r: results[i].__setitem__(r.seed_path, r),
-                    failures[i].append,
+                    lambda unit, r: results[i].__setitem__(r.seed_path, r),
+                    lambda unit, f: failures[i].append(f),
                     policy,
                 )
             except BaseException as exc:  # surfaced to the main thread

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from repro.core.config import SimulationConfig
-from repro.core.experiments import run_experiment
+from repro.core.experiments import SCALES, run_experiment
 from repro.core.sweep import simulate_grid, sweep_parameter
 from repro.store.codec import config_token, unit_key
 from repro.store.json_dir import JsonDirStore
@@ -285,15 +285,16 @@ class TestExperimentsThroughRunner:
         for label in serial:
             assert _grids_equal(serial[label], parallel[label])
 
-    def test_progress_factory_called_per_config(self):
-        seen = []
-
-        def factory(index):
-            seen.append(index)
-            return None
-
-        run_experiment("fig07", scale="tiny", seed=0, runs=1, progress_factory=factory)
-        assert seen == [1]
+    def test_progress_counts_every_config_cell(self):
+        # One engine pass: one callback counts the cells of all six
+        # configs of fig09 together, each exactly once, in order.
+        calls = []
+        run_experiment(
+            "fig09", scale="tiny", seed=0, runs=1,
+            progress=lambda done, total: calls.append((done, total)),
+        )
+        cells = 6 * len(SCALES["tiny"].grid_percent) ** 2
+        assert calls == [(done, cells) for done in range(1, cells + 1)]
 
 
 class TestProgress:

@@ -17,6 +17,7 @@ from repro.core.config import SimulationConfig
 from repro.runner.engine import grid_cells, run_grid
 from repro.runner.options import ExecutionOptions
 from repro.runner.units import WorkUnit, execute_unit, plan_units
+from repro.seeds import get_scheme
 from repro.store import (
     JsonDirStore,
     MemoryStore,
@@ -120,6 +121,22 @@ class TestStoreContract:
         assert store.scheme_counts() == {"unit": 3}
         assert store.clear() == 3
         assert len(store) == 0
+
+    def test_scoped_clear_resolves_a_scheme_token(self, store, config):
+        for unit in _units(config, cells=2, seed_scheme="per-run"):
+            store.put(unit, execute_unit(unit))
+        for unit in _units(config, cells=1, seed_scheme="unit"):
+            store.put(unit, execute_unit(unit))
+        assert store.clear(scheme=get_scheme("per-run").token()) == 2
+        assert store.scheme_counts() == {"unit": 1}
+        assert store.clear(scheme="pre-seeds") == 0
+
+    def test_scoped_clear_rejects_an_unknown_scheme(self, store, config):
+        unit = _units(config, cells=1)[0]
+        store.put(unit, execute_unit(unit))
+        with pytest.raises(ValueError, match="unknown seed scheme 'per-run/v9'"):
+            store.clear(scheme="per-run/v9")
+        assert len(store) == 1
 
     def test_info_counts_size(self, store, config):
         for unit in _units(config, cells=2):
@@ -445,6 +462,10 @@ class TestMigration:
         report = migrate_store(source, dest, scheme="unit")
         assert report.copied == 1 and report.skipped == 2
         assert dest.scheme_counts() == {"unit": 1}
+        by_token = migrate_store(source, MemoryStore(), scheme=get_scheme("unit").token())
+        assert by_token.copied == 1 and by_token.skipped == 2
+        with pytest.raises(ValueError, match="unknown seed scheme"):
+            migrate_store(source, MemoryStore(), scheme="per_run")
 
     def test_verification_catches_corruption(self, tmp_path, config):
         class LossyStore(MemoryStore):

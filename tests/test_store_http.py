@@ -438,7 +438,7 @@ class TestServerCrashRecovery:
             try:
                 runner.run(
                     units,
-                    lambda r: collected.__setitem__(r.seed_path, r),
+                    lambda unit, r: collected.__setitem__(r.seed_path, r),
                     policy=FailurePolicy(max_retries=0, store_retries=10),
                 )
             except Exception as error:  # pragma: no cover - surfaced below
