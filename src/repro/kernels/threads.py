@@ -46,7 +46,7 @@ from __future__ import annotations
 import os
 import threading
 from contextlib import contextmanager
-from typing import Iterator, Optional, Union
+from typing import ContextManager, Iterator, Optional, Union
 
 #: Environment variable consulted when no explicit thread count is given.
 THREADS_ENV_VAR = "REPRO_KERNEL_THREADS"
@@ -101,7 +101,9 @@ def physical_cores() -> int:
 
     Parsed from ``/proc/cpuinfo`` where available -- oversubscribing
     hyperthreads buys nothing for these memory-bound loops -- with
-    ``os.cpu_count()`` as the portable fallback.
+    ``os.cpu_count()`` as the portable fallback, and capped at the CPUs
+    this process may run on (``taskset``, cgroup cpusets) where the
+    platform says.
     """
     global _physical_cores
     if _physical_cores is None:
@@ -110,7 +112,10 @@ def physical_cores() -> int:
 
 
 def _count_physical_cores() -> int:
-    fallback = os.cpu_count() or 1
+    if hasattr(os, "sched_getaffinity"):
+        fallback = len(os.sched_getaffinity(0))
+    else:
+        fallback = os.cpu_count() or 1
     try:
         with open("/proc/cpuinfo", "r", encoding="utf-8") as handle:
             text = handle.read()
@@ -132,7 +137,7 @@ def _count_physical_cores() -> int:
     if core_id is not None:
         cores.add((physical_id, core_id))
     count = len(cores)
-    return count if count > 0 else fallback
+    return min(count, fallback) if count > 0 else fallback
 
 
 def set_worker_divisor(workers: int) -> int:
@@ -152,14 +157,35 @@ def worker_divisor() -> int:
     return _worker_divisor
 
 
+#: Per process-wide factor: its value before its open scopes, then theirs.
+_open_scopes: dict = {}
+_scopes_lock = threading.Lock()
+
+
 @contextmanager
-def worker_divisor_context(workers: int) -> Iterator[None]:
-    """Scope :func:`set_worker_divisor` to a dispatch loop."""
-    previous = set_worker_divisor(workers)
+def _scoped(setter, value: int) -> Iterator[None]:
+    """Hold ``setter(value)`` for the scope.  Scopes may overlap and close in
+    any order (two thread pools or fleet peers in one process): the newest
+    open one's value holds; the last to close restores the value before all.
+    """
+    with _scopes_lock:
+        scopes = _open_scopes.setdefault(setter, [])
+        previous = setter(value)
+        scopes.extend([value] if scopes else [previous, value])
     try:
         yield
     finally:
-        set_worker_divisor(previous)
+        with _scopes_lock:
+            # The last equal entry: never the base at index 0.
+            del scopes[len(scopes) - 1 - scopes[::-1].index(value)]
+            setter(scopes[-1])
+            if len(scopes) == 1:
+                scopes.clear()
+
+
+def worker_divisor_context(workers: int) -> ContextManager[None]:
+    """Scope :func:`set_worker_divisor` to a dispatch loop."""
+    return _scoped(set_worker_divisor, workers)
 
 
 def set_host_peers(peers: int) -> int:
@@ -179,19 +205,13 @@ def host_peers() -> int:
     return _host_peers
 
 
-@contextmanager
-def host_peers_context(peers: int = 1) -> Iterator[None]:
+def host_peers_context(peers: int = 1) -> ContextManager[None]:
     """Scope :func:`set_host_peers` to a fleet run.
 
     The fleet runner enters it before registering its presence and
-    updates the count with :func:`set_host_peers` as peers come and go;
-    leaving restores the previous count.
+    updates the count with :func:`set_host_peers` as peers come and go.
     """
-    previous = set_host_peers(peers)
-    try:
-        yield
-    finally:
-        set_host_peers(previous)
+    return _scoped(set_host_peers, peers)
 
 
 def _count_stack() -> list:

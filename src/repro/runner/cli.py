@@ -376,18 +376,22 @@ def _cmd_list_experiments(out) -> int:
     return 0
 
 
-def _open_store(args, *, create: bool = True) -> Optional[ResultStore]:
-    """Resolve the run/cache commands' store flags to a store (or None).
-
-    ``create=False`` (``cache info`` / ``clear``) reads a ``sqlite:`` file
-    that does not exist as an empty store instead of creating it, as a
-    missing json-dir directory already reads.
-    """
+def _store_spec(args) -> Optional[str]:
+    """The store the run/cache commands' flags name (None: caching off)."""
     if getattr(args, "no_cache", False):
         return None
-    spec = args.store if args.store is not None else args.cache_dir
+    return args.store if args.store is not None else args.cache_dir
+
+
+def _open_store(args) -> ResultStore:
+    """Open the ``cache info`` / ``clear`` store without creating it.
+
+    A ``sqlite:`` file that does not exist reads as an empty store, as a
+    missing json-dir directory already reads.
+    """
+    spec = _store_spec(args)
     backend, _, location = spec.partition(":")
-    if not create and backend == "sqlite" and location:
+    if backend == "sqlite" and location:
         from repro.store.sqlite import SqliteStore
 
         return SqliteStore(location, create=False)
@@ -417,11 +421,13 @@ def _cmd_run(args, out, err) -> int:
     # One options object serves the fixed run, the adaptive run and
     # --dry-run alike.  The kernel is resolved here, so an unknown or
     # unavailable backend never reaches a worker; a dry run executes
-    # nothing, so it resolves (and compiles) no kernel.
+    # nothing, so it resolves (and compiles) no kernel and creates no
+    # store file.  The options open the store once every other flag passed.
+    store_spec = _store_spec(args)
     options = _from_flags(
         ExecutionOptions,
         args,
-        store=_open_store(args),
+        store="memory:" if args.dry_run and store_spec else store_spec,
         kernel=None if args.dry_run else get_backend(args.kernel).name,
         failure_policy=policy,
         adaptive=adaptive_cfg,
@@ -429,8 +435,6 @@ def _cmd_run(args, out, err) -> int:
     store = options.store
 
     if args.dry_run:
-        if store is not None:
-            store.close()
         scale = SCALES[args.scale]
         budget = runs_arg if runs_arg is not None else scale.runs
         total_units = 0
@@ -641,7 +645,7 @@ def _cmd_cache(args, out) -> int:
 
     if args.source is not None or args.dest is not None:
         raise ValueError(f"cache {args.action} takes no positional arguments")
-    with _open_store(args, create=False) as store:
+    with _open_store(args) as store:
         if args.action == "info":
             info = store.info()
             print(

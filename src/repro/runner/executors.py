@@ -222,45 +222,21 @@ class ProcessExecutor:
     ----------
     workers:
         Pool size; defaults to ``os.cpu_count()``.
-    chunk_size:
-        Units per task sent to a worker.  The default targets about four
-        chunks per worker, which amortises pickling overhead while keeping
-        the pool balanced when cells have very different costs (decoding
-        failures are much cheaper than successes).
-    max_pending:
-        Cap on in-flight chunks, so planning a paper-scale sweep does not
-        enqueue tens of thousands of futures at once.
+
+    Units go to the workers in chunks, about four per worker, which
+    amortises pickling overhead while keeping the pool balanced when cells
+    have very different costs (decoding failures are much cheaper than
+    successes); at most ``4 * workers`` chunks are in flight.
 
     The policy's retry loop runs inside each worker process; outcomes
     come back picklable and are dispatched (result / failure / raise) in
     the calling process.
     """
 
-    def __init__(
-        self,
-        workers: Optional[int] = None,
-        *,
-        chunk_size: Optional[int] = None,
-        max_pending: Optional[int] = None,
-    ):
+    def __init__(self, workers: Optional[int] = None):
         if workers is None:
             workers = os.cpu_count() or 1
         self.workers = validate_positive_int(workers, "workers")
-        if chunk_size is not None:
-            chunk_size = validate_positive_int(chunk_size, "chunk_size")
-        self.chunk_size = chunk_size
-        self.max_pending = (
-            validate_positive_int(max_pending, "max_pending")
-            if max_pending is not None
-            else 4 * self.workers
-        )
-
-    def _chunks(self, units: Sequence[WorkUnit]) -> list[list[WorkUnit]]:
-        if self.chunk_size is not None:
-            size = self.chunk_size
-        else:
-            size = max(1, len(units) // (4 * self.workers))
-        return [list(units[i : i + size]) for i in range(0, len(units), size)]
 
     def run(
         self,
@@ -273,7 +249,8 @@ class ProcessExecutor:
             return
         from concurrent.futures import ProcessPoolExecutor
 
-        chunks = self._chunks(units)
+        size = max(1, len(units) // (4 * self.workers))
+        chunks = [list(units[i : i + size]) for i in range(0, len(units), size)]
         pool_size = min(self.workers, len(chunks))
 
         def deliver(chunk: List[WorkUnit], outcomes: List[UnitOutcome]) -> None:
@@ -288,7 +265,7 @@ class ProcessExecutor:
         ) as pool:
             _dispatch(
                 pool, partial(_run_chunk, policy=policy), chunks,
-                self.max_pending, deliver,
+                4 * self.workers, deliver,
             )
 
 
@@ -317,29 +294,18 @@ class ThreadExecutor:
     Parameters
     ----------
     workers:
-        Thread count; defaults to ``os.cpu_count()``.
-    max_pending:
-        Cap on in-flight units (default ``4 * workers``), bounding the
-        retained futures for paper-scale unit lists.
+        Thread count; defaults to ``os.cpu_count()``.  At most
+        ``4 * workers`` units are in flight, bounding the retained futures
+        for paper-scale unit lists.
 
     The policy's retry loop runs inside the worker thread; dispatch
     happens in the calling thread.
     """
 
-    def __init__(
-        self,
-        workers: Optional[int] = None,
-        *,
-        max_pending: Optional[int] = None,
-    ):
+    def __init__(self, workers: Optional[int] = None):
         if workers is None:
             workers = os.cpu_count() or 1
         self.workers = validate_positive_int(workers, "workers")
-        self.max_pending = (
-            validate_positive_int(max_pending, "max_pending")
-            if max_pending is not None
-            else 4 * self.workers
-        )
 
     def _execute_one(self, unit: WorkUnit) -> UnitResult:
         """Execution hook (fault-injecting test executors override it)."""
@@ -364,7 +330,7 @@ class ThreadExecutor:
                 pool,
                 partial(run_unit_with_policy, policy=policy, execute=self._execute_one),
                 units,
-                self.max_pending,
+                4 * self.workers,
                 lambda unit, outcome: deliver_outcome(
                     unit, outcome, policy, on_result, on_failure
                 ),

@@ -223,8 +223,8 @@ class ExecutionOptions:
     adaptive: AdaptiveSpec = None
 
     def __post_init__(self) -> None:
-        # Checked before the store is opened; the negated comparisons also
-        # reject NaN.
+        # Every check runs before the store opens, so a rejected combination
+        # leaves no store file; the negated comparisons also reject NaN.
         if self.workers is not None and not self.workers >= 1:
             raise ValueError(f"workers must be at least 1, got {self.workers!r}")
         serial = isinstance(self.executor, str) and self.executor.lower() == "serial"
@@ -238,24 +238,23 @@ class ExecutionOptions:
                 f"lease_ttl must be a finite number of seconds > 0, "
                 f"got {self.lease_ttl!r}"
             )
-        store = resolve_store(self.store)
         policy = resolve_policy(self.failure_policy)
-        if self.fleet and store is None:
+        if self.fleet and self.store is None:
             raise ValueError(
                 "fleet execution needs a shared, lease-capable result store "
                 "(e.g. 'sqlite:results.db'); it cannot run with caching off"
             )
-        if policy.on_error == "quarantine" and store is None:
+        if policy.on_error == "quarantine" and self.store is None:
             raise ValueError(
                 "on-error quarantine needs a result store to record "
                 "quarantined units in; it cannot run with caching off"
             )
         normalized = {
-            "store": store,
             "failure_policy": policy,
             "kernel_threads": normalize_thread_spec(self.kernel_threads),
             "seed_scheme": resolve_scheme_name(self.seed_scheme),
             "adaptive": resolve_adaptive(self.adaptive),
+            "store": resolve_store(self.store),  # last: it opens the store
         }
         for name, value in normalized.items():
             object.__setattr__(self, name, value)

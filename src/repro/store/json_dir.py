@@ -204,19 +204,22 @@ class JsonDirStore(ResultStore):
     # -- leases ----------------------------------------------------------
 
     def _write_lease_excl(self, path: Path, worker: str, ttl: float) -> bool:
+        # Linked in whole from a finished temp file: a racer never reads a
+        # half-written lease and takes it over as a crashed writer's.
+        handle, tmp_path = tempfile.mkstemp(dir=path.parent, prefix=".tmp-")
         try:
-            handle = os.open(path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-        except FileExistsError:
+            with os.fdopen(handle, "w", encoding="utf-8") as stream:
+                # ``_now()``: lease expiry is computed by the process that
+                # owns the store instance -- workers sharing a json-dir
+                # lease directory must share one wall clock (same host, or
+                # NTP-synced hosts on a shared filesystem).
+                json.dump({"worker": worker, "expires": self._now() + ttl}, stream)
+            os.link(tmp_path, path)
+            return True
+        except OSError:  # FileExistsError: the lease is held
             return False
-        except OSError:
-            return False
-        with os.fdopen(handle, "w", encoding="utf-8") as stream:
-            # ``_now()``: lease expiry is computed by the process that
-            # owns the store instance -- workers sharing a json-dir
-            # lease directory must share one wall clock (same host, or
-            # NTP-synced hosts on a shared filesystem).
-            json.dump({"worker": worker, "expires": self._now() + ttl}, stream)
-        return True
+        finally:
+            os.unlink(tmp_path)
 
     def _read_lease(self, path: Path) -> Optional[Lease]:
         try:
@@ -235,7 +238,7 @@ class JsonDirStore(ResultStore):
         path = self._lease_path(key)
         path.parent.mkdir(parents=True, exist_ok=True)
         if self._write_lease_excl(path, worker, ttl):
-            return True
+            return self._still_open(key, path)
         lease = self._read_lease(path)
         if lease is not None and not lease.expired(self._now()):
             # Re-claiming a lease this worker already holds succeeds
@@ -246,14 +249,21 @@ class JsonDirStore(ResultStore):
                 self.heartbeat([key], worker, ttl)
                 return True
             return False
-        # Expired (or unreadable, i.e. a crashed writer): take it over.
-        # Every racer may unlink the stale file, but O_EXCL guarantees
-        # exactly one of them re-creates it.
+        # Expired (or unreadable): take it over.  Not a compare-and-swap:
+        # two racers that read the same stale lease may both unlink and
+        # re-link it, the second removing the first's fresh lease.
         try:
             os.unlink(path)
         except OSError:
             pass
-        return self._write_lease_excl(path, worker, ttl)
+        return self._write_lease_excl(path, worker, ttl) and self._still_open(key, path)
+
+    def _still_open(self, key: str, path: Path) -> bool:
+        # A peer puts before it releases: one done since claim() looked shows here.
+        if self.get_record(key) is None:
+            return True
+        os.unlink(path)
+        return False
 
     def heartbeat(self, keys: Iterable[str], worker: str, ttl: float) -> int:
         extended = 0
@@ -263,7 +273,7 @@ class JsonDirStore(ResultStore):
             if lease is None or lease.worker != worker:
                 continue  # lost (expired and taken over): do not refresh
             handle, tmp_path = tempfile.mkstemp(
-                dir=path.parent, prefix=".tmp-", suffix=".lease"
+                dir=path.parent, prefix=".tmp-", suffix=".tmp"
             )
             try:
                 with os.fdopen(handle, "w", encoding="utf-8") as stream:

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import threading
-
 import numpy as np
 import pytest
 
@@ -24,7 +22,6 @@ from repro.resilience.policy import FailurePolicy
 from repro.runner.engine import grid_cells, run_grid, run_series
 from repro.runner.options import ExecutionOptions
 from repro.runner.units import plan_units
-from repro.store import MemoryStore
 from repro.store.codec import unit_key
 from repro.utils.stats import (
     mean_interval_halfwidth,
@@ -252,122 +249,16 @@ class TestConfigAndSchedule:
         assert all(unit.run_start == 0 and unit.run_stop == 8 for unit in units)
 
 
-def _planned_units(runs_per_cell, min_runs, growth, scheme):
-    """Units an adaptive sweep plans for cells ending at these run counts.
-
-    One per round and cell under ``per-run`` (no increment here reaches
-    the round-unit cap); one per ``min_runs`` window under ``unit``.
-    """
-    counts = np.asarray(runs_per_cell).ravel().tolist()
-    if scheme == "unit":
-        return sum(-(-count // min_runs) for count in counts)
-    return sum(len(round_schedule(min_runs, growth, count)) for count in counts)
-
-
-class TestAdaptiveBitIdentity:
-    # A loose width makes cells settle at different run counts, which is
-    # the interesting case for the determinism contract.  At a 40-run
-    # budget (schedule 4, 8, 16, 32, 40) some cells run the multi-window
-    # rounds [8, 16), [16, 32) and [32, 40).
-    CFG = AdaptiveConfig(min_runs=4, ci_width=0.6)
-
-    @pytest.mark.parametrize("runs", [12, 40])
-    @pytest.mark.parametrize("scheme", ["per-run", "unit"])
-    def test_adaptive_equals_fixed_truncation(self, config, scheme, runs):
-        grid = adaptive_grid(
-            config, P_VALUES, Q_VALUES, runs=runs, seed=1,
-            options=ExecutionOptions(adaptive=self.CFG, seed_scheme=scheme),
-        )
-        runs_per_cell = np.asarray(grid.metadata["adaptive"]["runs_per_cell"])
-        counts = sorted(set(runs_per_cell.ravel().tolist()))
-        assert len(counts) > 1, "test wants cells settling at different counts"
-        if runs == 40:
-            assert max(counts) > 16, "test wants rounds spanning several windows"
-        for count in counts:
-            fixed = run_grid(
-                config, P_VALUES, Q_VALUES, runs=int(count), seed=1,
-                runs_per_unit=self.CFG.min_runs,
-                options=ExecutionOptions(seed_scheme=scheme),
-            )
-            mask = runs_per_cell == count
-            assert np.array_equal(
-                grid.mean_inefficiency[mask],
-                fixed.mean_inefficiency[mask],
-                equal_nan=True,
-            )
-            assert np.array_equal(
-                grid.mean_received_ratio[mask], fixed.mean_received_ratio[mask]
-            )
-            assert np.array_equal(
-                grid.failure_counts[mask], fixed.failure_counts[mask]
-            )
-
-    @pytest.mark.parametrize("runs", [12, 40])
-    @pytest.mark.parametrize("scheme", ["per-run", "unit"])
-    def test_two_fleet_workers_match_serial_adaptive(self, config, scheme, runs):
-        serial = adaptive_grid(
-            config, P_VALUES, Q_VALUES, runs=runs, seed=1,
-            options=ExecutionOptions(adaptive=self.CFG, seed_scheme=scheme),
-        )
-        store = MemoryStore()
-        grids = {}
-
-        def worker(name):
-            grids[name] = adaptive_grid(
-                config, P_VALUES, Q_VALUES, runs=runs, seed=1,
-                options=ExecutionOptions(
-                    adaptive=self.CFG, seed_scheme=scheme, store=store, fleet=True,
-                    lease_ttl=10.0, worker_id=name,
-                ),
-            )
-
-        threads = [
-            threading.Thread(target=worker, args=(f"w{i}",)) for i in range(2)
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=300)
-        assert set(grids) == {"w0", "w1"}
-        for grid in grids.values():
-            assert np.array_equal(
-                serial.mean_inefficiency, grid.mean_inefficiency, equal_nan=True
-            )
-            assert np.array_equal(serial.failure_counts, grid.failure_counts)
-            assert (
-                serial.metadata["adaptive"]["runs_per_cell"]
-                == grid.metadata["adaptive"]["runs_per_cell"]
-            )
-            assert grid_to_csv(grid) == grid_to_csv(serial)
-        # Each adaptive unit executed exactly once, fleet-wide.
-        assert store.stats.writes == _planned_units(
-            serial.metadata["adaptive"]["runs_per_cell"],
-            self.CFG.min_runs,
-            self.CFG.growth,
-            scheme,
-        )
-
-    def test_adaptive_run_is_cache_resumable(self, config):
-        store = MemoryStore()
-        first = adaptive_grid(
-            config, P_VALUES, Q_VALUES, runs=12, seed=1,
-            options=ExecutionOptions(adaptive=self.CFG, store=store),
-        )
-        writes = store.stats.writes
-        again = adaptive_grid(
-            config, P_VALUES, Q_VALUES, runs=12, seed=1,
-            options=ExecutionOptions(adaptive=self.CFG, store=store),
-        )
-        assert store.stats.writes == writes  # everything served from cache
-        assert np.array_equal(
-            first.mean_inefficiency, again.mean_inefficiency, equal_nan=True
-        )
+#: A loose width makes cells settle at different run counts, which is the
+#: interesting case for the determinism contract.  At a 40-run budget
+#: (schedule 4, 8, 16, 32, 40) some cells run the multi-window rounds
+#: [8, 16), [16, 32) and [32, 40).
+CFG = AdaptiveConfig(min_runs=4, ci_width=0.6)
 
 
 class TestRoundUnitPlan:
     """How a round's run increment is cut into work units, per scheme."""
 
-    CFG = TestAdaptiveBitIdentity.CFG
     RUNS = 40  # schedule 4, 8, 16, 32, 40
 
     def _sweep(self, monkeypatch, config, scheme):
@@ -384,10 +275,10 @@ class TestRoundUnitPlan:
         monkeypatch.setattr(controller, "_execute", recording)
         grid = adaptive_grid(
             config, P_VALUES, Q_VALUES, runs=self.RUNS, seed=1,
-            options=ExecutionOptions(adaptive=self.CFG, seed_scheme=scheme),
+            options=ExecutionOptions(adaptive=CFG, seed_scheme=scheme),
         )
         monkeypatch.setattr(controller, "_execute", execute)
-        schedule = round_schedule(self.CFG.min_runs, self.CFG.growth, self.RUNS)
+        schedule = round_schedule(CFG.min_runs, CFG.growth, self.RUNS)
         assert len(rounds) == len(schedule), "test wants every round to run"
         return grid, list(zip([0, *schedule], schedule, rounds))
 
@@ -399,9 +290,9 @@ class TestRoundUnitPlan:
             [cell for cell in cells if cell[0] in active],
             runs=stop,
             first_run=start,
-            runs_per_unit=self.CFG.min_runs,
+            runs_per_unit=CFG.min_runs,
             base_seed=1,
-            options=ExecutionOptions(adaptive=self.CFG, seed_scheme=scheme),
+            options=ExecutionOptions(adaptive=CFG, seed_scheme=scheme),
         )
 
     def test_per_run_plans_one_unit_per_cell_and_round(self, monkeypatch, config):
@@ -421,7 +312,7 @@ class TestRoundUnitPlan:
         reference, _rounds = self._sweep(monkeypatch, config, "per-run")
         # The cap rounds down to whole min_runs windows.
         monkeypatch.setattr(controller, "MAX_ROUND_UNIT_RUNS", 9)
-        cap = controller._round_unit_runs(self.CFG.min_runs, "per-run")
+        cap = controller._round_unit_runs(CFG.min_runs, "per-run")
         assert cap == 8
         grid, rounds = self._sweep(monkeypatch, config, "per-run")
         for start, stop, units in rounds:
@@ -459,7 +350,7 @@ class TestRoundUnitPlan:
             monkeypatch.setattr(controller, "_settled", settled)
             return seen
 
-        chunked = sweep(self.CFG.min_runs)
+        chunked = sweep(CFG.min_runs)
         assert max(runs for runs, _mean, _m2 in chunked) > 16
         assert sweep(64) == chunked
 
@@ -674,26 +565,33 @@ class TestIntegration:
     @pytest.mark.parametrize("runs", [12, 40])
     @pytest.mark.parametrize("scheme", ["per-run", "unit"])
     def test_adaptive_csv_rows_match_fixed_reference(self, config, scheme, runs):
-        # The CI gate's contract, in miniature: every settled cell's CSV
-        # row is byte-identical to the row of a fixed sweep at that
-        # cell's final run count.
-        cfg = AdaptiveConfig(min_runs=4, ci_width=0.6)
+        # Every settled cell's arrays and CSV row are those of a fixed
+        # sweep at that cell's final run count.
         grid = adaptive_grid(
             config, P_VALUES, Q_VALUES, runs=runs, seed=1,
-            options=ExecutionOptions(adaptive=cfg, seed_scheme=scheme),
+            options=ExecutionOptions(adaptive=CFG, seed_scheme=scheme),
         )
         runs_per_cell = np.asarray(grid.metadata["adaptive"]["runs_per_cell"])
+        counts = sorted(set(runs_per_cell.ravel().tolist()))
+        assert len(counts) > 1, "test wants cells settling at different counts"
+        if runs == 40:
+            assert max(counts) > 16, "test wants rounds spanning several windows"
         adaptive_rows = {
             tuple(line.split(",")[:2]): line
             for line in grid_to_csv(grid).splitlines()
             if line and not line.startswith(("#", "p,"))
         }
-        for count in sorted(set(runs_per_cell.ravel().tolist())):
+        matched = 0
+        for count in counts:
             fixed = run_grid(
                 config, P_VALUES, Q_VALUES, runs=int(count), seed=1,
-                runs_per_unit=cfg.min_runs,
+                runs_per_unit=CFG.min_runs,
                 options=ExecutionOptions(seed_scheme=scheme),
             )
+            mask = runs_per_cell == count
+            for name in ("mean_inefficiency", "mean_received_ratio", "failure_counts"):
+                actual, expected = getattr(grid, name), getattr(fixed, name)
+                assert np.array_equal(actual[mask], expected[mask], equal_nan=True)
             for line in grid_to_csv(fixed).splitlines():
                 if not line or line.startswith(("#", "p,")):
                     continue
@@ -702,6 +600,8 @@ class TestIntegration:
                 j = Q_VALUES.index(float(parts[1]))
                 if runs_per_cell[i, j] == count:
                     assert adaptive_rows[tuple(parts[:2])] == line
+                    matched += 1
+        assert matched == runs_per_cell.size
 
     def test_runs_table_marks_unsettled_cells(self, config):
         grid = adaptive_grid(

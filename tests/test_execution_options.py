@@ -10,9 +10,14 @@ the grid the per-packet incremental decoder produces for the same seeds.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import inspect
+import itertools
 import json
+import threading
+from typing import List, Optional
 
+import numpy as np
 import pytest
 
 from repro.adaptive import AdaptiveConfig, adaptive_grid, plan_first_round
@@ -25,8 +30,13 @@ from repro.runner import ExecutionOptions, engine
 from repro.runner.cli import main as cli_main
 from repro.runner.engine import _execute, run_grid, run_series
 from repro.runner.units import WorkUnit, execute_unit, plan_units
-from repro.store import MemoryStore, encode_result
-from unit_reference import assert_grid_matches, reference_grid, reference_unit_result
+from repro.store import MemoryStore, encode_result, resolve_store
+from unit_reference import (
+    ReferenceGrid,
+    assert_grids_equal,
+    reference_grid,
+    reference_unit_result,
+)
 
 #: The per-call kwargs every sweep layer used to relay.
 RETIRED_KWARGS = {
@@ -130,6 +140,30 @@ class TestValidation:
         assert cli_main(argv) == 2
         assert "serial executor" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flags,code",
+        [
+            (["--executor", "serial", "--workers", "4", "--store", "sqlite:x.db"], 2),
+            (["--workers", "0"], 2),
+            (["--kernel-threads", "bogus", "--store", "sqlite:x.db"], 2),
+            (["--seed-scheme", "bogus", "--store", "sqlite:x.db"], 2),
+            (["--kernel", "bogus", "--store", "sqlite:x.db"], 2),
+            (["--fleet", "--lease-ttl", "0", "--store", "sqlite:x.db"], 2),
+            (["--dry-run", "--fleet", "--store", "sqlite:x.db"], 0),
+        ],
+        ids=[
+            "serial-workers", "workers-zero", "threads", "scheme", "kernel", "ttl",
+            "dry-run",
+        ],
+    )
+    def test_run_that_executes_nothing_leaves_no_store(
+        self, flags, code, tmp_path, monkeypatch
+    ):
+        monkeypatch.chdir(tmp_path)
+        argv = ["run", "fig07", "--scale", "tiny", "--runs", "1", "--quiet", *flags]
+        assert cli_main(argv) == code
+        assert list(tmp_path.iterdir()) == []
+
     def test_replace_keeps_the_opened_store(self):
         options = ExecutionOptions(store="memory:")
         assert dataclasses.replace(options, workers=2).store is options.store
@@ -196,8 +230,11 @@ class TestOldProvenancePayloads:
 
 
 # ---------------------------------------------------------------------------
-# Grid bit-identity: engine grid == incremental reference, for every
-# executor x kernel x seed scheme.
+# The equivalence matrix.  Whatever path a sweep takes -- executor, kernel,
+# seed scheme, result store, a fleet of two peers, adaptive stopping -- its
+# grid must equal the grid the per-packet incremental decoder gives for the
+# same seeds.  Executor x kernel x scheme x case is checked cartesian; the
+# store, fleet and adaptive axes join them pairwise.
 # ---------------------------------------------------------------------------
 
 GRID_CASES = [
@@ -206,31 +243,187 @@ GRID_CASES = [
     ("rse", "tx_model_5", 2.0),
     ("repetition", "tx_model_6", 2.0),
 ]
+CASE_IDS = [f"{code}-{tx_model}" for code, tx_model, _ in GRID_CASES]
 P_VALUES = [0.0, 0.05, 0.3]
 Q_VALUES = [0.2, 0.6, 1.0]
+SEED = 7
+#: Run budget and adaptive config per kind of sweep.  The adaptive width is
+#: loose enough that cells settle at different counts, and the 16-run
+#: budget (rounds 4, 8, 16) has a round spanning two ``min_runs`` windows.
+ADAPTIVE = AdaptiveConfig(min_runs=4, ci_width=0.6)
+SWEEPS = {"fixed": (3, None), "adaptive": (16, ADAPTIVE)}
+
+
+def _config(case: str) -> SimulationConfig:
+    code, tx_model, ratio = GRID_CASES[CASE_IDS.index(case)]
+    return SimulationConfig(code=code, tx_model=tx_model, k=200, expansion_ratio=ratio)
+
+
+def _sweep(case: str, sweep: str, **options):
+    runs, adaptive = SWEEPS[sweep]
+    return simulate_grid(
+        _config(case), P_VALUES, Q_VALUES, runs=runs, seed=SEED,
+        options=ExecutionOptions(adaptive=adaptive, **options),
+    )
+
+
+@functools.lru_cache(maxsize=None)
+def _reference(case: str, scheme: str, runs: int, runs_per_unit: Optional[int]):
+    return reference_grid(
+        _config(case), P_VALUES, Q_VALUES, runs=runs, seed=SEED,
+        runs_per_unit=runs_per_unit, options=ExecutionOptions(seed_scheme=scheme),
+    )
+
+
+def assert_matches_reference(grid, case: str, scheme: str) -> None:
+    """``grid`` equals the reference at each cell's run count (adaptive
+    grids stop cells at different counts, planned in ``min_runs`` units)."""
+    adaptive = grid.metadata.get("adaptive")
+    shape = (len(P_VALUES), len(Q_VALUES))
+    counts = np.full(shape, grid.runs)
+    if adaptive:
+        counts = np.asarray(adaptive["runs_per_cell"])
+    expected = ReferenceGrid(
+        np.full(shape, np.nan), np.full(shape, np.nan), np.zeros(shape, np.int64)
+    )
+    for count in np.unique(counts):
+        reference = _reference(
+            case, scheme, int(count), ADAPTIVE.min_runs if adaptive else None
+        )
+        for array, values in zip(expected, reference):
+            array[counts == count] = values[counts == count]
+    assert_grids_equal(grid, expected)
+
+
+def _skip_without(kernel: str) -> None:
+    if kernel not in available_backends():
+        pytest.skip("no C compiler for the cext backend")
 
 
 @pytest.mark.parametrize("executor", ["serial", "process", "thread"])
 @pytest.mark.parametrize("kernel", ["numpy", "cext"])
 @pytest.mark.parametrize("scheme", ["per-run", "unit"])
-@pytest.mark.parametrize(
-    "code,tx_model,ratio", GRID_CASES, ids=[f"{c}-{t}" for c, t, _ in GRID_CASES]
-)
-def test_grid_matches_incremental_reference(
-    code, tx_model, ratio, scheme, kernel, executor
-):
-    if kernel not in available_backends():
-        pytest.skip("no C compiler for the cext backend")
-    config = SimulationConfig(code=code, tx_model=tx_model, k=200, expansion_ratio=ratio)
-    options = ExecutionOptions(
-        executor=executor,
-        workers=None if executor == "serial" else 2,
-        kernel=kernel,
-        seed_scheme=scheme,
+@pytest.mark.parametrize("case", CASE_IDS)
+def test_grid_matches_incremental_reference(case, scheme, kernel, executor):
+    _skip_without(kernel)
+    grid = _sweep(
+        case, "fixed", executor=executor, workers=None if executor == "serial" else 2,
+        kernel=kernel, seed_scheme=scheme,
     )
-    grid = simulate_grid(config, P_VALUES, Q_VALUES, runs=3, seed=7, options=options)
-    expected = reference_grid(
-        config, P_VALUES, Q_VALUES, runs=3, seed=7,
-        options=ExecutionOptions(seed_scheme=scheme),
+    assert_matches_reference(grid, case, scheme)
+
+
+MATRIX_AXES = {
+    "case": CASE_IDS,
+    "executor": ["serial", "thread", "process"],
+    "kernel": ["numpy", "cext", "cext2"],  # cext2: two kernel threads
+    "scheme": ["per-run", "unit"],
+    "store": ["none", "json-dir", "sqlite", "memory", "chaos+sqlite"],
+    "fleet": ["solo", "fleet2"],  # fleet2: two in-process peers
+    "sweep": list(SWEEPS),
+}
+
+
+def _pairs(row: dict) -> frozenset:
+    return frozenset(
+        (a, row[a], b, row[b]) for a, b in itertools.combinations(MATRIX_AXES, 2)
     )
-    assert_grid_matches(grid, expected)
+
+
+def pairwise_rows() -> List[dict]:
+    """A greedy all-pairs cover of ``MATRIX_AXES``: every pair of values of
+    two axes meets in some row (a fleet needs a store)."""
+    candidates = {}
+    for values in itertools.product(*MATRIX_AXES.values()):
+        row = dict(zip(MATRIX_AXES, values))
+        if not (row["store"] == "none" and row["fleet"] == "fleet2"):
+            candidates[values] = _pairs(row)
+    missing = set().union(*candidates.values())
+    rows = []
+    while missing:
+        values = max(candidates, key=lambda values: len(candidates[values] & missing))
+        rows.append(dict(zip(MATRIX_AXES, values)))
+        missing -= candidates[values]
+    return rows
+
+
+MATRIX = pairwise_rows()
+
+
+def _store_spec(store: str, tmp_path, peer: int) -> Optional[str]:
+    # Each chaos peer draws its own seeded, latency-free faults: transient
+    # errors and torn batches, which the retrying failure policy rides out.
+    chaos = f"rate=0.2&seed={peer + 1}&burst=2"
+    return {
+        "none": None,
+        "json-dir": str(tmp_path / "cache"),
+        "sqlite": f"sqlite:{tmp_path}/results.db",
+        "memory": f"memory:{tmp_path}",
+        "chaos+sqlite": f"chaos+sqlite:{tmp_path}/results.db?{chaos}",
+    }[store]
+
+
+@functools.lru_cache(maxsize=None)
+def _serial_metadata(case: str, scheme: str, sweep: str) -> dict:
+    return _sweep(case, sweep, seed_scheme=scheme).metadata
+
+
+@pytest.mark.parametrize("row", MATRIX, ids=["-".join(row.values()) for row in MATRIX])
+def test_pairwise_matrix_matches_incremental_reference(row, tmp_path):
+    kernel = row["kernel"].rstrip("2")
+    _skip_without(kernel)
+    fleet = row["fleet"] == "fleet2"
+
+    def sweep(peer: int, store):
+        return _sweep(
+            row["case"], row["sweep"],
+            executor=row["executor"],
+            workers=None if row["executor"] == "serial" else 2,
+            kernel=kernel,
+            kernel_threads=2 if row["kernel"] == "cext2" else None,
+            seed_scheme=row["scheme"],
+            store=store,
+            fleet=fleet,
+            lease_ttl=10.0,
+            worker_id=f"w{peer}" if fleet else None,
+            failure_policy=FailurePolicy(max_retries=2),
+        )
+
+    def open_store(peer: int):
+        return resolve_store(_store_spec(row["store"], tmp_path, peer))
+
+    # Opened one after the other: the first creates a store file.
+    stores = [open_store(peer) for peer in range(2 if fleet else 1)]
+    grids = [None] * len(stores)
+
+    def run(peer: int) -> None:
+        grids[peer] = sweep(peer, stores[peer])
+
+    threads = [threading.Thread(target=run, args=(peer,)) for peer in range(len(grids))]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=300)
+    expected_metadata = _serial_metadata(row["case"], row["scheme"], row["sweep"])
+    for grid in grids:
+        assert grid is not None, "a sweep raised"
+        assert_matches_reference(grid, row["case"], row["scheme"])
+        assert grid.metadata == expected_metadata
+    if row["store"] == "none":
+        return
+    distinct = list({id(store): store for store in stores}.values())  # memory: shared
+    if fleet:
+        assert all(store.leases() == [] for store in distinct)
+    if fleet and row["store"] != "chaos+sqlite":  # torn batches rewrite
+        # Zero duplicated executions: the peers' writes partition the units.
+        assert sum(store.stats.writes for store in distinct) == len(distinct[0])
+    for store in distinct:
+        store.close()
+    # A rerun on the reopened store is served from it, bit for bit.
+    store = open_store(0)
+    writes = store.stats.writes
+    again = sweep(0, store)
+    assert store.stats.writes == writes
+    assert_grids_equal(again, grids[0])
+    assert again.metadata == expected_metadata
+    store.close()

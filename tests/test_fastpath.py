@@ -21,7 +21,7 @@ from repro.channel.gilbert import GilbertChannel
 from repro.channel.periodic import PeriodicBurstChannel
 from repro.core.config import SimulationConfig
 from repro.core.simulator import Simulator
-from repro.core.sweep import simulate_grid, sweep_parameter
+from repro.core.sweep import sweep_parameter
 from repro.fastpath import (
     IncrementalPrototype,
     LDGMPrototype,
@@ -34,12 +34,7 @@ from repro.kernels import available_backends
 from repro.runner.units import WorkUnit, execute_unit
 from repro.scheduling.registry import make_tx_model
 from serial_reference import gilbert_loss_mask_serial
-from unit_reference import (
-    assert_grid_matches,
-    reference_cells,
-    reference_grid,
-    reference_unit_result,
-)
+from unit_reference import reference_cells, reference_unit_result
 
 #: Every kernel backend this machine can run: the equivalence contract
 #: holds for all of them, so the parity machinery sweeps each one.
@@ -309,17 +304,6 @@ class TestRunnerFastpath:
     def test_execute_unit_fresh_code_per_run(self):
         unit = self._unit(fresh_code_per_run=True)
         assert execute_unit(unit) == reference_unit_result(unit)
-
-    def test_grid_sweep_equivalence(self, small_staircase_config):
-        grid = simulate_grid(
-            small_staircase_config, [0.0, 0.3], [0.2, 1.0], runs=3, seed=7
-        )
-        assert_grid_matches(
-            grid,
-            reference_grid(
-                small_staircase_config, [0.0, 0.3], [0.2, 1.0], runs=3, seed=7
-            ),
-        )
 
     def test_series_sweep_equivalence(self):
         def make(value):

@@ -8,7 +8,6 @@ import threading
 import time
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from repro.core.config import SimulationConfig
@@ -37,11 +36,11 @@ from repro.runner.units import execute_unit, plan_units
 from repro.store import (
     LeaseUnsupportedError,
     MemoryStore,
-    SqliteStore,
     StoreServer,
     resolve_store,
     unit_key,
 )
+from fleet_equivalence import run_leg
 
 P_VALUES = [0.0, 0.05]
 Q_VALUES = [0.5, 1.0]
@@ -57,16 +56,6 @@ def config() -> SimulationConfig:
 def _units(config, cells=4, runs=2, options=None):
     points = [((i,), config, 0.02 * i, 0.5) for i in range(cells)]
     return plan_units(points, runs=runs, base_seed=21, options=options)
-
-
-def _grids_equal(first, second) -> bool:
-    return (
-        np.array_equal(first.mean_inefficiency, second.mean_inefficiency, equal_nan=True)
-        and np.array_equal(
-            first.mean_received_ratio, second.mean_received_ratio, equal_nan=True
-        )
-        and np.array_equal(first.failure_counts, second.failure_counts)
-    )
 
 
 class _NoLeaseStore(MemoryStore):
@@ -175,69 +164,12 @@ class TestFleetRunner:
 
 
 class TestFleetEngine:
-    @pytest.mark.parametrize("scheme", ["per-run", "unit"])
-    def test_fleet_grid_identical_to_serial(self, tmp_path, config, scheme):
-        serial = run_grid(
-            config, P_VALUES, Q_VALUES, runs=2, seed=7,
-            options=ExecutionOptions(seed_scheme=scheme),
-        )
-        store = SqliteStore(tmp_path / "fleet.db")
-        fleet = run_grid(
-            config, P_VALUES, Q_VALUES, runs=2, seed=7,
-            options=ExecutionOptions(
-                seed_scheme=scheme, store=store, fleet=True, lease_ttl=10.0,
-            ),
-        )
-        assert _grids_equal(serial, fleet)
-        assert store.stats.writes == len(P_VALUES) * len(Q_VALUES)
-        store.close()
-
     def test_fleet_requires_a_store(self, config):
         with pytest.raises(ValueError):
             run_grid(
                 config, P_VALUES, Q_VALUES, runs=1,
                 options=ExecutionOptions(fleet=True),
             )
-
-    def test_two_engine_workers_share_one_grid(self, config):
-        store = MemoryStore()
-        serial = run_grid(config, P_VALUES, Q_VALUES, runs=2, seed=9)
-        grids = {}
-
-        def worker(name):
-            grids[name] = run_grid(
-                config, P_VALUES, Q_VALUES, runs=2, seed=9,
-                options=ExecutionOptions(
-                    store=store, fleet=True, lease_ttl=10.0, worker_id=name,
-                ),
-            )
-
-        threads = [
-            threading.Thread(target=worker, args=(f"w{i}",)) for i in range(2)
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=120)
-        assert _grids_equal(serial, grids["w0"])
-        assert _grids_equal(serial, grids["w1"])
-        # One execution per grid cell, fleet-wide.
-        assert store.stats.writes == len(P_VALUES) * len(Q_VALUES)
-
-    def test_resumed_fleet_run_absorbs_everything(self, tmp_path, config):
-        store = SqliteStore(tmp_path / "fleet.db")
-        first = run_grid(
-            config, P_VALUES, Q_VALUES, runs=2, seed=7,
-            options=ExecutionOptions(store=store, fleet=True),
-        )
-        writes_before = store.stats.writes
-        again = run_grid(
-            config, P_VALUES, Q_VALUES, runs=2, seed=7,
-            options=ExecutionOptions(store=store, fleet=True),
-        )
-        assert _grids_equal(first, again)
-        assert store.stats.writes == writes_before
-        store.close()
 
 
 class _RecordingExecutor(SerialExecutor):
@@ -429,9 +361,6 @@ class TestIdleBackoff:
         assert len(waits) == runner.stats.reclaim_waits <= 12
 
 
-_WRITES = re.compile(r"(\d+) writes")
-
-
 class TestFleetCli:
     def _spawn(self, *argv, cwd=None):
         env = dict(os.environ)
@@ -451,40 +380,17 @@ class TestFleetCli:
         stdout, stderr = process.communicate(timeout=600)
         return process.returncode, stdout, stderr
 
-    @pytest.mark.parametrize("scheme", ["per-run", "unit"])
-    def test_two_process_fleet_matches_serial_bit_for_bit(self, tmp_path, scheme):
-        base = (
-            "run", "fig07", "--scale", "tiny", "--runs", "1",
-            "--seed-scheme", scheme, "--quiet",
-        )
-        code, _, stderr = self._run(
-            *base, "--cache-dir", str(tmp_path / "serial"),
-            "--csv-dir", str(tmp_path / "csv_serial"), cwd=tmp_path,
-        )
-        assert code == 0, stderr
-
-        store_uri = f"sqlite:{tmp_path}/fleet.db"
-        workers = [
-            self._spawn(
-                *base, "--store", store_uri, "--fleet", "--lease-ttl", "10",
-                "--worker-id", f"w{i}", "--csv-dir", str(tmp_path / f"csv_w{i}"),
-                cwd=tmp_path,
-            )
-            for i in range(2)
-        ]
-        outputs = [worker.communicate(timeout=600) for worker in workers]
-        assert all(worker.returncode == 0 for worker in workers), outputs
-
-        (serial_csv,) = sorted((tmp_path / "csv_serial").glob("*.csv"))
-        for i in range(2):
-            (fleet_csv,) = sorted((tmp_path / f"csv_w{i}").glob("*.csv"))
-            assert fleet_csv.read_bytes() == serial_csv.read_bytes()
-
-        # Zero duplicated executions: the workers' writes partition the grid.
-        writes = [int(_WRITES.search(stdout).group(1)) for stdout, _ in outputs]
-        store = SqliteStore(tmp_path / "fleet.db")
-        assert sum(writes) == len(store) == 16  # tiny scale: 4 x 4 grid
-        store.close()
+    @pytest.mark.parametrize(
+        "store,scheme",
+        [
+            ("sqlite", "per-run"),
+            ("sqlite", "unit"),
+            ("http", "per-run"),
+        ],
+    )
+    def test_two_process_fleet_matches_serial_bit_for_bit(self, tmp_path, store, scheme):
+        # The CI fleet job runs every store x scheme at two runs a cell.
+        run_leg(store, scheme, tmp_path, runs=1)
 
     def test_killed_worker_rerun_converges(self, tmp_path):
         argv = (

@@ -5,11 +5,12 @@ parsing, environment default, ``auto`` resolution against the executor's
 worker divisor, the thread-local context), bit-identity of the OpenMP
 row-parallel cext kernels at every team size (1 thread == N threads ==
 the numpy reference, under both seed schemes), the shared-memory
-:class:`~repro.runner.executors.ThreadExecutor` against the serial and
-process executors, the ``kernel_threads`` plumbing through work units /
-cache keys / CLI, the Gilbert draws (masks and every generator's
-post-call state equal to the serial chain for both backends, at 1 and 2
-kernel threads, with distinct and shared generators), and the graceful
+:class:`~repro.runner.executors.ThreadExecutor` (its grids are cells of
+the ``tests/test_execution_options.py`` matrix), the ``kernel_threads``
+plumbing through work units / cache keys / CLI, the Gilbert draws (masks
+and every generator's post-call state equal to the serial chain for both
+backends, at 1 and 2 kernel threads, with distinct and shared
+generators), and the graceful
 degradation paths when the OpenMP or ``libnpyrandom`` probe compile fails
 (poisoned ``CFLAGS``): one warning, fallback kernels, identical results.
 """
@@ -25,7 +26,6 @@ import pytest
 from repro.channel.gilbert import GilbertChannel
 from repro.core.config import SimulationConfig
 from repro.core.simulator import Simulator
-from repro.core.sweep import simulate_grid
 from repro.fastpath import simulate_batch_columnar
 from repro.fec.registry import make_code
 from repro.kernels import (
@@ -135,6 +135,34 @@ class TestThreadSpec:
 
     def test_physical_cores_positive(self):
         assert physical_cores() >= 1
+
+    @pytest.mark.parametrize("values", [(2, 2), (4, 2), (2, 1)])
+    def test_overlapping_scopes_close_in_any_order(self, values):
+        # Two thread pools or fleet peers in one process: whichever scope
+        # closes first, the newest open one's value holds, and the factor
+        # ends where it began.
+        for context, current in (
+            (worker_divisor_context, worker_divisor),
+            (host_peers_context, host_peers),
+        ):
+            first, second = context(values[0]), context(values[1])
+            first.__enter__()
+            second.__enter__()
+            first.__exit__(None, None, None)
+            assert current() == values[1]
+            second.__exit__(None, None, None)
+            assert current() == 1
+
+    def test_auto_is_capped_at_the_cpu_affinity(self, monkeypatch):
+        # Pinned to one CPU (taskset -c 0), auto must not start a second
+        # kernel thread on it, however many cores the host has.
+        monkeypatch.delenv(THREADS_ENV_VAR, raising=False)
+        monkeypatch.setattr(threads, "_physical_cores", None)
+        monkeypatch.setattr(
+            threads.os, "sched_getaffinity", lambda pid: {0}, raising=False
+        )
+        assert physical_cores() == 1
+        assert resolve_thread_count("auto") == 1
 
 
 # ---------------------------------------------------------------------------
@@ -267,25 +295,6 @@ class TestThreadExecutor:
         )
         assert collected == serial
 
-    @pytest.mark.parametrize("scheme", SCHEMES)
-    def test_grid_bit_identity_thread_vs_serial(self, scheme):
-        config = SimulationConfig(
-            code="ldgm-staircase", tx_model="tx_model_2", k=80, expansion_ratio=2.5
-        )
-        p, q = [0.02, 0.08], [0.5]
-        base = simulate_grid(
-            config, p, q, runs=5, seed=4,
-            options=ExecutionOptions(seed_scheme=scheme),
-        )
-        threaded = simulate_grid(
-            config, p, q, runs=5, seed=4,
-            options=ExecutionOptions(
-                seed_scheme=scheme, executor="thread", workers=2, kernel_threads=2,
-            ),
-        )
-        assert np.array_equal(base.mean_inefficiency, threaded.mean_inefficiency)
-        assert np.array_equal(base.failure_counts, threaded.failure_counts)
-
     def test_thread_pool_composes_with_host_peers(self, monkeypatch):
         # Two same-host fleet peers, each with 2 thread workers, on 4
         # cores: 2 workers x 1 kernel thread x 2 peers.
@@ -329,22 +338,6 @@ class TestThreadExecutor:
             executors_module._init_pool_worker((), *initargs[1:])
             assert current_thread_count() == 1
         assert (worker_divisor(), host_peers()) == (1, 1)
-
-    def test_grid_bit_identity_thread_vs_process(self):
-        config = SimulationConfig(
-            code="rse", tx_model="tx_model_2", k=40, expansion_ratio=2.0
-        )
-        p, q = [0.05], [0.5]
-        threaded = simulate_grid(
-            config, p, q, runs=4, seed=6,
-            options=ExecutionOptions(executor="thread", workers=2),
-        )
-        pooled = simulate_grid(
-            config, p, q, runs=4, seed=6,
-            options=ExecutionOptions(executor="process", workers=2),
-        )
-        assert np.array_equal(threaded.mean_inefficiency, pooled.mean_inefficiency)
-
 
 # ---------------------------------------------------------------------------
 # Plumbing: work units, cache keys, CLI.

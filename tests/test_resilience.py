@@ -1082,24 +1082,6 @@ class TestResilienceCli:
         assert "retries=2 on-error=quarantine" in stdout
         assert "quarantine" not in stdout.split("done in")[1]  # clean run
 
-    def test_chaos_store_run_matches_plain_run(self, tmp_path):
-        base = ("run", "fig07", "--scale", "tiny", "--runs", "1", "--quiet")
-        code, _, stderr = self._run(
-            *base, "--store", f"sqlite:{tmp_path}/plain.db",
-            "--csv-dir", str(tmp_path / "csv_plain"), cwd=tmp_path,
-        )
-        assert code == 0, stderr
-        code, _, stderr = self._run(
-            *base,
-            "--store", f"chaos+sqlite:{tmp_path}/chaos.db?rate=0.2&seed=9&burst=2",
-            "--max-retries", "1",
-            "--csv-dir", str(tmp_path / "csv_chaos"), cwd=tmp_path,
-        )
-        assert code == 0, stderr
-        (plain_csv,) = sorted((tmp_path / "csv_plain").glob("*.csv"))
-        (chaos_csv,) = sorted((tmp_path / "csv_chaos").glob("*.csv"))
-        assert chaos_csv.read_bytes() == plain_csv.read_bytes()
-
     def test_rerun_unit_store_heals_a_quarantined_cell(self, tmp_path, config):
         db = tmp_path / "heal.db"
         unit = _units(config, cells=1, runs=1)[0]

@@ -16,6 +16,7 @@ from repro.store.json_dir import JsonDirStore
 from repro.runner.executors import ProcessExecutor, SerialExecutor, resolve_executor
 from repro.runner.options import ExecutionOptions
 from repro.runner.units import execute_unit, merge_cell, plan_units
+from unit_reference import assert_grids_equal
 
 P_VALUES = [0.0, 0.05, 0.3]
 Q_VALUES = [0.2, 0.6, 1.0]
@@ -25,16 +26,6 @@ Q_VALUES = [0.2, 0.6, 1.0]
 def config() -> SimulationConfig:
     return SimulationConfig(
         code="ldgm-staircase", tx_model="tx_model_2", k=200, expansion_ratio=2.5
-    )
-
-
-def _grids_equal(first, second) -> bool:
-    return (
-        np.array_equal(first.mean_inefficiency, second.mean_inefficiency, equal_nan=True)
-        and np.array_equal(
-            first.mean_received_ratio, second.mean_received_ratio, equal_nan=True
-        )
-        and np.array_equal(first.failure_counts, second.failure_counts)
     )
 
 
@@ -98,15 +89,6 @@ class TestExecutors:
 
 
 class TestParallelDeterminism:
-    def test_process_grid_identical_to_serial(self, config):
-        serial = simulate_grid(config, P_VALUES, Q_VALUES, runs=3, seed=7)
-        parallel = simulate_grid(
-            config, P_VALUES, Q_VALUES, runs=3, seed=7,
-            options=ExecutionOptions(executor="process", workers=4),
-        )
-        assert _grids_equal(serial, parallel)
-        assert serial.metadata == parallel.metadata
-
     def test_fresh_code_per_run_identical_to_serial(self, config):
         serial = simulate_grid(
             config, [0.05], [0.5], runs=3, seed=3, fresh_code_per_run=True
@@ -115,7 +97,7 @@ class TestParallelDeterminism:
             config, [0.05], [0.5], runs=3, seed=3, fresh_code_per_run=True,
             options=ExecutionOptions(executor="process", workers=2),
         )
-        assert _grids_equal(serial, parallel)
+        assert_grids_equal(serial, parallel)
 
     def test_run_sharding_identical_results(self, config):
         from repro.runner.engine import run_grid
@@ -130,7 +112,7 @@ class TestParallelDeterminism:
             config, P_VALUES, Q_VALUES, runs=4, seed=11, runs_per_unit=1,
             options=ExecutionOptions(seed_scheme="per-run"),
         )
-        assert _grids_equal(whole, sharded)
+        assert_grids_equal(whole, sharded)
 
     def test_series_parallel_identical_to_serial(self):
         def make_config(num_source):
@@ -197,21 +179,7 @@ class TestResultCache:
         )
         assert warm_cache.stats.hits == len(P_VALUES) * len(Q_VALUES)
         assert warm_cache.stats.misses == 0
-        assert _grids_equal(cold, warm)
-
-    def test_cached_results_bit_identical(self, config, tmp_path):
-        cache = JsonDirStore(tmp_path / "cache")
-        fresh = simulate_grid(
-            config, P_VALUES, Q_VALUES, runs=2, seed=4,
-            options=ExecutionOptions(store=cache),
-        )
-        cached = simulate_grid(
-            config, P_VALUES, Q_VALUES, runs=2, seed=4,
-            options=ExecutionOptions(store=cache),
-        )
-        no_cache = simulate_grid(config, P_VALUES, Q_VALUES, runs=2, seed=4)
-        assert _grids_equal(fresh, cached)
-        assert _grids_equal(no_cache, cached)
+        assert_grids_equal(cold, warm)
 
     def test_resume_partial_cache(self, config, tmp_path):
         # Warm only one cell, then run the full grid: exactly that cell is
@@ -228,7 +196,7 @@ class TestResultCache:
         )
         assert resumed_cache.stats.hits == 1
         assert resumed_cache.stats.writes == len(P_VALUES) * len(Q_VALUES) - 1
-        assert _grids_equal(resumed, simulate_grid(config, P_VALUES, Q_VALUES, runs=2, seed=1))
+        assert_grids_equal(resumed, simulate_grid(config, P_VALUES, Q_VALUES, runs=2, seed=1))
 
     def test_cache_accepts_directory_path(self, config, tmp_path):
         simulate_grid(
@@ -274,16 +242,7 @@ class TestExperimentsThroughRunner:
         assert warm_cache.stats.writes == 0
         assert warm_cache.stats.hits == writes
         for label in cold:
-            assert _grids_equal(cold[label], warm[label])
-
-    def test_workers_kwarg_selects_process_pool(self):
-        serial = run_experiment("fig07", scale="tiny", seed=1, runs=2)
-        parallel = run_experiment(
-            "fig07", scale="tiny", seed=1, runs=2,
-            options=ExecutionOptions(workers=2),
-        )
-        for label in serial:
-            assert _grids_equal(serial[label], parallel[label])
+            assert_grids_equal(cold[label], warm[label])
 
     def test_progress_counts_every_config_cell(self):
         # One engine pass: one callback counts the cells of all six

@@ -17,7 +17,6 @@ from repro.store.json_dir import JsonDirStore
 from repro.runner.options import ExecutionOptions
 from repro.runner.units import execute_unit, plan_units
 from repro.scheduling.registry import make_tx_model
-from unit_reference import assert_grid_matches, reference_grid
 from repro.seeds import (
     DEFAULT_SCHEME,
     ENV_VAR,
@@ -312,36 +311,6 @@ class TestSimulatorSchemes:
 
 
 class TestRunnerUnitScheme:
-    def test_parallel_bit_identical_to_serial(self, config):
-        serial = simulate_grid(
-            config, [0.0, 0.05, 0.3], [0.2, 0.6, 1.0], runs=3, seed=7,
-            options=ExecutionOptions(seed_scheme="unit"),
-        )
-        parallel = simulate_grid(
-            config, [0.0, 0.05, 0.3], [0.2, 0.6, 1.0], runs=3, seed=7,
-            options=ExecutionOptions(seed_scheme="unit", executor="process", workers=2),
-        )
-        assert np.array_equal(
-            serial.mean_inefficiency, parallel.mean_inefficiency, equal_nan=True
-        )
-        assert np.array_equal(
-            serial.mean_received_ratio, parallel.mean_received_ratio, equal_nan=True
-        )
-        assert np.array_equal(serial.failure_counts, parallel.failure_counts)
-
-    def test_incremental_bit_identical_to_fastpath(self, config):
-        fast = simulate_grid(
-            config, [0.05], [0.5], runs=3, seed=7,
-            options=ExecutionOptions(seed_scheme="unit"),
-        )
-        assert_grid_matches(
-            fast,
-            reference_grid(
-                config, [0.05], [0.5], runs=3, seed=7,
-                options=ExecutionOptions(seed_scheme="unit"),
-            ),
-        )
-
     def test_fresh_code_per_run_deterministic(self, config):
         first = simulate_grid(
             config, [0.05], [0.5], runs=2, seed=3, fresh_code_per_run=True,

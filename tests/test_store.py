@@ -271,6 +271,21 @@ class TestJsonDirByteCompat:
         path = tmp_path / "jd" / key[:2] / f"{key}.json"
         assert path.read_text(encoding="utf-8") == _historical_entry(unit, result)
 
+    def test_leases_never_list_a_heartbeat_temp_file(self, tmp_path, monkeypatch):
+        store = JsonDirStore(tmp_path / "jd")
+        assert store.claim("k1", "alice", ttl=60.0)
+        seen = []
+        replace = os.replace
+
+        def listing_replace(source, destination):
+            # Mid-heartbeat: the refreshed lease is still a temp file.
+            seen.append([lease.key for lease in store.leases()])
+            replace(source, destination)
+
+        monkeypatch.setattr(os, "replace", listing_replace)
+        assert store.heartbeat(["k1"], "alice", ttl=60.0) == 1
+        assert seen == [["k1"]]
+
     def test_bare_path_is_the_json_dir_backend(self, tmp_path, config):
         # A bare directory (the CLI's --cache-dir default) opens the
         # json-dir backend and writes the same bytes.

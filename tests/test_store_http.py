@@ -18,7 +18,6 @@ import threading
 import time
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 import test_store as store_suite
@@ -43,6 +42,7 @@ from repro.store import (
     resolve_store,
     unit_key,
 )
+from unit_reference import assert_grids_equal
 
 P_VALUES = [0.0, 0.05]
 Q_VALUES = [0.5, 1.0]
@@ -361,18 +361,6 @@ class TestWriteBehindSpool:
             inner.close()
 
 
-def _grids_equal(first, second) -> bool:
-    return (
-        np.array_equal(
-            first.mean_inefficiency, second.mean_inefficiency, equal_nan=True
-        )
-        and np.array_equal(
-            first.mean_received_ratio, second.mean_received_ratio, equal_nan=True
-        )
-        and np.array_equal(first.failure_counts, second.failure_counts)
-    )
-
-
 class TestChaosHttp:
     @pytest.mark.parametrize("scheme", ["per-run", "unit"])
     def test_chaotic_http_fleet_is_bit_identical_to_serial(
@@ -392,7 +380,7 @@ class TestChaosHttp:
                 failure_policy=FailurePolicy(max_retries=2),
             ),
         )
-        assert _grids_equal(serial, fleet)
+        assert_grids_equal(fleet, serial)
         # Every unit's result landed exactly once in the served store.
         assert len(inner) == 4
         assert inner.leases() == []
@@ -463,9 +451,6 @@ class TestServerCrashRecovery:
         inner.close()
 
 
-_WRITES = re.compile(r"(\d+) writes")
-
-
 class TestServeCli:
     def _spawn(self, *argv, cwd=None):
         env = dict(os.environ)
@@ -495,40 +480,6 @@ class TestServeCli:
         assert "serving" in banner, banner
         port = int(re.search(r"http://[^:]+:(\d+)", banner).group(1))
         return process, port
-
-    def test_serve_cli_fleet_matches_serial_bit_for_bit(self, tmp_path):
-        base = ("run", "fig07", "--scale", "tiny", "--runs", "1", "--quiet")
-        code, _, stderr = self._run(
-            *base, "--cache-dir", str(tmp_path / "serial"),
-            "--csv-dir", str(tmp_path / "csv_serial"), cwd=tmp_path,
-        )
-        assert code == 0, stderr
-
-        server, port = self._serve(tmp_path)
-        try:
-            workers = [
-                self._spawn(
-                    *base, "--store", f"http:127.0.0.1:{port}", "--fleet",
-                    "--lease-ttl", "10", "--worker-id", f"w{i}",
-                    "--csv-dir", str(tmp_path / f"csv_w{i}"), cwd=tmp_path,
-                )
-                for i in range(2)
-            ]
-            outputs = [worker.communicate(timeout=600) for worker in workers]
-            assert all(worker.returncode == 0 for worker in workers), outputs
-        finally:
-            server.terminate()
-            server.wait(timeout=30)
-
-        (serial_csv,) = sorted((tmp_path / "csv_serial").glob("*.csv"))
-        for i in range(2):
-            (fleet_csv,) = sorted((tmp_path / f"csv_w{i}").glob("*.csv"))
-            assert fleet_csv.read_bytes() == serial_csv.read_bytes()
-        # Zero duplicated executions: the workers' writes partition the
-        # grid (tiny scale: a 4 x 4 grid = 16 units).
-        writes = [int(_WRITES.search(stdout).group(1)) for stdout, _ in outputs]
-        with SqliteStore(tmp_path / "served.db") as inner:
-            assert sum(writes) == len(inner) == 16
 
     def test_serve_cli_requires_a_source(self, tmp_path):
         code, _, stderr = self._run("cache", "serve", cwd=tmp_path)

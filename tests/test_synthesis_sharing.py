@@ -15,7 +15,6 @@ import sys
 import threading
 import weakref
 
-import numpy as np
 import pytest
 
 import repro.fastpath.batch as batch_module
@@ -31,6 +30,7 @@ from repro.runner.units import execute_unit, release_synthesis
 from repro.scheduling import registry as tx_registry
 from repro.scheduling.base import TransmissionModel
 from repro.scheduling.interleaver import block_interleave
+from unit_reference import assert_grids_equal
 
 CODES = ("rse", "ldgm-staircase", "ldgm-triangle")
 TX_MODELS = [f"tx_model_{i}" for i in range(1, 6)] + ["tx_model_6"]
@@ -201,15 +201,8 @@ def _per_config(experiment: str, runs: int = 2):
 def _assert_same(grids, expected):
     assert list(grids) == list(expected)
     for label, grid in grids.items():
-        reference = expected[label]
-        assert np.array_equal(
-            grid.mean_inefficiency, reference.mean_inefficiency, equal_nan=True
-        )
-        assert np.array_equal(
-            grid.mean_received_ratio, reference.mean_received_ratio, equal_nan=True
-        )
-        assert np.array_equal(grid.failure_counts, reference.failure_counts)
-        assert grid.metadata == reference.metadata
+        assert_grids_equal(grid, expected[label])
+        assert grid.metadata == expected[label].metadata
 
 
 @pytest.mark.parametrize("experiment", ["fig09", "fig13"])

@@ -9,7 +9,7 @@ the fast path to the per-packet reference decoder.
 
 from __future__ import annotations
 
-from typing import Dict, Sequence, Tuple
+from typing import Dict, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
@@ -89,38 +89,55 @@ def reference_cells(
     return {path: merge_cell(results) for path, results in by_path.items()}
 
 
-def reference_grid(config, p_values, q_values, *, runs, seed, options=None):
-    """``(mean_inefficiency, mean_received_ratio, failure_counts)`` arrays
-    of the grid ``simulate_grid`` sweeps with these arguments."""
+class ReferenceGrid(NamedTuple):
+    """The arrays of a grid, as :func:`reference_grid` computes them."""
+
+    mean_inefficiency: np.ndarray
+    mean_received_ratio: np.ndarray
+    failure_counts: np.ndarray
+
+
+def reference_grid(
+    config, p_values, q_values, *, runs, seed, runs_per_unit=None, options=None
+) -> ReferenceGrid:
+    """The arrays of the grid ``simulate_grid`` sweeps with these arguments
+    (``runs_per_unit`` as the engine's ``run_grid`` takes it)."""
     cells = [
         ((i, j), config, float(p), float(q))
         for i, p in enumerate(p_values)
         for j, q in enumerate(q_values)
     ]
-    merged = reference_cells(cells, runs=runs, base_seed=seed, options=options)
+    merged = reference_cells(
+        cells, runs=runs, base_seed=seed, runs_per_unit=runs_per_unit, options=options
+    )
     shape = (len(p_values), len(q_values))
-    arrays = (
+    grid = ReferenceGrid(
         np.full(shape, np.nan),
         np.full(shape, np.nan),
         np.zeros(shape, dtype=np.int64),
     )
     for (i, j), values in merged.items():
-        for array, value in zip(arrays, values):
+        for array, value in zip(grid, values):
             array[i, j] = value
-    return arrays
+    return grid
 
 
-def assert_grid_matches(grid, expected) -> None:
-    inefficiency, received, failures = expected
-    assert np.array_equal(grid.mean_inefficiency, inefficiency, equal_nan=True)
-    assert np.array_equal(grid.mean_received_ratio, received, equal_nan=True)
-    assert np.array_equal(grid.failure_counts, failures)
+def assert_grids_equal(grid, expected) -> None:
+    """Bit-identity of two grids' (or a grid's and a reference's) arrays."""
+    assert np.array_equal(
+        grid.mean_inefficiency, expected.mean_inefficiency, equal_nan=True
+    )
+    assert np.array_equal(
+        grid.mean_received_ratio, expected.mean_received_ratio, equal_nan=True
+    )
+    assert np.array_equal(grid.failure_counts, expected.failure_counts)
 
 
 __all__ = [
     "reference_batch",
     "reference_unit_result",
     "reference_cells",
+    "ReferenceGrid",
     "reference_grid",
-    "assert_grid_matches",
+    "assert_grids_equal",
 ]
