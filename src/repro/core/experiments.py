@@ -282,8 +282,9 @@ def run_experiment(
     A fixed-run experiment is one engine pass
     (:func:`repro.runner.engine.run_grids`): every configuration's cells
     run as one unit list, and the codes compared at one transmission
-    model, ratio and cell decode one shared synthesized transmission.
-    The grids equal a :func:`~repro.core.sweep.simulate_grid` call per
+    model, ratio and cell form one synthesis group, which decodes one
+    synthesized transmission under every executor, fleet and failure
+    policy.  The grids equal a :func:`~repro.core.sweep.simulate_grid` call per
     configuration, bit for bit.  Adaptive experiments run one
     :func:`~repro.adaptive.adaptive_grid` per configuration.
 

@@ -30,7 +30,7 @@ from typing import Dict, FrozenSet, Tuple
 
 from repro.resilience.errors import UnitExecutionError
 from repro.runner.executors import SerialExecutor
-from repro.runner.units import UnitResult, WorkUnit, execute_unit
+from repro.runner.units import FrontEnds, UnitResult, WorkUnit, execute_unit
 
 #: Cell identity faults are keyed by (``WorkUnit.seed_path``).
 CellPath = Tuple[int, ...]
@@ -74,7 +74,7 @@ class FaultInjectingExecutor(SerialExecutor):
         self._attempts: Counter = Counter()
         self._lock = threading.Lock()
 
-    def _execute_one(self, unit: WorkUnit) -> UnitResult:
+    def _execute_one(self, unit: WorkUnit, front_ends: FrontEnds) -> UnitResult:
         path = tuple(unit.seed_path)
         with self._lock:
             attempt = self._attempts[path]
@@ -95,7 +95,7 @@ class FaultInjectingExecutor(SerialExecutor):
             with self._lock:
                 self.injected["hang"] += 1
             time.sleep(self.plan.hang_seconds)
-        return execute_unit(unit)
+        return execute_unit(unit, front_ends)
 
 
 __all__ = ["CellPath", "FaultInjectingExecutor", "FaultPlan"]

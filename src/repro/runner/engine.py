@@ -18,7 +18,6 @@ failure policy -- is one :class:`~repro.runner.options.ExecutionOptions`.
 
 from __future__ import annotations
 
-import json
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple, TypeVar
 
 import numpy as np
@@ -31,9 +30,9 @@ from repro.runner.units import (
     SeedPath,
     UnitResult,
     WorkUnit,
+    _share_family,
     merge_cell,
     plan_units,
-    release_synthesis,
 )
 from repro.utils.rng import RandomState, as_seed_int
 from repro.utils.validation import validate_positive_int
@@ -208,14 +207,11 @@ def _execute(
                 worker_id=options.worker_id,
                 lease_ttl=options.lease_ttl,
             )
-        try:
-            if cache is None or fleet:
+        if cache is None or fleet:
+            runner.run(pending, on_result, on_failure, policy)
+        else:
+            with cache.write_behind():
                 runner.run(pending, on_result, on_failure, policy)
-            else:
-                with cache.write_behind():
-                    runner.run(pending, on_result, on_failure, policy)
-        finally:
-            release_synthesis()
 
     return results, failures
 
@@ -261,18 +257,6 @@ def merge_grid(
     return mean_inefficiency, mean_received, failure_counts
 
 
-def _share_family(config: SimulationConfig) -> tuple:
-    """What the configs whose units may share a synthesis have in common:
-    everything but the code."""
-    return (
-        config.tx_model,
-        json.dumps(config.tx_options, sort_keys=True, default=repr),
-        config.k,
-        config.expansion_ratio,
-        config.nsent,
-    )
-
-
 def plan_grids(
     configs: Sequence[SimulationConfig],
     cells_by_config: Sequence[List[Cell]],
@@ -280,11 +264,12 @@ def plan_grids(
 ) -> List[WorkUnit]:
     """Every config's units as one list, the units of one cell side by side.
 
-    Configs that differ only in their code draw the same transmissions
-    (:func:`repro.runner.units.execute_unit` shares them between
-    consecutive units), so their units are interleaved: family by family
-    (configs equal but for the code, in first-appearance order), then
-    cell and run range, then config.
+    Configs that differ only in their code draw the same transmissions,
+    so their units are interleaved: family by family (configs equal but
+    for the code, in first-appearance order), then cell and run range,
+    then config.  Each cell's run range is then one synthesis group
+    (:func:`repro.runner.units.synthesis_groups`): executors synthesize
+    it once and decode it with every code, and fleets lease it whole.
     """
     families: Dict[tuple, int] = {}
     ordered = []

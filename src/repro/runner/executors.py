@@ -1,26 +1,16 @@
 """Executors: strategies for running a batch of work units.
 
 Three strategies are provided behind one tiny interface
-(``run(units, on_result, on_failure, policy)``):
-
-* :class:`SerialExecutor` runs units in order in the calling process --
-  no pool, no pickling, and the unit order (hence the progress-callback order)
-  matches the historical serial sweep loops exactly.
-* :class:`ProcessExecutor` fans units out over a
-  ``concurrent.futures.ProcessPoolExecutor`` in chunks.  Because every
-  unit derives its own seeds, completion order does not matter: the engine
-  reassembles cells from the units handed back, so parallel results are
-  bit-identical to serial ones.  Each worker process pre-warms the
-  shared-code + compiled-prototype caches in its pool initializer, so the
-  per-process compile cost is paid at pool start-up, in parallel.
-* :class:`ThreadExecutor` fans units out over an in-process thread pool:
-  no pickling, and every worker shares the per-backend compiled-prototype
-  cache, the shared-code cache and NumPy buffers.  The compiled kernels
-  drop the GIL for the duration of their C calls, so thread workers
-  compose with the kernels' own OpenMP row-parallelism; both executors
-  declare their worker count to :mod:`repro.kernels.threads` so ``auto``
-  kernel-thread counts obey the oversubscription rule (executor workers x
-  kernel threads x same-host fleet peers <= physical cores).
+(``run(units, on_result, on_failure, policy)``): :class:`SerialExecutor`
+(in order, in the calling process), :class:`ProcessExecutor` (a process
+pool) and :class:`ThreadExecutor` (an in-process thread pool).  Each cuts
+the units it is given into synthesis groups
+(:func:`~repro.runner.units.synthesis_groups`: the units of one cell that
+differ only in the code) and runs a group in one :func:`run_group` call,
+so the group synthesizes each transmission once, whichever executor,
+thread or watchdog runs it.  Every unit derives its own seeds, so
+completion order does not matter and results are bit-identical across
+executors.
 
 ``on_result(unit, result)`` is always invoked in the calling process and
 thread (for the pools: as futures complete), which is what bridges worker
@@ -58,7 +48,8 @@ import os
 from functools import partial
 from itertools import islice
 from typing import (
-    TYPE_CHECKING, Any, Callable, Iterable, List, Optional, Protocol, Sequence, Union,
+    TYPE_CHECKING, Any, Callable, Iterable, Iterator, List, Optional, Protocol,
+    Sequence, Tuple, Union,
 )
 
 from repro.kernels.threads import (
@@ -73,7 +64,9 @@ from repro.resilience.policy import (
     run_unit_with_policy,
 )
 from repro.runner.options import EXECUTOR_NAMES
-from repro.runner.units import UnitResult, WorkUnit, execute_unit, warm_unit, warm_units
+from repro.runner.units import (
+    FrontEnds, UnitResult, WorkUnit, execute_unit, synthesis_groups, warm_unit, warm_units,
+)
 from repro.utils.validation import validate_positive_int
 
 if TYPE_CHECKING:  # pragma: no cover - typing only; pools import on first use
@@ -121,6 +114,25 @@ def deliver_outcome(
     on_failure(unit, failure)
 
 
+def run_group(
+    group: Sequence[WorkUnit],
+    policy: FailurePolicy,
+    execute: Callable[[WorkUnit, FrontEnds], UnitResult],
+) -> Iterator[Tuple[WorkUnit, UnitOutcome]]:
+    """Run one synthesis group's units in order, each under ``policy``,
+    yielding each unit with its outcome as soon as it is known.
+
+    Every attempt is ``execute(unit, front_ends)`` with one dict local to
+    this call, so the group's codes decode one synthesized transmission
+    whatever thread or watchdog runs them, and nothing outlives the group.
+    """
+    front_ends: FrontEnds = {}
+    for unit in group:
+        yield unit, run_unit_with_policy(
+            unit, policy, execute=partial(execute, front_ends=front_ends)
+        )
+
+
 def _dispatch(
     pool: PoolExecutor,
     task: Callable[[Any], Any],
@@ -149,14 +161,14 @@ def _dispatch(
 
 
 class SerialExecutor:
-    """Execute units one after the other in the calling process."""
+    """Execute synthesis groups one after the other in the calling process."""
 
     #: Local parallelism (fleet claim-batch sizing).
     workers = 1
 
-    def _execute_one(self, unit: WorkUnit) -> UnitResult:
+    def _execute_one(self, unit: WorkUnit, front_ends: FrontEnds) -> UnitResult:
         """Execution hook (fault-injecting test executors override it)."""
-        return execute_unit(unit)
+        return execute_unit(unit, front_ends)
 
     def run(
         self,
@@ -165,9 +177,9 @@ class SerialExecutor:
         on_failure: Optional[OnFailure] = None,
         policy: FailurePolicy = DEFAULT_POLICY,
     ) -> None:
-        for unit in units:
-            outcome = run_unit_with_policy(unit, policy, execute=self._execute_one)
-            deliver_outcome(unit, outcome, policy, on_result, on_failure)
+        for group in synthesis_groups(units):
+            for unit, outcome in run_group(group, policy, self._execute_one):
+                deliver_outcome(unit, outcome, policy, on_result, on_failure)
 
 
 def _pool_context() -> multiprocessing.context.BaseContext:
@@ -210,9 +222,11 @@ def _init_pool_worker(warm: Sequence[WorkUnit], divisor: int, peers: int) -> Non
             pass
 
 
-def _run_chunk(units: Sequence[WorkUnit], policy: FailurePolicy) -> List[UnitOutcome]:
-    """Process-pool task: one chunk of units under ``policy``."""
-    return [run_unit_with_policy(unit, policy) for unit in units]
+def _run_chunk(
+    groups: Sequence[Sequence[WorkUnit]], policy: FailurePolicy
+) -> List[UnitOutcome]:
+    """Process-pool task: one chunk of synthesis groups under ``policy``."""
+    return [out for group in groups for _unit, out in run_group(group, policy, execute_unit)]
 
 
 class ProcessExecutor:
@@ -223,14 +237,10 @@ class ProcessExecutor:
     workers:
         Pool size; defaults to ``os.cpu_count()``.
 
-    Units go to the workers in chunks, about four per worker, which
-    amortises pickling overhead while keeping the pool balanced when cells
-    have very different costs (decoding failures are much cheaper than
-    successes); at most ``4 * workers`` chunks are in flight.
-
-    The policy's retry loop runs inside each worker process; outcomes
-    come back picklable and are dispatched (result / failure / raise) in
-    the calling process.
+    Synthesis groups go to the workers in chunks, about four per worker,
+    which amortises pickling overhead while keeping the pool balanced when
+    cells have very different costs (decoding failures are much cheaper
+    than successes); at most ``4 * workers`` chunks are in flight.
     """
 
     def __init__(self, workers: Optional[int] = None):
@@ -245,16 +255,18 @@ class ProcessExecutor:
         on_failure: Optional[OnFailure] = None,
         policy: FailurePolicy = DEFAULT_POLICY,
     ) -> None:
-        if not units:
+        groups = list(synthesis_groups(units))
+        if not groups:
             return
         from concurrent.futures import ProcessPoolExecutor
 
-        size = max(1, len(units) // (4 * self.workers))
-        chunks = [list(units[i : i + size]) for i in range(0, len(units), size)]
+        size = max(1, len(groups) // (4 * self.workers))
+        chunks = [groups[i : i + size] for i in range(0, len(groups), size)]
         pool_size = min(self.workers, len(chunks))
 
-        def deliver(chunk: List[WorkUnit], outcomes: List[UnitOutcome]) -> None:
-            for unit, outcome in zip(chunk, outcomes):
+        def deliver(chunk: List[List[WorkUnit]], outcomes: List[UnitOutcome]) -> None:
+            chunk_units = [unit for group in chunk for unit in group]
+            for unit, outcome in zip(chunk_units, outcomes):
                 deliver_outcome(unit, outcome, policy, on_result, on_failure)
 
         with ProcessPoolExecutor(
@@ -269,8 +281,9 @@ class ProcessExecutor:
             )
 
 
-class ThreadExecutor:
-    """Execute units on an in-process thread pool: shared memory, no pickling.
+class ThreadExecutor(SerialExecutor):
+    """Execute synthesis groups on an in-process thread pool: shared memory,
+    no pickling.
 
     Worker threads share the per-backend compiled-prototype cache, the
     shared-code cache and every NumPy buffer directly, so the pickling
@@ -286,30 +299,26 @@ class ThreadExecutor:
     the oversubscription rule (executor threads x kernel threads x peers
     <= cores) holds by construction.
 
-    Completion order does not matter -- every unit derives its own seeds
-    and the engine reassembles cells from the units handed back -- so results are
+    Each task is one synthesis group (:func:`run_group`), so the codes of
+    a cell share its front end whichever thread runs it.  Completion
+    order does not matter -- every unit derives its own seeds and the
+    engine reassembles cells from the units handed back -- so results are
     bit-identical to the serial and process executors.  ``on_result`` /
-    ``on_failure`` are invoked in the calling thread.
+    ``on_failure`` are invoked in the calling thread, for a group's units
+    once the group is done.
 
     Parameters
     ----------
     workers:
         Thread count; defaults to ``os.cpu_count()``.  At most
-        ``4 * workers`` units are in flight, bounding the retained futures
-        for paper-scale unit lists.
-
-    The policy's retry loop runs inside the worker thread; dispatch
-    happens in the calling thread.
+        ``4 * workers`` groups are in flight, bounding the retained
+        futures for paper-scale unit lists.
     """
 
     def __init__(self, workers: Optional[int] = None):
         if workers is None:
             workers = os.cpu_count() or 1
         self.workers = validate_positive_int(workers, "workers")
-
-    def _execute_one(self, unit: WorkUnit) -> UnitResult:
-        """Execution hook (fault-injecting test executors override it)."""
-        return execute_unit(unit)
 
     def run(
         self,
@@ -318,22 +327,25 @@ class ThreadExecutor:
         on_failure: Optional[OnFailure] = None,
         policy: FailurePolicy = DEFAULT_POLICY,
     ) -> None:
-        if not units:
+        groups = list(synthesis_groups(units))
+        if not groups:
             return
         from concurrent.futures import ThreadPoolExecutor
 
+        def deliver(_group, outcomes) -> None:
+            for unit, outcome in outcomes:
+                deliver_outcome(unit, outcome, policy, on_result, on_failure)
+
         with worker_divisor_context(self.workers), ThreadPoolExecutor(
-            max_workers=min(self.workers, len(units)),
+            max_workers=min(self.workers, len(groups)),
             thread_name_prefix="repro-unit",
         ) as pool:
             _dispatch(
                 pool,
-                partial(run_unit_with_policy, policy=policy, execute=self._execute_one),
-                units,
+                lambda group: list(run_group(group, policy, self._execute_one)),
+                groups,
                 4 * self.workers,
-                lambda unit, outcome: deliver_outcome(
-                    unit, outcome, policy, on_result, on_failure
-                ),
+                deliver,
             )
 
 
@@ -372,6 +384,7 @@ __all__ = [
     "ProcessExecutor",
     "ThreadExecutor",
     "resolve_executor",
+    "run_group",
     "deliver_outcome",
     "OnResult",
     "OnFailure",

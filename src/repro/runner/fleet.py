@@ -14,7 +14,9 @@ There is **no coordinator**.  Each worker plans the identical unit list
 1. atomically :meth:`~repro.store.ResultStore.claim` a batch of
    still-open units under a TTL lease -- the store guarantees exactly one
    claimer wins each unit, which is what makes duplicated execution
-   impossible among live workers,
+   impossible among live workers.  Claims take whole synthesis groups
+   (:func:`~repro.runner.units.synthesis_groups`), so live peers never
+   split one,
 2. absorb results other workers finished (a claim that fails names a
    unit that is either done -- read it -- or leased by a live peer),
 3. execute the claimed units on the local executor (serial or process
@@ -57,7 +59,7 @@ from repro.resilience.report import read_quarantine, write_quarantine
 from repro.resilience.retry import RetryingStore
 from repro.runner.executors import Executor, OnFailure, OnResult, SerialExecutor
 from repro.runner.options import DEFAULT_LEASE_TTL
-from repro.runner.units import UnitResult, WorkUnit
+from repro.runner.units import UnitResult, WorkUnit, synthesis_groups
 from repro.store.base import ResultStore
 from repro.store.codec import decode_payload, unit_key
 
@@ -266,7 +268,8 @@ class FleetRunner:
         peer's result is absorbed.
     claim_batch:
         Units to claim per loop iteration (default: enough to keep the
-        local executor's workers busy).
+        local executor's workers busy).  The last group claimed is
+        claimed whole, so a round may claim a few more.
 
     The :class:`FailurePolicy` arrives with each :meth:`run` call, like
     any executor's.  The store is wrapped in a :class:`RetryingStore`
@@ -356,7 +359,11 @@ class FleetRunner:
         policy: FailurePolicy = DEFAULT_POLICY,
     ) -> None:
         store = RetryingStore.wrap(self.store, policy)
-        pending: Dict[str, WorkUnit] = {unit_key(unit): unit for unit in units}
+        # Every unit under its key, with the number of its synthesis group.
+        keyed = [(unit_key(unit), unit, index)
+                 for index, group in enumerate(synthesis_groups(units)) for unit in group]
+        pending: Dict[str, WorkUnit] = {key: unit for key, unit, _group in keyed}
+        group_of = {key: group for key, _unit, group in keyed}
         quarantining = policy.on_error == "quarantine" and on_failure is not None
 
         def check_heartbeat(heartbeat: "_Heartbeat") -> None:
@@ -384,21 +391,29 @@ class FleetRunner:
                 # Peers join and leave mid-sweep: recount this host's
                 # live ones so ``auto`` kernel threads share its cores.
                 set_host_peers(count_host_peers(store))
-                # 1. Claim a batch.  The store arbitrates: every open
-                # unit is won by exactly one live worker.  A failed claim
-                # means the unit is finished or leased elsewhere -- only
-                # those few keys need a read, which keeps each round at
-                # O(batch) store operations instead of a full rescan of
-                # everything still pending.
+                # 1. Claim a batch of whole groups.  The store
+                # arbitrates: every open unit is won by exactly one live
+                # worker.  A failed claim means the unit is finished or
+                # leased elsewhere -- only those few keys need a read,
+                # which keeps each round at O(batch) store operations.
+                # Peers claim a group in plan order, so after a lost
+                # claim a peer holds the rest of the group.
                 claimed: List[WorkUnit] = []
                 contested: List[str] = []
+                lost = last = None
                 for key, unit in pending.items():
-                    if len(claimed) >= self.claim_batch:
+                    group = group_of[key]
+                    if group == lost:
+                        contested.append(key)
+                        continue
+                    if len(claimed) >= self.claim_batch and group != last:
                         break
                     if store.claim(key, self.worker_id, self.lease_ttl):
                         claimed.append(unit)
+                        last = group
                     else:
                         contested.append(key)
+                        lost = group
                 if claimed:
                     idle_wait = IDLE_BACKOFF_START
 

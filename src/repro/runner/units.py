@@ -14,6 +14,12 @@ lets the synthesis pipeline draw whole ``(runs, n)`` blocks; its results
 differ from ``"per-run"`` (the scheme is part of the cache key) but are
 equally deterministic across executors and cache states.
 
+The units of one cell that differ only in the code draw the same
+transmission: executors run each *synthesis group* (:func:`synthesis_groups`)
+in one call whose units share one dict of front ends, and fleets lease it
+whole.  Everywhere else -- cache keys, leases, progress, failures,
+retries -- a unit covers one config.
+
 Units are plain picklable dataclasses: they cross process boundaries for
 the process-pool executor and are hashed into cache keys by
 :func:`repro.store.codec.unit_key`.
@@ -22,10 +28,11 @@ the process-pool executor and are hashed into cache keys by
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
 import threading
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -314,72 +321,40 @@ def _shared_code(unit: WorkUnit):
     return code
 
 
-#: Per-thread memo of the last synthesized front end (the received batch
-#: and per-run send counts) and its key.  The codes of one experiment cell
-#: draw the same streams over layouts the schedule cannot tell apart, so
-#: units planned next to each other decode one synthesis instead of each
-#: drawing its own.  One entry per thread bounds the memory it holds.
-_SYNTHESIS_MEMO = threading.local()
+def _share_family(config: SimulationConfig) -> tuple:
+    """What the configs whose units may share a synthesis have in common:
+    everything but the code."""
+    options = json.dumps(config.tx_options, sort_keys=True, default=repr)
+    return (config.tx_model, options, config.k, config.expansion_ratio, config.nsent)
 
 
-def _synthesis_key(unit: WorkUnit, layout, tx_model) -> tuple:
-    """Everything the unit's synthesis reads: streams, channel, schedule.
+def _group_key(unit: WorkUnit) -> tuple:
+    """Everything a unit's synthesis reads but its code's layout."""
+    cell = (unit.seed_scheme, unit.base_seed, unit.seed_path, unit.p, unit.q)
+    return (*cell, unit.run_start, unit.run_stop, _share_family(unit.config))
 
-    The layout enters as its source and parity index arrays, plus its
-    block sizes when the transmission model's schedule reads the blocks
-    (:attr:`~repro.scheduling.base.TransmissionModel.schedule_reads_blocks`).
-    """
+
+def synthesis_groups(units: Iterable[WorkUnit]) -> Iterator[List[WorkUnit]]:
+    """Cut a planned unit list, lazily and in order, into synthesis groups:
+    maximal runs of consecutive units with the same cell, run range and
+    share family (:func:`repro.runner.engine.plan_grids` puts the configs
+    of one family side by side)."""
+    return (list(group) for _key, group in itertools.groupby(units, _group_key))
+
+
+#: A synthesis group's front ends (:class:`~repro.pipeline.SynthesizedRuns`),
+#: keyed by :func:`_layout_key`.
+FrontEnds = Dict[tuple, object]
+
+
+def _layout_key(layout, tx_model) -> tuple:
+    """What can tell two units of one synthesis group apart: the layout's
+    index arrays, plus its block sizes when ``tx_model``'s schedule reads them
+    (:attr:`~repro.scheduling.base.TransmissionModel.schedule_reads_blocks`)."""
     blocks = None
     if getattr(tx_model, "schedule_reads_blocks", True):
-        blocks = tuple(
-            (block.source_indices.size, block.parity_indices.size)
-            for block in layout.blocks
-        )
-    config = unit.config
-    return (
-        unit.seed_scheme,
-        unit.base_seed,
-        unit.seed_path,
-        unit.run_start,
-        unit.run_stop,
-        unit.p,
-        unit.q,
-        config.tx_model,
-        json.dumps(config.tx_options, sort_keys=True, default=repr),
-        config.nsent,
-        layout.source_indices.tobytes(),
-        layout.parity_indices.tobytes(),
-        blocks,
-    )
-
-
-def _held_synthesis(unit: WorkUnit, key: tuple):
-    """This thread's memoised front end under ``key``, or ``None``.
-
-    Sharing is between configs: a front end is never handed back to the
-    config that drew it, so re-executing a unit (a retry) draws afresh.
-    A held entry that does not match is dropped here, before the unit
-    allocates anything, so a thread never holds two front ends at once.
-    """
-    entry = getattr(_SYNTHESIS_MEMO, "entry", None)
-    if entry is not None and entry[0] == key and entry[1] != unit.config.token:
-        return entry[2]
-    _SYNTHESIS_MEMO.entry = None
-    return None
-
-
-def _hold_synthesis(unit: WorkUnit, key: tuple, synthesis) -> None:
-    """Hold ``synthesis`` for the thread's next unit, its arrays read-only:
-    every unit that shares them only reads them."""
-    batch = synthesis.batch
-    for array in (batch.flat, batch.offsets, batch.lengths, synthesis.n_sent):
-        array.flags.writeable = False
-    _SYNTHESIS_MEMO.entry = (key, unit.config.token, synthesis)
-
-
-def release_synthesis() -> None:
-    """Drop the calling thread's memoised front end (end of a sweep)."""
-    _SYNTHESIS_MEMO.entry = None
+        blocks = tuple((b.source_indices.size, b.parity_indices.size) for b in layout.blocks)
+    return (layout.source_indices.tobytes(), layout.parity_indices.tobytes(), blocks)
 
 
 def warm_unit(unit: WorkUnit) -> None:
@@ -428,7 +403,7 @@ def _unit_streams(unit: WorkUnit) -> UnitStreams:
     )
 
 
-def _unit_batch(unit: WorkUnit) -> RunResultBatch:
+def _unit_batch(unit: WorkUnit, front_ends: Optional[FrontEnds]) -> RunResultBatch:
     """Columnar outcomes of one unit, in run order.
 
     The whole run range flows through the :mod:`repro.pipeline` batched
@@ -447,36 +422,36 @@ def _unit_batch(unit: WorkUnit) -> RunResultBatch:
     """
     retain_freed_pages()
     with thread_count_context(unit.kernel_threads):
-        return _unit_batch_impl(unit)
+        return _unit_batch_impl(unit, {} if front_ends is None else front_ends)
 
 
-def _unit_batch_impl(unit: WorkUnit) -> RunResultBatch:
+def _unit_batch_impl(unit: WorkUnit, front_ends: FrontEnds) -> RunResultBatch:
     from repro.fastpath import simulate_batch_columnar
     from repro.fastpath.batch import synthesize_front_end
     from repro.kernels.registry import get_backend_for_run
 
     if unit.fresh_code_per_run:
         return _fresh_code_batch(unit)
-    # Codes whose layouts the schedule cannot tell apart decode one shared
-    # front end.  The lookup comes first, so a stale entry is freed before
-    # this unit allocates anything.
     tx_model = unit.config.build_tx_model()
     code = _shared_code(unit)
-    key = _synthesis_key(unit, code.layout, tx_model)
-    synthesis = _held_synthesis(unit, key)
     kernel = get_backend_for_run(unit.kernel)
     channel = GilbertChannel(unit.p, unit.q)
     streams = _unit_streams(unit)
+    key = _layout_key(code.layout, tx_model)
+    synthesis = front_ends.get(key)
     if synthesis is None:
         # The whole run range is one vectorised batch.  Under the per-run
         # scheme each run keeps its own generator, so the batch is
         # bit-identical to the incremental loop; under the unit scheme the
-        # streams are defined by the block draws.
-        synthesis = synthesize_front_end(
+        # streams are defined by the block draws.  Read-only: every unit
+        # of the group that decodes it only reads it.
+        synthesis = front_ends[key] = synthesize_front_end(
             code.layout, tx_model, channel, streams,
             nsent=unit.config.nsent, kernel=kernel,
         )
-        _hold_synthesis(unit, key, synthesis)
+        batch = synthesis.batch
+        for array in (batch.flat, batch.offsets, batch.lengths, synthesis.n_sent):
+            array.flags.writeable = False
     return simulate_batch_columnar(
         code,
         tx_model,
@@ -520,14 +495,15 @@ def _fresh_code_batch(unit: WorkUnit) -> RunResultBatch:
     return RunResultBatch.concatenate(batches)
 
 
-def execute_unit(unit: WorkUnit) -> UnitResult:
+def execute_unit(unit: WorkUnit, front_ends: Optional[FrontEnds] = None) -> UnitResult:
     """Run every transmission of one unit and collect the raw outcomes.
 
-    The per-run ratio columns come straight off the unit's
-    :class:`~repro.core.metrics.RunResultBatch` -- two vectorised
-    divisions per unit instead of one property pair per run.
+    The unit decodes the front end its layout keys in ``front_ends``, its
+    synthesis group's dict, adding it there when missing (``None``: share
+    nothing).  The per-run ratio columns come straight off the unit's
+    :class:`~repro.core.metrics.RunResultBatch`.
     """
-    batch = _unit_batch(unit)
+    batch = _unit_batch(unit, front_ends)
     return UnitResult(
         seed_path=unit.seed_path,
         run_start=unit.run_start,
@@ -567,6 +543,7 @@ __all__ = [
     "WorkUnit",
     "UnitResult",
     "plan_units",
+    "synthesis_groups",
     "execute_unit",
     "warm_unit",
     "warm_units",

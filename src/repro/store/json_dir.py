@@ -16,10 +16,11 @@ limits -- that is what the :mod:`sqlite <repro.store.sqlite>` backend is
 for; ``python -m repro cache migrate`` moves entries between them.
 
 Leases live under ``<root>/leases/`` as one small JSON file per held
-unit, created with ``O_CREAT | O_EXCL`` so exactly one worker of a fleet
-wins a claim race even on a shared filesystem.  Takeover of an expired
-lease unlinks the stale file and re-creates it with ``O_EXCL`` -- every
-racer may unlink, but only one create can succeed.
+unit, hard-linked in whole so exactly one worker of a fleet wins a claim
+race even on a shared filesystem.  Each lease carries a random nonce.
+Takeover of an expired lease is a compare-and-swap: the taker first
+links a token ``<key>.takeover.<nonce of the stale lease>``, which only
+one racer can create, and only then replaces the stale file.
 """
 
 from __future__ import annotations
@@ -27,9 +28,11 @@ from __future__ import annotations
 import json
 import os
 import re
+import secrets
 import tempfile
-import time
 from collections import Counter
+from contextlib import suppress
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Union
 
@@ -43,6 +46,13 @@ DEFAULT_CACHE_DIR = ".repro_cache"
 
 #: Subdirectory of the root holding the lease files.
 LEASE_DIR = "leases"
+
+
+@dataclass(frozen=True)
+class _FileLease(Lease):
+    """A lease as its file holds it: with the nonce naming its takeover token."""
+
+    nonce: str = ""
 
 
 class JsonDirStore(ResultStore):
@@ -101,10 +111,8 @@ class JsonDirStore(ResultStore):
                 stream.write(dump_entry(payload))
             os.replace(tmp_path, path)
         except BaseException as error:
-            try:
+            with suppress(OSError):
                 os.unlink(tmp_path)
-            except OSError:
-                pass
             if isinstance(error, OSError):
                 raise StoreUnavailableError(
                     f"json-dir store {self.root} write failed: {error}"
@@ -185,59 +193,73 @@ class JsonDirStore(ResultStore):
             except OSError:
                 pass
         for shard in self.root.glob("??"):
-            try:
+            with suppress(OSError):  # non-empty (entries of other schemes remain)
                 shard.rmdir()
-            except OSError:
-                pass  # non-empty (entries of other schemes remain)
         if scheme is None:
-            for lease in self.root.glob(f"{LEASE_DIR}/*.lease"):
-                try:
-                    lease.unlink()
-                except OSError:
-                    pass
-            try:
+            for pattern in ("*.lease", "*.takeover.*"):
+                for lease in self.root.glob(f"{LEASE_DIR}/{pattern}"):
+                    with suppress(OSError):
+                        lease.unlink()
+            with suppress(OSError):
                 (self.root / LEASE_DIR).rmdir()
-            except OSError:
-                pass
         return removed
 
     # -- leases ----------------------------------------------------------
 
-    def _write_lease_excl(self, path: Path, worker: str, ttl: float) -> bool:
-        # Linked in whole from a finished temp file: a racer never reads a
-        # half-written lease and takes it over as a crashed writer's.
+    def _lease_file(self, path: Path, worker: str, ttl: float) -> str:
+        """A finished temp file beside ``path`` holding a lease with a fresh nonce."""
         handle, tmp_path = tempfile.mkstemp(dir=path.parent, prefix=".tmp-")
+        # ``_now()``: workers sharing a json-dir lease directory must share
+        # one wall clock (same host, or NTP-synced hosts on a shared FS).
+        lease = {"worker": worker, "expires": self._now() + ttl}
+        with os.fdopen(handle, "w", encoding="utf-8") as stream:
+            json.dump({**lease, "nonce": secrets.token_hex(8)}, stream)
+        return tmp_path
+
+    def _write_lease(
+        self, path: Path, worker: str, ttl: float, token: Optional[Path] = None
+    ) -> bool:
+        """Link a finished lease file to ``path`` (a racer never reads it
+        half-written); with a takeover ``token``, link that first and
+        replace the stale lease.  False when a racer got there first."""
+        tmp_path = self._lease_file(path, worker, ttl)
         try:
-            with os.fdopen(handle, "w", encoding="utf-8") as stream:
-                # ``_now()``: lease expiry is computed by the process that
-                # owns the store instance -- workers sharing a json-dir
-                # lease directory must share one wall clock (same host, or
-                # NTP-synced hosts on a shared filesystem).
-                json.dump({"worker": worker, "expires": self._now() + ttl}, stream)
-            os.link(tmp_path, path)
+            if token is None:
+                os.link(tmp_path, path)
+            else:
+                os.link(tmp_path, token)
+                os.replace(tmp_path, path)
             return True
-        except OSError:  # FileExistsError: the lease is held
+        except OSError:  # FileExistsError: the lease (or the takeover) is held
             return False
         finally:
-            os.unlink(tmp_path)
+            with suppress(FileNotFoundError):
+                os.unlink(tmp_path)
 
-    def _read_lease(self, path: Path) -> Optional[Lease]:
+    def _read_lease(self, path: Path) -> Optional[_FileLease]:
         try:
             payload = json.loads(path.read_text(encoding="utf-8"))
-            return Lease(
+            return _FileLease(
                 key=path.stem,
                 worker=str(payload["worker"]),
                 expires=float(payload["expires"]),
+                nonce=str(payload.get("nonce", "")),
             )
         except (OSError, ValueError, KeyError, TypeError):
             return None
+
+    def _drop_lease(self, key: str, path: Path) -> None:
+        """Remove a held lease and the takeover tokens of its key."""
+        for stale in [path, *path.parent.glob(f"{key}.takeover.*")]:
+            with suppress(OSError):
+                os.unlink(stale)
 
     def claim(self, key: str, worker: str, ttl: float) -> bool:
         if self.get_record(key) is not None:
             return False  # already done: results are never re-leased
         path = self._lease_path(key)
         path.parent.mkdir(parents=True, exist_ok=True)
-        if self._write_lease_excl(path, worker, ttl):
+        if self._write_lease(path, worker, ttl):
             return self._still_open(key, path)
         lease = self._read_lease(path)
         if lease is not None and not lease.expired(self._now()):
@@ -249,20 +271,16 @@ class JsonDirStore(ResultStore):
                 self.heartbeat([key], worker, ttl)
                 return True
             return False
-        # Expired (or unreadable): take it over.  Not a compare-and-swap:
-        # two racers that read the same stale lease may both unlink and
-        # re-link it, the second removing the first's fresh lease.
-        try:
-            os.unlink(path)
-        except OSError:
-            pass
-        return self._write_lease_excl(path, worker, ttl) and self._still_open(key, path)
+        # Expired (or unreadable): take it over.  Of the racers that read
+        # this stale lease, only the one that links its token replaces it.
+        token = path.with_name(f"{key}.takeover.{lease.nonce if lease else ''}")
+        return self._write_lease(path, worker, ttl, token) and self._still_open(key, path)
 
     def _still_open(self, key: str, path: Path) -> bool:
         # A peer puts before it releases: one done since claim() looked shows here.
         if self.get_record(key) is None:
             return True
-        os.unlink(path)
+        self._drop_lease(key, path)
         return False
 
     def heartbeat(self, keys: Iterable[str], worker: str, ttl: float) -> int:
@@ -272,31 +290,20 @@ class JsonDirStore(ResultStore):
             lease = self._read_lease(path)
             if lease is None or lease.worker != worker:
                 continue  # lost (expired and taken over): do not refresh
-            handle, tmp_path = tempfile.mkstemp(
-                dir=path.parent, prefix=".tmp-", suffix=".tmp"
-            )
+            tmp_path = self._lease_file(path, worker, ttl)
             try:
-                with os.fdopen(handle, "w", encoding="utf-8") as stream:
-                    json.dump(
-                        {"worker": worker, "expires": self._now() + ttl}, stream
-                    )
                 os.replace(tmp_path, path)
                 extended += 1
             except OSError:
-                try:
+                with suppress(OSError):
                     os.unlink(tmp_path)
-                except OSError:
-                    pass
         return extended
 
     def release(self, key: str, worker: str) -> None:
         path = self._lease_path(key)
         lease = self._read_lease(path)
         if lease is not None and lease.worker == worker:
-            try:
-                os.unlink(path)
-            except OSError:
-                pass
+            self._drop_lease(key, path)
 
     def leases(self) -> List[Lease]:
         lease_dir = self.root / LEASE_DIR

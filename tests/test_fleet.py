@@ -278,7 +278,7 @@ class TestHostPeers:
 
     def test_failed_run_releases_presence(self, config):
         class _Broken(SerialExecutor):
-            def _execute_one(self, unit):
+            def _execute_one(self, unit, front_ends):
                 raise RuntimeError("boom")
 
         store = MemoryStore()

@@ -303,10 +303,10 @@ class TestThreadExecutor:
         seen = []
 
         class _Recording(ThreadExecutor):
-            def _execute_one(self, unit):
+            def _execute_one(self, unit, front_ends):
                 with thread_count_context(unit.kernel_threads):
                     seen.append(current_thread_count())
-                return super()._execute_one(unit)
+                return super()._execute_one(unit, front_ends)
 
         with host_peers_context(2):
             _Recording(2).run(_small_units(), lambda unit, result: None)
@@ -709,9 +709,9 @@ class TestPerUnitResolution:
         seen = []
         original = units_module._unit_batch_impl
 
-        def recording(unit):
+        def recording(unit, front_ends):
             seen.append(current_thread_count())
-            return original(unit)
+            return original(unit, front_ends)
 
         monkeypatch.setattr(units_module, "_unit_batch_impl", recording)
         execute_unit(unit)

@@ -11,6 +11,8 @@ whenever this machine can build it and skip-marked otherwise.
 
 from __future__ import annotations
 
+import subprocess
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -693,3 +695,25 @@ class TestPrototypeKernelCache:
         cext_proto = compile_prototype(code, kernel="cext")
         assert cext_proto is not numpy_proto
         assert compile_prototype(code, kernel="cext") is cext_proto
+
+
+@pytest.mark.skipif(
+    not cext_compiler_available(), reason="no C compiler for the cext backend"
+)
+@pytest.mark.parametrize(
+    "flags",
+    [["-fopenmp", "-DREPRO_NPYRANDOM", "-I", np.get_include()], []],
+    ids=["openmp-npyrandom", "plain"],
+)
+def test_kernel_source_compiles_without_warnings(tmp_path, flags):
+    """The cext source stays clean under ``-Wall -Wextra``, with and without
+    the optional features (a warning is an error here, not a log line)."""
+    from repro.kernels import cext
+
+    source = tmp_path / "kernels.c"
+    source.write_text(cext._C_SOURCE, encoding="utf-8")
+    command = [cext.compiler(), "-fsyntax-only", "-Wall", "-Wextra", "-Werror"]
+    done = subprocess.run(
+        [*command, *flags, str(source)], capture_output=True, text=True
+    )
+    assert done.returncode == 0, done.stderr

@@ -604,7 +604,7 @@ class TestDefaultFailFast:
 
     @pytest.fixture
     def broken_execution(self, monkeypatch):
-        def boom(unit):
+        def boom(unit, front_ends=None):
             raise RuntimeError("decoder exploded")
 
         monkeypatch.setattr(executors, "execute_unit", boom)
@@ -695,9 +695,9 @@ class TestHeartbeatHardening:
         # itself (not on_result, which runs after release) to keep keys
         # held long enough for the heartbeat to exhaust its limit.
         class _SlowExecutor(SerialExecutor):
-            def _execute_one(self, unit):
+            def _execute_one(self, unit, front_ends):
                 time.sleep(0.05)
-                return execute_unit(unit)
+                return execute_unit(unit, front_ends)
 
         runner = FleetRunner(
             _DeadHeartbeatStore(), worker_id="w0", lease_ttl=0.5,
@@ -918,11 +918,11 @@ class TestWriteBehind:
         real = executors.execute_unit
         started = []
 
-        def interrupt_third(unit):
+        def interrupt_third(unit, front_ends=None):
             started.append(unit)
             if len(started) == 3:
                 raise KeyboardInterrupt
-            return real(unit)
+            return real(unit, front_ends)
 
         monkeypatch.setattr(executors, "execute_unit", interrupt_third)
         argv = [

@@ -286,6 +286,29 @@ class TestJsonDirByteCompat:
         assert store.heartbeat(["k1"], "alice", ttl=60.0) == 1
         assert seen == [["k1"]]
 
+    def test_stale_lease_takeover_has_one_winner(self, tmp_path, monkeypatch):
+        # Bob and Carol both read Alice's expired lease; Carol takes it
+        # over between Bob's read and Bob's takeover.
+        root = tmp_path / "jd"
+        assert JsonDirStore(root).claim("k1", "alice", ttl=0.01)
+        time.sleep(0.05)
+        bob, carol = JsonDirStore(root), JsonDirStore(root)
+        won = {}
+        read = bob._read_lease
+
+        def stale_read(path):
+            lease = read(path)
+            won["carol"] = carol.claim("k1", "carol", ttl=60.0)
+            return lease
+
+        monkeypatch.setattr(bob, "_read_lease", stale_read)
+        won["bob"] = bob.claim("k1", "bob", ttl=60.0)
+        assert won == {"carol": True, "bob": False}
+        assert [lease.worker for lease in carol.leases()] == ["carol"]
+        carol.release("k1", "carol")
+        assert list((root / "leases").iterdir()) == []  # no token left behind
+        assert bob.claim("k1", "bob", ttl=60.0)
+
     def test_bare_path_is_the_json_dir_backend(self, tmp_path, config):
         # A bare directory (the CLI's --cache-dir default) opens the
         # json-dir backend and writes the same bytes.

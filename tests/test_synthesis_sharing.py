@@ -1,9 +1,11 @@
 """One transmission per cell, decoded by every code.
 
 The codes an experiment compares at one transmission model, ratio and
-cell draw the same streams over layouts the schedule cannot tell apart,
-so :func:`repro.runner.units.execute_unit` decodes the front end the
-previous unit on its thread synthesized when the keys match, and
+cell draw the same streams over layouts the schedule cannot tell apart.
+A planned unit list is cut into synthesis groups
+(:func:`repro.runner.units.synthesis_groups`); every executor runs a group
+in one call (:func:`repro.runner.executors.run_group`) whose front ends
+its units share, and fleets lease groups whole.
 :func:`repro.core.experiments.run_experiment` runs a fixed-run experiment
 as one engine pass (:func:`repro.runner.engine.run_grids`) that plans
 those units side by side.  Sharing must never change a bit.
@@ -13,7 +15,6 @@ from __future__ import annotations
 
 import sys
 import threading
-import weakref
 
 import pytest
 
@@ -22,14 +23,16 @@ from repro.core.config import SimulationConfig
 from repro.core.experiments import SCALES, get_experiment, run_experiment
 from repro.core.sweep import simulate_grid
 from repro.resilience import FailurePolicy
-from repro.runner import units as units_module
-from repro.runner.engine import grid_cells, plan_grids
+from repro.runner.engine import grid_cells, plan_grids, run_grids
 from repro.runner.executors import SerialExecutor, ThreadExecutor
+from repro.runner.fleet import FleetRunner
 from repro.runner.options import ExecutionOptions
-from repro.runner.units import execute_unit, release_synthesis
+from repro.runner.units import execute_unit, synthesis_groups
 from repro.scheduling import registry as tx_registry
 from repro.scheduling.base import TransmissionModel
 from repro.scheduling.interleaver import block_interleave
+from repro.store import MemoryStore
+from repro.store.codec import unit_key
 from unit_reference import assert_grids_equal
 
 CODES = ("rse", "ldgm-staircase", "ldgm-triangle")
@@ -63,28 +66,32 @@ def _plan(configs, scheme: str, **kwargs):
 
 @pytest.fixture
 def syntheses(monkeypatch):
-    """Count (and keep weak references to) every front end synthesized."""
+    """Every front end synthesized, in order."""
     made = []
     original = batch_module.synthesize_front_end
 
     def counting(*args, **kwargs):
         synthesis = original(*args, **kwargs)
-        made.append((threading.get_ident(), weakref.ref(synthesis)))
+        made.append(synthesis)
         return synthesis
 
     monkeypatch.setattr(batch_module, "synthesize_front_end", counting)
-    release_synthesis()
-    yield made
-    release_synthesis()
+    return made
+
+
+def _run(executor, units, policy=None):
+    """``units``' results in plan order, run by ``executor``."""
+    results = {}
+    executor.run(
+        units,
+        lambda unit, result: results.__setitem__(id(unit), result),
+        policy=policy or FailurePolicy(),
+    )
+    return [results[id(unit)] for unit in units]
 
 
 def _unshared(units):
-    results = []
-    for unit in units:
-        release_synthesis()
-        results.append(execute_unit(unit))
-    release_synthesis()
-    return results
+    return [execute_unit(unit) for unit in units]
 
 
 @pytest.mark.parametrize("scheme", ["per-run", "unit"])
@@ -92,7 +99,8 @@ def _unshared(units):
 def test_shared_results_equal_unshared(syntheses, tx_model, scheme):
     units = _plan(_configs(tx_model), scheme)
     assert [unit.config.code for unit in units[:3]] == list(CODES)
-    shared = [execute_unit(unit) for unit in units]
+    assert [len(group) for group in synthesis_groups(units)] == [3] * CELLS
+    shared = _run(SerialExecutor(), units)
     drawn = len(syntheses)
     assert shared == _unshared(units)
     # RSE splits k = 200 into two blocks, LDGM keeps one: only tx_model_5
@@ -113,74 +121,105 @@ class _BlockRoundRobin(TransmissionModel):
 def test_third_party_model_never_shares_across_blocks(syntheses, monkeypatch):
     monkeypatch.setitem(tx_registry._REGISTRY, _BlockRoundRobin.name, _BlockRoundRobin)
     units = _plan(_configs(_BlockRoundRobin.name), "per-run")
-    shared = [execute_unit(unit) for unit in units]
+    shared = _run(SerialExecutor(), units)
     # RSE's two-block layout draws its own; the one-block LDGM codes share.
     assert len(syntheses) == 2 * CELLS
     assert shared == _unshared(units)
-    layouts = [config.build_code(seed=0).layout for config in _configs(_BlockRoundRobin.name)]
-    keys = {
-        units_module._synthesis_key(units[0], layout, _BlockRoundRobin())
-        for layout in layouts
-    }
-    assert len(keys) == 2
 
 
 def test_fresh_code_per_run_never_shares(syntheses):
     units = _plan(_configs("tx_model_2"), "per-run", fresh_code_per_run=True)
-    shared = [execute_unit(unit) for unit in units]
-    assert units_module._SYNTHESIS_MEMO.entry is None
+    shared = _run(SerialExecutor(), units)
     assert len(syntheses) == 3 * len(units)  # one per run
     assert shared == _unshared(units)
 
 
-def test_reexecuting_a_unit_draws_afresh(syntheses):
-    (unit,) = _plan(_configs("tx_model_2", codes=("rse",)), "per-run")[:1]
-    assert execute_unit(unit) == execute_unit(unit)
-    assert len(syntheses) == 2
+def _fleet_of_two(units):
+    """Run ``units`` on two in-process fleet peers, claiming one unit per
+    round; each peer's results and runner."""
+    store = MemoryStore()
+    runners = [
+        FleetRunner(store, worker_id=f"w{index}", claim_batch=1) for index in range(2)
+    ]
+    results, errors = {}, []
+
+    def peer(runner):
+        try:
+            results[runner.worker_id] = _run(runner, units)
+        except BaseException as error:  # surfaced to the main thread
+            errors.append(error)
+
+    threads = [threading.Thread(target=peer, args=(runner,)) for runner in runners]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=300)
+    assert errors == []
+    assert sum(runner.stats.executed for runner in runners) == len(units)
+    return [results[runner.worker_id] for runner in runners], runners
 
 
-def test_memo_holds_one_read_only_synthesis_per_thread(syntheses):
-    units = _plan(_configs("tx_model_4"), "per-run")
-    overlaps = []
-    original = batch_module.synthesize_front_end
-
-    def checking(*args, **kwargs):
-        # A thread drops its entry before it builds the next one.
-        me = threading.get_ident()
-        if any(thread == me and ref() is not None for thread, ref in syntheses):
-            overlaps.append(me)
-        return original(*args, **kwargs)
-
-    threaded = {}
-    batch_module.synthesize_front_end = checking
+@pytest.fixture
+def fast_switching():
+    """Switch threads often, so sharing that hangs on scheduling shows."""
     switch = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
-    try:
-        # More workers than cores, switching often: each thread's memo
-        # stays its own.
-        ThreadExecutor(4).run(
-            units, lambda unit, result: threaded.__setitem__(id(unit), result)
-        )
-        serial = [execute_unit(unit) for unit in units]
-    finally:
-        sys.setswitchinterval(switch)
-        batch_module.synthesize_front_end = original
-    assert overlaps == []
-    assert [threaded[id(unit)] for unit in units] == serial
-    assert len(syntheses) >= CELLS
-    alive = [ref() for thread, ref in syntheses if ref() is not None]
-    assert len(alive) == 1  # this thread's entry; the pool's threads are gone
-    (synthesis,) = alive
-    assert units_module._SYNTHESIS_MEMO.entry[2] is synthesis
-    for array in (
-        synthesis.batch.flat,
-        synthesis.batch.offsets,
-        synthesis.batch.lengths,
-        synthesis.n_sent,
-    ):
-        assert not array.flags.writeable
-    with pytest.raises(ValueError):
-        synthesis.batch.flat[:1] = 0
+    yield
+    sys.setswitchinterval(switch)
+
+
+@pytest.mark.parametrize("setup", ["serial", "thread4", "fleet2", "timeout"])
+def test_one_synthesis_per_group(syntheses, fast_switching, setup):
+    units = _plan(_configs("tx_model_4"), "per-run")
+    if setup == "fleet2":
+        peer_results, _runners = _fleet_of_two(units)
+    else:
+        executor = ThreadExecutor(4) if setup == "thread4" else SerialExecutor()
+        policy = FailurePolicy(unit_timeout=60) if setup == "timeout" else None
+        peer_results = [_run(executor, units, policy)]
+    assert len(syntheses) == len(list(synthesis_groups(units))) == CELLS
+    unshared = _unshared(units)
+    for results in peer_results:
+        assert results == unshared
+
+
+def test_fleet_peers_never_split_a_group(syntheses):
+    units = _plan(_configs("tx_model_2"), "unit")
+    _results, runners = _fleet_of_two(units)
+    owner = {
+        key: runner.worker_id
+        for runner in runners
+        for key in runner.stats.executed_keys
+    }
+    for group in synthesis_groups(units):
+        assert len({owner[unit_key(unit)] for unit in group}) == 1
+    assert len(syntheses) == CELLS
+
+
+def test_shared_front_ends_are_read_only(syntheses):
+    _run(SerialExecutor(), _plan(_configs("tx_model_2"), "per-run"))
+    assert len(syntheses) == CELLS
+    for synthesis in syntheses:
+        batch = synthesis.batch
+        for array in (batch.flat, batch.offsets, batch.lengths, synthesis.n_sent):
+            assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            batch.flat[:1] = 0
+
+
+def test_a_partly_cached_group_synthesizes_once_for_the_missing_configs(syntheses):
+    store = MemoryStore()
+    staircase = _configs("tx_model_2", codes=("ldgm-staircase",))
+    run_grids(staircase, P_VALUES, Q_VALUES, runs=3, seed=7,
+              options=ExecutionOptions(store=store))
+    assert len(syntheses) == CELLS
+    del syntheses[:]
+    grids = run_grids(_configs("tx_model_2"), P_VALUES, Q_VALUES, runs=3, seed=7,
+                      options=ExecutionOptions(store=store))
+    assert len(syntheses) == CELLS  # one per cell: the rse + triangle group
+    assert store.stats.hits == CELLS and store.stats.writes == 3 * CELLS
+    for grid, config in zip(grids, _configs("tx_model_2")):
+        assert_grids_equal(grid, simulate_grid(config, P_VALUES, Q_VALUES, runs=3, seed=7))
 
 
 # ---------------------------------------------------------------------------
@@ -250,10 +289,10 @@ def test_one_pass_fleet_of_two_equals_per_config_sweeps(experiment, tmp_path):
 class _PoisonOneConfig(SerialExecutor):
     """Fails one cell of the RSE config only."""
 
-    def _execute_one(self, unit):
+    def _execute_one(self, unit, front_ends):
         if unit.config.code == "rse" and unit.seed_path == (1, 1):
             raise RuntimeError("poisoned rse cell")
-        return super()._execute_one(unit)
+        return super()._execute_one(unit, front_ends)
 
 
 def test_skipped_failure_is_reported_by_its_own_config_only():
