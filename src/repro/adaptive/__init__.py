@@ -13,7 +13,7 @@ from repro._lazy import lazy_exports
 
 __getattr__, __dir__ = lazy_exports(__name__, {
     "controller": (
-        "AdaptiveConfig AdaptiveSpec adaptive_grid plan_first_round "
+        "AdaptiveConfig AdaptiveSpec adaptive_grid adaptive_grids plan_first_round "
         "resolve_adaptive round_schedule"
     ),
 })
@@ -22,6 +22,7 @@ __all__ = [
     "AdaptiveConfig",
     "AdaptiveSpec",
     "adaptive_grid",
+    "adaptive_grids",
     "plan_first_round",
     "resolve_adaptive",
     "round_schedule",

@@ -19,6 +19,16 @@ controller here replans the grid round by round:
    inefficiency is within ``rel_tol`` of the mean, both at
    ``confidence``.
 
+The configs of one sweep (:func:`adaptive_grids`, and so every adaptive
+:func:`~repro.core.experiments.run_experiment`) share one round loop:
+each round plans the new runs of every config's active cells into one
+unit list (:func:`~repro.runner.engine.plan_grids`) and executes it in
+one engine call.  The codes compared at one cell, ratio and transmission
+model then form one synthesis group, which synthesizes the round's runs
+once and decodes them with every code still active there.  Each config
+keeps its own statistics, stopping decisions, unit plan and cache keys,
+so its grid equals a lone :func:`adaptive_grid` call, bit for bit.
+
 Determinism contract
 --------------------
 Rounds only ever *extend* a cell's run range, starting at run 0, under
@@ -47,15 +57,15 @@ settles in does not depend on the scheme's unit sizes either.
 
 Cliff refinement
 ----------------
-With ``refine_cliff`` the controller afterwards walks every edge of the
-grid whose endpoints disagree on decodability and bisects the channel
-parameter between them until the bracket is narrower than
-``refine_resolution``, running each probe point as a full adaptive cell.
-Probes are planned in lockstep across all cliff edges (one engine round
-serves every active bisection), and each probe is emitted as a
-first-class grid row -- the full per-cell record (mean inefficiency,
-received ratio, failures, run count, Wilson interval) -- under
-``metadata["adaptive"]["refined"]``.
+With ``refine_cliff`` the controller afterwards walks, config by config,
+every edge of that config's grid whose endpoints disagree on
+decodability and bisects the channel parameter between them until the
+bracket is narrower than ``refine_resolution``, running each probe point
+as a full adaptive cell.  Probes are planned in lockstep across all
+cliff edges (one engine round serves every active bisection), and each
+probe is emitted as a first-class grid row -- the full per-cell record
+(mean inefficiency, received ratio, failures, run count, Wilson
+interval) -- under ``metadata["adaptive"]["refined"]``.
 """
 
 from __future__ import annotations
@@ -71,10 +81,12 @@ from repro.core.metrics import CellStats, GridResult
 from repro.resilience.policy import UnitFailure
 from repro.runner.engine import (
     Cell,
+    _by_config,
     _execute,
     grid_cells,
     grid_metadata,
     merge_grid,
+    plan_grids,
     results_by_cell,
 )
 # The stopping rule's config lives with the other options, so the CLI
@@ -97,6 +109,7 @@ __all__ = [
     "round_schedule",
     "plan_first_round",
     "adaptive_grid",
+    "adaptive_grids",
 ]
 
 #: Under a chunk-invariant seed scheme a round runs each active cell's
@@ -198,6 +211,10 @@ class _CellRun:
     rounds: int = 0
 
 
+#: A cell of the round loop: ``(config token, seed_path)``.
+CellKey = Tuple[str, SeedPath]
+
+
 def _run_cells(
     cells: Sequence[Cell],
     cfg: AdaptiveConfig,
@@ -205,47 +222,65 @@ def _run_cells(
     *,
     plan_kwargs: dict,
     execute,
-    failures_out: List[UnitFailure],
-) -> Dict[SeedPath, _CellRun]:
-    """Drive a set of cells through the round loop until all settle.
+    failures_out: Dict[str, List[UnitFailure]],
+) -> Dict[CellKey, _CellRun]:
+    """Drive a set of cells, of one or several configs, through the round
+    loop until all settle.
 
-    ``execute`` is a closure over :func:`repro.runner.engine._execute`
-    with the sweep's options already bound; ``plan_kwargs`` carries the
-    :func:`plan_units` arguments shared by every round.  Cells
-    that refuse to settle stop at ``budget`` runs with ``settled=False``.
+    Each round plans the increment of every active cell into one unit
+    list (:func:`plan_grids`: the codes of a cell side by side) and runs
+    it in one call of ``execute``, a closure over
+    :func:`repro.runner.engine._execute` with the sweep's options already
+    bound; ``plan_kwargs`` carries the :func:`plan_units` arguments shared
+    by every round.  The state is keyed by :data:`CellKey`, and each
+    config's unit failures are appended to ``failures_out[config.token]``.
+    Cells that refuse to settle stop at ``budget`` runs with
+    ``settled=False``.
     """
     unit_runs = _round_unit_runs(cfg.min_runs, plan_kwargs["options"].seed_scheme)
-    state = {path: _CellRun(stats=CellStats(), results=[]) for path, *_ in cells}
-    by_path = {path: cell for cell in cells for path in [cell[0]]}
-    active = [path for path, *_ in cells]
+    by_key: Dict[CellKey, Cell] = {(cell[1].token, cell[0]): cell for cell in cells}
+    configs = {token: cell[1] for (token, _path), cell in by_key.items()}
+    members = list(configs.values())
+    state = {key: _CellRun(stats=CellStats(), results=[]) for key in by_key}
+    active = list(by_key)
     previous = 0
     for target in round_schedule(cfg.min_runs, cfg.growth, budget):
         if not active:
             break
-        units = plan_units(
-            [by_path[path] for path in active],
+        active_cells: Dict[str, List[Cell]] = {token: [] for token in configs}
+        for key in active:
+            active_cells[key[0]].append(by_key[key])
+        units = plan_grids(
+            members,
+            list(active_cells.values()),
             runs=target,
             first_run=previous,
             runs_per_unit=unit_runs,
             **plan_kwargs,
         )
         results, failures = execute(units, total_cells=len(active))
-        failures_out.extend(failures.values())
-        by_cell = results_by_cell(results)
-        for path in active:
-            run = state[path]
+        by_cell: Dict[CellKey, List[UnitResult]] = {}
+        for token, config_results, config_failures in zip(
+            configs, _by_config(results, members), _by_config(failures, members)
+        ):
+            if config_failures:
+                failures_out.setdefault(token, []).extend(config_failures.values())
+            for path, cell_results in results_by_cell(config_results).items():
+                by_cell[token, path] = cell_results
+        for key in active:
+            run = state[key]
             run.planned_runs = target
             run.rounds += 1
-            for result in by_cell.get(path, ()):
+            for result in by_cell.get(key, ()):
                 run.results.append(result)
                 _fold(run.stats, result, cfg.min_runs)
         previous = target
         still_active = []
-        for path in active:
-            if _settled(state[path].stats, cfg):
-                state[path].settled = True
+        for key in active:
+            if _settled(state[key].stats, cfg):
+                state[key].settled = True
             else:
-                still_active.append(path)
+                still_active.append(key)
         active = still_active
     return state
 
@@ -260,10 +295,12 @@ def plan_first_round(
     fresh_code_per_run: bool = False,
     options: Optional[ExecutionOptions] = None,
 ):
-    """Plan (without executing) the first adaptive round's units.
+    """Plan (without executing) ``config``'s units of the first adaptive round.
 
-    Backs the CLI's ``--dry-run``: the returned list is exactly what the
-    first call to the engine would receive for the same ``options``.
+    Backs the CLI's ``--dry-run``.  A lone :func:`adaptive_grid` call
+    hands exactly this list to its first engine call; under
+    :func:`adaptive_grids` the first engine call receives every config's
+    list, interleaved by :func:`~repro.runner.engine.plan_grids`.
     """
     options = _adaptive_options(options)
     runs = validate_positive_int(runs, "runs")
@@ -289,7 +326,7 @@ def _refine_cliffs(
     *,
     plan_kwargs: dict,
     execute,
-    failures_out: List[UnitFailure],
+    failures_out: Dict[str, List[UnitFailure]],
 ) -> Tuple[List[dict], List[dict], int]:
     """Bisect every decodable/undecodable neighbour pair on the grid.
 
@@ -351,8 +388,9 @@ def _refine_cliffs(
             execute=execute,
             failures_out=failures_out,
         )
+        token = config.token
         for path, _config, p, q in probes:
-            run = state[path]
+            run = state[token, path]
             edge, mid = probe_edges[path]
             refined_runs += run.planned_runs
             mean_ineff, mean_received, cell_failures = merge_cell(run.results)
@@ -395,6 +433,64 @@ def _refine_cliffs(
     return refined_rows, cliffs, refined_runs
 
 
+class _Lockstep:
+    """The round loop that every config of one adaptive sweep shares.
+
+    :func:`adaptive_grids` hands one instance to each config's
+    :func:`adaptive_grid` call.  The first call that asks for its cells
+    runs the rounds of every config (so the loop's time is spent inside an
+    ``adaptive_grid`` call); the later calls read what it left.
+    """
+
+    def __init__(
+        self,
+        configs: Sequence[SimulationConfig],
+        p_values: Optional[Sequence[float]],
+        q_values: Optional[Sequence[float]],
+        *,
+        runs: int,
+        seed: RandomState,
+        fresh_code_per_run: bool,
+        progress,
+        options: Optional[ExecutionOptions],
+    ):
+        self.options = _adaptive_options(options)
+        self.runs = validate_positive_int(runs, "runs")
+        self.base_seed = as_seed_int(seed)
+        self.plan_kwargs = dict(
+            base_seed=self.base_seed,
+            fresh_code_per_run=fresh_code_per_run,
+            options=self.options,
+        )
+        self.progress = progress
+        self.cells = [
+            cell for config in configs for cell in grid_cells(config, p_values, q_values)[2]
+        ]
+        #: Unit failures by config token: the shared rounds', then each
+        #: config's cliff refinement's.
+        self.failures: Dict[str, List[UnitFailure]] = {}
+        self._state: Optional[Dict[CellKey, _CellRun]] = None
+
+    def execute(self, units, total_cells):
+        return _execute(
+            units, options=self.options, progress=self.progress, total_cells=total_cells
+        )
+
+    def state(self, config: SimulationConfig) -> Dict[SeedPath, _CellRun]:
+        """``config``'s cells after the shared rounds, by seed path."""
+        if self._state is None:
+            self._state = _run_cells(
+                self.cells,
+                self.options.adaptive,
+                self.runs,
+                plan_kwargs=self.plan_kwargs,
+                execute=self.execute,
+                failures_out=self.failures,
+            )
+        token = config.token
+        return {path: run for (owner, path), run in self._state.items() if owner == token}
+
+
 def adaptive_grid(
     config: SimulationConfig,
     p_values: Optional[Sequence[float]] = None,
@@ -405,6 +501,7 @@ def adaptive_grid(
     fresh_code_per_run: bool = False,
     progress=None,
     options: Optional[ExecutionOptions] = None,
+    _lockstep: Optional[_Lockstep] = None,
 ) -> GridResult:
     """Adaptive (p, q) grid sweep; ``runs`` is the per-cell budget.
 
@@ -418,30 +515,23 @@ def adaptive_grid(
     ``metadata["adaptive"]``: per-cell run counts and settlement, the
     round schedule, the executed-vs-exhaustive run totals, and (with
     ``refine_cliff``) the refined rows and localised cliff brackets.
+    The one-config case of :func:`adaptive_grids`, which passes the
+    private ``_lockstep`` it shares between its configs.
     """
-    options = _adaptive_options(options)
+    lockstep = _lockstep or _Lockstep(
+        [config],
+        p_values,
+        q_values,
+        runs=runs,
+        seed=seed,
+        fresh_code_per_run=fresh_code_per_run,
+        progress=progress,
+        options=options,
+    )
+    options, runs = lockstep.options, lockstep.runs
     cfg = options.adaptive
-    runs = validate_positive_int(runs, "runs")
     p_values, q_values, cells = grid_cells(config, p_values, q_values)
-    base_seed = as_seed_int(seed)
-    plan_kwargs = dict(
-        base_seed=base_seed, fresh_code_per_run=fresh_code_per_run, options=options
-    )
-
-    def execute(units, total_cells):
-        return _execute(
-            units, options=options, progress=progress, total_cells=total_cells
-        )
-
-    unit_failures: List[UnitFailure] = []
-    state = _run_cells(
-        cells,
-        cfg,
-        runs,
-        plan_kwargs=plan_kwargs,
-        execute=execute,
-        failures_out=unit_failures,
-    )
+    state = lockstep.state(config)
 
     shape = (p_values.size, q_values.size)
     mean_inefficiency, mean_received, failure_counts = merge_grid(
@@ -486,9 +576,9 @@ def adaptive_grid(
             p_values,
             q_values,
             decodable,
-            plan_kwargs=plan_kwargs,
-            execute=execute,
-            failures_out=unit_failures,
+            plan_kwargs=lockstep.plan_kwargs,
+            execute=lockstep.execute,
+            failures_out=lockstep.failures,
         )
         adaptive_meta["refined"] = refined_rows
         adaptive_meta["cliffs"] = cliffs
@@ -496,7 +586,11 @@ def adaptive_grid(
         adaptive_meta["resolution"] = cfg.refine_resolution
 
     metadata = grid_metadata(
-        config, base_seed, options, unit_failures, adaptive=adaptive_meta
+        config,
+        lockstep.base_seed,
+        options,
+        lockstep.failures.get(config.token, []),
+        adaptive=adaptive_meta,
     )
     return GridResult(
         p_values=p_values,
@@ -508,3 +602,38 @@ def adaptive_grid(
         label=config.display_label,
         metadata=metadata,
     )
+
+
+def adaptive_grids(
+    configs: Sequence[SimulationConfig],
+    p_values: Optional[Sequence[float]] = None,
+    q_values: Optional[Sequence[float]] = None,
+    *,
+    runs: int = 100,
+    seed: RandomState = 0,
+    fresh_code_per_run: bool = False,
+    progress=None,
+    options: Optional[ExecutionOptions] = None,
+) -> List[GridResult]:
+    """Adaptive grid sweeps of several configurations through one round loop.
+
+    Each round runs the new runs of every config's active cells as one
+    engine call, so the codes of a cell decode one synthesized
+    transmission (see the module docstring).  Returns one
+    :class:`~repro.core.metrics.GridResult` per config, in order, each
+    exactly what :func:`adaptive_grid` returns for that config alone.
+    ``progress`` counts the active cells of every config, round by round;
+    cliff refinement then runs config by config.
+    """
+    sweep = dict(
+        runs=runs,
+        seed=seed,
+        fresh_code_per_run=fresh_code_per_run,
+        progress=progress,
+        options=options,
+    )
+    lockstep = _Lockstep(configs, p_values, q_values, **sweep)
+    return [
+        adaptive_grid(config, p_values, q_values, **sweep, _lockstep=lockstep)
+        for config in configs
+    ]

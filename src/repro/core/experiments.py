@@ -28,7 +28,6 @@ from typing import TYPE_CHECKING, Dict, Optional, Sequence
 
 from repro.channel.gilbert import PAPER_GRID_PERCENT
 from repro.core.config import SimulationConfig
-from repro.core.sweep import simulate_grid
 from repro.runner.engine import ProgressCallback, run_grids
 from repro.runner.options import ExecutionOptions
 from repro.utils.rng import RandomState
@@ -284,9 +283,12 @@ def run_experiment(
     run as one unit list, and the codes compared at one transmission
     model, ratio and cell form one synthesis group, which decodes one
     synthesized transmission under every executor, fleet and failure
-    policy.  The grids equal a :func:`~repro.core.sweep.simulate_grid` call per
-    configuration, bit for bit.  Adaptive experiments run one
-    :func:`~repro.adaptive.adaptive_grid` per configuration.
+    policy.  An adaptive experiment runs every configuration through one
+    round loop (:func:`repro.adaptive.controller.adaptive_grids`): each
+    round is one engine pass over the still-active cells of every
+    configuration, so its codes share those synthesis groups too.  Either
+    way the grids equal a :func:`~repro.core.sweep.simulate_grid` call per
+    configuration, bit for bit.
 
     Parameters
     ----------
@@ -304,7 +306,8 @@ def run_experiment(
     progress:
         ``(done, total)`` callback.  A fixed-run experiment counts the
         grid points of all its configurations together; an adaptive one
-        reports each configuration's rounds in turn.
+        counts, round by round, the active grid points of all its
+        configurations, then each configuration's cliff probes.
     """
     spec = get_experiment(experiment_id)
     if isinstance(scale, str):
@@ -319,10 +322,9 @@ def run_experiment(
         options=options,
     )
     if options is not None and options.adaptive is not None:
-        grids = [
-            simulate_grid(config, scale.p_values, scale.q_values, **sweep)
-            for config in configs
-        ]
+        from repro.adaptive.controller import adaptive_grids
+
+        grids = adaptive_grids(configs, scale.p_values, scale.q_values, **sweep)
     else:
         grids = run_grids(configs, scale.p_values, scale.q_values, **sweep)
     return {config.display_label: grid for config, grid in zip(configs, grids)}

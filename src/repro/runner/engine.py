@@ -266,17 +266,21 @@ def plan_grids(
 
     Configs that differ only in their code draw the same transmissions,
     so their units are interleaved: family by family (configs equal but
-    for the code, in first-appearance order), then cell and run range,
-    then config.  Each cell's run range is then one synthesis group
+    for the code, in first-appearance order), then seed path and run
+    start, then config.  Each cell's run range is then one synthesis group
     (:func:`repro.runner.units.synthesis_groups`): executors synthesize
     it once and decode it with every code, and fleets lease it whole.
+    The configs need not plan the same cells: an adaptive round plans
+    each config's still-active ones.  :func:`grid_cells` enumerates
+    cells in seed-path order, so a fixed-run plan keeps each config's
+    own unit order.
     """
     families: Dict[tuple, int] = {}
     ordered = []
     for index, (config, cells) in enumerate(zip(configs, cells_by_config)):
         family = families.setdefault(_share_family(config), len(families))
-        for position, unit in enumerate(plan_units(cells, **plan_kwargs)):
-            ordered.append(((family, position, index), unit))
+        for unit in plan_units(cells, **plan_kwargs):
+            ordered.append(((family, unit.seed_path, unit.run_start, index), unit))
     ordered.sort(key=lambda item: item[0])
     return [unit for _order, unit in ordered]
 

@@ -12,7 +12,10 @@ processes on the store, and checks that:
 * both workers' CSVs are byte-identical to the serial CSV;
 * their reported ``N writes`` sum to the grid's 16 units (zero duplicated
   executions), except on ``chaos+sqlite``, whose torn batches rewrite;
-* ``sqlite``: a second fleet at ``--kernel-threads 2`` gives the same CSVs;
+* ``sqlite``: a second fleet at ``--kernel-threads 2`` gives the same CSVs,
+  and two peers running ``run fig09 --scale tiny --adaptive`` (six configs
+  through one shared round loop) write the CSVs of a serial adaptive run,
+  with writes summing to that run's misses;
 * ``chaos+sqlite``: a solo adaptive sweep whose buffered write-behind flush
   is torn (``injected fault on put_many``) converges to the same CSV;
 * ``http`` legs reach a ``cache serve`` process on localhost only through
@@ -36,6 +39,7 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parent.parent / "src"
 STORES = ("sqlite", "chaos+sqlite", "http", "chaos+http")
 UNITS = 16  # fig07 at tiny scale: one config on a 4 x 4 grid
+_MISSES = re.compile(r"(\d+) misses, ")
 _WRITES = re.compile(r"misses, (\d+) writes\)")
 
 
@@ -59,9 +63,9 @@ def _finish(process: subprocess.Popen) -> str:
     return output
 
 
-def _csv(directory: Path) -> bytes:
-    (path,) = directory.glob("*.csv")
-    return path.read_bytes()
+def _csvs(directory: Path) -> dict:
+    """Every CSV a run wrote, by file name."""
+    return {path.name: path.read_bytes() for path in sorted(directory.glob("*.csv"))}
 
 
 def _serve(db: Path, port: int = 0):
@@ -101,16 +105,29 @@ def _fleet(base, uris, *extra, work: Path, tag: str, during=None):
                 worker.wait()
 
 
-def _check_csvs(serial: bytes, work: Path, *names: str) -> None:
+def _check_csvs(serial: dict, work: Path, *names: str) -> None:
     for name in names:
-        if _csv(work / f"csv_{name}") != serial:
-            raise AssertionError(f"{name}'s CSV differs from the serial json-dir CSV")
+        if _csvs(work / f"csv_{name}") != serial:
+            raise AssertionError(f"{name}'s CSVs differ from the serial json-dir CSVs")
 
 
-def _check_writes(outputs) -> None:
+def _check_writes(outputs, units: int = UNITS) -> None:
     writes = sum(int(_WRITES.search(output).group(1)) for output in outputs)
-    if writes != UNITS:
-        raise AssertionError(f"the workers wrote {writes} results for {UNITS} units")
+    if writes != units:
+        raise AssertionError(f"the workers wrote {writes} results for {units} units")
+
+
+def _check_shared_adaptive(scheme: str, work: Path) -> None:
+    """Two fleet peers of an adaptive experiment whose configs share one
+    round loop: the serial run's CSVs, each planned miss written once."""
+    base = ("run", "fig09", "--scale", "tiny", "--adaptive", "--max-runs", "64",
+            "--seed-scheme", scheme, "--quiet")
+    output = _finish(_spawn(*base, "--cache-dir", str(work / "serial_adaptive"),
+                            "--csv-dir", str(work / "csv_serial_adaptive")))
+    misses = int(_MISSES.search(output).group(1))
+    outputs = _fleet(base, [f"sqlite:{work}/fleet_adaptive.db"] * 2, work=work, tag="a")
+    _check_writes(outputs, misses)
+    _check_csvs(_csvs(work / "csv_serial_adaptive"), work, "a0", "a1")
 
 
 def _wait_for_a_result(db: Path) -> None:
@@ -135,7 +152,7 @@ def run_leg(store: str, scheme: str, work: Path, runs: int = 2) -> None:
             "--seed-scheme", scheme, "--quiet")
     _finish(_spawn(*base, "--cache-dir", str(work / "serial"),
                    "--csv-dir", str(work / "csv_serial")))
-    serial = _csv(work / "csv_serial")
+    serial = _csvs(work / "csv_serial")
     db = work / "fleet.db"
     chaos = "rate=0.2&seed={}&burst=2"
     if store == "sqlite":
@@ -144,6 +161,7 @@ def run_leg(store: str, scheme: str, work: Path, runs: int = 2) -> None:
         _fleet(base, [f"sqlite:{work}/fleet_t2.db"] * 2, "--kernel-threads", "2",
                work=work, tag="t")
         _check_csvs(serial, work, "w0", "w1", "t0", "t1")
+        _check_shared_adaptive(scheme, work)
     elif store == "chaos+sqlite":
         uris = [f"chaos+sqlite:{db}?{chaos.format(index + 1)}" for index in range(2)]
         _fleet(base, uris, "--max-retries", "2", work=work, tag="w")

@@ -8,6 +8,7 @@ import pytest
 from repro.adaptive import (
     AdaptiveConfig,
     adaptive_grid,
+    adaptive_grids,
     plan_first_round,
     resolve_adaptive,
     round_schedule,
@@ -30,6 +31,7 @@ from repro.utils.stats import (
     t_quantile,
     wilson_interval,
 )
+from unit_reference import assert_grids_equal
 
 P_VALUES = [0.0, 0.05, 0.2, 0.5]
 Q_VALUES = [0.0, 0.05, 0.2, 0.5]
@@ -445,7 +447,7 @@ class TestRoundFolding:
         state = _run_cells(
             cells, options.adaptive, 24,
             plan_kwargs=dict(base_seed=3, fresh_code_per_run=False, options=options),
-            execute=execute, failures_out=[],
+            execute=execute, failures_out={},
         )
         assert len(rounds) > 1
         for path, *_ in cells:
@@ -468,10 +470,54 @@ class TestRoundFolding:
                         result.received_ratios[start : start + width],
                         result.failures,
                     )
-            run = state[path]
+            run = state[config.token, path]
             assert run.results == expected
             # Streaming accumulators included: same values, same order.
             assert vars(run.stats) == vars(stats)
+
+
+class TestSharedRounds:
+    """:func:`adaptive_grids`: one round loop serves every config."""
+
+    @staticmethod
+    def _options(plan: FaultPlan) -> ExecutionOptions:
+        return ExecutionOptions(
+            adaptive=AdaptiveConfig(min_runs=4, ci_width=0.6),
+            executor=FaultInjectingExecutor(plan),
+            failure_policy=FailurePolicy(
+                max_retries=0, on_error="skip", backoff_base=0.001, backoff_max=0.002
+            ),
+        )
+
+    def test_failures_are_recorded_by_their_own_config(self, config):
+        # Faults are keyed by seed path, so the poisoned cell fails for
+        # both codes, once per round: it never settles.
+        plan = FaultPlan(poison=frozenset({(1, 1)}))
+        configs = [config, config.with_updates(code="ldgm-triangle")]
+        totals = []
+        shared = adaptive_grids(
+            configs, P_VALUES[:2], Q_VALUES[:2], runs=16, seed=7,
+            progress=lambda done, total: totals.append(total),
+            options=self._options(plan),
+        )
+        assert totals[0] == len(configs) * 4  # round 1: every cell of both
+
+        def records(grid):
+            # The injected message counts a cell's attempts over every
+            # config that ran it; the rest of a record is the unit's own.
+            entries = grid.metadata["failed_units"]
+            assert all(e["message"].startswith("injected poison") for e in entries)
+            return [{k: v for k, v in e.items() if k != "message"} for e in entries]
+
+        for member, grid in zip(configs, shared):
+            alone = adaptive_grid(
+                member, P_VALUES[:2], Q_VALUES[:2], runs=16, seed=7,
+                options=self._options(plan),
+            )
+            assert len(records(grid)) == len(grid.metadata["adaptive"]["schedule"])
+            assert records(grid) == records(alone)
+            assert_grids_equal(grid, alone)
+            assert grid.metadata["adaptive"] == alone.metadata["adaptive"]
 
 
 class TestCliffRefinement:

@@ -20,7 +20,7 @@ from typing import List, Optional
 import numpy as np
 import pytest
 
-from repro.adaptive import AdaptiveConfig, adaptive_grid, plan_first_round
+from repro.adaptive import AdaptiveConfig, adaptive_grid, adaptive_grids, plan_first_round
 from repro.core.config import SimulationConfig
 from repro.core.experiments import run_experiment
 from repro.core.sweep import simulate_grid, sweep_parameter
@@ -60,6 +60,7 @@ SWEEP_LAYERS = [
     run_grid,
     run_series,
     adaptive_grid,
+    adaptive_grids,
     plan_first_round,
     plan_units,
     _execute,
@@ -231,10 +232,11 @@ class TestOldProvenancePayloads:
 
 # ---------------------------------------------------------------------------
 # The equivalence matrix.  Whatever path a sweep takes -- executor, kernel,
-# seed scheme, result store, a fleet of two peers, adaptive stopping -- its
-# grid must equal the grid the per-packet incremental decoder gives for the
-# same seeds.  Executor x kernel x scheme x case is checked cartesian; the
-# store, fleet and adaptive axes join them pairwise.
+# seed scheme, result store, a fleet of two peers, adaptive stopping, one
+# round loop shared by several adaptive configs -- its grid must equal the
+# grid the per-packet incremental decoder gives for the same seeds.
+# Executor x kernel x scheme x case is checked cartesian; the store, fleet
+# and sweep axes join them pairwise.
 # ---------------------------------------------------------------------------
 
 GRID_CASES = [
@@ -250,8 +252,13 @@ SEED = 7
 #: Run budget and adaptive config per kind of sweep.  The adaptive width is
 #: loose enough that cells settle at different counts, and the 16-run
 #: budget (rounds 4, 8, 16) has a round spanning two ``min_runs`` windows.
+#: ``shared`` runs a tiny experiment through one adaptive round loop
+#: (:func:`adaptive_grids`): the case's code and a second one, each at the
+#: case's ratio and one more, so two codes per family.
 ADAPTIVE = AdaptiveConfig(min_runs=4, ci_width=0.6)
-SWEEPS = {"fixed": (3, None), "adaptive": (16, ADAPTIVE)}
+SWEEPS = {"fixed": (3, None), "adaptive": (16, ADAPTIVE), "shared": (16, ADAPTIVE)}
+#: The second code of each case's families in the ``shared`` sweep.
+PARTNER = {"ldgm-staircase": "ldgm-triangle", "rse": "ldgm-staircase", "repetition": "rse"}
 
 
 def _config(case: str) -> SimulationConfig:
@@ -259,12 +266,30 @@ def _config(case: str) -> SimulationConfig:
     return SimulationConfig(code=code, tx_model=tx_model, k=200, expansion_ratio=ratio)
 
 
-def _sweep(case: str, sweep: str, **options):
+def _configs(case: str, sweep: str) -> List[SimulationConfig]:
+    """The configs ``sweep`` runs for ``case``; the case's own comes first."""
+    config = _config(case)
+    if sweep != "shared":
+        return [config]
+    return [
+        config.with_updates(code=code, expansion_ratio=ratio)
+        for ratio in (config.expansion_ratio, config.expansion_ratio + 1)
+        for code in (config.code, PARTNER[config.code])
+    ]
+
+
+def _sweep(case: str, sweep: str, **options) -> list:
+    """The grids of ``sweep``'s configs, in :func:`_configs` order."""
     runs, adaptive = SWEEPS[sweep]
-    return simulate_grid(
-        _config(case), P_VALUES, Q_VALUES, runs=runs, seed=SEED,
-        options=ExecutionOptions(adaptive=adaptive, **options),
-    )
+    options = ExecutionOptions(adaptive=adaptive, **options)
+    configs = _configs(case, sweep)
+    if sweep == "shared":
+        return adaptive_grids(
+            configs, P_VALUES, Q_VALUES, runs=runs, seed=SEED, options=options
+        )
+    return [
+        simulate_grid(configs[0], P_VALUES, Q_VALUES, runs=runs, seed=SEED, options=options)
+    ]
 
 
 @functools.lru_cache(maxsize=None)
@@ -306,7 +331,7 @@ def _skip_without(kernel: str) -> None:
 @pytest.mark.parametrize("case", CASE_IDS)
 def test_grid_matches_incremental_reference(case, scheme, kernel, executor):
     _skip_without(kernel)
-    grid = _sweep(
+    (grid,) = _sweep(
         case, "fixed", executor=executor, workers=None if executor == "serial" else 2,
         kernel=kernel, seed_scheme=scheme,
     )
@@ -364,8 +389,22 @@ def _store_spec(store: str, tmp_path, peer: int) -> Optional[str]:
 
 
 @functools.lru_cache(maxsize=None)
-def _serial_metadata(case: str, scheme: str, sweep: str) -> dict:
-    return _sweep(case, sweep, seed_scheme=scheme).metadata
+def _serial(case: str, scheme: str, sweep: str) -> list:
+    """``sweep``'s grids as serial sweeps of one config each."""
+    runs, adaptive = SWEEPS[sweep]
+    options = ExecutionOptions(adaptive=adaptive, seed_scheme=scheme)
+    return [
+        simulate_grid(config, P_VALUES, Q_VALUES, runs=runs, seed=SEED, options=options)
+        for config in _configs(case, sweep)
+    ]
+
+
+def assert_same_grids(grids, expected) -> None:
+    """Arrays and metadata (``metadata["adaptive"]`` included) match."""
+    assert len(grids) == len(expected)
+    for grid, alone in zip(grids, expected):
+        assert_grids_equal(grid, alone)
+        assert grid.metadata == alone.metadata
 
 
 @pytest.mark.parametrize("row", MATRIX, ids=["-".join(row.values()) for row in MATRIX])
@@ -404,11 +443,11 @@ def test_pairwise_matrix_matches_incremental_reference(row, tmp_path):
         thread.start()
     for thread in threads:
         thread.join(timeout=300)
-    expected_metadata = _serial_metadata(row["case"], row["scheme"], row["sweep"])
-    for grid in grids:
-        assert grid is not None, "a sweep raised"
-        assert_matches_reference(grid, row["case"], row["scheme"])
-        assert grid.metadata == expected_metadata
+    expected = _serial(row["case"], row["scheme"], row["sweep"])
+    for peer_grids in grids:
+        assert peer_grids is not None, "a sweep raised"
+        assert_matches_reference(peer_grids[0], row["case"], row["scheme"])
+        assert_same_grids(peer_grids, expected)
     if row["store"] == "none":
         return
     distinct = list({id(store): store for store in stores}.values())  # memory: shared
@@ -424,6 +463,5 @@ def test_pairwise_matrix_matches_incremental_reference(row, tmp_path):
     writes = store.stats.writes
     again = sweep(0, store)
     assert store.stats.writes == writes
-    assert_grids_equal(again, grids[0])
-    assert again.metadata == expected_metadata
+    assert_same_grids(again, expected)
     store.close()

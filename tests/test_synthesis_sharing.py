@@ -8,7 +8,9 @@ in one call (:func:`repro.runner.executors.run_group`) whose front ends
 its units share, and fleets lease groups whole.
 :func:`repro.core.experiments.run_experiment` runs a fixed-run experiment
 as one engine pass (:func:`repro.runner.engine.run_grids`) that plans
-those units side by side.  Sharing must never change a bit.
+those units side by side, and an adaptive one as one round loop
+(:func:`repro.adaptive.controller.adaptive_grids`) whose rounds do the
+same for the cells still active.  Sharing must never change a bit.
 """
 
 from __future__ import annotations
@@ -18,7 +20,9 @@ import threading
 
 import pytest
 
+import repro.adaptive.controller as controller
 import repro.fastpath.batch as batch_module
+from repro.adaptive import AdaptiveConfig
 from repro.core.config import SimulationConfig
 from repro.core.experiments import SCALES, get_experiment, run_experiment
 from repro.core.sweep import simulate_grid
@@ -27,7 +31,9 @@ from repro.runner.engine import grid_cells, plan_grids, run_grids
 from repro.runner.executors import SerialExecutor, ThreadExecutor
 from repro.runner.fleet import FleetRunner
 from repro.runner.options import ExecutionOptions
-from repro.runner.units import execute_unit, synthesis_groups
+from repro.runner.units import (
+    _group_key, _share_family, execute_unit, plan_units, synthesis_groups,
+)
 from repro.scheduling import registry as tx_registry
 from repro.scheduling.base import TransmissionModel
 from repro.scheduling.interleaver import block_interleave
@@ -309,3 +315,79 @@ def test_skipped_failure_is_reported_by_its_own_config_only():
             assert [entry["seed_path"] for entry in failed] == [[1, 1]]
         else:
             assert failed == []
+
+
+# ---------------------------------------------------------------------------
+# Plan order, and one round loop per adaptive experiment.
+# ---------------------------------------------------------------------------
+
+
+def _position_order(configs, cells_by_config, **plan_kwargs):
+    """The plan order by list position: family, position, config."""
+    families, ordered = {}, []
+    for index, (config, cells) in enumerate(zip(configs, cells_by_config)):
+        family = families.setdefault(_share_family(config), len(families))
+        for position, unit in enumerate(plan_units(cells, **plan_kwargs)):
+            ordered.append(((family, position, index), unit))
+    return [unit for _order, unit in sorted(ordered, key=lambda item: item[0])]
+
+
+@pytest.mark.parametrize("experiment", ["fig09", "fig11"])
+def test_fixed_run_plan_keeps_the_position_order(experiment):
+    scale = SCALES["tiny"]
+    configs = get_experiment(experiment).scaled_configs(scale)
+    cells = [grid_cells(config, scale.p_values, scale.q_values)[2] for config in configs]
+    plan = dict(runs=5, runs_per_unit=2, base_seed=3, options=ExecutionOptions())
+    assert plan_grids(configs, cells, **plan) == _position_order(configs, cells, **plan)
+
+
+def test_configs_with_different_active_cells_still_form_groups():
+    # An adaptive round plans each config's still-active cells only.
+    configs = _configs("tx_model_2")
+    every = grid_cells(configs[0], P_VALUES, Q_VALUES)[2]
+    active = [
+        [(path, config, p, q) for path, _config, p, q in subset]
+        for config, subset in zip(configs, [every, every[1:], [every[3], every[0]]])
+    ]
+    units = plan_grids(
+        configs, active, runs=6, first_run=2, runs_per_unit=2, base_seed=7,
+        options=ExecutionOptions(),
+    )
+    groups = list(synthesis_groups(units))
+    # Each (cell, run range) is one contiguous group of the configs that
+    # plan it, in config order.
+    keys = [(group[0].seed_path, group[0].run_start) for group in groups]
+    assert len(keys) == len(set(keys)) == CELLS * 2
+    for group in groups:
+        assert [unit.config for unit in group] == [
+            config for config, cells in zip(configs, active)
+            if any(path == group[0].seed_path for path, *_ in cells)
+        ]
+
+
+def test_adaptive_experiment_synthesizes_once_per_group(syntheses, monkeypatch):
+    planned = []
+
+    def recording(*args, **kwargs):
+        units = plan_grids(*args, **kwargs)
+        planned.append(units)
+        return units
+
+    monkeypatch.setattr(controller, "plan_grids", recording)
+    options = ExecutionOptions(adaptive=AdaptiveConfig(min_runs=4, ci_width=0.6))
+    grids = run_experiment("fig09", "tiny", seed=3, runs=16, options=options)
+    groups = [group for units in planned for group in synthesis_groups(units)]
+    units = [unit for round_units in planned for unit in round_units]
+    assert len(syntheses) == len(groups) < len(units)
+    # One group per (cell, run range, family) of each round: the union of
+    # what the codes ran there.
+    assert len(groups) == len({_group_key(unit) for unit in units})
+    # Some rounds ran a cell for only some of its codes.
+    assert {len(group) for group in groups} > {3}
+    scale = SCALES["tiny"]
+    for config in get_experiment("fig09").scaled_configs(scale):
+        alone = simulate_grid(
+            config, scale.p_values, scale.q_values, runs=16, seed=3, options=options
+        )
+        assert_grids_equal(grids[config.display_label], alone)
+        assert grids[config.display_label].metadata == alone.metadata
