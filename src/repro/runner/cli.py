@@ -57,9 +57,14 @@ from repro.resilience.policy import FailurePolicy
 from repro.runner.engine import grid_cells
 from repro.runner.options import AdaptiveConfig, ExecutionOptions
 from repro.runner.units import plan_units
-from repro.store.base import LeaseUnsupportedError, ResultStore
+from repro.store.base import ResultStore
 from repro.store.json_dir import DEFAULT_CACHE_DIR
-from repro.store.registry import DEFAULT_HOST, DEFAULT_PORT, resolve_store
+from repro.store.registry import (
+    CHAOS_BACKENDS,
+    DEFAULT_HOST,
+    DEFAULT_PORT,
+    resolve_store,
+)
 
 
 def _seed_value(text: str) -> int:
@@ -145,21 +150,17 @@ def _build_parser() -> argparse.ArgumentParser:
     store_flags = argparse.ArgumentParser(add_help=False)
     store_flags.add_argument(
         "--store",
-        default=None,
+        default=DEFAULT_CACHE_DIR,
         metavar="URI",
         help=(
             "result-store URI: 'json-dir:PATH' (the historical file-per-"
-            "unit layout), 'sqlite:PATH' (single-file indexed store, "
-            "recommended for large sweeps and fleets), 'memory:NAME', "
-            "'http:HOST:PORT' (a remote store behind 'cache serve' -- "
-            "what multi-host fleets use), or a bare directory path "
-            "(json-dir).  Overrides --cache-dir"
+            "unit layout, results only), 'sqlite:PATH' (single-file "
+            "indexed store, recommended for large sweeps and required "
+            "for fleets on one host), 'memory:NAME', 'http:HOST:PORT' (a "
+            "remote store behind 'cache serve', required for fleets "
+            "across hosts), or a bare directory path (json-dir; default: "
+            f"{DEFAULT_CACHE_DIR})"
         ),
-    )
-    store_flags.add_argument(
-        "--cache-dir",
-        default=DEFAULT_CACHE_DIR,
-        help=f"json-dir store directory (default: {DEFAULT_CACHE_DIR})",
     )
 
     run = subparsers.add_parser(
@@ -376,25 +377,25 @@ def _cmd_list_experiments(out) -> int:
     return 0
 
 
-def _store_spec(args) -> Optional[str]:
-    """The store the run/cache commands' flags name (None: caching off)."""
-    if getattr(args, "no_cache", False):
-        return None
-    return args.store if args.store is not None else args.cache_dir
+def _open_store(spec: str) -> ResultStore:
+    """Open the store ``spec`` names without creating it.
 
-
-def _open_store(args) -> ResultStore:
-    """Open the ``cache info`` / ``clear`` store without creating it.
-
-    A ``sqlite:`` file that does not exist reads as an empty store, as a
-    missing json-dir directory already reads.
+    ``cache info`` / ``clear`` and dry runs use this: a ``sqlite:`` file
+    that does not exist reads as an empty store, as a missing json-dir
+    directory already reads.
     """
-    spec = _store_spec(args)
     backend, _, location = spec.partition(":")
     if backend == "sqlite" and location:
         from repro.store.sqlite import SqliteStore
 
         return SqliteStore(location, create=False)
+    inner_backend = backend.partition("chaos+")[2]
+    if backend.startswith("chaos+") and inner_backend in CHAOS_BACKENDS:
+        from repro.store.chaos import ChaosStore, parse_chaos_location
+
+        inner_location, config = parse_chaos_location(location)
+        inner = _open_store(f"{inner_backend}:{inner_location}")
+        return ChaosStore(inner, config, uri_text=spec)
     return resolve_store(spec)
 
 
@@ -421,13 +422,14 @@ def _cmd_run(args, out, err) -> int:
     # One options object serves the fixed run, the adaptive run and
     # --dry-run alike.  The kernel is resolved here, so an unknown or
     # unavailable backend never reaches a worker; a dry run executes
-    # nothing, so it resolves (and compiles) no kernel and creates no
-    # store file.  The options open the store once every other flag passed.
-    store_spec = _store_spec(args)
+    # nothing, so it resolves (and compiles) no kernel and opens the
+    # store without creating it.  The options open the store once every
+    # other flag passed, and reject a fleet on a store without leases.
+    store_spec = None if args.no_cache else args.store
     options = _from_flags(
         ExecutionOptions,
         args,
-        store="memory:" if args.dry_run and store_spec else store_spec,
+        store=_open_store(store_spec) if args.dry_run and store_spec else store_spec,
         kernel=None if args.dry_run else get_backend(args.kernel).name,
         failure_policy=policy,
         adaptive=adaptive_cfg,
@@ -471,6 +473,8 @@ def _cmd_run(args, out, err) -> int:
             f"{total_configs} configs; nothing executed",
             file=out,
         )
+        if store is not None:
+            store.close()
         return 0
 
     print(
@@ -645,7 +649,7 @@ def _cmd_cache(args, out) -> int:
 
     if args.source is not None or args.dest is not None:
         raise ValueError(f"cache {args.action} takes no positional arguments")
-    with _open_store(args) as store:
+    with _open_store(args.store) as store:
         if args.action == "info":
             info = store.info()
             print(
@@ -712,7 +716,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         ValueError,
         TypeError,
         KernelUnavailableError,
-        LeaseUnsupportedError,
         ResilienceError,
         HttpStoreError,
     ) as exc:

@@ -6,7 +6,8 @@ and the ``python -m repro`` CLI all sit on.  It owns the sequencing:
 
 1. shard the sweep into :class:`~repro.runner.units.WorkUnit` cells,
 2. satisfy what it can from the result store,
-3. hand the remaining units to an executor (serial or process pool),
+3. hand the remaining units to an executor (serial, process or thread
+   pool) -- or, as a fleet, claim them from a lease-capable store first,
 4. write fresh results back to the store as they stream in,
 5. aggregate the cells into the same :class:`~repro.core.metrics.GridResult`
    / :class:`~repro.core.metrics.SeriesResult` containers the serial loops

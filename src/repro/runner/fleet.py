@@ -1,7 +1,8 @@
 """Cooperative fleet execution over a shared lease-capable result store.
 
-A *fleet* is N independent runner processes -- on one box or a shared
-filesystem -- pointed at the same store, each running the same sweep:
+A *fleet* is N independent runner processes pointed at the same
+transactional store -- ``sqlite:`` on one host, or ``http:`` (a ``cache
+serve`` in front of sqlite) across hosts -- each running the same sweep:
 
 .. code-block:: bash
 
@@ -19,9 +20,9 @@ There is **no coordinator**.  Each worker plans the identical unit list
    split one,
 2. absorb results other workers finished (a claim that fails names a
    unit that is either done -- read it -- or leased by a live peer),
-3. execute the claimed units on the local executor (serial or process
-   pool) while a daemon thread heartbeats the held leases so long units
-   survive their TTL,
+3. execute the claimed units on the local executor (serial, process or
+   thread pool) while a daemon thread heartbeats the held leases so long
+   units survive their TTL,
 4. upsert each result and release its lease -- the write happens *before*
    the release, so a unit is never both unleased and unfinished.
 

@@ -223,8 +223,10 @@ class ExecutionOptions:
     adaptive: AdaptiveSpec = None
 
     def __post_init__(self) -> None:
-        # Every check runs before the store opens, so a rejected combination
-        # leaves no store file; the negated comparisons also reject NaN.
+        # Every check but the last runs before the store opens, so a
+        # rejected combination leaves no store file; the last needs the
+        # opened store, and the stores it rejects (json-dir) create nothing
+        # on opening.  The negated comparisons also reject NaN.
         if self.workers is not None and not self.workers >= 1:
             raise ValueError(f"workers must be at least 1, got {self.workers!r}")
         serial = isinstance(self.executor, str) and self.executor.lower() == "serial"
@@ -256,6 +258,9 @@ class ExecutionOptions:
             "adaptive": resolve_adaptive(self.adaptive),
             "store": resolve_store(self.store),  # last: it opens the store
         }
+        store = normalized["store"]
+        if self.fleet and not store.supports_leases:
+            raise store._lease_unsupported()
         for name, value in normalized.items():
             object.__setattr__(self, name, value)
 

@@ -22,12 +22,12 @@ each imported only when a store URI names it:
 Every backend can also be opened behind ``chaos+<backend>``
 (:mod:`repro.store.chaos`), the seeded fault-injecting wrapper.
 
-Lease-capable backends additionally implement the **work-unit lease
-protocol** (atomic TTL claims, heartbeats, expiry takeover) that
-:mod:`repro.runner.fleet` builds cooperative fleet execution on: N
-independent processes share one store, split one grid with no
-coordinator, and tolerate worker crashes because completed units are
-idempotent upserts.
+The transactional backends (sqlite, memory, and http in front of either)
+also implement the **work-unit lease protocol** (atomic TTL claims,
+heartbeats, expiry takeover) that :mod:`repro.runner.fleet` builds
+cooperative fleet execution on: N independent processes share one store,
+split one grid with no coordinator, and tolerate worker crashes because
+completed units are idempotent upserts.  json-dir holds results only.
 
 :mod:`repro.store.migrate` copies entries between backends with read-back
 verification, so existing ``.repro_cache/`` directories are never

@@ -74,8 +74,13 @@ class StoreInfo:
     scheme_counts: Dict[str, int] = field(default_factory=dict)
 
 
-class LeaseUnsupportedError(RuntimeError):
-    """Raised when fleet execution targets a backend without lease support."""
+class LeaseUnsupportedError(ValueError):
+    """Raised when fleet execution targets a backend without lease support.
+
+    A ``ValueError``: the store is a wrong value for a fleet, so the CLI
+    exits 2 and ``cache serve`` answers 400, which the ``http:`` client
+    raises as a permanent error instead of retrying.
+    """
 
 
 class ResultStore(abc.ABC):
@@ -199,14 +204,13 @@ class ResultStore(abc.ABC):
         Every ``claim``/``heartbeat`` implementation derives expiry times
         from this hook -- never from a caller-supplied timestamp -- so the
         process that *owns* the store instance owns the clock.  For the
-        file-backed and sqlite backends that process is the worker itself,
-        which is why those paths carry a **same-host assumption**: all
-        workers sharing a ``sqlite:``/``json-dir:`` store must share one
-        wall clock (same machine, or NTP-synced hosts on a shared
-        filesystem).  The ``http:`` backend removes that assumption by
-        evaluating ``_now()`` inside the server process, making the server
-        the single arbiter -- a worker with a skewed clock can never
-        compute its way into a premature lease takeover.
+        sqlite backend that process is the worker itself, which is why
+        that path carries a **same-host assumption**: all workers sharing
+        a ``sqlite:`` store must share one wall clock.  The ``http:``
+        backend removes that assumption by evaluating ``_now()`` inside
+        the server process, making the server the single arbiter -- a
+        worker with a skewed clock can never compute its way into a
+        premature lease takeover.
 
         Overridable in tests to simulate clock skew deterministically.
         """
@@ -215,8 +219,9 @@ class ResultStore(abc.ABC):
     def _lease_unsupported(self) -> LeaseUnsupportedError:
         return LeaseUnsupportedError(
             f"store backend {self.backend!r} does not support work-unit "
-            f"leases; fleet execution needs a lease-capable store "
-            f"(sqlite, json-dir or memory)"
+            f"leases; fleet execution needs a lease-capable store: "
+            f"'sqlite:PATH' on one host, 'http:HOST:PORT' (a 'cache serve' "
+            f"in front of sqlite) across hosts, or 'memory:' in-process"
         )
 
     def claim(self, key: str, worker: str, ttl: float) -> bool:

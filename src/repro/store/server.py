@@ -9,8 +9,8 @@ Remote workers talk to it through the ``http:HOST:PORT`` client backend
 registry, so ``--store http:...`` composes with fleets, failure policies
 and ``chaos+`` wrappers unchanged.
 
-Why a server at all: the sqlite/json-dir lease paths assume every worker
-shares one wall clock and one filesystem.  Behind this server, the inner
+Why a server at all: the sqlite lease path assumes every worker shares
+one wall clock and one filesystem.  Behind this server, the inner
 store instance lives in the server process, and **all** lease expiry
 arithmetic runs through the inner store's
 :meth:`~repro.store.base.ResultStore._now` -- i.e. the server's clock.
@@ -43,8 +43,12 @@ store's provenance table stays exact across the network hop.
 Failure mapping: a transient inner-store error surfaces as **503**, any
 other server-side exception as **500** -- both of which the client maps
 back to :class:`~repro.resilience.errors.StoreUnavailableError` so
-``RetryingStore`` budgets apply end to end.  Authentication (``--token``)
-failures are **401**, a permanent client error.
+``RetryingStore`` budgets apply end to end.  A malformed request, and a
+lease call on an inner store without leases (json-dir serves results
+only: :class:`~repro.store.base.LeaseUnsupportedError` is a
+``ValueError``), is **400**; authentication (``--token``) failures are
+**401**.  Both are permanent client errors, so a fleet pointed at a
+json-dir server fails on its first claim instead of backing off.
 """
 
 from __future__ import annotations
@@ -168,6 +172,7 @@ class _Handler(BaseHTTPRequestHandler):
             result = route(store, body)
         except StoreUnavailableError as error:
             self._send(503, {"error": str(error), "transient": True})
+        # LeaseUnsupportedError is a ValueError: permanent, so 400, not 500.
         except (KeyError, TypeError, ValueError) as error:
             self._send(400, {"error": f"{type(error).__name__}: {error}"})
         except Exception as error:  # noqa: BLE001 -- the server must not die

@@ -122,7 +122,7 @@ def _check_shared_adaptive(scheme: str, work: Path) -> None:
     round loop: the serial run's CSVs, each planned miss written once."""
     base = ("run", "fig09", "--scale", "tiny", "--adaptive", "--max-runs", "64",
             "--seed-scheme", scheme, "--quiet")
-    output = _finish(_spawn(*base, "--cache-dir", str(work / "serial_adaptive"),
+    output = _finish(_spawn(*base, "--store", str(work / "serial_adaptive"),
                             "--csv-dir", str(work / "csv_serial_adaptive")))
     misses = int(_MISSES.search(output).group(1))
     outputs = _fleet(base, [f"sqlite:{work}/fleet_adaptive.db"] * 2, work=work, tag="a")
@@ -150,7 +150,7 @@ def run_leg(store: str, scheme: str, work: Path, runs: int = 2) -> None:
     """One store x scheme leg; raises AssertionError on a failed check."""
     base = ("run", "fig07", "--scale", "tiny", "--runs", str(runs),
             "--seed-scheme", scheme, "--quiet")
-    _finish(_spawn(*base, "--cache-dir", str(work / "serial"),
+    _finish(_spawn(*base, "--store", str(work / "serial"),
                    "--csv-dir", str(work / "csv_serial")))
     serial = _csvs(work / "csv_serial")
     db = work / "fleet.db"

@@ -93,7 +93,7 @@ class TestModeFlags:
 
     @pytest.mark.parametrize("flag, value", [("--lease-ttl", "5"), ("--worker-id", "x")])
     def test_fleet_flags_need_fleet(self, capsys, tmp_path, flag, value):
-        store = ("--store", f"json-dir:{tmp_path}/cache")
+        store = ("--store", f"sqlite:{tmp_path}/fleet.db")
         argv = ["run", "fig09", "--scale", "tiny", "--dry-run", *store, flag, value]
         assert cli.main(argv) == 2
         assert f"error: {flag} needs --fleet" in capsys.readouterr().err
@@ -102,6 +102,24 @@ class TestModeFlags:
     def test_max_runs_needs_adaptive(self, capsys):
         assert cli.main([*DRY_RUN, "--max-runs", "5"]) == 2
         assert "--max-runs needs --adaptive" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("dry_run", [(), ("--dry-run",)], ids=["run", "dry-run"])
+    @pytest.mark.parametrize(
+        "store", [(), ("--store", "cache"), ("--store", "json-dir:cache")],
+        ids=["default", "path", "uri"],
+    )
+    def test_fleet_on_json_dir_is_rejected_before_planning(
+        self, capsys, tmp_path, monkeypatch, store, dry_run
+    ):
+        # json-dir holds results only: a fleet there exits 2 before it
+        # plans a unit or writes a file, naming the stores that lease.
+        monkeypatch.chdir(tmp_path)
+        argv = ["run", "fig09", "--scale", "tiny", "--fleet", *store, *dry_run]
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert "'sqlite:PATH'" in captured.err and "'http:HOST:PORT'" in captured.err
+        assert "units planned" not in captured.out
+        assert list(tmp_path.iterdir()) == []
 
 
 def _fill(uri, config):

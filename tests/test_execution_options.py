@@ -130,6 +130,12 @@ class TestValidation:
         with pytest.raises(ValueError):
             ExecutionOptions(**kwargs)
 
+    @pytest.mark.parametrize("spec", ["{}", "json-dir:{}", "chaos+json-dir:{}"])
+    def test_fleet_needs_a_store_with_leases(self, spec, tmp_path):
+        with pytest.raises(ValueError, match="does not support work-unit leases"):
+            ExecutionOptions(store=spec.format(tmp_path / "cache"), fleet=True)
+        assert list(tmp_path.iterdir()) == []
+
     def test_serial_executor_rejects_a_pool_size(self, capsys):
         with pytest.raises(ValueError, match="serial executor"):
             ExecutionOptions(executor="serial", workers=4)
@@ -151,10 +157,11 @@ class TestValidation:
             (["--kernel", "bogus", "--store", "sqlite:x.db"], 2),
             (["--fleet", "--lease-ttl", "0", "--store", "sqlite:x.db"], 2),
             (["--dry-run", "--fleet", "--store", "sqlite:x.db"], 0),
+            (["--dry-run", "--fleet", "--store", "chaos+sqlite:x.db?rate=0.5"], 0),
         ],
         ids=[
             "serial-workers", "workers-zero", "threads", "scheme", "kernel", "ttl",
-            "dry-run",
+            "dry-run", "dry-run-chaos",
         ],
     )
     def test_run_that_executes_nothing_leaves_no_store(
@@ -357,11 +364,12 @@ def _pairs(row: dict) -> frozenset:
 
 def pairwise_rows() -> List[dict]:
     """A greedy all-pairs cover of ``MATRIX_AXES``: every pair of values of
-    two axes meets in some row (a fleet needs a store)."""
+    two axes meets in some row (a fleet needs a store with leases, so
+    neither none nor json-dir runs one)."""
     candidates = {}
     for values in itertools.product(*MATRIX_AXES.values()):
         row = dict(zip(MATRIX_AXES, values))
-        if not (row["store"] == "none" and row["fleet"] == "fleet2"):
+        if not (row["store"] in ("none", "json-dir") and row["fleet"] == "fleet2"):
             candidates[values] = _pairs(row)
     missing = set().union(*candidates.values())
     rows = []

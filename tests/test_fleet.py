@@ -412,7 +412,7 @@ class TestFleetCli:
 
         code, _, stderr = self._run(
             "run", "fig07", "--scale", "tiny", "--runs", "2", "--quiet",
-            "--cache-dir", str(tmp_path / "serial"),
+            "--store", str(tmp_path / "serial"),
             "--csv-dir", str(tmp_path / "csv_serial"), cwd=tmp_path,
         )
         assert code == 0, stderr

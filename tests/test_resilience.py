@@ -53,6 +53,7 @@ from repro.runner.units import UnitResult, execute_unit, plan_units
 from repro.store import (
     ChaosConfig,
     ChaosStore,
+    LeaseUnsupportedError,
     MemoryStore,
     SqliteStore,
     available_backends,
@@ -1157,9 +1158,13 @@ class TestStoreHardening:
         assert store.delete_record(key)
         assert not store.delete_record(key)
         assert store.get(unit) is None
-        # Claims are worker-idempotent: the holder may re-claim (and
-        # thereby refresh) its own live lease; others may not.
-        assert store.claim(key, "w0", ttl=30.0)
-        assert store.claim(key, "w0", ttl=30.0)
-        assert not store.claim(key, "w1", ttl=30.0)
+        if backend == "json-dir":  # results only: nothing to claim
+            with pytest.raises(LeaseUnsupportedError):
+                store.claim(key, "w0", ttl=30.0)
+        else:
+            # Claims are worker-idempotent: the holder may re-claim (and
+            # thereby refresh) its own live lease; others may not.
+            assert store.claim(key, "w0", ttl=30.0)
+            assert store.claim(key, "w0", ttl=30.0)
+            assert not store.claim(key, "w1", ttl=30.0)
         store.close()

@@ -322,7 +322,7 @@ class TestCLI:
             "tiny",
             "--runs",
             "1",
-            "--cache-dir",
+            "--store",
             str(tmp_path / "cache"),
             "--quiet",
         )
@@ -360,14 +360,14 @@ class TestCLI:
         cache_dir = str(tmp_path / "cache")
         self._run(
             "run", "fig07", "--scale", "tiny", "--runs", "1",
-            "--cache-dir", cache_dir, "--quiet", cwd=tmp_path,
+            "--store", cache_dir, "--quiet", cwd=tmp_path,
         )
-        info = self._run("cache", "info", "--cache-dir", cache_dir)
+        info = self._run("cache", "info", "--store", cache_dir)
         assert info.returncode == 0
         assert "entries" in info.stdout
-        cleared = self._run("cache", "clear", "--cache-dir", cache_dir)
+        cleared = self._run("cache", "clear", "--store", cache_dir)
         assert cleared.returncode == 0
-        info_after = self._run("cache", "info", "--cache-dir", cache_dir)
+        info_after = self._run("cache", "info", "--store", cache_dir)
         assert "0 entries" in info_after.stdout
 
     @pytest.mark.parametrize("action", ["info", "clear"])

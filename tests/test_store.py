@@ -20,6 +20,7 @@ from repro.runner.units import WorkUnit, execute_unit, plan_units
 from repro.seeds import get_scheme
 from repro.store import (
     JsonDirStore,
+    LeaseUnsupportedError,
     MemoryStore,
     SqliteStore,
     StoreMigrationError,
@@ -60,6 +61,7 @@ def _make_store(backend: str, tmp_path: Path):
 
 
 BACKENDS = ("json-dir", "sqlite", "memory")
+LEASE_BACKENDS = ("sqlite", "memory")
 
 
 @pytest.fixture(params=BACKENDS)
@@ -154,6 +156,13 @@ class TestStoreContract:
 
 
 class TestLeaseContract:
+    @pytest.fixture(params=LEASE_BACKENDS)
+    def store(self, request, tmp_path):
+        """One open store per lease-capable backend (json-dir has none)."""
+        store = _make_store(request.param, tmp_path)
+        yield store
+        store.close()
+
     def test_claim_is_exclusive(self, store):
         assert store.claim("k1", "alice", ttl=60.0)
         assert not store.claim("k1", "bob", ttl=60.0)
@@ -194,6 +203,14 @@ class TestLeaseContract:
         time.sleep(0.1)
         assert store.claim("k1", "bob", ttl=60.0)
         assert store.heartbeat(["k1"], "alice", ttl=60.0) == 0
+
+
+def test_json_dir_has_no_leases(tmp_path):
+    store = JsonDirStore(tmp_path / "jd")
+    with pytest.raises(LeaseUnsupportedError, match="'sqlite:PATH'.*'http:HOST:PORT'"):
+        store.claim("k1", "alice", ttl=60.0)
+    assert not store.supports_leases
+    assert not (tmp_path / "jd").exists()
 
 
 class TestRegistry:
@@ -271,46 +288,8 @@ class TestJsonDirByteCompat:
         path = tmp_path / "jd" / key[:2] / f"{key}.json"
         assert path.read_text(encoding="utf-8") == _historical_entry(unit, result)
 
-    def test_leases_never_list_a_heartbeat_temp_file(self, tmp_path, monkeypatch):
-        store = JsonDirStore(tmp_path / "jd")
-        assert store.claim("k1", "alice", ttl=60.0)
-        seen = []
-        replace = os.replace
-
-        def listing_replace(source, destination):
-            # Mid-heartbeat: the refreshed lease is still a temp file.
-            seen.append([lease.key for lease in store.leases()])
-            replace(source, destination)
-
-        monkeypatch.setattr(os, "replace", listing_replace)
-        assert store.heartbeat(["k1"], "alice", ttl=60.0) == 1
-        assert seen == [["k1"]]
-
-    def test_stale_lease_takeover_has_one_winner(self, tmp_path, monkeypatch):
-        # Bob and Carol both read Alice's expired lease; Carol takes it
-        # over between Bob's read and Bob's takeover.
-        root = tmp_path / "jd"
-        assert JsonDirStore(root).claim("k1", "alice", ttl=0.01)
-        time.sleep(0.05)
-        bob, carol = JsonDirStore(root), JsonDirStore(root)
-        won = {}
-        read = bob._read_lease
-
-        def stale_read(path):
-            lease = read(path)
-            won["carol"] = carol.claim("k1", "carol", ttl=60.0)
-            return lease
-
-        monkeypatch.setattr(bob, "_read_lease", stale_read)
-        won["bob"] = bob.claim("k1", "bob", ttl=60.0)
-        assert won == {"carol": True, "bob": False}
-        assert [lease.worker for lease in carol.leases()] == ["carol"]
-        carol.release("k1", "carol")
-        assert list((root / "leases").iterdir()) == []  # no token left behind
-        assert bob.claim("k1", "bob", ttl=60.0)
-
     def test_bare_path_is_the_json_dir_backend(self, tmp_path, config):
-        # A bare directory (the CLI's --cache-dir default) opens the
+        # A bare directory (the CLI's --store default) opens the
         # json-dir backend and writes the same bytes.
         bare = resolve_store(str(tmp_path / "a"))
         store = JsonDirStore(tmp_path / "b")
@@ -710,7 +689,7 @@ class TestCacheMigrateCli:
         for unit in _units(config, cells=1, seed_scheme="unit"):
             store.put(unit, execute_unit(unit))
         cleared = self._run(
-            "cache", "clear", "--cache-dir", str(tmp_path / "jd"),
+            "cache", "clear", "--store", str(tmp_path / "jd"),
             "--scheme", "per-run",
         )
         assert cleared.returncode == 0

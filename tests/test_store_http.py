@@ -36,6 +36,7 @@ from repro.runner.units import execute_unit, plan_units
 from repro.store import (
     HttpStore,
     HttpStoreError,
+    JsonDirStore,
     MemoryStore,
     SqliteStore,
     StoreServer,
@@ -155,6 +156,23 @@ class TestErrorMapping:
             wrong = resolve_store(f"http:127.0.0.1:{server.port}?token=nope")
             with pytest.raises(HttpStoreError, match="HTTP 401"):
                 len(wrong)
+
+    def test_fleet_on_a_served_json_dir_fails_on_its_first_claim(
+        self, tmp_path, config, monkeypatch
+    ):
+        # json-dir serves results only: the server answers a claim with a
+        # permanent 400, so the fleet neither retries nor backs off.
+        sleeps = []
+        monkeypatch.setattr(time, "sleep", sleeps.append)
+        with StoreServer(JsonDirStore(tmp_path / "jd"), port=0) as server:
+            options = ExecutionOptions(
+                store=server.store_uri(), fleet=True,
+                failure_policy=FailurePolicy(store_retries=5),
+            )
+            with pytest.raises(HttpStoreError, match="HTTP 400.*'sqlite:PATH'"):
+                run_grid(config, P_VALUES, Q_VALUES, runs=1, seed=3, options=options)
+        assert sleeps == []
+        assert not (tmp_path / "jd").exists()
 
 
 class TestServerSideArbitration:
