@@ -8,7 +8,7 @@ controller here replans the grid round by round:
 
 1. every *active* cell is extended from its current run count to the
    next target of a geometric schedule (``min_runs``, ``min_runs *
-   growth``, ... capped at the run budget), planned as ordinary work
+   GROWTH``, ... capped at the run budget), planned as ordinary work
    units (:class:`~repro.runner.units.WorkUnit`, sized as set out below);
 2. the new unit results are folded into per-cell
    :class:`~repro.core.metrics.CellStats` (streaming Welford
@@ -41,8 +41,8 @@ split into units depends on the seed scheme
   do not depend on unit boundaries.  Each active cell's increment runs
   as one unit, split only every :func:`_round_unit_runs` runs (a
   multiple of ``min_runs``) to bound a unit's memory.  Rounds 1 and 2
-  (for ``growth <= 2``) plan the same units, and so the same cache
-  keys, as ``min_runs`` chunks would;
+  plan the same units, and so the same cache keys, as ``min_runs``
+  chunks would;
 * under ``"unit"`` the unit boundaries select the counter windows, so
   every round is planned in ``min_runs`` windows from run 0 -- exactly
   the units of a fixed sweep ``run_grid(runs=n,
@@ -118,8 +118,11 @@ __all__ = [
 #: so the sweep's peak memory, stay bounded however far the schedule grows.
 MAX_ROUND_UNIT_RUNS = 64
 
+#: Geometric escalation factor between round targets.
+GROWTH = 2.0
 
-def round_schedule(min_runs: int, growth: float, max_runs: int) -> List[int]:
+
+def round_schedule(min_runs: int, max_runs: int) -> List[int]:
     """Cumulative run targets of the geometric escalation.
 
     Every target except possibly the final budget is a multiple of
@@ -133,7 +136,7 @@ def round_schedule(min_runs: int, growth: float, max_runs: int) -> List[int]:
         targets.append(target)
         if target >= max_runs:
             return targets
-        scaled = int(math.ceil(target * growth / min_runs)) * min_runs
+        scaled = int(math.ceil(target * GROWTH / min_runs)) * min_runs
         target = min(max(scaled, target + min_runs), max_runs)
 
 
@@ -244,7 +247,7 @@ def _run_cells(
     state = {key: _CellRun(stats=CellStats(), results=[]) for key in by_key}
     active = list(by_key)
     previous = 0
-    for target in round_schedule(cfg.min_runs, cfg.growth, budget):
+    for target in round_schedule(cfg.min_runs, budget):
         if not active:
             break
         active_cells: Dict[str, List[Cell]] = {token: [] for token in configs}
@@ -553,9 +556,9 @@ def adaptive_grid(
         "ci_width": cfg.ci_width,
         "rel_tol": cfg.rel_tol,
         "min_runs": cfg.min_runs,
-        "growth": cfg.growth,
+        "growth": GROWTH,
         "budget": runs,
-        "schedule": round_schedule(cfg.min_runs, cfg.growth, runs),
+        "schedule": round_schedule(cfg.min_runs, runs),
         "rounds": int(rounds_per_cell.max()) if rounds_per_cell.size else 0,
         "runs_per_cell": runs_per_cell.tolist(),
         "settled": settled.tolist(),

@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import abc
 import functools
-import threading
 from typing import Callable, Dict, Sequence, Tuple, Type, Union
 
 import numpy as np
@@ -283,35 +282,6 @@ _COMPILERS: Dict[str, PrototypeCompiler] = {
 #: (one per kernel backend name).
 _CACHE_ATTR = "_fastpath_prototypes"
 
-#: Attribute naming a code instance's *semantic* identity (a hashable
-#: token set by :func:`set_prototype_memo_token`).  Two instances with
-#: the same token were built by the same pure function of (config, seed)
-#: and therefore compile to interchangeable prototypes.
-_MEMO_TOKEN_ATTR = "_fastpath_memo_token"
-
-#: Module-level memo of compiled prototypes keyed by (code identity,
-#: backend name).  The per-instance cache above already avoids recompiles
-#: while a code object stays alive; this map survives the instance, so a
-#: worker that rebuilds an identical code (resumed sweeps, repeated units
-#: after a code-cache eviction) reuses the compiled prototype instead of
-#: recompiling.  Insertion-ordered with FIFO eviction; guarded by a lock
-#: for thread-executor workers.
-_PROTOTYPE_MEMO: Dict[Tuple[object, str], DecoderPrototype] = {}
-_PROTOTYPE_MEMO_MAX = 64
-_PROTOTYPE_MEMO_LOCK = threading.Lock()
-
-
-def set_prototype_memo_token(code: FECCode, token: object) -> None:
-    """Tag a code instance with its semantic identity for prototype reuse.
-
-    ``token`` must be hashable and must fully determine the code's
-    structure (the runner uses its shared-code cache key: config token +
-    code seed).  Tagged codes share compiled prototypes across instances
-    through the module-level memo; untagged codes keep the per-instance
-    cache only.
-    """
-    setattr(code, _MEMO_TOKEN_ATTR, token)
-
 
 def register_prototype_compiler(
     code_cls: Type[FECCode], compiler: PrototypeCompiler
@@ -329,10 +299,6 @@ def compile_prototype(code: FECCode, kernel: KernelSpec = None) -> DecoderProtot
 
     Prototypes are cached per kernel backend, so switching ``kernel=`` (or
     ``REPRO_KERNEL``) between calls compiles at most once per backend.
-    Codes tagged with :func:`set_prototype_memo_token` additionally share
-    prototypes across semantically identical instances via a module-level
-    memo, so one worker never recompiles the same (code, backend) pair --
-    even when the instance itself was rebuilt.
     """
     backend = get_backend(kernel)
     cache = getattr(code, _CACHE_ATTR, None)
@@ -342,15 +308,6 @@ def compile_prototype(code: FECCode, kernel: KernelSpec = None) -> DecoderProtot
     prototype = cache["prototypes"].get(backend.name)
     if prototype is not None:
         return prototype
-    token = getattr(code, _MEMO_TOKEN_ATTR, None)
-    memo_key = None
-    if token is not None:
-        memo_key = (token, backend.name)
-        with _PROTOTYPE_MEMO_LOCK:
-            prototype = _PROTOTYPE_MEMO.get(memo_key)
-        if prototype is not None:
-            cache["prototypes"][backend.name] = prototype
-            return prototype
     compiler: PrototypeCompiler = IncrementalPrototype
     for cls in type(code).__mro__:
         registered = _COMPILERS.get(f"{cls.__module__}:{cls.__qualname__}")
@@ -359,11 +316,6 @@ def compile_prototype(code: FECCode, kernel: KernelSpec = None) -> DecoderProtot
             break
     prototype = compiler(code, backend)
     cache["prototypes"][backend.name] = prototype
-    if memo_key is not None:
-        with _PROTOTYPE_MEMO_LOCK:
-            if len(_PROTOTYPE_MEMO) >= _PROTOTYPE_MEMO_MAX:
-                _PROTOTYPE_MEMO.pop(next(iter(_PROTOTYPE_MEMO)))
-            _PROTOTYPE_MEMO[memo_key] = prototype
     return prototype
 
 
@@ -375,7 +327,6 @@ __all__ = [
     "LDGMPrototype",
     "IncrementalPrototype",
     "compile_prototype",
-    "set_prototype_memo_token",
     "register_prototype_compiler",
     "compile_ldgm_prototype",
     "compile_rse_prototype",

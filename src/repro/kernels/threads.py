@@ -100,10 +100,8 @@ def physical_cores() -> int:
     """Physical core count (``auto``'s numerator), hyperthreads excluded.
 
     Parsed from ``/proc/cpuinfo`` where available -- oversubscribing
-    hyperthreads buys nothing for these memory-bound loops -- with
-    ``os.cpu_count()`` as the portable fallback, and capped at the CPUs
-    this process may run on (``taskset``, cgroup cpusets) where the
-    platform says.
+    hyperthreads buys nothing for these memory-bound loops -- and capped
+    at :func:`available_cpus`, the portable fallback.
     """
     global _physical_cores
     if _physical_cores is None:
@@ -111,11 +109,16 @@ def physical_cores() -> int:
     return _physical_cores
 
 
-def _count_physical_cores() -> int:
+def available_cpus() -> int:
+    """The CPUs this process may run on (``taskset``, cgroup cpusets) where
+    the platform says, else ``os.cpu_count()``: an unsized pool's size."""
     if hasattr(os, "sched_getaffinity"):
-        fallback = len(os.sched_getaffinity(0))
-    else:
-        fallback = os.cpu_count() or 1
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _count_physical_cores() -> int:
+    fallback = available_cpus()
     try:
         with open("/proc/cpuinfo", "r", encoding="utf-8") as handle:
             text = handle.read()
@@ -269,6 +272,7 @@ __all__ = [
     "THREADS_ENV_VAR",
     "ThreadSpec",
     "normalize_thread_spec",
+    "available_cpus",
     "physical_cores",
     "set_worker_divisor",
     "worker_divisor",

@@ -44,7 +44,6 @@ runner can size its claim batches.
 
 from __future__ import annotations
 
-import os
 from functools import partial
 from itertools import islice
 from typing import (
@@ -53,7 +52,7 @@ from typing import (
 )
 
 from repro.kernels.threads import (
-    host_peers, set_host_peers, set_worker_divisor, worker_divisor_context,
+    available_cpus, host_peers, set_host_peers, set_worker_divisor, worker_divisor_context,
 )
 from repro.resilience.errors import PoisonUnitError
 from repro.resilience.policy import (
@@ -65,7 +64,7 @@ from repro.resilience.policy import (
 )
 from repro.runner.options import EXECUTOR_NAMES
 from repro.runner.units import (
-    FrontEnds, UnitResult, WorkUnit, execute_unit, synthesis_groups, warm_unit, warm_units,
+    FrontEnds, UnitResult, WorkUnit, execute_unit, synthesis_groups,
 )
 from repro.utils.validation import validate_positive_int
 
@@ -201,25 +200,17 @@ def _pool_context() -> multiprocessing.context.BaseContext:
         return multiprocessing.get_context("spawn")
 
 
-def _init_pool_worker(warm: Sequence[WorkUnit], divisor: int, peers: int) -> None:
-    """Process-pool worker initializer: thread divisor + cache pre-warm.
+def _init_pool_worker(divisor: int, peers: int) -> None:
+    """Process-pool worker initializer, run once per worker process.
 
-    Runs once per worker process, at pool start-up: declares the pool
-    size and the parent's same-host fleet-peer count to the kernel-thread
-    resolver (so ``auto`` kernel threads obey the oversubscription rule
-    inside a fleet too) and pre-compiles the shared codes and
-    decoder prototypes the planned units will need -- in parallel across
-    workers, instead of serialised inside each worker's first chunk.
-    Warming is strictly an optimisation, so any failure is swallowed:
-    execution will rebuild (or degrade) exactly as it would have.
+    Declares the pool size and the parent's same-host fleet-peer count to
+    the kernel-thread resolver, so ``auto`` kernel threads obey the
+    oversubscription rule inside a fleet too.  A worker builds the codes
+    it needs in the first unit that needs them
+    (:data:`~repro.runner.units._CODE_CACHE`).
     """
     set_worker_divisor(divisor)
     set_host_peers(peers)
-    for unit in warm:
-        try:
-            warm_unit(unit)
-        except Exception:  # pragma: no cover - warming must never kill a pool
-            pass
 
 
 def _run_chunk(
@@ -235,7 +226,8 @@ class ProcessExecutor:
     Parameters
     ----------
     workers:
-        Pool size; defaults to ``os.cpu_count()``.
+        Pool size; defaults to the CPUs this process may run on
+        (:func:`~repro.kernels.threads.available_cpus`).
 
     Synthesis groups go to the workers in chunks, about four per worker,
     which amortises pickling overhead while keeping the pool balanced when
@@ -244,9 +236,9 @@ class ProcessExecutor:
     """
 
     def __init__(self, workers: Optional[int] = None):
-        if workers is None:
-            workers = os.cpu_count() or 1
-        self.workers = validate_positive_int(workers, "workers")
+        self.workers = validate_positive_int(
+            available_cpus() if workers is None else workers, "workers"
+        )
 
     def run(
         self,
@@ -273,7 +265,7 @@ class ProcessExecutor:
             max_workers=pool_size,
             mp_context=_pool_context(),
             initializer=_init_pool_worker,
-            initargs=(warm_units(units), pool_size, host_peers()),
+            initargs=(pool_size, host_peers()),
         ) as pool:
             _dispatch(
                 pool, partial(_run_chunk, policy=policy), chunks,
@@ -310,15 +302,16 @@ class ThreadExecutor(SerialExecutor):
     Parameters
     ----------
     workers:
-        Thread count; defaults to ``os.cpu_count()``.  At most
+        Thread count; defaults to the CPUs this process may run on
+        (:func:`~repro.kernels.threads.available_cpus`).  At most
         ``4 * workers`` groups are in flight, bounding the retained
         futures for paper-scale unit lists.
     """
 
     def __init__(self, workers: Optional[int] = None):
-        if workers is None:
-            workers = os.cpu_count() or 1
-        self.workers = validate_positive_int(workers, "workers")
+        self.workers = validate_positive_int(
+            available_cpus() if workers is None else workers, "workers"
+        )
 
     def run(
         self,

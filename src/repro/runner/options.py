@@ -55,8 +55,6 @@ class AdaptiveConfig:
 
     The flagged fields document themselves in their metadata.  The rest:
 
-    growth:
-        Geometric escalation factor between round targets (finite, > 1).
     refine_cliff:
         Bisect decodable/undecodable neighbour pairs after the coarse
         grid settles.
@@ -87,7 +85,6 @@ class AdaptiveConfig:
                 "controller's determinism contract)",
         "metavar": "N", "needs": "adaptive",
     })
-    growth: float = 2.0
     refine_cliff: bool = False
     refine_resolution: float = 0.01
 
@@ -106,8 +103,6 @@ class AdaptiveConfig:
         ):
             raise ValueError(f"min_runs must be an integer >= 2, got {self.min_runs}")
         object.__setattr__(self, "min_runs", int(self.min_runs))
-        if not (self.growth > 1.0 and math.isfinite(self.growth)):
-            raise ValueError(f"growth must be finite and > 1, got {self.growth}")
         if not self.refine_resolution > 0.0:
             raise ValueError(
                 f"refine_resolution must be > 0, got {self.refine_resolution}"
@@ -175,7 +170,7 @@ class ExecutionOptions:
     workers: Optional[int] = field(default=None, metadata={
         "help": "pool size of the process/thread executor, at least 1; "
                 "omitted or 1 runs serially unless --executor names a pool, "
-                "which then uses the CPU count",
+                "which then uses the CPUs this process may run on",
         "type": int,
     })
     store: StoreSpec = None

@@ -280,27 +280,21 @@ def plan_units(
 
 #: Per-process memo of shared FEC codes, keyed by the code-defining parts of
 #: the unit.  Building an LDGM parity-check matrix or a Vandermonde table is
-#: far more expensive than a handful of runs, so worker processes build each
-#: distinct code once and reuse it across the units they execute.  Compiled
-#: decoder prototypes ride the cached instances (and the module-level memo
-#: in :mod:`repro.fastpath.prototypes`), so the bound also bounds how often
-#: a worker recompiles: it comfortably covers a paper figure's distinct
-#: configs plus a long parameter series, where the old bound of 8 thrashed
-#: on resumed/repeated units.  The lock makes the check-then-build race
-#: safe for thread-executor workers sharing this cache.
+#: far more expensive than a handful of runs, so a worker builds each
+#: distinct code once, in the first unit that needs it, and reuses it across
+#: the units it executes.  Compiled decoder prototypes are cached on the
+#: instance (:func:`~repro.fastpath.prototypes.compile_prototype`), so this
+#: is the one place a worker keeps both, and the bound also bounds how often
+#: it recompiles: 64 codes cover a paper figure's distinct configs plus a
+#: long parameter series.  The lock makes the check-then-build race safe
+#: for thread-executor workers sharing this cache.
 _CODE_CACHE: Dict[tuple, object] = {}
 _CODE_CACHE_MAX = 64
 _CODE_CACHE_LOCK = threading.Lock()
 
 
-def _shared_code_key(unit: WorkUnit) -> tuple:
-    return (unit.config.token, unit.base_seed, unit.code_seed_path)
-
-
 def _shared_code(unit: WorkUnit):
-    from repro.fastpath.prototypes import set_prototype_memo_token
-
-    key = _shared_code_key(unit)
+    key = (unit.config.token, unit.base_seed, unit.code_seed_path)
     with _CODE_CACHE_LOCK:
         code = _CODE_CACHE.get(key)
         if code is None:
@@ -311,10 +305,6 @@ def _shared_code(unit: WorkUnit):
                     np.random.SeedSequence([unit.base_seed, *unit.code_seed_path])
                 )
             code = unit.config.build_code(seed=seed)
-            # The key is the code's *semantic* identity (the build is a
-            # pure function of config + seed), so a rebuilt instance may
-            # reuse prototypes compiled for an evicted twin.
-            set_prototype_memo_token(code, key)
             if len(_CODE_CACHE) >= _CODE_CACHE_MAX:
                 _CODE_CACHE.pop(next(iter(_CODE_CACHE)))
             _CODE_CACHE[key] = code
@@ -355,45 +345,6 @@ def _layout_key(layout, tx_model) -> tuple:
     if getattr(tx_model, "schedule_reads_blocks", True):
         blocks = tuple((b.source_indices.size, b.parity_indices.size) for b in layout.blocks)
     return (layout.source_indices.tobytes(), layout.parity_indices.tobytes(), blocks)
-
-
-def warm_unit(unit: WorkUnit) -> None:
-    """Pre-build the shared state ``unit`` will need: code + prototype.
-
-    Called by pool initializers so a fresh worker pays the per-process
-    code build and prototype compile during pool start-up (in parallel
-    across workers) instead of serialised inside its first chunk.
-    Best-effort by design: units whose execution would not touch the
-    shared caches (fresh code per run) warm nothing, and kernel
-    resolution degrades exactly as it would at execution time.
-    """
-    if unit.fresh_code_per_run:
-        return
-    from repro.fastpath.prototypes import compile_prototype
-    from repro.kernels.registry import get_backend_for_run
-
-    compile_prototype(_shared_code(unit), get_backend_for_run(unit.kernel))
-
-
-def warm_units(units: Sequence[WorkUnit], limit: int = 8) -> List[WorkUnit]:
-    """One representative unit per distinct shared-code identity.
-
-    The pre-warm set a pool initializer should compile, capped so the
-    initializer stays cheap for sweeps with very many configurations.
-    """
-    seen = set()
-    representatives: List[WorkUnit] = []
-    for unit in units:
-        if unit.fresh_code_per_run:
-            continue
-        key = (_shared_code_key(unit), unit.kernel)
-        if key in seen:
-            continue
-        seen.add(key)
-        representatives.append(unit)
-        if len(representatives) >= limit:
-            break
-    return representatives
 
 
 def _unit_streams(unit: WorkUnit) -> UnitStreams:
@@ -545,7 +496,5 @@ __all__ = [
     "plan_units",
     "synthesis_groups",
     "execute_unit",
-    "warm_unit",
-    "warm_units",
     "merge_cell",
 ]

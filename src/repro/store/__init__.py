@@ -41,7 +41,7 @@ __getattr__, __dir__ = lazy_exports(__name__, {
     "chaos": "ChaosConfig ChaosStore",
     "codec": (
         "CACHE_FORMAT_VERSION RESULT_SCHEMA config_token decode_payload "
-        "encode_result entry_scheme unit_key unit_provenance"
+        "encode_result entry_scheme unit_key"
     ),
     "http": "DEFAULT_TIMEOUT HttpStore HttpStoreError",
     "json_dir": "DEFAULT_CACHE_DIR JsonDirStore",
@@ -90,5 +90,4 @@ __all__ = [
     "resolve_store",
     "shared_memory_store",
     "unit_key",
-    "unit_provenance",
 ]

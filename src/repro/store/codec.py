@@ -12,10 +12,6 @@ Every result-store backend speaks the same wire format, defined here:
   ``.repro_cache/`` files used (``schema`` and ``seed_scheme`` first), so
   the ``json-dir`` backend stays byte-identical to the pre-store layout
   and cheap prefix scans (scheme breakdowns) keep working.
-* :func:`unit_provenance` -- the self-contained provenance record the
-  ``sqlite`` backend stores per unit: full config snapshot, scheme token,
-  code version and the exact command that re-executes the unit from
-  nothing (the pycomex-style "archive" contract).
 
 Encoding is paid once per *config*, not once per unit: the config token
 and the config's JSON snapshot are memoised on the frozen
@@ -199,24 +195,6 @@ def provenance_fields(unit: WorkUnit) -> Tuple[str, str, str, str, str]:
     )
 
 
-def unit_provenance(unit: WorkUnit) -> Dict[str, Any]:
-    """Self-contained provenance record of one unit (sqlite backend).
-
-    The record follows the pycomex archive shape: a full config snapshot,
-    the seed-scheme token, the library version that produced the entry and
-    the exact re-run command, so results stay auditable and reproducible
-    after the sweep that created them is gone.
-    """
-    unit_json, token, scheme, version, command = provenance_fields(unit)
-    return {
-        "unit": json.loads(unit_json),
-        "config_token": token,
-        "seed_scheme": scheme,
-        "code_version": version,
-        "rerun_command": command,
-    }
-
-
 __all__ = [
     "CACHE_FORMAT_VERSION",
     "RESULT_SCHEMA",
@@ -228,5 +206,4 @@ __all__ = [
     "dump_entry",
     "provenance_fields",
     "rerun_command",
-    "unit_provenance",
 ]

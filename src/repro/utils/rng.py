@@ -8,7 +8,7 @@ of the code base deterministic and easy to test.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -118,16 +118,10 @@ def _salt_to_int(salt: Union[int, str]) -> int:
     return sum(ord(c) * 257**i for i, c in enumerate(salt)) & 0xFFFFFFFF
 
 
-def iter_run_rngs(seed: RandomState, runs: int) -> Iterable[np.random.Generator]:
-    """Yield one generator per simulation run, reproducibly."""
-    yield from spawn_rngs(seed, runs)
-
-
 __all__ = [
     "ensure_rng",
     "spawn_rngs",
     "as_seed_int",
     "derive_seed",
-    "iter_run_rngs",
     "RandomState",
 ]

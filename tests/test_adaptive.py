@@ -218,28 +218,22 @@ class TestConfigAndSchedule:
             AdaptiveConfig(ci_width=0.0)
         with pytest.raises(ValueError):
             AdaptiveConfig(min_runs=1)
-        with pytest.raises(ValueError):
-            AdaptiveConfig(growth=1.0)
-        # Infinite growth used to fail only mid-sweep, in round_schedule;
-        # a fractional min_runs used to be truncated silently.
-        with pytest.raises(ValueError, match="growth"):
-            AdaptiveConfig(growth=float("inf"))
+        # A fractional min_runs used to be truncated silently.
         with pytest.raises(ValueError, match="min_runs"):
             AdaptiveConfig(min_runs=8.9)
         assert AdaptiveConfig(min_runs=8.0).min_runs == 8
         nan = float("nan")
-        for field in ("confidence", "ci_width", "rel_tol", "growth",
-                      "refine_resolution"):
+        for field in ("confidence", "ci_width", "rel_tol", "refine_resolution"):
             with pytest.raises(ValueError, match=field):
                 AdaptiveConfig(**{field: nan})
 
     def test_schedule_targets_are_chunk_aligned(self):
-        assert round_schedule(8, 2.0, 100) == [8, 16, 32, 64, 100]
-        assert round_schedule(4, 2.0, 12) == [4, 8, 12]
-        assert round_schedule(8, 2.0, 8) == [8]
-        assert round_schedule(8, 2.0, 5) == [5]
+        assert round_schedule(8, 100) == [8, 16, 32, 64, 100]
+        assert round_schedule(4, 12) == [4, 8, 12]
+        assert round_schedule(8, 8) == [8]
+        assert round_schedule(8, 5) == [5]
         # Every boundary except possibly the budget is a min_runs multiple.
-        for target in round_schedule(6, 1.7, 97)[:-1]:
+        for target in round_schedule(6, 97)[:-1]:
             assert target % 6 == 0
 
     def test_plan_first_round_counts(self, config):
@@ -280,7 +274,7 @@ class TestRoundUnitPlan:
             options=ExecutionOptions(adaptive=CFG, seed_scheme=scheme),
         )
         monkeypatch.setattr(controller, "_execute", execute)
-        schedule = round_schedule(CFG.min_runs, CFG.growth, self.RUNS)
+        schedule = round_schedule(CFG.min_runs, self.RUNS)
         assert len(rounds) == len(schedule), "test wants every round to run"
         return grid, list(zip([0, *schedule], schedule, rounds))
 

@@ -333,9 +333,9 @@ class TestThreadExecutor:
         with host_peers_context(2):
             ProcessExecutor(2).run(_small_units(), lambda unit, result: None)
         (initargs,) = captured
-        assert initargs[1:] == (2, 2)
+        assert initargs == (2, 2)
         with worker_divisor_context(1), host_peers_context(1):
-            executors_module._init_pool_worker((), *initargs[1:])
+            executors_module._init_pool_worker(*initargs)
             assert current_thread_count() == 1
         assert (worker_divisor(), host_peers()) == (1, 1)
 

@@ -13,7 +13,9 @@ from repro.core.experiments import SCALES, run_experiment
 from repro.core.sweep import simulate_grid, sweep_parameter
 from repro.store.codec import config_token, unit_key
 from repro.store.json_dir import JsonDirStore
-from repro.runner.executors import ProcessExecutor, SerialExecutor, resolve_executor
+from repro.runner.executors import (
+    ProcessExecutor, SerialExecutor, ThreadExecutor, resolve_executor,
+)
 from repro.runner.options import ExecutionOptions
 from repro.runner.units import execute_unit, merge_cell, plan_units
 from unit_reference import assert_grids_equal
@@ -86,6 +88,60 @@ class TestExecutors:
     def test_invalid_worker_count_rejected(self):
         with pytest.raises(ValueError):
             ProcessExecutor(0)
+
+    @pytest.mark.parametrize("executor", [ProcessExecutor, ThreadExecutor])
+    def test_unsized_pool_uses_the_cpu_affinity(self, monkeypatch, executor):
+        # Pinned to one CPU (taskset -c 0), an unsized pool must not start a
+        # second worker on it, however many CPUs the host has.  Constructing
+        # an executor starts nothing.
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert executor().workers == 1
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {1, 3, 5}, raising=False)
+        assert executor().workers == 3
+        assert executor(2).workers == 2
+
+
+class TestCodeCache:
+    """A worker builds each code and compiles its prototype once, in
+    :data:`repro.runner.units._CODE_CACHE`, and reuses both across sweeps."""
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        from repro.fastpath import prototypes
+        from repro.runner import units
+
+        monkeypatch.setattr(units, "_CODE_CACHE", {})
+        counts = {"builds": 0, "compiles": 0}
+        build_code = SimulationConfig.build_code
+
+        def counting_build(config, *args, **kwargs):
+            counts["builds"] += 1
+            return build_code(config, *args, **kwargs)
+
+        def counting(compiler):
+            def compile_counted(code, kernel):
+                counts["compiles"] += 1
+                return compiler(code, kernel)
+            return compile_counted
+
+        monkeypatch.setattr(SimulationConfig, "build_code", counting_build)
+        for name, compiler in list(prototypes._COMPILERS.items()):
+            monkeypatch.setitem(prototypes._COMPILERS, name, counting(compiler))
+        return counts
+
+    def test_second_pass_builds_and_compiles_nothing(self, counts):
+        from repro.runner import units
+
+        first = run_experiment("fig09", "tiny")
+        codes = len(units._CODE_CACHE)
+        assert 0 < codes < units._CODE_CACHE_MAX  # nothing evicted
+        assert counts == {"builds": codes, "compiles": codes}
+
+        for options in (None, ExecutionOptions(executor="thread", workers=2)):
+            again = run_experiment("fig09", "tiny", options=options)
+            assert counts == {"builds": codes, "compiles": codes}
+            for label in first:
+                assert_grids_equal(first[label], again[label])
 
 
 class TestParallelDeterminism:
