@@ -8,8 +8,7 @@ save the full grids as CSV under ``benchmarks/results/``.
 
 Absolute numbers are not expected to match the paper exactly (smaller k,
 fewer runs, re-implemented codecs); the *shape* -- who wins, by roughly what
-factor, where decoding fails -- is what the harness is checked against, and
-EXPERIMENTS.md records the comparison.
+factor, where decoding fails -- is what each bench file asserts.
 """
 
 from __future__ import annotations
@@ -69,7 +68,7 @@ def run_figure_experiment(
     """Run every configuration of a figure preset and persist the grids.
 
     ``REPRO_BENCH_WORKERS`` fans the grid cells out over the runner's
-    process-pool executor; the kernel layer reads ``REPRO_KERNEL`` and
+    thread executor; the kernel layer reads ``REPRO_KERNEL`` and
     ``REPRO_KERNEL_THREADS`` itself.
     """
     options = ExecutionOptions(workers=bench_workers())

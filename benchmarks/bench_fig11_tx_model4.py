@@ -33,5 +33,5 @@ def bench_fig11_tx_model4(run_once):
         assert triangle.mean_over_decodable() <= staircase.mean_over_decodable() + 0.02
         # Note: at k = 2000 the RSE object spans ~20 blocks only, so the
         # coupon-collector penalty (which makes RSE clearly worst at
-        # k = 20000) is muted; EXPERIMENTS.md discusses this.
+        # k = 20000) is muted.
         assert np.isfinite(rse.mean_over_decodable())

@@ -46,7 +46,7 @@ The package is organised as a set of small, composable subsystems:
     execution builds on.
 ``repro.runner``
     The parallel experiment-execution engine: deterministic work-unit
-    sharding, serial / process-pool / thread-pool executors, resumable
+    sharding, serial and thread-pool executors, resumable
     result stores, cooperative coordinator-free fleet execution over
     lease-capable stores, and the ``python -m repro`` CLI.  How a sweep executes is one
     ``ExecutionOptions`` object, passed as ``options=`` to every sweep.
@@ -93,7 +93,7 @@ __getattr__, __dir__ = lazy_exports(__name__, {
     "fec": "LDGMCode LDGMStaircaseCode LDGMTriangleCode ReedSolomonCode make_code",
     "fastpath": "simulate_batch simulate_batch_columnar",
     "pipeline": "synthesize_runs",
-    "runner": "ExecutionOptions FleetRunner ProcessExecutor SerialExecutor run_grid",
+    "runner": "ExecutionOptions FleetRunner SerialExecutor run_grid",
     "scheduling": "make_tx_model",
     "seeds": "available_schemes get_scheme",
     "store": "JsonDirStore MemoryStore ResultStore SqliteStore migrate_store resolve_store",
@@ -120,7 +120,6 @@ __all__ = [
     "make_tx_model",
     "ExecutionOptions",
     "FleetRunner",
-    "ProcessExecutor",
     "SerialExecutor",
     "run_grid",
     "JsonDirStore",

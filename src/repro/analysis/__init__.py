@@ -8,7 +8,7 @@
 * :mod:`repro.analysis.comparison` -- fixed-channel comparisons across
   (code, tx model) tuples (figure 15).
 * :mod:`repro.analysis.paper_data` -- reference values transcribed from the
-  paper, used by EXPERIMENTS.md and the shape-checking tests.
+  paper, used by the appendix-table benchmarks and the shape-checking tests.
 * :mod:`repro.analysis.report` -- plain-text reports combining the above.
 """
 

@@ -4,8 +4,9 @@ The appendix of the paper (tables 1-9) gives numeric inefficiency ratios
 for the most interesting (code, tx model, ratio) combinations over the full
 14 x 14 Gilbert grid.  This module stores a compact summary of each table
 -- a handful of representative (p, q) points plus the value range over the
-decodable region -- so the benchmarks and EXPERIMENTS.md can report
-paper-vs-measured numbers, and the shape-checking tests can assert that the
+decodable region -- so the appendix-table benchmarks
+(``benchmarks/bench_tables_appendix.py``) can report paper-vs-measured
+numbers, and the shape-checking tests can assert that the
 reproduction preserves the orderings the paper emphasises.
 
 All (p, q) keys are probabilities (the paper's axes are in percent).

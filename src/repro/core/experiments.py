@@ -2,9 +2,8 @@
 
 Each :class:`ExperimentSpec` records which configurations a figure/table
 compares and which grid it sweeps; :func:`run_experiment` executes it at one
-of the predefined scales.  The benchmark harness (``benchmarks/``) is a thin
-wrapper around these presets, and ``EXPERIMENTS.md`` records how the
-reproduced shapes compare with the paper.
+of the predefined scales.  The benchmark harness (``benchmarks/``, see the
+README's *Benchmarks* section) is a thin wrapper around these presets.
 
 Scales
 ------

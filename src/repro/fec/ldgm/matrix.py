@@ -25,8 +25,8 @@ Construction rules
     keeps check rows sparse (which the iterative decoder needs), keeps
     encoding a short XOR cascade, and reproduces the paper's qualitative
     behaviour (Triangle at least as good as Staircase except when only a
-    small share of the packets is received).  The approximation is recorded
-    in DESIGN.md.
+    small share of the packets is received).  Its inefficiency sits above
+    the paper's tables 5 and 6; that offset is open (ROADMAP item 15).
 """
 
 from __future__ import annotations

@@ -1,9 +1,10 @@
 """Maximum-likelihood (Gaussian elimination) decoding for LDGM codes.
 
 The paper only uses the iterative decoder; ML decoding over GF(2) is
-provided as an extension so the ablation benchmark (A3 in DESIGN.md) can
-quantify how much of the measured inefficiency is attributable to the
-decoder rather than to the code itself.
+provided as an extension so the ablation benchmark
+(``benchmarks/bench_ablation_ml_decoding.py``) can quantify how much of the
+measured inefficiency is attributable to the decoder rather than to the
+code itself.
 
 Decoding success criterion: the submatrix of ``H`` restricted to the
 *unknown* (not received) message nodes has full column rank, i.e. every

@@ -40,8 +40,8 @@ __getattr__, __dir__ = lazy_exports(__name__, {
     ),
     "threads": (
         "THREADS_ENV_VAR ThreadSpec current_thread_count normalize_thread_spec "
-        "physical_cores resolve_thread_count set_worker_divisor "
-        "thread_count_context worker_divisor_context"
+        "physical_cores resolve_thread_count thread_count_context "
+        "worker_divisor_context"
     ),
 })
 
@@ -67,6 +67,5 @@ __all__ = [
     "resolve_thread_count",
     "current_thread_count",
     "thread_count_context",
-    "set_worker_divisor",
     "worker_divisor_context",
 ]

@@ -18,9 +18,8 @@ Resolution order, mirroring the kernel-backend selection:
 
 The division in step 3 is the **oversubscription rule**: executor workers
 x kernel threads x same-host fleet peers never exceeds the physical
-cores.  Executors declare their local parallelism through
-:func:`set_worker_divisor` before dispatching units (the thread executor
-in-process, the process pool via its worker initializer), so
+cores.  The thread executor declares its worker count through
+:func:`worker_divisor_context` while it dispatches units, so
 ``--workers 4 --kernel-threads auto`` on a 16-core box gives each worker
 4 kernel threads instead of 4x16 runnable threads.  A
 :class:`~repro.runner.fleet.FleetRunner` declares the live fleet peers
@@ -28,9 +27,8 @@ sharing its host through :func:`set_host_peers` (counted from the
 store's presence leases), so two ``--fleet`` processes on a 2-core box
 run one kernel thread each instead of two.  The two factors are separate
 process state and compose: an executor declaring its workers never
-overwrites the fleet's peer count, and the process pool hands the peer
-count to its workers along with its own size.  Outside a fleet the peer
-factor is 1, and explicit counts are never divided.
+overwrites the fleet's peer count.  Outside a fleet the peer factor is 1,
+and explicit counts are never divided.
 
 The *requested* spec travels as data (a normalised string on the work
 unit); :func:`thread_count_context` resolves it to an integer once, when
@@ -71,7 +69,7 @@ def normalize_thread_spec(spec: ThreadSpec) -> Optional[str]:
     """Validate a thread spec and normalise it to ``None``/``"auto"``/digits.
 
     The normalised form is what :class:`~repro.runner.units.WorkUnit`
-    stores (a plain string keeps units picklable and JSON-clean), and a
+    stores (a plain string keeps units JSON-clean), and a
     bad ``--kernel-threads`` fails here, at planning time, not inside a
     worker.
     """
@@ -274,7 +272,6 @@ __all__ = [
     "normalize_thread_spec",
     "available_cpus",
     "physical_cores",
-    "set_worker_divisor",
     "worker_divisor",
     "worker_divisor_context",
     "set_host_peers",

@@ -14,10 +14,11 @@ counted per *attempt*, so a "transient" cell fails its first N attempts
 and then succeeds -- exercising the retry path end to end.  Injection is
 fully deterministic: same plan, same unit list, same failures.
 
-Serial on purpose: injected faults are in-process state (attempt
-counters), which cannot cross a process-pool boundary.  Fleet tests get
-fault-injecting workers by giving each :class:`~repro.runner.fleet.
-FleetRunner` its own instance as the local executor.
+Serial on purpose: a cell's attempts then run one after another in
+the order the plan lists them, so which attempt fails is fixed.  Fleet
+tests get fault-injecting workers by giving each
+:class:`~repro.runner.fleet.FleetRunner` its own instance as the local
+executor.
 """
 
 from __future__ import annotations

@@ -155,10 +155,10 @@ def resolve_policy(policy: Optional[FailurePolicy]) -> FailurePolicy:
 class UnitFailure:
     """Structured record of one unit that failed all its attempts.
 
-    Picklable (it crosses process-pool boundaries) and self-contained:
-    ``unit_payload`` is the unit's :meth:`~repro.runner.units.WorkUnit.
-    to_payload` snapshot, so the failure alone is enough to quarantine,
-    report, and re-run the unit on any machine.
+    Self-contained: ``unit_payload`` is the unit's
+    :meth:`~repro.runner.units.WorkUnit.to_payload` snapshot, so the
+    failure alone is enough to quarantine, report, and re-run the unit on
+    any machine.
     """
 
     unit_key: str
@@ -183,19 +183,13 @@ class UnitOutcome:
     """Result of pushing one unit through a failure policy: exactly one
     of ``result`` (success) or ``failure`` (attempts exhausted) is set.
 
-    ``error`` is the last attempt's exception, kept so an in-process
-    caller can chain it under :class:`~repro.resilience.errors.
-    PoisonUnitError`.  It is dropped when the outcome is pickled: an
-    exception need not pickle, and ``failure`` already records its type
-    and message.
+    ``error`` is the last attempt's exception, kept so the caller can
+    chain it under :class:`~repro.resilience.errors.PoisonUnitError`.
     """
 
     result: Optional["UnitResult"] = None
     failure: Optional[UnitFailure] = None
     error: Optional[BaseException] = field(default=None, compare=False, repr=False)
-
-    def __getstate__(self) -> Dict[str, Any]:
-        return {**self.__dict__, "error": None}
 
 
 ExecuteFn = Callable[["WorkUnit"], "UnitResult"]
@@ -248,8 +242,8 @@ def run_unit_with_policy(
     :class:`~repro.resilience.errors.UnitTimeoutError` from the
     watchdog); ``KeyboardInterrupt``/``SystemExit`` always propagate.
     Never raises for a failed unit -- converting an exhausted failure
-    into raise/skip/quarantine is the *caller's* dispatch, so this
-    function stays picklable-friendly for process-pool workers.
+    into raise/skip/quarantine is the *caller's* dispatch, made in the
+    thread that delivers results.
     """
     from repro.store.codec import unit_key
 

@@ -1,13 +1,13 @@
 """Parallel experiment-execution engine.
 
 The runner turns the library's sweeps into batches of independent,
-picklable work units, executes them serially or on a process pool, caches
+plain-data work units, executes them serially or on a thread pool, caches
 finished units on disk and reassembles the historical result containers --
 bit-identically, whatever the execution strategy:
 
 * :mod:`repro.runner.units` -- the work-unit model and seed derivation.
-* :mod:`repro.runner.executors` -- serial, process-pool and thread-pool
-  executors; every one runs units under a failure policy.
+* :mod:`repro.runner.executors` -- the serial and thread-pool executors;
+  both run units under a failure policy.
 * :mod:`repro.runner.fleet` -- cooperative fleet execution: work-unit
   leases over a shared store, so N coordinator-free processes split one
   sweep with no duplicated work and crash tolerance.
@@ -29,7 +29,7 @@ from repro._lazy import lazy_exports
 
 __getattr__, __dir__ = lazy_exports(__name__, {
     "engine": "run_grid run_grids run_series",
-    "executors": "ProcessExecutor SerialExecutor resolve_executor",
+    "executors": "SerialExecutor resolve_executor",
     "fleet": "FleetRunner FleetStats default_worker_id",
     "options": "DEFAULT_LEASE_TTL ExecutionOptions",
     "units": "UnitResult WorkUnit execute_unit plan_units",
@@ -44,7 +44,6 @@ __all__ = [
     "run_grid",
     "run_grids",
     "run_series",
-    "ProcessExecutor",
     "SerialExecutor",
     "resolve_executor",
     "UnitResult",

@@ -6,8 +6,8 @@ and the ``python -m repro`` CLI all sit on.  It owns the sequencing:
 
 1. shard the sweep into :class:`~repro.runner.units.WorkUnit` cells,
 2. satisfy what it can from the result store,
-3. hand the remaining units to an executor (serial, process or thread
-   pool) -- or, as a fleet, claim them from a lease-capable store first,
+3. hand the remaining units to an executor (serial or a thread pool)
+   -- or, as a fleet, claim them from a lease-capable store first,
 4. write fresh results back to the store as they stream in,
 5. aggregate the cells into the same :class:`~repro.core.metrics.GridResult`
    / :class:`~repro.core.metrics.SeriesResult` containers the serial loops
@@ -420,8 +420,8 @@ def run_series(
     ``SeedSequence([base_seed, index, run])`` and a per-index shared code
     built from ``SeedSequence([base_seed, index])``.  Configurations are
     materialised by the caller (rather than passing a factory callable) so
-    units stay picklable for the process-pool executor.  ``options`` as in
-    :func:`run_grid`.
+    each unit carries its config as data, which its cache key hashes and a
+    fleet peer rebuilds it from.  ``options`` as in :func:`run_grid`.
     """
     runs = validate_positive_int(runs, "runs")
     if len(configs) != len(parameter_values):

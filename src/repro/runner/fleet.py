@@ -20,9 +20,9 @@ There is **no coordinator**.  Each worker plans the identical unit list
    split one,
 2. absorb results other workers finished (a claim that fails names a
    unit that is either done -- read it -- or leased by a live peer),
-3. execute the claimed units on the local executor (serial, process or
-   thread pool) while a daemon thread heartbeats the held leases so long
-   units survive their TTL,
+3. execute the claimed units on the local executor (serial or thread
+   pool) while a daemon thread heartbeats the held leases so long units
+   survive their TTL,
 4. upsert each result and release its lease -- the write happens *before*
    the release, so a unit is never both unleased and unfinished.
 
@@ -30,7 +30,7 @@ Each worker also holds a *presence lease* for as long as it runs (see
 :func:`presence_key`).  Counting the live presence leases of its own host
 tells a worker how many fleet peers share its cores, and ``auto`` kernel
 threads divide by that count (:mod:`repro.kernels.threads`), so a fleet
-shares a host's cores the way a local process pool does.
+shares a host's cores the way the workers of a thread pool do.
 
 Crash tolerance falls out of the lease TTL: a worker that dies mid-unit
 stops heartbeating, its leases expire, and any other worker's next claim
@@ -250,9 +250,8 @@ class FleetRunner:
         The shared, lease-capable result store.
     executor:
         Local executor for claimed units (default: serial).  With a
-        process or thread pool, claimed batches fan out over local
-        workers while the lease heartbeat runs in the coordinating
-        process.  Units carry their ``kernel_threads`` spec; ``auto``
+        thread pool, claimed batches fan out over local workers while
+        the lease heartbeat runs on its own thread.  Units carry their ``kernel_threads`` spec; ``auto``
         divides physical cores by the local executor's worker count
         times the live fleet peers on this host, so the peers on one
         machine share its cores instead of each claiming all of them.
@@ -319,7 +318,7 @@ class FleetRunner:
             else min(0.2, self.lease_ttl / 10.0)
         )
         if claim_batch is None:
-            # Keep a process pool saturated; the serial executor claims
+            # Keep a thread pool saturated; the serial executor claims
             # in small batches so late joiners still get a share.
             claim_batch = 2 * int(getattr(self.executor, "workers", 1))
         self.claim_batch = max(1, int(claim_batch))

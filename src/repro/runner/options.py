@@ -43,10 +43,24 @@ DEFAULT_LEASE_TTL = 30.0
 
 #: Executor names ``executor=`` accepts (:func:`repro.runner.executors.
 #: resolve_executor` builds them).
-EXECUTOR_NAMES = ("serial", "process", "thread")
+EXECUTOR_NAMES = ("serial", "thread")
 
 #: ``executor=`` accepts a name, an instance, or None (auto from workers).
 ExecutorSpec = Union[str, "Executor", None]
+
+
+def check_executor_name(name: str) -> str:
+    """``name`` in lower case if it is one of :data:`EXECUTOR_NAMES`, else
+    a ``ValueError`` naming the choices."""
+    lowered = name.lower()
+    if lowered not in EXECUTOR_NAMES:
+        raise ValueError(
+            f"unknown executor {name!r}; available: "
+            f"{', '.join(map(repr, EXECUTOR_NAMES))} (the process pool was "
+            "removed: use 'thread', or --fleet on a 'sqlite:' store to run "
+            "units in separate processes)"
+        )
+    return lowered
 
 
 @dataclass(frozen=True)
@@ -161,15 +175,14 @@ class ExecutionOptions:
     """
 
     executor: ExecutorSpec = field(default=None, metadata={
-        "help": "'serial', 'process' (pickling pool), 'thread' (shared-"
-                "memory pool: compiled kernels release the GIL) or, in the "
-                "library, an executor instance.  Omitted: the process pool "
-                "when --workers > 1, else serial",
+        "help": "'serial' or 'thread' (a thread pool: compiled kernels "
+                "release the GIL) or, in the library, an executor instance.  "
+                "Omitted: the thread pool when --workers > 1, else serial",
         "choices": EXECUTOR_NAMES,
     })
     workers: Optional[int] = field(default=None, metadata={
-        "help": "pool size of the process/thread executor, at least 1; "
-                "omitted or 1 runs serially unless --executor names a pool, "
+        "help": "thread count of the thread executor, at least 1; "
+                "omitted or 1 runs serially unless --executor is 'thread', "
                 "which then uses the CPUs this process may run on",
         "type": int,
     })
@@ -224,11 +237,15 @@ class ExecutionOptions:
         # on opening.  The negated comparisons also reject NaN.
         if self.workers is not None and not self.workers >= 1:
             raise ValueError(f"workers must be at least 1, got {self.workers!r}")
-        serial = isinstance(self.executor, str) and self.executor.lower() == "serial"
-        if serial and self.workers is not None and self.workers > 1:
+        if (
+            isinstance(self.executor, str)
+            and check_executor_name(self.executor) == "serial"
+            and self.workers is not None
+            and self.workers > 1
+        ):
             raise ValueError(
                 f"the serial executor runs one unit at a time; drop workers="
-                f"{self.workers} or name a pool executor ('process', 'thread')"
+                f"{self.workers} or use executor 'thread'"
             )
         if not (math.isfinite(self.lease_ttl) and self.lease_ttl > 0):
             raise ValueError(
@@ -267,5 +284,6 @@ __all__ = [
     "AdaptiveSpec",
     "ExecutionOptions",
     "ExecutorSpec",
+    "check_executor_name",
     "resolve_adaptive",
 ]

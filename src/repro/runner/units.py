@@ -20,9 +20,9 @@ in one call whose units share one dict of front ends, and fleets lease it
 whole.  Everywhere else -- cache keys, leases, progress, failures,
 retries -- a unit covers one config.
 
-Units are plain picklable dataclasses: they cross process boundaries for
-the process-pool executor and are hashed into cache keys by
-:func:`repro.store.codec.unit_key`.
+Units are plain dataclasses: :meth:`WorkUnit.to_payload` snapshots one
+as JSON (provenance, failure records, ``rerun-unit``) and
+:func:`repro.store.codec.unit_key` hashes it into cache keys.
 """
 
 from __future__ import annotations
@@ -81,7 +81,7 @@ class WorkUnit:
         :mod:`repro.kernels` backend name for the batch decode (``None``
         resolves ``REPRO_KERNEL`` / auto in the executing process).  All
         backends are bit-identical, so this is excluded from the cache
-        key; kept a plain string so units stay picklable.
+        key; kept a plain string so units stay JSON-clean.
     kernel_threads:
         Thread-count request for the compiled kernels' row-parallel
         loops, normalised to ``None`` / ``"auto"`` / a digit string

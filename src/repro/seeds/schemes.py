@@ -258,8 +258,8 @@ class UnitStreams:
 class SeedScheme(abc.ABC):
     """One versioned strategy for deriving a work unit's random streams.
 
-    Schemes are stateless and picklable (work units carry only the scheme
-    *name*; worker processes re-resolve it through the registry).  The
+    Schemes are stateless (work units carry only the scheme *name*; the
+    process that executes a unit re-resolves it through the registry).  The
     ``(name, version)`` pair is the cache-key token: bump ``version``
     whenever a scheme's streams change, so stale cached results become
     misses instead of silently wrong hits.

@@ -485,7 +485,7 @@ class TestSharedRounds:
 
     def test_failures_are_recorded_by_their_own_config(self, config):
         # Faults are keyed by seed path, so the poisoned cell fails for
-        # both codes, once per round: it never settles.
+        # both codes, in every unit planned for it: it never settles.
         plan = FaultPlan(poison=frozenset({(1, 1)}))
         configs = [config, config.with_updates(code="ldgm-triangle")]
         totals = []
@@ -508,7 +508,16 @@ class TestSharedRounds:
                 member, P_VALUES[:2], Q_VALUES[:2], runs=16, seed=7,
                 options=self._options(plan),
             )
-            assert len(records(grid)) == len(grid.metadata["adaptive"]["schedule"])
+            # One record per planned unit of the poisoned cell (a round is
+            # one unit under per-run, min_runs windows under unit): their
+            # windows are disjoint and tile [0, the last round's target).
+            windows = sorted((e["run_start"], e["run_stop"]) for e in records(grid))
+            assert {tuple(e["seed_path"]) for e in records(grid)} == {(1, 1)}
+            assert all(start < stop for start, stop in windows)
+            assert [start for start, _ in windows] == [0] + [
+                stop for _, stop in windows[:-1]
+            ]
+            assert windows[-1][1] == grid.metadata["adaptive"]["schedule"][-1]
             assert records(grid) == records(alone)
             assert_grids_equal(grid, alone)
             assert grid.metadata["adaptive"] == alone.metadata["adaptive"]

@@ -136,6 +136,20 @@ class TestValidation:
             ExecutionOptions(store=spec.format(tmp_path / "cache"), fleet=True)
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("name", ["procss", "process"])
+    def test_unknown_executor_fails_before_the_store_opens(self, name, tmp_path):
+        with pytest.raises(ValueError, match="process pool was removed"):
+            ExecutionOptions(executor=name, store=f"sqlite:{tmp_path / 'x.db'}")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_process_executor_flag_exits_2(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exit_info:
+            cli_main(["run", "fig09", "--executor", "process"])
+        assert exit_info.value.code == 2
+        assert "invalid choice: 'process'" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_serial_executor_rejects_a_pool_size(self, capsys):
         with pytest.raises(ValueError, match="serial executor"):
             ExecutionOptions(executor="serial", workers=4)
@@ -332,7 +346,7 @@ def _skip_without(kernel: str) -> None:
         pytest.skip("no C compiler for the cext backend")
 
 
-@pytest.mark.parametrize("executor", ["serial", "process", "thread"])
+@pytest.mark.parametrize("executor", ["serial", "thread"])
 @pytest.mark.parametrize("kernel", ["numpy", "cext"])
 @pytest.mark.parametrize("scheme", ["per-run", "unit"])
 @pytest.mark.parametrize("case", CASE_IDS)
@@ -347,7 +361,7 @@ def test_grid_matches_incremental_reference(case, scheme, kernel, executor):
 
 MATRIX_AXES = {
     "case": CASE_IDS,
-    "executor": ["serial", "thread", "process"],
+    "executor": ["serial", "thread"],
     "kernel": ["numpy", "cext", "cext2"],  # cext2: two kernel threads
     "scheme": ["per-run", "unit"],
     "store": ["none", "json-dir", "sqlite", "memory", "chaos+sqlite"],

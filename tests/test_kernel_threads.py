@@ -45,8 +45,7 @@ from repro.kernels import threads
 from repro.kernels.threads import host_peers, host_peers_context, worker_divisor
 from repro.store.codec import unit_key
 from repro.runner.cli import main as cli_main
-from repro.runner import executors as executors_module
-from repro.runner.executors import ProcessExecutor, ThreadExecutor, resolve_executor
+from repro.runner.executors import ThreadExecutor, resolve_executor
 from repro.runner.options import ExecutionOptions
 from repro.runner.units import WorkUnit, execute_unit, plan_units
 from repro.scheduling.registry import make_tx_model
@@ -313,31 +312,6 @@ class TestThreadExecutor:
             assert host_peers() == 2
         assert seen and set(seen) == {1}
         assert worker_divisor() == 1
-
-    def test_process_pool_hands_host_peers_to_its_workers(self, monkeypatch):
-        # The pool's initializer runs in fresh processes, so the peer
-        # count must travel in its arguments: capture them from an
-        # in-process stand-in pool, then replay the initializer here.
-        from concurrent.futures import ThreadPoolExecutor
-
-        captured = []
-
-        class _InlinePool(ThreadPoolExecutor):
-            def __init__(self, max_workers, mp_context, initializer, initargs):
-                captured.append(initargs)
-                super().__init__(max_workers=max_workers)
-
-        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", _InlinePool)
-        monkeypatch.delenv(THREADS_ENV_VAR, raising=False)
-        monkeypatch.setattr(threads, "_physical_cores", 4)
-        with host_peers_context(2):
-            ProcessExecutor(2).run(_small_units(), lambda unit, result: None)
-        (initargs,) = captured
-        assert initargs == (2, 2)
-        with worker_divisor_context(1), host_peers_context(1):
-            executors_module._init_pool_worker(*initargs)
-            assert current_thread_count() == 1
-        assert (worker_divisor(), host_peers()) == (1, 1)
 
 # ---------------------------------------------------------------------------
 # Plumbing: work units, cache keys, CLI.

@@ -27,7 +27,6 @@ from repro.resilience import (
     StoreUnavailableError,
     UnitExecutionError,
     UnitFailure,
-    UnitOutcome,
     UnitTimeoutError,
     clear_quarantine,
     deterministic_jitter,
@@ -46,7 +45,7 @@ from repro.resilience.faults import FaultInjectingExecutor, FaultPlan
 from repro.runner import executors
 from repro.runner.cli import main as cli_main
 from repro.runner.engine import run_grid
-from repro.runner.executors import ProcessExecutor, SerialExecutor, ThreadExecutor
+from repro.runner.executors import SerialExecutor, ThreadExecutor
 from repro.runner.fleet import HEARTBEAT_FAILURE_LIMIT, FleetRunner
 from repro.runner.options import ExecutionOptions
 from repro.runner.units import UnitResult, execute_unit, plan_units
@@ -145,7 +144,7 @@ class TestFailurePolicy:
         assert ExecutionOptions(failure_policy=None).failure_policy is DEFAULT_POLICY
         # The policy reaches executors through run(), never a constructor.
         for runner in (
-            SerialExecutor, ProcessExecutor, ThreadExecutor,
+            SerialExecutor, ThreadExecutor,
             FaultInjectingExecutor, FleetRunner,
         ):
             assert "policy" not in inspect.signature(runner).parameters
@@ -189,7 +188,7 @@ class TestRunUnitWithPolicy:
         outcome = run_unit_with_policy(unit, DEFAULT_POLICY)
         assert outcome.result == execute_unit(unit)
 
-    def test_outcome_keeps_the_error_in_process_only(self, config):
+    def test_outcome_keeps_the_last_error(self, config):
         unit = _units(config, cells=1, runs=1)[0]
         error = UnitExecutionError("always broken")
 
@@ -198,13 +197,7 @@ class TestRunUnitWithPolicy:
 
         outcome = run_unit_with_policy(unit, DEFAULT_POLICY, execute=poisoned)
         assert outcome.error is error
-        # Pickled (a process-pool result), the outcome drops the
-        # exception but keeps the failure record describing it.
-        shipped = pickle.loads(pickle.dumps(outcome))
-        assert shipped.error is None
-        assert shipped.failure == outcome.failure
-        assert shipped == outcome
-        assert isinstance(shipped, UnitOutcome)
+        assert outcome.failure.message == "always broken"
 
     def test_transient_failure_recovers(self, config):
         unit = _units(config, cells=1, runs=1)[0]
@@ -243,7 +236,6 @@ class TestRunUnitWithPolicy:
         assert failure.error_type == "UnitExecutionError"
         assert failure.attempts == 2
         assert failure.unit_payload == unit.to_payload()
-        # Crosses process-pool boundaries.
         assert pickle.loads(pickle.dumps(failure)) == failure
         summary = failure_summary(failure)
         assert summary["seed_path"] == list(unit.seed_path)

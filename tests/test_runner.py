@@ -14,7 +14,7 @@ from repro.core.sweep import simulate_grid, sweep_parameter
 from repro.store.codec import config_token, unit_key
 from repro.store.json_dir import JsonDirStore
 from repro.runner.executors import (
-    ProcessExecutor, SerialExecutor, ThreadExecutor, resolve_executor,
+    SerialExecutor, ThreadExecutor, resolve_executor,
 )
 from repro.runner.options import ExecutionOptions
 from repro.runner.units import execute_unit, merge_cell, plan_units
@@ -70,10 +70,10 @@ class TestUnits:
 class TestExecutors:
     def test_resolve_by_name(self):
         assert isinstance(resolve_executor("serial"), SerialExecutor)
-        assert isinstance(resolve_executor("process", 2), ProcessExecutor)
+        assert isinstance(resolve_executor("thread", 2), ThreadExecutor)
 
     def test_resolve_auto_from_workers(self):
-        assert isinstance(resolve_executor(None, 4), ProcessExecutor)
+        assert isinstance(resolve_executor(None, 4), ThreadExecutor)
         assert isinstance(resolve_executor(None, None), SerialExecutor)
         assert isinstance(resolve_executor(None, 1), SerialExecutor)
 
@@ -81,24 +81,24 @@ class TestExecutors:
         executor = SerialExecutor()
         assert resolve_executor(executor) is executor
 
-    def test_unknown_name_rejected(self):
-        with pytest.raises(ValueError):
-            resolve_executor("threads")
+    @pytest.mark.parametrize("name", ["threads", "process"])
+    def test_unknown_name_rejected(self, name):
+        with pytest.raises(ValueError, match="'serial', 'thread'"):
+            resolve_executor(name)
 
     def test_invalid_worker_count_rejected(self):
         with pytest.raises(ValueError):
-            ProcessExecutor(0)
+            ThreadExecutor(0)
 
-    @pytest.mark.parametrize("executor", [ProcessExecutor, ThreadExecutor])
-    def test_unsized_pool_uses_the_cpu_affinity(self, monkeypatch, executor):
+    def test_unsized_pool_uses_the_cpu_affinity(self, monkeypatch):
         # Pinned to one CPU (taskset -c 0), an unsized pool must not start a
         # second worker on it, however many CPUs the host has.  Constructing
         # an executor starts nothing.
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-        assert executor().workers == 1
+        assert ThreadExecutor().workers == 1
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {1, 3, 5}, raising=False)
-        assert executor().workers == 3
-        assert executor(2).workers == 2
+        assert ThreadExecutor().workers == 3
+        assert ThreadExecutor(2).workers == 2
 
 
 class TestCodeCache:
@@ -151,7 +151,7 @@ class TestParallelDeterminism:
         )
         parallel = simulate_grid(
             config, [0.05], [0.5], runs=3, seed=3, fresh_code_per_run=True,
-            options=ExecutionOptions(executor="process", workers=2),
+            options=ExecutionOptions(executor="thread", workers=2),
         )
         assert_grids_equal(serial, parallel)
 
@@ -183,7 +183,7 @@ class TestParallelDeterminism:
         serial = sweep_parameter(make_config, [1, 5, 20], runs=3, seed=5)
         parallel = sweep_parameter(
             make_config, [1, 5, 20], runs=3, seed=5,
-            options=ExecutionOptions(executor="process", workers=3),
+            options=ExecutionOptions(executor="thread", workers=3),
         )
         assert np.array_equal(
             serial.mean_inefficiency, parallel.mean_inefficiency, equal_nan=True
@@ -330,7 +330,7 @@ class TestProgress:
         simulate_grid(
             config, [0.0, 0.1], [0.2, 0.5], runs=1, seed=0, progress=lambda done,
             total: calls.append((done, total)),
-            options=ExecutionOptions(executor="process", workers=2),
+            options=ExecutionOptions(executor="thread", workers=2),
         )
         assert sorted(calls) == [(1, 4), (2, 4), (3, 4), (4, 4)]
 

@@ -253,8 +253,8 @@ def _assert_same(grids, expected):
 @pytest.mark.parametrize("experiment", ["fig09", "fig13"])
 @pytest.mark.parametrize(
     "executor,workers",
-    [("serial", None), ("process", 2), ("thread", 2)],
-    ids=["serial", "process2", "thread2"],
+    [("serial", None), ("thread", 2)],
+    ids=["serial", "thread2"],
 )
 def test_one_pass_equals_per_config_sweeps(experiment, executor, workers):
     grids = run_experiment(
