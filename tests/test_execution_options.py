@@ -346,15 +346,19 @@ def _skip_without(kernel: str) -> None:
         pytest.skip("no C compiler for the cext backend")
 
 
-@pytest.mark.parametrize("executor", ["serial", "thread"])
+#: ``auto``: no executor named, two workers, as ``--workers 2`` alone runs.
+EXECUTORS = {"serial": ("serial", None), "thread": ("thread", 2), "auto": (None, 2)}
+
+
+@pytest.mark.parametrize("executor", list(EXECUTORS))
 @pytest.mark.parametrize("kernel", ["numpy", "cext"])
 @pytest.mark.parametrize("scheme", ["per-run", "unit"])
 @pytest.mark.parametrize("case", CASE_IDS)
 def test_grid_matches_incremental_reference(case, scheme, kernel, executor):
     _skip_without(kernel)
+    name, workers = EXECUTORS[executor]
     (grid,) = _sweep(
-        case, "fixed", executor=executor, workers=None if executor == "serial" else 2,
-        kernel=kernel, seed_scheme=scheme,
+        case, "fixed", executor=name, workers=workers, kernel=kernel, seed_scheme=scheme,
     )
     assert_matches_reference(grid, case, scheme)
 
