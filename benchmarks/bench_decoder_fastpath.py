@@ -248,9 +248,9 @@ def _measure_fleet(threads: int) -> dict:
 
     Wall-clock for a complete small ldgm-staircase sweep executed the way
     a fleet worker runs it: units claimed under TTL leases from a sqlite
-    store, fanned out over the thread executor, compiled kernels threading
-    the rows of each unit (``auto`` keeps executor workers x kernel
-    threads within the socket).
+    store, fanned out over the thread pool ``workers`` picks, compiled
+    kernels threading the rows of each unit (``auto`` keeps pool threads
+    x kernel threads within the socket).
     """
     import tempfile
 
@@ -277,7 +277,6 @@ def _measure_fleet(threads: int) -> dict:
                 runs=runs,
                 seed=BENCH_SEED,
                 options=ExecutionOptions(
-                    executor="thread",
                     workers=workers,
                     kernel_threads="auto",
                     store=store,

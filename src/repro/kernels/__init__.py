@@ -23,10 +23,9 @@ wall-clock knob.
 The compiled ``cext`` kernels additionally run row-parallel over a work
 unit's runs (OpenMP, with a probed serial fallback); the thread count is
 the ``kernel_threads`` knob of :mod:`repro.kernels.threads` -- set where
-``kernel`` is, resolved from
-``REPRO_KERNEL_THREADS`` / ``auto`` = physical cores divided by the
-executor's worker count times the live same-host fleet peers, and
-bit-identical at any value.
+``kernel`` is, resolved from ``REPRO_KERNEL_THREADS`` / ``auto`` =
+physical cores divided by the pool threads and same-host fleet peers
+sharing them, and bit-identical at any value.
 """
 
 from repro._lazy import lazy_exports
@@ -40,8 +39,7 @@ __getattr__, __dir__ = lazy_exports(__name__, {
     ),
     "threads": (
         "THREADS_ENV_VAR ThreadSpec current_thread_count normalize_thread_spec "
-        "physical_cores resolve_thread_count thread_count_context "
-        "worker_divisor_context"
+        "physical_cores resolve_thread_count share_cores thread_count_context"
     ),
 })
 
@@ -66,6 +64,6 @@ __all__ = [
     "physical_cores",
     "resolve_thread_count",
     "current_thread_count",
+    "share_cores",
     "thread_count_context",
-    "worker_divisor_context",
 ]

@@ -13,38 +13,35 @@ Resolution order, mirroring the kernel-backend selection:
    CLI, the ``kernel_threads`` field of a :class:`~repro.runner.units.WorkUnit`),
 2. the ``REPRO_KERNEL_THREADS`` environment variable,
 3. ``auto`` (the default): the machine's physical core count divided by
-   the number of executor workers sharing this process' socket, times
-   the number of live fleet peers on this host.
+   the threads and processes that share them.
 
-The division in step 3 is the **oversubscription rule**: executor workers
-x kernel threads x same-host fleet peers never exceeds the physical
-cores.  The thread executor declares its worker count through
-:func:`worker_divisor_context` while it dispatches units, so
-``--workers 4 --kernel-threads auto`` on a 16-core box gives each worker
-4 kernel threads instead of 4x16 runnable threads.  A
-:class:`~repro.runner.fleet.FleetRunner` declares the live fleet peers
-sharing its host through :func:`set_host_peers` (counted from the
-store's presence leases), so two ``--fleet`` processes on a 2-core box
-run one kernel thread each instead of two.  The two factors are separate
-process state and compose: an executor declaring its workers never
-overwrites the fleet's peer count.  Outside a fleet the peer factor is 1,
-and explicit counts are never divided.
+The division in step 3 is the **oversubscription rule**: pool threads x
+same-host fleet peers x kernel threads never exceeds the physical cores.
+Whatever starts several runners of units on one host says so with
+:func:`share_cores`: the thread executor for the threads its pool starts,
+a :class:`~repro.runner.fleet.FleetRunner` for the live fleet peers on
+its host (counted from the store's presence leases) in each claim round.
+Nested scopes multiply, so two ``--fleet`` peers with ``--workers 2`` on
+a 4-core box run one kernel thread per pool thread.  Explicit counts are
+never divided.
 
 The *requested* spec travels as data (a normalised string on the work
-unit); :func:`thread_count_context` resolves it to an integer once, when
-the executing process enters it (once per work unit), and the kernel call
-sites read that integer through :func:`current_thread_count`.  A peer
-count or divisor declared between units therefore takes effect at the
-next unit.  The context is thread-local, so thread-executor workers
-cannot race each other's resolution.
+unit); :func:`thread_count_context` resolves it to an integer once per
+work unit, and the kernel call sites read that integer through
+:func:`current_thread_count`.  Both the share and the resolved count are
+:class:`~contextvars.ContextVar` values, not process state: each thread
+sees only its own context (a pool's workers and a unit's watchdog run in
+copies of their caller's), so concurrent pools, fleet peers and serial
+sweeps in one process never see each other's share, and a scope cannot
+outlive its ``with`` block.
 """
 
 from __future__ import annotations
 
 import os
-import threading
 from contextlib import contextmanager
-from typing import ContextManager, Iterator, Optional, Union
+from contextvars import ContextVar
+from typing import Iterator, Optional, Union
 
 #: Environment variable consulted when no explicit thread count is given.
 THREADS_ENV_VAR = "REPRO_KERNEL_THREADS"
@@ -53,14 +50,13 @@ THREADS_ENV_VAR = "REPRO_KERNEL_THREADS"
 #: a numeric string, ``"auto"``, or None (environment / auto resolution).
 ThreadSpec = Union[int, str, None]
 
-_local = threading.local()
+#: The team size of the innermost :func:`thread_count_context` (None
+#: outside one).
+_team: ContextVar[Optional[int]] = ContextVar("repro_kernel_team", default=None)
 
-#: Executor workers sharing this process' cores; ``auto`` divides by it.
-_worker_divisor = 1
-
-#: Live fleet peers (this process included) on this host; ``auto``
-#: divides by it too.
-_host_peers = 1
+#: How many threads or processes share the cores ``auto`` divides: the
+#: product of the enclosing :func:`share_cores` scopes.
+_core_share: ContextVar[int] = ContextVar("repro_core_share", default=1)
 
 _physical_cores: Optional[int] = None
 
@@ -109,7 +105,8 @@ def physical_cores() -> int:
 
 def available_cpus() -> int:
     """The CPUs this process may run on (``taskset``, cgroup cpusets) where
-    the platform says, else ``os.cpu_count()``: an unsized pool's size."""
+    the platform says, else ``os.cpu_count()``: the cap on
+    :func:`physical_cores`."""
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
@@ -141,90 +138,26 @@ def _count_physical_cores() -> int:
     return min(count, fallback) if count > 0 else fallback
 
 
-def set_worker_divisor(workers: int) -> int:
-    """Declare how many executor workers share this process' cores.
-
-    Returns the previous divisor so callers can restore it; ``auto``
-    thread counts become ``max(1, physical_cores() // workers)``.
-    """
-    global _worker_divisor
-    previous = _worker_divisor
-    _worker_divisor = max(1, int(workers))
-    return previous
-
-
-def worker_divisor() -> int:
-    """The currently declared executor-worker divisor."""
-    return _worker_divisor
-
-
-#: Per process-wide factor: its value before its open scopes, then theirs.
-_open_scopes: dict = {}
-_scopes_lock = threading.Lock()
-
-
 @contextmanager
-def _scoped(setter, value: int) -> Iterator[None]:
-    """Hold ``setter(value)`` for the scope.  Scopes may overlap and close in
-    any order (two thread pools or fleet peers in one process): the newest
-    open one's value holds; the last to close restores the value before all.
+def share_cores(threads: int) -> Iterator[None]:
+    """Divide ``auto`` thread counts by ``threads`` more for the scope.
+
+    ``threads`` is how many runners of units share the cores at this
+    level (pool threads, same-host fleet peers); it multiplies any
+    enclosing scope's share.  The scope holds in this context alone: a
+    thread the caller starts sees it only when it runs in a copy of the
+    caller's context (:func:`contextvars.copy_context`).
     """
-    with _scopes_lock:
-        scopes = _open_scopes.setdefault(setter, [])
-        previous = setter(value)
-        scopes.extend([value] if scopes else [previous, value])
+    token = _core_share.set(_core_share.get() * max(1, int(threads)))
     try:
         yield
     finally:
-        with _scopes_lock:
-            # The last equal entry: never the base at index 0.
-            del scopes[len(scopes) - 1 - scopes[::-1].index(value)]
-            setter(scopes[-1])
-            if len(scopes) == 1:
-                scopes.clear()
-
-
-def worker_divisor_context(workers: int) -> ContextManager[None]:
-    """Scope :func:`set_worker_divisor` to a dispatch loop."""
-    return _scoped(set_worker_divisor, workers)
-
-
-def set_host_peers(peers: int) -> int:
-    """Declare how many live fleet peers share this host's cores.
-
-    Returns the previous count so callers can restore it; ``auto``
-    thread counts become ``max(1, physical_cores() // (workers * peers))``.
-    """
-    global _host_peers
-    previous = _host_peers
-    _host_peers = max(1, int(peers))
-    return previous
-
-
-def host_peers() -> int:
-    """The currently declared same-host fleet-peer count."""
-    return _host_peers
-
-
-def host_peers_context(peers: int = 1) -> ContextManager[None]:
-    """Scope :func:`set_host_peers` to a fleet run.
-
-    The fleet runner enters it before registering its presence and
-    updates the count with :func:`set_host_peers` as peers come and go.
-    """
-    return _scoped(set_host_peers, peers)
-
-
-def _count_stack() -> list:
-    stack = getattr(_local, "stack", None)
-    if stack is None:
-        stack = _local.stack = []
-    return stack
+        _core_share.reset(token)
 
 
 @contextmanager
 def thread_count_context(spec: ThreadSpec) -> Iterator[None]:
-    """Resolve ``spec`` once and make it this thread's kernel team size.
+    """Resolve ``spec`` once and make it this context's kernel team size.
 
     ``None`` takes the count in force at entry (an enclosing context, the
     environment, or ``auto``), so nesting ``kernel_threads=None`` calls
@@ -235,12 +168,11 @@ def thread_count_context(spec: ThreadSpec) -> Iterator[None]:
         count = current_thread_count()
     else:
         count = resolve_thread_count(normalized)
-    stack = _count_stack()
-    stack.append(count)
+    token = _team.set(count)
     try:
         yield
     finally:
-        stack.pop()
+        _team.reset(token)
 
 
 def resolve_thread_count(spec: ThreadSpec = None) -> int:
@@ -249,7 +181,7 @@ def resolve_thread_count(spec: ThreadSpec = None) -> int:
     if normalized is None:
         normalized = normalize_thread_spec(os.environ.get(THREADS_ENV_VAR))
     if normalized is None or normalized == "auto":
-        return max(1, physical_cores() // (_worker_divisor * _host_peers))
+        return max(1, physical_cores() // _core_share.get())
     return int(normalized)
 
 
@@ -260,10 +192,8 @@ def current_thread_count() -> int:
     context the environment / ``auto`` chain resolves (so direct backend
     calls in tests and notebooks honour ``REPRO_KERNEL_THREADS`` too).
     """
-    stack = getattr(_local, "stack", None)
-    if stack:
-        return stack[-1]
-    return resolve_thread_count(None)
+    count = _team.get()
+    return resolve_thread_count(None) if count is None else count
 
 
 __all__ = [
@@ -272,11 +202,7 @@ __all__ = [
     "normalize_thread_spec",
     "available_cpus",
     "physical_cores",
-    "worker_divisor",
-    "worker_divisor_context",
-    "set_host_peers",
-    "host_peers",
-    "host_peers_context",
+    "share_cores",
     "thread_count_context",
     "resolve_thread_count",
     "current_thread_count",

@@ -21,6 +21,7 @@ from __future__ import annotations
 import dataclasses
 import threading
 import time
+from contextvars import copy_context
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Dict, Optional, Tuple
 
@@ -200,10 +201,12 @@ def _attempt_with_timeout(
 ) -> UnitResult:
     """One execution attempt, bounded by ``timeout`` seconds.
 
-    The attempt runs on a daemon watchdog thread; on timeout the thread
-    is abandoned (Python cannot kill it) and the attempt counts as
-    failed.  A hung attempt therefore leaks one daemon thread until it
-    returns -- acceptable for the rare pathological unit, and the reason
+    The attempt runs on a daemon watchdog thread, in a copy of the
+    caller's context (so it keeps the caller's kernel-thread share, see
+    :mod:`repro.kernels.threads`); on timeout the thread is abandoned
+    (Python cannot kill it) and the attempt counts as failed.  A hung
+    attempt therefore leaks one daemon thread until it returns --
+    acceptable for the rare pathological unit, and the reason
     the watchdog only exists when a timeout was explicitly configured.
     """
     if timeout is None:
@@ -216,7 +219,9 @@ def _attempt_with_timeout(
         except BaseException as exc:  # delivered to the waiting thread
             box["error"] = exc
 
-    thread = threading.Thread(target=target, name="unit-watchdog", daemon=True)
+    thread = threading.Thread(
+        target=copy_context().run, args=(target,), name="unit-watchdog", daemon=True
+    )
     thread.start()
     thread.join(timeout)
     if thread.is_alive():

@@ -181,13 +181,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument(
         "--seed", type=_seed_value, default=0, help="top-level seed, >= 0 (default: 0)"
     )
-    cache_group = run.add_mutually_exclusive_group()
-    cache_group.add_argument(
-        "--resume",
-        action="store_true",
-        help="use the on-disk result store to skip completed cells (default)",
-    )
-    cache_group.add_argument(
+    run.add_argument(
         "--no-cache",
         action="store_true",
         help="disable the result store entirely",

@@ -3,9 +3,12 @@
 Two strategies are provided behind one tiny interface
 (``run(units, on_result, on_failure, policy)``): :class:`SerialExecutor`
 (in order, in the calling thread) and :class:`ThreadExecutor` (an
-in-process thread pool).  Each cuts the units it is given into synthesis
-groups (:func:`~repro.runner.units.synthesis_groups`: the units of one
-cell that differ only in the code) and runs a group in one
+in-process thread pool).  A sweep's ``workers`` picks between them
+(:func:`resolve_executor`: more than one builds the pool); an executor
+instance on ``ExecutionOptions.executor`` overrides that, which is the
+seam fault-injecting test executors use.  Each cuts the units it is
+given into synthesis groups (:func:`~repro.runner.units.synthesis_groups`:
+the units of one cell that differ only in the code) and runs a group in one
 :func:`run_group` call, so the group synthesizes each transmission once,
 whichever executor, thread or watchdog runs it.  Every unit derives its
 own seeds, so completion order does not matter and results are
@@ -42,11 +45,12 @@ runner can size its claim batches.
 
 from __future__ import annotations
 
+from contextvars import copy_context
 from functools import partial
 from itertools import islice
-from typing import Callable, Iterator, List, Optional, Protocol, Sequence, Tuple, Union
+from typing import Callable, Iterator, List, Optional, Protocol, Sequence, Tuple
 
-from repro.kernels.threads import available_cpus, worker_divisor_context
+from repro.kernels.threads import share_cores
 from repro.resilience.errors import PoisonUnitError
 from repro.resilience.policy import (
     DEFAULT_POLICY,
@@ -55,7 +59,6 @@ from repro.resilience.policy import (
     UnitOutcome,
     run_unit_with_policy,
 )
-from repro.runner.options import check_executor_name
 from repro.runner.units import (
     FrontEnds, UnitResult, WorkUnit, execute_unit, synthesis_groups,
 )
@@ -153,11 +156,12 @@ class ThreadExecutor(SerialExecutor):
     the duration of each C call -- which makes thread workers compose
     with the kernels' OpenMP row-parallelism.
 
-    While dispatching, the executor declares its worker count to
-    :mod:`repro.kernels.threads`, so ``kernel_threads="auto"`` resolves
-    to ``physical_cores // (workers x same-host fleet peers)`` per unit:
-    the oversubscription rule (executor threads x kernel threads x peers
-    <= cores) holds by construction.
+    The pool starts ``min(workers, groups)`` threads and runs each group
+    in a copy of the caller's context inside
+    :func:`~repro.kernels.threads.share_cores` of that many threads, so
+    ``kernel_threads="auto"`` divides the caller's cores among the
+    threads actually running: the oversubscription rule (pool threads x
+    kernel threads x peers <= cores) holds by construction.
 
     Each task is one synthesis group (:func:`run_group`), so the codes of
     a cell share its front end whichever thread runs it.  Completion
@@ -170,16 +174,13 @@ class ThreadExecutor(SerialExecutor):
     Parameters
     ----------
     workers:
-        Thread count; defaults to the CPUs this process may run on
-        (:func:`~repro.kernels.threads.available_cpus`).  At most
-        ``4 * workers`` groups are in flight, so a paper-scale unit list
-        never enqueues tens of thousands of futures at once.
+        Most threads the pool starts.  At most ``4 * workers`` groups are
+        in flight, so a paper-scale unit list never enqueues tens of
+        thousands of futures at once.
     """
 
-    def __init__(self, workers: Optional[int] = None):
-        self.workers = validate_positive_int(
-            available_cpus() if workers is None else workers, "workers"
-        )
+    def __init__(self, workers: int):
+        self.workers = validate_positive_int(workers, "workers")
 
     def run(
         self,
@@ -198,13 +199,13 @@ class ThreadExecutor(SerialExecutor):
 
         queued = iter(groups)
         pending: set = set()
-        with worker_divisor_context(self.workers), ThreadPoolExecutor(
-            max_workers=min(self.workers, len(groups)),
-            thread_name_prefix="repro-unit",
+        size = min(self.workers, len(groups))
+        with share_cores(size), ThreadPoolExecutor(
+            max_workers=size, thread_name_prefix="repro-unit",
         ) as pool:
             while True:
                 for group in islice(queued, 4 * self.workers - len(pending)):
-                    pending.add(pool.submit(task, group))
+                    pending.add(pool.submit(copy_context().run, task, group))
                 if not pending:
                     return
                 done, pending = wait(pending, return_when=FIRST_COMPLETED)
@@ -214,21 +215,16 @@ class ThreadExecutor(SerialExecutor):
 
 
 def resolve_executor(
-    executor: Union[str, Executor, None], workers: Optional[int] = None
+    executor: Optional[Executor], workers: Optional[int] = None
 ) -> Executor:
-    """Build an executor from the user-facing ``executor``/``workers`` knobs.
-
-    ``executor`` may be an executor instance (returned as-is),
-    ``"serial"``, ``"thread"``, or ``None`` -- which picks the thread pool
-    when more than one worker was requested and the serial path otherwise.
-    """
-    if executor is None:
-        executor = "thread" if workers is not None and workers > 1 else "serial"
-    if not isinstance(executor, str):
+    """The executor a sweep runs on: ``executor`` itself when given, else
+    a :class:`ThreadExecutor` of ``workers`` threads when ``workers > 1``,
+    else the serial path."""
+    if executor is not None:
         return executor
-    if check_executor_name(executor) == "serial":
-        return SerialExecutor()
-    return ThreadExecutor(workers)
+    if workers is not None and workers > 1:
+        return ThreadExecutor(workers)
+    return SerialExecutor()
 
 
 __all__ = [

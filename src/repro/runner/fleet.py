@@ -28,9 +28,10 @@ There is **no coordinator**.  Each worker plans the identical unit list
 
 Each worker also holds a *presence lease* for as long as it runs (see
 :func:`presence_key`).  Counting the live presence leases of its own host
-tells a worker how many fleet peers share its cores, and ``auto`` kernel
-threads divide by that count (:mod:`repro.kernels.threads`), so a fleet
-shares a host's cores the way the workers of a thread pool do.
+tells a worker how many fleet peers share its cores; each round runs its
+batch inside :func:`~repro.kernels.threads.share_cores` of that count, so
+a fleet shares a host's cores the way the threads of a pool do, and
+peers that are threads of one process never see each other's share.
 
 Crash tolerance falls out of the lease TTL: a worker that dies mid-unit
 stops heartbeating, its leases expire, and any other worker's next claim
@@ -53,7 +54,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Sequence, Set
 
-from repro.kernels.threads import host_peers_context, set_host_peers
+from repro.kernels.threads import share_cores
 from repro.resilience.errors import PoisonUnitError, StoreUnavailableError
 from repro.resilience.policy import DEFAULT_POLICY, FailurePolicy, UnitFailure
 from repro.resilience.report import read_quarantine, write_quarantine
@@ -251,10 +252,11 @@ class FleetRunner:
     executor:
         Local executor for claimed units (default: serial).  With a
         thread pool, claimed batches fan out over local workers while
-        the lease heartbeat runs on its own thread.  Units carry their ``kernel_threads`` spec; ``auto``
-        divides physical cores by the local executor's worker count
-        times the live fleet peers on this host, so the peers on one
-        machine share its cores instead of each claiming all of them.
+        the lease heartbeat runs on its own thread.  Units carry their
+        ``kernel_threads`` spec; ``auto`` divides physical cores by the
+        live fleet peers on this host times the threads of the local
+        pool, so the peers on one machine share its cores instead of
+        each claiming all of them.
     worker_id:
         Fleet-unique identity (default ``<hostname>:<pid>``).
     lease_ttl:
@@ -281,11 +283,10 @@ class FleetRunner:
 
     For the length of :meth:`run` the worker also holds a presence lease
     (:func:`presence_key`), refreshed by the same heartbeat thread and
-    released on the way out, however the run ends.  Once per claim round
-    it counts the live presence leases of its host
-    (:func:`count_host_peers`) and declares that count to
-    :mod:`repro.kernels.threads`; the previous count is restored when the
-    run returns.
+    released on the way out, however the run ends.  Each claimed batch
+    runs inside :func:`~repro.kernels.threads.share_cores` of the live
+    presence leases of its host (:func:`count_host_peers`), counted
+    afresh every round, as peers come and go.
     """
 
     def __init__(
@@ -328,28 +329,24 @@ class FleetRunner:
     def _registered(self, store: ResultStore) -> Iterator["_Heartbeat"]:
         """Hold this worker's presence lease and heartbeat for one run."""
         presence = presence_key(self.worker_id)
-        # Enter the peer-count scope before registering: an in-process
-        # peer that counts this worker has then already saved its own
-        # previous count.
-        with host_peers_context():
-            store.claim(presence, self.worker_id, self.lease_ttl)
+        store.claim(presence, self.worker_id, self.lease_ttl)
+        try:
+            with _Heartbeat(
+                store, self.worker_id, self.lease_ttl, self.heartbeat_interval
+            ) as heartbeat:
+                heartbeat.hold([presence])
+                yield heartbeat
+        finally:
+            # After the heartbeat thread has stopped, so no in-flight
+            # refresh can re-create the lease.  A store too sick to
+            # release it only delays peers until the lease expires.
             try:
-                with _Heartbeat(
-                    store, self.worker_id, self.lease_ttl, self.heartbeat_interval
-                ) as heartbeat:
-                    heartbeat.hold([presence])
-                    yield heartbeat
-            finally:
-                # After the heartbeat thread has stopped, so no in-flight
-                # refresh can re-create the lease.  A store too sick to
-                # release it only delays peers until the lease expires.
-                try:
-                    store.release(presence, self.worker_id)
-                except StoreUnavailableError as error:
-                    logger.warning(
-                        "fleet worker %s could not release its presence "
-                        "lease: %s", self.worker_id, error,
-                    )
+                store.release(presence, self.worker_id)
+            except StoreUnavailableError as error:
+                logger.warning(
+                    "fleet worker %s could not release its presence "
+                    "lease: %s", self.worker_id, error,
+                )
 
     def run(
         self,
@@ -388,9 +385,6 @@ class FleetRunner:
         with self._registered(store) as heartbeat:
             while pending:
                 check_heartbeat(heartbeat)
-                # Peers join and leave mid-sweep: recount this host's
-                # live ones so ``auto`` kernel threads share its cores.
-                set_host_peers(count_host_peers(store))
                 # 1. Claim a batch of whole groups.  The store
                 # arbitrates: every open unit is won by exactly one live
                 # worker.  A failed claim means the unit is finished or
@@ -488,7 +482,10 @@ class FleetRunner:
                         on_failure(unit, failure)
 
                 try:
-                    self.executor.run(claimed, on_executed, on_failed, policy)
+                    # Peers join and leave mid-sweep: recount this host's
+                    # live ones so ``auto`` kernel threads share its cores.
+                    with share_cores(count_host_peers(store)):
+                        self.executor.run(claimed, on_executed, on_failed, policy)
                 except PoisonUnitError:
                     # on_error="raise": free the batch's outstanding
                     # leases so a restarted run (or a peer) is not stuck

@@ -32,6 +32,7 @@ from repro.kernels.threads import ThreadSpec, normalize_thread_spec
 from repro.resilience.policy import DEFAULT_POLICY, FailurePolicy, resolve_policy
 from repro.seeds import SchemeSpec, resolve_scheme_name
 from repro.store import StoreSpec, resolve_store
+from repro.utils.validation import validate_positive_int
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.runner.executors import Executor
@@ -40,28 +41,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: plus scheduling jitter never outlives it between heartbeats, short
 #: enough that a crashed worker's units are reclaimed promptly.
 DEFAULT_LEASE_TTL = 30.0
-
-#: Executor names ``executor=`` accepts (:func:`repro.runner.executors.
-#: resolve_executor` builds them).
-EXECUTOR_NAMES = ("serial", "thread")
-
-#: ``executor=`` accepts a name, an instance, or None (auto from workers).
-ExecutorSpec = Union[str, "Executor", None]
-
-
-def check_executor_name(name: str) -> str:
-    """``name`` in lower case if it is one of :data:`EXECUTOR_NAMES`, else
-    a ``ValueError`` naming the choices."""
-    lowered = name.lower()
-    if lowered not in EXECUTOR_NAMES:
-        raise ValueError(
-            f"unknown executor {name!r}; available: "
-            f"{', '.join(map(repr, EXECUTOR_NAMES))} (the process pool was "
-            "removed: use 'thread', or --fleet on a 'sqlite:' store to run "
-            "units in separate processes)"
-        )
-    return lowered
-
 
 @dataclass(frozen=True)
 class AdaptiveConfig:
@@ -151,6 +130,10 @@ class ExecutionOptions:
     value fails before any unit is planned.  The flagged fields document
     themselves in their metadata.  The rest:
 
+    executor:
+        An :class:`~repro.runner.executors.Executor` instance to run the
+        units on instead of the one ``workers`` picks (fault-injecting
+        test executors use this seam), or ``None`` (default).
     store:
         Result store that makes sweeps resumable: a
         :class:`repro.store.ResultStore`, a store URI
@@ -174,16 +157,11 @@ class ExecutionOptions:
         settle (bit-identical to the fixed sweep at the same run count).
     """
 
-    executor: ExecutorSpec = field(default=None, metadata={
-        "help": "'serial' or 'thread' (a thread pool: compiled kernels "
-                "release the GIL) or, in the library, an executor instance.  "
-                "Omitted: the thread pool when --workers > 1, else serial",
-        "choices": EXECUTOR_NAMES,
-    })
+    executor: Optional["Executor"] = None
     workers: Optional[int] = field(default=None, metadata={
-        "help": "thread count of the thread executor, at least 1; "
-                "omitted or 1 runs serially unless --executor is 'thread', "
-                "which then uses the CPUs this process may run on",
+        "help": "threads of the in-process pool that runs the units "
+                "(compiled kernels release the GIL); omitted or 1 runs "
+                "them serially",
         "type": int,
     })
     store: StoreSpec = None
@@ -197,8 +175,8 @@ class ExecutionOptions:
     kernel_threads: ThreadSpec = field(default=None, metadata={
         "help": "row-parallel thread count of the compiled kernels: a "
                 "positive integer or 'auto' (physical cores divided by the "
-                "executor's workers and by the live --fleet peers on this "
-                "host, so workers x threads x peers never oversubscribe the "
+                "pool's threads and by the live --fleet peers on this host, "
+                "so workers x threads x peers never oversubscribe the "
                 "cores); omitted: REPRO_KERNEL_THREADS, else auto.  "
                 "Bit-identical at any value",
         "metavar": "THREADS",
@@ -235,17 +213,12 @@ class ExecutionOptions:
         # rejected combination leaves no store file; the last needs the
         # opened store, and the stores it rejects (json-dir) create nothing
         # on opening.  The negated comparisons also reject NaN.
-        if self.workers is not None and not self.workers >= 1:
-            raise ValueError(f"workers must be at least 1, got {self.workers!r}")
-        if (
-            isinstance(self.executor, str)
-            and check_executor_name(self.executor) == "serial"
-            and self.workers is not None
-            and self.workers > 1
-        ):
-            raise ValueError(
-                f"the serial executor runs one unit at a time; drop workers="
-                f"{self.workers} or use executor 'thread'"
+        if self.workers is not None:
+            validate_positive_int(self.workers, "workers")
+        if isinstance(self.executor, str):
+            raise TypeError(
+                f"executor= takes an executor instance, got {self.executor!r}; "
+                "pick the thread pool with workers=N"
             )
         if not (math.isfinite(self.lease_ttl) and self.lease_ttl > 0):
             raise ValueError(
@@ -279,11 +252,8 @@ class ExecutionOptions:
 
 __all__ = [
     "DEFAULT_LEASE_TTL",
-    "EXECUTOR_NAMES",
     "AdaptiveConfig",
     "AdaptiveSpec",
     "ExecutionOptions",
-    "ExecutorSpec",
-    "check_executor_name",
     "resolve_adaptive",
 ]

@@ -12,9 +12,10 @@ processes on the store, and checks that:
 * both workers' CSVs are byte-identical to the serial CSV;
 * their reported ``N writes`` sum to the grid's 16 units (zero duplicated
   executions), except on ``chaos+sqlite``, whose torn batches rewrite;
-* ``sqlite``: a second fleet at ``--kernel-threads 2`` gives the same CSVs,
-  and two peers running ``run fig09 --scale tiny --adaptive`` (six configs
-  through one shared round loop) write the CSVs of a serial adaptive run,
+* ``sqlite``: a second fleet at ``--kernel-threads 2`` and a third whose
+  peers each run a ``--workers 2`` thread pool (writes again summing to
+  16) give the same CSVs, and two peers running ``run fig09 --scale tiny
+  --adaptive`` (six configs through one shared round loop) write the CSVs of a serial adaptive run,
   with writes summing to that run's misses;
 * ``chaos+sqlite``: a solo adaptive sweep whose buffered write-behind flush
   is torn (``injected fault on put_many``) converges to the same CSV;
@@ -160,7 +161,10 @@ def run_leg(store: str, scheme: str, work: Path, runs: int = 2) -> None:
         # auto kernel threads divide by the same-host peers; 2 is taken as given
         _fleet(base, [f"sqlite:{work}/fleet_t2.db"] * 2, "--kernel-threads", "2",
                work=work, tag="t")
-        _check_csvs(serial, work, "w0", "w1", "t0", "t1")
+        # Peers running thread pools: auto divides by peers x pool threads.
+        _check_writes(_fleet(base, [f"sqlite:{work}/fleet_p2.db"] * 2,
+                             "--workers", "2", work=work, tag="p"))
+        _check_csvs(serial, work, "w0", "w1", "t0", "t1", "p0", "p1")
         _check_shared_adaptive(scheme, work)
     elif store == "chaos+sqlite":
         uris = [f"chaos+sqlite:{db}?{chaos.format(index + 1)}" for index in range(2)]

@@ -63,7 +63,7 @@ class TestFlagsFromFields:
 
     def test_flags_parse_into_the_fields(self):
         args = cli._build_parser().parse_args([
-            "run", "fig09", "--workers", "3", "--executor", "thread",
+            "run", "fig09", "--workers", "3",
             "--lease-ttl", "7.5", "--min-runs", "4", "--ci-width", "0.1",
             "--max-retries", "2", "--unit-timeout", "9", "--on-error", "skip",
         ])
@@ -74,7 +74,7 @@ class TestFlagsFromFields:
             max_retries=2, unit_timeout=9.0, on_error="skip"
         )
         options = cli._from_flags(ExecutionOptions, args)
-        assert (options.workers, options.executor, options.lease_ttl) == (3, "thread", 7.5)
+        assert (options.workers, options.lease_ttl) == (3, 7.5)
 
 
 class TestModeFlags:

@@ -136,35 +136,34 @@ class TestValidation:
             ExecutionOptions(store=spec.format(tmp_path / "cache"), fleet=True)
         assert list(tmp_path.iterdir()) == []
 
-    @pytest.mark.parametrize("name", ["procss", "process"])
-    def test_unknown_executor_fails_before_the_store_opens(self, name, tmp_path):
-        with pytest.raises(ValueError, match="process pool was removed"):
+    @pytest.mark.parametrize("name", ["serial", "thread", "process"])
+    def test_executor_name_fails_before_the_store_opens(self, name, tmp_path):
+        # workers= is the one local-parallelism setting; executor= only
+        # takes an instance.
+        with pytest.raises(TypeError, match="workers="):
             ExecutionOptions(executor=name, store=f"sqlite:{tmp_path / 'x.db'}")
         assert list(tmp_path.iterdir()) == []
 
-    def test_process_executor_flag_exits_2(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.chdir(tmp_path)
-        with pytest.raises(SystemExit) as exit_info:
-            cli_main(["run", "fig09", "--executor", "process"])
-        assert exit_info.value.code == 2
-        assert "invalid choice: 'process'" in capsys.readouterr().err
+    @pytest.mark.parametrize("workers", [1.5, 2.0, True, 0])
+    def test_bad_workers_fail_before_the_store_opens(self, workers, tmp_path):
+        with pytest.raises((TypeError, ValueError), match="workers"):
+            ExecutionOptions(workers=workers, store=f"sqlite:{tmp_path / 'w.db'}")
         assert list(tmp_path.iterdir()) == []
 
-    def test_serial_executor_rejects_a_pool_size(self, capsys):
-        with pytest.raises(ValueError, match="serial executor"):
-            ExecutionOptions(executor="serial", workers=4)
-        assert ExecutionOptions(executor="serial", workers=1).workers == 1
-        argv = [
-            "run", "fig07", "--scale", "tiny", "--runs", "1", "--no-cache",
-            "--quiet", "--executor", "serial", "--workers", "4",
-        ]
-        assert cli_main(argv) == 2
-        assert "serial executor" in capsys.readouterr().err
+    @pytest.mark.parametrize(
+        "flags", [["--executor", "thread"], ["--resume"]], ids=["executor", "resume"]
+    )
+    def test_removed_flags_exit_2(self, flags, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exit_info:
+            cli_main(["run", "fig09", *flags])
+        assert exit_info.value.code == 2
+        assert f"unrecognized arguments: {' '.join(flags)}" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize(
         "flags,code",
         [
-            (["--executor", "serial", "--workers", "4", "--store", "sqlite:x.db"], 2),
             (["--workers", "0"], 2),
             (["--kernel-threads", "bogus", "--store", "sqlite:x.db"], 2),
             (["--seed-scheme", "bogus", "--store", "sqlite:x.db"], 2),
@@ -174,7 +173,7 @@ class TestValidation:
             (["--dry-run", "--fleet", "--store", "chaos+sqlite:x.db?rate=0.5"], 0),
         ],
         ids=[
-            "serial-workers", "workers-zero", "threads", "scheme", "kernel", "ttl",
+            "workers-zero", "threads", "scheme", "kernel", "ttl",
             "dry-run", "dry-run-chaos",
         ],
     )
@@ -252,11 +251,11 @@ class TestOldProvenancePayloads:
 
 
 # ---------------------------------------------------------------------------
-# The equivalence matrix.  Whatever path a sweep takes -- executor, kernel,
+# The equivalence matrix.  Whatever path a sweep takes -- pool size, kernel,
 # seed scheme, result store, a fleet of two peers, adaptive stopping, one
 # round loop shared by several adaptive configs -- its grid must equal the
 # grid the per-packet incremental decoder gives for the same seeds.
-# Executor x kernel x scheme x case is checked cartesian; the store, fleet
+# Workers x kernel x scheme x case is checked cartesian; the store, fleet
 # and sweep axes join them pairwise.
 # ---------------------------------------------------------------------------
 
@@ -346,26 +345,21 @@ def _skip_without(kernel: str) -> None:
         pytest.skip("no C compiler for the cext backend")
 
 
-#: ``auto``: no executor named, two workers, as ``--workers 2`` alone runs.
-EXECUTORS = {"serial": ("serial", None), "thread": ("thread", 2), "auto": (None, 2)}
-
-
-@pytest.mark.parametrize("executor", list(EXECUTORS))
+@pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("kernel", ["numpy", "cext"])
 @pytest.mark.parametrize("scheme", ["per-run", "unit"])
 @pytest.mark.parametrize("case", CASE_IDS)
-def test_grid_matches_incremental_reference(case, scheme, kernel, executor):
+def test_grid_matches_incremental_reference(case, scheme, kernel, workers):
     _skip_without(kernel)
-    name, workers = EXECUTORS[executor]
     (grid,) = _sweep(
-        case, "fixed", executor=name, workers=workers, kernel=kernel, seed_scheme=scheme,
+        case, "fixed", workers=workers, kernel=kernel, seed_scheme=scheme,
     )
     assert_matches_reference(grid, case, scheme)
 
 
 MATRIX_AXES = {
     "case": CASE_IDS,
-    "executor": ["serial", "thread"],
+    "workers": [1, 2],
     "kernel": ["numpy", "cext", "cext2"],  # cext2: two kernel threads
     "scheme": ["per-run", "unit"],
     "store": ["none", "json-dir", "sqlite", "memory", "chaos+sqlite"],
@@ -433,7 +427,9 @@ def assert_same_grids(grids, expected) -> None:
         assert grid.metadata == alone.metadata
 
 
-@pytest.mark.parametrize("row", MATRIX, ids=["-".join(row.values()) for row in MATRIX])
+@pytest.mark.parametrize(
+    "row", MATRIX, ids=["-".join(map(str, row.values())) for row in MATRIX]
+)
 def test_pairwise_matrix_matches_incremental_reference(row, tmp_path):
     kernel = row["kernel"].rstrip("2")
     _skip_without(kernel)
@@ -442,8 +438,7 @@ def test_pairwise_matrix_matches_incremental_reference(row, tmp_path):
     def sweep(peer: int, store):
         return _sweep(
             row["case"], row["sweep"],
-            executor=row["executor"],
-            workers=None if row["executor"] == "serial" else 2,
+            workers=row["workers"],
             kernel=kernel,
             kernel_threads=2 if row["kernel"] == "cext2" else None,
             seed_scheme=row["scheme"],

@@ -15,8 +15,8 @@ from repro.kernels import threads
 from repro.kernels.threads import (
     THREADS_ENV_VAR,
     current_thread_count,
-    host_peers,
-    host_peers_context,
+    resolve_thread_count,
+    share_cores,
     thread_count_context,
 )
 from repro.resilience.errors import PoisonUnitError
@@ -235,7 +235,7 @@ class TestHostPeers:
         # is honoured as given.
         assert [executor.seen for executor in executors] == [[expected]] * 2
         assert store.leases() == []
-        assert host_peers() == 1
+        assert resolve_thread_count("auto") == 2
 
     def test_a_lone_runner_keeps_every_core(self, config, two_cores):
         store = MemoryStore()
@@ -268,15 +268,24 @@ class TestHostPeers:
             assert store.claim(presence_key(worker), worker, ttl=60.0)
         assert count_host_peers(store) == 2
 
-    def test_run_releases_presence_and_restores_the_factor(self, config):
+    def test_run_releases_presence_and_restores_the_share(self, config, monkeypatch):
+        # A lone peer inside an enclosing 3-way share of 6 cores: its
+        # rounds divide by 3 x 1 peer, and the enclosing share holds
+        # until its own scope closes.
+        monkeypatch.delenv(THREADS_ENV_VAR, raising=False)
+        monkeypatch.setattr(threads, "_physical_cores", 6)
         store = MemoryStore()
-        with host_peers_context(3):
-            FleetRunner(store, worker_id="solo").run(_units(config), lambda unit, r: None)
-            assert host_peers() == 3
+        executor = _RecordingExecutor()
+        with share_cores(3):
+            FleetRunner(store, executor=executor, worker_id="solo").run(
+                _units(config), lambda unit, r: None
+            )
+            assert resolve_thread_count("auto") == 2
+        assert set(executor.seen) == {2}
         assert store.leases() == []
-        assert host_peers() == 1
+        assert resolve_thread_count("auto") == 6
 
-    def test_failed_run_releases_presence(self, config):
+    def test_failed_run_releases_presence(self, config, two_cores):
         class _Broken(SerialExecutor):
             def _execute_one(self, unit, front_ends):
                 raise RuntimeError("boom")
@@ -287,7 +296,7 @@ class TestHostPeers:
                 _units(config), lambda unit, r: None
             )
         assert store.leases() == []
-        assert host_peers() == 1
+        assert resolve_thread_count("auto") == 2
 
     def test_http_presence_expiry_uses_the_server_clock(self, config, two_cores):
         class _SkewedStore(MemoryStore):

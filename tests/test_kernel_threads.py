@@ -1,11 +1,12 @@
 """Tests for multi-threaded compiled kernels and the thread executor.
 
 Covers the ``kernel_threads`` spec layer (:mod:`repro.kernels.threads`:
-parsing, environment default, ``auto`` resolution against the executor's
-worker divisor, the thread-local context), bit-identity of the OpenMP
-row-parallel cext kernels at every team size (1 thread == N threads ==
-the numpy reference, under both seed schemes), the shared-memory
-:class:`~repro.runner.executors.ThreadExecutor` (its grids are cells of
+parsing, environment default, ``auto`` resolution against the core
+share of the enclosing pools and fleet peers, the context-local scopes),
+bit-identity of the OpenMP row-parallel cext kernels at every team size
+(1 thread == N threads == the numpy reference, under both seed
+schemes), the shared-memory :class:`~repro.runner.executors.ThreadExecutor`
+(its grids are cells of
 the ``tests/test_execution_options.py`` matrix), the ``kernel_threads``
 plumbing through work units / cache keys / CLI, the Gilbert draws (masks
 and every generator's post-call state equal to the serial chain for both
@@ -38,14 +39,14 @@ from repro.kernels import (
     normalize_thread_spec,
     physical_cores,
     resolve_thread_count,
+    share_cores,
     thread_count_context,
-    worker_divisor_context,
 )
 from repro.kernels import threads
-from repro.kernels.threads import host_peers, host_peers_context, worker_divisor
+from repro.resilience.policy import FailurePolicy
 from repro.store.codec import unit_key
 from repro.runner.cli import main as cli_main
-from repro.runner.executors import ThreadExecutor, resolve_executor
+from repro.runner.executors import SerialExecutor, ThreadExecutor, resolve_executor
 from repro.runner.options import ExecutionOptions
 from repro.runner.units import WorkUnit, execute_unit, plan_units
 from repro.scheduling.registry import make_tx_model
@@ -98,27 +99,28 @@ class TestThreadSpec:
         monkeypatch.setenv(THREADS_ENV_VAR, "")
         assert resolve_thread_count() == resolve_thread_count("auto")
 
-    def test_auto_divides_cores_by_worker_divisor(self, monkeypatch):
+    def test_auto_divides_cores_by_the_share(self, monkeypatch):
         monkeypatch.delenv(THREADS_ENV_VAR, raising=False)
         cores = physical_cores()
         assert resolve_thread_count("auto") == max(1, cores)
-        with worker_divisor_context(2):
+        with share_cores(2):
             assert resolve_thread_count("auto") == max(1, cores // 2)
-        with worker_divisor_context(2 * cores):
-            # Oversubscribed executor: kernels drop to one thread, never 0.
+        with share_cores(2 * cores):
+            # Oversubscribed pool: kernels drop to one thread, never 0.
             assert resolve_thread_count("auto") == 1
         assert resolve_thread_count("auto") == max(1, cores)
 
-    def test_auto_divides_by_host_peers_too(self, monkeypatch):
+    def test_nested_shares_multiply(self, monkeypatch):
+        # Fleet peers (outer) running thread pools (inner).
         monkeypatch.delenv(THREADS_ENV_VAR, raising=False)
         monkeypatch.setattr(threads, "_physical_cores", 8)
-        with host_peers_context(2):
+        with share_cores(2):
             assert resolve_thread_count("auto") == 4
-            with worker_divisor_context(2):
+            with share_cores(2):
                 assert resolve_thread_count("auto") == 2
+            assert resolve_thread_count("auto") == 4
             # Explicit counts are never divided.
             assert resolve_thread_count(3) == 3
-        assert host_peers() == 1
         assert resolve_thread_count("auto") == 8
 
     def test_context_carries_spec_to_call_site(self, monkeypatch):
@@ -136,21 +138,31 @@ class TestThreadSpec:
         assert physical_cores() >= 1
 
     @pytest.mark.parametrize("values", [(2, 2), (4, 2), (2, 1)])
-    def test_overlapping_scopes_close_in_any_order(self, values):
-        # Two thread pools or fleet peers in one process: whichever scope
-        # closes first, the newest open one's value holds, and the factor
-        # ends where it began.
-        for context, current in (
-            (worker_divisor_context, worker_divisor),
-            (host_peers_context, host_peers),
-        ):
-            first, second = context(values[0]), context(values[1])
-            first.__enter__()
-            second.__enter__()
-            first.__exit__(None, None, None)
-            assert current() == values[1]
-            second.__exit__(None, None, None)
-            assert current() == 1
+    def test_overlapping_scopes_close_in_any_order(self, values, monkeypatch):
+        # Two thread pools or fleet peers in one process, each in its own
+        # thread: the first scope closes while the second is open, each
+        # thread sees only its own share, and the caller's is untouched.
+        monkeypatch.delenv(THREADS_ENV_VAR, raising=False)
+        monkeypatch.setattr(threads, "_physical_cores", 8)
+        both_open, first_closed = threading.Barrier(2), threading.Event()
+        seen = [None, None]
+
+        def peer(index: int) -> None:
+            with share_cores(values[index]):
+                both_open.wait(timeout=60)
+                if index == 1:
+                    first_closed.wait(timeout=60)
+                seen[index] = resolve_thread_count("auto")
+            if index == 0:
+                first_closed.set()
+
+        peers = [threading.Thread(target=peer, args=(index,)) for index in (0, 1)]
+        for thread in peers:
+            thread.start()
+        for thread in peers:
+            thread.join(timeout=60)
+        assert seen == [8 // values[0], 8 // values[1]]
+        assert resolve_thread_count("auto") == 8
 
     def test_auto_is_capped_at_the_cpu_affinity(self, monkeypatch):
         # Pinned to one CPU (taskset -c 0), auto must not start a second
@@ -262,15 +274,25 @@ def _small_units():
     )
 
 
+def _recording(base):
+    """``base`` recording the kernel team each unit resolves into ``seen``."""
+
+    class _Recording(base):
+        seen: list
+
+        def _execute_one(self, unit, front_ends):
+            with thread_count_context(unit.kernel_threads):
+                self.seen.append(current_thread_count())
+            return super()._execute_one(unit, front_ends)
+
+    return _Recording
+
+
 class TestThreadExecutor:
     def test_resolve_executor_thread(self):
-        executor = resolve_executor("thread", 3)
+        executor = resolve_executor(None, 3)
         assert isinstance(executor, ThreadExecutor)
         assert executor.workers == 3
-
-    def test_resolve_executor_unknown_lists_thread(self):
-        with pytest.raises(ValueError, match="thread"):
-            resolve_executor("bogus", 2)
 
     def test_workers_validated(self):
         with pytest.raises(ValueError):
@@ -299,19 +321,63 @@ class TestThreadExecutor:
         # cores: 2 workers x 1 kernel thread x 2 peers.
         monkeypatch.delenv(THREADS_ENV_VAR, raising=False)
         monkeypatch.setattr(threads, "_physical_cores", 4)
-        seen = []
+        pool = _recording(ThreadExecutor)(2)
+        pool.seen = []
+        with share_cores(2):
+            pool.run(_small_units(), lambda unit, result: None)
+            assert resolve_thread_count("auto") == 2
+        assert pool.seen and set(pool.seen) == {1}
+        assert resolve_thread_count("auto") == 4
 
-        class _Recording(ThreadExecutor):
+    def test_auto_divides_by_the_threads_the_pool_starts(self, monkeypatch):
+        # One synthesis group starts one pool thread: it keeps every core.
+        monkeypatch.delenv(THREADS_ENV_VAR, raising=False)
+        monkeypatch.setattr(threads, "_physical_cores", 4)
+        pool = _recording(ThreadExecutor)(4)
+        pool.seen = []
+        pool.run(_small_units()[:1], lambda unit, result: None)
+        assert pool.seen == [4]
+
+    def test_a_serial_sweep_keeps_every_core_beside_an_open_pool(self, monkeypatch):
+        # Another thread's 2-thread pool is mid-unit while this thread
+        # runs serially: the pool's share is its own.
+        monkeypatch.delenv(THREADS_ENV_VAR, raising=False)
+        monkeypatch.setattr(threads, "_physical_cores", 4)
+        pool_open, serial_done = threading.Event(), threading.Event()
+
+        class _Holding(_recording(ThreadExecutor)):
             def _execute_one(self, unit, front_ends):
-                with thread_count_context(unit.kernel_threads):
-                    seen.append(current_thread_count())
+                pool_open.set()
+                serial_done.wait(timeout=60)
                 return super()._execute_one(unit, front_ends)
 
-        with host_peers_context(2):
-            _Recording(2).run(_small_units(), lambda unit, result: None)
-            assert host_peers() == 2
-        assert seen and set(seen) == {1}
-        assert worker_divisor() == 1
+        pool, serial = _Holding(2), _recording(SerialExecutor)()
+        pool.seen, serial.seen = [], []
+        background = threading.Thread(
+            target=pool.run, args=(_small_units(), lambda unit, result: None)
+        )
+        background.start()
+        try:
+            assert pool_open.wait(timeout=60)
+            serial.run(_small_units()[:1], lambda unit, result: None)
+        finally:
+            serial_done.set()
+            background.join(timeout=60)
+        assert serial.seen == [4]
+        assert pool.seen and set(pool.seen) == {2}
+
+    def test_a_unit_under_a_timeout_keeps_the_pool_share(self, monkeypatch):
+        # unit_timeout runs each attempt on a watchdog thread, in a copy
+        # of the pool thread's context.
+        monkeypatch.delenv(THREADS_ENV_VAR, raising=False)
+        monkeypatch.setattr(threads, "_physical_cores", 4)
+        pool = _recording(ThreadExecutor)(2)
+        pool.seen = []
+        pool.run(
+            _small_units(), lambda unit, result: None,
+            policy=FailurePolicy(unit_timeout=60.0),
+        )
+        assert pool.seen and set(pool.seen) == {2}
 
 # ---------------------------------------------------------------------------
 # Plumbing: work units, cache keys, CLI.
@@ -383,8 +449,7 @@ class TestKernelThreadsPlumbing:
         exit_code = cli_main(
             [
                 "run", "fig07", "--scale", "tiny", "--runs", "1",
-                "--no-cache", "--quiet",
-                "--executor", "thread", "--workers", "2",
+                "--no-cache", "--quiet", "--workers", "2",
                 "--kernel-threads", "2",
             ]
         )
@@ -731,8 +796,7 @@ class TestPerUnitResolution:
         monkeypatch.delenv(THREADS_ENV_VAR, raising=False)
         monkeypatch.setattr(threads, "_physical_cores", 4)
         unit = _small_units()[0]
-        with host_peers_context(1):
-            assert self._team_seen(monkeypatch, unit) == 4
-            threads.set_host_peers(2)
+        assert self._team_seen(monkeypatch, unit) == 4
+        with share_cores(2):
             assert self._team_seen(monkeypatch, unit) == 2
-        assert host_peers() == 1
+        assert self._team_seen(monkeypatch, unit) == 4

@@ -602,16 +602,14 @@ class TestDefaultFailFast:
 
         monkeypatch.setattr(executors, "execute_unit", boom)
 
-    @pytest.mark.parametrize("executor", ["serial", "thread"])
+    @pytest.mark.parametrize("workers", [None, 2], ids=["serial", "thread"])
     def test_poison_unit_names_and_chains_the_error(
-        self, config, executor, broken_execution
+        self, config, workers, broken_execution
     ):
         with pytest.raises(PoisonUnitError) as excinfo:
             run_grid(
                 config, P_VALUES, Q_VALUES, runs=1, seed=7,
-                options=ExecutionOptions(
-                    executor=executor, workers=None if executor == "serial" else 2
-                ),
+                options=ExecutionOptions(workers=workers),
             )
         error = excinfo.value
         assert error.failure.attempts == 1
@@ -844,7 +842,7 @@ class TestWriteBehind:
         store = _RecordingStore()
         grid = run_grid(
             config, P_VALUES, Q_VALUES, runs=2, seed=7,
-            options=ExecutionOptions(store=store, executor="thread", workers=2),
+            options=ExecutionOptions(store=store, workers=2),
         )
         assert [name for name, _ in store.calls] == ["put_many", "put_many"]
         assert sum(size for _, size in store.calls) == 4

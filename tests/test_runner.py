@@ -68,10 +68,6 @@ class TestUnits:
 
 
 class TestExecutors:
-    def test_resolve_by_name(self):
-        assert isinstance(resolve_executor("serial"), SerialExecutor)
-        assert isinstance(resolve_executor("thread", 2), ThreadExecutor)
-
     def test_resolve_auto_from_workers(self):
         assert isinstance(resolve_executor(None, 4), ThreadExecutor)
         assert isinstance(resolve_executor(None, None), SerialExecutor)
@@ -80,25 +76,11 @@ class TestExecutors:
     def test_resolve_passthrough_instance(self):
         executor = SerialExecutor()
         assert resolve_executor(executor) is executor
-
-    @pytest.mark.parametrize("name", ["threads", "process"])
-    def test_unknown_name_rejected(self, name):
-        with pytest.raises(ValueError, match="'serial', 'thread'"):
-            resolve_executor(name)
+        assert resolve_executor(executor, 4) is executor
 
     def test_invalid_worker_count_rejected(self):
         with pytest.raises(ValueError):
             ThreadExecutor(0)
-
-    def test_unsized_pool_uses_the_cpu_affinity(self, monkeypatch):
-        # Pinned to one CPU (taskset -c 0), an unsized pool must not start a
-        # second worker on it, however many CPUs the host has.  Constructing
-        # an executor starts nothing.
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-        assert ThreadExecutor().workers == 1
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {1, 3, 5}, raising=False)
-        assert ThreadExecutor().workers == 3
-        assert ThreadExecutor(2).workers == 2
 
 
 class TestCodeCache:
@@ -137,7 +119,7 @@ class TestCodeCache:
         assert 0 < codes < units._CODE_CACHE_MAX  # nothing evicted
         assert counts == {"builds": codes, "compiles": codes}
 
-        for options in (None, ExecutionOptions(executor="thread", workers=2)):
+        for options in (None, ExecutionOptions(workers=2)):
             again = run_experiment("fig09", "tiny", options=options)
             assert counts == {"builds": codes, "compiles": codes}
             for label in first:
@@ -151,7 +133,7 @@ class TestParallelDeterminism:
         )
         parallel = simulate_grid(
             config, [0.05], [0.5], runs=3, seed=3, fresh_code_per_run=True,
-            options=ExecutionOptions(executor="thread", workers=2),
+            options=ExecutionOptions(workers=2),
         )
         assert_grids_equal(serial, parallel)
 
@@ -183,7 +165,7 @@ class TestParallelDeterminism:
         serial = sweep_parameter(make_config, [1, 5, 20], runs=3, seed=5)
         parallel = sweep_parameter(
             make_config, [1, 5, 20], runs=3, seed=5,
-            options=ExecutionOptions(executor="thread", workers=3),
+            options=ExecutionOptions(workers=3),
         )
         assert np.array_equal(
             serial.mean_inefficiency, parallel.mean_inefficiency, equal_nan=True
@@ -330,7 +312,7 @@ class TestProgress:
         simulate_grid(
             config, [0.0, 0.1], [0.2, 0.5], runs=1, seed=0, progress=lambda done,
             total: calls.append((done, total)),
-            options=ExecutionOptions(executor="thread", workers=2),
+            options=ExecutionOptions(workers=2),
         )
         assert sorted(calls) == [(1, 4), (2, 4), (3, 4), (4, 4)]
 

@@ -251,15 +251,11 @@ def _assert_same(grids, expected):
 
 
 @pytest.mark.parametrize("experiment", ["fig09", "fig13"])
-@pytest.mark.parametrize(
-    "executor,workers",
-    [("serial", None), ("thread", 2)],
-    ids=["serial", "thread2"],
-)
-def test_one_pass_equals_per_config_sweeps(experiment, executor, workers):
+@pytest.mark.parametrize("workers", [None, 2], ids=["serial", "thread2"])
+def test_one_pass_equals_per_config_sweeps(experiment, workers):
     grids = run_experiment(
         experiment, "tiny", seed=3, runs=2,
-        options=ExecutionOptions(executor=executor, workers=workers),
+        options=ExecutionOptions(workers=workers),
     )
     _assert_same(grids, _per_config(experiment))
 
