@@ -345,7 +345,9 @@ def _skip_without(kernel: str) -> None:
         pytest.skip("no C compiler for the cext backend")
 
 
-@pytest.mark.parametrize("workers", [1, 2])
+#: 12: more workers than the grid's 9 cells, so the pool starts (and
+#: shares the cores among) fewer threads than it was asked for.
+@pytest.mark.parametrize("workers", [1, 2, 12])
 @pytest.mark.parametrize("kernel", ["numpy", "cext"])
 @pytest.mark.parametrize("scheme", ["per-run", "unit"])
 @pytest.mark.parametrize("case", CASE_IDS)
