@@ -59,6 +59,7 @@ from repro.kernels import (
     available_backends,
     cext_openmp_enabled,
     default_backend_name,
+    kernel_scope,
     physical_cores,
     resolve_thread_count,
 )
@@ -133,9 +134,8 @@ def _measure(family: str, ratio: float, kernels: list[str], threads: int) -> dic
     reference = [simulator.run(rng) for rng in _rngs(20)]
     for kernel in kernels:
         for team in {1, threads}:
-            batch = simulate_batch(
-                code, tx_model, channel, _rngs(20), kernel=kernel, kernel_threads=team
-            )
+            with kernel_scope(kernel, team):
+                batch = simulate_batch(code, tx_model, channel, _rngs(20))
             if batch != reference:
                 raise AssertionError(
                     f"fastpath[{kernel}, threads={team}] diverged from the "
@@ -152,13 +152,11 @@ def _measure(family: str, ratio: float, kernels: list[str], threads: int) -> dic
         best_serial = max(best_serial, SERIAL_RUNS / elapsed)
 
     # Unit-scheme determinism gate: identical streams, identical results.
-    unit_reference = simulate_batch_columnar(
-        code, tx_model, channel, _unit_streams(20), kernel=kernels[0]
-    )
+    with kernel_scope(kernels[0]):
+        unit_reference = simulate_batch_columnar(code, tx_model, channel, _unit_streams(20))
     for kernel in kernels:
-        repeated = simulate_batch_columnar(
-            code, tx_model, channel, _unit_streams(20), kernel=kernel
-        )
+        with kernel_scope(kernel):
+            repeated = simulate_batch_columnar(code, tx_model, channel, _unit_streams(20))
         if not (
             np.array_equal(repeated.n_necessary, unit_reference.n_necessary)
             and np.array_equal(repeated.n_received, unit_reference.n_received)
@@ -171,14 +169,8 @@ def _measure(family: str, ratio: float, kernels: list[str], threads: int) -> dic
         best = 0.0
         for _ in range(2):
             started = time.perf_counter()
-            simulate_batch_columnar(
-                code,
-                tx_model,
-                channel,
-                streams_factory(BATCH_RUNS),
-                kernel=kernel,
-                kernel_threads=team,
-            )
+            with kernel_scope(kernel, team):
+                simulate_batch_columnar(code, tx_model, channel, streams_factory(BATCH_RUNS))
             elapsed = time.perf_counter() - started
             best = max(best, BATCH_RUNS / elapsed)
         return round(best, 1)
@@ -191,7 +183,8 @@ def _measure(family: str, ratio: float, kernels: list[str], threads: int) -> dic
     threads_by_kernel: dict[str, float] = {}
     unit_threads_by_kernel: dict[str, float] = {}
     for kernel in kernels:
-        simulate_batch_columnar(code, tx_model, channel, _rngs(8), kernel=kernel)  # warm
+        with kernel_scope(kernel):
+            simulate_batch_columnar(code, tx_model, channel, _rngs(8))  # warm
         by_kernel[kernel] = _time_batch(kernel, _rngs, 1)
         unit_by_kernel[kernel] = _time_batch(kernel, _unit_streams, 1)
         if threads > 1:

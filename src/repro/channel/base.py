@@ -38,28 +38,16 @@ class LossModel(abc.ABC):
 
     @abc.abstractmethod
     def loss_mask(
-        self,
-        count: int,
-        rng: Optional[np.random.Generator] = None,
-        *,
-        kernel=None,
+        self, count: int, rng: Optional[np.random.Generator] = None
     ) -> np.ndarray:
         """Return a boolean array of length ``count``; ``True`` marks a *lost* packet.
 
-        ``kernel`` optionally selects a :mod:`repro.kernels` backend for
-        models with a kernelised hot loop (the Gilbert sojourn fill);
-        models without one accept and ignore it, so callers can thread
-        their backend without per-channel special cases.  Masks are
-        bit-identical for any ``kernel`` value.
+        Models with a kernelised hot loop (the Gilbert sojourn fill) run
+        it on the :func:`~repro.kernels.current_backend` of the caller's
+        kernel scope.
         """
 
-    def loss_mask_batch(
-        self,
-        count: int,
-        rngs: Sequence[RandomState],
-        *,
-        kernel=None,
-    ) -> np.ndarray:
+    def loss_mask_batch(self, count: int, rngs: Sequence[RandomState]) -> np.ndarray:
         """Loss masks for a whole work unit as one ``(runs, count)`` array.
 
         Row ``i`` must be exactly what ``self.loss_mask(count, rngs[i])``
@@ -74,17 +62,10 @@ class LossModel(abc.ABC):
             raise ValueError(f"count must be non-negative, got {count}")
         masks = np.empty((len(rngs), count), dtype=bool)
         for row, rng in zip(masks, rngs):
-            row[:] = self.loss_mask(count, ensure_rng(rng), kernel=kernel)
+            row[:] = self.loss_mask(count, ensure_rng(rng))
         return masks
 
-    def loss_mask_batch_unit(
-        self,
-        count: int,
-        rng: RandomState,
-        runs: int,
-        *,
-        kernel=None,
-    ) -> np.ndarray:
+    def loss_mask_batch_unit(self, count: int, rng: RandomState, runs: int) -> np.ndarray:
         """Loss masks for a whole work unit drawn from ONE shared generator.
 
         The ``"unit"`` seed scheme's entry point (:mod:`repro.seeds`):
@@ -103,7 +84,7 @@ class LossModel(abc.ABC):
         rng = ensure_rng(rng)
         masks = np.empty((runs, count), dtype=bool)
         for row in masks:
-            row[:] = self.loss_mask(count, rng, kernel=kernel)
+            row[:] = self.loss_mask(count, rng)
         return masks
 
     def reception_mask(self, count: int, rng: Optional[np.random.Generator] = None) -> np.ndarray:

@@ -31,11 +31,7 @@ class BernoulliChannel(LossModel):
         return self.loss_rate
 
     def loss_mask(
-        self,
-        count: int,
-        rng: Optional[np.random.Generator] = None,
-        *,
-        kernel=None,
+        self, count: int, rng: Optional[np.random.Generator] = None
     ) -> np.ndarray:
         if count < 0:
             raise ValueError(f"count must be non-negative, got {count}")
@@ -46,13 +42,7 @@ class BernoulliChannel(LossModel):
             return np.ones(count, dtype=bool)
         return rng.random(count) < self.loss_rate
 
-    def loss_mask_batch(
-        self,
-        count: int,
-        rngs: Sequence[RandomState],
-        *,
-        kernel=None,
-    ) -> np.ndarray:
+    def loss_mask_batch(self, count: int, rngs: Sequence[RandomState]) -> np.ndarray:
         if count < 0:
             raise ValueError(f"count must be non-negative, got {count}")
         runs = len(rngs)
@@ -68,14 +58,7 @@ class BernoulliChannel(LossModel):
             ensure_rng(rng).random(out=row)
         return draws < self.loss_rate
 
-    def loss_mask_batch_unit(
-        self,
-        count: int,
-        rng,
-        runs: int,
-        *,
-        kernel=None,
-    ) -> np.ndarray:
+    def loss_mask_batch_unit(self, count: int, rng, runs: int) -> np.ndarray:
         if count < 0:
             raise ValueError(f"count must be non-negative, got {count}")
         if self.loss_rate == 0.0:
@@ -99,33 +82,16 @@ class PerfectChannel(LossModel):
         return 0.0
 
     def loss_mask(
-        self,
-        count: int,
-        rng: Optional[np.random.Generator] = None,
-        *,
-        kernel=None,
+        self, count: int, rng: Optional[np.random.Generator] = None
     ) -> np.ndarray:
         if count < 0:
             raise ValueError(f"count must be non-negative, got {count}")
         return np.zeros(count, dtype=bool)
 
-    def loss_mask_batch(
-        self,
-        count: int,
-        rngs: Sequence[RandomState],
-        *,
-        kernel=None,
-    ) -> np.ndarray:
+    def loss_mask_batch(self, count: int, rngs: Sequence[RandomState]) -> np.ndarray:
         return np.broadcast_to(self.loss_mask(count), (len(rngs), count))
 
-    def loss_mask_batch_unit(
-        self,
-        count: int,
-        rng,
-        runs: int,
-        *,
-        kernel=None,
-    ) -> np.ndarray:
+    def loss_mask_batch_unit(self, count: int, rng, runs: int) -> np.ndarray:
         return np.broadcast_to(self.loss_mask(count), (runs, count))
 
     def __repr__(self) -> str:

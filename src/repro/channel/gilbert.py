@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from repro.channel.base import LossModel
-from repro.kernels import KernelSpec, get_backend
+from repro.kernels import current_backend
 from repro.seeds import RunStreams
 from repro.utils.rng import RandomState, ensure_rng
 from repro.utils.validation import validate_probability
@@ -96,28 +96,18 @@ class GilbertChannel(LossModel):
     draws_stream_blocks = True
 
     def loss_mask(
-        self,
-        count: int,
-        rng: Optional[np.random.Generator] = None,
-        *,
-        kernel: KernelSpec = None,
+        self, count: int, rng: Optional[np.random.Generator] = None
     ) -> np.ndarray:
         """Simulate ``count`` packet transmissions started in steady state.
 
         The one-run case of :meth:`loss_mask_batch`, so a run's mask and
         its draws from ``rng`` are the same whichever entry point made it.
         """
-        masks = self.loss_mask_batch(count, [rng], kernel=kernel)
+        masks = self.loss_mask_batch(count, [rng])
         # p = 0 and q = 0 come back as a read-only broadcast view.
         return masks[0] if masks.flags.writeable else masks[0].copy()
 
-    def loss_mask_batch(
-        self,
-        count: int,
-        rngs: Sequence[RandomState],
-        *,
-        kernel: KernelSpec = None,
-    ) -> np.ndarray:
+    def loss_mask_batch(self, count: int, rngs: Sequence[RandomState]) -> np.ndarray:
         """One mask per generator, filled into a single ``(runs, count)`` array.
 
         The chain is memoryless, so given the initial state (drawn from the
@@ -125,7 +115,8 @@ class GilbertChannel(LossModel):
         Row ``i`` consumes ``rngs[i]`` exactly like the historical serial
         chain -- one uniform for the initial state, then alternating
         geometric batches -- and every backend produces bit-identical masks
-        and leaves every generator in the same state.  The backend draws
+        and leaves every generator in the same state.  The scope's
+        backend (:func:`~repro.kernels.current_backend`) draws
         all runs' sojourns in run order
         (:meth:`~repro.kernels.base.KernelBackend.draw_sojourns_batch`:
         compiled on cext when numpy's ``libnpyrandom`` links, a per-run
@@ -144,7 +135,7 @@ class GilbertChannel(LossModel):
         masks = np.empty((runs, count), dtype=bool)
         if count == 0 or runs == 0:
             return masks
-        backend = get_backend(kernel)
+        backend = current_backend()
         if not (isinstance(rngs, RunStreams) and rngs.kernel is backend):
             rngs = [ensure_rng(rng) for rng in rngs]
         states, gap_runs, burst_runs = backend.draw_sojourns_batch(
@@ -158,14 +149,7 @@ class GilbertChannel(LossModel):
         backend.fill_sojourns_batch(masks, states, gap_runs, burst_runs)
         return masks
 
-    def loss_mask_batch_unit(
-        self,
-        count: int,
-        rng,
-        runs: int,
-        *,
-        kernel: KernelSpec = None,
-    ) -> np.ndarray:
+    def loss_mask_batch_unit(self, count: int, rng, runs: int) -> np.ndarray:
         """One mask per run, all sojourns drawn from ONE shared generator.
 
         The ``"unit"`` seed scheme's block path (:mod:`repro.seeds`): the
@@ -187,7 +171,7 @@ class GilbertChannel(LossModel):
         if count == 0 or runs == 0:
             return masks
         rng = ensure_rng(rng)
-        backend = get_backend(kernel)
+        backend = current_backend()
         batch_size = self._SOJOURN_BATCH
         states = rng.random(runs) < self.global_loss_probability
         gap_runs = rng.geometric(self.p, size=(runs, batch_size))

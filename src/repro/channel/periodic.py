@@ -37,34 +37,17 @@ class PeriodicBurstChannel(LossModel):
         return self.burst_length / self.period
 
     def loss_mask(
-        self,
-        count: int,
-        rng: Optional[np.random.Generator] = None,
-        *,
-        kernel=None,
+        self, count: int, rng: Optional[np.random.Generator] = None
     ) -> np.ndarray:
         if count < 0:
             raise ValueError(f"count must be non-negative, got {count}")
         positions = (np.arange(count) + self.offset) % self.period
         return positions < self.burst_length
 
-    def loss_mask_batch(
-        self,
-        count: int,
-        rngs: Sequence[RandomState],
-        *,
-        kernel=None,
-    ) -> np.ndarray:
+    def loss_mask_batch(self, count: int, rngs: Sequence[RandomState]) -> np.ndarray:
         return np.broadcast_to(self.loss_mask(count), (len(rngs), count))
 
-    def loss_mask_batch_unit(
-        self,
-        count: int,
-        rng: RandomState,
-        runs: int,
-        *,
-        kernel=None,
-    ) -> np.ndarray:
+    def loss_mask_batch_unit(self, count: int, rng: RandomState, runs: int) -> np.ndarray:
         return np.broadcast_to(self.loss_mask(count), (runs, count))
 
     def __repr__(self) -> str:

@@ -58,11 +58,7 @@ class TraceChannel(LossModel):
         return float(np.count_nonzero(self.trace)) / self.trace.size
 
     def loss_mask(
-        self,
-        count: int,
-        rng: Optional[np.random.Generator] = None,
-        *,
-        kernel=None,
+        self, count: int, rng: Optional[np.random.Generator] = None
     ) -> np.ndarray:
         if count < 0:
             raise ValueError(f"count must be non-negative, got {count}")
@@ -78,13 +74,7 @@ class TraceChannel(LossModel):
         mask[:available] = self.trace[offset : offset + available]
         return mask
 
-    def loss_mask_batch(
-        self,
-        count: int,
-        rngs: Sequence[RandomState],
-        *,
-        kernel=None,
-    ) -> np.ndarray:
+    def loss_mask_batch(self, count: int, rngs: Sequence[RandomState]) -> np.ndarray:
         if count < 0:
             raise ValueError(f"count must be non-negative, got {count}")
         runs = len(rngs)
@@ -101,14 +91,7 @@ class TraceChannel(LossModel):
             return np.zeros((runs, 0), dtype=bool)
         return self._replay(offsets, count)
 
-    def loss_mask_batch_unit(
-        self,
-        count: int,
-        rng: RandomState,
-        runs: int,
-        *,
-        kernel=None,
-    ) -> np.ndarray:
+    def loss_mask_batch_unit(self, count: int, rng: RandomState, runs: int) -> np.ndarray:
         if count < 0:
             raise ValueError(f"count must be non-negative, got {count}")
         if not self.random_offset:

@@ -9,8 +9,8 @@ simple dictionaries of configurations.
 
 from __future__ import annotations
 
-import copy
 import dataclasses
+import functools
 import json
 import operator
 from dataclasses import dataclass, field, replace
@@ -49,7 +49,9 @@ class SimulationConfig:
         schedule (section 6.2 explains why one may want to reduce it).
     code_options / tx_options:
         Extra keyword arguments forwarded to the code / model factories
-        (e.g. ``{"source_fraction": 0.2}`` for ``tx_model_6``).
+        (e.g. ``{"source_fraction": 0.2}`` for ``tx_model_6``), stored as
+        read-only dicts: a config is a cache key, so a changed option
+        makes a new config (:meth:`with_updates`).
     label:
         Optional display label used by the analysis helpers.
 
@@ -83,52 +85,36 @@ class SimulationConfig:
         setattr_(self, "expansion_ratio", float(self.expansion_ratio))
         if self.nsent is not None:
             setattr_(self, "nsent", operator.index(self.nsent))
-        setattr_(self, "code_options", _python_scalars(self.code_options))
-        setattr_(self, "tx_options", _python_scalars(self.tx_options))
+        setattr_(self, "code_options", _read_only(self.code_options))
+        setattr_(self, "tx_options", _read_only(self.tx_options))
 
-    def _encodings(self) -> Dict[str, str]:
-        """Memo of this config's encodings, emptied when an option dict changed.
+    def __reduce__(self):
+        # Rebuilt through the constructor: the option dicts travel as plain
+        # dicts, come back read-only, and no encoding memo is carried along.
+        return type(self), tuple(getattr(self, f.name) for f in dataclasses.fields(self))
 
-        The dataclass is frozen but its option dicts are not, so the memo
-        keeps a deep copy of both and is rebuilt when either no longer
-        equals it: a mutated config never reuses a stale token.
-        """
-        memo = self.__dict__.get("_encoding_memo")
-        if memo is None or memo[0] != self.code_options or memo[1] != self.tx_options:
-            memo = (copy.deepcopy(self.code_options), copy.deepcopy(self.tx_options), {})
-            self.__dict__["_encoding_memo"] = memo
-        return memo[2]
-
-    @property
+    @functools.cached_property
     def token(self) -> str:
         """Canonical JSON token of the result-defining fields, encoded once.
 
         The display ``label`` is excluded: relabelling a configuration must
         not invalidate its cached results.
         """
-        memo = self._encodings()
-        token = memo.get("token")
-        if token is None:
-            payload = {
-                "code": self.code,
-                "tx_model": self.tx_model,
-                "k": self.k,
-                "expansion_ratio": self.expansion_ratio,
-                "nsent": self.nsent,
-                "code_options": self.code_options,
-                "tx_options": self.tx_options,
-            }
-            token = memo["token"] = json.dumps(payload, sort_keys=True, default=repr)
-        return token
+        payload = {
+            "code": self.code,
+            "tx_model": self.tx_model,
+            "k": self.k,
+            "expansion_ratio": self.expansion_ratio,
+            "nsent": self.nsent,
+            "code_options": self.code_options,
+            "tx_options": self.tx_options,
+        }
+        return json.dumps(payload, sort_keys=True, default=repr)
 
-    @property
+    @functools.cached_property
     def snapshot_json(self) -> str:
         """``json.dumps(dataclasses.asdict(self))``, encoded once."""
-        memo = self._encodings()
-        snapshot = memo.get("snapshot")
-        if snapshot is None:
-            snapshot = memo["snapshot"] = json.dumps(dataclasses.asdict(self))
-        return snapshot
+        return json.dumps(dataclasses.asdict(self))
 
     @property
     def n(self) -> int:
@@ -160,16 +146,37 @@ class SimulationConfig:
         return replace(self, **changes)
 
 
-def _python_scalars(options: Any) -> Any:
-    """``options`` with numpy scalar values replaced by Python ones."""
-    if not isinstance(options, dict) or not any(
-        isinstance(value, np.generic) for value in options.values()
-    ):
+class ReadOnlyDict(dict):
+    """A ``dict`` whose mutators raise ``TypeError``.
+
+    Still a ``dict`` to ``json.dumps``, ``==`` and ``**`` unpacking, so
+    tokens and snapshots encode exactly as the plain dict would; pickles
+    and copies are plain dicts.
+    """
+
+    __slots__ = ()
+
+    def _refuse(self, *args: Any, **kwargs: Any) -> Any:
+        raise TypeError(
+            "config option dicts are read-only; build a new config with "
+            "with_updates()"
+        )
+
+    __setitem__ = __delitem__ = __ior__ = _refuse
+    clear = pop = popitem = setdefault = update = _refuse
+
+    def __reduce__(self):
+        return dict, (dict(self),)
+
+
+def _read_only(options: Any) -> Any:
+    """``options`` as a :class:`ReadOnlyDict`, numpy scalars made Python ones."""
+    if not isinstance(options, dict) or type(options) is ReadOnlyDict:
         return options
-    return {
-        key: value.item() if isinstance(value, np.generic) else value
+    return ReadOnlyDict(
+        (key, value.item() if isinstance(value, np.generic) else value)
         for key, value in options.items()
-    }
+    )
 
 
 __all__ = ["SimulationConfig"]

@@ -20,6 +20,7 @@ from repro.channel.gilbert import GilbertChannel
 from repro.core.config import SimulationConfig
 from repro.core.metrics import RunResult, RunResultBatch
 from repro.fec.base import FECCode
+from repro.kernels.threads import kernel_scope
 from repro.scheduling.base import TransmissionModel
 from repro.utils.rng import RandomState, ensure_rng
 from repro.utils.validation import validate_positive_int
@@ -80,8 +81,9 @@ class Simulator:
         # against, so its channel sampling is pinned to the numpy kernel:
         # a compiled-backend bug must not be able to reproduce on both
         # sides of an equivalence gate (outputs are bit-identical either
-        # way; channels without a kernelised loop ignore the selection).
-        loss_mask = self.channel.loss_mask(schedule.size, rng, kernel="numpy")
+        # way; channels without a kernelised loop never read the scope).
+        with kernel_scope("numpy"):
+            loss_mask = self.channel.loss_mask(schedule.size, rng)
         received = schedule[~loss_mask]
 
         decoder = self.code.new_symbolic_decoder()
@@ -143,8 +145,6 @@ class Simulator:
         nsent: Optional[int] = None,
         *,
         fastpath: bool = True,
-        kernel: Optional[str] = None,
-        kernel_threads=None,
         seed_scheme=None,
     ) -> list[RunResult]:
         """Simulate ``runs`` independent transmissions.
@@ -152,16 +152,14 @@ class Simulator:
         With ``fastpath=True`` (the default) the whole batch is decoded by
         the vectorised :mod:`repro.fastpath` engine -- bit-identical to the
         incremental loop for any seed; ``fastpath=False`` keeps the
-        per-packet reference path.  ``kernel`` selects the
-        :mod:`repro.kernels` backend for the batch decode (name or backend
-        instance; default: ``REPRO_KERNEL`` / auto); ``kernel_threads``
-        the compiled kernels' row-parallel thread count (default:
-        ``REPRO_KERNEL_THREADS`` / auto -- bit-identical at any value).
-        ``seed_scheme`` optionally derives the batch's streams through a
-        named :mod:`repro.seeds` scheme instead of consuming ``rng``
-        sequentially; ``fastpath=False`` then decodes the scheme-defined
-        front end with the incremental reference decoder (bit-identical
-        to the fast path within each scheme).
+        per-packet reference path.  The batch runs on the caller's
+        :func:`~repro.kernels.kernel_scope` (default: ``REPRO_KERNEL`` /
+        ``REPRO_KERNEL_THREADS`` / auto).  ``seed_scheme`` optionally
+        derives the batch's streams through a named :mod:`repro.seeds`
+        scheme instead of consuming ``rng`` sequentially;
+        ``fastpath=False`` then decodes the scheme-defined front end with
+        the incremental reference decoder (bit-identical to the fast path
+        within each scheme).
         """
         if seed_scheme is not None:
             streams = self._batch_streams(runs, rng, seed_scheme)
@@ -169,22 +167,15 @@ class Simulator:
                 from repro.fastpath import simulate_batch
 
                 return simulate_batch(
-                    self.code,
-                    self.tx_model,
-                    self.channel,
-                    streams,
-                    nsent=nsent,
-                    kernel=kernel,
-                    kernel_threads=kernel_threads,
+                    self.code, self.tx_model, self.channel, streams, nsent=nsent
                 )
             if streams.unit_rng is not None:
                 # Unit-batching scheme: same scheme-defined front end as
                 # the fast path, incremental reference decode.
                 from repro.fastpath import decode_batch_incremental
-                from repro.kernels import thread_count_context
                 from repro.pipeline.synthesis import synthesize_runs_unit
 
-                with thread_count_context(kernel_threads):
+                with kernel_scope():
                     synthesis = synthesize_runs_unit(
                         self.code.layout,
                         self.tx_model,
@@ -192,7 +183,6 @@ class Simulator:
                         streams.unit_rng,
                         streams.runs,
                         nsent=nsent,
-                        kernel=kernel,
                     )
                 return decode_batch_incremental(self.code, synthesis).to_results()
             return [
@@ -203,13 +193,7 @@ class Simulator:
             from repro.fastpath import simulate_batch
 
             return simulate_batch(
-                self.code,
-                self.tx_model,
-                self.channel,
-                [rng] * runs,
-                nsent=nsent,
-                kernel=kernel,
-                kernel_threads=kernel_threads,
+                self.code, self.tx_model, self.channel, [rng] * runs, nsent=nsent
             )
         return [self.run(rng, nsent=nsent) for _ in range(runs)]
 
@@ -219,8 +203,6 @@ class Simulator:
         rng: RandomState = None,
         nsent: Optional[int] = None,
         *,
-        kernel: Optional[str] = None,
-        kernel_threads=None,
         seed_scheme=None,
     ) -> RunResultBatch:
         """Simulate ``runs`` independent transmissions, returning columns.
@@ -242,8 +224,6 @@ class Simulator:
             self.channel,
             self._batch_streams(runs, rng, seed_scheme),
             nsent=nsent,
-            kernel=kernel,
-            kernel_threads=kernel_threads,
         )
 
 

@@ -19,9 +19,10 @@ is **bit-identical** for any seed:
 
 Every sweep decodes through this package; the incremental path stays as
 the test oracle (``Simulator.run``, ``Simulator.run_many(fastpath=False)``
-and :func:`decode_batch_incremental`).  ``kernel=`` / ``--kernel`` /
-``REPRO_KERNEL`` picks the kernel backend (numpy fallback or compiled C
--- results are bit-identical either way).
+and :func:`decode_batch_incremental`).  ``--kernel`` /
+``REPRO_KERNEL`` / :func:`repro.kernels.kernel_scope` picks the kernel
+backend (numpy fallback or compiled C -- results are bit-identical
+either way).
 """
 
 from repro.fastpath.batch import (

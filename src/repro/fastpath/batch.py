@@ -23,7 +23,7 @@ from repro.core.metrics import RunResult, RunResultBatch
 from repro.fastpath.prototypes import compile_prototype
 from repro.fec.base import FECCode
 from repro.fec.packet import PacketLayout
-from repro.kernels import KernelSpec, ThreadSpec, get_backend, thread_count_context
+from repro.kernels import kernel_scope
 from repro.kernels.base import replay_decode_batch
 from repro.pipeline.synthesis import (
     SynthesizedRuns,
@@ -41,8 +41,6 @@ def simulate_batch_columnar(
     rngs: Union[Sequence[RandomState], UnitStreams],
     *,
     nsent: Optional[int] = None,
-    kernel: KernelSpec = None,
-    kernel_threads: ThreadSpec = None,
     synthesis: Optional[SynthesizedRuns] = None,
 ) -> RunResultBatch:
     """Simulate one transmission per generator in ``rngs``, fully columnar.
@@ -54,26 +52,21 @@ def simulate_batch_columnar(
     :class:`repro.seeds.UnitStreams` carrying a whole-unit generator (the
     counter-based ``"unit"`` scheme), in which case the front end is
     synthesised by the unconditional block-draw path of
-    :func:`repro.pipeline.synthesize_runs_unit`.  ``kernel`` selects the
-    :mod:`repro.kernels` backend for the decode hot loops and the Gilbert
-    sojourn fill (default: ``REPRO_KERNEL`` / auto); ``kernel_threads``
-    the compiled kernels' row-parallel team size (default:
-    ``REPRO_KERNEL_THREADS`` / auto) -- both pure wall-clock knobs,
-    bit-identical at any setting.
+    :func:`repro.pipeline.synthesize_runs_unit`.  The hot loops run on
+    the enclosing :func:`~repro.kernels.kernel_scope`'s backend and thread
+    team; called outside one, the call opens its own (``REPRO_KERNEL`` /
+    ``REPRO_KERNEL_THREADS`` / auto).
 
     ``synthesis`` hands over a front end :func:`synthesize_front_end`
     already produced for these very streams, layout and models (the
     runner shares one between the codes of a cell); only the decode
     runs then, and ``rngs`` is not drawn from.
     """
-    with thread_count_context(kernel_threads):
-        backend = get_backend(kernel)
+    with kernel_scope():
         if synthesis is None:
-            synthesis = synthesize_front_end(
-                code.layout, tx_model, channel, rngs, nsent=nsent, kernel=backend
-            )
+            synthesis = synthesize_front_end(code.layout, tx_model, channel, rngs, nsent=nsent)
         batch = synthesis.batch
-        decoded, n_necessary = compile_prototype(code, backend).decode_batch(batch)
+        decoded, n_necessary = compile_prototype(code).decode_batch(batch)
         return RunResultBatch(
             decoded=decoded,
             n_necessary=n_necessary,
@@ -91,7 +84,6 @@ def synthesize_front_end(
     rngs: Union[Sequence[RandomState], UnitStreams],
     *,
     nsent: Optional[int] = None,
-    kernel: KernelSpec = None,
 ) -> SynthesizedRuns:
     """The pre-decode arrays of :func:`simulate_batch_columnar`'s runs.
 
@@ -102,11 +94,10 @@ def synthesize_front_end(
     if isinstance(rngs, UnitStreams):
         if rngs.unit_rng is not None:
             return synthesize_runs_unit(
-                layout, tx_model, channel, rngs.unit_rng, rngs.runs,
-                nsent=nsent, kernel=kernel,
+                layout, tx_model, channel, rngs.unit_rng, rngs.runs, nsent=nsent
             )
         rngs = rngs.run_rngs()
-    return synthesize_runs(layout, tx_model, channel, rngs, nsent=nsent, kernel=kernel)
+    return synthesize_runs(layout, tx_model, channel, rngs, nsent=nsent)
 
 
 def decode_batch_incremental(code: FECCode, synthesis) -> RunResultBatch:
@@ -138,8 +129,6 @@ def simulate_batch(
     rngs: Union[Sequence[RandomState], UnitStreams],
     *,
     nsent: Optional[int] = None,
-    kernel: KernelSpec = None,
-    kernel_threads: ThreadSpec = None,
 ) -> List[RunResult]:
     """Per-run result list on top of :func:`simulate_batch_columnar`.
 
@@ -147,15 +136,7 @@ def simulate_batch(
     hot paths (runner work units, benchmarks) consume the columnar batch
     directly and never materialise per-run objects.
     """
-    return simulate_batch_columnar(
-        code,
-        tx_model,
-        channel,
-        rngs,
-        nsent=nsent,
-        kernel=kernel,
-        kernel_threads=kernel_threads,
-    ).to_results()
+    return simulate_batch_columnar(code, tx_model, channel, rngs, nsent=nsent).to_results()
 
 
 __all__ = [

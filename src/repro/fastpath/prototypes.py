@@ -38,7 +38,7 @@ from typing import Callable, Dict, Sequence, Tuple, Type, Union
 import numpy as np
 
 from repro.fec.base import FECCode
-from repro.kernels import NOT_DECODED, KernelSpec, ReceivedBatch, get_backend
+from repro.kernels import NOT_DECODED, ReceivedBatch, current_backend
 from repro.kernels.base import replay_decode_batch
 
 #: What ``decode_batch`` accepts: per-run index arrays or a ready batch.
@@ -48,11 +48,12 @@ ReceivedInput = Union[Sequence[np.ndarray], ReceivedBatch]
 class DecoderPrototype(abc.ABC):
     """Batch decoder for one FEC code instance."""
 
-    def __init__(self, code: FECCode, kernel: KernelSpec = None):
+    def __init__(self, code: FECCode):
         self.code = code
         self.k = code.k
         self.n = code.n
-        self.kernel = get_backend(kernel)
+        #: The backend of the kernel scope the prototype was compiled in.
+        self.kernel = current_backend()
 
     @abc.abstractmethod
     def decode_batch(
@@ -106,9 +107,8 @@ class BlockCountPrototype(DecoderPrototype):
         code: FECCode,
         group_of_key: np.ndarray,
         needed: np.ndarray,
-        kernel: KernelSpec = None,
     ):
-        super().__init__(code, kernel)
+        super().__init__(code)
         self.group_of_key = np.ascontiguousarray(group_of_key, dtype=np.int64)
         self.needed = np.ascontiguousarray(needed, dtype=np.int64)
         #: Size of the key space; a packet's key is its index modulo this.
@@ -155,7 +155,7 @@ class BlockCountPrototype(DecoderPrototype):
         )
 
 
-def compile_rse_prototype(code: FECCode, kernel: KernelSpec = None) -> BlockCountPrototype:
+def compile_rse_prototype(code: FECCode) -> BlockCountPrototype:
     """RSE: a block decodes once ``k_b`` distinct packets of it arrived."""
     layout = code.layout
     block_of = np.empty(layout.n, dtype=np.int64)
@@ -164,19 +164,16 @@ def compile_rse_prototype(code: FECCode, kernel: KernelSpec = None) -> BlockCoun
         block_of[block.source_indices] = block.block_id
         block_of[block.parity_indices] = block.block_id
         needed[block.block_id] = block.k
-    return BlockCountPrototype(code, group_of_key=block_of, needed=needed, kernel=kernel)
+    return BlockCountPrototype(code, group_of_key=block_of, needed=needed)
 
 
-def compile_repetition_prototype(
-    code: FECCode, kernel: KernelSpec = None
-) -> BlockCountPrototype:
+def compile_repetition_prototype(code: FECCode) -> BlockCountPrototype:
     """Repetition: decoding completes once all ``k`` sources were seen."""
     k = code.k
     return BlockCountPrototype(
         code,
         group_of_key=np.zeros(k, dtype=np.int64),
         needed=np.array([k], dtype=np.int64),
-        kernel=kernel,
     )
 
 
@@ -200,8 +197,8 @@ class LDGMPrototype(DecoderPrototype):
     All backends return bit-identical ``(decoded, n_necessary)`` arrays.
     """
 
-    def __init__(self, code: FECCode, kernel: KernelSpec = None):
-        super().__init__(code, kernel)
+    def __init__(self, code: FECCode):
+        super().__init__(code)
         self.num_checks = code.matrix.num_checks
 
     @functools.cached_property
@@ -240,9 +237,9 @@ class LDGMPrototype(DecoderPrototype):
         return self.kernel.ldgm_decode_batch(self, ReceivedBatch.coerce(received))
 
 
-def compile_ldgm_prototype(code: FECCode, kernel: KernelSpec = None) -> LDGMPrototype:
-    """LDGM family: the peel runs on the selected kernel backend."""
-    return LDGMPrototype(code, kernel)
+def compile_ldgm_prototype(code: FECCode) -> LDGMPrototype:
+    """LDGM family: the peel runs on the scope's kernel backend."""
+    return LDGMPrototype(code)
 
 
 class IncrementalPrototype(DecoderPrototype):
@@ -265,7 +262,7 @@ class IncrementalPrototype(DecoderPrototype):
 # Registry: code class -> prototype compiler.
 # ---------------------------------------------------------------------------
 
-PrototypeCompiler = Callable[[FECCode, KernelSpec], DecoderPrototype]
+PrototypeCompiler = Callable[[FECCode], DecoderPrototype]
 
 #: Keyed by ``"module:qualname"`` of the code class, so the built-in
 #: entries import no code module until a code of that class exists.
@@ -288,19 +285,20 @@ def register_prototype_compiler(
 ) -> None:
     """Register a prototype compiler for a code class (and its subclasses).
 
-    ``compiler`` is called as ``compiler(code, kernel)`` where ``kernel``
-    is the resolved-or-None kernel spec the caller selected.
+    ``compiler`` is called as ``compiler(code)`` inside the caller's
+    kernel scope; :func:`~repro.kernels.current_backend` names its backend.
     """
     _COMPILERS[f"{code_cls.__module__}:{code_cls.__qualname__}"] = compiler
 
 
-def compile_prototype(code: FECCode, kernel: KernelSpec = None) -> DecoderPrototype:
+def compile_prototype(code: FECCode) -> DecoderPrototype:
     """Return the (cached) batch-decoder prototype for a code instance.
 
-    Prototypes are cached per kernel backend, so switching ``kernel=`` (or
-    ``REPRO_KERNEL``) between calls compiles at most once per backend.
+    The prototype decodes on the current kernel scope's backend.
+    Prototypes are cached per backend, so switching backends between
+    calls compiles at most once per backend.
     """
-    backend = get_backend(kernel)
+    backend = current_backend()
     cache = getattr(code, _CACHE_ATTR, None)
     if cache is None or cache.get("code") is not code:
         cache = {"code": code, "prototypes": {}}
@@ -314,7 +312,7 @@ def compile_prototype(code: FECCode, kernel: KernelSpec = None) -> DecoderProtot
         if registered is not None:
             compiler = registered
             break
-    prototype = compiler(code, backend)
+    prototype = compiler(code)
     cache["prototypes"][backend.name] = prototype
     return prototype
 

@@ -13,19 +13,21 @@ seeding and shuffles.  This package puts them behind a swappable
   system compiler (``cc -O2``) and loaded via ctypes; auto-selected when
   a compiler is present.
 
-Selection: ``kernel=`` on ``compile_prototype`` / ``Simulator.run_many``,
-``ExecutionOptions.kernel`` for sweeps, ``python -m repro run
---kernel``; the ``REPRO_KERNEL`` environment variable; or ``auto`` (the
-default).  Every backend is bit-identical to the incremental reference
-decoder -- the equivalence suite enforces it -- so the choice is purely a
-wall-clock knob.
+Selection: ``ExecutionOptions.kernel`` for sweeps, ``python -m repro run
+--kernel``, or :func:`~repro.kernels.threads.kernel_scope` around direct
+library calls; the ``REPRO_KERNEL`` environment variable; or ``auto``
+(the default).  Every backend is bit-identical to the incremental
+reference decoder -- the equivalence suite enforces it -- so the choice
+is purely a wall-clock knob.
 
 The compiled ``cext`` kernels additionally run row-parallel over a work
 unit's runs (OpenMP, with a probed serial fallback); the thread count is
-the ``kernel_threads`` knob of :mod:`repro.kernels.threads` -- set where
-``kernel`` is, resolved from ``REPRO_KERNEL_THREADS`` / ``auto`` =
-physical cores divided by the pool threads and same-host fleet peers
-sharing them, and bit-identical at any value.
+the ``kernel_threads`` knob, resolved from ``REPRO_KERNEL_THREADS`` /
+``auto`` = physical cores divided by the pool threads and same-host
+fleet peers sharing them, and bit-identical at any value.  One
+:func:`~repro.kernels.threads.kernel_scope` per work unit resolves both
+knobs once; the kernel call sites read them with ``current_backend()``
+and ``current_thread_count()``.
 """
 
 from repro._lazy import lazy_exports
@@ -35,11 +37,11 @@ __getattr__, __dir__ = lazy_exports(__name__, {
     "registry": (
         "AUTO_ORDER ENV_VAR KernelSpec KernelUnavailableError available_backends "
         "cext_compiler_available cext_openmp_enabled default_backend_name "
-        "get_backend get_backend_for_run register_backend"
+        "get_backend register_backend"
     ),
     "threads": (
-        "THREADS_ENV_VAR ThreadSpec current_thread_count normalize_thread_spec "
-        "physical_cores resolve_thread_count share_cores thread_count_context"
+        "THREADS_ENV_VAR ThreadSpec current_backend current_thread_count kernel_scope "
+        "normalize_thread_spec physical_cores resolve_thread_count share_cores"
     ),
 })
 
@@ -57,13 +59,13 @@ __all__ = [
     "cext_openmp_enabled",
     "AUTO_ORDER",
     "get_backend",
-    "get_backend_for_run",
     "THREADS_ENV_VAR",
     "ThreadSpec",
     "normalize_thread_spec",
     "physical_cores",
     "resolve_thread_count",
+    "current_backend",
     "current_thread_count",
+    "kernel_scope",
     "share_cores",
-    "thread_count_context",
 ]

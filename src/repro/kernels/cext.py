@@ -69,7 +69,8 @@ Runs are independent rows -- each writes only its own output slot and
 works on per-thread scratch, and the only cross-run reduction is the
 gather's order-free "any index out of range" flag -- so 1 thread and N
 threads are bit-identical and the thread count (``REPRO_KERNEL_THREADS``
-/ ``kernel_threads=`` / ``--kernel-threads``) is a pure wall-clock knob.  ctypes drops the GIL
+/ ``kernel_scope(threads=)`` / ``--kernel-threads``) is a pure wall-clock
+knob.  ctypes drops the GIL
 for the duration of every foreign call, which is what lets thread-
 executor workers overlap these kernels on top of kernel threads.
 
@@ -990,8 +991,8 @@ class CExtBackend(KernelBackend):
 
     The batch kernels run row-parallel over runs when the library was
     built with OpenMP; the team size is the count the enclosing
-    :func:`~repro.kernels.threads.thread_count_context` resolved (once
-    per work unit), clamped to the batch size.  A serial-fallback library
+    :func:`~repro.kernels.threads.kernel_scope` resolved (once per work
+    unit), clamped to the batch size.  A serial-fallback library
     pins it to 1, and so do Gilbert draws from shared generators.  Either
     way the results are bit-identical -- threads are a wall-clock knob,
     like the backend choice itself.

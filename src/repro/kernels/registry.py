@@ -2,7 +2,8 @@
 
 Resolution order for :func:`get_backend`:
 
-1. an explicit ``kernel=`` argument (a name or a ready backend instance),
+1. an explicit argument (a name or a ready backend instance; sweeps and
+   work units pass theirs through :func:`repro.kernels.threads.kernel_scope`),
 2. the ``REPRO_KERNEL`` environment variable,
 3. ``auto``: ``cext`` when a C compiler is on the PATH and the library
    builds, else the ``numpy`` reference (:data:`AUTO_ORDER`).
@@ -27,8 +28,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only; a backend imports its base 
 #: Environment variable consulted when no explicit kernel is given.
 ENV_VAR = "REPRO_KERNEL"
 
-#: ``kernel=`` arguments accepted everywhere: a registry name, a ready
-#: backend instance, or None (environment / auto resolution).
+#: What :func:`get_backend` and :func:`~repro.kernels.threads.kernel_scope`
+#: accept: a registry name, a ready backend instance, or None
+#: (environment / auto resolution).
 KernelSpec = Union[str, "KernelBackend", None]
 
 
@@ -54,7 +56,7 @@ def register_backend(
     """Register a backend factory under ``name`` (lowercase).
 
     Third-party backends registered here become selectable through
-    ``REPRO_KERNEL`` / ``--kernel`` / ``kernel=`` like the built-ins.
+    ``REPRO_KERNEL`` / ``--kernel`` / ``kernel_scope`` like the built-ins.
     """
     key = name.strip().lower()
     if not replace and key in _FACTORIES:
@@ -164,38 +166,6 @@ def get_backend(kernel: KernelSpec = None) -> KernelBackend:
     return _construct("numpy")
 
 
-def get_backend_for_run(kernel: KernelSpec = None) -> KernelBackend:
-    """Resolve a kernel for an *already running* sweep, degrading on failure.
-
-    Planning-time resolution (:func:`get_backend`) fails fast so a typo'd
-    ``--kernel`` aborts before any simulation.  At run time the trade-off
-    flips: a backend that resolved on the coordinator can still fail to
-    construct in a worker process (no C compiler on this host), and
-    aborting a half-finished sweep over a wall-clock knob would throw
-    away work.  All kernel backends are bit-identical, so the safe move
-    is to fall back down the ``auto`` chain with a logged warning and
-    keep the results flowing.
-    """
-    try:
-        return get_backend(kernel)
-    except (KernelUnavailableError, ValueError) as error:
-        requested = kernel
-        if requested is None:
-            requested = os.environ.get(ENV_VAR, "").strip() or "auto"
-        import logging
-
-        logging.getLogger("repro.kernels").warning(
-            "kernel backend %r failed to construct at run time (%s); "
-            "falling back to auto selection",
-            requested,
-            error,
-        )
-        # ``auto`` never raises; it degrades through AUTO_ORDER down to
-        # numpy.  Passed explicitly so a broken REPRO_KERNEL value is
-        # not consulted a second time.
-        return get_backend("auto")
-
-
 __all__ = [
     "ENV_VAR",
     "AUTO_ORDER",
@@ -207,5 +177,4 @@ __all__ = [
     "cext_compiler_available",
     "cext_openmp_enabled",
     "get_backend",
-    "get_backend_for_run",
 ]

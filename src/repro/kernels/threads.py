@@ -1,39 +1,53 @@
-"""Kernel thread-count resolution: the ``kernel_threads`` knob.
+"""Kernel scopes: which backend runs the hot loops, and on how many threads.
 
-The compiled kernels (:mod:`repro.kernels.cext`) can run their per-run
-loops row-parallel with OpenMP.  Runs within a work unit are independent
-rows -- each run writes its own ``decoded[run]`` / ``n_necessary[run]``
-slot and peels on private scratch -- so parallel-over-runs is *exact*:
-1 thread and N threads produce bit-identical arrays, and the thread count
-is a pure wall-clock knob (excluded from cache keys, like ``kernel``).
+Two wall-clock knobs decide how a work unit's kernels run, and neither
+changes a single output bit:
 
-Resolution order, mirroring the kernel-backend selection:
+* the **backend** (``kernel``): ``numpy``, ``cext`` or a registered
+  third-party one (:mod:`repro.kernels.registry`);
+* the **thread team** (``kernel_threads``): the compiled kernels
+  (:mod:`repro.kernels.cext`) can run their per-run loops row-parallel
+  with OpenMP.  Runs within a work unit are independent rows -- each run
+  writes its own ``decoded[run]`` / ``n_necessary[run]`` slot and peels
+  on private scratch -- so 1 thread and N threads produce bit-identical
+  arrays.
 
-1. an explicit ``kernel_threads=`` argument (``--kernel-threads`` on the
-   CLI, the ``kernel_threads`` field of a :class:`~repro.runner.units.WorkUnit`),
-2. the ``REPRO_KERNEL_THREADS`` environment variable,
-3. ``auto`` (the default): the machine's physical core count divided by
-   the threads and processes that share them.
+Both are excluded from cache keys, and both are resolved together, once,
+by :func:`kernel_scope`; every kernel call site below it reads the
+result through :func:`current_backend` / :func:`current_thread_count`
+instead of taking a ``kernel=`` argument.  A work unit opens one scope
+(:func:`repro.runner.units.execute_unit`), direct library calls open one
+when none is open (:func:`repro.fastpath.simulate_batch_columnar`), and
+the incremental reference simulator pins its channel draws to numpy
+with ``kernel_scope("numpy")``.
 
-The division in step 3 is the **oversubscription rule**: pool threads x
+Resolution order, for each knob on its own:
+
+1. an explicit argument to :func:`kernel_scope` (``--kernel`` /
+   ``--kernel-threads`` on the CLI, the ``kernel`` / ``kernel_threads``
+   fields of a :class:`~repro.runner.units.WorkUnit`),
+2. the enclosing scope's choice,
+3. the environment: ``REPRO_KERNEL`` / ``REPRO_KERNEL_THREADS``,
+4. ``auto``: ``cext`` when it builds, else numpy; and the machine's
+   physical core count divided by the threads and processes that share
+   them.
+
+The division in step 4 is the **oversubscription rule**: pool threads x
 same-host fleet peers x kernel threads never exceeds the physical cores.
 Whatever starts several runners of units on one host says so with
 :func:`share_cores`: the thread executor for the threads its pool starts,
 a :class:`~repro.runner.fleet.FleetRunner` for the live fleet peers on
 its host (counted from the store's presence leases) in each claim round.
-Nested scopes multiply, so two ``--fleet`` peers with ``--workers 2`` on
+Nested shares multiply, so two ``--fleet`` peers with ``--workers 2`` on
 a 4-core box run one kernel thread per pool thread.  Explicit counts are
 never divided.
 
-The *requested* spec travels as data (a normalised string on the work
-unit); :func:`thread_count_context` resolves it to an integer once per
-work unit, and the kernel call sites read that integer through
-:func:`current_thread_count`.  Both the share and the resolved count are
-:class:`~contextvars.ContextVar` values, not process state: each thread
-sees only its own context (a pool's workers and a unit's watchdog run in
-copies of their caller's), so concurrent pools, fleet peers and serial
-sweeps in one process never see each other's share, and a scope cannot
-outlive its ``with`` block.
+The *requested* specs travel as data (plain strings on the work unit);
+the scope and the share are :class:`~contextvars.ContextVar` values, not
+process state: each thread sees only its own context (a pool's workers
+and a unit's watchdog run in copies of their caller's), so concurrent
+pools, fleet peers and serial sweeps in one process never see each
+other's choice, and a scope cannot outlive its ``with`` block.
 """
 
 from __future__ import annotations
@@ -41,18 +55,26 @@ from __future__ import annotations
 import os
 from contextlib import contextmanager
 from contextvars import ContextVar
-from typing import Iterator, Optional, Union
+from typing import TYPE_CHECKING, Iterator, Optional, Tuple, Union
+
+from repro.kernels.registry import KernelSpec, get_backend
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.kernels.base import KernelBackend
 
 #: Environment variable consulted when no explicit thread count is given.
 THREADS_ENV_VAR = "REPRO_KERNEL_THREADS"
 
-#: ``kernel_threads=`` arguments accepted everywhere: a positive integer,
-#: a numeric string, ``"auto"``, or None (environment / auto resolution).
+#: Thread counts :func:`kernel_scope` and ``ExecutionOptions.kernel_threads``
+#: accept: a positive integer, a numeric string, ``"auto"``, or None
+#: (environment / auto resolution).
 ThreadSpec = Union[int, str, None]
 
-#: The team size of the innermost :func:`thread_count_context` (None
-#: outside one).
-_team: ContextVar[Optional[int]] = ContextVar("repro_kernel_team", default=None)
+#: The backend, team size and normalised thread request of the innermost
+#: :func:`kernel_scope` (None outside one).
+_scope: ContextVar[Optional[Tuple["KernelBackend", int, Optional[str]]]] = ContextVar(
+    "repro_kernel_scope", default=None
+)
 
 #: How many threads or processes share the cores ``auto`` divides: the
 #: product of the enclosing :func:`share_cores` scopes.
@@ -156,23 +178,35 @@ def share_cores(threads: int) -> Iterator[None]:
 
 
 @contextmanager
-def thread_count_context(spec: ThreadSpec) -> Iterator[None]:
-    """Resolve ``spec`` once and make it this context's kernel team size.
+def kernel_scope(
+    kernel: KernelSpec = None, threads: ThreadSpec = None
+) -> Iterator["KernelBackend"]:
+    """Resolve the backend and the thread team once, for the ``with`` block.
 
-    ``None`` takes the count in force at entry (an enclosing context, the
-    environment, or ``auto``), so nesting ``kernel_threads=None`` calls
-    inside an explicit selection inherits the outer choice.
+    ``None`` for either takes the choice in force at entry -- the
+    enclosing scope's, else the environment / ``auto`` resolution -- so a
+    bare ``kernel_scope()`` inside an open scope changes nothing and
+    resolves nothing.  An inherited ``auto`` team is resolved again, so a
+    unit's scope divides the cores by the pools and peers around it
+    (:func:`share_cores`).  An explicit ``kernel`` goes through the strict
+    :func:`~repro.kernels.registry.get_backend`: an unknown or
+    unavailable backend raises here.  Yields the scope's backend.
     """
-    normalized = normalize_thread_spec(spec)
-    if normalized is None:
-        count = current_thread_count()
+    outer = _scope.get()
+    if outer is not None and kernel is None and threads is None:
+        yield outer[0]
+        return
+    spec = normalize_thread_spec(threads)
+    if outer is None:
+        backend = get_backend(kernel)
     else:
-        count = resolve_thread_count(normalized)
-    token = _team.set(count)
+        backend = outer[0] if kernel is None else get_backend(kernel)
+        spec = outer[2] if spec is None else spec
+    token = _scope.set((backend, resolve_thread_count(spec), spec))
     try:
-        yield
+        yield backend
     finally:
-        _team.reset(token)
+        _scope.reset(token)
 
 
 def resolve_thread_count(spec: ThreadSpec = None) -> int:
@@ -185,15 +219,25 @@ def resolve_thread_count(spec: ThreadSpec = None) -> int:
     return int(normalized)
 
 
+def current_backend() -> "KernelBackend":
+    """The backend a kernel call should use *right now*.
+
+    The innermost :func:`kernel_scope`'s backend; outside any scope the
+    ``REPRO_KERNEL`` / ``auto`` chain resolves on each call.
+    """
+    scope = _scope.get()
+    return get_backend(None) if scope is None else scope[0]
+
+
 def current_thread_count() -> int:
     """The thread count a kernel call should use *right now*.
 
-    The innermost :func:`thread_count_context`'s count wins; outside any
-    context the environment / ``auto`` chain resolves (so direct backend
+    The innermost :func:`kernel_scope`'s count; outside any scope the
+    environment / ``auto`` chain resolves on each call (so direct backend
     calls in tests and notebooks honour ``REPRO_KERNEL_THREADS`` too).
     """
-    count = _team.get()
-    return resolve_thread_count(None) if count is None else count
+    scope = _scope.get()
+    return resolve_thread_count(None) if scope is None else scope[1]
 
 
 __all__ = [
@@ -203,7 +247,8 @@ __all__ = [
     "available_cpus",
     "physical_cores",
     "share_cores",
-    "thread_count_context",
+    "kernel_scope",
     "resolve_thread_count",
+    "current_backend",
     "current_thread_count",
 ]

@@ -10,7 +10,8 @@ data for a whole work unit at once:
    deterministic models broadcast a single row.
 2. **Loss masks** -- the channel draws every run's mask as one
    ``(runs, length)`` array (:meth:`LossModel.loss_mask_batch`), using the
-   selected :mod:`repro.kernels` backend for kernelised chains (Gilbert).
+   kernel scope's :mod:`repro.kernels` backend for kernelised chains
+   (Gilbert).
 3. **Assembly** -- the kernel backend's
    :meth:`~repro.kernels.KernelBackend.gather_received` writes the
    surviving indices straight into the flat layout of a
@@ -47,7 +48,7 @@ import numpy as np
 
 from repro.channel.base import LossModel
 from repro.fec.packet import PacketLayout
-from repro.kernels import KernelSpec, ReceivedBatch, get_backend
+from repro.kernels import ReceivedBatch, current_backend
 from repro.seeds import RunStreams
 from repro.utils.rng import RandomState, ensure_rng
 from repro.utils.validation import validate_positive_int
@@ -134,7 +135,6 @@ def synthesize_runs(
     rngs: Sequence[RandomState],
     *,
     nsent: Optional[int] = None,
-    kernel: KernelSpec = None,
 ) -> SynthesizedRuns:
     """Schedules, losses and received batches for one work unit, vectorised.
 
@@ -150,21 +150,14 @@ def synthesize_runs(
     if nsent is not None:
         nsent = validate_positive_int(nsent, "nsent")
     if isinstance(rngs, RunStreams) and len(rngs):
-        backend = get_backend(kernel)
-        if _bind_stream_block(tx_model, channel, rngs, backend):
-            return _synthesize_batched(
-                layout, tx_model, channel, rngs, nsent=nsent, kernel=backend
-            )
+        if _bind_stream_block(tx_model, channel, rngs, current_backend()):
+            return _synthesize_batched(layout, tx_model, channel, rngs, nsent=nsent)
     resolved = [ensure_rng(rng) for rng in rngs]
     if not resolved:
         return _empty_synthesis()
     if can_batch_stages(tx_model, channel, resolved):
-        return _synthesize_batched(
-            layout, tx_model, channel, resolved, nsent=nsent, kernel=kernel
-        )
-    return _synthesize_interleaved(
-        layout, tx_model, channel, resolved, nsent=nsent, kernel=kernel
-    )
+        return _synthesize_batched(layout, tx_model, channel, resolved, nsent=nsent)
+    return _synthesize_interleaved(layout, tx_model, channel, resolved, nsent=nsent)
 
 
 def _synthesize_batched(
@@ -174,7 +167,6 @@ def _synthesize_batched(
     rngs: Sequence[np.random.Generator],
     *,
     nsent: Optional[int],
-    kernel: KernelSpec,
 ) -> SynthesizedRuns:
     """Stage-major path: whole-unit schedule and loss arrays, one gather.
 
@@ -188,20 +180,18 @@ def _synthesize_batched(
         # rows as-is -- per-run loss masks follow, which is draw-identical
         # here because can_batch_stages() established the stages cannot
         # contend for one generator.
-        return _assemble_ragged(
-            layout, tx_model, channel, schedules, rngs, nsent=nsent, kernel=kernel
-        )
+        return _assemble_ragged(layout, tx_model, channel, schedules, rngs, nsent=nsent)
     if schedules.dtype != np.int64:
         schedules = schedules.astype(np.int64)
     if nsent is not None:
         schedules = schedules[:, :nsent]
     width = schedules.shape[1]
-    loss = channel.loss_mask_batch(width, rngs, kernel=kernel)
-    return _assemble_dense(layout, schedules, loss, kernel)
+    loss = channel.loss_mask_batch(width, rngs)
+    return _assemble_dense(layout, schedules, loss)
 
 
 def _assemble_dense(
-    layout: PacketLayout, schedules: np.ndarray, loss: np.ndarray, kernel: KernelSpec
+    layout: PacketLayout, schedules: np.ndarray, loss: np.ndarray
 ) -> SynthesizedRuns:
     """Gather a dense ``(runs, width)`` schedule/loss pair into a batch.
 
@@ -212,7 +202,7 @@ def _assemble_dense(
     """
     runs, width = schedules.shape
     return SynthesizedRuns(
-        batch=get_backend(kernel).gather_received(schedules, loss, layout.n),
+        batch=current_backend().gather_received(schedules, loss, layout.n),
         n_sent=np.full(runs, width, dtype=np.int64),
     )
 
@@ -225,7 +215,6 @@ def synthesize_runs_unit(
     runs: int,
     *,
     nsent: Optional[int] = None,
-    kernel: KernelSpec = None,
 ) -> SynthesizedRuns:
     """Whole-unit synthesis from ONE shared generator (the unit seed scheme).
 
@@ -245,7 +234,6 @@ def synthesize_runs_unit(
     if runs == 0:
         return _empty_synthesis()
     rng = ensure_rng(rng)
-    backend = get_backend(kernel)
 
     if getattr(tx_model, "schedule_batch_unit", None) is not None:
         schedules = tx_model.schedule_batch_unit(layout, rng, runs)
@@ -261,23 +249,17 @@ def synthesize_runs_unit(
             schedules = schedules[:, :nsent]
         width = schedules.shape[1]
         if getattr(channel, "loss_mask_batch_unit", None) is not None:
-            loss = channel.loss_mask_batch_unit(width, rng, runs, kernel=backend)
+            loss = channel.loss_mask_batch_unit(width, rng, runs)
         else:
             loss = np.empty((runs, width), dtype=bool)
             for row in loss:
-                row[:] = channel.loss_mask(width, rng, kernel=backend)
-        return _assemble_dense(layout, schedules, loss, backend)
+                row[:] = channel.loss_mask(width, rng)
+        return _assemble_dense(layout, schedules, loss)
 
     # Ragged schedule lengths: the schedules are already drawn, so per-run
     # loss masks follow in row order from the same shared generator.
     return _assemble_ragged(
-        layout,
-        tx_model,
-        channel,
-        schedules,
-        [rng] * len(schedules),
-        nsent=nsent,
-        kernel=backend,
+        layout, tx_model, channel, schedules, [rng] * len(schedules), nsent=nsent
     )
 
 
@@ -289,10 +271,8 @@ def _assemble_ragged(
     rngs: Sequence[np.random.Generator],
     *,
     nsent: Optional[int],
-    kernel: KernelSpec,
 ) -> SynthesizedRuns:
     """Assemble already-drawn ragged schedule rows (per-run loss masks)."""
-    backend = get_backend(kernel)
     n_sent = np.empty(len(rows), dtype=np.int64)
     received: List[np.ndarray] = []
     for index, (schedule, rng) in enumerate(zip(rows, rngs)):
@@ -302,7 +282,7 @@ def _assemble_ragged(
             schedule = np.asarray(schedule, dtype=np.int64)
         if nsent is not None:
             schedule = schedule[:nsent]
-        loss = channel.loss_mask(schedule.size, rng, kernel=backend)
+        loss = channel.loss_mask(schedule.size, rng)
         n_sent[index] = schedule.size
         received.append(schedule[~loss])
     batch = ReceivedBatch.from_sequences(received).checked(layout.n)
@@ -316,7 +296,6 @@ def _synthesize_interleaved(
     rngs: Sequence[np.random.Generator],
     *,
     nsent: Optional[int],
-    kernel: KernelSpec,
 ) -> SynthesizedRuns:
     """Per-run reference loop: schedule then mask, run by run.
 
@@ -324,7 +303,6 @@ def _synthesize_interleaved(
     and the executable path for shared-generator batches (draw interleaving
     matters there) and for duck-typed models without batch APIs.
     """
-    backend = get_backend(kernel)
     n_sent = np.empty(len(rngs), dtype=np.int64)
     received: List[np.ndarray] = []
     validated = False
@@ -337,7 +315,7 @@ def _synthesize_interleaved(
             validated = True
         if nsent is not None:
             schedule = schedule[:nsent]
-        loss = channel.loss_mask(schedule.size, rng, kernel=backend)
+        loss = channel.loss_mask(schedule.size, rng)
         n_sent[index] = schedule.size
         received.append(schedule[~loss])
     batch = ReceivedBatch.from_sequences(received).checked(layout.n)

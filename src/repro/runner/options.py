@@ -28,6 +28,7 @@ import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional, Union
 
+from repro.kernels.registry import get_backend
 from repro.kernels.threads import ThreadSpec, normalize_thread_spec
 from repro.resilience.policy import DEFAULT_POLICY, FailurePolicy, resolve_policy
 from repro.seeds import SchemeSpec, resolve_scheme_name
@@ -220,6 +221,10 @@ class ExecutionOptions:
                 f"executor= takes an executor instance, got {self.executor!r}; "
                 "pick the thread pool with workers=N"
             )
+        if self.kernel is not None:
+            # Constructs (and on cext compiles) the backend: an unknown or
+            # unavailable one fails here, not in the first unit.
+            get_backend(self.kernel)
         if not (math.isfinite(self.lease_ttl) and self.lease_ttl > 0):
             raise ValueError(
                 f"lease_ttl must be a finite number of seconds > 0, "

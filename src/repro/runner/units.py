@@ -38,7 +38,7 @@ import numpy as np
 
 from repro.channel.gilbert import GilbertChannel
 from repro.core.config import SimulationConfig
-from repro.kernels.threads import thread_count_context
+from repro.kernels.threads import kernel_scope
 from repro.runner.heap import retain_freed_pages
 from repro.seeds import UnitStreams, get_scheme
 
@@ -78,9 +78,9 @@ class WorkUnit:
         a tuple builds it from ``SeedSequence([base_seed, *path])`` (used by
         parameter sweeps so neighbouring indices cannot collide).
     kernel:
-        :mod:`repro.kernels` backend name for the batch decode (``None``
-        resolves ``REPRO_KERNEL`` / auto in the executing process).  All
-        backends are bit-identical, so this is excluded from the cache
+        :mod:`repro.kernels` backend name for the unit's hot loops
+        (``None`` resolves ``REPRO_KERNEL`` / auto when the unit runs).
+        All backends are bit-identical, so this is excluded from the cache
         key; kept a plain string so units stay JSON-clean.
     kernel_threads:
         Thread-count request for the compiled kernels' row-parallel
@@ -361,31 +361,27 @@ def _unit_batch(unit: WorkUnit, front_ends: Optional[FrontEnds]) -> RunResultBat
     run-synthesis pipeline and the vectorised decoders as arrays; the
     cell metrics are computed from columns, never from per-run objects.
 
-    The kernel backend is resolved here, in the *executing* process,
-    through the degrading run-time resolver: a backend that cannot be
-    constructed on this host (missing compiler) falls back down the
-    ``auto`` chain with a logged warning instead of killing the unit --
-    all backends are bit-identical, so degradation never changes
-    results.  The unit's ``kernel_threads`` request is resolved once and
-    scopes the whole execution (synthesis *and* decode), so every compiled
-    kernel call under it uses the same thread count.  Blocks the unit frees
-    stay in the heap for the next unit (:mod:`repro.runner.heap`).
+    The unit's ``kernel`` and ``kernel_threads`` are resolved once, into
+    one :func:`~repro.kernels.threads.kernel_scope` around the whole
+    execution (synthesis *and* decode), so every kernel call of the unit
+    runs on the same backend and thread team.  An explicit sweep kernel
+    was already checked by :class:`~repro.runner.options.ExecutionOptions`.
+    Blocks the unit frees stay in the heap for the next unit
+    (:mod:`repro.runner.heap`).
     """
     retain_freed_pages()
-    with thread_count_context(unit.kernel_threads):
+    with kernel_scope(unit.kernel, unit.kernel_threads):
         return _unit_batch_impl(unit, {} if front_ends is None else front_ends)
 
 
 def _unit_batch_impl(unit: WorkUnit, front_ends: FrontEnds) -> RunResultBatch:
     from repro.fastpath import simulate_batch_columnar
     from repro.fastpath.batch import synthesize_front_end
-    from repro.kernels.registry import get_backend_for_run
 
     if unit.fresh_code_per_run:
         return _fresh_code_batch(unit)
     tx_model = unit.config.build_tx_model()
     code = _shared_code(unit)
-    kernel = get_backend_for_run(unit.kernel)
     channel = GilbertChannel(unit.p, unit.q)
     streams = _unit_streams(unit)
     key = _layout_key(code.layout, tx_model)
@@ -397,8 +393,7 @@ def _unit_batch_impl(unit: WorkUnit, front_ends: FrontEnds) -> RunResultBatch:
         # streams are defined by the block draws.  Read-only: every unit
         # of the group that decodes it only reads it.
         synthesis = front_ends[key] = synthesize_front_end(
-            code.layout, tx_model, channel, streams,
-            nsent=unit.config.nsent, kernel=kernel,
+            code.layout, tx_model, channel, streams, nsent=unit.config.nsent
         )
         batch = synthesis.batch
         for array in (batch.flat, batch.offsets, batch.lengths, synthesis.n_sent):
@@ -409,7 +404,6 @@ def _unit_batch_impl(unit: WorkUnit, front_ends: FrontEnds) -> RunResultBatch:
         channel,
         streams,
         nsent=unit.config.nsent,
-        kernel=kernel,
         synthesis=synthesis,
     )
 
@@ -423,9 +417,7 @@ def _fresh_code_batch(unit: WorkUnit) -> RunResultBatch:
     """
     from repro.core.metrics import RunResultBatch
     from repro.fastpath import simulate_batch_columnar
-    from repro.kernels.registry import get_backend_for_run
 
-    kernel = get_backend_for_run(unit.kernel)
     tx_model = unit.config.build_tx_model()
     channel = GilbertChannel(unit.p, unit.q)
     streams = _unit_streams(unit)
@@ -435,12 +427,7 @@ def _fresh_code_batch(unit: WorkUnit) -> RunResultBatch:
         code = unit.config.build_code(seed=run_rng)
         batches.append(
             simulate_batch_columnar(
-                code,
-                tx_model,
-                channel,
-                [run_rng],
-                nsent=unit.config.nsent,
-                kernel=kernel,
+                code, tx_model, channel, [run_rng], nsent=unit.config.nsent
             )
         )
     return RunResultBatch.concatenate(batches)

@@ -83,16 +83,14 @@ def unit_key(unit: WorkUnit) -> str:
     excluded.
 
     The key is memoised on the unit (a sweep looks a unit up, then
-    writes it), tagged with the config token it was hashed from, so a
-    config whose option dict was mutated since is hashed afresh.
+    writes it); the unit and its config are immutable.
     """
-    token = unit.config.token
     memo = unit.__dict__.get("_key_memo")
-    if memo is not None and memo[0] is token:
-        return memo[1]
+    if memo is not None:
+        return memo
     payload = {
         "version": CACHE_FORMAT_VERSION,
-        "config": token,
+        "config": unit.config.token,
         "p": unit.p,
         "q": unit.q,
         "seed_path": list(unit.seed_path),
@@ -110,7 +108,7 @@ def unit_key(unit: WorkUnit) -> str:
     digest = hashlib.sha256(
         json.dumps(payload, sort_keys=True).encode("utf-8")
     ).hexdigest()
-    unit.__dict__["_key_memo"] = (token, digest)  # frozen: bypass __setattr__
+    unit.__dict__["_key_memo"] = digest  # frozen: bypass __setattr__
     return digest
 
 

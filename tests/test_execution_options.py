@@ -150,6 +150,11 @@ class TestValidation:
             ExecutionOptions(workers=workers, store=f"sqlite:{tmp_path / 'w.db'}")
         assert list(tmp_path.iterdir()) == []
 
+    def test_bad_kernel_fails_before_the_store_opens(self, tmp_path):
+        with pytest.raises(ValueError, match="unknown kernel backend"):
+            ExecutionOptions(kernel="no-such-kernel", store=f"sqlite:{tmp_path / 'x.db'}")
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize(
         "flags", [["--executor", "thread"], ["--resume"]], ids=["executor", "resume"]
     )

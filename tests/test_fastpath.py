@@ -30,7 +30,7 @@ from repro.fastpath import (
 )
 from repro.fastpath.prototypes import NOT_DECODED, BlockCountPrototype
 from repro.fec.registry import make_code
-from repro.kernels import available_backends
+from repro.kernels import available_backends, kernel_scope
 from repro.runner.units import WorkUnit, execute_unit
 from repro.scheduling.registry import make_tx_model
 from serial_reference import gilbert_loss_mask_serial
@@ -95,9 +95,8 @@ class TestBatchEquivalence:
         tx_model = make_tx_model("tx_model_2")
         for salt, channel in enumerate(CHANNELS[:4]):
             expected = legacy_runs(code, tx_model, channel, seeded_rngs(salt, 4))
-            actual = simulate_batch(
-                code, tx_model, channel, seeded_rngs(salt, 4), kernel=kernel
-            )
+            with kernel_scope(kernel):
+                actual = simulate_batch(code, tx_model, channel, seeded_rngs(salt, 4))
             assert actual == expected, f"kernel {kernel} diverged on {code_name}"
 
     @pytest.mark.parametrize("code_name,ratio", CODES)
@@ -154,10 +153,8 @@ class TestBatchEquivalence:
         tx_model = make_tx_model(tx_name)
         for salt, channel in enumerate(CHANNELS[:3]):
             expected = legacy_runs(code, tx_model, channel, seeded_rngs(salt, 6))
-            actual = simulate_batch(
-                code, tx_model, channel, seeded_rngs(salt, 6),
-                kernel=kernel, kernel_threads=threads,
-            )
+            with kernel_scope(kernel, threads):
+                actual = simulate_batch(code, tx_model, channel, seeded_rngs(salt, 6))
             assert actual == expected, f"{kernel}x{threads} diverged on {code_name}"
 
     def test_duplicate_indices_in_schedule(self):
@@ -201,7 +198,8 @@ class TestPrototypes:
 
     def test_ldgm_prototype_tables_are_built_on_first_read(self):
         code = make_code("ldgm-staircase", k=20, n=50, seed=0)
-        prototype = LDGMPrototype(code, kernel="numpy")
+        with kernel_scope("numpy"):
+            prototype = LDGMPrototype(code)
         # Only the compiled peel reads the column adjacency.
         assert "_adjacency_cache" not in vars(code.matrix)
         indptr, rows = prototype.column_adjacency

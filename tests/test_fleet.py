@@ -16,8 +16,8 @@ from repro.kernels.threads import (
     THREADS_ENV_VAR,
     current_thread_count,
     resolve_thread_count,
+    kernel_scope,
     share_cores,
-    thread_count_context,
 )
 from repro.resilience.errors import PoisonUnitError
 from repro.resilience.policy import DEFAULT_POLICY
@@ -190,7 +190,7 @@ class _RecordingExecutor(SerialExecutor):
         if self.barrier is not None and self.batches == 1:
             self.barrier.wait(timeout=60)
         if self.barrier is None or self.batches == 2:
-            with thread_count_context(units[0].kernel_threads):
+            with kernel_scope(threads=units[0].kernel_threads):
                 self.seen.append(current_thread_count())
         if self.barrier is not None and self.batches == 2:
             self.barrier.wait(timeout=60)

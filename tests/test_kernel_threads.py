@@ -13,7 +13,10 @@ and every generator's post-call state equal to the serial chain for both
 backends, at 1 and 2 kernel threads, with distinct and shared
 generators), and the graceful
 degradation paths when the OpenMP or ``libnpyrandom`` probe compile fails
-(poisoned ``CFLAGS``): one warning, fallback kernels, identical results.
+(poisoned ``CFLAGS``): one warning, fallback kernels, identical results;
+and the one :func:`~repro.kernels.kernel_scope` per work unit, which
+routes every sojourn, gather and decode call of a sweep, a pool or a
+fleet to one backend resolved once.
 """
 
 from __future__ import annotations
@@ -27,22 +30,29 @@ import pytest
 from repro.channel.gilbert import GilbertChannel
 from repro.core.config import SimulationConfig
 from repro.core.simulator import Simulator
+from repro.core.sweep import simulate_grid
 from repro.fastpath import simulate_batch_columnar
 from repro.fec.registry import make_code
 from repro.kernels import (
     THREADS_ENV_VAR,
+    KernelBackend,
+    KernelUnavailableError,
     available_backends,
     cext_compiler_available,
     cext_openmp_enabled,
+    current_backend,
     current_thread_count,
+    default_backend_name,
     get_backend,
+    kernel_scope,
     normalize_thread_spec,
     physical_cores,
     resolve_thread_count,
     share_cores,
-    thread_count_context,
 )
 from repro.kernels import threads
+from repro.kernels.numpy_backend import NumpyBackend
+from repro.pipeline import synthesize_runs
 from repro.resilience.policy import FailurePolicy
 from repro.store.codec import unit_key
 from repro.runner.cli import main as cli_main
@@ -52,6 +62,7 @@ from repro.runner.units import WorkUnit, execute_unit, plan_units
 from repro.scheduling.registry import make_tx_model
 from repro.seeds import get_scheme
 from serial_reference import gilbert_loss_mask_serial
+from unit_reference import assert_grids_equal
 
 needs_cext = pytest.mark.skipif(
     not cext_compiler_available(), reason="no C compiler for the cext backend"
@@ -125,13 +136,13 @@ class TestThreadSpec:
 
     def test_context_carries_spec_to_call_site(self, monkeypatch):
         monkeypatch.delenv(THREADS_ENV_VAR, raising=False)
-        with thread_count_context("3"):
+        with kernel_scope(threads="3"):
             assert current_thread_count() == 3
-            with thread_count_context(5):
+            with kernel_scope(threads=5):
                 assert current_thread_count() == 5
             assert current_thread_count() == 3
         # None is a no-op frame: ambient resolution shows through.
-        with thread_count_context(None):
+        with kernel_scope(threads=None):
             assert current_thread_count() == resolve_thread_count()
 
     def test_physical_cores_positive(self):
@@ -201,17 +212,12 @@ class TestThreadedKernelBitIdentity:
     @pytest.mark.parametrize("threads", [2, 4])
     def test_cext_threads_match_numpy_reference(self, scheme, threads):
         code, tx_model, channel = _batch_args()
-        reference = simulate_batch_columnar(
-            code, tx_model, channel, _streams(scheme, 40), kernel="numpy"
-        )
-        one = simulate_batch_columnar(
-            code, tx_model, channel, _streams(scheme, 40),
-            kernel="cext", kernel_threads=1,
-        )
-        many = simulate_batch_columnar(
-            code, tx_model, channel, _streams(scheme, 40),
-            kernel="cext", kernel_threads=threads,
-        )
+        with kernel_scope("numpy"):
+            reference = simulate_batch_columnar(code, tx_model, channel, _streams(scheme, 40))
+        with kernel_scope("cext", 1):
+            one = simulate_batch_columnar(code, tx_model, channel, _streams(scheme, 40))
+        with kernel_scope("cext", threads):
+            many = simulate_batch_columnar(code, tx_model, channel, _streams(scheme, 40))
         for batch in (one, many):
             assert np.array_equal(batch.decoded, reference.decoded)
             assert np.array_equal(batch.n_necessary, reference.n_necessary)
@@ -230,7 +236,7 @@ class TestThreadedKernelBitIdentity:
 
         def run(kernel_backend, team):
             masks = np.zeros((num_runs, count), dtype=bool)
-            with thread_count_context(team):
+            with kernel_scope(kernel_backend, team):
                 filled = kernel_backend.fill_sojourns_batch(
                     masks, states, gap_runs, burst_runs
                 )
@@ -251,13 +257,8 @@ class TestThreadedKernelBitIdentity:
 
         reference = build().run_many(6, rng=9, seed_scheme=scheme, fastpath=False)
         for threads in (1, 3):
-            assert (
-                build().run_many(
-                    6, rng=9, seed_scheme=scheme,
-                    kernel="cext", kernel_threads=threads,
-                )
-                == reference
-            )
+            with kernel_scope("cext", threads):
+                assert build().run_many(6, rng=9, seed_scheme=scheme) == reference
 
 
 # ---------------------------------------------------------------------------
@@ -281,7 +282,7 @@ def _recording(base):
         seen: list
 
         def _execute_one(self, unit, front_ends):
-            with thread_count_context(unit.kernel_threads):
+            with kernel_scope(unit.kernel, unit.kernel_threads):
                 self.seen.append(current_thread_count())
             return super()._execute_one(unit, front_ends)
 
@@ -496,7 +497,8 @@ def assert_draws_match_serial(kernel, shared: bool) -> None:
             channel = GilbertChannel(p, q)
             for count in DRAW_COUNTS:
                 fast, slow = _draw_generators(shared), _draw_generators(shared)
-                masks = channel.loss_mask_batch(count, fast, kernel=kernel)
+                with kernel_scope(kernel):
+                    masks = channel.loss_mask_batch(count, fast)
                 for row, rng in zip(masks, slow):
                     expected = gilbert_loss_mask_serial(channel, count, rng)
                     assert np.array_equal(row, expected), (p, q, count)
@@ -511,7 +513,7 @@ class TestGilbertDrawIdentity:
     @pytest.mark.parametrize("threads", [1, 2])
     @pytest.mark.parametrize("shared", [False, True], ids=["distinct", "shared"])
     def test_masks_and_generator_state_match_serial(self, kernel, threads, shared):
-        with thread_count_context(threads):
+        with kernel_scope(threads=threads):
             assert_draws_match_serial(kernel, shared)
 
     @needs_cext
@@ -527,7 +529,8 @@ class TestGilbertDrawIdentity:
         results = [None] * calls
 
         def work(call):
-            results[call] = channel.loss_mask_batch(count, [shared] * runs, kernel=backend)
+            with kernel_scope(backend):
+                results[call] = channel.loss_mask_batch(count, [shared] * runs)
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -580,15 +583,13 @@ class TestOpenMPDegradation:
         # decodes bit-identically to the numpy reference, and an explicit
         # thread spec is forced down to one thread.
         code, tx_model, channel = _batch_args(k=60)
-        reference = simulate_batch_columnar(
-            code, tx_model, channel, _streams("per-run", 12), kernel="numpy"
-        )
-        with thread_count_context(4):
+        with kernel_scope("numpy"):
+            reference = simulate_batch_columnar(code, tx_model, channel, _streams("per-run", 12))
+        with kernel_scope(backend, 4):
             assert backend._team_size(12) == 1
-        degraded = simulate_batch_columnar(
-            code, tx_model, channel, _streams("per-run", 12),
-            kernel=backend, kernel_threads=4,
-        )
+            degraded = simulate_batch_columnar(
+                code, tx_model, channel, _streams("per-run", 12)
+            )
         assert np.array_equal(degraded.decoded, reference.decoded)
         assert np.array_equal(degraded.n_necessary, reference.n_necessary)
 
@@ -651,7 +652,7 @@ class TestNpyrandomDegradation:
         # Loud but never fatal, never result-changing: the Python draw
         # loop serves identical masks and generator states.
         for shared in (False, True):
-            with thread_count_context(2):
+            with kernel_scope(threads=2):
                 assert_draws_match_serial(backend, shared)
 
 
@@ -675,7 +676,7 @@ class TestKernelCallMarshalling:
 
         def fill(_):
             masks = np.empty((runs, count), dtype=bool)
-            with thread_count_context(2):
+            with kernel_scope(backend, 2):
                 filled = backend.fill_sojourns_batch(masks, states, gap, burst)
             return masks, filled
 
@@ -700,13 +701,15 @@ class TestKernelCallMarshalling:
         received = [rng.permutation(n)[: int(rng.integers(k, n))] for _ in range(runs)]
         for seed in range(20):
             code = make_code("ldgm-triangle", k=k, n=n, seed=seed)
-            expected = LDGMPrototype(code, kernel="numpy").decode_batch(received)
-            prototype = LDGMPrototype(code, kernel="cext")
+            with kernel_scope("numpy"):
+                expected = LDGMPrototype(code).decode_batch(received)
+            with kernel_scope("cext"):
+                prototype = LDGMPrototype(code)
             barrier = threading.Barrier(2)
 
             def decode(_):
                 barrier.wait()
-                with thread_count_context(2):
+                with kernel_scope(threads=2):
                     return prototype.decode_batch(received)
 
             with ThreadPoolExecutor(2) as pool:
@@ -726,14 +729,16 @@ class TestKernelCallMarshalling:
         k, n, runs = 4000, 10000, 8
         received = [rng.permutation(n)[: int(rng.integers(k, n))] for _ in range(runs)]
         code = make_code("ldgm-triangle", k=k, n=n, seed=3)
-        expected = LDGMPrototype(code, kernel="numpy").decode_batch(received)
+        with kernel_scope("numpy"):
+            expected = LDGMPrototype(code).decode_batch(received)
         build = type(code.matrix).column_adjacency
         monkeypatch.setattr(
             code.matrix,
             "column_adjacency",
             lambda: tuple(array.copy() for array in build(code.matrix)),
         )
-        decoded, necessary = LDGMPrototype(code, kernel="cext").decode_batch(received)
+        with kernel_scope("cext"):
+            decoded, necessary = LDGMPrototype(code).decode_batch(received)
         assert np.array_equal(decoded, expected[0])
         assert np.array_equal(necessary, expected[1])
 
@@ -800,3 +805,232 @@ class TestPerUnitResolution:
         with share_cores(2):
             assert self._team_seen(monkeypatch, unit) == 2
         assert self._team_seen(monkeypatch, unit) == 4
+
+
+# ---------------------------------------------------------------------------
+# One kernel scope per unit: every routed call runs on the scope's backend.
+# ---------------------------------------------------------------------------
+
+#: The backend methods a scope routes: sojourn draws and fills, the
+#: received-batch gather and the two batch decoders.
+ROUTED = (
+    "draw_sojourns_batch", "fill_sojourns", "fill_sojourns_batch",
+    "gather_received", "ldgm_decode_batch", "block_count_decode_batch",
+)
+
+
+class ProbeBackend(NumpyBackend):
+    """The numpy reference under another name, so its calls can be told apart."""
+
+    name = "probe"
+
+
+def _backend_classes():
+    found, pending = [], [KernelBackend]
+    while pending:
+        cls = pending.pop()
+        found.append(cls)
+        pending.extend(cls.__subclasses__())
+    return found
+
+
+@pytest.fixture
+def routed_calls(monkeypatch):
+    """``(backend name, method)`` of every routed call, with ``probe`` registered."""
+    from repro.kernels import registry
+
+    monkeypatch.setitem(registry._FACTORIES, "probe", ProbeBackend)
+    monkeypatch.delitem(registry._INSTANCES, "probe", raising=False)
+    get_backend()  # load the default backend's class before patching
+    calls = []
+    for cls in _backend_classes():
+        for name in ROUTED:
+            if name not in vars(cls):
+                continue
+
+            def recording(self, *args, _method=vars(cls)[name], _name=name, **kwargs):
+                calls.append((self.name, _name))
+                return _method(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, name, recording)
+    yield calls
+    registry._INSTANCES.pop("probe", None)
+
+
+SCOPE_CONFIGS = [
+    SimulationConfig(code="ldgm-staircase", tx_model="tx_model_2", k=60, expansion_ratio=2.5),
+    SimulationConfig(code="rse", tx_model="tx_model_4", k=60, expansion_ratio=1.5),
+]
+
+
+def _scope_grids(**options):
+    return [
+        simulate_grid(
+            config, [0.05, 0.3], [0.5], runs=4, seed=5, options=ExecutionOptions(**options)
+        )
+        for config in SCOPE_CONFIGS
+    ]
+
+
+class TestKernelScope:
+    """One :func:`kernel_scope` per unit decides every kernel call under it."""
+
+    def _assert_probe_saw_everything(self, calls):
+        assert {backend for backend, _ in calls} == {"probe"}
+        methods = {method for _, method in calls}
+        assert {"gather_received", "ldgm_decode_batch", "block_count_decode_batch"} <= methods
+        assert methods & {"fill_sojourns", "fill_sojourns_batch"}
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_probe_sees_every_call_of_a_sweep(self, routed_calls, workers):
+        expected = _scope_grids(kernel="numpy")
+        routed_calls.clear()
+        grids = _scope_grids(kernel="probe", workers=workers)
+        self._assert_probe_saw_everything(routed_calls)
+        for grid, reference in zip(grids, expected):
+            assert_grids_equal(grid, reference)
+
+    def test_probe_sees_every_call_of_a_fleet(self, routed_calls, tmp_path):
+        expected = _scope_grids(kernel="numpy")
+        routed_calls.clear()
+        peers = [None, None]
+
+        def run(peer):
+            peers[peer] = _scope_grids(
+                kernel="probe", store=f"memory:{tmp_path}", fleet=True,
+                worker_id=f"w{peer}",
+            )
+
+        workers = [threading.Thread(target=run, args=(peer,)) for peer in range(2)]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=120)
+        self._assert_probe_saw_everything(routed_calls)
+        for grids in peers:
+            assert grids is not None, "a peer raised"
+            for grid, reference in zip(grids, expected):
+                assert_grids_equal(grid, reference)
+
+    def test_reference_simulator_stays_on_numpy(self, routed_calls):
+        code, tx_model, channel = _batch_args(k=60)
+        with kernel_scope("probe"):
+            Simulator(code, tx_model, channel).run(np.random.default_rng(3))
+            assert current_backend().name == "probe"
+        assert routed_calls and all(backend == "numpy" for backend, _ in routed_calls)
+
+    def test_auto_routes_every_call_to_the_default_backend(self, routed_calls, monkeypatch):
+        # Without a C compiler the default is numpy: auto never reaches cext.
+        from repro.kernels import registry
+
+        monkeypatch.delenv(registry.ENV_VAR, raising=False)
+        _scope_grids()
+        assert {backend for backend, _ in routed_calls} == {default_backend_name()}
+
+    def test_unit_resolves_its_backend_at_most_once(self, monkeypatch):
+        from repro.kernels import registry
+
+        resolved = []
+        original = registry.get_backend
+
+        def counting(*args, **kwargs):
+            resolved.append(args)
+            return original(*args, **kwargs)
+
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "repro" and vars(module).get("get_backend") is original:
+                monkeypatch.setattr(module, "get_backend", counting)
+        cells = [((0,), config, 0.1, 0.5) for config in SCOPE_CONFIGS]
+        units = [
+            unit
+            for scheme in ("per-run", "unit")
+            for unit in plan_units(
+                cells, runs=6, base_seed=3, runs_per_unit=3,
+                options=ExecutionOptions(seed_scheme=scheme),
+            )
+        ]
+        for unit in units:
+            execute_unit(unit)
+        assert 0 < len(resolved) <= len(units)
+
+    def test_scopes_nest_and_unwind(self, monkeypatch):
+        monkeypatch.delenv(THREADS_ENV_VAR, raising=False)
+        monkeypatch.setattr(threads, "_physical_cores", 8)
+        with kernel_scope("numpy", 3) as outer:
+            assert outer is get_backend("numpy") is current_backend()
+            with kernel_scope(threads=2):
+                assert (current_backend(), current_thread_count()) == (outer, 2)
+            with kernel_scope() as inner, share_cores(2):
+                assert inner is outer and current_thread_count() == 3
+                with kernel_scope(outer):  # explicit counts are inherited whole
+                    assert current_thread_count() == 3
+        with kernel_scope("numpy"):
+            assert current_thread_count() == 8
+            with share_cores(4), kernel_scope("numpy"):
+                # An inherited auto team divides the cores anew, as a
+                # unit's scope inside a pool must.
+                assert current_thread_count() == 2
+        assert current_thread_count() == resolve_thread_count() == 8
+
+    def test_no_kernel_parameter_below_the_scope(self):
+        import inspect
+
+        from repro.channel.bernoulli import BernoulliChannel, PerfectChannel
+        from repro.channel.periodic import PeriodicBurstChannel
+        from repro.channel.trace import TraceChannel
+        from repro.fastpath import batch, prototypes
+        from repro.pipeline import synthesis
+
+        callables = [
+            getattr(cls, name)
+            for cls in (
+                GilbertChannel, BernoulliChannel, PerfectChannel,
+                PeriodicBurstChannel, TraceChannel, Simulator,
+            )
+            for name in ("loss_mask", "loss_mask_batch", "loss_mask_batch_unit",
+                         "run", "run_many", "run_batch")
+            if hasattr(cls, name)
+        ]
+        for module in (synthesis, batch, prototypes):
+            callables += [
+                value for value in vars(module).values()
+                if inspect.isfunction(value) or inspect.isclass(value)
+                if value.__module__ == module.__name__
+            ]
+        for function in callables:
+            parameters = inspect.signature(function).parameters
+            assert not {"kernel", "kernel_threads"} & set(parameters), function
+
+    def test_channel_without_a_kernel_keyword(self):
+        # A third-party channel implements the plain protocol and never
+        # hears of kernels.
+        class DuckChannel:
+            uses_rng = True
+
+            def loss_mask(self, count, rng=None):
+                return rng.random(count) < 0.2
+
+            def loss_mask_batch(self, count, rngs):
+                return np.array([self.loss_mask(count, rng) for rng in rngs]).reshape(
+                    len(rngs), count
+                )
+
+        code, tx_model, _ = _batch_args(k=60)
+        rngs = [np.random.default_rng(seed) for seed in range(4)]
+        synthesis = synthesize_runs(code.layout, tx_model, DuckChannel(), rngs)
+        assert synthesis.num_runs == 4
+
+    def test_explicit_unavailable_backend_is_rejected(self, monkeypatch, tmp_path):
+        from repro.kernels import registry
+
+        def broken():
+            raise ImportError("no such toolchain")
+
+        monkeypatch.setitem(registry._FACTORIES, "test-broken", broken)
+        store = f"sqlite:{tmp_path / 'x.db'}"
+        with pytest.raises(KernelUnavailableError, match="test-broken"):
+            ExecutionOptions(kernel="test-broken", store=store)
+        if not cext_compiler_available():
+            with pytest.raises(KernelUnavailableError, match="cext"):
+                ExecutionOptions(kernel="cext", store=store)
+        assert list(tmp_path.iterdir()) == []

@@ -4,8 +4,8 @@ Covers the registry and its resolution rules, the flattened
 :class:`ReceivedBatch` container, cross-backend bit-identity of the decode
 and Gilbert hot loops (numpy reference vs the compiled ``cext`` kernels vs
 the serial incremental decoder), the LDGM peel on handcrafted bidiagonal
-and degenerate matrices, and the ``kernel=`` threading through the
-simulator, the runner work units and the CLI.  ``cext`` is exercised
+and degenerate matrices, and the kernel selection of the simulator, the
+runner work units and the CLI.  ``cext`` is exercised
 whenever this machine can build it and skip-marked otherwise.
 """
 
@@ -41,8 +41,8 @@ from repro.kernels import (
     cext_compiler_available,
     default_backend_name,
     get_backend,
+    kernel_scope,
     register_backend,
-    thread_count_context,
 )
 from repro.kernels.numpy_backend import NumpyBackend
 from repro.store.codec import unit_key
@@ -226,9 +226,8 @@ class TestCrossBackendEquivalence:
         tx_model = make_tx_model("tx_model_2")
         for salt, channel in enumerate(CHANNELS):
             expected = legacy_runs(code, tx_model, channel, seeded_rngs(salt, 4))
-            actual = simulate_batch(
-                code, tx_model, channel, seeded_rngs(salt, 4), kernel=kernel
-            )
+            with kernel_scope(kernel):
+                actual = simulate_batch(code, tx_model, channel, seeded_rngs(salt, 4))
             assert actual == expected, f"{kernel} diverged on {code_name}"
 
     @pytest.mark.parametrize("kernel", KERNELS)
@@ -238,9 +237,8 @@ class TestCrossBackendEquivalence:
         tx_model = make_tx_model(tx_name)
         channel = GilbertChannel(0.15, 0.35)
         expected = legacy_runs(code, tx_model, channel, seeded_rngs(11, 5))
-        actual = simulate_batch(
-            code, tx_model, channel, seeded_rngs(11, 5), kernel=kernel
-        )
+        with kernel_scope(kernel):
+            actual = simulate_batch(code, tx_model, channel, seeded_rngs(11, 5))
         assert actual == expected
 
     @pytest.mark.parametrize("kernel", KERNELS)
@@ -252,10 +250,10 @@ class TestCrossBackendEquivalence:
             expected = legacy_runs(
                 code, tx_model, channel, seeded_rngs(nsent, 3), nsent=nsent
             )
-            actual = simulate_batch(
-                code, tx_model, channel, seeded_rngs(nsent, 3), nsent=nsent,
-                kernel=kernel,
-            )
+            with kernel_scope(kernel):
+                actual = simulate_batch(
+                    code, tx_model, channel, seeded_rngs(nsent, 3), nsent=nsent
+                )
             assert actual == expected
 
     @pytest.mark.parametrize("kernel", KERNELS)
@@ -274,9 +272,8 @@ class TestCrossBackendEquivalence:
         code = make_code("ldgm-staircase", k=40, expansion_ratio=2.5, seed=4)
         channel = GilbertChannel(0.2, 0.3)
         expected = legacy_runs(code, DuplicatingModel(), channel, seeded_rngs(2, 4))
-        actual = simulate_batch(
-            code, DuplicatingModel(), channel, seeded_rngs(2, 4), kernel=kernel
-        )
+        with kernel_scope(kernel):
+            actual = simulate_batch(code, DuplicatingModel(), channel, seeded_rngs(2, 4))
         assert actual == expected
 
     @settings(
@@ -303,7 +300,8 @@ class TestCrossBackendEquivalence:
         ]
         expected = legacy_runs(code, tx_model, channel, rngs())
         for kernel in KERNELS:
-            actual = simulate_batch(code, tx_model, channel, rngs(), kernel=kernel)
+            with kernel_scope(kernel):
+                actual = simulate_batch(code, tx_model, channel, rngs())
             assert actual == expected, f"{kernel} diverged"
 
 
@@ -367,8 +365,8 @@ class TestBlockCountKernel:
         code = make_code(code_name, k=k, n=n)
         sequences = carousel_sequences(code.n, 24, seed=k + n)
         expected = IncrementalPrototype(code).decode_batch(sequences)
-        with thread_count_context(threads):
-            actual = compile_prototype(code, kernel=kernel).decode_batch(sequences)
+        with kernel_scope(kernel, threads):
+            actual = compile_prototype(code).decode_batch(sequences)
         assert np.array_equal(actual[0], expected[0])
         assert np.array_equal(actual[1], expected[1])
         assert expected[0].any() and not expected[0].all()
@@ -376,8 +374,8 @@ class TestBlockCountKernel:
     @pytest.mark.parametrize("threads", [1, 2])
     @pytest.mark.parametrize("kernel", KERNELS)
     def test_empty_batch(self, kernel, threads):
-        prototype = compile_prototype(make_code("rse", k=20, n=50), kernel=kernel)
-        with thread_count_context(threads):
+        with kernel_scope(kernel, threads):
+            prototype = compile_prototype(make_code("rse", k=20, n=50))
             decoded, n_necessary = prototype.decode_batch(ReceivedBatch.from_sequences([]))
         assert decoded.shape == n_necessary.shape == (0,)
 
@@ -395,11 +393,11 @@ class TestBlockCountKernel:
     def test_handcrafted_groups(self, needed, kernel, threads):
         code = make_code("rse", k=6, n=15)
         group_of_key = np.array([0, 1, 2] * 5, dtype=np.int64)
-        prototype = BlockCountPrototype(
-            code, group_of_key, np.array(needed, dtype=np.int64), kernel=kernel
-        )
         sequences = carousel_sequences(code.n, 30, seed=sum(needed))
-        with thread_count_context(threads):
+        with kernel_scope(kernel, threads):
+            prototype = BlockCountPrototype(
+                code, group_of_key, np.array(needed, dtype=np.int64)
+            )
             actual = prototype.decode_batch(sequences)
         expected = count_rule_reference(prototype, sequences)
         assert np.array_equal(actual[0], expected[0])
@@ -411,11 +409,8 @@ class TestBlockCountKernel:
     @pytest.mark.parametrize("kernel", KERNELS)
     def test_group_ids_out_of_range_rejected(self, kernel):
         code = make_code("rse", k=6, n=15)
-        with pytest.raises(ValueError, match="group ids outside"):
-            BlockCountPrototype(
-                code, np.full(15, 3, dtype=np.int64), np.ones(3, dtype=np.int64),
-                kernel=kernel,
-            )
+        with kernel_scope(kernel), pytest.raises(ValueError, match="group ids outside"):
+            BlockCountPrototype(code, np.full(15, 3, dtype=np.int64), np.ones(3, dtype=np.int64))
 
     @pytest.mark.parametrize("kernel", KERNELS)
     @pytest.mark.parametrize(
@@ -434,7 +429,8 @@ class TestBlockCountKernel:
         sequences = [np.arange(code.n, dtype=np.int64) for _ in range(3)]
         sequences[1] = sequences[1].copy()
         sequences[1][slot] = bad_index
-        prototype = compile_prototype(code, kernel=kernel)
+        with kernel_scope(kernel):
+            prototype = compile_prototype(code)
         if isinstance(prototype, LDGMPrototype):
             decode = prototype.kernel.ldgm_decode_batch
         else:
@@ -539,8 +535,8 @@ class TestHandcraftedMatrices:
         # only revealed if something wrongly peels the untouched row 0.
         received = [np.array([1, 2, 3, 4, 5, 6, 7, 9], dtype=np.int64)]
         for kernel in KERNELS:
-            prototype = LDGMPrototype(code, kernel=kernel)
-            decoded, n_necessary = prototype.decode_batch(received)
+            with kernel_scope(kernel):
+                decoded, n_necessary = LDGMPrototype(code).decode_batch(received)
             assert decoded.tolist() == [False], kernel
             assert n_necessary.tolist() == [-1], kernel
 
@@ -548,7 +544,8 @@ class TestHandcraftedMatrices:
     @pytest.mark.parametrize("kernel", KERNELS)
     def test_handcrafted_chain_all_backends(self, build, kernel):
         code = _MatrixCode(build())
-        prototype = LDGMPrototype(code, kernel=kernel)
+        with kernel_scope(kernel):
+            prototype = LDGMPrototype(code)
         rng = np.random.default_rng(17)
         sequences = [
             rng.permutation(np.arange(code.n, dtype=np.int64))[: 3 + rng.integers(6)]
@@ -581,15 +578,16 @@ class TestGilbertFillBackends:
                 for count in (0, 1, 255, 256, 513):
                     fast = np.random.default_rng(41)
                     slow = np.random.default_rng(41)
+                    with kernel_scope(kernel):
+                        mask = channel.loss_mask(count, fast)
                     assert np.array_equal(
-                        channel.loss_mask(count, fast, kernel=kernel),
-                        gilbert_loss_mask_serial(channel, count, slow),
+                        mask, gilbert_loss_mask_serial(channel, count, slow)
                     ), (kernel, p, q, count)
                     assert fast.integers(1 << 30) == slow.integers(1 << 30)
 
 
 # ---------------------------------------------------------------------------
-# kernel= threading: simulator, runner units, cache keys, CLI.
+# Kernel selection: simulator, runner units, cache keys, CLI.
 # ---------------------------------------------------------------------------
 
 
@@ -604,7 +602,8 @@ class TestKernelThreading:
             )
 
         expected = build().run_many(5, rng=8, fastpath=False)
-        assert build().run_many(5, rng=8, kernel=kernel) == expected
+        with kernel_scope(kernel):
+            assert build().run_many(5, rng=8) == expected
 
     @pytest.mark.parametrize("kernel", KERNELS)
     def test_work_unit_kernel(self, kernel):
@@ -690,11 +689,13 @@ class TestPrototypeKernelCache:
     )
     def test_prototype_cached_per_backend(self):
         code = make_code("ldgm-staircase", k=30, expansion_ratio=2.5, seed=0)
-        numpy_proto = compile_prototype(code, kernel="numpy")
-        assert compile_prototype(code, kernel="numpy") is numpy_proto
-        cext_proto = compile_prototype(code, kernel="cext")
-        assert cext_proto is not numpy_proto
-        assert compile_prototype(code, kernel="cext") is cext_proto
+        with kernel_scope("numpy"):
+            numpy_proto = compile_prototype(code)
+            assert compile_prototype(code) is numpy_proto
+        with kernel_scope("cext"):
+            cext_proto = compile_prototype(code)
+            assert cext_proto is not numpy_proto
+            assert compile_prototype(code) is cext_proto
 
 
 @pytest.mark.skipif(

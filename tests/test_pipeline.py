@@ -25,7 +25,7 @@ from repro.core.metrics import CellStats, RunResultBatch
 from repro.core.simulator import Simulator
 from repro.fastpath import simulate_batch, simulate_batch_columnar
 from repro.fec.registry import make_code
-from repro.kernels import available_backends, get_backend, thread_count_context
+from repro.kernels import available_backends, get_backend, kernel_scope
 from repro.pipeline import can_batch_stages, synthesize_runs
 from repro.runner.units import WorkUnit, execute_unit
 from repro.scheduling.interleaver import block_interleave, proportional_interleave
@@ -483,7 +483,7 @@ class TestGatherReceived:
     def test_cext_matches_numpy_default(self, case, threads):
         schedules, loss = _gather_cases()[case]
         expected = get_backend("numpy").gather_received(schedules, loss, 83)
-        with thread_count_context(threads):
+        with kernel_scope("cext", threads):
             actual = get_backend("cext").gather_received(schedules, loss, 83)
         _assert_same_batch(actual, expected)
 
@@ -521,20 +521,20 @@ class TestGatherReceived:
     @pytest.mark.parametrize("kernel", available_backends())
     def test_synthesised_batches_carry_their_bound(self, kernel):
         code = make_code("rse", k=40, expansion_ratio=2.5)
-        for tx_name in ("tx_model_2", "tx_model_5"):
+        with kernel_scope(kernel):
+            for tx_name in ("tx_model_2", "tx_model_5"):
+                synthesis = synthesize_runs(
+                    code.layout, make_tx_model(tx_name), GilbertChannel(0.1, 0.5),
+                    seeded_rngs(21, 4),
+                )
+                assert synthesis.batch.index_bound == code.n
+                assert synthesis.batch.slice(1, 3).index_bound == code.n
+            # One shared generator and two drawing stages: the per-run
+            # loop, which checks the assembled batch once and records it too.
+            shared = [np.random.default_rng(5)] * 4
             synthesis = synthesize_runs(
-                code.layout, make_tx_model(tx_name), GilbertChannel(0.1, 0.5),
-                seeded_rngs(21, 4), kernel=kernel,
+                code.layout, make_tx_model("tx_model_2"), GilbertChannel(0.1, 0.5), shared
             )
-            assert synthesis.batch.index_bound == code.n
-            assert synthesis.batch.slice(1, 3).index_bound == code.n
-        # One shared generator and two drawing stages: the per-run loop,
-        # which checks the assembled batch once and records it too.
-        shared = [np.random.default_rng(5)] * 4
-        synthesis = synthesize_runs(
-            code.layout, make_tx_model("tx_model_2"), GilbertChannel(0.1, 0.5),
-            shared, kernel=kernel,
-        )
         assert synthesis.batch.index_bound == code.n
 
 

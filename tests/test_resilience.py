@@ -16,7 +16,6 @@ import numpy as np
 import pytest
 
 from repro.core.config import SimulationConfig
-from repro.kernels import get_backend, get_backend_for_run
 from repro.resilience import (
     DEFAULT_POLICY,
     ON_ERROR_ACTIONS,
@@ -644,23 +643,6 @@ class TestDefaultFailFast:
         assert executor.injected["poison"] == 3
         failed = grid.metadata["failed_units"]
         assert [tuple(f["seed_path"]) for f in failed] == [(0, 0)]
-
-
-class TestKernelDegradation:
-    def test_unknown_backend_degrades_to_auto_with_a_warning(self, caplog):
-        with caplog.at_level("WARNING", logger="repro.kernels"):
-            backend = get_backend_for_run("no-such-kernel")
-        assert backend is get_backend("auto")
-        assert any(
-            "falling back to auto selection" in record.message
-            for record in caplog.records
-        )
-
-    def test_known_backend_resolves_without_noise(self, caplog):
-        with caplog.at_level("WARNING", logger="repro.kernels"):
-            backend = get_backend_for_run("numpy")
-        assert backend is get_backend("numpy")
-        assert caplog.records == []
 
 
 class _DeadHeartbeatStore(MemoryStore):

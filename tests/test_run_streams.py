@@ -20,7 +20,7 @@ import pytest
 from repro.channel.gilbert import GilbertChannel
 from repro.core.config import SimulationConfig
 from repro.fec.packet import multi_block_layout, single_block_layout
-from repro.kernels import available_backends, get_backend, thread_count_context
+from repro.kernels import available_backends, get_backend, kernel_scope
 from repro.pipeline import synthesize_runs
 from repro.runner.cli import main as cli_main
 from repro.runner.engine import grid_cells
@@ -132,7 +132,8 @@ LAYOUTS = {
 
 
 def _synthesize(layout, tx_model, channel, rngs, backend, nsent=None):
-    return synthesize_runs(layout, tx_model, channel, rngs, nsent=nsent, kernel=backend)
+    with kernel_scope(backend):
+        return synthesize_runs(layout, tx_model, channel, rngs, nsent=nsent)
 
 
 def _same_synthesis(left, right) -> bool:
@@ -202,7 +203,7 @@ class TestBlockMatchesGenerators:
         results = []
         for threads in (1, 2):
             streams = RunStreams(77, (4, 1), 0, 64)
-            with thread_count_context(threads):
+            with kernel_scope(threads=threads):
                 synthesis = _synthesize(layout, make_tx_model(tx_name), channel, streams, backend)
             results.append((synthesis, [rng.bit_generator.state for rng in streams]))
         assert _same_synthesis(results[0][0], results[1][0])

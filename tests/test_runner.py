@@ -101,9 +101,9 @@ class TestCodeCache:
             return build_code(config, *args, **kwargs)
 
         def counting(compiler):
-            def compile_counted(code, kernel):
+            def compile_counted(code):
                 counts["compiles"] += 1
-                return compiler(code, kernel)
+                return compiler(code)
             return compile_counted
 
         monkeypatch.setattr(SimulationConfig, "build_code", counting_build)

@@ -258,7 +258,7 @@ class TestUnitSynthesis:
         class DuckChannel:
             uses_rng = True
 
-            def loss_mask(self, count, rng=None, *, kernel=None):
+            def loss_mask(self, count, rng=None):
                 return rng.random(count) < 0.1
 
         synthesis = synthesize_runs_unit(

@@ -1,8 +1,11 @@
 """Tests for the pluggable result-store subsystem (``repro.store``)."""
 
+import copy
+import dataclasses
 import json
 import multiprocessing
 import os
+import pickle
 import shlex
 import sqlite3
 import subprocess
@@ -378,16 +381,40 @@ class TestEncodeOnce:
         for unit in _units(config) + _units(SimulationConfig(label="Bob's sweep")):
             assert unit.to_json() == json.dumps(unit.to_payload())
 
-    def test_mutated_option_dict_is_not_a_stale_token(self):
-        config = SimulationConfig(tx_model="tx_model_6", tx_options={"source_fraction": 0.2})
+    def test_option_dicts_are_read_only(self):
+        options = {"source_fraction": 0.2}
+        config = SimulationConfig(tx_model="tx_model_6", tx_options=options)
         unit = _units(config)[0]
         token, key = config_token(config), unit_key(unit)
         assert config_token(config) is token  # encoded once
-        config.tx_options["source_fraction"] = 0.3
-        mutated = SimulationConfig(tx_model="tx_model_6", tx_options={"source_fraction": 0.3})
-        assert config_token(config) == config_token(mutated) != token
-        assert unit_key(unit) == unit_key(_units(mutated)[0]) != key
-        assert json.loads(unit.to_json())["config"]["tx_options"] == {"source_fraction": 0.3}
+        options["source_fraction"] = 0.3  # the caller's dict is not the config's
+        mutators = [
+            lambda d: d.__setitem__("source_fraction", 0.3),
+            lambda d: d.__delitem__("source_fraction"),
+            lambda d: d.update(source_fraction=0.3),
+            lambda d: d.setdefault("other", 1),
+            lambda d: d.pop("source_fraction"),
+            lambda d: d.popitem(),
+            lambda d: d.clear(),
+            lambda d: d.__ior__({"other": 1}),
+        ]
+        for mutate in mutators:
+            with pytest.raises(TypeError, match="read-only"):
+                mutate(config.tx_options)
+        assert config.tx_options == {"source_fraction": 0.2}
+        assert config_token(config) is token and unit_key(unit) == key
+        # Copies and pickles carry plain dicts; a rebuilt config is
+        # read-only again and encodes byte-identically.
+        assert type(copy.deepcopy(config.tx_options)) is dict
+        assert type(pickle.loads(pickle.dumps(config.tx_options))) is dict
+        for rebuilt in (pickle.loads(pickle.dumps(config)), copy.deepcopy(config)):
+            assert rebuilt == config
+            assert config_token(rebuilt) == token
+            assert rebuilt.snapshot_json == config.snapshot_json
+            with pytest.raises(TypeError, match="read-only"):
+                rebuilt.tx_options["source_fraction"] = 0.3
+        assert json.loads(unit.to_json())["config"]["tx_options"] == {"source_fraction": 0.2}
+        assert config.snapshot_json == json.dumps(dataclasses.asdict(config))
 
 
 class TestNumpyConfigs:

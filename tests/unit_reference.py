@@ -17,6 +17,7 @@ from repro.channel.gilbert import GilbertChannel
 from repro.core.metrics import RunResultBatch
 from repro.core.simulator import Simulator
 from repro.fastpath import decode_batch_incremental
+from repro.kernels import kernel_scope
 from repro.pipeline.synthesis import synthesize_runs_unit
 from repro.runner.units import UnitResult, WorkUnit, merge_cell, plan_units
 from repro.seeds import get_scheme
@@ -50,15 +51,10 @@ def reference_batch(unit: WorkUnit) -> RunResultBatch:
         return RunResultBatch.from_results(results)
     code = _shared_code(unit)
     if streams.unit_rng is not None:
-        synthesis = synthesize_runs_unit(
-            code.layout,
-            tx_model,
-            channel,
-            streams.unit_rng,
-            streams.runs,
-            nsent=nsent,
-            kernel="numpy",
-        )
+        with kernel_scope("numpy"):
+            synthesis = synthesize_runs_unit(
+                code.layout, tx_model, channel, streams.unit_rng, streams.runs, nsent=nsent
+            )
         return decode_batch_incremental(code, synthesis)
     simulator = Simulator(code, tx_model, channel)
     return RunResultBatch.from_results(
